@@ -20,17 +20,17 @@ from .instances import generate_instance, load_instance, save_instance
 from .semigroup import (DecayFit, fit_exponential_decay, matrix_exponential,
                         semigroup_apply, semigroup_norms, step_trajectory)
 from .spaces import (DenseOperator, EmbeddedSpacePair, WeightedSpace,
-                     operator_norm, weighted_inner, weighted_norm)
-from .spectral import (SpectralReport, eigen_decompose, resolvent,
-                       resolvent_matrix, spectral_projector)
+                     operator_norm, weighted_norm)
+from .spectral import (SpectralReport, eigen_decompose, resolvent_matrix,
+                       spectral_projector)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_TOLERANCES", "Tolerances", "RunConfig", "FPProblem",
     "WeightedSpace", "DenseOperator", "EmbeddedSpacePair",
-    "weighted_norm", "weighted_inner", "operator_norm",
-    "SpectralReport", "resolvent", "resolvent_matrix", "eigen_decompose",
+    "weighted_norm", "operator_norm",
+    "SpectralReport", "resolvent_matrix", "eigen_decompose",
     "spectral_projector",
     "DecayFit", "fit_exponential_decay", "matrix_exponential",
     "semigroup_apply", "semigroup_norms", "step_trajectory",

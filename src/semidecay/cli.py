@@ -27,7 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--jobs", type=int, default=None, help="worker pool size")
+        cmd.add_argument("--jobs", type=int, default=None,
+                         help="accepted and ignored; runs are serial")
         cmd.add_argument("--out", default=None, help="override output directory")
         cmd.add_argument("--tolerance", action="append", default=[],
                          metavar="KEY=VAL", help="override one tolerance (repeatable)")

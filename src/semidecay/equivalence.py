@@ -24,12 +24,8 @@ from .hypotheses import (FAIL, PASS, H1Report, H2Report, H3Report, check_h1,
 from .semigroup import (DecayFit, default_time_grid, envelope_prefactor,
                         fit_exponential_decay, matrix_exponential,
                         semigroup_norms)
-from .spaces import DenseOperator, WeightedSpace, operator_norm
+from .spaces import WeightedSpace, as_matrix, operator_norm
 from .spectral import SpectralReport, resolvent_matrix
-
-
-def _entries(op):
-    return op.entries if isinstance(op, DenseOperator) else np.asarray(op)
 
 
 @dataclass
@@ -87,7 +83,7 @@ def verify_decay_from_resolvent(op, space: WeightedSpace, report: SpectralReport
     (inflated by the inter-sample curvature margin so the continuous
     envelope is covered, not just the samples).
     """
-    matrix = _entries(op)
+    matrix = as_matrix(op)
     if report.discrete_eigs is None or report.projectors is None:
         raise CertificateError("spectral report lacks discrete eigenvalues or projectors")
     if t_grid is None:
@@ -167,7 +163,7 @@ def verify_resolvent_from_decay(op, space: WeightedSpace,
     Laplace bound is verified at the certificate level with multiplicative
     slack ``laplace_slack`` on the sampled half plane.
     """
-    matrix = np.asarray(_entries(op))
+    matrix = as_matrix(op)
     n = matrix.shape[0]
     level = certificate.level
     c_a = certificate.prefactor

@@ -51,15 +51,7 @@ class DomainTooSmallError(SemidecayError):
 
 
 class InfeasibleParameterError(SemidecayError):
-    """Requested parameters cannot produce a valid object.
-
-    For decomposition searches, ``frontier`` holds the best value achieved
-    per candidate so the caller can widen the search box.
-    """
-
-    def __init__(self, message, frontier=None):
-        super().__init__(message)
-        self.frontier = frontier
+    """Requested parameters cannot produce a valid object."""
 
 
 class CertificateError(SemidecayError):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError
-from .spaces import (DenseOperator, EmbeddedSpacePair, WeightedSpace,
-                     operator_norm, weighted_norm)
+from .spaces import (DenseOperator, EmbeddedSpacePair, operator_norm,
+                     weighted_congruence, weighted_norm)
 from .spectral import resolvent_matrix
 
 
@@ -80,6 +80,11 @@ def enlarged_resolvent(split: SplitOperator, pair: EmbeddedSpacePair, xi: comple
         raise DimensionMismatchError("split operator and space pair dimensions differ")
     b_inv = resolvent_matrix(split.part_b, xi, tol)
     r_small = resolvent_matrix(split.full, xi, tol)
+    return _assemble(split, b_inv, r_small)
+
+
+def _assemble(split: SplitOperator, b_inv, r_small) -> np.ndarray:
+    """``U(xi) = B(xi)^{-1} - R(xi) A B(xi)^{-1}`` from the two inverses."""
     a_b_inv = split.part_a @ b_inv
     return b_inv - r_small @ a_b_inv
 
@@ -109,7 +114,13 @@ class FactorizationReport:
 def verify_factorization(split: SplitOperator, pair: EmbeddedSpacePair,
                          xi_samples, tol: Tolerances = DEFAULT_TOLERANCES
                          ) -> FactorizationReport:
-    """Certify ``(T-xi) U(xi) = Id`` and ``U(xi) = (T-xi)^{-1}`` on samples."""
+    """Certify ``(T-xi) U(xi) = Id`` and ``U(xi) = (T-xi)^{-1}`` on samples.
+
+    The one dense inverse of T - xi per sample serves both as R(xi) inside
+    U(xi) and as the direct inverse U(xi) is compared with.
+    """
+    if split.dim != pair.dim:
+        raise DimensionMismatchError("split operator and space pair dimensions differ")
     xi_samples = np.asarray(xi_samples, dtype=complex)
     amb = pair.ambient
     n = split.dim
@@ -117,9 +128,10 @@ def verify_factorization(split: SplitOperator, pair: EmbeddedSpacePair,
     id_res = np.empty(len(xi_samples))
     inv_mis = np.empty(len(xi_samples))
     for i, xi in enumerate(xi_samples):
-        u = enlarged_resolvent(split, pair, xi, tol)
-        shifted = split.full - xi * eye
+        b_inv = resolvent_matrix(split.part_b, xi, tol)
         direct = resolvent_matrix(split.full, xi, tol)
+        u = _assemble(split, b_inv, direct)
+        shifted = split.full - xi * eye
         cond = operator_norm(shifted, amb, amb) * operator_norm(direct, amb, amb)
         id_res[i] = operator_norm(shifted @ u - eye, amb, amb) / max(cond, 1.0)
         inv_mis[i] = (operator_norm(u - direct, amb, amb)
@@ -159,14 +171,13 @@ def injectivity_check(split: SplitOperator, pair: EmbeddedSpacePair, xi: complex
     n = split.dim
     shifted = split.full - xi * np.eye(n)
     amb = pair.ambient
-    scaling = amb.scaling()
-    scaled = (scaling[:, None] * shifted) / scaling[None, :]
-    u_mat, sv, vh = np.linalg.svd(scaled)
+    scaled = weighted_congruence(shifted, amb, amb)
+    _, sv, vh = np.linalg.svd(scaled)
     sigma_min = float(sv[-1])
     if sigma_min > tol.injectivity_floor:
         return InjectivityReport(True, sigma_min, tol.injectivity_floor)
     # near-null vector in the original coordinates
-    g = vh[-1].conj() / scaling
+    g = vh[-1].conj() / amb.scaling()
     g = g / weighted_norm(g, amb)
     b_action = (split.part_b - xi * np.eye(n)) @ g
     a_action = split.part_a @ g

@@ -323,7 +323,6 @@ class FPDiscretization:
     mu: np.ndarray                 # equilibrium node values, unit discrete mass
     space_small: WeightedSpace     # weights mu^{-1}
     space_ambient: WeightedSpace   # weights theta(U)
-    zero_flux_axes: tuple = ()
 
     @classmethod
     def build(cls, grid: FPGrid, potential, weight: EnlargedWeight,
@@ -344,8 +343,7 @@ class FPDiscretization:
         space_ambient = WeightedSpace(coord, w_ambient, grid.h ** grid.d, name="ambient")
         return cls(grid=grid, potential=potential, weight=weight, swirl=swirl,
                    sym=sym, skew=skew, mu=mu, space_small=space_small,
-                   space_ambient=space_ambient,
-                   zero_flux_axes=tuple(range(grid.d)))
+                   space_ambient=space_ambient)
 
     @property
     def generator(self) -> sp.csr_matrix:

@@ -17,17 +17,13 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SingularityError
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
-from .spaces import (DenseOperator, EmbeddedSpacePair, WeightedSpace,
-                     operator_norm)
+from .spaces import (EmbeddedSpacePair, WeightedSpace, as_matrix, operator_norm,
+                     space_of, weighted_congruence)
 from .spectral import SpectralReport, eigen_decompose, resolvent_matrix, spectral_projector
 
 PASS = "pass"
 FAIL = "fail"
 INDETERMINATE = "indeterminate"
-
-
-def _entries(op):
-    return op.entries if isinstance(op, DenseOperator) else np.asarray(op)
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +79,7 @@ def check_h1(op, a: float, r: float, expected_k: int | None = None,
     {Re z > a}. Eigenvalues within the boundary margin of the line give an
     indeterminate verdict.
     """
-    matrix = _entries(op)
+    matrix = as_matrix(op)
     spectral = eigen_decompose(matrix, tol)
     spectral.half_plane_abscissa = a
     spectral.isolation_radius = r
@@ -218,10 +214,9 @@ def check_h2(op, a: float, space: WeightedSpace | None = None,
     SingularityError
         If an eigenvalue lies on the scan line (within the boundary margin).
     """
-    matrix = np.asarray(_entries(op), dtype=complex)
+    matrix = np.asarray(as_matrix(op), dtype=complex)
     n = matrix.shape[0]
-    if space is None:
-        space = op.domain if isinstance(op, DenseOperator) else WeightedSpace.unweighted(n)
+    space = space_of(op, space)
     eigvals = np.linalg.eigvals(matrix)
     scale = max(1.0, float(np.max(np.abs(eigvals))) if len(eigvals) else 1.0)
     gap_to_line = float(np.min(np.abs(eigvals.real - a))) if len(eigvals) else np.inf
@@ -231,8 +226,7 @@ def check_h2(op, a: float, space: WeightedSpace | None = None,
             f"eigenvalue {witness} lies on the scan line Re z = {a}",
             distance=gap_to_line, witness=witness)
 
-    scaling = space.scaling()
-    scaled = (scaling[:, None] * matrix) / scaling[None, :] - a * np.eye(n)
+    scaled = weighted_congruence(matrix, space, space) - a * np.eye(n)
     shifted_norm = float(np.linalg.norm(scaled, 2))
     if y_grid is None:
         core = 10.0 * max(abs(a), 1.0, float(np.max(np.abs(eigvals.imag))) if len(eigvals) else 0.0)
@@ -307,11 +301,10 @@ class H3Report:
 def check_h3(op, space: WeightedSpace | None = None, t_grid=None,
              tol: Tolerances = DEFAULT_TOLERANCES) -> H3Report:
     """Certified envelope ``||e^{tT}|| <= C_b e^{b t}`` on a sampled horizon."""
-    matrix = _entries(op)
-    if space is None:
-        space = op.domain if isinstance(op, DenseOperator) else WeightedSpace.unweighted(matrix.shape[0])
+    matrix = as_matrix(op)
+    space = space_of(op, space)
     if t_grid is None:
-        eigvals = np.linalg.eigvals(np.asarray(matrix))
+        eigvals = np.linalg.eigvals(matrix)
         spread = float(np.max(eigvals.real) - np.min(eigvals.real)) if len(eigvals) else 1.0
         t_grid = default_time_grid(rate_scale=max(spread, 1e-2), n=64)
     t_grid = np.asarray(t_grid, dtype=float)

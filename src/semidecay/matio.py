@@ -10,11 +10,12 @@ import csv
 
 import numpy as np
 import scipy.io
+import scipy.sparse as sp
 
 
 def write_matrix(path, matrix):
-    """Dense Matrix Market array file (real or complex)."""
-    scipy.io.mmwrite(path, np.asarray(matrix))
+    """Matrix Market file: coordinate format for sparse input, array otherwise."""
+    scipy.io.mmwrite(path, matrix if sp.issparse(matrix) else np.asarray(matrix))
 
 
 def read_matrix(path) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Experiment engines behind the command-line interface.
 
-Work items (seeds, shift samples, decomposition candidates) are pure, so
-fan-out over a thread pool is safe; results are reduced in submission
-order, which makes the output independent of the worker count.
+Runs are serial: instances are generated and checked one after another
+in seed order. The ``jobs`` config key (and ``--jobs``) is accepted and
+ignored.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,13 +24,6 @@ from .hypotheses import (FAIL, INDETERMINATE, PASS, HypothesisReport,
                          sample_xi_region)
 from .instances import GeneratedInstance, generate_instance, load_instance, save_instance
 from .reports import (EXIT_CHECKS_FAILED, EXIT_INFEASIBLE, EXIT_OK, RunReport)
-
-
-def _map_ordered(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _check_instance(instance: GeneratedInstance, tol, thin_samples=False):
@@ -124,16 +116,12 @@ def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
     else:
         spec = config.instance
         seeds = list(range(config.seed, config.seed + config.n_seeds))
-        made = _map_ordered(
-            lambda s: generate_instance(s, spec.n, a=spec.a, gap=spec.gap,
-                                        strength=spec.strength, k=spec.k),
-            seeds, config.jobs)
-        instances = list(zip(seeds, made))
+        instances = [(s, generate_instance(s, spec.n, a=spec.a, gap=spec.gap,
+                                           strength=spec.strength, k=spec.k))
+                     for s in seeds]
 
-    results = _map_ordered(
-        lambda pair_: _check_instance(pair_[1], tol,
-                                      thin_samples=config.n_seeds > 4),
-        instances, config.jobs)
+    results = [_check_instance(instance, tol, thin_samples=config.n_seeds > 4)
+               for _, instance in instances]
 
     for (seed, instance), result in zip(instances, results):
         label = seed if seed is not None else "loaded"
@@ -183,8 +171,7 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
 
     if config.write_operators:
         path = os.path.join(config.out_dir, "generator.mtx")
-        matio.write_matrix(path, disc.generator.toarray()
-                           if disc.grid.n_total <= 4200 else disc.generator)
+        matio.write_matrix(path, disc.generator)
         report.artifacts.append(os.path.basename(path))
 
     if config.command == "fp-spectrum":

@@ -12,19 +12,15 @@ import scipy.sparse.linalg as spla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (InsufficientSignalError, MagnitudeGuardError,
                      StepRejectionError)
-from .spaces import DenseOperator, WeightedSpace, operator_norm
+from .spaces import WeightedSpace, as_matrix, operator_norm, space_of
 
 EXPM_DENSE_LIMIT = 600
-
-
-def _entries(op) -> np.ndarray:
-    return op.entries if isinstance(op, DenseOperator) else np.asarray(op)
 
 
 def matrix_exponential(matrix) -> np.ndarray:
     """Scaling-and-squaring matrix exponential with an overflow guard."""
     with np.errstate(over="ignore", invalid="ignore"):
-        result = sla.expm(np.asarray(_entries(matrix)))
+        result = sla.expm(as_matrix(matrix))
     if not np.all(np.isfinite(result.real)):
         raise MagnitudeGuardError("matrix exponential overflowed; shorten the horizon")
     return result
@@ -36,7 +32,7 @@ def semigroup_apply(op, f0, t_grid) -> np.ndarray:
     Times must be nonnegative and increasing. Uniformly spaced grids reuse
     one propagator per step; general grids exponentiate per time.
     """
-    matrix = np.asarray(_entries(op))
+    matrix = as_matrix(op)
     t_grid = np.asarray(t_grid, dtype=float)
     f0 = np.asarray(f0)
     if t_grid.ndim != 1 or len(t_grid) == 0:
@@ -68,10 +64,8 @@ def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
     from the propagator before taking the norm; with no deflation this is
     the plain semigroup norm.
     """
-    matrix = np.asarray(_entries(op))
-    n = matrix.shape[0]
-    if space is None:
-        space = op.domain if isinstance(op, DenseOperator) else WeightedSpace.unweighted(n)
+    matrix = as_matrix(op)
+    space = space_of(op, space)
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):

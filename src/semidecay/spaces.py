@@ -8,7 +8,7 @@ norm flavours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,10 +84,6 @@ def weighted_norm(v, space: WeightedSpace) -> float:
     return float(np.linalg.norm(space.scaling() * v))
 
 
-def weighted_inner(u, v, space: WeightedSpace):
-    return space.inner(u, v)
-
-
 @dataclass(frozen=True)
 class DenseOperator:
     """A dense matrix together with its domain and codomain spaces."""
@@ -117,17 +113,26 @@ class DenseOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def apply(self, v) -> np.ndarray:
-        v = np.asarray(v)
-        if len(v) != self.domain.dim:
-            raise DimensionMismatchError("vector length does not match operator domain")
-        return self.entries @ v
-
     def norm(self) -> float:
         return operator_norm(self.entries, self.domain, self.codomain)
 
 
-def _scaled(matrix, dom: WeightedSpace, cod: WeightedSpace) -> np.ndarray:
+def as_matrix(op) -> np.ndarray:
+    """The entries of a :class:`DenseOperator`, or ``op`` as an array."""
+    return op.entries if isinstance(op, DenseOperator) else np.asarray(op)
+
+
+def space_of(op, space: WeightedSpace | None = None) -> WeightedSpace:
+    """``space`` if given, else the operator's domain, else the unweighted space."""
+    if space is not None:
+        return space
+    if isinstance(op, DenseOperator):
+        return op.domain
+    return WeightedSpace.unweighted(as_matrix(op).shape[0])
+
+
+def weighted_congruence(matrix, dom: WeightedSpace, cod: WeightedSpace) -> np.ndarray:
+    """``W_cod^{1/2} M W_dom^{-1/2}``: its plain spectral norm is the weighted one."""
     s_dom = dom.scaling()
     s_cod = cod.scaling()
     return (s_cod[:, None] * matrix) / s_dom[None, :]
@@ -164,13 +169,11 @@ def operator_norm(matrix, dom: WeightedSpace, cod: WeightedSpace, method="auto")
     Computed as the largest singular value of the diagonally congruent
     matrix ``W_cod^{1/2} M W_dom^{-1/2}``.
     """
-    if isinstance(matrix, DenseOperator):
-        matrix = matrix.entries
-    matrix = np.asarray(matrix)
+    matrix = as_matrix(matrix)
     if matrix.shape != (cod.dim, dom.dim):
         raise DimensionMismatchError(
             f"matrix shape {matrix.shape} does not map dim {dom.dim} -> dim {cod.dim}")
-    scaled = _scaled(matrix, dom, cod)
+    scaled = weighted_congruence(matrix, dom, cod)
     if method == "power" or (method == "auto" and matrix.shape[0] > _DENSE_SVD_LIMIT):
         return spectral_norm_power_iteration(scaled)
     return float(np.linalg.svd(scaled, compute_uv=False)[0])

@@ -19,7 +19,7 @@ import scipy.linalg as sla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (EigenConvergenceError, ProjectorMismatchError,
                      SeparationError, SingularityError)
-from .spaces import DenseOperator
+from .spaces import as_matrix
 
 
 @dataclass
@@ -53,10 +53,6 @@ class SpectralReport:
         }
 
 
-def _entries(op) -> np.ndarray:
-    return op.entries if isinstance(op, DenseOperator) else np.asarray(op)
-
-
 def distance_to_spectrum(matrix, point: complex) -> float:
     return float(np.min(np.abs(np.linalg.eigvals(np.asarray(matrix)) - point)))
 
@@ -71,7 +67,7 @@ def resolvent_matrix(matrix, xi: complex, tol: Tolerances = DEFAULT_TOLERANCES) 
         exceeds ``tol_solve`` times the condition number. The error carries
         a distance-to-spectrum estimate.
     """
-    matrix = np.asarray(_entries(matrix))
+    matrix = as_matrix(matrix)
     n = matrix.shape[0]
     shifted = matrix - xi * np.eye(n)
     ident = np.eye(n, dtype=shifted.dtype)
@@ -110,19 +106,12 @@ def resolvent_matrix(matrix, xi: complex, tol: Tolerances = DEFAULT_TOLERANCES) 
     return res
 
 
-def resolvent(op: DenseOperator, xi: complex,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> DenseOperator:
-    """Resolvent of an operator at a point off its spectrum."""
-    res = resolvent_matrix(op.entries, xi, tol)
-    return DenseOperator(entries=res, domain=op.codomain, codomain=op.domain)
-
-
 def eigen_decompose(op, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralReport:
     """Dense eigendecomposition with right and left eigenvectors.
 
     Every eigenpair is residual-checked against ``tol_eig * ||T||``.
     """
-    matrix = np.asarray(_entries(op))
+    matrix = as_matrix(op)
     try:
         eigvals, left, right = sla.eig(matrix, left=True, right=True)
     except sla.LinAlgError as exc:
@@ -205,7 +194,7 @@ def spectral_projector(op, center: complex, radius: float,
     ProjectorMismatchError
         If the two constructions never agree within ``tol_proj``.
     """
-    matrix = np.asarray(_entries(op))
+    matrix = as_matrix(op)
     eigvals = np.linalg.eigvals(matrix)
     _check_separation(eigvals, center, radius, tol.boundary_margin)
 

@@ -82,6 +82,24 @@ def test_abscissa_on_spectrum_reports_indeterminate(tmp_path):
     assert report["verdicts"]["seed_loaded.h1"]["verdict"] == "indeterminate"
 
 
+def test_fp_spectrum_writes_sparse_generator(tmp_path):
+    """A 66 x 66 grid (4356 unknowns) writes its generator without densifying."""
+    from scipy.io import mmread
+
+    from semidecay.config import RunConfig
+    from semidecay.fokker_planck import build_problem
+    cfg = write_config(tmp_path, {
+        "schema_version": 1, "command": "fp-spectrum",
+        "problem": {"d": 2, "s": 2.0, "L": 8.0, "N": 66,
+                    "weight": {"kind": "polynomial", "k": 3.0}},
+        "write_operators": True, "out_dir": str(tmp_path / "out")})
+    assert main(["fp-spectrum", "--config", cfg]) == 0
+    written = mmread(str(tmp_path / "out" / "generator.mtx"))
+    generator = build_problem(RunConfig.from_json_file(cfg).problem).generator
+    assert written.shape == generator.shape == (4356, 4356)
+    assert written.nnz == generator.nnz
+
+
 def test_determinism_byte_identical_csv(tmp_path):
     for name in ("one", "two"):
         cfg = write_config(tmp_path,

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semidecay import generate_instance
+from semidecay import factorization, generate_instance
+from semidecay.config import DEFAULT_TOLERANCES
 from semidecay.factorization import (SplitOperator, enlarged_resolvent,
                                      enlargement_bound_chain,
                                      injectivity_check, verify_factorization)
@@ -64,6 +65,21 @@ class TestVerifyFactorization:
         report = verify_factorization(inst.split, inst.pair,
                                       line_samples(inst.certificate))
         assert report.max_identity_residual <= 1e-9
+        assert report.max_inverse_mismatch <= 1e-8
+
+    def test_one_inverse_per_matrix_per_sample(self, monkeypatch):
+        """B - xi and T - xi are each inverted once; R(xi) is the direct inverse."""
+        calls = []
+
+        def counting(matrix, xi, tol=DEFAULT_TOLERANCES):
+            calls.append(xi)
+            return resolvent_matrix(matrix, xi, tol)
+
+        monkeypatch.setattr(factorization, "resolvent_matrix", counting)
+        inst = generate_instance(23, 16)
+        samples = line_samples(inst.certificate)
+        report = verify_factorization(inst.split, inst.pair, samples)
+        assert len(calls) == 2 * len(samples)
         assert report.max_inverse_mismatch <= 1e-8
 
 

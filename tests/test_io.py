@@ -3,6 +3,7 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from semidecay.config import (FPProblem, RunConfig, Tolerances,
                               parse_tolerance_overrides)
@@ -22,6 +23,13 @@ class TestMatrixMarket:
         path = tmp_path / "m.mtx"
         write_matrix(path, m)
         npt.assert_allclose(read_matrix(path), m, rtol=1e-15)
+
+    def test_sparse_written_as_coordinate(self, tmp_path):
+        m = sp.random(40, 40, density=0.05, format="csr", random_state=3)
+        path = tmp_path / "m.mtx"
+        write_matrix(path, m)
+        assert "coordinate" in path.read_text().splitlines()[0]
+        npt.assert_allclose(read_matrix(path), m.toarray(), rtol=1e-15)
 
 
 class TestCsv:
