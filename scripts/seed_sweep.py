@@ -9,7 +9,8 @@ import sys
 import numpy as np
 
 from semidecay import generate_instance
-from semidecay.factorization import enlargement_bound_chain, verify_factorization
+from semidecay.factorization import (enlargement_bound_chain, shift_sweep,
+                                     verify_factorization)
 from semidecay.hypotheses import sample_xi_region
 
 
@@ -25,8 +26,9 @@ def main(n_seeds=100, max_size=32):
         cert = inst.certificate
         xi = sample_xi_region(cert.a, cert.r, list(cert.xi),
                               n_line=9, n_circle=8, grid_shape=(6, 6))
-        fact = verify_factorization(inst.split, inst.pair, xi)
-        chain = enlargement_bound_chain(inst.split, inst.pair, xi)
+        sweep = shift_sweep(inst.split, inst.pair, xi)
+        fact = verify_factorization(inst.split, inst.pair, xi, sweep=sweep)
+        chain = enlargement_bound_chain(inst.split, inst.pair, xi, sweep=sweep)
         worst_identity = max(worst_identity, fact.max_identity_residual)
         worst_mismatch = max(worst_mismatch, fact.max_inverse_mismatch)
         violations += 0 if chain.dominated else 1

@@ -5,6 +5,12 @@ assembled as ``U(xi) = B(xi)^{-1} - R(xi) A B(xi)^{-1}`` where B(xi) = B - xi
 and R(xi) is the resolvent of the restriction to the small space. The
 assembly never inverts T - xi directly; agreement with the direct dense
 inverse is what the verification routines certify.
+
+H4, :func:`verify_factorization` and :func:`enlargement_bound_chain` read
+the same per-sample norms. :func:`shift_sweep` computes them in one pass
+over the samples, in blocks of ``SHIFT_BLOCK`` shifts: each block inverts
+B - xi and T - xi once per sample with one stacked solve each, then takes
+the eight distinct weighted norms as stacked SVDs.
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DimensionMismatchError
-from .spaces import (DenseOperator, EmbeddedSpacePair, operator_norm,
+from .errors import DimensionMismatchError, SingularityError
+from .spaces import (DenseOperator, EmbeddedSpacePair, operator_norms,
                      weighted_congruence, weighted_norm)
-from .spectral import resolvent_matrix
+from .spectral import SHIFT_BLOCK, guarded_inverses, resolvent_matrix
 
 
 @dataclass(frozen=True)
@@ -80,13 +86,129 @@ def enlarged_resolvent(split: SplitOperator, pair: EmbeddedSpacePair, xi: comple
         raise DimensionMismatchError("split operator and space pair dimensions differ")
     b_inv = resolvent_matrix(split.part_b, xi, tol)
     r_small = resolvent_matrix(split.full, xi, tol)
-    return _assemble(split, b_inv, r_small)
+    return _assemble(b_inv, r_small, split.part_a @ b_inv)
 
 
-def _assemble(split: SplitOperator, b_inv, r_small) -> np.ndarray:
-    """``U(xi) = B(xi)^{-1} - R(xi) A B(xi)^{-1}`` from the two inverses."""
-    a_b_inv = split.part_a @ b_inv
+def _assemble(b_inv, r_small, a_b_inv) -> np.ndarray:
+    """``U(xi) = B(xi)^{-1} - R(xi) A B(xi)^{-1}``, also on stacks of shifts."""
     return b_inv - r_small @ a_b_inv
+
+
+@dataclass
+class ShiftSweep:
+    """The weighted norms of B(xi)^{-1}, R(xi) and U(xi) over a sample.
+
+    Every array has one entry per sample: ``b_inverse`` is
+    ``||B(xi)^{-1}||_amb``, ``a_b_inverse`` and ``b_inverse_a`` are
+    ``||A B(xi)^{-1}||`` and ``||B(xi)^{-1} A||`` from the ambient into the
+    small space, ``shifted`` is ``||T - xi||_amb``, ``resolvent`` and
+    ``resolvent_small`` are ``||R(xi)||`` in the two spaces,
+    ``identity_defect`` is ``||(T - xi) U(xi) - Id||_amb`` and ``mismatch``
+    is ``||U(xi) - R(xi)||_amb``.
+
+    ``b_failure`` and ``t_failure`` hold the index and the
+    :class:`SingularityError` of the first sample where B - xi, resp.
+    T - xi, could not be inverted; entries that depend on a failed inverse
+    are NaN. The sweep stops after the block of the first B failure, so
+    later entries are NaN too.
+    """
+
+    samples: np.ndarray
+    b_inverse: np.ndarray
+    a_b_inverse: np.ndarray
+    b_inverse_a: np.ndarray
+    shifted: np.ndarray
+    resolvent: np.ndarray
+    resolvent_small: np.ndarray
+    identity_defect: np.ndarray
+    mismatch: np.ndarray
+    b_failure: tuple[int, SingularityError] | None = None
+    t_failure: tuple[int, SingularityError] | None = None
+
+    def raise_failure(self):
+        """Raise the error of the first failed sample; B - xi before T - xi."""
+        failures = [f for f in (self.b_failure, self.t_failure) if f is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+
+
+_B_NORMS = ("b_inverse", "a_b_inverse", "b_inverse_a")
+_T_NORMS = ("resolvent", "resolvent_small")
+_U_NORMS = ("identity_defect", "mismatch")
+
+
+def _sweep_block(split: SplitOperator, pair: EmbeddedSpacePair, xis,
+                 tol: Tolerances):
+    """The eight norms on one block of shifts.
+
+    Each stack is dropped once its norms are read, so that few stacks of
+    the block are alive at a time.
+    """
+    amb, small = pair.ambient, pair.small
+    eye = np.eye(split.dim)
+    r, t_errors = guarded_inverses(split.full, xis, tol)
+    norms = {"resolvent": operator_norms(r, amb, amb),
+             "resolvent_small": operator_norms(r, small, small)}
+    b_inv, b_errors = guarded_inverses(split.part_b, xis, tol)
+    a_b_inv = split.part_a @ b_inv
+    norms["b_inverse"] = operator_norms(b_inv, amb, amb)
+    norms["a_b_inverse"] = operator_norms(a_b_inv, amb, small)
+    norms["b_inverse_a"] = operator_norms(b_inv @ split.part_a, amb, small)
+    u = _assemble(b_inv, r, a_b_inv)
+    del b_inv, a_b_inv
+    norms["mismatch"] = operator_norms(u - r, amb, amb)
+    del r
+    shifted = split.full - xis[:, None, None] * eye
+    norms["shifted"] = operator_norms(shifted, amb, amb)
+    defect = shifted @ u
+    defect -= eye
+    norms["identity_defect"] = operator_norms(defect, amb, amb)
+    for i in b_errors:
+        for name in _B_NORMS + _U_NORMS:
+            norms[name][i] = np.nan
+    for i in t_errors:
+        for name in _T_NORMS + _U_NORMS:
+            norms[name][i] = np.nan
+    return norms, b_errors, t_errors
+
+
+def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
+                tol: Tolerances = DEFAULT_TOLERANCES) -> ShiftSweep:
+    """One pass over the samples for H4, the factorization and the chain.
+
+    Walks the samples in blocks of ``SHIFT_BLOCK`` shifts. Per block,
+    B - xi and T - xi are each inverted once per sample by one stacked
+    solve, and the eight norms of :class:`ShiftSweep` are stacked SVDs.
+    """
+    if split.dim != pair.dim:
+        raise DimensionMismatchError("split operator and space pair dimensions differ")
+    samples = np.asarray(xi_samples, dtype=complex)
+    names = _B_NORMS + ("shifted",) + _T_NORMS + _U_NORMS
+    norms = {name: np.full(len(samples), np.nan) for name in names}
+    b_failure = t_failure = None
+    for start in range(0, len(samples), SHIFT_BLOCK):
+        xis = samples[start:start + SHIFT_BLOCK]
+        block, b_errors, t_errors = _sweep_block(split, pair, xis, tol)
+        for name, values in block.items():
+            norms[name][start:start + len(xis)] = values
+        if t_errors and t_failure is None:
+            i = min(t_errors)
+            t_failure = (start + i, t_errors[i])
+        if b_errors:
+            i = min(b_errors)
+            b_failure = (start + i, b_errors[i])
+            break
+    return ShiftSweep(samples=samples, b_failure=b_failure, t_failure=t_failure,
+                      **norms)
+
+
+def _sweep_for(split, pair, xi_samples, tol, sweep: ShiftSweep | None) -> ShiftSweep:
+    """``sweep`` if it covers exactly these samples, else a new one."""
+    if sweep is None:
+        return shift_sweep(split, pair, xi_samples, tol)
+    if not np.array_equal(sweep.samples, np.asarray(xi_samples, dtype=complex)):
+        raise ValueError("the shift sweep was built on other samples")
+    return sweep
 
 
 @dataclass
@@ -112,34 +234,31 @@ class FactorizationReport:
 
 
 def verify_factorization(split: SplitOperator, pair: EmbeddedSpacePair,
-                         xi_samples, tol: Tolerances = DEFAULT_TOLERANCES
-                         ) -> FactorizationReport:
+                         xi_samples, tol: Tolerances = DEFAULT_TOLERANCES,
+                         sweep: ShiftSweep | None = None) -> FactorizationReport:
     """Certify ``(T-xi) U(xi) = Id`` and ``U(xi) = (T-xi)^{-1}`` on samples.
 
     The one dense inverse of T - xi per sample serves both as R(xi) inside
-    U(xi) and as the direct inverse U(xi) is compared with.
+    U(xi) and as the direct inverse U(xi) is compared with. The norms come
+    from ``sweep``, built by :func:`shift_sweep` from the same split, pair,
+    samples and tolerances, or from a sweep of its own.
+
+    Raises
+    ------
+    SingularityError
+        For the first sample where B - xi or T - xi is not invertible.
     """
     if split.dim != pair.dim:
         raise DimensionMismatchError("split operator and space pair dimensions differ")
-    xi_samples = np.asarray(xi_samples, dtype=complex)
-    amb = pair.ambient
-    n = split.dim
-    eye = np.eye(n)
-    id_res = np.empty(len(xi_samples))
-    inv_mis = np.empty(len(xi_samples))
-    for i, xi in enumerate(xi_samples):
-        b_inv = resolvent_matrix(split.part_b, xi, tol)
-        direct = resolvent_matrix(split.full, xi, tol)
-        u = _assemble(split, b_inv, direct)
-        shifted = split.full - xi * eye
-        cond = operator_norm(shifted, amb, amb) * operator_norm(direct, amb, amb)
-        id_res[i] = operator_norm(shifted @ u - eye, amb, amb) / max(cond, 1.0)
-        inv_mis[i] = (operator_norm(u - direct, amb, amb)
-                      / max(operator_norm(direct, amb, amb), 1e-300))
+    sweep = _sweep_for(split, pair, xi_samples, tol, sweep)
+    sweep.raise_failure()
+    cond = sweep.shifted * sweep.resolvent
+    id_res = sweep.identity_defect / np.maximum(cond, 1.0)
+    inv_mis = sweep.mismatch / np.maximum(sweep.resolvent, 1e-300)
     return FactorizationReport(
         max_identity_residual=float(np.max(id_res)) if len(id_res) else 0.0,
         max_inverse_mismatch=float(np.max(inv_mis)) if len(inv_mis) else 0.0,
-        samples=xi_samples, identity_residuals=id_res, inverse_mismatches=inv_mis)
+        samples=sweep.samples, identity_residuals=id_res, inverse_mismatches=inv_mis)
 
 
 @dataclass
@@ -218,24 +337,21 @@ class BoundChainReport:
 
 
 def enlargement_bound_chain(split: SplitOperator, pair: EmbeddedSpacePair,
-                            xi_samples, tol: Tolerances = DEFAULT_TOLERANCES
-                            ) -> BoundChainReport:
-    """Certified ambient resolvent bound assembled from the split bounds."""
-    xi_samples = np.asarray(xi_samples, dtype=complex)
-    amb, small = pair.ambient, pair.small
-    c_j = pair.embedding_constant
-    chain = np.empty(len(xi_samples))
-    direct = np.empty(len(xi_samples))
-    for i, xi in enumerate(xi_samples):
-        b_inv = resolvent_matrix(split.part_b, xi, tol)
-        r_small = resolvent_matrix(split.full, xi, tol)
-        chain[i] = (operator_norm(b_inv, amb, amb)
-                    + c_j * operator_norm(r_small, small, small)
-                    * operator_norm(split.part_a @ b_inv, amb, small))
-        direct[i] = operator_norm(r_small, amb, amb)
+                            xi_samples, tol: Tolerances = DEFAULT_TOLERANCES,
+                            sweep: ShiftSweep | None = None) -> BoundChainReport:
+    """Certified ambient resolvent bound assembled from the split bounds.
+
+    Reads ``sweep`` like :func:`verify_factorization`, and raises the same
+    :class:`SingularityError` for the first sample that is not invertible.
+    """
+    sweep = _sweep_for(split, pair, xi_samples, tol, sweep)
+    sweep.raise_failure()
+    chain = (sweep.b_inverse
+             + pair.embedding_constant * sweep.resolvent_small * sweep.a_b_inverse)
+    direct = sweep.resolvent.copy()
     dominated = bool(np.all(chain >= direct * (1.0 - 1e-12)))
     return BoundChainReport(
         certified_bound=float(np.max(chain)) if len(chain) else 0.0,
         direct_sup=float(np.max(direct)) if len(direct) else 0.0,
-        dominated=dominated, samples=xi_samples,
+        dominated=dominated, samples=sweep.samples,
         chain_values=chain, direct_values=direct)

@@ -356,9 +356,6 @@ class FPDiscretization:
                 f"limit {_DENSE_LIMIT}; use the sparse paths")
         return self.generator.toarray()
 
-    def embedding_constant(self) -> float:
-        return float(np.sqrt(np.max(self.space_ambient.weights / self.space_small.weights)))
-
 
 # ----------------------------------------------------------------------
 # spectral gap

@@ -16,10 +16,11 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SingularityError
+from .factorization import ShiftSweep, shift_sweep
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
-from .spaces import (EmbeddedSpacePair, WeightedSpace, as_matrix, operator_norm,
-                     space_of, weighted_congruence)
-from .spectral import SpectralReport, eigen_decompose, resolvent_matrix, spectral_projector
+from .spaces import (EmbeddedSpacePair, WeightedSpace, as_matrix, space_of,
+                     weighted_congruence)
+from .spectral import SpectralReport, eigen_decompose, spectral_projector
 
 PASS = "pass"
 FAIL = "fail"
@@ -170,7 +171,9 @@ class H2Report:
     and the tail beyond the scan truncation (via a Neumann-series
     envelope from the shifted operator norm). Segments where the
     Lipschitz certificate could not close are listed in
-    ``uncertified_segments``.
+    ``uncertified_segments``. The verdict passes only when the certificate
+    closed: ``certified_bound`` finite and no segment left uncertified;
+    otherwise it is indeterminate.
     """
 
     bound: float
@@ -182,6 +185,11 @@ class H2Report:
     tail_valid_from: float
     shifted_norm: float
     uncertified_segments: list = field(default_factory=list)
+
+    @property
+    def verdict(self):
+        closed = np.isfinite(self.certified_bound) and not self.uncertified_segments
+        return PASS if closed else INDETERMINATE
 
     def to_dict(self):
         return {"bound": self.bound, "certified_bound": self.certified_bound,
@@ -356,6 +364,9 @@ class H4Report:
 
     ``table`` has one row per sampled xi:
     (xi, ||B(xi)^{-1}||_amb, ||A B(xi)^{-1}||_amb->small, ||B(xi)^{-1} A||_amb->small).
+    ``sweep`` is the :class:`~semidecay.factorization.ShiftSweep` the table
+    was read from; the factorization check and the bound chain reuse it. It
+    is not serialized.
     """
 
     verdict: str
@@ -366,6 +377,7 @@ class H4Report:
     samples: np.ndarray
     table: np.ndarray
     ceiling: float
+    sweep: ShiftSweep | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -386,38 +398,34 @@ def check_h4(split, pair: EmbeddedSpacePair, a: float, r: float, xi_list,
     For each sampled xi computes ``||B(xi)^{-1}||`` on the ambient space
     and the two mixed norms of ``A B(xi)^{-1}`` and ``B(xi)^{-1} A`` as
     maps from the ambient into the small space. Passes iff all three stay
-    finite and below the configured ceiling over the whole sample.
+    finite and below the configured ceiling over the whole sample. The
+    norms come from one :func:`~semidecay.factorization.shift_sweep`, kept
+    on the report for the factorization check and the bound chain; fails
+    with a witness at the first sample where B - xi is singular.
     """
-    part_a = np.asarray(split.part_a)
-    part_b = np.asarray(split.part_b)
-    n = part_b.shape[0]
     if samples is None:
         samples = sample_xi_region(a, r, xi_list)
-    samples = np.asarray(samples, dtype=complex)
-    amb, small = pair.ambient, pair.small
-    rows = np.empty((len(samples), 4), dtype=complex)
-    sup_b = sup_ab = sup_ba = 0.0
-    for i, xi in enumerate(samples):
-        try:
-            b_inv = resolvent_matrix(part_b, xi, tol)
-        except SingularityError as exc:
-            return H4Report(FAIL, f"B - xi numerically singular at xi={xi} "
-                                  f"(distance {exc.distance:.3e})",
-                            np.inf, np.inf, np.inf, samples,
-                            rows[:i], tol.h4_ceiling)
-        nb = operator_norm(b_inv, amb, amb)
-        nab = operator_norm(part_a @ b_inv, amb, small)
-        nba = operator_norm(b_inv @ part_a, amb, small)
-        rows[i] = (xi, nb, nab, nba)
-        sup_b, sup_ab, sup_ba = max(sup_b, nb), max(sup_ab, nab), max(sup_ba, nba)
+    sweep = shift_sweep(split, pair, samples, tol)
+    samples = sweep.samples
+    rows = np.column_stack([samples, sweep.b_inverse, sweep.a_b_inverse,
+                            sweep.b_inverse_a])
+    if sweep.b_failure is not None:
+        i, exc = sweep.b_failure
+        return H4Report(FAIL, f"B - xi numerically singular at xi={samples[i]} "
+                              f"(distance {exc.distance:.3e})",
+                        np.inf, np.inf, np.inf, samples,
+                        rows[:i], tol.h4_ceiling, sweep)
+    sup_b, sup_ab, sup_ba = (float(np.max(col, initial=0.0)) for col in
+                             (sweep.b_inverse, sweep.a_b_inverse, sweep.b_inverse_a))
     worst = max(sup_b, sup_ab, sup_ba)
     if not np.isfinite(worst) or worst > tol.h4_ceiling:
         i_bad = int(np.argmax(np.max(rows[:, 1:].real, axis=1)))
         return H4Report(FAIL,
                         f"bound {worst:.3e} exceeds ceiling {tol.h4_ceiling:.1e} "
                         f"at xi={rows[i_bad, 0]}",
-                        sup_b, sup_ab, sup_ba, samples, rows, tol.h4_ceiling)
-    return H4Report(PASS, None, sup_b, sup_ab, sup_ba, samples, rows, tol.h4_ceiling)
+                        sup_b, sup_ab, sup_ba, samples, rows, tol.h4_ceiling, sweep)
+    return H4Report(PASS, None, sup_b, sup_ab, sup_ba, samples, rows, tol.h4_ceiling,
+                    sweep)
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +447,7 @@ class HypothesisReport:
         if self.h1 is not None:
             parts.append(self.h1.verdict == PASS)
         if self.h2 is not None:
-            parts.append(np.isfinite(self.h2.bound))
+            parts.append(self.h2.verdict == PASS)
         if self.h3 is not None:
             parts.append(np.isfinite(self.h3.fit.prefactor))
         if self.h4 is not None:

@@ -46,8 +46,8 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False):
     else:
         samples = sample_xi_region(a, r, xis)
     h4 = check_h4(split, pair, a, r, xis, samples=samples, tol=tol)
-    fact = verify_factorization(split, pair, samples, tol=tol)
-    chain = enlargement_bound_chain(split, pair, samples, tol=tol)
+    fact = verify_factorization(split, pair, samples, tol=tol, sweep=h4.sweep)
+    chain = enlargement_bound_chain(split, pair, samples, tol=tol, sweep=h4.sweep)
 
     transfer = None
     converse = None
@@ -74,7 +74,7 @@ def _instance_verdicts(report: RunReport, seed: int, result: dict):
     if isinstance(h2, SingularityError):
         report.add_verdict(f"{prefix}.h2", INDETERMINATE, witness=str(h2))
     else:
-        report.add_verdict(f"{prefix}.h2", PASS if np.isfinite(h2.bound) else FAIL,
+        report.add_verdict(f"{prefix}.h2", h2.verdict,
                            constants={"K": h2.bound, "K_certified": h2.certified_bound})
     report.add_verdict(f"{prefix}.h3", PASS,
                        constants={"C_b": h3.fit.prefactor, "b": h3.fit.rate})

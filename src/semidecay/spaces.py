@@ -8,7 +8,7 @@ norm flavours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,6 +179,14 @@ def operator_norm(matrix, dom: WeightedSpace, cod: WeightedSpace, method="auto")
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
+def operator_norms(stack, dom: WeightedSpace, cod: WeightedSpace) -> np.ndarray:
+    """:func:`operator_norm` of every matrix in a stack, as one stacked SVD."""
+    scaled = weighted_congruence(stack, dom, cod)
+    if stack.shape[-1] > _DENSE_SVD_LIMIT:
+        return np.array([spectral_norm_power_iteration(m) for m in scaled])
+    return np.linalg.norm(scaled, 2, axis=(1, 2))
+
+
 def weighted_adjoint(matrix, space: WeightedSpace) -> np.ndarray:
     """Adjoint with respect to the space inner product: ``W^{-1} M^H W``."""
     matrix = np.asarray(matrix)
@@ -223,8 +231,8 @@ class EmbeddedSpacePair:
         ambient = WeightedSpace(grid, ambient_weights, cell_measure, name="ambient")
         small = WeightedSpace(grid, np.asarray(small_weights, dtype=float),
                               cell_measure, name="small")
-        c = float(np.sqrt(np.max(ambient.weights / small.weights)))
-        return cls(ambient=ambient, small=small, embedding_constant=c)
+        pair = cls(ambient=ambient, small=small, embedding_constant=np.inf)
+        return replace(pair, embedding_constant=pair.computed_embedding_constant())
 
     @property
     def dim(self) -> int:

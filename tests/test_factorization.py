@@ -1,17 +1,23 @@
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semidecay import factorization, generate_instance
+from semidecay import generate_instance, spectral
 from semidecay.config import DEFAULT_TOLERANCES
+from semidecay.errors import SingularityError
 from semidecay.factorization import (SplitOperator, enlarged_resolvent,
                                      enlargement_bound_chain,
-                                     injectivity_check, verify_factorization)
-from semidecay.hypotheses import check_h4, sample_xi_region
+                                     injectivity_check, shift_sweep,
+                                     verify_factorization)
+from semidecay.hypotheses import FAIL, PASS, check_h4, sample_xi_region
+from semidecay.runner import _check_instance
 from semidecay.spaces import EmbeddedSpacePair, operator_norm
-from semidecay.spectral import resolvent_matrix
+from semidecay.spectral import (_resolvent_scalar, resolvent_matrix,
+                                shifted_inverses)
 
 
 def line_samples(cert, n=9):
@@ -68,19 +74,30 @@ class TestVerifyFactorization:
         assert report.max_inverse_mismatch <= 1e-8
 
     def test_one_inverse_per_matrix_per_sample(self, monkeypatch):
-        """B - xi and T - xi are each inverted once; R(xi) is the direct inverse."""
-        calls = []
+        """One instance check inverts B - xi and T - xi once per H4 sample.
 
-        def counting(matrix, xi, tol=DEFAULT_TOLERANCES):
-            calls.append(xi)
-            return resolvent_matrix(matrix, xi, tol)
-
-        monkeypatch.setattr(factorization, "resolvent_matrix", counting)
+        H4, the factorization check and the bound chain share one sweep, so
+        every sampled xi is inverted once for B and once for T, however many
+        times the three checks read its norms.
+        """
         inst = generate_instance(23, 16)
-        samples = line_samples(inst.certificate)
-        report = verify_factorization(inst.split, inst.pair, samples)
-        assert len(calls) == 2 * len(samples)
-        assert report.max_inverse_mismatch <= 1e-8
+        split = inst.split
+        inverted = Counter()
+
+        def counting(matrix, xis, tol=DEFAULT_TOLERANCES):
+            kind = ("B" if np.array_equal(matrix, split.part_b)
+                    else "T" if np.array_equal(matrix, split.full) else None)
+            inverted.update((kind, complex(xi)) for xi in xis)
+            return shifted_inverses(matrix, xis, tol)
+
+        monkeypatch.setattr(spectral, "shifted_inverses", counting)
+        result = _check_instance(inst, DEFAULT_TOLERANCES, thin_samples=True)
+        per_sample = Counter(complex(xi) for xi in result["h4"].samples)
+        assert len(per_sample) > 0
+        for xi, count in per_sample.items():
+            assert inverted[("B", xi)] == count
+            assert inverted[("T", xi)] == count
+        assert result["factorization"].max_inverse_mismatch <= 1e-8
 
 
 class TestInjectivity:
@@ -162,3 +179,150 @@ class TestShiftCovariance:
 def test_split_operator_rejects_inconsistent_parts():
     with pytest.raises(ValueError):
         SplitOperator(full=np.eye(3), part_a=np.eye(3), part_b=np.eye(3))
+
+
+# ----------------------------------------------------------------------
+# dense oracle: the per-sample loops the shared sweep replaced, one guarded
+# one-shift inverse (LU) per matrix and check, one SVD per norm
+
+
+def _inverse(matrix, xi):
+    return _resolvent_scalar(np.asarray(matrix), xi, DEFAULT_TOLERANCES)
+
+
+def oracle_h4_table(split, pair, samples):
+    amb, small = pair.ambient, pair.small
+    rows = np.empty((len(samples), 4), dtype=complex)
+    for i, xi in enumerate(samples):
+        b_inv = _inverse(split.part_b, xi)
+        rows[i] = (xi, operator_norm(b_inv, amb, amb),
+                   operator_norm(split.part_a @ b_inv, amb, small),
+                   operator_norm(b_inv @ split.part_a, amb, small))
+    return rows
+
+
+def oracle_factorization(split, pair, samples):
+    amb = pair.ambient
+    eye = np.eye(split.dim)
+    id_res = np.empty(len(samples))
+    inv_mis = np.empty(len(samples))
+    for i, xi in enumerate(samples):
+        b_inv = _inverse(split.part_b, xi)
+        direct = _inverse(split.full, xi)
+        u = b_inv - direct @ (split.part_a @ b_inv)
+        shifted = split.full - xi * eye
+        cond = operator_norm(shifted, amb, amb) * operator_norm(direct, amb, amb)
+        id_res[i] = operator_norm(shifted @ u - eye, amb, amb) / max(cond, 1.0)
+        inv_mis[i] = (operator_norm(u - direct, amb, amb)
+                      / max(operator_norm(direct, amb, amb), 1e-300))
+    return id_res, inv_mis
+
+
+def oracle_chain(split, pair, samples):
+    amb, small = pair.ambient, pair.small
+    chain = np.empty(len(samples))
+    direct = np.empty(len(samples))
+    for i, xi in enumerate(samples):
+        b_inv = _inverse(split.part_b, xi)
+        r_small = _inverse(split.full, xi)
+        chain[i] = (operator_norm(b_inv, amb, amb)
+                    + pair.embedding_constant * operator_norm(r_small, small, small)
+                    * operator_norm(split.part_a @ b_inv, amb, small))
+        direct[i] = operator_norm(r_small, amb, amb)
+    return chain, direct
+
+
+def _oracle_error(matrix, xi):
+    with pytest.raises(SingularityError) as info:
+        _inverse(matrix, xi)
+    return info.value
+
+
+class TestSweepAgainstDenseOracle:
+    @pytest.mark.parametrize("seed,n", [(1, 16), (2, 16), (3, 16), (1, 32), (2, 32)])
+    def test_bitwise_equal_to_per_sample_loops(self, seed, n):
+        inst = generate_instance(seed, n)
+        split, pair, cert = inst.split, inst.pair, inst.certificate
+        # the thinned sample the runner uses for sweeps of more than four seeds
+        samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
+                                   n_line=9, n_circle=8, grid_shape=(6, 6))
+        h4 = check_h4(split, pair, cert.a, cert.r, list(cert.xi), samples=samples)
+        fact = verify_factorization(split, pair, samples, sweep=h4.sweep)
+        chain = enlargement_bound_chain(split, pair, samples, sweep=h4.sweep)
+
+        assert h4.verdict == PASS
+        table = oracle_h4_table(split, pair, samples)
+        npt.assert_array_equal(h4.table, table)
+        assert h4.sup_b_inverse == max(0.0, *table[:, 1].real)
+        id_res, inv_mis = oracle_factorization(split, pair, samples)
+        npt.assert_array_equal(fact.identity_residuals, id_res)
+        npt.assert_array_equal(fact.inverse_mismatches, inv_mis)
+        chain_values, direct_values = oracle_chain(split, pair, samples)
+        npt.assert_array_equal(chain.chain_values, chain_values)
+        npt.assert_array_equal(chain.direct_values, direct_values)
+        # standalone calls build their own sweep and agree with the shared one
+        alone = verify_factorization(split, pair, samples)
+        npt.assert_array_equal(alone.identity_residuals, id_res)
+
+    def test_sweep_rejects_other_samples(self):
+        inst = generate_instance(2, 8)
+        samples = line_samples(inst.certificate)
+        sweep = shift_sweep(inst.split, inst.pair, samples)
+        with pytest.raises(ValueError):
+            verify_factorization(inst.split, inst.pair, samples[1:], sweep=sweep)
+
+
+class TestSweepFailures:
+    """T = diag(0, -1), A = diag(1/2, 0): B - xi is singular at xi = -1/2,
+    T - xi at xi = 0 (each exactly, so the stacked solve itself fails)."""
+
+    split = SplitOperator.from_regularizer(np.diag([0.0, -1.0]), np.diag([0.5, 0.0]))
+    pair = EmbeddedSpacePair.from_weights(np.ones(2), np.full(2, 2.0))
+
+    def test_h4_witness_at_first_singular_b(self):
+        # ten regular shifts, so the singular one sits in the second block
+        samples = np.concatenate([1.0 + 0.3j * np.arange(10), [-0.5, 2.0]])
+        report = check_h4(self.split, self.pair, -0.75, 0.1, [], samples=samples)
+        exc = _oracle_error(self.split.part_b, samples[10])
+        assert report.verdict == FAIL
+        assert report.witness == (f"B - xi numerically singular at xi={samples[10]} "
+                                  f"(distance {exc.distance:.3e})")
+        npt.assert_array_equal(report.table,
+                               oracle_h4_table(self.split, self.pair, samples[:10]))
+        for check in (verify_factorization, enlargement_bound_chain):
+            with pytest.raises(SingularityError, match="numerically singular") as info:
+                check(self.split, self.pair, samples, sweep=report.sweep)
+            assert str(info.value) == str(exc)
+
+    def test_earlier_singular_t_raises_first(self):
+        samples = np.concatenate([1.0 + 0.3j * np.arange(9), [0.0, -0.5]])
+        report = check_h4(self.split, self.pair, -0.75, 0.1, [], samples=samples)
+        # H4 does not look at T - xi: it fails at the singular B(xi) only
+        assert report.verdict == FAIL and len(report.table) == 10
+        t_exc = _oracle_error(self.split.full, samples[9])
+        for check in (verify_factorization, enlargement_bound_chain):
+            with pytest.raises(SingularityError) as info:
+                check(self.split, self.pair, samples, sweep=report.sweep)
+            assert str(info.value) == str(t_exc)
+            assert info.value.witness == samples[9]
+
+    def test_same_sample_raises_b_before_t(self):
+        # at xi = 0, T - xi is exactly singular and B - xi = diag(1e-12, -1)
+        # lies inside the conditioning band: the B error is raised
+        split = SplitOperator.from_regularizer(np.diag([0.0, -1.0]),
+                                               np.diag([-1e-12, 0.0]))
+        samples = np.array([1.0, 0.0], dtype=complex)
+        for check in (verify_factorization, enlargement_bound_chain):
+            with pytest.raises(SingularityError, match="too close") as info:
+                check(split, self.pair, samples)
+            assert str(info.value) == str(_oracle_error(split.part_b, samples[1]))
+
+    def test_singular_t_alone_passes_h4(self):
+        samples = np.array([1.0, 0.0, 2.0 + 1j])
+        report = check_h4(self.split, self.pair, -0.75, 0.1, [], samples=samples)
+        assert report.verdict == PASS
+        npt.assert_array_equal(report.table,
+                               oracle_h4_table(self.split, self.pair, samples))
+        with pytest.raises(SingularityError) as info:
+            verify_factorization(self.split, self.pair, samples, sweep=report.sweep)
+        assert str(info.value) == str(_oracle_error(self.split.full, samples[1]))

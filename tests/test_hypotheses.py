@@ -8,9 +8,9 @@ from semidecay.factorization import SplitOperator
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential, find_decomposition,
                                      spectral_gap_H)
-from semidecay.hypotheses import (FAIL, INDETERMINATE, PASS, check_h1,
-                                  check_h2, check_h3, check_h4, make_y_grid,
-                                  sample_xi_region)
+from semidecay.hypotheses import (FAIL, INDETERMINATE, PASS, HypothesisReport,
+                                  check_h1, check_h2, check_h3, check_h4,
+                                  make_y_grid, sample_xi_region)
 from semidecay.spaces import EmbeddedSpacePair, WeightedSpace, operator_norm
 from semidecay.spectral import resolvent_matrix
 
@@ -52,6 +52,18 @@ class TestH2:
         assert report.bound == pytest.approx(2.0, rel=1e-12)
         assert report.argmax_y == 0.0
         assert report.certified_bound >= report.bound
+        assert report.verdict == PASS
+        assert HypothesisReport(h2=report).all_passed
+
+    def test_uncertified_segments_are_indeterminate(self):
+        # the sampled maximum is finite, but depth-1 bisection leaves
+        # segments where the Lipschitz certificate does not close
+        report = check_h2(np.array([[-1.0, 50.0], [0.0, -1.1]]), a=0.0,
+                          max_refine_depth=1)
+        assert np.isfinite(report.bound)
+        assert len(report.uncertified_segments) == 58
+        assert report.verdict == INDETERMINATE
+        assert not HypothesisReport(h2=report).all_passed
 
     def test_normal_operator_bound_is_inverse_distance(self, rng):
         lams = np.array([0.5 + 2j, -1.0 - 1j, -2.0 + 0.5j])

@@ -8,8 +8,10 @@ from semidecay import generate_instance
 from semidecay.errors import SeparationError, SingularityError
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential)
-from semidecay.spectral import (eigen_decompose, resolvent_matrix,
-                                spectral_projector)
+from semidecay.config import DEFAULT_TOLERANCES
+from semidecay.spectral import (_resolvent_scalar, eigen_decompose,
+                                resolvent_block, resolvent_matrix,
+                                shifted_inverses, spectral_projector)
 
 
 class TestResolvent:
@@ -64,6 +66,39 @@ class TestResolvent:
         lhs = r_xi - r_eta
         rhs = (xi - eta) * (r_xi @ r_eta)
         npt.assert_allclose(lhs, rhs, atol=1e-10 * np.linalg.norm(lhs, 2) + 1e-12)
+
+
+class TestShiftedInverses:
+    def test_bitwise_equal_to_scalar_inverses(self, rng):
+        t = rng.standard_normal((12, 12))
+        xis = rng.uniform(-3, 3, 11) + 1j * rng.uniform(-3, 3, 11)
+        inverses, failed = shifted_inverses(t, xis)
+        assert inverses.shape == (11, 12, 12) and not failed.any()
+        for xi, inverse in zip(xis, inverses):
+            npt.assert_array_equal(inverse, _resolvent_scalar(t, xi, DEFAULT_TOLERANCES))
+            npt.assert_array_equal(inverse, resolvent_matrix(t, xi))
+
+    def test_singular_shift_is_flagged_and_raises_the_scalar_error(self):
+        t = np.diag([0.0, -1.0, -2.0]) + np.triu(np.ones((3, 3)), 1)
+        # exactly singular at -1, inside the conditioning band at -2 + 1e-14
+        xis = np.array([1j, -1.0, 0.5 + 0.5j, -2.0 + 1e-14])
+        inverses, failed = shifted_inverses(t, xis)
+        npt.assert_array_equal(failed, [False, True, False, True])
+        npt.assert_array_equal(inverses[0], resolvent_matrix(t, 1j))
+        for xi in xis[failed]:
+            with pytest.raises(SingularityError) as one:
+                resolvent_matrix(t, xi)
+            assert str(one.value) == str(_scalar_error(t, xi))
+        # a block raises for its first flagged shift
+        with pytest.raises(SingularityError) as block:
+            resolvent_block(t, xis)
+        assert str(block.value) == str(_scalar_error(t, xis[1]))
+
+
+def _scalar_error(t, xi):
+    with pytest.raises(SingularityError) as info:
+        _resolvent_scalar(t, xi, DEFAULT_TOLERANCES)
+    return info.value
 
 
 class TestEigenDecompose:
