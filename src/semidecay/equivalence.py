@@ -164,7 +164,6 @@ def verify_resolvent_from_decay(op, space: WeightedSpace,
     slack ``laplace_slack`` on the sampled half plane.
     """
     matrix = as_matrix(op)
-    n = matrix.shape[0]
     level = certificate.level
     c_a = certificate.prefactor
     xis = [complex(z) for z in certificate.discrete_eigs]
@@ -173,12 +172,12 @@ def verify_resolvent_from_decay(op, space: WeightedSpace,
     # commutation of the certified projectors with the semigroup
     t_samples = np.linspace(0.1, 2.0, 5)
     defect = 0.0
-    scale_t = max(np.linalg.norm(matrix, 2), 1.0)
     for t in t_samples:
         prop = matrix_exponential(matrix * t)
+        prop_norm = max(operator_norm(prop, space, space), 1e-300)
         for proj in projs:
             comm = operator_norm(proj @ prop - prop @ proj, space, space)
-            defect = max(defect, comm / max(operator_norm(prop, space, space), 1e-300))
+            defect = max(defect, comm / prop_norm)
     if defect > 1e-8:
         raise CertificateError(
             f"projectors do not commute with the semigroup (defect {defect:.3e})")

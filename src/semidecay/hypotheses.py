@@ -289,9 +289,20 @@ def check_h2(op, a: float, space: WeightedSpace | None = None,
 
 @dataclass
 class H3Report:
+    """Certified growth envelope ``||e^{tT}|| <= C_b e^{b t}``.
+
+    The verdict passes when the fitted prefactor and rate are both finite,
+    so that the envelope is a bound; otherwise it is indeterminate.
+    """
+
     fit: DecayFit
     t_grid: np.ndarray
     norms: np.ndarray
+
+    @property
+    def verdict(self):
+        finite = np.isfinite(self.fit.prefactor) and np.isfinite(self.fit.rate)
+        return PASS if finite else INDETERMINATE
 
     @property
     def growth_constant(self):
@@ -449,7 +460,7 @@ class HypothesisReport:
         if self.h2 is not None:
             parts.append(self.h2.verdict == PASS)
         if self.h3 is not None:
-            parts.append(np.isfinite(self.h3.fit.prefactor))
+            parts.append(self.h3.verdict == PASS)
         if self.h4 is not None:
             parts.append(self.h4.verdict == PASS)
         return bool(parts) and all(parts)

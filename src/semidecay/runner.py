@@ -76,7 +76,7 @@ def _instance_verdicts(report: RunReport, seed: int, result: dict):
     else:
         report.add_verdict(f"{prefix}.h2", h2.verdict,
                            constants={"K": h2.bound, "K_certified": h2.certified_bound})
-    report.add_verdict(f"{prefix}.h3", PASS,
+    report.add_verdict(f"{prefix}.h3", h3.verdict,
                        constants={"C_b": h3.fit.prefactor, "b": h3.fit.rate})
     report.add_verdict(f"{prefix}.h4", h4.verdict, witness=h4.witness,
                        constants=h4.to_dict())
@@ -196,11 +196,17 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
         scan_ambient = resolvent_scan_fp(disc, disc.space_ambient, a_line, tol=tol)
         report.constants["K_small"] = scan_small.bound
         report.constants["K_ambient"] = scan_ambient.bound
-        report.add_verdict("resolvent_scan", PASS,
+        scans = (("scan_small", scan_small), ("scan_ambient", scan_ambient))
+        open_scans = [f"{name}: certified bound {scan.certified_bound:.6e}, "
+                      f"{len(scan.uncertified_segments)} uncertified segments"
+                      for name, scan in scans if scan.verdict != PASS]
+        report.add_verdict("resolvent_scan",
+                           INDETERMINATE if open_scans else PASS,
+                           witness="; ".join(open_scans) or None,
                            constants={"K_small": scan_small.bound,
                                       "K_ambient": scan_ambient.bound,
                                       "a": a_line})
-        for name, scan in (("scan_small", scan_small), ("scan_ambient", scan_ambient)):
+        for name, scan in scans:
             path = os.path.join(config.out_dir, f"{name}.csv")
             matio.write_csv(path, ["y", "resolvent_norm"], [scan.y_grid, scan.norms])
             report.artifacts.append(os.path.basename(path))

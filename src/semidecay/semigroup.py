@@ -12,7 +12,8 @@ import scipy.sparse.linalg as spla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (InsufficientSignalError, MagnitudeGuardError,
                      StepRejectionError)
-from .spaces import WeightedSpace, as_matrix, operator_norm, space_of
+from .spaces import WeightedSpace, as_matrix, operator_norms, space_of
+from .spectral import SHIFT_BLOCK
 
 EXPM_DENSE_LIMIT = 600
 
@@ -26,11 +27,53 @@ def matrix_exponential(matrix) -> np.ndarray:
     return result
 
 
+def _uniform_walk(matrix, t_grid):
+    """``(e^{t_0 T}, e^{dt T})`` on a uniform grid, ``None`` on any other.
+
+    A grid is uniform when it has at least two times and its steps agree
+    to rtol 1e-12. ``e^{t_0 T}`` is the identity when ``t_0 = 0``.
+    """
+    steps = np.diff(t_grid)
+    if len(steps) == 0 or not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        return None
+    dt = (t_grid[-1] - t_grid[0]) / len(steps)
+    if t_grid[0] == 0.0:
+        start = np.eye(matrix.shape[0], dtype=matrix.dtype)
+    else:
+        start = matrix_exponential(matrix * t_grid[0])
+    return start, matrix_exponential(matrix * dt)
+
+
+def _propagators(matrix, t_grid):
+    """``e^{tT}`` at each time of ``t_grid``, in order.
+
+    On a uniform grid each one is the previous times the one-step
+    propagator ``e^{dt T}``, with the overflow guard on every power; any
+    other grid exponentiates per time.
+    """
+    walk = _uniform_walk(matrix, t_grid)
+    if walk is None:
+        for t in t_grid:
+            yield matrix_exponential(matrix * t)
+        return
+    power, step = walk
+    yield power
+    for _ in range(len(t_grid) - 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ step
+        if not np.all(np.isfinite(power.real)):
+            raise MagnitudeGuardError(
+                "matrix exponential overflowed; shorten the horizon")
+        yield power
+
+
 def semigroup_apply(op, f0, t_grid) -> np.ndarray:
     """Trajectory ``e^{tT} f0`` at each requested time.
 
-    Times must be nonnegative and increasing. Uniformly spaced grids reuse
-    one propagator per step; general grids exponentiate per time.
+    Times must be nonnegative and increasing. On a uniformly spaced grid
+    (which may start at 0) the vector is stepped by one propagator
+    ``e^{dt T}`` per step from ``e^{t_0 T} f0``; general grids exponentiate
+    per time.
     """
     matrix = as_matrix(op)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -40,17 +83,17 @@ def semigroup_apply(op, f0, t_grid) -> np.ndarray:
     if np.any(t_grid < 0.0) or np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be nonnegative and strictly increasing")
     out = np.empty((len(t_grid), len(f0)), dtype=np.result_type(matrix.dtype, f0.dtype))
-    steps = np.diff(np.concatenate([[0.0], t_grid]))
-    uniform = np.allclose(steps, steps[0], rtol=1e-12, atol=0.0)
-    if uniform:
-        prop = matrix_exponential(matrix * steps[0])
-        f = f0
-        for i in range(len(t_grid)):
-            f = prop @ f
-            out[i] = f
-    else:
+    walk = _uniform_walk(matrix, t_grid)
+    if walk is None:
         for i, t in enumerate(t_grid):
             out[i] = matrix_exponential(matrix * t) @ f0
+    else:
+        start, prop = walk
+        f = start @ f0
+        out[0] = f
+        for i in range(1, len(t_grid)):
+            f = prop @ f
+            out[i] = f
     if not np.all(np.isfinite(out.real)):
         raise MagnitudeGuardError("semigroup trajectory overflowed")
     return out
@@ -63,18 +106,26 @@ def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
     ``deflation`` is an optional list of ``(xi_j, P_j)`` pairs subtracted
     from the propagator before taking the norm; with no deflation this is
     the plain semigroup norm.
+
+    On a uniform grid the propagators are the powers of one short-step
+    propagator ``e^{dt T}`` applied to ``e^{t_0 T}`` (scaling and squaring
+    builds ``expm(k dt T)`` from the same powers), so the whole grid costs
+    at most two matrix exponentials; other grids take one per time. The
+    norms are stacked SVDs over blocks of ``SHIFT_BLOCK`` times.
     """
     matrix = as_matrix(op)
     space = space_of(op, space)
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        prop = matrix_exponential(matrix * t)
+    props = _propagators(matrix, t_grid)
+    for start in range(0, len(t_grid), SHIFT_BLOCK):
+        times = t_grid[start:start + SHIFT_BLOCK]
+        stack = np.stack([next(props) for _ in times])
         if deflation:
-            prop = prop.astype(complex)
+            stack = stack.astype(complex)
             for xi, proj in deflation:
-                prop -= np.exp(xi * t) * proj
-        out[i] = operator_norm(prop, space, space)
+                stack -= np.exp(xi * times)[:, None, None] * proj
+        out[start:start + len(times)] = operator_norms(stack, space, space)
     return out
 
 

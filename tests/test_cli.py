@@ -1,9 +1,11 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from semidecay import runner
 from semidecay.cli import main
 from semidecay.reports import load_report, reports_equal
 
@@ -146,3 +148,47 @@ def test_golden_seed_one_report(tmp_path):
     golden = load_report(golden_path)
     golden["config"]["out_dir"] = produced["config"]["out_dir"]
     assert reports_equal(produced, golden, rtol=1e-8)
+
+
+BASE_SCAN = {**BASE_FP, "command": "fp-resolvent-scan",
+             "problem": {"d": 1, "s": 2.0, "L": 8.0, "N": 60,
+                         "weight": {"kind": "polynomial", "k": 3.0}}}
+
+
+def test_resolvent_scan_verdict_needs_both_certificates(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {**BASE_SCAN, "out_dir": str(tmp_path / "closed")})
+    assert main(["fp-resolvent-scan", "--config", cfg]) == 0
+    closed = load_report(tmp_path / "closed" / "report.json")
+    assert closed["verdicts"]["resolvent_scan"]["verdict"] == "pass"
+    assert "witness" not in closed["verdicts"]["resolvent_scan"]
+
+    # a three-point grid on the small-space scan stops short of the Neumann
+    # tail, so its certificate cannot close
+    scan = runner.resolvent_scan_fp
+
+    def short_small_scan(disc, space, a, tol):
+        y_grid = [-1.0, 0.0, 1.0] if space is disc.space_small else None
+        return scan(disc, space, a, y_grid=y_grid, tol=tol)
+
+    monkeypatch.setattr(runner, "resolvent_scan_fp", short_small_scan)
+    cfg = write_config(tmp_path, {**BASE_SCAN, "out_dir": str(tmp_path / "open")})
+    assert main(["fp-resolvent-scan", "--config", cfg]) == 2
+    entry = load_report(tmp_path / "open" / "report.json")["verdicts"]["resolvent_scan"]
+    assert entry["verdict"] == "indeterminate"
+    assert entry["witness"].startswith("scan_small: certified bound inf")
+    assert "scan_ambient" not in entry["witness"]
+
+
+def test_non_finite_h3_fit_is_indeterminate(tmp_path, monkeypatch):
+    check_h3 = runner.check_h3
+
+    def no_rate(op, space=None, tol=None):
+        report = check_h3(op, space, tol=tol)
+        return replace(report, fit=replace(report.fit, rate=np.nan))
+
+    monkeypatch.setattr(runner, "check_h3", no_rate)
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg]) == 2
+    report = load_report(tmp_path / "out" / "report.json")
+    assert report["verdicts"]["seed_1.h3"]["verdict"] == "indeterminate"
+    assert report["verdicts"]["seed_1.h1"]["verdict"] == "pass"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -118,6 +120,15 @@ class TestH3:
         report = check_h3(np.zeros((3, 3)))
         assert report.fit.prefactor == pytest.approx(1.0, rel=1e-12)
         assert report.fit.rate == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("prefactor,rate", [(np.inf, -0.1), (1.0, np.nan)])
+    def test_non_finite_fit_is_indeterminate(self, prefactor, rate):
+        report = check_h3(np.diag([0.0, -1.0]))
+        assert report.verdict == PASS and HypothesisReport(h3=report).all_passed
+        broken = replace(report, fit=replace(report.fit, prefactor=prefactor,
+                                             rate=rate))
+        assert broken.verdict == INDETERMINATE
+        assert not HypothesisReport(h3=broken).all_passed
 
     def test_shift_moves_rate_exactly(self):
         t_mat = np.diag([0.0, -1.0])

@@ -1,0 +1,65 @@
+"""How many dense kernels one instance check runs.
+
+The counts patch the numpy/scipy entry points, so they see every call
+whichever module makes it.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from semidecay import generate_instance, spectral
+from semidecay.config import DEFAULT_TOLERANCES
+from semidecay.runner import _check_instance
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts matrix exponentials, and SVDs inside :func:`shifted_inverses`."""
+    calls = {"expm": 0, "svd": 0, "svd_in_shifted_inverses": 0}
+    inside = []
+    expm, svd, norm = scipy.linalg.expm, np.linalg.svd, np.linalg.norm
+    shifted_inverses = spectral.shifted_inverses
+
+    def count_svd(matrices=1):
+        calls["svd"] += matrices
+        if inside:
+            calls["svd_in_shifted_inverses"] += matrices
+
+    def counting_expm(a, *args, **kwargs):
+        calls["expm"] += 1
+        return expm(a, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        count_svd()
+        return svd(a, *args, **kwargs)
+
+    def counting_norm(x, ord=None, axis=None, keepdims=False):
+        # only the spectral norm of a matrix (ord 2 or -2) is an SVD
+        if ord in (2, -2) and (np.ndim(x) == 2 or isinstance(axis, tuple)):
+            count_svd(int(np.prod(np.shape(x)[:-2])) or 1)
+        return norm(x, ord=ord, axis=axis, keepdims=keepdims)
+
+    def counting_shifted_inverses(*args, **kwargs):
+        inside.append(True)
+        try:
+            return shifted_inverses(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(spectral, "shifted_inverses", counting_shifted_inverses)
+    return calls
+
+
+def test_instance_check_kernel_counts(kernel_calls):
+    result = _check_instance(generate_instance(1, 16), DEFAULT_TOLERANCES,
+                             thin_samples=True)
+    assert result["converse"].passed
+    # H3, the decay transfer and the converse's H3 walk one propagator each
+    # (333 exponentials, one per time point, before)
+    assert 0 < kernel_calls["expm"] <= 15
+    assert kernel_calls["svd"] > 0
+    assert kernel_calls["svd_in_shifted_inverses"] == 0

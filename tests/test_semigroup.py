@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semidecay import generate_instance, semigroup
 from semidecay.errors import InsufficientSignalError, MagnitudeGuardError
-from semidecay.semigroup import (envelope_holds, envelope_prefactor,
-                                 fit_exponential_decay, matrix_exponential,
-                                 semigroup_apply, semigroup_norms,
-                                 step_trajectory)
+from semidecay.hypotheses import check_h1
+from semidecay.semigroup import (default_time_grid, envelope_holds,
+                                 envelope_prefactor, fit_exponential_decay,
+                                 matrix_exponential, semigroup_apply,
+                                 semigroup_norms, step_trajectory)
+from semidecay.spaces import operator_norm, space_of
 
 
 class TestSemigroupApply:
@@ -168,3 +171,97 @@ def test_semigroup_norms_with_deflation():
     times = np.linspace(0.0, 3.0, 7)
     norms = semigroup_norms(t_mat, times, deflation=[(0.0 + 0.0j, proj)])
     npt.assert_allclose(norms, np.exp(-times), rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# dense oracle: the per-time loop the propagator walk replaced, one matrix
+# exponential and one SVD per time
+
+
+def oracle_semigroup_norms(matrix, t_grid, space, deflation=None):
+    out = np.empty(len(t_grid))
+    for i, t in enumerate(t_grid):
+        prop = matrix_exponential(matrix * t)
+        if deflation:
+            prop = prop.astype(complex)
+            for xi, proj in deflation:
+                prop -= np.exp(xi * t) * proj
+        out[i] = operator_norm(prop, space, space)
+    return out
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Counts the matrix exponentials the semigroup module takes."""
+    calls = []
+    original = semigroup.matrix_exponential
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(semigroup, "matrix_exponential", counting)
+    return calls
+
+
+class TestPropagatorWalk:
+    @pytest.mark.parametrize("seed,n", [(1, 16), (2, 16), (3, 16), (1, 32), (2, 32)])
+    def test_matches_per_time_exponentials(self, seed, n, expm_calls):
+        inst = generate_instance(seed, n)
+        op = inst.split.ambient_operator(inst.pair)
+        space, matrix = inst.pair.ambient, op.entries
+        cert = inst.certificate
+        # the grids of H3 (plain norms) and of the decay transfer (deflated)
+        spread = np.ptp(np.linalg.eigvals(matrix).real)
+        h3_grid = default_time_grid(rate_scale=spread, n=64)
+        npt.assert_allclose(semigroup_norms(op, h3_grid, space),
+                            oracle_semigroup_norms(matrix, h3_grid, space),
+                            rtol=1e-12, atol=0.0)
+        h1 = check_h1(inst.split.restricted(inst.pair), cert.a, cert.r,
+                      expected_k=cert.k)
+        deflation = list(zip(map(complex, h1.spectral.discrete_eigs),
+                             h1.spectral.projectors))
+        assert deflation
+        transfer_grid = default_time_grid(rate_scale=abs(cert.a), n=200)
+        expm_calls.clear()
+        walked = semigroup_norms(op, transfer_grid, space, deflation=deflation)
+        assert len(expm_calls) == 1    # the grid starts at 0: one step propagator
+        npt.assert_allclose(
+            walked, oracle_semigroup_norms(matrix, transfer_grid, space, deflation),
+            rtol=1e-12, atol=0.0)
+
+    def test_grid_off_zero_exponentiates_start_and_step(self, rng, expm_calls):
+        mat = -0.5 * np.eye(6) + 0.3 * rng.standard_normal((6, 6))
+        t_grid = np.linspace(0.4, 3.0, 27)
+        norms = semigroup_norms(mat, t_grid)
+        assert len(expm_calls) == 2
+        space = space_of(mat)
+        npt.assert_allclose(norms, oracle_semigroup_norms(mat, t_grid, space),
+                            rtol=1e-12, atol=0.0)
+
+    def test_nonuniform_grid_exponentiates_per_time(self, rng, expm_calls):
+        mat = -0.5 * np.eye(6) + 0.3 * rng.standard_normal((6, 6))
+        t_grid = np.array([0.0, 0.1, 0.3, 0.35, 1.0, 2.5])
+        norms = semigroup_norms(mat, t_grid)
+        assert len(expm_calls) == len(t_grid)
+        space = space_of(mat)
+        npt.assert_array_equal(norms, oracle_semigroup_norms(mat, t_grid, space))
+
+    def test_overflowing_power_raises(self):
+        # one step e^{0.1 * 700} is finite; its powers pass e^{709.8} by t = 1.1
+        t_grid = np.linspace(0.0, 2.0, 21)
+        with pytest.raises(MagnitudeGuardError, match="overflowed"):
+            semigroup_norms(np.diag([700.0, -1.0]), t_grid)
+        with pytest.raises(MagnitudeGuardError, match="overflowed"):
+            semigroup_norms(np.diag([700.0, -1.0]), t_grid[1:])
+
+    def test_apply_walks_a_grid_from_zero(self, rng, expm_calls):
+        mat = -0.5 * np.eye(5) + 0.2 * rng.standard_normal((5, 5))
+        f0 = rng.standard_normal(5)
+        t_grid = np.linspace(0.0, 2.0, 41)
+        traj = semigroup_apply(mat, f0, t_grid)
+        assert len(expm_calls) == 1
+        npt.assert_array_equal(traj[0], f0)
+        for t, row in zip(t_grid, traj):
+            npt.assert_allclose(row, matrix_exponential(mat * t) @ f0,
+                                rtol=1e-12, atol=1e-15)

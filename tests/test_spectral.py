@@ -9,7 +9,8 @@ from semidecay.errors import SeparationError, SingularityError
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential)
 from semidecay.config import DEFAULT_TOLERANCES
-from semidecay.spectral import (_resolvent_scalar, eigen_decompose,
+from semidecay.spectral import (_norm_bounds, _resolvent_scalar,
+                                eigen_decompose,
                                 resolvent_block, resolvent_matrix,
                                 shifted_inverses, spectral_projector)
 
@@ -84,6 +85,7 @@ class TestShiftedInverses:
         xis = np.array([1j, -1.0, 0.5 + 0.5j, -2.0 + 1e-14])
         inverses, failed = shifted_inverses(t, xis)
         npt.assert_array_equal(failed, [False, True, False, True])
+        assert [_exact_guard_passes(t, xi) for xi in xis] == [True, False, True, False]
         npt.assert_array_equal(inverses[0], resolvent_matrix(t, 1j))
         for xi in xis[failed]:
             with pytest.raises(SingularityError) as one:
@@ -93,6 +95,54 @@ class TestShiftedInverses:
         with pytest.raises(SingularityError) as block:
             resolvent_block(t, xis)
         assert str(block.value) == str(_scalar_error(t, xis[1]))
+
+
+class TestGuardFilter:
+    """The O(n^2) filter of :func:`shifted_inverses` against the exact
+    three-SVD guard it stands in front of."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 24),
+           count=st.integers(1, 6), complex_=st.booleans(),
+           log_scale=st.floats(-150.0, 150.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_bracket_the_spectral_norm(self, seed, n, count, complex_, log_scale):
+        gen = np.random.default_rng(seed)
+        stack = gen.standard_normal((count, n, n))
+        if complex_:
+            stack = stack + 1j * gen.standard_normal((count, n, n))
+        # rank-one members, where the column bound is attained
+        stack[0] = np.outer(stack[0][:, 0], stack[0][0])
+        stack *= 2.0 ** log_scale
+        lower, upper = _norm_bounds(stack)
+        exact = np.linalg.norm(stack, 2, axis=(1, 2))
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+
+    def test_filter_passes_only_what_the_exact_guard_passes(self, rng):
+        t = rng.standard_normal((12, 12))
+        lam = np.linalg.eigvals(t)[0]
+        offsets = 10.0 ** -np.arange(6, 13)
+        xis = np.concatenate([lam + offsets, lam + 1j * offsets, [0.3 + 2.0j]])
+        _, failed = shifted_inverses(t, xis)
+        exact_ok = np.array([_exact_guard_passes(t, xi) for xi in xis])
+        assert not np.any(~failed & ~exact_ok)
+        # not vacuous: the far shift passes, the 1e-12 ones are flagged
+        assert not failed[-1] and failed[len(offsets) - 1] and failed[-2]
+
+
+def _exact_guard_passes(matrix, xi, tol=DEFAULT_TOLERANCES):
+    """The three-SVD guard the filter replaced, on the stacked solve's inverse."""
+    n = matrix.shape[0]
+    shifted = matrix - xi * np.eye(n)
+    try:
+        inverse = np.linalg.solve(shifted, np.eye(n, dtype=shifted.dtype))
+    except np.linalg.LinAlgError:
+        return False
+    if not np.all(np.isfinite(inverse)):
+        return False
+    cond = np.linalg.norm(shifted, 2) * np.linalg.norm(inverse, 2)
+    residual = np.linalg.norm(shifted @ inverse - np.eye(n), 2)
+    return bool(cond * tol.tol_solve < 1.0
+                and residual <= tol.tol_solve * max(cond, 1.0))
 
 
 def _scalar_error(t, xi):
