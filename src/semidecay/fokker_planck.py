@@ -28,6 +28,7 @@ from .hypotheses import H2Report, check_h2
 from .semigroup import (DecayFit, envelope_prefactor, fit_exponential_decay,
                         step_trajectory)
 from .spaces import WeightedSpace
+from .spectral import is_tridiagonal, sparse_lu
 
 _DENSE_LIMIT = 4200
 _DENSE_EIG_LIMIT = 1100
@@ -389,10 +390,10 @@ def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int, want_vectors=False):
     """Largest k eigenvalues (descending) of a symmetric-to-rounding sparse
     matrix, with vectors on request. Deterministic: tridiagonal and dense
     paths are direct, the sparse path uses shift-invert Lanczos with a
-    fixed start vector and a shift above the spectrum."""
+    fixed start vector and a shift above the spectrum, over one
+    :func:`~semidecay.spectral.sparse_lu` of the shifted matrix."""
     n = s_mat.shape[0]
-    coo = s_mat.tocoo()
-    if n > 1 and np.max(np.abs(coo.row - coo.col)) <= 1:
+    if n > 1 and is_tridiagonal(s_mat):
         diag = s_mat.diagonal()
         off = 0.5 * (s_mat.diagonal(-1) + s_mat.diagonal(1))
         if want_vectors:
@@ -416,7 +417,10 @@ def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int, want_vectors=False):
     abs_row_sums = np.asarray(abs(sym).sum(axis=1)).ravel()
     gershgorin_top = float(np.max(sym.diagonal() + (abs_row_sums - np.abs(sym.diagonal()))))
     sigma = max(gershgorin_top, 0.0) + 1.0
-    vals, vecs = spla.eigsh(sym, k=k, sigma=sigma, which="LM", v0=v0)
+    lu = sparse_lu(sym - sigma * sp.identity(n, format="csc"))
+    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    vals, vecs = spla.eigsh(sym, k=k, sigma=sigma, which="LM", v0=v0,
+                            OPinv=op_inv)
     order = np.argsort(vals)[::-1]
     return vals[order], (vecs[:, order] if want_vectors else None)
 

@@ -7,13 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (InsufficientSignalError, MagnitudeGuardError,
                      StepRejectionError)
 from .spaces import WeightedSpace, as_matrix, operator_norms, space_of
-from .spectral import SHIFT_BLOCK
+from .spectral import SHIFT_BLOCK, sparse_lu
 
 EXPM_DENSE_LIMIT = 600
 
@@ -44,7 +43,7 @@ def _uniform_walk(matrix, t_grid):
     return start, matrix_exponential(matrix * dt)
 
 
-def _propagators(matrix, t_grid):
+def propagators(matrix, t_grid):
     """``e^{tT}`` at each time of ``t_grid``, in order.
 
     On a uniform grid each one is the previous times the one-step
@@ -117,7 +116,7 @@ def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
     space = space_of(op, space)
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.empty(len(t_grid))
-    props = _propagators(matrix, t_grid)
+    props = propagators(matrix, t_grid)
     for start in range(0, len(t_grid), SHIFT_BLOCK):
         times = t_grid[start:start + SHIFT_BLOCK]
         stack = np.stack([next(props) for _ in times])
@@ -235,7 +234,8 @@ def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler",
     """March ``df/dt = T f`` on a uniform grid with an A-stable one-step scheme.
 
     Accepts dense or sparse ``matrix``. ``implicit-euler`` and
-    ``crank-nicolson`` factorize once and reuse the factorization;
+    ``crank-nicolson`` factorize once and reuse the factorization (sparse
+    input through :func:`~semidecay.spectral.sparse_lu`);
     ``reference-exponential`` applies the matrix exponential propagator
     and is limited to moderate dense sizes.
 
@@ -273,8 +273,7 @@ def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler",
     if sparse:
         eye = sp.identity(n, format="csr")
         lhs = (eye - dt * theta * matrix).tocsc()
-        solver = spla.splu(lhs)
-        solve = solver.solve
+        solve = sparse_lu(lhs).solve
         lhs_mat = lhs
         rhs_mat = None if theta == 1.0 else (eye + dt * (1.0 - theta) * matrix).tocsr()
     else:

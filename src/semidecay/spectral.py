@@ -7,6 +7,9 @@ flags goes to the one-shift path, the exact arbiter: its guard takes the
 2-norms by SVD, accepts the shift or raises the :class:`SingularityError`
 with its diagnostics. :func:`resolvent_matrix` is the one-shift case.
 
+Every sparse LU factorization is :func:`sparse_lu`, which fixes its
+column ordering.
+
 Projectors are computed two independent ways and cross-checked: once from
 orthonormal bases of the right and left invariant subspaces (ordered Schur
 forms), and once by trapezoidal contour integration of the resolvent. The
@@ -22,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (EigenConvergenceError, ProjectorMismatchError,
@@ -32,6 +37,16 @@ from .spaces import as_matrix
 # the per-call cost of the stacked kernels, while each stack of a block stays
 # small (128 kB at n = 32)
 SHIFT_BLOCK = 8
+
+# minimum degree on the pattern of A + A^T: the standard ordering for
+# structurally symmetric matrices such as the 2-D drift-diffusion stencils
+# (Amestoy, Davis & Duff, SIAM J. Matrix Anal. Appl. 17, 1996); SuperLU's
+# default COLAMD orders for A^T A and fills about twice as much on them.
+# A tridiagonal matrix (the 1-D stencils) fills next to nothing in either
+# ordering (4800 against 4798 L+U entries at N = 1200) and keeps COLAMD,
+# so the 1-D results do not move with the ordering of the 2-D ones
+SPARSE_ORDERING = "MMD_AT_PLUS_A"
+TRIDIAGONAL_ORDERING = "COLAMD"
 
 
 @dataclass
@@ -222,6 +237,21 @@ def resolvent_matrix(matrix, xi: complex, tol: Tolerances = DEFAULT_TOLERANCES) 
         a distance-to-spectrum estimate.
     """
     return resolvent_block(matrix, [xi], tol)[0]
+
+
+def is_tridiagonal(matrix) -> bool:
+    """Whether every stored entry of a sparse matrix is within one diagonal
+    of the main one."""
+    coo = matrix.tocoo()
+    return coo.nnz > 0 and int(np.max(np.abs(coo.row - coo.col))) <= 1
+
+
+def sparse_lu(matrix) -> spla.SuperLU:
+    """Sparse LU factorization of a square matrix, in the ``SPARSE_ORDERING``
+    unless it is tridiagonal."""
+    csc = sp.csc_matrix(matrix)
+    ordering = TRIDIAGONAL_ORDERING if is_tridiagonal(csc) else SPARSE_ORDERING
+    return spla.splu(csc, permc_spec=ordering)
 
 
 def eigen_decompose(op, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralReport:

@@ -192,3 +192,14 @@ def test_non_finite_h3_fit_is_indeterminate(tmp_path, monkeypatch):
     report = load_report(tmp_path / "out" / "report.json")
     assert report["verdicts"]["seed_1.h3"]["verdict"] == "indeterminate"
     assert report["verdicts"]["seed_1.h1"]["verdict"] == "pass"
+
+
+def test_shipped_two_dimensional_swirl_config(tmp_path):
+    """The shipped 2-D swirl run: sparse gap, decomposition search and
+    sparse stepping together."""
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "fp_d2_swirl.json")
+    assert main(["fp-decay", "--config", cfg, "--out", str(tmp_path)]) == 0
+    verdicts = load_report(tmp_path / "report.json")["verdicts"]
+    for name in ("assembly", "decomposition", "decay"):
+        assert verdicts[name]["verdict"] == "pass"

@@ -1,7 +1,13 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from semidecay import fokker_planck
 from semidecay.errors import AssemblyError, DomainTooSmallError
 from semidecay.factorization import SplitOperator, enlargement_bound_chain
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
@@ -12,6 +18,8 @@ from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      gap_mode, initial_datum,
                                      resolvent_scan_fp, spectral_gap_H)
 from semidecay.hypotheses import PASS, check_h2, check_h4
+from semidecay.semigroup import step_trajectory
+from semidecay.spectral import sparse_lu
 from semidecay.spaces import EmbeddedSpacePair
 
 
@@ -344,3 +352,123 @@ def test_heavy_tail_formula(fp_small):
     x = fp_small.grid.axis()
     npt.assert_allclose(initial_datum(fp_small, "heavy-tail"),
                         (1 + x**2) ** -2.0, rtol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def fp_swirl_sparse():
+    """2-D swirl discretization just above the dense eigensolver limit."""
+    disc = FPDiscretization.build(FPGrid(d=2, L=8.0, N=34), Potential(2.0),
+                                  EnlargedWeight("polynomial", 3.0),
+                                  swirl=SwirlField("inverse_linear", 1.0))
+    assert disc.grid.n_total > fokker_planck._DENSE_EIG_LIMIT
+    return disc
+
+
+def _ambient_symmetrized_remainder(disc, m_val, r_val):
+    """Dense ambient symmetrization of ``T - M 1{|x| <= R}``."""
+    chi = (disc.grid.flat_coordinate() <= r_val).astype(float)
+    remainder = (disc.generator - sp.diags(m_val * chi)).toarray()
+    root = np.sqrt(disc.space_ambient.weights)
+    scaled = root[:, None] * remainder / root[None, :]
+    return 0.5 * (scaled + scaled.T)
+
+
+class TestSparseBranchAgainstDenseOracle:
+    """Shift-invert Lanczos and the sparse stepper against dense solvers.
+
+    The gap eigenvalue of the radial 2-D problem is double, so eigenvalues
+    and residuals are compared, not eigenvectors.
+    """
+
+    def _check_top_eigs(self, s_mat, k):
+        dense = s_mat.toarray()
+        dense = 0.5 * (dense + dense.T)
+        vals, vecs = fokker_planck._top_symmetric_eigs(s_mat, k, want_vectors=True)
+        ref = sla.eigh(dense, eigvals_only=True)[::-1][:k]
+        scale = np.max(np.abs(dense))
+        npt.assert_allclose(vals, ref, rtol=0.0, atol=1e-13 * scale)
+        residuals = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
+        assert np.all(residuals <= 1e-13 * scale)
+        return vals
+
+    def test_gap_eigenvalues(self, fp_swirl_sparse):
+        disc = fp_swirl_sparse
+        s_mat = fokker_planck._symmetrize_small(disc.sym, disc.mu)
+        vals = self._check_top_eigs(s_mat, 2)
+        gap = spectral_gap_H(disc)
+        assert gap.lambda_gap == vals[1] and gap.leading == vals[0]
+
+    def test_search_remainder_top_eigenvalue(self, fp_swirl_sparse):
+        disc = fp_swirl_sparse
+        dense = _ambient_symmetrized_remainder(disc, 10.0, 2.0)
+        top = self._check_top_eigs(sp.csr_matrix(dense), 1)[0]
+        result = find_decomposition(disc, -1e-3, m_grid=[10.0], r_grid=[2.0])
+        npt.assert_allclose(result.frontier[0][2], top, rtol=0.0,
+                            atol=1e-13 * np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_sparse_and_dense_steppers_agree(self, fp_swirl_sparse, scheme):
+        disc = fp_swirl_sparse
+        f0 = initial_datum(disc, "heavy-tail")
+        t_grid = np.linspace(0.0, 0.5, 26)
+        sparse = step_trajectory(disc.generator, f0, t_grid, scheme=scheme)
+        dense = step_trajectory(disc.generator.toarray(), f0, t_grid, scheme=scheme)
+        npt.assert_allclose(sparse, dense, rtol=0.0,
+                            atol=1e-12 * np.max(np.abs(dense)))
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Counts sparse LU factorizations; ARPACK's own factorization raises."""
+    arpack = sys.modules["scipy.sparse.linalg._eigen.arpack.arpack"]
+
+    def arpack_splu(*args, **kwargs):
+        raise AssertionError("ARPACK factored the shifted matrix itself")
+
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(arpack, "splu", arpack_splu)
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+class TestSparseFactorizationCount:
+    def test_one_factorization_per_eigensolve(self, fp_swirl_sparse, splu_calls):
+        disc = fp_swirl_sparse
+        spectral_gap_H(disc)
+        assert len(splu_calls) == 1
+        # an unreachable target makes the search try every candidate
+        result = find_decomposition(disc, -1e3, m_grid=[1.0, 10.0],
+                                    r_grid=[1.0, 2.0])
+        assert len(result.frontier) == 4
+        assert len(splu_calls) == 5
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_one_factorization_per_trajectory(self, fp_swirl_sparse, splu_calls,
+                                              scheme):
+        disc = fp_swirl_sparse
+        step_trajectory(disc.generator, initial_datum(disc, "heavy-tail"),
+                        np.linspace(0.0, 0.5, 26), scheme=scheme)
+        assert splu_calls == [(disc.grid.n_total,) * 2]
+
+
+class TestSparseOrdering:
+    @staticmethod
+    def _implicit_euler_matrix(disc):
+        return (sp.identity(disc.grid.n_total, format="csc")
+                - 0.02 * disc.generator).tocsc()
+
+    def test_two_dimensional_stencil_fills_less_than_colamd(self, fp_swirl_sparse):
+        lhs = self._implicit_euler_matrix(fp_swirl_sparse)
+        ordered, default = sparse_lu(lhs), spla.splu(lhs)
+        assert (ordered.L.nnz + ordered.U.nnz
+                < 0.75 * (default.L.nnz + default.U.nnz))
+
+    def test_tridiagonal_matrix_keeps_the_default_ordering(self, fp_small):
+        lhs = self._implicit_euler_matrix(fp_small)
+        npt.assert_array_equal(sparse_lu(lhs).perm_c, spla.splu(lhs).perm_c)
