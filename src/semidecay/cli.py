@@ -10,7 +10,7 @@ import argparse
 import sys
 import traceback
 
-from .config import COMMANDS, RunConfig, parse_tolerance_overrides
+from .config import COMMANDS, RunConfig, Tolerances, parse_tolerance_overrides
 from .errors import ConfigError, InfeasibleParameterError, SemidecayError
 from .reports import (EXIT_CHECKS_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                       EXIT_INTERNAL, EXIT_OK)
@@ -39,7 +39,9 @@ def _load_config(args) -> RunConfig:
     config = RunConfig.from_json_file(args.config, command=args.command)
     overrides = parse_tolerance_overrides(args.tolerance)
     if overrides:
-        config = config.override(tolerances=config.tolerances.replace(**overrides))
+        merged = {**config.tolerances.to_dict(), **overrides}
+        config = config.override(
+            tolerances=Tolerances.from_mapping(merged, where="--tolerance"))
     if args.seed is not None:
         config = config.override(seed=args.seed)
     if args.jobs is not None:

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .fokker_planck import EnlargedWeight, FPGrid, Potential, SwirlField
 
 SCHEMA_VERSION = 1
 
@@ -26,12 +31,10 @@ class Tolerances:
     tol_solve : residual factor for linear solves, scaled by the condition number
     tol_eig : eigenpair residual factor, scaled by the operator norm
     tol_proj : allowed disagreement between the two projector constructions
-    tol_exp : relative slack on semigroup evaluation cross-checks
     boundary_margin : half-width of the indeterminate band around decision lines
     h4_ceiling : largest admissible operator norm in the decomposition checks
     injectivity_floor : smallest admissible weighted singular value
     mass_tol : relative mass drift allowed per trajectory
-    sym_tol : relative symmetry defect allowed in assembled forms
     floor_factor : signal floor is floor_factor * machine epsilon * initial norm
     laplace_slack : multiplicative slack on the resolvent bound in converse checks
     """
@@ -39,17 +42,12 @@ class Tolerances:
     tol_solve: float = 1e-10
     tol_eig: float = 1e-9
     tol_proj: float = 1e-8
-    tol_exp: float = 1e-10
     boundary_margin: float = 1e-9
     h4_ceiling: float = 1e8
     injectivity_floor: float = 1e-8
     mass_tol: float = 1e-12
-    sym_tol: float = 1e-12
     floor_factor: float = 1e3
     laplace_slack: float = 1e-6
-
-    def replace(self, **kwargs) -> "Tolerances":
-        return dataclasses.replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -83,56 +81,28 @@ def _require_keys(mapping, allowed, required, where):
             raise ConfigError(f"missing key '{key}' at {where}")
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Enlarged-space weight choice: m^{-1}(x) = theta(U(x))."""
-
-    kind: str = "polynomial"        # polynomial | stretched-exponential
-    k: float = 3.0
-
-    @classmethod
-    def from_mapping(cls, mapping, where="problem.weight"):
-        _require_keys(mapping, {"kind", "k"}, {"kind", "k"}, where)
-        kind = str(mapping["kind"])
-        if kind not in ("polynomial", "stretched-exponential"):
-            raise ConfigError(f"unknown weight kind '{kind}' at {where}.kind")
-        return cls(kind=kind, k=float(mapping["k"]))
-
-    def validate_for_dimension(self, d: int):
-        if self.kind == "polynomial" and not self.k > d:
-            raise ConfigError(
-                f"polynomial weight requires k > d, got k={self.k}, d={d}")
-        if self.kind == "stretched-exponential" and not 0.0 < self.k < 1.0:
-            raise ConfigError(
-                f"stretched-exponential weight requires k in (0,1), got k={self.k}")
-
-
-@dataclass(frozen=True)
-class SwirlSpec:
-    """Rotational force field amplitude profile (dimension 2 only)."""
-
-    phi: str = "inverse_linear"     # inverse_linear | constant
-    amplitude: float = 1.0
-
-    @classmethod
-    def from_mapping(cls, mapping, where="problem.swirl"):
-        _require_keys(mapping, {"phi", "amplitude"}, set(), where)
-        phi = str(mapping.get("phi", "inverse_linear"))
-        if phi not in ("inverse_linear", "constant"):
-            raise ConfigError(f"unknown swirl profile '{phi}' at {where}.phi")
-        return cls(phi=phi, amplitude=float(mapping.get("amplitude", 1.0)))
+def _build(where, make):
+    """Construct one physical object; its ``ValueError`` (or a bad cast)
+    becomes a :class:`ConfigError` that names the config key."""
+    try:
+        return make()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{exc} at {where}") from None
 
 
 @dataclass(frozen=True)
 class FPProblem:
-    """Drift-diffusion problem definition on a truncated grid."""
+    """Drift-diffusion problem definition on a truncated grid.
 
-    d: int = 1
-    s: float = 2.0
-    L: float = 8.0
-    N: int = 400
-    weight: WeightSpec = field(default_factory=WeightSpec)
-    swirl: SwirlSpec | None = None
+    Holds the physical objects of :mod:`semidecay.fokker_planck`, built
+    once here; each validates its own parameters. This class checks only
+    what spans fields: the swirl needs d = 2, and the time horizon.
+    """
+
+    grid: FPGrid
+    potential: Potential
+    weight: EnlargedWeight
+    swirl: SwirlField | None = None
     scheme: str = "implicit-euler"
     t_max: float = 4.0
     dt: float = 0.01
@@ -146,42 +116,55 @@ class FPProblem:
 
     @classmethod
     def from_mapping(cls, mapping, where="problem"):
+        # lazy import: fokker_planck imports this module
+        from .fokker_planck import EnlargedWeight, FPGrid, Potential, SwirlField
+
         _require_keys(mapping, cls._ALLOWED, {"d", "s", "L", "N"}, where)
-        d = int(mapping["d"])
-        if d not in (1, 2):
-            raise ConfigError(f"dimension must be 1 or 2 at {where}.d")
-        s = float(mapping["s"])
-        if s < 1.0:
-            raise ConfigError(f"potential exponent must satisfy s >= 1 at {where}.s")
-        weight = WeightSpec.from_mapping(mapping.get("weight", {"kind": "polynomial", "k": 3.0}),
-                                         where=f"{where}.weight")
-        weight.validate_for_dimension(d)
+        grid = _build(where, lambda: FPGrid(d=int(mapping["d"]), L=float(mapping["L"]),
+                                            N=int(mapping["N"])))
+        potential = _build(f"{where}.s", lambda: Potential(s=float(mapping["s"])))
+        weight_map = mapping.get("weight", {"kind": "polynomial", "k": 3.0})
+        _require_keys(weight_map, {"kind", "k"}, {"kind", "k"}, f"{where}.weight")
+        weight = _build(f"{where}.weight", lambda: EnlargedWeight(
+            kind=str(weight_map["kind"]), k=float(weight_map["k"])))
+        _build(f"{where}.weight", lambda: weight.validate_for_dimension(grid.d))
         swirl = None
         if mapping.get("swirl") is not None:
-            if d != 2:
+            if grid.d != 2:
                 raise ConfigError(f"swirl field requires d=2 at {where}.swirl")
-            swirl = SwirlSpec.from_mapping(mapping["swirl"], where=f"{where}.swirl")
+            swirl_map = mapping["swirl"]
+            _require_keys(swirl_map, {"phi", "amplitude"}, set(), f"{where}.swirl")
+            swirl = _build(f"{where}.swirl", lambda: SwirlField(
+                profile=str(swirl_map.get("phi", "inverse_linear")),
+                amplitude=float(swirl_map.get("amplitude", 1.0))))
         scheme = str(mapping.get("scheme", "implicit-euler"))
         if scheme not in cls._SCHEMES:
             raise ConfigError(f"unknown scheme '{scheme}' at {where}.scheme")
         initial = str(mapping.get("initial_data", "heavy-tail"))
         if initial not in cls._INITIAL:
             raise ConfigError(f"unknown initial data '{initial}' at {where}.initial_data")
+        t_max = float(mapping.get("t_max", 4.0))
+        dt = float(mapping.get("dt", 0.01))
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ConfigError(f"time step must be finite and positive, got {dt} at {where}.dt")
+        # the run samples arange(0, t_max + dt/2, dt): 3 steps give the 4 samples
+        # the decay fit needs; the slack admits t_max = 3*dt written in decimal
+        if not (math.isfinite(t_max) and t_max / dt >= 3.0 - 1e-9):
+            raise ConfigError(f"horizon must be finite and at least 3 steps of dt "
+                              f"(4 samples), got t_max={t_max} at {where}.t_max")
         target_a = mapping.get("target_a")
-        return cls(d=d, s=s, L=float(mapping["L"]), N=int(mapping["N"]),
-                   weight=weight, swirl=swirl, scheme=scheme,
-                   t_max=float(mapping.get("t_max", 4.0)),
-                   dt=float(mapping.get("dt", 0.01)),
-                   initial_data=initial,
+        return cls(grid=grid, potential=potential, weight=weight, swirl=swirl,
+                   scheme=scheme, t_max=t_max, dt=dt, initial_data=initial,
                    target_a=None if target_a is None else float(target_a))
 
     def to_dict(self):
-        out = {"d": self.d, "s": self.s, "L": self.L, "N": self.N,
+        out = {"d": self.grid.d, "s": self.potential.s, "L": self.grid.L,
+               "N": self.grid.N,
                "weight": {"kind": self.weight.kind, "k": self.weight.k},
                "scheme": self.scheme, "t_max": self.t_max, "dt": self.dt,
                "initial_data": self.initial_data, "target_a": self.target_a}
         if self.swirl is not None:
-            out["swirl"] = {"phi": self.swirl.phi, "amplitude": self.swirl.amplitude}
+            out["swirl"] = {"phi": self.swirl.profile, "amplitude": self.swirl.amplitude}
         return out
 
 
@@ -253,9 +236,12 @@ class RunConfig:
             raise ConfigError("missing key 'instance_path' at config (required by enlarge-check)")
         instance = InstanceSpec.from_mapping(mapping.get("instance", {}))
         tolerances = Tolerances.from_mapping(mapping.get("tolerances", {}))
+        n_seeds = int(mapping.get("n_seeds", 1))
+        if n_seeds < 1:
+            raise ConfigError(f"n_seeds must be at least 1, got {n_seeds} at config.n_seeds")
         return cls(command=cfg_command,
                    seed=int(mapping.get("seed", 1)),
-                   n_seeds=int(mapping.get("n_seeds", 1)),
+                   n_seeds=n_seeds,
                    instance=instance,
                    instance_path=mapping.get("instance_path"),
                    problem=problem,

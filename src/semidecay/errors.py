@@ -35,7 +35,8 @@ class ProjectorMismatchError(SemidecayError):
 
 
 class MagnitudeGuardError(SemidecayError):
-    """A semigroup trajectory left the representable floating-point range."""
+    """A computation left the representable floating-point range or would
+    exceed a dense size limit."""
 
 
 class InsufficientSignalError(SemidecayError):

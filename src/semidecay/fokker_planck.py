@@ -23,7 +23,8 @@ import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_TOLERANCES, FPProblem, Tolerances
 from .errors import (AssemblyError, DomainTooSmallError,
-                     InfeasibleParameterError, InsufficientSignalError)
+                     InfeasibleParameterError, InsufficientSignalError,
+                     MagnitudeGuardError)
 from .hypotheses import H2Report, check_h2
 from .semigroup import (DecayFit, envelope_prefactor, fit_exponential_decay,
                         step_trajectory)
@@ -46,8 +47,8 @@ class Potential:
     s: float
 
     def __post_init__(self):
-        if not self.s >= 1.0:
-            raise ValueError(f"potential exponent must satisfy s >= 1, got {self.s}")
+        if not 1.0 <= self.s < np.inf:
+            raise ValueError(f"potential exponent must be finite with s >= 1, got {self.s}")
 
     def value(self, *coords):
         r2 = sum(np.asarray(c) ** 2 for c in coords)
@@ -95,8 +96,8 @@ class EnlargedWeight:
         if self.kind == "stretched-exponential" and not 0.0 < self.k < 1.0:
             raise ValueError(
                 f"stretched-exponential weight requires k in (0,1), got {self.k}")
-        if self.k <= 0.0:
-            raise ValueError("weight order must be positive")
+        if not 0.0 < self.k < np.inf:
+            raise ValueError(f"weight order must be positive and finite, got k={self.k}")
 
     def validate_for_dimension(self, d: int):
         if self.kind == "polynomial" and not self.k > d:
@@ -157,9 +158,11 @@ class FPGrid:
 
     def __post_init__(self):
         if self.d not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
+            raise ValueError(f"dimension must be 1 or 2, got d={self.d}")
+        if not 0.0 < self.L < np.inf:
+            raise ValueError(f"half-width must be positive and finite, got L={self.L}")
         if self.N < 4:
-            raise ValueError("need at least 4 cells per axis")
+            raise ValueError(f"need at least 4 cells per axis, got N={self.N}")
 
     @property
     def h(self) -> float:
@@ -352,7 +355,7 @@ class FPDiscretization:
 
     def dense_generator(self) -> np.ndarray:
         if self.grid.n_total > _DENSE_LIMIT:
-            raise ValueError(
+            raise MagnitudeGuardError(
                 f"dense generator of size {self.grid.n_total} exceeds the "
                 f"limit {_DENSE_LIMIT}; use the sparse paths")
         return self.generator.toarray()
@@ -377,21 +380,24 @@ class GapReport:
                 "n": self.n}
 
 
-def _symmetrize_small(matrix: sp.spmatrix, mu: np.ndarray) -> sp.csr_matrix:
-    """Similarity ``S_ij = T_ij sqrt(mu_j / mu_i)`` (neighbors only, so the
-    exponential weight ratios stay moderate)."""
+def _similarity(matrix: sp.spmatrix, log_w: np.ndarray) -> sp.csr_matrix:
+    """Similarity ``S_ij = T_ij sqrt(w_i / w_j)``, which is symmetric up to
+    rounding when T is symmetric in the inner product weighted by w. Only
+    stored (neighbor) entries are scaled, so the weight ratios stay
+    moderate. The small space passes ``-log(mu)``, the ambient space
+    ``log(theta(U))``."""
     coo = matrix.tocoo()
-    log_mu = np.log(mu)
-    data = coo.data * np.exp(0.5 * (log_mu[coo.col] - log_mu[coo.row]))
+    data = coo.data * np.exp(0.5 * (log_w[coo.row] - log_w[coo.col]))
     return sp.coo_matrix((data, (coo.row, coo.col)), shape=matrix.shape).tocsr()
 
 
 def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int, want_vectors=False):
-    """Largest k eigenvalues (descending) of a symmetric-to-rounding sparse
-    matrix, with vectors on request. Deterministic: tridiagonal and dense
-    paths are direct, the sparse path uses shift-invert Lanczos with a
-    fixed start vector and a shift above the spectrum, over one
-    :func:`~semidecay.spectral.sparse_lu` of the shifted matrix."""
+    """Largest k eigenvalues (descending) of the symmetric part
+    ``(S + S^T) / 2`` of a sparse matrix, with vectors on request.
+    Deterministic: tridiagonal and dense paths are direct, the sparse path
+    uses shift-invert Lanczos with a fixed start vector and a shift above
+    the spectrum, over one :func:`~semidecay.spectral.sparse_lu` of the
+    shifted matrix."""
     n = s_mat.shape[0]
     if n > 1 and is_tridiagonal(s_mat):
         diag = s_mat.diagonal()
@@ -440,7 +446,7 @@ def spectral_gap_H(disc: FPDiscretization, tol: Tolerances = DEFAULT_TOLERANCES
         If the leading eigenvalue is not zero to tolerance, which means
         the stencil lost its built-in equilibrium.
     """
-    s_mat = _symmetrize_small(disc.sym, disc.mu)
+    s_mat = _similarity(disc.sym, -np.log(disc.mu))
     scale = float(abs(s_mat).max())
     vals, vecs = _top_symmetric_eigs(s_mat, 2, want_vectors=True)
     leading = float(vals[0])
@@ -460,7 +466,7 @@ def spectral_gap_H(disc: FPDiscretization, tol: Tolerances = DEFAULT_TOLERANCES
 
 def gap_mode(disc: FPDiscretization) -> np.ndarray:
     """Eigenvector of the gap eigenvalue, mapped back to density variables."""
-    s_mat = _symmetrize_small(disc.sym, disc.mu)
+    s_mat = _similarity(disc.sym, -np.log(disc.mu))
     _, vecs = _top_symmetric_eigs(s_mat, 2, want_vectors=True)
     mode = vecs[:, 1] * np.sqrt(disc.mu)
     return mode / np.linalg.norm(mode)
@@ -491,16 +497,6 @@ class DecompositionResult:
                 "frontier": [[m, r, v] for m, r, v in self.frontier]}
 
 
-def _ambient_symmetric_top(matrix: sp.spmatrix, weights: np.ndarray) -> float:
-    coo = matrix.tocoo()
-    log_w = np.log(weights)
-    data = coo.data * np.exp(0.5 * (log_w[coo.row] - log_w[coo.col]))
-    scaled = sp.coo_matrix((data, (coo.row, coo.col)), shape=matrix.shape).tocsr()
-    sym = 0.5 * (scaled + scaled.T)
-    vals, _ = _top_symmetric_eigs(sym.tocsr(), 1)
-    return float(vals[0])
-
-
 def find_decomposition(disc: FPDiscretization, target_a: float,
                        m_grid=None, r_grid=None) -> DecompositionResult:
     """Search the cutoff family ``A = M chi(|x| <= R)`` for a coercive remainder.
@@ -520,13 +516,14 @@ def find_decomposition(disc: FPDiscretization, target_a: float,
         r_grid = np.linspace(1.0, disc.grid.L / 2.0, 6)
     coord = disc.grid.flat_coordinate()
     gen = disc.generator
-    weights = disc.space_ambient.weights
+    log_w = np.log(disc.space_ambient.weights)
     frontier = []
     for m_val in np.asarray(m_grid, dtype=float):
         for r_val in np.asarray(r_grid, dtype=float):
             chi = (coord <= r_val).astype(float)
             part_b = (gen - sp.diags(m_val * chi)).tocsr()
-            top = _ambient_symmetric_top(part_b, weights)
+            vals, _ = _top_symmetric_eigs(_similarity(part_b, log_w), 1)
+            top = float(vals[0])
             frontier.append((float(m_val), float(r_val), top))
             if top <= target_a:
                 return DecompositionResult(found=True, M=float(m_val),
@@ -649,12 +646,6 @@ def resolvent_scan_fp(disc: FPDiscretization, space: WeightedSpace, a: float,
 
 
 def build_problem(problem: FPProblem) -> FPDiscretization:
-    """Construct the discretization described by a validated problem config."""
-    grid = FPGrid(d=problem.d, L=problem.L, N=problem.N)
-    potential = Potential(s=problem.s)
-    weight = EnlargedWeight(kind=problem.weight.kind, k=problem.weight.k)
-    swirl = None
-    if problem.swirl is not None:
-        swirl = SwirlField(profile=problem.swirl.phi,
-                           amplitude=problem.swirl.amplitude)
-    return FPDiscretization.build(grid, potential, weight, swirl=swirl)
+    """Assemble the discretization of a validated problem config."""
+    return FPDiscretization.build(problem.grid, problem.potential,
+                                  problem.weight, swirl=problem.swirl)

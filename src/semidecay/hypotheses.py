@@ -304,14 +304,6 @@ class H3Report:
         finite = np.isfinite(self.fit.prefactor) and np.isfinite(self.fit.rate)
         return PASS if finite else INDETERMINATE
 
-    @property
-    def growth_constant(self):
-        return self.fit.prefactor
-
-    @property
-    def growth_rate(self):
-        return self.fit.rate
-
     def to_dict(self):
         return {"C_b": self.fit.prefactor, "b": self.fit.rate,
                 "residual": self.fit.residual, "window": list(self.fit.window)}

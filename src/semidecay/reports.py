@@ -64,11 +64,9 @@ class RunReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(v["verdict"] == "pass" for v in self.verdicts.values())
-
-    @property
-    def any_indeterminate(self) -> bool:
-        return any(v["verdict"] == "indeterminate" for v in self.verdicts.values())
+        """True when there is at least one verdict and every verdict passes."""
+        return bool(self.verdicts) and all(
+            v["verdict"] == "pass" for v in self.verdicts.values())
 
     def to_dict(self, with_timestamp=True) -> dict:
         out = {

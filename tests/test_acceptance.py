@@ -20,7 +20,7 @@ from semidecay.factorization import (SplitOperator, enlargement_bound_chain,
                                      verify_factorization)
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential, SwirlField, UniformPotential,
-                                     _symmetrize_small, assemble_skew_part,
+                                     _similarity, assemble_skew_part,
                                      decay_experiment, initial_datum,
                                      spectral_gap_H)
 from semidecay.hypotheses import PASS, check_h1, sample_xi_region
@@ -131,7 +131,7 @@ def test_criterion_4_generator_structure():
             scale = np.abs(disc.sym) @ np.abs(disc.mu)
             worst["null"] = max(worst["null"],
                                 np.max(np.abs(null) / np.maximum(scale, 1e-300)))
-            s_mat = _symmetrize_small(disc.sym, disc.mu)
+            s_mat = _similarity(disc.sym, -np.log(disc.mu))
             eigvals = eigh_tridiagonal(s_mat.diagonal(),
                                        0.5 * (s_mat.diagonal(1) + s_mat.diagonal(-1)),
                                        eigvals_only=True)

@@ -7,7 +7,7 @@ import pytest
 
 from semidecay import runner
 from semidecay.cli import main
-from semidecay.reports import load_report, reports_equal
+from semidecay.reports import RunReport, load_report, reports_equal
 
 BASE_TESTBED = {
     "schema_version": 1,
@@ -55,6 +55,53 @@ def test_weight_order_violation_gives_exit_four(tmp_path):
     bad["problem"]["weight"]["k"] = 0.5
     cfg = write_config(tmp_path, bad)
     assert main(["fp-decay", "--config", cfg]) == 4
+
+
+BASE_SWIRL = {**BASE_FP, "problem": {"d": 2, "s": 2.0, "L": 8.0, "N": 8,
+                                     "swirl": {"phi": "constant", "amplitude": 1.0}}}
+
+
+@pytest.mark.parametrize("base, edit, argv, names", [
+    (BASE_FP, {"N": 2}, [], "N=2"),
+    (BASE_FP, {"L": 0.0}, [], "L=0.0"),
+    (BASE_SWIRL, {"swirl": {"amplitude": float("inf")}}, [], "problem.swirl"),
+    (BASE_FP, {"dt": 0.0}, [], "problem.dt"),
+    (BASE_FP, {"t_max": 0.025}, [], "problem.t_max"),
+    (BASE_FP, {}, ["--tolerance", "bogus=1"], "'bogus' at --tolerance"),
+    (BASE_TESTBED, {"n_seeds": 0}, [], "config.n_seeds"),
+    (BASE_TESTBED, {"n_seeds": -3}, [], "config.n_seeds"),
+], ids=["N", "L", "amplitude", "dt", "t_max", "tolerance", "n_seeds0", "n_seeds-3"])
+def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
+                                                          edit, argv, names):
+    cfg_map = json.loads(json.dumps(base))
+    target = cfg_map["problem"] if "problem" in cfg_map else cfg_map
+    for key, val in edit.items():
+        if isinstance(val, dict):
+            target[key].update(val)
+        else:
+            target[key] = val
+    cfg_map["out_dir"] = str(tmp_path / "out")
+    cfg = write_config(tmp_path, cfg_map)
+    assert main([cfg_map["command"], "--config", cfg, *argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and names in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_report_without_verdicts_does_not_pass():
+    assert not RunReport(command="testbed", config={}).all_passed
+
+
+def test_dense_scan_above_size_limit_gives_check_error(tmp_path, capsys):
+    cfg_map = json.loads(json.dumps(BASE_FP))
+    cfg_map.update(command="fp-resolvent-scan", out_dir=str(tmp_path / "out"))
+    cfg_map["problem"]["N"] = 4201
+    cfg = write_config(tmp_path, cfg_map)
+    assert main(["fp-resolvent-scan", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("check error:") and "4201" in err
+    assert "Traceback" not in err
 
 
 def test_infeasible_decomposition_gives_exit_three(tmp_path):

@@ -106,11 +106,11 @@ class TestSymmetricPart:
             check_truncation(FPGrid(d=1, L=2.0, N=50), Potential(1.0))
 
     def test_nonpositivity_with_single_neutral_mode(self):
-        from semidecay.fokker_planck import _symmetrize_small
+        from semidecay.fokker_planck import _similarity
         grid = FPGrid(d=1, L=8.0, N=200)
         disc = FPDiscretization.build(grid, Potential(2.0),
                                       EnlargedWeight("polynomial", 3.0))
-        s_mat = _symmetrize_small(disc.sym, disc.mu).toarray()
+        s_mat = _similarity(disc.sym, -np.log(disc.mu)).toarray()
         s_mat = 0.5 * (s_mat + s_mat.T)
         eigvals = np.linalg.eigvalsh(s_mat)
         scale = np.max(np.abs(eigvals))
@@ -393,7 +393,7 @@ class TestSparseBranchAgainstDenseOracle:
 
     def test_gap_eigenvalues(self, fp_swirl_sparse):
         disc = fp_swirl_sparse
-        s_mat = fokker_planck._symmetrize_small(disc.sym, disc.mu)
+        s_mat = fokker_planck._similarity(disc.sym, -np.log(disc.mu))
         vals = self._check_top_eigs(s_mat, 2)
         gap = spectral_gap_H(disc)
         assert gap.lambda_gap == vals[1] and gap.leading == vals[0]

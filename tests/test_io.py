@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import pathlib
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+import semidecay
 from semidecay.config import (FPProblem, RunConfig, Tolerances,
                               parse_tolerance_overrides)
 from semidecay.errors import ConfigError
@@ -129,3 +133,23 @@ class TestConfigParsing:
         echo = config.to_dict()
         rebuilt = RunConfig.from_mapping(echo)
         assert rebuilt == config
+
+    @pytest.mark.parametrize("name", ["fp_d1_decay.json", "fp_d2_swirl.json"])
+    def test_problem_echo_rebuilds_the_same_objects(self, name):
+        path = pathlib.Path(__file__).parent.parent / "configs" / name
+        config = RunConfig.from_json_file(path)
+        assert RunConfig.from_mapping(config.to_dict()) == config
+        shipped = json.loads(path.read_text())["problem"]
+        assert config.to_dict()["problem"] == {**shipped, "target_a": None}
+
+
+def test_every_tolerance_is_read_outside_config():
+    """A tolerance that no module reads is a knob that cannot change a
+    result; it only grows the config and the echoed report."""
+    package = pathlib.Path(semidecay.__file__).parent
+    source = "\n".join(path.read_text(encoding="utf-8")
+                       for path in sorted(package.glob("*.py"))
+                       if path.name != "config.py")
+    unread = [f.name for f in dataclasses.fields(Tolerances)
+              if not re.search(rf"\.{f.name}\b", source)]
+    assert unread == []

@@ -152,8 +152,7 @@ class TestStepTrajectory:
 
 
 def test_reference_stepper_overlaps_direct_exponential():
-    # the two trajectory paths agree on shared times within tol_exp
-    from semidecay.config import DEFAULT_TOLERANCES
+    # the two trajectory paths agree on shared times to 1e-10 relative
     gen = np.random.default_rng(4)
     mat = -0.5 * np.eye(8) + 0.2 * gen.standard_normal((8, 8))
     f0 = gen.standard_normal(8)
@@ -162,7 +161,7 @@ def test_reference_stepper_overlaps_direct_exponential():
     direct = semigroup_apply(mat, f0, t_grid[1:])
     gap = np.max(np.linalg.norm(stepped[1:] - direct, axis=1)
                  / np.linalg.norm(direct, axis=1))
-    assert gap <= DEFAULT_TOLERANCES.tol_exp
+    assert gap <= 1e-10
 
 
 def test_semigroup_norms_with_deflation():
