@@ -143,8 +143,8 @@ class FPProblem:
         initial = str(mapping.get("initial_data", "heavy-tail"))
         if initial not in cls._INITIAL:
             raise ConfigError(f"unknown initial data '{initial}' at {where}.initial_data")
-        t_max = float(mapping.get("t_max", 4.0))
-        dt = float(mapping.get("dt", 0.01))
+        t_max = _build(f"{where}.t_max", lambda: float(mapping.get("t_max", 4.0)))
+        dt = _build(f"{where}.dt", lambda: float(mapping.get("dt", 0.01)))
         if not (math.isfinite(dt) and dt > 0.0):
             raise ConfigError(f"time step must be finite and positive, got {dt} at {where}.dt")
         # the run samples arange(0, t_max + dt/2, dt): 3 steps give the 4 samples
@@ -153,9 +153,11 @@ class FPProblem:
             raise ConfigError(f"horizon must be finite and at least 3 steps of dt "
                               f"(4 samples), got t_max={t_max} at {where}.t_max")
         target_a = mapping.get("target_a")
+        if target_a is not None:
+            target_a = _build(f"{where}.target_a", lambda: float(target_a))
         return cls(grid=grid, potential=potential, weight=weight, swirl=swirl,
                    scheme=scheme, t_max=t_max, dt=dt, initial_data=initial,
-                   target_a=None if target_a is None else float(target_a))
+                   target_a=target_a)
 
     def to_dict(self):
         out = {"d": self.grid.d, "s": self.potential.s, "L": self.grid.L,
@@ -180,11 +182,15 @@ class InstanceSpec:
 
     @classmethod
     def from_mapping(cls, mapping, where="instance"):
-        _require_keys(mapping, {"n", "a", "gap", "strength", "k"}, set(), where)
-        return cls(n=int(mapping.get("n", 8)), a=float(mapping.get("a", -0.75)),
-                   gap=float(mapping.get("gap", -1.0)),
-                   strength=float(mapping.get("strength", 0.5)),
-                   k=int(mapping.get("k", 1)))
+        # lazy import: instances imports this module
+        from .instances import check_instance_shape
+
+        casts = {"n": int, "a": float, "gap": float, "strength": float, "k": int}
+        _require_keys(mapping, casts, set(), where)
+        spec = cls(**{key: _build(f"{where}.{key}", lambda: cast(mapping[key]))
+                      for key, cast in casts.items() if key in mapping})
+        _build(where, lambda: check_instance_shape(spec.n, spec.k, spec.strength))
+        return spec
 
     def to_dict(self):
         return {"n": self.n, "a": self.a, "gap": self.gap,
@@ -236,18 +242,18 @@ class RunConfig:
             raise ConfigError("missing key 'instance_path' at config (required by enlarge-check)")
         instance = InstanceSpec.from_mapping(mapping.get("instance", {}))
         tolerances = Tolerances.from_mapping(mapping.get("tolerances", {}))
-        n_seeds = int(mapping.get("n_seeds", 1))
+        n_seeds = _build("config.n_seeds", lambda: int(mapping.get("n_seeds", 1)))
         if n_seeds < 1:
             raise ConfigError(f"n_seeds must be at least 1, got {n_seeds} at config.n_seeds")
         return cls(command=cfg_command,
-                   seed=int(mapping.get("seed", 1)),
+                   seed=_build("config.seed", lambda: int(mapping.get("seed", 1))),
                    n_seeds=n_seeds,
                    instance=instance,
                    instance_path=mapping.get("instance_path"),
                    problem=problem,
                    tolerances=tolerances,
                    out_dir=str(mapping.get("out_dir", "out")),
-                   jobs=int(mapping.get("jobs", 1)),
+                   jobs=_build("config.jobs", lambda: int(mapping.get("jobs", 1))),
                    write_operators=bool(mapping.get("write_operators", False)))
 
     @classmethod

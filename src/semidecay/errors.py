@@ -51,7 +51,7 @@ class DomainTooSmallError(SemidecayError):
     """The truncated domain does not resolve the equilibrium tail."""
 
 
-class InfeasibleParameterError(SemidecayError):
+class InfeasibleParameterError(SemidecayError, ValueError):
     """Requested parameters cannot produce a valid object."""
 
 

@@ -67,20 +67,30 @@ class GeneratedInstance:
         return GeneratedInstance(self.split, self.pair, self.certificate, projs)
 
 
-def _validate(n, a, gap, strength, k):
+def check_instance_shape(n, k, strength):
+    """The generator's checks on its size, group count and strength.
+
+    Shared with :class:`~semidecay.config.InstanceSpec`, which runs them
+    when the config is read; :class:`InfeasibleParameterError` is a
+    ``ValueError``, so there it becomes a config error naming the key.
+    """
     if n < 2:
         raise InfeasibleParameterError("instance size must be at least 2")
-    if not gap < a < 0.0:
-        raise InfeasibleParameterError(
-            f"need gap < a < 0, got gap={gap}, a={a}")
-    if strength < 0.0:
-        raise InfeasibleParameterError("regularization strength must be nonnegative")
-    if (a - gap) < _FEASIBILITY_MARGIN * abs(a):
-        raise InfeasibleParameterError(
-            f"gap {gap} leaves no margin below a={a}")
     if not 1 <= k <= n - 1:
         raise InfeasibleParameterError(
             f"need 1 <= k <= n-1 surviving eigenvalue groups, got k={k}, n={n}")
+    if strength < 0.0:
+        raise InfeasibleParameterError("regularization strength must be nonnegative")
+
+
+def _validate(n, a, gap, strength, k):
+    check_instance_shape(n, k, strength)
+    if not gap < a < 0.0:
+        raise InfeasibleParameterError(
+            f"need gap < a < 0, got gap={gap}, a={a}")
+    if (a - gap) < _FEASIBILITY_MARGIN * abs(a):
+        raise InfeasibleParameterError(
+            f"gap {gap} leaves no margin below a={a}")
 
 
 def generate_instance(seed: int, n: int, a: float = -0.75, gap: float = -1.0,

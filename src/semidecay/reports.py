@@ -96,8 +96,16 @@ def load_report(path) -> dict:
         return json.load(fh)
 
 
+# floats are compared at the scale max(|x|, REPORT_ABS_SCALE): a constant
+# nearer zero than this (H3's rate b = -8.9e-5, say) is held to an absolute
+# rtol * REPORT_ABS_SCALE, so a rounding-level move does not fail a tight
+# comparison; at rtol = 0 the comparison stays exact
+REPORT_ABS_SCALE = 1e-3
+
+
 def reports_equal(left: dict, right: dict, rtol=1e-8) -> bool:
-    """Semantic comparison that ignores timestamps and allows float slack."""
+    """Semantic comparison that ignores timestamps and allows float slack:
+    ``|a - b| <= rtol * (|b| + REPORT_ABS_SCALE)``."""
 
     def strip(obj):
         if isinstance(obj, dict):
@@ -113,7 +121,8 @@ def reports_equal(left: dict, right: dict, rtol=1e-8) -> bool:
             return len(a) == len(b) and all(close(x, y) for x, y in zip(a, b))
         if isinstance(a, float) or isinstance(b, float):
             try:
-                return bool(np.isclose(float(a), float(b), rtol=rtol, atol=1e-300))
+                return bool(np.isclose(float(a), float(b), rtol=rtol,
+                                       atol=rtol * REPORT_ABS_SCALE))
             except (TypeError, ValueError):
                 return a == b
         return a == b

@@ -70,7 +70,14 @@ BASE_SWIRL = {**BASE_FP, "problem": {"d": 2, "s": 2.0, "L": 8.0, "N": 8,
     (BASE_FP, {}, ["--tolerance", "bogus=1"], "'bogus' at --tolerance"),
     (BASE_TESTBED, {"n_seeds": 0}, [], "config.n_seeds"),
     (BASE_TESTBED, {"n_seeds": -3}, [], "config.n_seeds"),
-], ids=["N", "L", "amplitude", "dt", "t_max", "tolerance", "n_seeds0", "n_seeds-3"])
+    (BASE_TESTBED, {"seed": "x"}, [], "config.seed"),
+    (BASE_FP, {"t_max": "abc"}, [], "problem.t_max"),
+    (BASE_TESTBED, {"instance": {"n": "eight"}}, [], "instance.n"),
+    (BASE_TESTBED, {"instance": {"n": 0}}, [], "at least 2 at instance"),
+    (BASE_TESTBED, {"instance": {"n": 2, "k": 5}}, [], "k=5, n=2 at instance"),
+    (BASE_TESTBED, {"instance": {"strength": -1.0}}, [], "nonnegative at instance"),
+], ids=["N", "L", "amplitude", "dt", "t_max", "tolerance", "n_seeds0", "n_seeds-3",
+        "seed_cast", "t_max_cast", "n_cast", "n0", "k_above_n", "strength"])
 def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
                                                           edit, argv, names):
     cfg_map = json.loads(json.dumps(base))

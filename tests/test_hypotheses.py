@@ -7,13 +7,15 @@ import pytest
 from semidecay import generate_instance
 from semidecay.errors import SingularityError
 from semidecay.factorization import SplitOperator
+from semidecay import hypotheses
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
-                                     Potential, find_decomposition,
+                                     Potential, SwirlField, find_decomposition,
                                      spectral_gap_H)
 from semidecay.hypotheses import (FAIL, INDETERMINATE, PASS, HypothesisReport,
                                   check_h1, check_h2, check_h3, check_h4,
                                   make_y_grid, sample_xi_region)
-from semidecay.spaces import EmbeddedSpacePair, WeightedSpace, operator_norm
+from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
+                              weighted_congruence)
 from semidecay.spectral import resolvent_matrix
 
 
@@ -108,6 +110,113 @@ class TestH2:
         positive = grid[(grid > 0) & (grid <= 5.0)]
         spacings = np.diff(np.concatenate([[0.0], positive]))
         assert spacings[0] < spacings[-1]
+
+
+def _dense_line_norms(scaled, ys):
+    """Oracle: one dense SVD of ``S - iyI`` per y."""
+    eye = np.eye(scaled.shape[0])
+    return np.array([1.0 / np.linalg.svd(scaled - 1j * y * eye, compute_uv=False)[-1]
+                     for y in ys])
+
+
+def _fp_line(grid, swirl=None, ambient=False):
+    disc = FPDiscretization.build(grid, Potential(2.0), EnlargedWeight("polynomial", 3.0),
+                                  swirl=swirl)
+    a_line = 0.5 * spectral_gap_H(disc).lambda_gap
+    space = disc.space_ambient if ambient else disc.space_small
+    matrix = np.asarray(disc.dense_generator(), dtype=complex)
+    scaled = weighted_congruence(matrix, space, space) - a_line * np.eye(len(matrix))
+    return matrix, a_line, space, scaled
+
+
+class TestH2LineKernel:
+    """The banded Gram kernel against the dense SVD it replaces."""
+
+    @pytest.mark.parametrize("ambient", [False, True], ids=["small", "ambient"])
+    def test_fp_scan_matches_dense_oracle(self, ambient):
+        matrix, a_line, space, scaled = _fp_line(FPGrid(d=1, L=8.0, N=120),
+                                                 ambient=ambient)
+        line = hypotheses._ShiftedLine(scaled)
+        assert line.mirrored and line.band is not None
+        report = check_h2(matrix, a_line, space)
+        npt.assert_allclose(report.norms, _dense_line_norms(scaled, report.y_grid),
+                            rtol=1e-12, atol=0.0)
+        # every grid value came from the band kernel, not its SVD fallback
+        assert all(line.band.sigma_min(abs(y)) is not None for y in report.y_grid)
+
+    def test_2d_swirl_matches_dense_oracle(self):
+        _, _, _, scaled = _fp_line(FPGrid(d=2, L=8.0, N=16),
+                                   swirl=SwirlField("inverse_linear", 1.0), ambient=True)
+        line = hypotheses._ShiftedLine(scaled)
+        assert line.mirrored and line.band is not None
+        ys = np.concatenate([np.linspace(0.0, 4.0, 17), [10.0, 100.0]])
+        sigmas = [line.band.sigma_min(y) for y in ys]
+        assert None not in sigmas
+        npt.assert_allclose(1.0 / np.array(sigmas), _dense_line_norms(scaled, ys),
+                            rtol=1e-12, atol=0.0)
+
+    def test_nearly_equal_smallest_singular_values(self, rng):
+        # two decoupled diagonal entries 1 and 1 + 1e-9 give the two smallest
+        # singular values of S - iyI at every y; a 1e-6 band couples them
+        n, b = 60, 2
+        scaled = np.diag(3.0 + rng.random(n)).astype(complex)
+        scaled[5, 5], scaled[40, 40] = 1.0, 1.0 + 1e-9
+        for k in range(-b, b + 1):
+            noise = rng.standard_normal(n - abs(k)) + 1j * rng.standard_normal(n - abs(k))
+            scaled += 1e-6 * np.diag(noise, k)
+        ys = np.linspace(-3.0, 3.0, 25)
+        sv = np.linalg.svd(scaled, compute_uv=False)
+        assert sv[-2] - sv[-1] < 1e-5 * sv[-1]
+        line = hypotheses._ShiftedLine(scaled)
+        assert not line.mirrored and line.band is not None
+        sigmas = [line.band.sigma_min(y) for y in ys]
+        assert None not in sigmas
+        npt.assert_allclose(1.0 / np.array(sigmas), _dense_line_norms(scaled, ys),
+                            rtol=1e-12, atol=0.0)
+
+    def test_diagonal_operator_takes_exact_values(self):
+        # the shift equals an exact eigenvalue of the diagonal Gram band, so
+        # the inverse iteration may meet a singular solve and fall back
+        scaled = np.diag([-0.5, -1.5, -0.75 + 2.0j, -3.0]).astype(complex)
+        scaled = np.kron(np.eye(3), scaled)
+        ys = np.linspace(-4.0, 4.0, 33)
+        line = hypotheses._ShiftedLine(scaled)
+        assert line.band is not None
+        assert any(line.band.sigma_min(y) is None for y in ys)
+        values = [hypotheses._line_norm(line, y) for y in ys]
+        npt.assert_allclose(values, _dense_line_norms(scaled, ys), rtol=1e-12, atol=0.0)
+
+
+class TestH2Mirror:
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        calls = []
+        line_norm = hypotheses._line_norm
+
+        def recording(line, y):
+            calls.append(float(y))
+            return line_norm(line, y)
+
+        monkeypatch.setattr(hypotheses, "_line_norm", recording)
+        return calls
+
+    def test_real_operator_is_evaluated_once_per_abs_y(self, evaluated):
+        t_mat = np.array([[-1.0, 10.0], [0.0, -1.1]])
+        report = check_h2(t_mat, a=-0.5)
+        assert min(evaluated) >= 0.0
+        assert len(evaluated) == len(set(evaluated))
+        assert set(np.abs(report.y_grid)) <= set(evaluated)
+        npt.assert_array_equal(report.norms, report.norms[::-1])
+
+    def test_complex_operator_is_evaluated_at_both_signs(self, evaluated):
+        t_mat = np.array([[-1.0 + 1.0j, 5.0], [0.0, -2.0]])
+        ys = np.array([-1.0, 1.0])
+        report = check_h2(t_mat, a=-0.5, y_grid=ys)
+        assert -1.0 in evaluated
+        oracle = _dense_line_norms(t_mat + 0.5 * np.eye(2), ys)
+        npt.assert_allclose(report.norms, oracle, rtol=1e-12, atol=0.0)
+        assert report.norms[1] > 1.5 * report.norms[0]
+
 
 
 class TestH3:

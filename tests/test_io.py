@@ -153,3 +153,19 @@ def test_every_tolerance_is_read_outside_config():
     unread = [f.name for f in dataclasses.fields(Tolerances)
               if not re.search(rf"\.{f.name}\b", source)]
     assert unread == []
+
+
+def test_reports_equal_has_an_absolute_floor_near_zero():
+    from semidecay.reports import reports_equal
+
+    # H3's rate b of configs/testbed_seed1.json --seed 7 moved by 2.5e-16
+    # (2.8e-12 relative) under a rounding-level change of the semigroup norms
+    b = -8.92370154177955e-05
+    left = {"h3": {"b": b, "C_b": 1.25}}
+    moved = {"h3": {"b": b + 2.5e-16, "C_b": 1.25}}
+    assert reports_equal(left, moved, rtol=1e-12)
+    assert not reports_equal(left, moved, rtol=0.0)
+    assert reports_equal(left, json.loads(json.dumps(left)), rtol=0.0)
+    # the floor scales with rtol: a move far above rounding still fails
+    assert not reports_equal(left, {"h3": {"b": b + 1e-13, "C_b": 1.25}}, rtol=1e-12)
+    assert not reports_equal(left, {"h3": {"b": b, "C_b": 1.25 + 1e-11}}, rtol=1e-12)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from semidecay import generate_instance, spectral
+from semidecay import generate_instance, hypotheses, spectral
 from semidecay.config import DEFAULT_TOLERANCES
+from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
+                                     Potential, resolvent_scan_fp, spectral_gap_H)
 from semidecay.runner import _check_instance
 
 
@@ -65,3 +67,33 @@ def test_instance_check_kernel_counts(kernel_calls):
     assert 0 < kernel_calls["expm"] <= 5
     assert kernel_calls["svd"] > 0
     assert kernel_calls["svd_in_shifted_inverses"] == 0
+
+
+def test_banded_scan_runs_no_square_svd_per_line_point(monkeypatch):
+    grid = FPGrid(d=1, L=8.0, N=80)
+    disc = FPDiscretization.build(grid, Potential(2.0), EnlargedWeight("polynomial", 3.0))
+    a_line = 0.5 * spectral_gap_H(disc).lambda_gap
+    evaluated, shapes_inside = [], []
+    svd, line_norm = np.linalg.svd, hypotheses._line_norm
+
+    def recording_svd(a, *args, **kwargs):
+        if evaluated and evaluated[-1] is None:
+            shapes_inside.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def recording_line_norm(line, y):
+        evaluated.append(None)
+        try:
+            return line_norm(line, y)
+        finally:
+            evaluated[-1] = float(y)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(hypotheses, "_line_norm", recording_line_norm)
+    report = resolvent_scan_fp(disc, disc.space_ambient, a_line)
+    n = grid.n_total
+    assert shapes_inside and (n, n) not in shapes_inside
+    # the operator is real: one evaluation per distinct |y|
+    assert min(evaluated) >= 0.0
+    assert len(evaluated) == len(set(evaluated))
+    assert set(np.abs(report.y_grid)) <= set(evaluated)
