@@ -19,8 +19,8 @@ from .hypotheses import (HypothesisReport, check_h1, check_h2, check_h3,
 from .instances import generate_instance, load_instance, save_instance
 from .semigroup import (DecayFit, fit_exponential_decay, matrix_exponential,
                         semigroup_apply, semigroup_norms, step_trajectory)
-from .spaces import (DenseOperator, EmbeddedSpacePair, WeightedSpace,
-                     operator_norm, weighted_norm)
+from .spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
+                     weighted_norm)
 from .spectral import (SpectralReport, eigen_decompose, resolvent_matrix,
                        spectral_projector)
 
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_TOLERANCES", "Tolerances", "RunConfig", "FPProblem",
-    "WeightedSpace", "DenseOperator", "EmbeddedSpacePair",
+    "WeightedSpace", "EmbeddedSpacePair",
     "weighted_norm", "operator_norm",
     "SpectralReport", "resolvent_matrix", "eigen_decompose",
     "spectral_projector",

@@ -81,6 +81,14 @@ def _require_keys(mapping, allowed, required, where):
             raise ConfigError(f"missing key '{key}' at {where}")
 
 
+def _integer(value) -> int:
+    """An integral config value: ``4`` and ``4.0`` read as 4, while ``4.7``
+    and ``true`` raise ``ValueError`` rather than truncate."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _build(where, make):
     """Construct one physical object; its ``ValueError`` (or a bad cast)
     becomes a :class:`ConfigError` that names the config key."""
@@ -117,11 +125,13 @@ class FPProblem:
     @classmethod
     def from_mapping(cls, mapping, where="problem"):
         # lazy import: fokker_planck imports this module
-        from .fokker_planck import EnlargedWeight, FPGrid, Potential, SwirlField
+        from .fokker_planck import (EnlargedWeight, FPGrid, Potential, SwirlField,
+                                    check_target)
 
         _require_keys(mapping, cls._ALLOWED, {"d", "s", "L", "N"}, where)
-        grid = _build(where, lambda: FPGrid(d=int(mapping["d"]), L=float(mapping["L"]),
-                                            N=int(mapping["N"])))
+        d = _build(f"{where}.d", lambda: _integer(mapping["d"]))
+        n = _build(f"{where}.N", lambda: _integer(mapping["N"]))
+        grid = _build(where, lambda: FPGrid(d=d, L=float(mapping["L"]), N=n))
         potential = _build(f"{where}.s", lambda: Potential(s=float(mapping["s"])))
         weight_map = mapping.get("weight", {"kind": "polynomial", "k": 3.0})
         _require_keys(weight_map, {"kind", "k"}, {"kind", "k"}, f"{where}.weight")
@@ -155,6 +165,7 @@ class FPProblem:
         target_a = mapping.get("target_a")
         if target_a is not None:
             target_a = _build(f"{where}.target_a", lambda: float(target_a))
+            _build(f"{where}.target_a", lambda: check_target(target_a))
         return cls(grid=grid, potential=potential, weight=weight, swirl=swirl,
                    scheme=scheme, t_max=t_max, dt=dt, initial_data=initial,
                    target_a=target_a)
@@ -185,7 +196,8 @@ class InstanceSpec:
         # lazy import: instances imports this module
         from .instances import check_instance_shape
 
-        casts = {"n": int, "a": float, "gap": float, "strength": float, "k": int}
+        casts = {"n": _integer, "a": float, "gap": float, "strength": float,
+                 "k": _integer}
         _require_keys(mapping, casts, set(), where)
         spec = cls(**{key: _build(f"{where}.{key}", lambda: cast(mapping[key]))
                       for key, cast in casts.items() if key in mapping})
@@ -242,18 +254,18 @@ class RunConfig:
             raise ConfigError("missing key 'instance_path' at config (required by enlarge-check)")
         instance = InstanceSpec.from_mapping(mapping.get("instance", {}))
         tolerances = Tolerances.from_mapping(mapping.get("tolerances", {}))
-        n_seeds = _build("config.n_seeds", lambda: int(mapping.get("n_seeds", 1)))
+        n_seeds = _build("config.n_seeds", lambda: _integer(mapping.get("n_seeds", 1)))
         if n_seeds < 1:
             raise ConfigError(f"n_seeds must be at least 1, got {n_seeds} at config.n_seeds")
         return cls(command=cfg_command,
-                   seed=_build("config.seed", lambda: int(mapping.get("seed", 1))),
+                   seed=_build("config.seed", lambda: _integer(mapping.get("seed", 1))),
                    n_seeds=n_seeds,
                    instance=instance,
                    instance_path=mapping.get("instance_path"),
                    problem=problem,
                    tolerances=tolerances,
                    out_dir=str(mapping.get("out_dir", "out")),
-                   jobs=_build("config.jobs", lambda: int(mapping.get("jobs", 1))),
+                   jobs=_build("config.jobs", lambda: _integer(mapping.get("jobs", 1))),
                    write_operators=bool(mapping.get("write_operators", False)))
 
     @classmethod

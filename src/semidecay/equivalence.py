@@ -3,7 +3,7 @@
 The forward direction turns verified spectral structure into a certified
 decay envelope on the deflated semigroup. The converse direction takes a
 decay certificate (level, prefactor, surviving eigenvalues, commuting
-projectors), re-derives the three structural hypotheses, and additionally
+projectors), re-derives the localization H1 of the surviving modes, and
 verifies the quantitative Laplace-transform bound
 
     ||R(z) - sum_j P_j / (xi_j - z)|| <= C_a / (Re z - a)
@@ -19,11 +19,10 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import CertificateError
-from .hypotheses import (FAIL, PASS, H1Report, H2Report, H3Report, check_h1,
-                         check_h2, check_h3)
+from .hypotheses import FAIL, PASS, H1Report, check_h1
 from .semigroup import (DecayFit, default_time_grid, envelope_prefactor,
                         fit_exponential_decay, propagators, semigroup_norms)
-from .spaces import WeightedSpace, as_matrix, operator_norm, operator_norms
+from .spaces import WeightedSpace, operator_norm, operator_norms
 from .spectral import SHIFT_BLOCK, SpectralReport, resolvent_block
 
 
@@ -82,7 +81,7 @@ def verify_decay_from_resolvent(op, space: WeightedSpace, report: SpectralReport
     (inflated by the inter-sample curvature margin so the continuous
     envelope is covered, not just the samples).
     """
-    matrix = as_matrix(op)
+    matrix = np.asarray(op)
     if report.discrete_eigs is None or report.projectors is None:
         raise CertificateError("spectral report lacks discrete eigenvalues or projectors")
     if t_grid is None:
@@ -127,24 +126,10 @@ def default_z_samples(level: float, scale: float, n: int = 64,
 class ConverseReport:
     verdict: str
     witness: str | None
-    h1: H1Report | None
-    h2: H2Report | None
-    h3: H3Report | None
+    h1: H1Report
     laplace_max_ratio: float
     commutation_defect: float
     z_samples: np.ndarray | None = None
-
-    @property
-    def passed(self):
-        return self.verdict == PASS
-
-    def to_dict(self):
-        return {"verdict": self.verdict, "witness": self.witness,
-                "laplace_max_ratio": self.laplace_max_ratio,
-                "commutation_defect": self.commutation_defect,
-                "h1": None if self.h1 is None else self.h1.to_dict(),
-                "h2": None if self.h2 is None else self.h2.to_dict(),
-                "h3": None if self.h3 is None else self.h3.to_dict()}
 
 
 def verify_resolvent_from_decay(op, space: WeightedSpace,
@@ -157,12 +142,12 @@ def verify_resolvent_from_decay(op, space: WeightedSpace,
 
     The projectors are first checked to commute with the semigroup on
     sampled times (a certificate violating this is rejected outright).
-    Then H1 and H2 are re-derived on a line slightly above the certificate
-    level (which may itself touch the spectrum), H3 is re-fitted, and the
-    Laplace bound is verified at the certificate level with multiplicative
-    slack ``laplace_slack`` on the sampled half plane.
+    Then H1 is re-derived on a line slightly above the certificate level
+    (which may itself touch the spectrum), and the Laplace bound is
+    verified at the certificate level with multiplicative slack
+    ``laplace_slack`` on the sampled half plane.
     """
-    matrix = as_matrix(op)
+    matrix = np.asarray(op)
     level = certificate.level
     c_a = certificate.prefactor
     xis = [complex(z) for z in certificate.discrete_eigs]
@@ -181,10 +166,9 @@ def verify_resolvent_from_decay(op, space: WeightedSpace,
         raise CertificateError(
             f"projectors do not commute with the semigroup (defect {defect:.3e})")
 
-    # the structural checks run at a line slightly above the certificate
-    # level: decay at rate `level` yields localization and uniform resolvent
-    # bounds on every line strictly to the right, while the certificate
-    # level itself may touch the spectrum
+    # localization is checked at a line slightly above the certificate
+    # level: decay at rate `level` yields it on every line strictly to the
+    # right, while the certificate level itself may touch the spectrum
     clearance = min((x.real - level for x in xis), default=np.inf)
     lift = 0.05 * max(abs(level), 1.0)
     if np.isfinite(clearance):
@@ -197,10 +181,7 @@ def verify_resolvent_from_decay(op, space: WeightedSpace,
     h1 = check_h1(matrix, a_check, ball_radius, expected_k=len(xis), tol=tol,
                   compute_projectors=False)
     if h1.verdict != PASS:
-        return ConverseReport(h1.verdict, f"H1: {h1.witness}", h1, None, None,
-                              np.inf, defect)
-    h2 = check_h2(matrix, a_check, space, tol=tol)
-    h3 = check_h3(matrix, space, tol=tol)
+        return ConverseReport(h1.verdict, f"H1: {h1.witness}", h1, np.inf, defect)
 
     scale = max(abs(level), 1.0)
     if z_samples is None:
@@ -223,5 +204,5 @@ def verify_resolvent_from_decay(op, space: WeightedSpace,
         return ConverseReport(FAIL,
                               f"Laplace bound violated at z={worst_z} "
                               f"(ratio {worst:.6f})",
-                              h1, h2, h3, float(worst), defect, z_samples)
-    return ConverseReport(PASS, None, h1, h2, h3, float(worst), defect, z_samples)
+                              h1, float(worst), defect, z_samples)
+    return ConverseReport(PASS, None, h1, float(worst), defect, z_samples)

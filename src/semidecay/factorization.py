@@ -21,8 +21,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, SingularityError
-from .spaces import (DenseOperator, EmbeddedSpacePair, operator_norms,
-                     weighted_congruence, weighted_norm)
+from .spaces import (EmbeddedSpacePair, operator_norms, weighted_congruence,
+                     weighted_norm)
 from .spectral import SHIFT_BLOCK, guarded_inverses, resolvent_matrix
 
 
@@ -32,7 +32,8 @@ class SplitOperator:
 
     ``full`` acts on the ambient space; ``part_a`` is the regularizing
     piece, ``part_b = full - part_a`` the coercive one. The restriction to
-    the small space is the same matrix measured in the small norms.
+    the small space is the same matrix measured in the small norms, so
+    every check takes ``full`` together with the space it measures in.
     """
 
     full: np.ndarray
@@ -46,8 +47,13 @@ class SplitOperator:
         object.__setattr__(self, "full", full)
         object.__setattr__(self, "part_a", part_a)
         object.__setattr__(self, "part_b", part_b)
+        if full.ndim != 2 or full.shape[0] != full.shape[1]:
+            raise DimensionMismatchError(f"operator must be square, got {full.shape}")
         if not (full.shape == part_a.shape == part_b.shape):
             raise DimensionMismatchError("split parts must share the full operator's shape")
+        for name, part in (("full", full), ("part_a", part_a), ("part_b", part_b)):
+            if not np.all(np.isfinite(part)):
+                raise ValueError(f"{name} has non-finite entries")
         scale = max(float(np.max(np.abs(full))), 1e-300)
         defect = float(np.max(np.abs(part_a + part_b - full)))
         # the identity full = A + B is definitional; allow one rounding
@@ -63,13 +69,6 @@ class SplitOperator:
     @property
     def dim(self) -> int:
         return self.full.shape[0]
-
-    def restricted(self, pair: EmbeddedSpacePair) -> DenseOperator:
-        """The generator viewed as an endomorphism of the small space."""
-        return DenseOperator.on(self.full, pair.small)
-
-    def ambient_operator(self, pair: EmbeddedSpacePair) -> DenseOperator:
-        return DenseOperator.on(self.full, pair.ambient)
 
 
 def enlarged_resolvent(split: SplitOperator, pair: EmbeddedSpacePair, xi: complex,

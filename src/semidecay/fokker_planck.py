@@ -497,6 +497,17 @@ class DecompositionResult:
                 "frontier": [[m, r, v] for m, r, v in self.frontier]}
 
 
+def check_target(target_a):
+    """The decomposition search's check on its target.
+
+    Shared with :class:`~semidecay.config.FPProblem`, which runs it when
+    the config is read, so a target that is not negative is a config error
+    there.
+    """
+    if not target_a < 0.0:
+        raise InfeasibleParameterError("decomposition target must be negative")
+
+
 def find_decomposition(disc: FPDiscretization, target_a: float,
                        m_grid=None, r_grid=None) -> DecompositionResult:
     """Search the cutoff family ``A = M chi(|x| <= R)`` for a coercive remainder.
@@ -508,8 +519,7 @@ def find_decomposition(disc: FPDiscretization, target_a: float,
     whole box fails, the result carries the frontier of best achieved
     values so the caller can widen the search.
     """
-    if not target_a < 0.0:
-        raise InfeasibleParameterError("decomposition target must be negative")
+    check_target(target_a)
     if m_grid is None:
         m_grid = np.geomspace(1.0, 100.0, 8)
     if r_grid is None:

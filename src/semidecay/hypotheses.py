@@ -20,8 +20,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SingularityError
 from .factorization import ShiftSweep, shift_sweep
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
-from .spaces import (EmbeddedSpacePair, WeightedSpace, as_matrix, space_of,
-                     weighted_congruence)
+from .spaces import EmbeddedSpacePair, WeightedSpace, weighted_congruence
 from .spectral import SpectralReport, eigen_decompose, spectral_projector
 
 PASS = "pass"
@@ -82,7 +81,7 @@ def check_h1(op, a: float, r: float, expected_k: int | None = None,
     {Re z > a}. Eigenvalues within the boundary margin of the line give an
     indeterminate verdict.
     """
-    matrix = as_matrix(op)
+    matrix = np.asarray(op)
     spectral = eigen_decompose(matrix, tol)
     spectral.half_plane_abscissa = a
     spectral.isolation_radius = r
@@ -317,9 +316,10 @@ def check_h2(op, a: float, space: WeightedSpace | None = None,
     SingularityError
         If an eigenvalue lies on the scan line (within the boundary margin).
     """
-    matrix = np.asarray(as_matrix(op), dtype=complex)
+    matrix = np.asarray(op, dtype=complex)
     n = matrix.shape[0]
-    space = space_of(op, space)
+    if space is None:
+        space = WeightedSpace.unweighted(n)
     eigvals = np.linalg.eigvals(matrix)
     scale = max(1.0, float(np.max(np.abs(eigvals))) if len(eigvals) else 1.0)
     gap_to_line = float(np.min(np.abs(eigvals.real - a))) if len(eigvals) else np.inf
@@ -416,8 +416,9 @@ class H3Report:
 def check_h3(op, space: WeightedSpace | None = None, t_grid=None,
              tol: Tolerances = DEFAULT_TOLERANCES) -> H3Report:
     """Certified envelope ``||e^{tT}|| <= C_b e^{b t}`` on a sampled horizon."""
-    matrix = as_matrix(op)
-    space = space_of(op, space)
+    matrix = np.asarray(op)
+    if space is None:
+        space = WeightedSpace.unweighted(matrix.shape[0])
     if t_grid is None:
         eigvals = np.linalg.eigvals(matrix)
         spread = float(np.max(eigvals.real) - np.min(eigvals.real)) if len(eigvals) else 1.0

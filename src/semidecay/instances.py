@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SCHEMA_VERSION
-from .errors import ConfigError, InfeasibleParameterError
+from .errors import ConfigError, DimensionMismatchError, InfeasibleParameterError
 from .factorization import SplitOperator
 from .spaces import EmbeddedSpacePair
 
@@ -200,20 +200,34 @@ def save_instance(instance: GeneratedInstance, directory, tolerances=None):
 
 
 def load_instance(directory) -> GeneratedInstance:
+    """Read an instance written by :func:`save_instance`.
+
+    A matrix or weight vector the split or the space pair rejects, or
+    weights of another size than the operator, is a :class:`ConfigError`
+    naming the manifest and the matrix files.
+    """
     from . import matio as mio
     path = os.path.join(directory, "instance.json")
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported instance schema_version in {path}")
+    files = manifest["matrices"]
     mats = {key: mio.read_matrix(os.path.join(directory, fname))
-            for key, fname in manifest["matrices"].items()}
-    split = SplitOperator(full=mats["full"], part_a=mats["part_a"],
-                          part_b=mats["part_b"])
-    pair = EmbeddedSpacePair.from_weights(
-        np.asarray(manifest["weights_ambient"]),
-        np.asarray(manifest["weights_small"]),
-        cell_measure=float(manifest.get("cell_measure", 1.0)))
+            for key, fname in files.items()}
+    where = f"{path} ({', '.join(f'{key}: {fname}' for key, fname in files.items())})"
+    try:
+        split = SplitOperator(full=mats["full"], part_a=mats["part_a"],
+                              part_b=mats["part_b"])
+        pair = EmbeddedSpacePair.from_weights(
+            np.asarray(manifest["weights_ambient"]),
+            np.asarray(manifest["weights_small"]),
+            cell_measure=float(manifest.get("cell_measure", 1.0)))
+    except (DimensionMismatchError, ValueError) as exc:
+        raise ConfigError(f"{exc} at {where}") from None
+    if pair.dim != split.dim:
+        raise ConfigError(f"{pair.dim} weights for an operator of size {split.dim} "
+                          f"at {where}")
     cert_raw = manifest["certificate"]
     cert = InstanceCertificate(
         a=cert_raw["a"], r=cert_raw["r"],

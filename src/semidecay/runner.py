@@ -15,8 +15,7 @@ from . import matio
 from .config import RunConfig
 from .equivalence import verify_decay_from_resolvent, verify_resolvent_from_decay
 from .errors import ConfigError, SingularityError
-from .factorization import (SplitOperator, enlargement_bound_chain,
-                            verify_factorization)
+from .factorization import enlargement_bound_chain, verify_factorization
 from .fokker_planck import (build_problem, decay_experiment, find_decomposition,
                             initial_datum, resolvent_scan_fp, spectral_gap_H)
 from .hypotheses import (FAIL, INDETERMINATE, PASS, HypothesisReport,
@@ -30,16 +29,14 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False):
     """Run the full check chain on one instance; returns a result dict."""
     split, pair, cert = instance.split, instance.pair, instance.certificate
     a, r, xis = cert.a, cert.r, list(cert.xi)
-    restricted = split.restricted(pair)
-    ambient_op = split.ambient_operator(pair)
 
-    h1 = check_h1(restricted, a, r, expected_k=cert.k, tol=tol)
+    h1 = check_h1(split.full, a, r, expected_k=cert.k, tol=tol)
     try:
-        h2 = check_h2(restricted, a, pair.small, tol=tol)
+        h2 = check_h2(split.full, a, pair.small, tol=tol)
         h1.spectral.resolvent_bound = h2.bound
     except SingularityError as exc:
         h2 = exc
-    h3 = check_h3(ambient_op, pair.ambient, tol=tol)
+    h3 = check_h3(split.full, pair.ambient, tol=tol)
     if thin_samples:
         samples = sample_xi_region(a, r, xis, n_line=9, n_circle=8,
                                    grid_shape=(6, 6))
@@ -54,9 +51,9 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False):
     if h1.passed:
         rate = 0.5 * a    # strictly above a, still negative
         spectral = h1.spectral
-        transfer = verify_decay_from_resolvent(ambient_op, pair.ambient,
+        transfer = verify_decay_from_resolvent(split.full, pair.ambient,
                                                spectral, rate, tol=tol)
-        converse = verify_resolvent_from_decay(ambient_op, pair.ambient,
+        converse = verify_resolvent_from_decay(split.full, pair.ambient,
                                                transfer.certificate, tol=tol)
     return {"h1": h1, "h2": h2, "h3": h3, "h4": h4, "factorization": fact,
             "chain": chain, "transfer": transfer, "converse": converse,

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (InsufficientSignalError, MagnitudeGuardError,
                      StepRejectionError)
-from .spaces import WeightedSpace, as_matrix, operator_norms, space_of
+from .spaces import WeightedSpace, operator_norms
 from .spectral import SHIFT_BLOCK, sparse_lu
 
 EXPM_DENSE_LIMIT = 600
@@ -20,7 +20,7 @@ EXPM_DENSE_LIMIT = 600
 def matrix_exponential(matrix) -> np.ndarray:
     """Scaling-and-squaring matrix exponential with an overflow guard."""
     with np.errstate(over="ignore", invalid="ignore"):
-        result = sla.expm(as_matrix(matrix))
+        result = sla.expm(np.asarray(matrix))
     if not np.all(np.isfinite(result.real)):
         raise MagnitudeGuardError("matrix exponential overflowed; shorten the horizon")
     return result
@@ -74,7 +74,7 @@ def semigroup_apply(op, f0, t_grid) -> np.ndarray:
     ``e^{dt T}`` per step from ``e^{t_0 T} f0``; general grids exponentiate
     per time.
     """
-    matrix = as_matrix(op)
+    matrix = np.asarray(op)
     t_grid = np.asarray(t_grid, dtype=float)
     f0 = np.asarray(f0)
     if t_grid.ndim != 1 or len(t_grid) == 0:
@@ -112,8 +112,9 @@ def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
     at most two matrix exponentials; other grids take one per time. The
     norms are stacked SVDs over blocks of ``SHIFT_BLOCK`` times.
     """
-    matrix = as_matrix(op)
-    space = space_of(op, space)
+    matrix = np.asarray(op)
+    if space is None:
+        space = WeightedSpace.unweighted(matrix.shape[0])
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.empty(len(t_grid))
     props = propagators(matrix, t_grid)

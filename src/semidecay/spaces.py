@@ -1,4 +1,4 @@
-"""Weighted grid spaces, dense operators between them, and weighted norms.
+"""Weighted grid spaces and the weighted norms of vectors and matrices.
 
 Every norm in the package reduces to one kernel: scale by the diagonal
 congruence ``W_cod^{1/2} M W_dom^{-1/2}`` and take the plain spectral norm.
@@ -13,8 +13,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError
-
-_DENSE_SVD_LIMIT = 1200
 
 
 @dataclass(frozen=True)
@@ -84,53 +82,6 @@ def weighted_norm(v, space: WeightedSpace) -> float:
     return float(np.linalg.norm(space.scaling() * v))
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """A dense matrix together with its domain and codomain spaces."""
-
-    entries: np.ndarray
-    domain: WeightedSpace
-    codomain: WeightedSpace
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatchError(f"operator must be square, got {entries.shape}")
-        if entries.shape[1] != self.domain.dim or entries.shape[0] != self.codomain.dim:
-            raise DimensionMismatchError(
-                f"operator of shape {entries.shape} between spaces of dimensions "
-                f"{self.domain.dim} -> {self.codomain.dim}")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("operator entries must be finite")
-
-    @classmethod
-    def on(cls, entries, space: WeightedSpace) -> "DenseOperator":
-        """Endomorphism of a single space."""
-        return cls(entries=np.asarray(entries), domain=space, codomain=space)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def norm(self) -> float:
-        return operator_norm(self.entries, self.domain, self.codomain)
-
-
-def as_matrix(op) -> np.ndarray:
-    """The entries of a :class:`DenseOperator`, or ``op`` as an array."""
-    return op.entries if isinstance(op, DenseOperator) else np.asarray(op)
-
-
-def space_of(op, space: WeightedSpace | None = None) -> WeightedSpace:
-    """``space`` if given, else the operator's domain, else the unweighted space."""
-    if space is not None:
-        return space
-    if isinstance(op, DenseOperator):
-        return op.domain
-    return WeightedSpace.unweighted(as_matrix(op).shape[0])
-
-
 def weighted_congruence(matrix, dom: WeightedSpace, cod: WeightedSpace) -> np.ndarray:
     """``W_cod^{1/2} M W_dom^{-1/2}``: its plain spectral norm is the weighted one."""
     s_dom = dom.scaling()
@@ -141,9 +92,9 @@ def weighted_congruence(matrix, dom: WeightedSpace, cod: WeightedSpace) -> np.nd
 def spectral_norm_power_iteration(matrix, tol=1e-12, max_iter=10000) -> float:
     """Largest singular value by power iteration on ``M^H M``.
 
-    Deterministic: starts from the normalized all-ones vector. Used as the
-    independent cross-check of the SVD path and as the fallback for sizes
-    where a dense SVD is too expensive.
+    Deterministic: starts from the normalized all-ones vector. It converges
+    to the norm from below, so it serves only as the independent
+    cross-check of the SVD path in the tests.
     """
     matrix = np.asarray(matrix)
     n = matrix.shape[1]
@@ -163,28 +114,23 @@ def spectral_norm_power_iteration(matrix, tol=1e-12, max_iter=10000) -> float:
     return float(sigma)
 
 
-def operator_norm(matrix, dom: WeightedSpace, cod: WeightedSpace, method="auto") -> float:
+def operator_norm(matrix, dom: WeightedSpace, cod: WeightedSpace) -> float:
     """Operator norm of ``matrix`` as a map (dom, ||.||_dom) -> (cod, ||.||_cod).
 
     Computed as the largest singular value of the diagonally congruent
-    matrix ``W_cod^{1/2} M W_dom^{-1/2}``.
+    matrix ``W_cod^{1/2} M W_dom^{-1/2}``: the one-matrix stack of
+    :func:`operator_norms`.
     """
-    matrix = as_matrix(matrix)
+    matrix = np.asarray(matrix)
     if matrix.shape != (cod.dim, dom.dim):
         raise DimensionMismatchError(
             f"matrix shape {matrix.shape} does not map dim {dom.dim} -> dim {cod.dim}")
-    scaled = weighted_congruence(matrix, dom, cod)
-    if method == "power" or (method == "auto" and matrix.shape[0] > _DENSE_SVD_LIMIT):
-        return spectral_norm_power_iteration(scaled)
-    return float(np.linalg.svd(scaled, compute_uv=False)[0])
+    return float(operator_norms(matrix[None], dom, cod)[0])
 
 
 def operator_norms(stack, dom: WeightedSpace, cod: WeightedSpace) -> np.ndarray:
     """:func:`operator_norm` of every matrix in a stack, as one stacked SVD."""
-    scaled = weighted_congruence(stack, dom, cod)
-    if stack.shape[-1] > _DENSE_SVD_LIMIT:
-        return np.array([spectral_norm_power_iteration(m) for m in scaled])
-    return np.linalg.norm(scaled, 2, axis=(1, 2))
+    return np.linalg.norm(weighted_congruence(stack, dom, cod), 2, axis=(1, 2))
 
 
 def weighted_adjoint(matrix, space: WeightedSpace) -> np.ndarray:

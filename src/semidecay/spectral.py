@@ -31,7 +31,6 @@ import scipy.sparse.linalg as spla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (EigenConvergenceError, ProjectorMismatchError,
                      SeparationError, SingularityError)
-from .spaces import as_matrix
 
 # shifts per stacked solve (and times per stack of semigroup norms): amortizes
 # the per-call cost of the stacked kernels, while each stack of a block stays
@@ -53,15 +52,12 @@ TRIDIAGONAL_ORDERING = "COLAMD"
 class SpectralReport:
     """Spectral data of one operator, enriched as checks run.
 
-    ``eigenvalues`` and the eigenvector blocks come from the dense
-    eigensolve. The localization fields (``half_plane_abscissa``,
+    ``eigenvalues`` come from the dense eigensolve. The localization fields (``half_plane_abscissa``,
     ``isolation_radius``, ``discrete_eigs``, ``projectors``) and the
     resolvent bound are attached by the hypothesis checkers.
     """
 
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray | None = None
-    left_vectors: np.ndarray | None = None
     half_plane_abscissa: float | None = None
     isolation_radius: float | None = None
     discrete_eigs: list = field(default_factory=list)
@@ -170,7 +166,7 @@ def shifted_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
     shift to the one-shift path, whose exact SVD guard accepts or rejects
     it. Flagged entries of the stack are meaningless.
     """
-    matrix = as_matrix(matrix)
+    matrix = np.asarray(matrix)
     xis = np.asarray(xis)
     n = matrix.shape[0]
     shifted = matrix - xis[:, None, None] * np.eye(n)
@@ -206,7 +202,7 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
     stack and, by index, the :class:`SingularityError` of each shift that
     path rejects; a rejected shift's slot is zero.
     """
-    matrix = as_matrix(matrix)
+    matrix = np.asarray(matrix)
     inverses, failed = shifted_inverses(matrix, xis, tol)
     errors = {}
     for i in np.flatnonzero(failed):
@@ -255,13 +251,14 @@ def sparse_lu(matrix) -> spla.SuperLU:
 
 
 def eigen_decompose(op, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralReport:
-    """Dense eigendecomposition with right and left eigenvectors.
+    """Dense eigendecomposition.
 
-    Every eigenpair is residual-checked against ``tol_eig * ||T||``.
+    Every eigenpair is residual-checked against ``tol_eig * ||T||``; the
+    report keeps the eigenvalues.
     """
-    matrix = as_matrix(op)
+    matrix = np.asarray(op)
     try:
-        eigvals, left, right = sla.eig(matrix, left=True, right=True)
+        eigvals, right = sla.eig(matrix)
     except sla.LinAlgError as exc:
         raise EigenConvergenceError(f"dense eigensolver failed: {exc}")
     scale = np.linalg.norm(matrix, 2)
@@ -270,8 +267,7 @@ def eigen_decompose(op, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralReport:
     if max_rel > tol.tol_eig:
         raise EigenConvergenceError(
             f"eigenpair residual {max_rel:.3e} exceeds tol_eig={tol.tol_eig:.1e}")
-    return SpectralReport(eigenvalues=eigvals, right_vectors=right,
-                          left_vectors=left, max_residual=max_rel)
+    return SpectralReport(eigenvalues=eigvals, max_residual=max_rel)
 
 
 def _check_separation(eigvals, center, radius, margin) -> np.ndarray:
@@ -344,7 +340,7 @@ def spectral_projector(op, center: complex, radius: float,
     ProjectorMismatchError
         If the two constructions never agree within ``tol_proj``.
     """
-    matrix = as_matrix(op)
+    matrix = np.asarray(op)
     eigvals = np.linalg.eigvals(matrix)
     _check_separation(eigvals, center, radius, tol.boundary_margin)
 

@@ -89,17 +89,15 @@ def test_criterion_3_decay_resolvent_round_trip(suite_instances):
     worst_ratio = 0.0
     for inst in suite_instances:
         cert = inst.certificate
-        h1 = check_h1(inst.split.restricted(inst.pair), cert.a, cert.r,
-                      expected_k=cert.k)
+        h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k)
         assert h1.verdict == PASS
-        ambient_op = inst.split.ambient_operator(inst.pair)
-        transfer = verify_decay_from_resolvent(ambient_op, inst.pair.ambient,
+        transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                                h1.spectral, 0.5 * cert.a)
         assert transfer.verdict == PASS
         certificate = transfer.certificate
         assert envelope_holds(transfer.t_grid, transfer.deviation_norms,
                               certificate.prefactor, certificate.level)
-        converse = verify_resolvent_from_decay(ambient_op, inst.pair.ambient,
+        converse = verify_resolvent_from_decay(inst.split.full, inst.pair.ambient,
                                                certificate, n_z=64)
         assert len(converse.z_samples) >= 50
         assert converse.verdict == PASS

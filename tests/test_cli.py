@@ -7,6 +7,7 @@ import pytest
 
 from semidecay import runner
 from semidecay.cli import main
+from semidecay.config import RunConfig
 from semidecay.reports import RunReport, load_report, reports_equal
 
 BASE_TESTBED = {
@@ -76,8 +77,19 @@ BASE_SWIRL = {**BASE_FP, "problem": {"d": 2, "s": 2.0, "L": 8.0, "N": 8,
     (BASE_TESTBED, {"instance": {"n": 0}}, [], "at least 2 at instance"),
     (BASE_TESTBED, {"instance": {"n": 2, "k": 5}}, [], "k=5, n=2 at instance"),
     (BASE_TESTBED, {"instance": {"strength": -1.0}}, [], "nonnegative at instance"),
+    (BASE_FP, {"target_a": 0.5}, [], "negative at problem.target_a"),
+    (BASE_TESTBED, {"seed": 1.9}, [], "1.9 is not an integer at config.seed"),
+    (BASE_TESTBED, {"seed": True}, [], "True is not an integer at config.seed"),
+    (BASE_TESTBED, {"n_seeds": 2.5}, [], "at config.n_seeds"),
+    (BASE_TESTBED, {"jobs": 50.9}, [], "at config.jobs"),
+    (BASE_TESTBED, {"instance": {"n": 4.7}}, [], "4.7 is not an integer at instance.n"),
+    (BASE_TESTBED, {"instance": {"n": 4, "k": 1.5}}, [], "at instance.k"),
+    (BASE_FP, {"N": 50.9}, [], "50.9 is not an integer at problem.N"),
+    (BASE_FP, {"d": 1.5}, [], "at problem.d"),
 ], ids=["N", "L", "amplitude", "dt", "t_max", "tolerance", "n_seeds0", "n_seeds-3",
-        "seed_cast", "t_max_cast", "n_cast", "n0", "k_above_n", "strength"])
+        "seed_cast", "t_max_cast", "n_cast", "n0", "k_above_n", "strength",
+        "target_a_positive", "seed_fraction", "seed_bool", "n_seeds_fraction",
+        "jobs_fraction", "n_fraction", "k_fraction", "N_fraction", "d_fraction"])
 def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
                                                           edit, argv, names):
     cfg_map = json.loads(json.dumps(base))
@@ -94,6 +106,48 @@ def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
     assert err.startswith("config error:") and names in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_integral_floats_read_as_integers():
+    config = RunConfig.from_mapping({**BASE_TESTBED, "seed": 4.0, "n_seeds": 2,
+                                     "instance": {"n": 6.0, "k": 1.0}})
+    assert (config.seed, config.n_seeds, config.instance.n, config.instance.k) == (4, 2, 6, 1)
+    assert all(type(v) is int for v in (config.seed, config.instance.n, config.instance.k))
+
+
+def _malform_nan_in_generator(inst_dir):
+    # the generated operator is complex: each array entry is "re im"
+    path = inst_dir / "T.mtx"
+    lines = path.read_text().splitlines()
+    size_line = next(i for i, line in enumerate(lines) if not line.startswith("%"))
+    lines[size_line + 1] = "nan nan"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _malform_short_weights(inst_dir):
+    manifest = json.loads((inst_dir / "instance.json").read_text())
+    manifest["weights_ambient"] = manifest["weights_ambient"][:-1]
+    manifest["weights_small"] = manifest["weights_small"][:-1]
+    (inst_dir / "instance.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("malform, names", [
+    (_malform_nan_in_generator, "full has non-finite entries"),
+    (_malform_short_weights, "3 weights for an operator of size 4"),
+], ids=["nan_in_T", "short_weights"])
+def test_malformed_instance_directory_gives_exit_four(tmp_path, capsys, malform, names):
+    from semidecay import generate_instance, save_instance
+    inst_dir = tmp_path / "inst"
+    save_instance(generate_instance(3, 4), inst_dir)
+    malform(inst_dir)
+    cfg = write_config(tmp_path, {
+        "schema_version": 1, "command": "enlarge-check",
+        "instance_path": str(inst_dir), "out_dir": str(tmp_path / "out")})
+    assert main(["enlarge-check", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and names in err
+    assert "instance.json" in err and "full: T.mtx" in err
+    assert "Traceback" not in err
 
 
 def test_report_without_verdicts_does_not_pass():

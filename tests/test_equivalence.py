@@ -57,7 +57,7 @@ class TestResolventFromDecay:
         assert report.verdict == PASS
         assert report.laplace_max_ratio <= 1.0 + 1e-6
         assert report.h1.verdict == PASS
-        assert np.isfinite(report.h2.bound)
+        assert report.commutation_defect == 0.0
 
     def test_wrong_projector_rejected_by_laplace_bound(self):
         # commutes with the diagonal semigroup but misattributes the modes
@@ -99,14 +99,12 @@ def test_round_trip_on_generated_instances():
     for seed in (2, 9, 31):
         inst = generate_instance(seed, 10)
         cert = inst.certificate
-        restricted = inst.split.restricted(inst.pair)
-        h1 = check_h1(restricted, cert.a, cert.r, expected_k=1)
+        h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=1)
         assert h1.verdict == PASS
-        ambient_op = inst.split.ambient_operator(inst.pair)
-        transfer = verify_decay_from_resolvent(ambient_op, inst.pair.ambient,
+        transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                                h1.spectral, 0.5 * cert.a)
         assert transfer.verdict == PASS
-        converse = verify_resolvent_from_decay(ambient_op, inst.pair.ambient,
+        converse = verify_resolvent_from_decay(inst.split.full, inst.pair.ambient,
                                                transfer.certificate)
         assert converse.verdict == PASS
         assert converse.laplace_max_ratio <= 1.0 + 1e-6

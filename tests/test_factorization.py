@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semidecay import generate_instance, spectral
 from semidecay.config import DEFAULT_TOLERANCES
-from semidecay.errors import SingularityError
+from semidecay.errors import DimensionMismatchError, SingularityError
 from semidecay.factorization import (SplitOperator, enlarged_resolvent,
                                      enlargement_bound_chain,
                                      injectivity_check, shift_sweep,
@@ -179,6 +179,21 @@ class TestShiftCovariance:
 def test_split_operator_rejects_inconsistent_parts():
     with pytest.raises(ValueError):
         SplitOperator(full=np.eye(3), part_a=np.eye(3), part_b=np.eye(3))
+
+
+def test_split_operator_shape_and_finiteness_checks():
+    with pytest.raises(DimensionMismatchError, match="square"):
+        SplitOperator.from_regularizer(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError, match="square"):
+        SplitOperator.from_regularizer(np.zeros(3), np.zeros(3))
+    with pytest.raises(DimensionMismatchError, match="shape"):
+        SplitOperator(full=np.eye(3), part_a=np.eye(2), part_b=np.eye(2))
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="full has non-finite"):
+        SplitOperator(full=bad, part_a=np.zeros((3, 3)), part_b=np.eye(3))
+    with pytest.raises(ValueError, match="part_a has non-finite"):
+        SplitOperator.from_regularizer(np.eye(3), np.full((3, 3), np.inf))
 
 
 # ----------------------------------------------------------------------

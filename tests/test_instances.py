@@ -59,8 +59,8 @@ def test_certificate_revalidates(seed, n):
     """Self-check oracle: every emitted certificate passes its own checks."""
     inst = generate_instance(seed, n)
     cert = inst.certificate
-    h1 = check_h1(inst.split.restricted(inst.pair), cert.a, cert.r,
-                  expected_k=cert.k, compute_projectors=False)
+    h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k,
+                  compute_projectors=False)
     assert h1.verdict == PASS
     samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
                                n_line=5, n_circle=4, grid_shape=(3, 3))
@@ -75,7 +75,7 @@ def test_multi_group_instance_revalidates_and_round_trips():
     inst = generate_instance(13, 14, k=3)
     cert = inst.certificate
     assert len(cert.xi) == 3
-    h1 = check_h1(inst.split.restricted(inst.pair), cert.a, cert.r, expected_k=3)
+    h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=3)
     assert h1.verdict == PASS
     assert len(h1.spectral.projectors) == 3
     samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
@@ -83,11 +83,10 @@ def test_multi_group_instance_revalidates_and_round_trips():
     h4 = check_h4(inst.split, inst.pair, cert.a, cert.r, list(cert.xi),
                   samples=samples)
     assert h4.verdict == PASS
-    ambient_op = inst.split.ambient_operator(inst.pair)
-    transfer = verify_decay_from_resolvent(ambient_op, inst.pair.ambient,
+    transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                            h1.spectral, 0.5 * cert.a)
     assert transfer.verdict == PASS
-    converse = verify_resolvent_from_decay(ambient_op, inst.pair.ambient,
+    converse = verify_resolvent_from_decay(inst.split.full, inst.pair.ambient,
                                            transfer.certificate)
     assert converse.verdict == PASS
 
@@ -97,17 +96,6 @@ def test_group_count_validation():
         generate_instance(0, 4, k=0)
     with pytest.raises(InfeasibleParameterError):
         generate_instance(0, 4, k=4)
-
-
-def test_ambient_and_restricted_eigenvalues_coincide():
-    # the corollary's hypothesis on generated instances
-    inst = generate_instance(17, 14)
-    cert = inst.certificate
-    amb = eigen_decompose(inst.split.ambient_operator(inst.pair)).eigenvalues
-    small = eigen_decompose(inst.split.restricted(inst.pair)).eigenvalues
-    amb_in = np.sort_complex(amb[amb.real > cert.a])
-    small_in = np.sort_complex(small[small.real > cert.a])
-    npt.assert_allclose(amb_in, small_in, atol=1e-9)
 
 
 def test_save_load_round_trip(tmp_path):
