@@ -649,10 +649,15 @@ def decay_experiment(disc: FPDiscretization, space: WeightedSpace, f0,
 
 
 def resolvent_scan_fp(disc: FPDiscretization, space: WeightedSpace, a: float,
-                      y_grid=None, tol: Tolerances = DEFAULT_TOLERANCES
-                      ) -> H2Report:
-    """Uniform resolvent bound of the assembled generator along ``Re z = a``."""
-    return check_h2(disc.dense_generator(), a, space, y_grid=y_grid, tol=tol)
+                      y_grid=None, tol: Tolerances = DEFAULT_TOLERANCES,
+                      eigvals=None) -> H2Report:
+    """Uniform resolvent bound of the assembled generator along ``Re z = a``.
+
+    ``eigvals``: the ``spectrum`` of an earlier scan of the same
+    discretization, so that scans in both spaces share one eigensolve.
+    """
+    return check_h2(disc.dense_generator(), a, space, y_grid=y_grid, tol=tol,
+                    eigvals=eigvals)
 
 
 def build_problem(problem: FPProblem) -> FPDiscretization:

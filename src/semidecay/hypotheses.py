@@ -10,6 +10,7 @@ rather than a coerced pass or fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,14 +168,17 @@ def make_y_grid(core_scale: float, y_max: float, n_core: int = 33,
 class H2Report:
     """Uniform resolvent bound along ``Re z = a``.
 
-    ``bound`` is the grid maximum; ``certified_bound`` additionally covers
+    ``bound`` is the grid maximum of ``norms``, each the resolvent norm at
+    its y, or an upper bound on it where the line is Hermitian up to
+    rounding (see :func:`_line_norm`); ``certified_bound`` additionally covers
     the gaps between grid points (via the resolvent Lipschitz estimate)
     and the tail beyond the scan truncation (via a Neumann-series
     envelope from the shifted operator norm). Segments where the
     Lipschitz certificate could not close are listed in
     ``uncertified_segments``. The verdict passes only when the certificate
     closed: ``certified_bound`` finite and no segment left uncertified;
-    otherwise it is indeterminate.
+    otherwise it is indeterminate. ``spectrum`` holds the eigenvalues of
+    the scanned operator for another scan of it (not serialized).
     """
 
     bound: float
@@ -186,6 +190,7 @@ class H2Report:
     tail_valid_from: float
     shifted_norm: float
     uncertified_segments: list = field(default_factory=list)
+    spectrum: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def verdict(self):
@@ -209,6 +214,13 @@ class H2Report:
 BAND_RATIO = 4
 RITZ_RTOL = 1e-13       # stop once sigma moves by at most this, relatively,
 RITZ_MAX_STEPS = 8      # within this many inverse-iteration steps
+
+# H2 line kernel for Hermitian lines: an S with ||S - S^H||_F / 2 at most
+# HERMITIAN_ROUNDING * n * eps * ||S||_F is normal up to rounding, so its
+# resolvent norm is the reciprocal distance to the spectrum (Trefethen &
+# Embree, "Spectra and Pseudospectra", 2005, ch. 2); that spectrum is
+# computed once per line.
+HERMITIAN_ROUNDING = 1.0
 
 
 def _hermitian_band(upper, u):
@@ -276,7 +288,10 @@ class _ShiftedLine:
 
     ``mirrored``: S is real, so ``R(a - iy)`` is the entrywise conjugate of
     ``R(a + iy)`` and one norm serves both. ``band``: the banded kernel,
-    None for a dense S.
+    None for a dense S. ``nearest`` and ``defect``: for an S that is
+    Hermitian up to rounding, ``min |lambda_k|`` over the computed spectrum
+    of ``H = (S + S^H) / 2`` and the margin ``delta`` of the bound in
+    :func:`_line_norm`; None otherwise.
     """
 
     def __init__(self, scaled):
@@ -285,11 +300,37 @@ class _ShiftedLine:
         self.mirrored = not np.any(scaled.imag)
         rows, cols = np.nonzero(scaled)
         b = int(np.max(np.abs(rows - cols), initial=0))
-        self.band = _GramBand(scaled, b) if BAND_RATIO * b < n else None
+        banded = BAND_RATIO * b < n
+        self.band = _GramBand(scaled, b) if banded else None
+        self.nearest = self.defect = None
+        skew = 0.5 * float(np.linalg.norm(scaled - scaled.conj().T))
+        eps = np.finfo(float).eps
+        if skew > HERMITIAN_ROUNDING * n * eps * float(np.linalg.norm(scaled)):
+            return
+        if banded:
+            upper = [0.5 * (np.diagonal(scaled, k) + np.conj(np.diagonal(scaled, -k)))
+                     for k in range(b + 1)]
+            hermitian = _hermitian_band(upper, b)[:b + 1]
+            spectrum = sla.eig_banded(hermitian.real if self.mirrored else hermitian,
+                                      eigvals_only=True, check_finite=False)
+        else:
+            hermitian = 0.5 * (scaled + scaled.conj().T)
+            spectrum = np.linalg.eigvalsh(hermitian.real if self.mirrored else hermitian)
+        # Weyl: sigma_min(S - iyI) >= sigma_min(H - iyI) - ||S - H||_2, with
+        # ||S - H||_2 <= ||S - S^H||_F / 2; each computed eigenvalue of H is
+        # within n eps ||H||_2 of an exact one (LAPACK Users' Guide, 4.7)
+        self.nearest = float(np.min(np.abs(spectrum)))
+        self.defect = skew + n * eps * float(np.max(np.abs(spectrum)))
 
 
 def _line_norm(line: _ShiftedLine, y):
-    """``||(S - iyI)^{-1}||``: the band kernel where it settles, else one SVD."""
+    """``||(S - iyI)^{-1}||``: on a Hermitian line the bound
+    ``1 / (min_k |lambda_k - iy| - delta)`` where it is finite; else the band
+    kernel where it settles, else one SVD."""
+    if line.nearest is not None:
+        gap = math.hypot(line.nearest, y) - line.defect
+        if gap > 0.0:
+            return 1.0 / gap
     if line.band is not None:
         sigma = line.band.sigma_min(y)
         if sigma is not None:
@@ -301,7 +342,7 @@ def _line_norm(line: _ShiftedLine, y):
 
 def check_h2(op, a: float, space: WeightedSpace | None = None,
              y_grid=None, tol: Tolerances = DEFAULT_TOLERANCES,
-             max_refine_depth: int = 12) -> H2Report:
+             max_refine_depth: int = 12, eigvals=None) -> H2Report:
     """Scan ``||(T - a - iy)^{-1}||`` over a symmetric y grid.
 
     The weighted norm is obtained by scanning the diagonally congruent
@@ -310,6 +351,13 @@ def check_h2(op, a: float, space: WeightedSpace | None = None,
     beyond the truncation the Neumann tail ``1 / (|y| - ||T - aI||)``
     takes over. Each y is evaluated once, by :func:`_line_norm`; for a real
     congruent matrix once per ``|y|``, since the norms at ``±y`` agree.
+    When the congruent matrix is Hermitian up to rounding, each grid value
+    is the upper bound ``1 / (dist(iy, spectrum) - delta)`` of
+    :func:`_line_norm` rather than the norm itself.
+
+    ``eigvals``, the ``spectrum`` of an earlier report on the same ``op``,
+    lets scans of one operator in several spaces share one eigensolve; it
+    is computed when omitted.
 
     Raises
     ------
@@ -320,7 +368,8 @@ def check_h2(op, a: float, space: WeightedSpace | None = None,
     n = matrix.shape[0]
     if space is None:
         space = WeightedSpace.unweighted(n)
-    eigvals = np.linalg.eigvals(matrix)
+    if eigvals is None:
+        eigvals = np.linalg.eigvals(matrix)
     scale = max(1.0, float(np.max(np.abs(eigvals))) if len(eigvals) else 1.0)
     gap_to_line = float(np.min(np.abs(eigvals.real - a))) if len(eigvals) else np.inf
     if gap_to_line <= tol.boundary_margin * scale:
@@ -384,7 +433,8 @@ def check_h2(op, a: float, space: WeightedSpace | None = None,
     return H2Report(bound=bound, certified_bound=float(certified),
                     y_grid=y_grid, norms=norms, argmax_y=float(y_grid[i_max]),
                     tail_bound=float(tail), tail_valid_from=y_max_used,
-                    shifted_norm=shifted_norm, uncertified_segments=uncertified)
+                    shifted_norm=shifted_norm, uncertified_segments=uncertified,
+                    spectrum=eigvals)
 
 
 # ----------------------------------------------------------------------

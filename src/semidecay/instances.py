@@ -202,39 +202,53 @@ def save_instance(instance: GeneratedInstance, directory, tolerances=None):
 def load_instance(directory) -> GeneratedInstance:
     """Read an instance written by :func:`save_instance`.
 
-    A matrix or weight vector the split or the space pair rejects, or
-    weights of another size than the operator, is a :class:`ConfigError`
-    naming the manifest and the matrix files.
+    A manifest that is missing or not JSON, a missing manifest key or
+    certificate entry, a matrix file that cannot be read, a matrix or
+    weight vector the split or the space pair rejects, or weights of
+    another size than the operator, is a :class:`ConfigError` naming the
+    manifest or the file.
     """
     from . import matio as mio
     path = os.path.join(directory, "instance.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+
+    def read_matrix(fname):
+        file = os.path.join(directory, fname)
+        try:
+            return mio.read_matrix(file)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read matrix {file} named in {path}: {exc}") from None
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read instance manifest {path}: {exc}") from None
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported instance schema_version in {path}")
-    files = manifest["matrices"]
-    mats = {key: mio.read_matrix(os.path.join(directory, fname))
-            for key, fname in files.items()}
-    where = f"{path} ({', '.join(f'{key}: {fname}' for key, fname in files.items())})"
+    where = path
     try:
+        files = manifest["matrices"]
+        mats = {key: read_matrix(fname) for key, fname in files.items()}
+        where = f"{path} ({', '.join(f'{key}: {fname}' for key, fname in files.items())})"
         split = SplitOperator(full=mats["full"], part_a=mats["part_a"],
                               part_b=mats["part_b"])
         pair = EmbeddedSpacePair.from_weights(
             np.asarray(manifest["weights_ambient"]),
             np.asarray(manifest["weights_small"]),
             cell_measure=float(manifest.get("cell_measure", 1.0)))
-    except (DimensionMismatchError, ValueError) as exc:
+        if pair.dim != split.dim:
+            raise ConfigError(f"{pair.dim} weights for an operator of size {split.dim} "
+                              f"at {where}")
+        cert_raw = manifest["certificate"]
+        cert = InstanceCertificate(
+            a=cert_raw["a"], r=cert_raw["r"],
+            xi=tuple(complex(re, im) for re, im in cert_raw["xi"]),
+            gap=cert_raw["gap"], strength=cert_raw["strength"],
+            embedding_constant=cert_raw["embedding_constant"],
+            seed=cert_raw["seed"], n=cert_raw["n"])
+    except KeyError as exc:
+        raise ConfigError(f"instance manifest {path} lacks the key {exc}") from None
+    except (DimensionMismatchError, TypeError, ValueError) as exc:
         raise ConfigError(f"{exc} at {where}") from None
-    if pair.dim != split.dim:
-        raise ConfigError(f"{pair.dim} weights for an operator of size {split.dim} "
-                          f"at {where}")
-    cert_raw = manifest["certificate"]
-    cert = InstanceCertificate(
-        a=cert_raw["a"], r=cert_raw["r"],
-        xi=tuple(complex(re, im) for re, im in cert_raw["xi"]),
-        gap=cert_raw["gap"], strength=cert_raw["strength"],
-        embedding_constant=cert_raw["embedding_constant"],
-        seed=cert_raw["seed"], n=cert_raw["n"])
-    projectors = tuple(mio.read_matrix(os.path.join(directory, fname))
-                       for fname in manifest.get("projectors", []))
+    projectors = tuple(read_matrix(fname) for fname in manifest.get("projectors", []))
     return GeneratedInstance(split, pair, cert, projectors)

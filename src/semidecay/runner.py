@@ -190,7 +190,8 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
     if config.command == "fp-resolvent-scan":
         a_line = 0.5 * lam_p
         scan_small = resolvent_scan_fp(disc, disc.space_small, a_line, tol=tol)
-        scan_ambient = resolvent_scan_fp(disc, disc.space_ambient, a_line, tol=tol)
+        scan_ambient = resolvent_scan_fp(disc, disc.space_ambient, a_line, tol=tol,
+                                         eigvals=scan_small.spectrum)
         report.constants["K_small"] = scan_small.bound
         report.constants["K_ambient"] = scan_ambient.bound
         scans = (("scan_small", scan_small), ("scan_ambient", scan_ambient))

@@ -131,10 +131,30 @@ def _malform_short_weights(inst_dir):
     (inst_dir / "instance.json").write_text(json.dumps(manifest))
 
 
+def _malform_manifest(edit):
+    def malform(inst_dir):
+        manifest = json.loads((inst_dir / "instance.json").read_text())
+        edit(manifest)
+        (inst_dir / "instance.json").write_text(json.dumps(manifest))
+    return malform
+
+
+def _malform_invalid_json(inst_dir):
+    path = inst_dir / "instance.json"
+    path.write_text(path.read_text()[:-10])
+
+
 @pytest.mark.parametrize("malform, names", [
-    (_malform_nan_in_generator, "full has non-finite entries"),
-    (_malform_short_weights, "3 weights for an operator of size 4"),
-], ids=["nan_in_T", "short_weights"])
+    (_malform_nan_in_generator, ("full has non-finite entries", "full: T.mtx")),
+    (_malform_short_weights, ("3 weights for an operator of size 4", "full: T.mtx")),
+    (_malform_manifest(lambda m: m.pop("weights_small")), ("lacks the key 'weights_small'",)),
+    (_malform_manifest(lambda m: m["certificate"].pop("gap")), ("lacks the key 'gap'",)),
+    (_malform_invalid_json, ("cannot read instance manifest",)),
+    (lambda inst_dir: (inst_dir / "A.mtx").unlink(), ("cannot read matrix", "A.mtx")),
+    (lambda inst_dir: (inst_dir / "instance.json").unlink(),
+     ("cannot read instance manifest",)),
+], ids=["nan_in_T", "short_weights", "no_weights_small", "no_certificate_gap",
+        "invalid_json", "no_A_matrix", "no_manifest"])
 def test_malformed_instance_directory_gives_exit_four(tmp_path, capsys, malform, names):
     from semidecay import generate_instance, save_instance
     inst_dir = tmp_path / "inst"
@@ -145,8 +165,8 @@ def test_malformed_instance_directory_gives_exit_four(tmp_path, capsys, malform,
         "instance_path": str(inst_dir), "out_dir": str(tmp_path / "out")})
     assert main(["enlarge-check", "--config", cfg]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and names in err
-    assert "instance.json" in err and "full: T.mtx" in err
+    assert err.startswith("config error:")
+    assert "instance.json" in err and all(name in err for name in names)
     assert "Traceback" not in err
 
 
@@ -274,9 +294,9 @@ def test_resolvent_scan_verdict_needs_both_certificates(tmp_path, monkeypatch):
     # tail, so its certificate cannot close
     scan = runner.resolvent_scan_fp
 
-    def short_small_scan(disc, space, a, tol):
+    def short_small_scan(disc, space, a, tol, eigvals=None):
         y_grid = [-1.0, 0.0, 1.0] if space is disc.space_small else None
-        return scan(disc, space, a, y_grid=y_grid, tol=tol)
+        return scan(disc, space, a, y_grid=y_grid, tol=tol, eigvals=eigvals)
 
     monkeypatch.setattr(runner, "resolvent_scan_fp", short_small_scan)
     cfg = write_config(tmp_path, {**BASE_SCAN, "out_dir": str(tmp_path / "open")})

@@ -136,11 +136,19 @@ class TestH2LineKernel:
     def test_fp_scan_matches_dense_oracle(self, ambient):
         matrix, a_line, space, scaled = _fp_line(FPGrid(d=1, L=8.0, N=120),
                                                  ambient=ambient)
-        line = hypotheses._ShiftedLine(scaled)
-        assert line.mirrored and line.band is not None
         report = check_h2(matrix, a_line, space)
-        npt.assert_allclose(report.norms, _dense_line_norms(scaled, report.y_grid),
-                            rtol=1e-12, atol=0.0)
+        dense = _dense_line_norms(scaled, report.y_grid)
+        if not ambient:
+            # the scan takes the Hermitian path here (see TestH2HermitianLine);
+            # the band kernel itself still meets the oracle on this matrix
+            band = hypotheses._GramBand(scaled, 1)
+            sigmas = [band.sigma_min(abs(y)) for y in report.y_grid]
+            assert None not in sigmas
+            npt.assert_allclose(1.0 / np.array(sigmas), dense, rtol=1e-12, atol=0.0)
+            return
+        line = hypotheses._ShiftedLine(scaled)
+        assert line.mirrored and line.band is not None and line.nearest is None
+        npt.assert_allclose(report.norms, dense, rtol=1e-12, atol=0.0)
         # every grid value came from the band kernel, not its SVD fallback
         assert all(line.band.sigma_min(abs(y)) is not None for y in report.y_grid)
 
@@ -183,6 +191,51 @@ class TestH2LineKernel:
         line = hypotheses._ShiftedLine(scaled)
         assert line.band is not None
         assert any(line.band.sigma_min(y) is None for y in ys)
+        values = [hypotheses._line_norm(line, y) for y in ys]
+        npt.assert_allclose(values, _dense_line_norms(scaled, ys), rtol=1e-12, atol=0.0)
+
+
+class TestH2HermitianLine:
+    """Lines Hermitian up to rounding: one spectrum, then a bound per y."""
+
+    def test_small_space_scan_is_a_certified_upper_bound(self):
+        matrix, a_line, space, scaled = _fp_line(FPGrid(d=1, L=8.0, N=120))
+        line = hypotheses._ShiftedLine(scaled)
+        assert line.nearest is not None and line.defect > 0.0
+        report = check_h2(matrix, a_line, space)
+        dense = _dense_line_norms(scaled, report.y_grid)
+        values = report.norms
+        assert np.all(dense <= values)
+        assert np.all(values <= dense * (1.0 + 2.0 * line.defect * values))
+
+    def test_swirl_small_space_keeps_the_band_kernel(self):
+        _, _, _, scaled = _fp_line(FPGrid(d=2, L=8.0, N=16),
+                                   swirl=SwirlField("inverse_linear", 1.0))
+        line = hypotheses._ShiftedLine(scaled)
+        assert line.nearest is None and line.band is not None
+        ys = np.array([0.0, 0.5, 2.0, 10.0])
+        values = [hypotheses._line_norm(line, y) for y in ys]
+        npt.assert_allclose(values, _dense_line_norms(scaled, ys), rtol=1e-12, atol=0.0)
+
+    def test_skew_perturbation_keeps_the_band_kernel(self):
+        _, _, _, scaled = _fp_line(FPGrid(d=1, L=8.0, N=120))
+        n = scaled.shape[0]
+        skew = np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
+        perturbed = scaled + 1e-8 * skew
+        line = hypotheses._ShiftedLine(perturbed)
+        assert line.nearest is None and line.band is not None
+        ys = np.array([0.0, 0.1, 1.0, 50.0])
+        values = [hypotheses._line_norm(line, y) for y in ys]
+        npt.assert_allclose(values, _dense_line_norms(perturbed, ys), rtol=1e-12, atol=0.0)
+
+    def test_unclosed_margin_falls_back_to_the_exact_norm(self):
+        # a defect larger than the distance to the spectrum leaves no bound,
+        # so the value is the band kernel's or the SVD's
+        scaled = np.diag([-0.5, -1.5, -3.0]).astype(complex)
+        line = hypotheses._ShiftedLine(scaled)
+        assert line.nearest == 0.5
+        line.defect = 1.0
+        ys = np.array([0.0, 0.3, 0.6])
         values = [hypotheses._line_norm(line, y) for y in ys]
         npt.assert_allclose(values, _dense_line_norms(scaled, ys), rtol=1e-12, atol=0.0)
 

@@ -98,3 +98,37 @@ def test_banded_scan_runs_no_square_svd_per_line_point(monkeypatch):
     assert min(evaluated) >= 0.0
     assert len(evaluated) == len(set(evaluated))
     assert set(np.abs(report.y_grid)) <= set(evaluated)
+
+
+def test_scan_shares_one_spectrum_and_the_small_line_is_closed_form(tmp_path, monkeypatch):
+    from semidecay.config import RunConfig
+    from semidecay.runner import run_fp
+    calls = {"eigvals": 0, "eig_banded": 0, "solve_banded": 0}
+    originals = {"eigvals": np.linalg.eigvals, "eig_banded": scipy.linalg.eig_banded,
+                 "solve_banded": scipy.linalg.solve_banded}
+
+    def counting(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals"))
+    monkeypatch.setattr(scipy.linalg, "eig_banded", counting("eig_banded"))
+    monkeypatch.setattr(scipy.linalg, "solve_banded", counting("solve_banded"))
+    problem = {"d": 1, "s": 2.0, "L": 8.0, "N": 80,
+               "weight": {"kind": "polynomial", "k": 3.0}}
+    config = RunConfig.from_mapping({"schema_version": 1, "command": "fp-resolvent-scan",
+                                     "problem": problem, "out_dir": str(tmp_path)})
+    report, _ = run_fp(config)
+    assert report.verdicts["resolvent_scan"]["verdict"] == PASS
+    assert calls["eigvals"] == 1
+
+    # the small-space line: one banded eigensolve for its spectrum, none per y
+    grid = FPGrid(d=1, L=8.0, N=80)
+    disc = FPDiscretization.build(grid, Potential(2.0), EnlargedWeight("polynomial", 3.0))
+    a_line = 0.5 * spectral_gap_H(disc).lambda_gap
+    calls.update(eig_banded=0, solve_banded=0)
+    scan = resolvent_scan_fp(disc, disc.space_small, a_line)
+    assert len(scan.y_grid) > 100
+    assert calls["eig_banded"] == 1 and calls["solve_banded"] == 0
