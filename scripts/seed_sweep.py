@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Sweep seeded instances and tabulate the certified bounds.
 
+The identity and mismatch columns are certified upper bounds on the
+factorization residuals, within a factor n of their SVD values.
+
 Usage: python scripts/seed_sweep.py [n_seeds] [max_size]
 """
 
@@ -16,7 +19,7 @@ from semidecay.hypotheses import sample_xi_region
 
 def main(n_seeds=100, max_size=32):
     size_rng = np.random.default_rng(0)
-    print(f"{'seed':>4} {'n':>3} {'identity':>10} {'mismatch':>10} "
+    print(f"{'seed':>4} {'n':>3} {'identity ≤':>10} {'mismatch ≤':>10} "
           f"{'K_chain':>10} {'K_direct':>10} {'dominated':>9}")
     worst_identity = worst_mismatch = 0.0
     violations = 0
@@ -35,8 +38,8 @@ def main(n_seeds=100, max_size=32):
         print(f"{seed:>4} {n:>3} {fact.max_identity_residual:>10.2e} "
               f"{fact.max_inverse_mismatch:>10.2e} {chain.certified_bound:>10.3e} "
               f"{chain.direct_sup:>10.3e} {str(chain.dominated):>9}")
-    print(f"\nworst identity residual: {worst_identity:.2e}")
-    print(f"worst inverse mismatch:  {worst_mismatch:.2e}")
+    print(f"\nworst identity residual ≤ {worst_identity:.2e}")
+    print(f"worst inverse mismatch  ≤ {worst_mismatch:.2e}")
     print(f"domination violations:   {violations}/{n_seeds}")
 
 

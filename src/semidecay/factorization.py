@@ -9,8 +9,12 @@ inverse is what the verification routines certify.
 H4, :func:`verify_factorization` and :func:`enlargement_bound_chain` read
 the same per-sample norms. :func:`shift_sweep` computes them in one pass
 over the samples, in blocks of ``SHIFT_BLOCK`` shifts: each block inverts
-B - xi and T - xi once per sample with one stacked solve each, then takes
-the eight distinct weighted norms as stacked SVDs.
+B - xi and T - xi once per sample with one stacked solve each. A norm
+takes a stacked SVD only where its exact value sets a reported number;
+the rounding-level factorization residuals are certified by O(n^2)
+bounds (:func:`~semidecay.spaces.operator_norm_bounds`), and
+``||B(xi)^{-1} A||``, read only through its supremum, is taken by SVD only
+where its upper bound reaches the largest value seen so far.
 """
 
 from __future__ import annotations
@@ -21,9 +25,15 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, SingularityError
-from .spaces import (EmbeddedSpacePair, operator_norms, weighted_congruence,
-                     weighted_norm)
+from .reports import FAIL, PASS
+from .spaces import (EmbeddedSpacePair, operator_norm_bounds, operator_norms,
+                     weighted_congruence, weighted_norm)
 from .spectral import SHIFT_BLOCK, guarded_inverses, resolvent_matrix
+
+# the factorization check passes iff its two certified residual maxima stay
+# below these: rounding level is ~1e-15 at the sizes the package runs
+IDENTITY_RESIDUAL_LIMIT = 1e-9
+INVERSE_MISMATCH_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,13 +107,22 @@ def _assemble(b_inv, r_small, a_b_inv) -> np.ndarray:
 class ShiftSweep:
     """The weighted norms of B(xi)^{-1}, R(xi) and U(xi) over a sample.
 
-    Every array has one entry per sample: ``b_inverse`` is
-    ``||B(xi)^{-1}||_amb``, ``a_b_inverse`` and ``b_inverse_a`` are
-    ``||A B(xi)^{-1}||`` and ``||B(xi)^{-1} A||`` from the ambient into the
-    small space, ``shifted`` is ``||T - xi||_amb``, ``resolvent`` and
-    ``resolvent_small`` are ``||R(xi)||`` in the two spaces,
-    ``identity_defect`` is ``||(T - xi) U(xi) - Id||_amb`` and ``mismatch``
-    is ``||U(xi) - R(xi)||_amb``.
+    Every array has one entry per sample. Exact (one SVD each):
+    ``b_inverse`` is ``||B(xi)^{-1}||_amb``, ``a_b_inverse`` is
+    ``||A B(xi)^{-1}||`` from the ambient into the small space, and
+    ``resolvent`` and ``resolvent_small`` are ``||R(xi)||`` in the two
+    spaces. These set the H4 suprema, the chain and the direct values.
+
+    Certified bounds (no SVD, within a factor ``sqrt(n)`` of the norm):
+    ``shifted`` is a lower bound on ``||T - xi||_amb``, ``identity_defect``
+    an upper bound on ``||(T - xi) U(xi) - Id||_amb`` and ``mismatch`` one
+    on ``||U(xi) - R(xi)||_amb``; they only enter the rounding-level
+    residuals of :func:`verify_factorization`.
+
+    ``b_inverse_a`` is ``||B(xi)^{-1} A||`` from the ambient into the small
+    space. It is exact wherever its upper bound reaches the column's
+    maximum; elsewhere it may hold that upper bound, which stays below the
+    maximum. So its maximum, and the sample attaining it, are exact.
 
     ``b_failure`` and ``t_failure`` hold the index and the
     :class:`SingularityError` of the first sample where B - xi, resp.
@@ -136,9 +155,30 @@ _T_NORMS = ("resolvent", "resolvent_small")
 _U_NORMS = ("identity_defect", "mismatch")
 
 
+def _norms_below_floor(stack, dom, cod, floor: float) -> tuple[np.ndarray, float]:
+    """Norms of a stack that are exact wherever they may reach the maximum.
+
+    ``floor`` is a lower bound on the maximum norm (over this stack and any
+    before it). A matrix whose upper bound reaches the floor, raised by the
+    lower bounds of this stack, gets its norm by SVD; any other keeps its
+    upper bound, which lies below the floor, so the maximum and the index
+    attaining it are those of the exact norms. Returns the norms and the
+    floor raised by them.
+    """
+    lower, upper = operator_norm_bounds(stack, dom, cod)
+    floor = max(floor, float(np.max(lower, initial=0.0)))
+    exact = upper >= floor
+    norms = upper
+    if exact.any():
+        norms[exact] = operator_norms(stack[exact], dom, cod)
+        floor = max(floor, float(np.max(norms[exact])))
+    return norms, floor
+
+
 def _sweep_block(split: SplitOperator, pair: EmbeddedSpacePair, xis,
-                 tol: Tolerances):
-    """The eight norms on one block of shifts.
+                 tol: Tolerances, floor: float):
+    """The eight norms on one block of shifts, and the raised floor of
+    ``b_inverse_a`` (see :func:`_norms_below_floor`).
 
     Each stack is dropped once its norms are read, so that few stacks of
     the block are alive at a time.
@@ -152,23 +192,24 @@ def _sweep_block(split: SplitOperator, pair: EmbeddedSpacePair, xis,
     a_b_inv = split.part_a @ b_inv
     norms["b_inverse"] = operator_norms(b_inv, amb, amb)
     norms["a_b_inverse"] = operator_norms(a_b_inv, amb, small)
-    norms["b_inverse_a"] = operator_norms(b_inv @ split.part_a, amb, small)
+    norms["b_inverse_a"], floor = _norms_below_floor(b_inv @ split.part_a, amb,
+                                                     small, floor)
     u = _assemble(b_inv, r, a_b_inv)
     del b_inv, a_b_inv
-    norms["mismatch"] = operator_norms(u - r, amb, amb)
+    _, norms["mismatch"] = operator_norm_bounds(u - r, amb, amb)
     del r
     shifted = split.full - xis[:, None, None] * eye
-    norms["shifted"] = operator_norms(shifted, amb, amb)
+    norms["shifted"], _ = operator_norm_bounds(shifted, amb, amb)
     defect = shifted @ u
     defect -= eye
-    norms["identity_defect"] = operator_norms(defect, amb, amb)
+    _, norms["identity_defect"] = operator_norm_bounds(defect, amb, amb)
     for i in b_errors:
         for name in _B_NORMS + _U_NORMS:
             norms[name][i] = np.nan
     for i in t_errors:
         for name in _T_NORMS + _U_NORMS:
             norms[name][i] = np.nan
-    return norms, b_errors, t_errors
+    return norms, floor, b_errors, t_errors
 
 
 def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
@@ -177,7 +218,10 @@ def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
 
     Walks the samples in blocks of ``SHIFT_BLOCK`` shifts. Per block,
     B - xi and T - xi are each inverted once per sample by one stacked
-    solve, and the eight norms of :class:`ShiftSweep` are stacked SVDs.
+    solve. The four exact norms of :class:`ShiftSweep` are stacked SVDs,
+    the three certified bounds cost O(n^2) per sample, and the floor that
+    decides which ``b_inverse_a`` entries take an SVD is carried from block
+    to block.
     """
     if split.dim != pair.dim:
         raise DimensionMismatchError("split operator and space pair dimensions differ")
@@ -185,9 +229,10 @@ def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
     names = _B_NORMS + ("shifted",) + _T_NORMS + _U_NORMS
     norms = {name: np.full(len(samples), np.nan) for name in names}
     b_failure = t_failure = None
+    floor = 0.0
     for start in range(0, len(samples), SHIFT_BLOCK):
         xis = samples[start:start + SHIFT_BLOCK]
-        block, b_errors, t_errors = _sweep_block(split, pair, xis, tol)
+        block, floor, b_errors, t_errors = _sweep_block(split, pair, xis, tol, floor)
         for name, values in block.items():
             norms[name][start:start + len(xis)] = values
         if t_errors and t_failure is None:
@@ -214,10 +259,13 @@ def _sweep_for(split, pair, xi_samples, tol, sweep: ShiftSweep | None) -> ShiftS
 class FactorizationReport:
     """Residuals of the factorized inverse over a sample of shifts.
 
-    ``max_identity_residual`` is the largest ``||(T-xi) U(xi) - Id||`` in
-    the ambient norm relative to cond(T-xi); ``max_inverse_mismatch`` the
-    largest ambient-norm distance to the direct dense inverse, relative to
-    the inverse's norm.
+    ``max_identity_residual`` is a certified upper bound on the largest
+    ``||(T-xi) U(xi) - Id||`` in the ambient norm relative to cond(T-xi);
+    ``max_inverse_mismatch`` one on the largest ambient-norm distance to
+    the direct dense inverse, relative to the inverse's norm. Each bound is
+    within a factor ``n`` of the residual it bounds. The verdict passes iff
+    they stay below ``IDENTITY_RESIDUAL_LIMIT`` and
+    ``INVERSE_MISMATCH_LIMIT``.
     """
 
     max_identity_residual: float
@@ -225,6 +273,12 @@ class FactorizationReport:
     samples: np.ndarray
     identity_residuals: np.ndarray
     inverse_mismatches: np.ndarray
+
+    @property
+    def verdict(self):
+        passed = (self.max_identity_residual <= IDENTITY_RESIDUAL_LIMIT
+                  and self.max_inverse_mismatch <= INVERSE_MISMATCH_LIMIT)
+        return PASS if passed else FAIL
 
     def to_dict(self):
         return {"max_identity_residual": self.max_identity_residual,
@@ -240,7 +294,9 @@ def verify_factorization(split: SplitOperator, pair: EmbeddedSpacePair,
     The one dense inverse of T - xi per sample serves both as R(xi) inside
     U(xi) and as the direct inverse U(xi) is compared with. The norms come
     from ``sweep``, built by :func:`shift_sweep` from the same split, pair,
-    samples and tolerances, or from a sweep of its own.
+    samples and tolerances, or from a sweep of its own: its upper bounds on
+    the two defects over its lower bound on ``||T - xi||`` make both
+    residuals certified upper bounds.
 
     Raises
     ------
@@ -251,8 +307,8 @@ def verify_factorization(split: SplitOperator, pair: EmbeddedSpacePair,
         raise DimensionMismatchError("split operator and space pair dimensions differ")
     sweep = _sweep_for(split, pair, xi_samples, tol, sweep)
     sweep.raise_failure()
-    cond = sweep.shifted * sweep.resolvent
-    id_res = sweep.identity_defect / np.maximum(cond, 1.0)
+    cond_lo = sweep.shifted * sweep.resolvent
+    id_res = sweep.identity_defect / np.maximum(cond_lo, 1.0)
     inv_mis = sweep.mismatch / np.maximum(sweep.resolvent, 1e-300)
     return FactorizationReport(
         max_identity_residual=float(np.max(id_res)) if len(id_res) else 0.0,
@@ -319,7 +375,8 @@ class BoundChainReport:
 
     Per sampled xi the chain value is
     ``||B(xi)^{-1}||_amb + c_J ||R(xi)||_small ||A B(xi)^{-1}||_amb->small``
-    and must dominate the directly computed ``||(T - xi)^{-1}||_amb``.
+    and must dominate the directly computed ``||(T - xi)^{-1}||_amb``; the
+    verdict passes iff it does on every sample.
     """
 
     certified_bound: float
@@ -328,6 +385,10 @@ class BoundChainReport:
     samples: np.ndarray
     chain_values: np.ndarray
     direct_values: np.ndarray
+
+    @property
+    def verdict(self):
+        return PASS if self.dominated else FAIL
 
     def to_dict(self):
         return {"certified_bound": self.certified_bound,

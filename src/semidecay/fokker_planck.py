@@ -525,14 +525,15 @@ def find_decomposition(disc: FPDiscretization, target_a: float,
     if r_grid is None:
         r_grid = np.linspace(1.0, disc.grid.L / 2.0, 6)
     coord = disc.grid.flat_coordinate()
-    gen = disc.generator
-    log_w = np.log(disc.space_ambient.weights)
+    # the similarity scales the diagonal by exactly 1, so the symmetrized
+    # remainder of every candidate is this matrix minus M chi, bit for bit
+    scaled = _similarity(disc.generator, np.log(disc.space_ambient.weights))
+    sym = 0.5 * (scaled + scaled.T)
     frontier = []
     for m_val in np.asarray(m_grid, dtype=float):
         for r_val in np.asarray(r_grid, dtype=float):
             chi = (coord <= r_val).astype(float)
-            part_b = (gen - sp.diags(m_val * chi)).tocsr()
-            vals, _ = _top_symmetric_eigs(_similarity(part_b, log_w), 1)
+            vals, _ = _top_symmetric_eigs(sym - sp.diags(m_val * chi), 1)
             top = float(vals[0])
             frontier.append((float(m_val), float(r_val), top))
             if top <= target_a:

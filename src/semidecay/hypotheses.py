@@ -20,13 +20,10 @@ import scipy.sparse as sp
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SingularityError
 from .factorization import ShiftSweep, shift_sweep
+from .reports import FAIL, INDETERMINATE, PASS
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
 from .spaces import EmbeddedSpacePair, WeightedSpace, weighted_congruence
 from .spectral import SpectralReport, eigen_decompose, spectral_projector
-
-PASS = "pass"
-FAIL = "fail"
-INDETERMINATE = "indeterminate"
 
 
 # ----------------------------------------------------------------------

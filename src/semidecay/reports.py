@@ -18,6 +18,10 @@ import numpy as np
 
 from .config import SCHEMA_VERSION
 
+PASS = "pass"
+FAIL = "fail"
+INDETERMINATE = "indeterminate"
+
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CHECKS_FAILED = 2
@@ -66,7 +70,7 @@ class RunReport:
     def all_passed(self) -> bool:
         """True when there is at least one verdict and every verdict passes."""
         return bool(self.verdicts) and all(
-            v["verdict"] == "pass" for v in self.verdicts.values())
+            v["verdict"] == PASS for v in self.verdicts.values())
 
     def to_dict(self, with_timestamp=True) -> dict:
         out = {

@@ -80,13 +80,10 @@ def _instance_verdicts(report: RunReport, seed: int, result: dict):
     report.details[f"{prefix}.hypotheses"] = HypothesisReport(
         h1=h1, h2=None if isinstance(h2, SingularityError) else h2,
         h3=h3, h4=h4).to_dict()
-    fact = result["factorization"]
-    fact_ok = (fact.max_identity_residual <= 1e-9
-               and fact.max_inverse_mismatch <= 1e-8)
-    report.add_verdict(f"{prefix}.factorization", PASS if fact_ok else FAIL,
+    fact, chain = result["factorization"], result["chain"]
+    report.add_verdict(f"{prefix}.factorization", fact.verdict,
                        constants=fact.to_dict())
-    chain = result["chain"]
-    report.add_verdict(f"{prefix}.bound_chain", PASS if chain.dominated else FAIL,
+    report.add_verdict(f"{prefix}.bound_chain", chain.verdict,
                        constants=chain.to_dict())
     if result["transfer"] is not None:
         tr = result["transfer"]

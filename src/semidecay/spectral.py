@@ -31,6 +31,7 @@ import scipy.sparse.linalg as spla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (EigenConvergenceError, ProjectorMismatchError,
                      SeparationError, SingularityError)
+from .spaces import norm_bounds
 
 # shifts per stacked solve (and times per stack of semigroup norms): amortizes
 # the per-call cost of the stacked kernels, while each stack of a block stays
@@ -132,33 +133,15 @@ def _solve_or_nan(shifted, ident) -> np.ndarray:
         return np.full_like(shifted, np.nan)
 
 
-def _norm_bounds(stack) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the 2-norm of every matrix of a stack.
-
-    The lower bound is the largest column 2-norm, the upper one
-    ``sqrt(||X||_1 ||X||_inf)`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, section 6.3). Both cost O(n^2) per matrix.
-    Each is widened by ``8 n eps`` for rounding, so that they also bracket
-    the 2-norm an SVD computes.
-    """
-    magnitude = np.abs(stack)
-    margin = 8.0 * stack.shape[-1] * np.finfo(float).eps
-    col_sums = magnitude.sum(axis=-2).max(axis=-1)
-    row_sums = magnitude.sum(axis=-1).max(axis=-1)
-    upper = np.sqrt(col_sums * row_sums) * (1.0 + margin)
-    lower = np.sqrt((magnitude * magnitude).sum(axis=-2).max(axis=-1)) * (1.0 - margin)
-    return lower, upper
-
-
 def shifted_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The stack of ``(M - xi)^{-1}`` over ``xis`` and a per-shift failure mask.
 
     One stacked solve inverts every shift. The guard is a filter in front
     of the exact one: a shift is flagged when its inverse has a non-finite
-    entry, or when the O(n^2) bounds of :func:`_norm_bounds` cannot show
-    that it passes the exact test of the one-shift path, that is when
-    ``cond_hi tol_solve >= 1`` or the residual bound
+    entry, or when the O(n^2) bounds of :func:`~semidecay.spaces.norm_bounds`
+    cannot show that it passes the exact test of the one-shift path, that is
+    when ``cond_hi tol_solve >= 1`` or the residual bound
     ``||(M - xi) R - Id||_hi`` exceeds ``tol_solve * max(cond_lo, 1)``.
     Here ``cond_hi`` and ``cond_lo`` bound ``||M - xi|| ||R||`` from above
     and below. A shift that passes the filter therefore passes the exact
@@ -183,11 +166,11 @@ def shifted_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
         shifted, ident, checked = shifted[ok], ident[ok], inverses[ok]
     else:
         checked = inverses
-    shifted_lo, shifted_hi = _norm_bounds(shifted)
-    inverse_lo, inverse_hi = _norm_bounds(checked)
+    shifted_lo, shifted_hi = norm_bounds(shifted)
+    inverse_lo, inverse_hi = norm_bounds(checked)
     defect = shifted @ checked
     defect -= ident
-    _, residual_hi = _norm_bounds(defect)
+    _, residual_hi = norm_bounds(defect)
     cond_lo = shifted_lo * inverse_lo
     failed[ok] = ((shifted_hi * inverse_hi * tol.tol_solve >= 1.0)
                   | (residual_hi > tol.tol_solve * np.maximum(cond_lo, 1.0)))

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from semidecay import generate_instance, spectral
 from semidecay.config import DEFAULT_TOLERANCES
 from semidecay.errors import DimensionMismatchError, SingularityError
-from semidecay.factorization import (SplitOperator, enlarged_resolvent,
+from semidecay.factorization import (IDENTITY_RESIDUAL_LIMIT,
+                                     INVERSE_MISMATCH_LIMIT, BoundChainReport,
+                                     FactorizationReport, SplitOperator,
+                                     enlarged_resolvent,
                                      enlargement_bound_chain,
                                      injectivity_check, shift_sweep,
                                      verify_factorization)
 from semidecay.hypotheses import FAIL, PASS, check_h4, sample_xi_region
 from semidecay.runner import _check_instance
-from semidecay.spaces import EmbeddedSpacePair, operator_norm
+from semidecay.spaces import EmbeddedSpacePair, operator_norm, operator_norm_bounds
 from semidecay.spectral import (_resolvent_scalar, resolvent_matrix,
                                 shifted_inverses)
 
@@ -98,6 +101,20 @@ class TestVerifyFactorization:
             assert inverted[("B", xi)] == count
             assert inverted[("T", xi)] == count
         assert result["factorization"].max_inverse_mismatch <= 1e-8
+
+
+def test_report_verdicts():
+    one = np.zeros(1)
+
+    def fact(identity, mismatch):
+        return FactorizationReport(identity, mismatch, one, one, one).verdict
+
+    assert fact(IDENTITY_RESIDUAL_LIMIT, INVERSE_MISMATCH_LIMIT) == PASS
+    assert fact(np.nextafter(IDENTITY_RESIDUAL_LIMIT, 1.0), 0.0) == FAIL
+    assert fact(0.0, np.nextafter(INVERSE_MISMATCH_LIMIT, 1.0)) == FAIL
+    for dominated, verdict in ((True, PASS), (False, FAIL)):
+        chain = BoundChainReport(1.0, 1.0, dominated, one, one, one)
+        assert chain.verdict == verdict
 
 
 class TestInjectivity:
@@ -200,6 +217,8 @@ def test_split_operator_shape_and_finiteness_checks():
 # dense oracle: the per-sample loops the shared sweep replaced, one guarded
 # one-shift inverse (LU) per matrix and check, one SVD per norm
 
+EPS = np.finfo(float).eps
+
 
 def _inverse(matrix, xi):
     return _resolvent_scalar(np.asarray(matrix), xi, DEFAULT_TOLERANCES)
@@ -214,6 +233,37 @@ def oracle_h4_table(split, pair, samples):
                    operator_norm(split.part_a @ b_inv, amb, small),
                    operator_norm(b_inv @ split.part_a, amb, small))
     return rows
+
+
+def oracle_b_inverse_a_upper(split, pair, samples):
+    """The O(n^2) upper bound on each ``||B(xi)^{-1} A||`` of the oracle."""
+    stack = np.stack([_inverse(split.part_b, xi) @ split.part_a for xi in samples])
+    return operator_norm_bounds(stack, pair.ambient, pair.small)[1]
+
+
+def assert_h4_table(table, split, pair, samples):
+    """Columns 0-2 of an H4 table equal the oracle's bit for bit. The
+    ``||B(xi)^{-1} A||`` column does wherever the oracle value's upper
+    bound reaches the column's sup; elsewhere it lies between the oracle
+    value and the sup. Returns the oracle table and the mask of pruned rows."""
+    oracle = oracle_h4_table(split, pair, samples)
+    npt.assert_array_equal(table[:, :3], oracle[:, :3])
+    exact = oracle[:, 3].real
+    sup = max(0.0, *exact)
+    reaches = oracle_b_inverse_a_upper(split, pair, samples) >= sup
+    npt.assert_array_equal(table[reaches, 3], oracle[reaches, 3])
+    pruned = table[~reaches, 3]
+    assert np.all(pruned.imag == 0.0)
+    assert np.all(exact[~reaches] <= pruned.real) and np.all(pruned.real < sup)
+    return oracle, ~reaches
+
+
+def assert_certified_residuals(values, oracle, n):
+    """A certified residual bounds the SVD one from above, within the
+    factor ``n`` of ``sqrt(n) ||X||_2 >= sqrt(||X||_1 ||X||_inf)`` and the
+    column-norm bound ``sqrt(n) max_j ||x_j|| >= ||X||_2``."""
+    assert np.all(oracle <= values)
+    assert np.all(values <= n * (1.0 + 16.0 * n * EPS) * oracle)
 
 
 def oracle_factorization(split, pair, samples):
@@ -266,18 +316,20 @@ class TestSweepAgainstDenseOracle:
         chain = enlargement_bound_chain(split, pair, samples, sweep=h4.sweep)
 
         assert h4.verdict == PASS
-        table = oracle_h4_table(split, pair, samples)
-        npt.assert_array_equal(h4.table, table)
-        assert h4.sup_b_inverse == max(0.0, *table[:, 1].real)
+        table, pruned = assert_h4_table(h4.table, split, pair, samples)
+        # not vacuous: most rows keep their upper bound
+        assert pruned.sum() > len(samples) // 2
+        sups = [max(0.0, *table[:, j].real) for j in (1, 2, 3)]
+        assert [h4.sup_b_inverse, h4.sup_a_b_inverse, h4.sup_b_inverse_a] == sups
         id_res, inv_mis = oracle_factorization(split, pair, samples)
-        npt.assert_array_equal(fact.identity_residuals, id_res)
-        npt.assert_array_equal(fact.inverse_mismatches, inv_mis)
+        assert_certified_residuals(fact.identity_residuals, id_res, n)
+        assert_certified_residuals(fact.inverse_mismatches, inv_mis, n)
         chain_values, direct_values = oracle_chain(split, pair, samples)
         npt.assert_array_equal(chain.chain_values, chain_values)
         npt.assert_array_equal(chain.direct_values, direct_values)
         # standalone calls build their own sweep and agree with the shared one
         alone = verify_factorization(split, pair, samples)
-        npt.assert_array_equal(alone.identity_residuals, id_res)
+        npt.assert_array_equal(alone.identity_residuals, fact.identity_residuals)
 
     def test_sweep_rejects_other_samples(self):
         inst = generate_instance(2, 8)
@@ -302,8 +354,7 @@ class TestSweepFailures:
         assert report.verdict == FAIL
         assert report.witness == (f"B - xi numerically singular at xi={samples[10]} "
                                   f"(distance {exc.distance:.3e})")
-        npt.assert_array_equal(report.table,
-                               oracle_h4_table(self.split, self.pair, samples[:10]))
+        assert_h4_table(report.table, self.split, self.pair, samples[:10])
         for check in (verify_factorization, enlargement_bound_chain):
             with pytest.raises(SingularityError, match="numerically singular") as info:
                 check(self.split, self.pair, samples, sweep=report.sweep)
@@ -336,8 +387,8 @@ class TestSweepFailures:
         samples = np.array([1.0, 0.0, 2.0 + 1j])
         report = check_h4(self.split, self.pair, -0.75, 0.1, [], samples=samples)
         assert report.verdict == PASS
-        npt.assert_array_equal(report.table,
-                               oracle_h4_table(self.split, self.pair, samples))
+        table, _ = assert_h4_table(report.table, self.split, self.pair, samples)
+        assert report.sup_b_inverse_a == max(0.0, *table[:, 3].real)
         with pytest.raises(SingularityError) as info:
             verify_factorization(self.split, self.pair, samples, sweep=report.sweep)
         assert str(info.value) == str(_oracle_error(self.split.full, samples[1]))

@@ -406,6 +406,24 @@ class TestSparseBranchAgainstDenseOracle:
         npt.assert_allclose(result.frontier[0][2], top, rtol=0.0,
                             atol=1e-13 * np.max(np.abs(dense)))
 
+    def test_search_frontier_equals_the_per_candidate_symmetrization(self, fp_swirl_sparse):
+        """The search symmetrizes the generator once; each candidate's
+        remainder is the one built and symmetrized per candidate, bit for
+        bit, so the frontier is too."""
+        disc = fp_swirl_sparse
+        m_grid, r_grid = [1.0, 10.0], [1.0, 2.0]
+        result = find_decomposition(disc, -1e3, m_grid=m_grid, r_grid=r_grid)
+        coord = disc.grid.flat_coordinate()
+        log_w = np.log(disc.space_ambient.weights)
+        expected = []
+        for m_val in m_grid:
+            for r_val in r_grid:
+                part_b = (disc.generator - sp.diags(m_val * (coord <= r_val))).tocsr()
+                vals, _ = fokker_planck._top_symmetric_eigs(
+                    fokker_planck._similarity(part_b, log_w), 1)
+                expected.append((m_val, r_val, float(vals[0])))
+        assert result.frontier == expected
+
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_sparse_and_dense_steppers_agree(self, fp_swirl_sparse, scheme):
         disc = fp_swirl_sparse

@@ -9,10 +9,11 @@ import pytest
 import scipy.linalg
 
 from semidecay import generate_instance, hypotheses, spectral
+from semidecay.factorization import shift_sweep
 from semidecay.config import DEFAULT_TOLERANCES
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential, resolvent_scan_fp, spectral_gap_H)
-from semidecay.hypotheses import PASS
+from semidecay.hypotheses import PASS, sample_xi_region
 from semidecay.runner import _check_instance
 
 
@@ -68,6 +69,19 @@ def test_instance_check_kernel_counts(kernel_calls):
     assert 0 < kernel_calls["expm"] <= 4
     assert kernel_calls["svd"] > 0
     assert kernel_calls["svd_in_shifted_inverses"] == 0
+
+
+def test_shift_sweep_takes_exact_norms_only_where_they_are_reported(kernel_calls):
+    inst = generate_instance(1, 32)
+    cert = inst.certificate
+    samples = sample_xi_region(cert.a, cert.r, list(cert.xi))
+    assert len(samples) == 291
+    sweep = shift_sweep(inst.split, inst.pair, samples)
+    assert sweep.b_failure is None and sweep.t_failure is None
+    # four exact norms per sample (B^{-1}, A B^{-1} and R in both spaces),
+    # ||B^{-1} A|| only where its upper bound reaches the running sup, and
+    # the factorization residuals by O(n^2) bounds
+    assert kernel_calls["svd"] <= 4 * len(samples) + 32
 
 
 def test_banded_scan_runs_no_square_svd_per_line_point(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from semidecay.errors import DimensionMismatchError
 from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
+                              operator_norm_bounds, operator_norms,
                               spectral_norm_power_iteration, weighted_adjoint,
                               weighted_congruence, weighted_norm)
 
@@ -102,6 +103,22 @@ def test_operator_norm_dominates_matvec(w_dom, w_cod, seed):
     v = gen.standard_normal(5)
     bound = operator_norm(m, dom, cod)
     assert weighted_norm(m @ v, cod) <= bound * weighted_norm(v, dom) * (1 + 1e-10) + 1e-12
+
+
+@given(w_dom=positive_weights, w_cod=positive_weights,
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_operator_norm_bounds_bracket_the_stacked_svd(w_dom, w_cod, seed):
+    gen = np.random.default_rng(seed)
+    dom = WeightedSpace(grid=np.arange(5.0), weights=w_dom)
+    cod = WeightedSpace(grid=np.arange(5.0), weights=w_cod)
+    stack = gen.standard_normal((3, 5, 5)) + 1j * gen.standard_normal((3, 5, 5))
+    lower, upper = operator_norm_bounds(stack, dom, cod)
+    exact = operator_norms(stack, dom, cod)
+    assert np.all(lower <= exact) and np.all(exact <= upper)
+    # within the sqrt(n) factor of both bounds
+    assert np.all(upper <= np.sqrt(5.0) * exact * (1 + 1e-12))
+    assert np.all(np.sqrt(5.0) * lower >= exact * (1 - 1e-12))
 
 
 def test_operator_norm_power_method_agrees_with_svd(rng):

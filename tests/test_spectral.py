@@ -9,8 +9,8 @@ from semidecay.errors import SeparationError, SingularityError
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential)
 from semidecay.config import DEFAULT_TOLERANCES
-from semidecay.spectral import (_norm_bounds, _resolvent_scalar,
-                                eigen_decompose,
+from semidecay.spaces import norm_bounds
+from semidecay.spectral import (_resolvent_scalar, eigen_decompose,
                                 resolvent_block, resolvent_matrix,
                                 shifted_inverses, spectral_projector)
 
@@ -113,7 +113,7 @@ class TestGuardFilter:
         # rank-one members, where the column bound is attained
         stack[0] = np.outer(stack[0][:, 0], stack[0][0])
         stack *= 2.0 ** log_scale
-        lower, upper = _norm_bounds(stack)
+        lower, upper = norm_bounds(stack)
         exact = np.linalg.norm(stack, 2, axis=(1, 2))
         assert np.all(lower <= exact) and np.all(exact <= upper)
 
