@@ -14,8 +14,7 @@ from .fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                             assemble_skew_part, assemble_symmetric_part,
                             decay_experiment, find_decomposition,
                             resolvent_scan_fp, spectral_gap_H)
-from .hypotheses import (HypothesisReport, check_h1, check_h2, check_h3,
-                         check_h4, sample_xi_region)
+from .hypotheses import check_h1, check_h2, check_h3, check_h4, sample_xi_region
 from .instances import generate_instance, load_instance, save_instance
 from .semigroup import (DecayFit, fit_exponential_decay, matrix_exponential,
                         semigroup_apply, semigroup_norms, step_trajectory)
@@ -35,7 +34,6 @@ __all__ = [
     "DecayFit", "fit_exponential_decay", "matrix_exponential",
     "semigroup_apply", "semigroup_norms", "step_trajectory",
     "check_h1", "check_h2", "check_h3", "check_h4", "sample_xi_region",
-    "HypothesisReport",
     "SplitOperator", "enlarged_resolvent", "verify_factorization",
     "injectivity_check", "enlargement_bound_chain",
     "DecayCertificate", "verify_decay_from_resolvent",

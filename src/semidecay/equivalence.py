@@ -42,11 +42,6 @@ class DecayCertificate:
     space: WeightedSpace
     t_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 5.0, 200))
 
-    def to_dict(self):
-        return {"level": self.level, "prefactor": self.prefactor,
-                "discrete_eigs": [[z.real, z.imag] for z in map(complex, self.discrete_eigs)],
-                "k": len(self.discrete_eigs)}
-
 
 @dataclass
 class DecayTransferReport:
@@ -57,15 +52,11 @@ class DecayTransferReport:
     certificate: DecayCertificate
     t_grid: np.ndarray
     deviation_norms: np.ndarray
+    witness = None
 
-    @property
-    def passed(self):
-        return self.verdict == PASS
-
-    def to_dict(self):
-        return {"verdict": self.verdict, "fitted_rate": self.fitted_rate,
-                "prefactor_at_rate": self.prefactor_at_rate,
-                "certificate": self.certificate.to_dict()}
+    def constants(self):
+        return {"rate": self.certificate.level, "C_lambda": self.prefactor_at_rate,
+                "fitted_rate": self.fitted_rate}
 
 
 def verify_decay_from_resolvent(op, space: WeightedSpace, report: SpectralReport,
@@ -130,6 +121,9 @@ class ConverseReport:
     laplace_max_ratio: float
     commutation_defect: float
     z_samples: np.ndarray | None = None
+
+    def constants(self):
+        return {"laplace_max_ratio": self.laplace_max_ratio}
 
 
 def verify_resolvent_from_decay(op, space: WeightedSpace,

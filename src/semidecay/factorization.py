@@ -273,6 +273,7 @@ class FactorizationReport:
     samples: np.ndarray
     identity_residuals: np.ndarray
     inverse_mismatches: np.ndarray
+    witness = None
 
     @property
     def verdict(self):
@@ -280,7 +281,7 @@ class FactorizationReport:
                   and self.max_inverse_mismatch <= INVERSE_MISMATCH_LIMIT)
         return PASS if passed else FAIL
 
-    def to_dict(self):
+    def constants(self):
         return {"max_identity_residual": self.max_identity_residual,
                 "max_inverse_mismatch": self.max_inverse_mismatch,
                 "n_samples": int(len(self.samples))}
@@ -333,11 +334,6 @@ class InjectivityReport:
     b_action_small_norm: float | None = None
     note: str | None = None
 
-    def to_dict(self):
-        return {"passed": self.passed, "sigma_min": self.sigma_min,
-                "floor": self.floor, "note": self.note,
-                "b_action_small_norm": self.b_action_small_norm}
-
 
 def injectivity_check(split: SplitOperator, pair: EmbeddedSpacePair, xi: complex,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> InjectivityReport:
@@ -385,12 +381,13 @@ class BoundChainReport:
     samples: np.ndarray
     chain_values: np.ndarray
     direct_values: np.ndarray
+    witness = None
 
     @property
     def verdict(self):
         return PASS if self.dominated else FAIL
 
-    def to_dict(self):
+    def constants(self):
         return {"certified_bound": self.certified_bound,
                 "direct_sup": self.direct_sup, "dominated": self.dominated,
                 "n_samples": int(len(self.samples))}

@@ -26,6 +26,7 @@ from .errors import (AssemblyError, DomainTooSmallError,
                      InfeasibleParameterError, InsufficientSignalError,
                      MagnitudeGuardError)
 from .hypotheses import H2Report, check_h2
+from .reports import FAIL, INDETERMINATE, PASS
 from .semigroup import (DecayFit, envelope_prefactor, fit_exponential_decay,
                         step_trajectory)
 from .spaces import WeightedSpace
@@ -315,7 +316,8 @@ class FPDiscretization:
 
     The generator is kept sparse; ``dense_generator`` materializes it for
     the dense linear-algebra paths (guarded by size). All boundary fluxes
-    are zeroed (zero-flux on every face of the box).
+    are zeroed (zero-flux on every face of the box). As the assembly check
+    it passes: assembly raises on a defect.
     """
 
     grid: FPGrid
@@ -327,6 +329,8 @@ class FPDiscretization:
     mu: np.ndarray                 # equilibrium node values, unit discrete mass
     space_small: WeightedSpace     # weights mu^{-1}
     space_ambient: WeightedSpace   # weights theta(U)
+    verdict = PASS
+    witness = None
 
     @classmethod
     def build(cls, grid: FPGrid, potential, weight: EnlargedWeight,
@@ -353,6 +357,9 @@ class FPDiscretization:
     def generator(self) -> sp.csr_matrix:
         return (self.sym + self.skew).tocsr()
 
+    def constants(self):
+        return {"n": self.grid.n_total, "h": self.grid.h}
+
     def dense_generator(self) -> np.ndarray:
         if self.grid.n_total > _DENSE_LIMIT:
             raise MagnitudeGuardError(
@@ -373,11 +380,6 @@ class GapReport:
     leading: float
     gap_eigenvector_alignment: float
     n: int
-
-    def to_dict(self):
-        return {"lambda_gap": self.lambda_gap, "leading": self.leading,
-                "gap_eigenvector_alignment": self.gap_eigenvector_alignment,
-                "n": self.n}
 
 
 def _similarity(matrix: sp.spmatrix, log_w: np.ndarray) -> sp.csr_matrix:
@@ -491,6 +493,17 @@ class DecompositionResult:
         part_a = sp.diags(self.part_a_diagonal).tocsr()
         return gen, part_a, (gen - part_a).tocsr()
 
+    @property
+    def verdict(self):
+        return PASS if self.found else FAIL
+
+    @property
+    def witness(self):
+        return None if self.found else f"no (M, R) reached {self.target} in the search box"
+
+    def constants(self):
+        return {"M": self.M, "R": self.R, "achieved": self.achieved} if self.found else {}
+
     def to_dict(self):
         return {"found": self.found, "M": self.M, "R": self.R,
                 "achieved": self.achieved, "target": self.target,
@@ -558,7 +571,8 @@ class DecayExperimentResult:
     ``fit`` is the free-fitted certified envelope of the relative ambient
     deviation; ``pinned`` certifies the envelope at a caller-requested
     rate when one is given. ``equilibrium`` marks a deviation that never
-    left the noise floor (the fit is then None).
+    left the noise floor (the fit is then None). The check passes for an
+    equilibrium or a negative fitted rate; without a fit it is indeterminate.
     """
 
     times: np.ndarray
@@ -569,6 +583,26 @@ class DecayExperimentResult:
     fit: DecayFit | None
     pinned: DecayFit | None
     equilibrium: bool
+
+    @property
+    def verdict(self):
+        if self.fit is None:
+            return PASS if self.equilibrium else INDETERMINATE
+        return PASS if self.fit.rate < 0.0 else FAIL
+
+    @property
+    def witness(self):
+        if self.verdict == INDETERMINATE:
+            return "deviation fell below the signal floor"
+        return None
+
+    def constants(self):
+        if self.fit is None:
+            return {"equilibrium": True} if self.equilibrium else {}
+        out = {"rate": self.fit.rate, "C": self.fit.prefactor}
+        if self.pinned is not None:
+            out.update(pinned_rate=self.pinned.rate, pinned_C=self.pinned.prefactor)
+        return out
 
     def to_dict(self):
         out = {"scheme": self.scheme, "equilibrium": self.equilibrium,
@@ -659,6 +693,34 @@ def resolvent_scan_fp(disc: FPDiscretization, space: WeightedSpace, a: float,
     """
     return check_h2(disc.dense_generator(), a, space, y_grid=y_grid, tol=tol,
                     eigvals=eigvals)
+
+
+@dataclass
+class ResolventScans:
+    """Both resolvent scans of one generator along ``Re z = a``: they pass
+    iff both certificates closed, else the witness names each open scan."""
+
+    small: H2Report
+    ambient: H2Report
+    a: float
+
+    def named(self):
+        return (("scan_small", self.small), ("scan_ambient", self.ambient))
+
+    @property
+    def witness(self):
+        open_scans = [f"{name}: {scan.witness}" for name, scan in self.named()
+                      if scan.witness is not None]
+        return "; ".join(open_scans) or None
+
+    @property
+    def verdict(self):
+        return INDETERMINATE if self.witness else PASS
+
+    def constants(self):
+        return {"K_small": self.small.bound, "K_ambient": self.ambient.bound,
+                "K_small_certified": self.small.certified_bound,
+                "K_ambient_certified": self.ambient.certified_bound, "a": self.a}
 
 
 def build_problem(problem: FPProblem) -> FPDiscretization:

@@ -5,7 +5,8 @@ isolated eigenvalue groups), H2 bounds the resolvent uniformly on that
 line, H3 bounds the semigroup growth, and H4 certifies the splitting
 T = A + B on the enlarged space. Verdicts are three-valued: eigenvalues
 within the boundary margin of a decision line yield ``indeterminate``
-rather than a coerced pass or fail.
+rather than a coerced pass or fail. Each report exposes ``verdict``,
+``witness`` and ``constants()``, the entry a run report records for it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ class H1Report:
     witness: str | None
     spectral: SpectralReport
 
-    @property
-    def passed(self):
-        return self.verdict == PASS
+    def constants(self):
+        spectral = self.spectral
+        return {"k": len(spectral.discrete_eigs), "discrete_eigs": spectral.discrete_eigs,
+                "a": spectral.half_plane_abscissa, "r": spectral.isolation_radius}
 
     def to_dict(self):
         return {"verdict": self.verdict, "witness": self.witness,
@@ -174,8 +176,10 @@ class H2Report:
     Lipschitz certificate could not close are listed in
     ``uncertified_segments``. The verdict passes only when the certificate
     closed: ``certified_bound`` finite and no segment left uncertified;
-    otherwise it is indeterminate. ``spectrum`` holds the eigenvalues of
-    the scanned operator for another scan of it (not serialized).
+    otherwise it is indeterminate, and the witness gives the certified
+    bound and the number of open segments. ``spectrum`` holds the
+    eigenvalues of the scanned operator for another scan of it (not
+    serialized).
     """
 
     bound: float
@@ -193,6 +197,16 @@ class H2Report:
     def verdict(self):
         closed = np.isfinite(self.certified_bound) and not self.uncertified_segments
         return PASS if closed else INDETERMINATE
+
+    @property
+    def witness(self):
+        if self.verdict == PASS:
+            return None
+        return (f"certified bound {self.certified_bound:.6e}, "
+                f"{len(self.uncertified_segments)} uncertified segments")
+
+    def constants(self):
+        return {"K": self.bound, "K_certified": self.certified_bound}
 
     def to_dict(self):
         return {"bound": self.bound, "certified_bound": self.certified_bound,
@@ -449,11 +463,15 @@ class H3Report:
     fit: DecayFit
     t_grid: np.ndarray
     norms: np.ndarray
+    witness = None
 
     @property
     def verdict(self):
         finite = np.isfinite(self.fit.prefactor) and np.isfinite(self.fit.rate)
         return PASS if finite else INDETERMINATE
+
+    def constants(self):
+        return {"C_b": self.fit.prefactor, "b": self.fit.rate}
 
     def to_dict(self):
         return {"C_b": self.fit.prefactor, "b": self.fit.rate,
@@ -534,11 +552,7 @@ class H4Report:
     ceiling: float
     sweep: ShiftSweep | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def passed(self):
-        return self.verdict == PASS
-
-    def to_dict(self):
+    def constants(self):
         return {"verdict": self.verdict, "witness": self.witness,
                 "sup_b_inverse": self.sup_b_inverse,
                 "sup_a_b_inverse": self.sup_a_b_inverse,
@@ -581,39 +595,3 @@ def check_h4(split, pair: EmbeddedSpacePair, a: float, r: float, xi_list,
                         sup_b, sup_ab, sup_ba, samples, rows, tol.h4_ceiling, sweep)
     return H4Report(PASS, None, sup_b, sup_ab, sup_ba, samples, rows, tol.h4_ceiling,
                     sweep)
-
-
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class HypothesisReport:
-    """Aggregate of the four checks, JSON-serializable with a stable schema."""
-
-    h1: H1Report | None = None
-    h2: H2Report | None = None
-    h3: H3Report | None = None
-    h4: H4Report | None = None
-    schema_version: int = 1
-
-    @property
-    def all_passed(self):
-        parts = []
-        if self.h1 is not None:
-            parts.append(self.h1.verdict == PASS)
-        if self.h2 is not None:
-            parts.append(self.h2.verdict == PASS)
-        if self.h3 is not None:
-            parts.append(self.h3.verdict == PASS)
-        if self.h4 is not None:
-            parts.append(self.h4.verdict == PASS)
-        return bool(parts) and all(parts)
-
-    def to_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "h1": None if self.h1 is None else self.h1.to_dict(),
-            "h2": None if self.h2 is None else self.h2.to_dict(),
-            "h3": None if self.h3 is None else self.h3.to_dict(),
-            "h4": None if self.h4 is None else self.h4.to_dict(),
-        }

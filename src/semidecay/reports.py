@@ -3,6 +3,8 @@
 A report echoes the effective configuration (defaults included, so it is
 self-reproducing), carries per-check verdicts with witnesses or the
 certified constants backing them, and lists every artifact written.
+Every check result exposes ``verdict``, ``witness`` (a string or None) and
+``constants()``; :meth:`RunReport.add_check` is the one writer of verdicts.
 JSON output is deterministic up to the timestamp field, which comparers
 must exclude.
 """
@@ -58,10 +60,12 @@ class RunReport:
     artifacts: list = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
 
-    def add_verdict(self, name: str, verdict: str, witness=None, constants=None):
-        entry = {"verdict": verdict}
-        if witness is not None:
-            entry["witness"] = witness
+    def add_check(self, name: str, check):
+        """Record ``check``'s verdict, witness and constants under ``name``."""
+        entry = {"verdict": check.verdict}
+        if check.witness is not None:
+            entry["witness"] = check.witness
+        constants = check.constants()
         if constants:
             entry["constants"] = _jsonable(constants)
         self.verdicts[name] = entry
@@ -93,6 +97,26 @@ class RunReport:
             fh.write("\n")
         self.artifacts.append(os.path.basename(str(path)))
         return str(path)
+
+
+class RaisedCheck:
+    """A check that raised before it could decide: indeterminate, with the
+    error's message as witness; it serializes to None (null in details)."""
+
+    verdict = INDETERMINATE
+
+    def __init__(self, error: Exception):
+        self.witness = str(error)
+
+    def constants(self):
+        return {}
+
+    def to_dict(self):
+        return None
+
+
+def passes(check) -> bool:
+    return check.verdict == PASS
 
 
 def load_report(path) -> dict:

@@ -12,21 +12,21 @@ import os
 import numpy as np
 
 from . import matio
-from .config import RunConfig
+from .config import SCHEMA_VERSION, RunConfig
 from .equivalence import verify_decay_from_resolvent, verify_resolvent_from_decay
 from .errors import ConfigError, SingularityError
 from .factorization import enlargement_bound_chain, verify_factorization
-from .fokker_planck import (build_problem, decay_experiment, find_decomposition,
-                            initial_datum, resolvent_scan_fp, spectral_gap_H)
-from .hypotheses import (FAIL, INDETERMINATE, PASS, HypothesisReport,
-                         check_h1, check_h2, check_h3, check_h4,
-                         sample_xi_region)
+from .fokker_planck import (ResolventScans, build_problem, decay_experiment,
+                            find_decomposition, initial_datum, resolvent_scan_fp,
+                            spectral_gap_H)
+from .hypotheses import check_h1, check_h2, check_h3, check_h4, sample_xi_region
 from .instances import GeneratedInstance, generate_instance, load_instance, save_instance
-from .reports import (EXIT_CHECKS_FAILED, EXIT_INFEASIBLE, EXIT_OK, RunReport)
+from .reports import (EXIT_CHECKS_FAILED, EXIT_INFEASIBLE, EXIT_OK, RaisedCheck,
+                      RunReport, passes)
 
 
-def _check_instance(instance: GeneratedInstance, tol, thin_samples=False):
-    """Run the full check chain on one instance; returns a result dict."""
+def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dict:
+    """Run the full check chain on one instance: check name -> result."""
     split, pair, cert = instance.split, instance.pair, instance.certificate
     a, r, xis = cert.a, cert.r, list(cert.xi)
 
@@ -35,7 +35,7 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False):
         h2 = check_h2(split.full, a, pair.small, tol=tol)
         h1.spectral.resolvent_bound = h2.bound
     except SingularityError as exc:
-        h2 = exc
+        h2 = RaisedCheck(exc)
     h3 = check_h3(split.full, pair.ambient, tol=tol)
     if thin_samples:
         samples = sample_xi_region(a, r, xis, n_line=9, n_circle=8,
@@ -43,58 +43,37 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False):
     else:
         samples = sample_xi_region(a, r, xis)
     h4 = check_h4(split, pair, a, r, xis, samples=samples, tol=tol)
-    fact = verify_factorization(split, pair, samples, tol=tol, sweep=h4.sweep)
-    chain = enlargement_bound_chain(split, pair, samples, tol=tol, sweep=h4.sweep)
-
-    transfer = None
-    converse = None
-    if h1.passed:
+    checks = {"h1": h1, "h2": h2, "h3": h3, "h4": h4,
+              "factorization": verify_factorization(split, pair, samples, tol=tol,
+                                                    sweep=h4.sweep),
+              "bound_chain": enlargement_bound_chain(split, pair, samples, tol=tol,
+                                                     sweep=h4.sweep)}
+    if passes(h1):
         rate = 0.5 * a    # strictly above a, still negative
-        spectral = h1.spectral
         transfer = verify_decay_from_resolvent(split.full, pair.ambient,
-                                               spectral, rate, tol=tol)
-        converse = verify_resolvent_from_decay(split.full, pair.ambient,
-                                               transfer.certificate, tol=tol)
-    return {"h1": h1, "h2": h2, "h3": h3, "h4": h4, "factorization": fact,
-            "chain": chain, "transfer": transfer, "converse": converse,
-            "certificate": cert}
+                                               h1.spectral, rate, tol=tol)
+        checks["decay_transfer"] = transfer
+        checks["converse"] = verify_resolvent_from_decay(
+            split.full, pair.ambient, transfer.certificate, tol=tol)
+    return checks
 
 
-def _instance_verdicts(report: RunReport, seed: int, result: dict):
-    prefix = f"seed_{seed}"
-    h1, h2, h3, h4 = result["h1"], result["h2"], result["h3"], result["h4"]
-    report.add_verdict(f"{prefix}.h1", h1.verdict, witness=h1.witness,
-                       constants={"k": len(h1.spectral.discrete_eigs),
-                                  "discrete_eigs": h1.spectral.discrete_eigs,
-                                  "a": h1.spectral.half_plane_abscissa,
-                                  "r": h1.spectral.isolation_radius})
-    if isinstance(h2, SingularityError):
-        report.add_verdict(f"{prefix}.h2", INDETERMINATE, witness=str(h2))
-    else:
-        report.add_verdict(f"{prefix}.h2", h2.verdict,
-                           constants={"K": h2.bound, "K_certified": h2.certified_bound})
-    report.add_verdict(f"{prefix}.h3", h3.verdict,
-                       constants={"C_b": h3.fit.prefactor, "b": h3.fit.rate})
-    report.add_verdict(f"{prefix}.h4", h4.verdict, witness=h4.witness,
-                       constants=h4.to_dict())
-    report.details[f"{prefix}.hypotheses"] = HypothesisReport(
-        h1=h1, h2=None if isinstance(h2, SingularityError) else h2,
-        h3=h3, h4=h4).to_dict()
-    fact, chain = result["factorization"], result["chain"]
-    report.add_verdict(f"{prefix}.factorization", fact.verdict,
-                       constants=fact.to_dict())
-    report.add_verdict(f"{prefix}.bound_chain", chain.verdict,
-                       constants=chain.to_dict())
-    if result["transfer"] is not None:
-        tr = result["transfer"]
-        report.add_verdict(f"{prefix}.decay_transfer", tr.verdict,
-                           constants={"rate": tr.certificate.level,
-                                      "C_lambda": tr.prefactor_at_rate,
-                                      "fitted_rate": tr.fitted_rate})
-    if result["converse"] is not None:
-        cv = result["converse"]
-        report.add_verdict(f"{prefix}.converse", cv.verdict, witness=cv.witness,
-                           constants={"laplace_max_ratio": cv.laplace_max_ratio})
+def _instance_verdicts(report: RunReport, label, checks: dict):
+    prefix = f"seed_{label}"
+    for name, check in checks.items():
+        report.add_check(f"{prefix}.{name}", check)
+    h1, h2, h3, h4 = (checks[name] for name in ("h1", "h2", "h3", "h4"))
+    report.details[f"{prefix}.hypotheses"] = {
+        "schema_version": SCHEMA_VERSION, "h1": h1.to_dict(), "h2": h2.to_dict(),
+        "h3": h3.to_dict(), "h4": h4.constants()}
+
+
+def _finish(report: RunReport, config: RunConfig, code=None) -> tuple[RunReport, int]:
+    """Write ``report.json``; exit with ``code``, else by the verdicts."""
+    report.write(os.path.join(config.out_dir, "report.json"))
+    if code is None:
+        code = EXIT_OK if report.all_passed else EXIT_CHECKS_FAILED
+    return report, code
 
 
 def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
@@ -106,7 +85,7 @@ def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
     if config.command == "enlarge-check" or config.instance_path:
         if not config.instance_path:
             raise ConfigError("enlarge-check requires instance_path")
-        instances = [(None, load_instance(config.instance_path))]
+        instances = [("loaded", load_instance(config.instance_path))]
     else:
         spec = config.instance
         seeds = list(range(config.seed, config.seed + config.n_seeds))
@@ -116,12 +95,10 @@ def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
 
     results = [_check_instance(instance, tol, thin_samples=config.n_seeds > 4)
                for _, instance in instances]
+    for (label, _), checks in zip(instances, results):
+        _instance_verdicts(report, label, checks)
 
-    for (seed, instance), result in zip(instances, results):
-        label = seed if seed is not None else "loaded"
-        _instance_verdicts(report, label, result)
-
-    chains = [res["chain"] for res in results]
+    chains = [checks["bound_chain"] for checks in results]
     report.constants["max_certified_bound"] = max(
         (c.certified_bound for c in chains), default=0.0)
     report.constants["domination_violations"] = sum(
@@ -131,11 +108,7 @@ def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
         inst_dir = os.path.join(config.out_dir, "instance")
         manifest = save_instance(instances[0][1], inst_dir)
         report.artifacts.append(os.path.relpath(manifest, config.out_dir))
-
-    report.write(os.path.join(config.out_dir, "report.json"))
-    if report.all_passed:
-        return report, EXIT_OK
-    return report, EXIT_CHECKS_FAILED
+    return _finish(report, config)
 
 
 def run_fp(config: RunConfig) -> tuple[RunReport, int]:
@@ -160,8 +133,7 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
     # rate bound; the mirrored reading is recorded alongside, not chosen silently
     report.constants["rate_window"] = {"used": [lam_p, 0.0],
                                        "mirrored": [-lam_p, 0.0]}
-    report.add_verdict("assembly", PASS,
-                       constants={"n": disc.grid.n_total, "h": disc.grid.h})
+    report.add_check("assembly", disc)
 
     if config.write_operators:
         path = os.path.join(config.out_dir, "generator.mtx")
@@ -169,44 +141,29 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
         report.artifacts.append(os.path.basename(path))
 
     if config.command == "fp-spectrum":
-        report.write(os.path.join(config.out_dir, "report.json"))
-        return report, EXIT_OK if report.all_passed else EXIT_CHECKS_FAILED
+        return _finish(report, config)
 
     target_a = problem.target_a if problem.target_a is not None else 0.5 * lam_p
     decomp = find_decomposition(disc, target_a)
     report.constants["decomposition"] = decomp.to_dict()
+    report.add_check("decomposition", decomp)
     if not decomp.found:
-        report.add_verdict("decomposition", FAIL,
-                           witness=f"no (M, R) reached {target_a} in the search box")
-        report.write(os.path.join(config.out_dir, "report.json"))
-        return report, EXIT_INFEASIBLE
-    report.add_verdict("decomposition", PASS,
-                       constants={"M": decomp.M, "R": decomp.R,
-                                  "achieved": decomp.achieved})
+        return _finish(report, config, EXIT_INFEASIBLE)
 
     if config.command == "fp-resolvent-scan":
         a_line = 0.5 * lam_p
-        scan_small = resolvent_scan_fp(disc, disc.space_small, a_line, tol=tol)
-        scan_ambient = resolvent_scan_fp(disc, disc.space_ambient, a_line, tol=tol,
-                                         eigvals=scan_small.spectrum)
-        report.constants["K_small"] = scan_small.bound
-        report.constants["K_ambient"] = scan_ambient.bound
-        scans = (("scan_small", scan_small), ("scan_ambient", scan_ambient))
-        open_scans = [f"{name}: certified bound {scan.certified_bound:.6e}, "
-                      f"{len(scan.uncertified_segments)} uncertified segments"
-                      for name, scan in scans if scan.verdict != PASS]
-        report.add_verdict("resolvent_scan",
-                           INDETERMINATE if open_scans else PASS,
-                           witness="; ".join(open_scans) or None,
-                           constants={"K_small": scan_small.bound,
-                                      "K_ambient": scan_ambient.bound,
-                                      "a": a_line})
-        for name, scan in scans:
+        small = resolvent_scan_fp(disc, disc.space_small, a_line, tol=tol)
+        scans = ResolventScans(small, resolvent_scan_fp(disc, disc.space_ambient, a_line,
+                                                        tol=tol, eigvals=small.spectrum),
+                               a_line)
+        report.constants["K_small"] = scans.small.bound
+        report.constants["K_ambient"] = scans.ambient.bound
+        report.add_check("resolvent_scan", scans)
+        for name, scan in scans.named():
             path = os.path.join(config.out_dir, f"{name}.csv")
             matio.write_csv(path, ["y", "resolvent_norm"], [scan.y_grid, scan.norms])
             report.artifacts.append(os.path.basename(path))
-        report.write(os.path.join(config.out_dir, "report.json"))
-        return report, EXIT_OK if report.all_passed else EXIT_CHECKS_FAILED
+        return _finish(report, config)
 
     # fp-decay
     f0 = initial_datum(disc, problem.initial_data)
@@ -219,17 +176,5 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
                      result.deviation_ambient, result.mass])
     report.artifacts.append(os.path.basename(path))
     report.constants["decay"] = result.to_dict()
-    if result.equilibrium:
-        report.add_verdict("decay", PASS, constants={"equilibrium": True})
-    elif result.fit is None:
-        report.add_verdict("decay", INDETERMINATE,
-                           witness="deviation fell below the signal floor")
-    else:
-        negative = result.fit.rate < 0.0
-        report.add_verdict("decay", PASS if negative else FAIL,
-                           constants={"rate": result.fit.rate,
-                                      "C": result.fit.prefactor,
-                                      "pinned_rate": lam_p,
-                                      "pinned_C": result.pinned.prefactor})
-    report.write(os.path.join(config.out_dir, "report.json"))
-    return report, EXIT_OK if report.all_passed else EXIT_CHECKS_FAILED
+    report.add_check("decay", result)
+    return _finish(report, config)

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semidecay import runner
+from semidecay import fokker_planck, runner
 from semidecay.cli import main
 from semidecay.config import RunConfig
+from semidecay.errors import InsufficientSignalError, SingularityError
 from semidecay.reports import RunReport, load_report, reports_equal
 
 BASE_TESTBED = {
@@ -194,6 +195,51 @@ def test_infeasible_decomposition_gives_exit_three(tmp_path):
     report = load_report(tmp_path / "out" / "report.json")
     # the frontier of best-achieved values ships with the failure
     assert report["constants"]["decomposition"]["frontier"]
+    assert report["verdicts"]["decomposition"] == {
+        "verdict": "fail", "witness": "no (M, R) reached -50.0 in the search box"}
+    assert report["details"] == {}
+
+
+def test_singular_h2_line_is_indeterminate(tmp_path, monkeypatch):
+    exc = SingularityError("eigenvalue (-0.75+0j) lies on the scan line Re z = -0.75")
+
+    def singular(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(runner, "check_h2", singular)
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg]) == 2
+    report = load_report(tmp_path / "out" / "report.json")
+    assert report["verdicts"]["seed_1.h2"] == {"verdict": "indeterminate",
+                                               "witness": str(exc)}
+    assert report["details"]["seed_1.hypotheses"]["h2"] is None
+    assert report["details"]["seed_1.hypotheses"]["h1"]["spectral"]["resolvent_bound"] is None
+    assert report["verdicts"]["seed_1.h1"]["verdict"] == "pass"
+
+
+def test_equilibrium_initial_data_passes_decay(tmp_path):
+    cfg_map = json.loads(json.dumps(BASE_FP))
+    cfg_map["problem"]["initial_data"] = "equilibrium"
+    cfg_map["out_dir"] = str(tmp_path / "out")
+    cfg = write_config(tmp_path, cfg_map)
+    assert main(["fp-decay", "--config", cfg]) == 0
+    report = load_report(tmp_path / "out" / "report.json")
+    assert report["verdicts"]["decay"] == {"verdict": "pass",
+                                           "constants": {"equilibrium": True}}
+    assert report["details"] == {}
+
+
+def test_decay_below_the_signal_floor_is_indeterminate(tmp_path, monkeypatch):
+    def no_signal(*args, **kwargs):
+        raise InsufficientSignalError("only 1 samples above the floor")
+
+    monkeypatch.setattr(fokker_planck, "fit_exponential_decay", no_signal)
+    cfg = write_config(tmp_path, {**BASE_FP, "out_dir": str(tmp_path / "out")})
+    assert main(["fp-decay", "--config", cfg]) == 2
+    report = load_report(tmp_path / "out" / "report.json")
+    assert report["verdicts"]["decay"] == {
+        "verdict": "indeterminate", "witness": "deviation fell below the signal floor"}
+    assert report["details"] == {}
 
 
 def test_abscissa_on_spectrum_reports_indeterminate(tmp_path):
@@ -289,6 +335,14 @@ def test_resolvent_scan_verdict_needs_both_certificates(tmp_path, monkeypatch):
     closed = load_report(tmp_path / "closed" / "report.json")
     assert closed["verdicts"]["resolvent_scan"]["verdict"] == "pass"
     assert "witness" not in closed["verdicts"]["resolvent_scan"]
+    # the certified bounds the verdict rests on are printed beside the grid maxima
+    constants = closed["verdicts"]["resolvent_scan"]["constants"]
+    assert set(constants) == {"K_small", "K_ambient", "K_small_certified",
+                              "K_ambient_certified", "a"}
+    for space in ("small", "ambient"):
+        assert constants[f"K_{space}"] == closed["constants"][f"K_{space}"]
+        assert np.isfinite(constants[f"K_{space}_certified"])
+        assert constants[f"K_{space}_certified"] >= constants[f"K_{space}"]
 
     # a three-point grid on the small-space scan stops short of the Neumann
     # tail, so its certificate cannot close
@@ -305,6 +359,28 @@ def test_resolvent_scan_verdict_needs_both_certificates(tmp_path, monkeypatch):
     assert entry["verdict"] == "indeterminate"
     assert entry["witness"].startswith("scan_small: certified bound inf")
     assert "scan_ambient" not in entry["witness"]
+    assert entry["constants"]["K_small_certified"] == "inf"
+    assert entry["constants"]["K_ambient_certified"] == constants["K_ambient_certified"]
+
+
+def test_open_h2_certificate_carries_its_witness(tmp_path, monkeypatch):
+    check_h2 = runner.check_h2
+
+    def shallow(op, a, space=None, tol=None):
+        return check_h2(op, a, space, tol=tol, max_refine_depth=1)
+
+    monkeypatch.setattr(runner, "check_h2", shallow)
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "out_dir": str(tmp_path / "out"),
+                                  "instance": {**BASE_TESTBED["instance"], "n": 16}})
+    assert main(["testbed", "--config", cfg]) == 2
+    report = load_report(tmp_path / "out" / "report.json")
+    entry = report["verdicts"]["seed_1.h2"]
+    h2 = report["details"]["seed_1.hypotheses"]["h2"]
+    assert h2["n_uncertified_segments"] > 0
+    assert entry == {"verdict": "indeterminate",
+                     "witness": f"certified bound {h2['certified_bound']:.6e}, "
+                                f"{h2['n_uncertified_segments']} uncertified segments",
+                     "constants": {"K": h2["bound"], "K_certified": h2["certified_bound"]}}
 
 
 def test_non_finite_h3_fit_is_indeterminate(tmp_path, monkeypatch):

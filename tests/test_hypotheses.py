@@ -11,9 +11,8 @@ from semidecay import hypotheses
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential, SwirlField, find_decomposition,
                                      spectral_gap_H)
-from semidecay.hypotheses import (FAIL, INDETERMINATE, PASS, HypothesisReport,
-                                  check_h1, check_h2, check_h3, check_h4,
-                                  make_y_grid, sample_xi_region)
+from semidecay.hypotheses import (FAIL, INDETERMINATE, PASS, check_h1, check_h2,
+                                  check_h3, check_h4, make_y_grid, sample_xi_region)
 from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
                               weighted_congruence)
 from semidecay.spectral import resolvent_matrix
@@ -56,8 +55,9 @@ class TestH2:
         assert report.bound == pytest.approx(2.0, rel=1e-12)
         assert report.argmax_y == 0.0
         assert report.certified_bound >= report.bound
-        assert report.verdict == PASS
-        assert HypothesisReport(h2=report).all_passed
+        assert report.verdict == PASS and report.witness is None
+        assert report.constants() == {"K": report.bound,
+                                      "K_certified": report.certified_bound}
 
     def test_uncertified_segments_are_indeterminate(self):
         # the sampled maximum is finite, but depth-1 bisection leaves
@@ -67,7 +67,8 @@ class TestH2:
         assert np.isfinite(report.bound)
         assert len(report.uncertified_segments) == 58
         assert report.verdict == INDETERMINATE
-        assert not HypothesisReport(h2=report).all_passed
+        assert report.witness == (f"certified bound {report.certified_bound:.6e}, "
+                                  "58 uncertified segments")
 
     def test_normal_operator_bound_is_inverse_distance(self, rng):
         lams = np.array([0.5 + 2j, -1.0 - 1j, -2.0 + 0.5j])
@@ -286,11 +287,10 @@ class TestH3:
     @pytest.mark.parametrize("prefactor,rate", [(np.inf, -0.1), (1.0, np.nan)])
     def test_non_finite_fit_is_indeterminate(self, prefactor, rate):
         report = check_h3(np.diag([0.0, -1.0]))
-        assert report.verdict == PASS and HypothesisReport(h3=report).all_passed
+        assert report.verdict == PASS
         broken = replace(report, fit=replace(report.fit, prefactor=prefactor,
                                              rate=rate))
         assert broken.verdict == INDETERMINATE
-        assert not HypothesisReport(h3=broken).all_passed
 
     def test_shift_moves_rate_exactly(self):
         t_mat = np.diag([0.0, -1.0])
