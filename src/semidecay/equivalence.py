@@ -52,7 +52,13 @@ class DecayTransferReport:
     certificate: DecayCertificate
     t_grid: np.ndarray
     deviation_norms: np.ndarray
-    witness = None
+
+    @property
+    def witness(self):
+        if self.verdict == PASS:
+            return None
+        return (f"fitted rate {self.fitted_rate:.6e} exceeds the requested rate "
+                f"{self.certificate.level:.6e}")
 
     def constants(self):
         return {"rate": self.certificate.level, "C_lambda": self.prefactor_at_rate,

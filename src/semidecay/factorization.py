@@ -273,13 +273,24 @@ class FactorizationReport:
     samples: np.ndarray
     identity_residuals: np.ndarray
     inverse_mismatches: np.ndarray
-    witness = None
 
     @property
     def verdict(self):
-        passed = (self.max_identity_residual <= IDENTITY_RESIDUAL_LIMIT
-                  and self.max_inverse_mismatch <= INVERSE_MISMATCH_LIMIT)
-        return PASS if passed else FAIL
+        return FAIL if self.witness else PASS
+
+    @property
+    def witness(self):
+        """The first residual maximum over its limit, with the sample attaining
+        it, or None."""
+        for label, worst, values, limit in (
+                ("identity residual", self.max_identity_residual,
+                 self.identity_residuals, IDENTITY_RESIDUAL_LIMIT),
+                ("inverse mismatch", self.max_inverse_mismatch,
+                 self.inverse_mismatches, INVERSE_MISMATCH_LIMIT)):
+            if not worst <= limit:
+                xi = complex(self.samples[np.argmax(values)])
+                return f"{label} {worst:.3e} exceeds {limit:.0e} at xi = {xi}"
+        return None
 
     def constants(self):
         return {"max_identity_residual": self.max_identity_residual,
@@ -329,7 +340,6 @@ class InjectivityReport:
 
     passed: bool
     sigma_min: float
-    floor: float
     null_vector: np.ndarray | None = None
     b_action_small_norm: float | None = None
     note: str | None = None
@@ -345,7 +355,7 @@ def injectivity_check(split: SplitOperator, pair: EmbeddedSpacePair, xi: complex
     _, sv, vh = np.linalg.svd(scaled)
     sigma_min = float(sv[-1])
     if sigma_min > tol.injectivity_floor:
-        return InjectivityReport(True, sigma_min, tol.injectivity_floor)
+        return InjectivityReport(True, sigma_min)
     # near-null vector in the original coordinates
     g = vh[-1].conj() / amb.scaling()
     g = g / weighted_norm(g, amb)
@@ -361,8 +371,14 @@ def injectivity_check(split: SplitOperator, pair: EmbeddedSpacePair, xi: complex
                 "invertibility of B - xi on the small space is what must fail")
     else:
         note = "B(xi) g has no small-space control; the mixed bound assumption fails"
-    return InjectivityReport(False, sigma_min, tol.injectivity_floor,
+    return InjectivityReport(False, sigma_min,
                              null_vector=g, b_action_small_norm=small_norm, note=note)
+
+
+def _dominates(chain, direct):
+    """Per sample, whether the chain value covers the direct one (up to a
+    relative rounding slack of 1e-12)."""
+    return chain >= direct * (1.0 - 1e-12)
 
 
 @dataclass
@@ -381,11 +397,19 @@ class BoundChainReport:
     samples: np.ndarray
     chain_values: np.ndarray
     direct_values: np.ndarray
-    witness = None
 
     @property
     def verdict(self):
         return PASS if self.dominated else FAIL
+
+    @property
+    def witness(self):
+        """The first sample where the chain falls below the direct value."""
+        if self.dominated:
+            return None
+        i = int(np.argmax(~_dominates(self.chain_values, self.direct_values)))
+        return (f"chain {self.chain_values[i]:.6e} < direct {self.direct_values[i]:.6e} "
+                f"at xi = {complex(self.samples[i])}")
 
     def constants(self):
         return {"certified_bound": self.certified_bound,
@@ -406,7 +430,7 @@ def enlargement_bound_chain(split: SplitOperator, pair: EmbeddedSpacePair,
     chain = (sweep.b_inverse
              + pair.embedding_constant * sweep.resolvent_small * sweep.a_b_inverse)
     direct = sweep.resolvent.copy()
-    dominated = bool(np.all(chain >= direct * (1.0 - 1e-12)))
+    dominated = bool(np.all(_dominates(chain, direct)))
     return BoundChainReport(
         certified_bound=float(np.max(chain)) if len(chain) else 0.0,
         direct_sup=float(np.max(direct)) if len(direct) else 0.0,

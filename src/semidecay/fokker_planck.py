@@ -14,6 +14,7 @@ properties hold in any dimension because assembly works face by face.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,9 +110,6 @@ class EnlargedWeight:
         if self.kind == "polynomial":
             return (1.0 + u**2) ** (self.k / 2.0)
         return np.exp((1.0 + u**2) ** (self.k / 2.0))
-
-    def inverse_weight(self, potential, *coords):
-        return self.theta(potential.value(*coords))
 
 
 @dataclass(frozen=True)
@@ -393,6 +391,15 @@ def _similarity(matrix: sp.spmatrix, log_w: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((data, (coo.row, coo.col)), shape=matrix.shape).tocsr()
 
 
+def _shift_above(sym) -> float:
+    """A shift above the spectrum of a symmetric sparse matrix: its
+    Gershgorin top (clipped at 0) plus one. Subtracting a nonnegative
+    diagonal lowers every Gershgorin disc, so the shift stays above."""
+    abs_row_sums = np.asarray(abs(sym).sum(axis=1)).ravel()
+    diag = sym.diagonal()
+    return max(float(np.max(diag + (abs_row_sums - np.abs(diag)))), 0.0) + 1.0
+
+
 def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int, want_vectors=False):
     """Largest k eigenvalues (descending) of the symmetric part
     ``(S + S^T) / 2`` of a sparse matrix, with vectors on request.
@@ -422,9 +429,7 @@ def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int, want_vectors=False):
         return vals[::-1], None
     sym = (0.5 * (s_mat + s_mat.T)).tocsc()
     v0 = np.ones(n) / np.sqrt(n)
-    abs_row_sums = np.asarray(abs(sym).sum(axis=1)).ravel()
-    gershgorin_top = float(np.max(sym.diagonal() + (abs_row_sums - np.abs(sym.diagonal()))))
-    sigma = max(gershgorin_top, 0.0) + 1.0
+    sigma = _shift_above(sym)
     lu = sparse_lu(sym - sigma * sp.identity(n, format="csc"))
     op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     vals, vecs = spla.eigsh(sym, k=k, sigma=sigma, which="LM", v0=v0,
@@ -478,8 +483,23 @@ def gap_mode(disc: FPDiscretization) -> np.ndarray:
 # decomposition search
 
 
+# LOBPCG on the sparse search path: a Ritz pair is accepted only when its
+# residual norm is at most LOBPCG_TOL within LOBPCG_MAXITER iterations
+LOBPCG_TOL = 1e-9
+LOBPCG_MAXITER = 100
+
+
 @dataclass
 class DecompositionResult:
+    """Outcome of the cutoff search.
+
+    ``achieved`` is the accepted candidate's top eigenvalue as computed (a
+    Ritz value on the sparse path, so a lower bound); ``achieved_upper`` is
+    a certified upper bound on that eigenvalue (see
+    :func:`_collatz_wielandt_upper`), or None where the symmetrized generator is not an irreducible Metzler
+    matrix or the computed top eigenvector is not positive.
+    """
+
     found: bool
     M: float | None
     R: float | None
@@ -487,6 +507,7 @@ class DecompositionResult:
     target: float
     part_a_diagonal: np.ndarray | None
     frontier: list
+    achieved_upper: float | None = None
 
     def split_matrices(self, disc: FPDiscretization):
         gen = disc.generator
@@ -502,11 +523,15 @@ class DecompositionResult:
         return None if self.found else f"no (M, R) reached {self.target} in the search box"
 
     def constants(self):
-        return {"M": self.M, "R": self.R, "achieved": self.achieved} if self.found else {}
+        if not self.found:
+            return {}
+        return {"M": self.M, "R": self.R, "achieved": self.achieved,
+                "achieved_upper": self.achieved_upper}
 
     def to_dict(self):
         return {"found": self.found, "M": self.M, "R": self.R,
-                "achieved": self.achieved, "target": self.target,
+                "achieved": self.achieved, "achieved_upper": self.achieved_upper,
+                "target": self.target,
                 "frontier": [[m, r, v] for m, r, v in self.frontier]}
 
 
@@ -521,6 +546,92 @@ def check_target(target_a):
         raise InfeasibleParameterError("decomposition target must be negative")
 
 
+def _is_irreducible_metzler(sym) -> bool:
+    """Whether every off-diagonal entry of a symmetric sparse matrix is
+    nonnegative and its nonzero off-diagonal entries connect all nodes.
+    For such a matrix the top eigenvalue is simple and its eigenvector is
+    the only one with entries of one sign (Perron-Frobenius)."""
+    coo = sym.tocoo()
+    off = coo.row != coo.col
+    if np.any(coo.data[off] < 0.0):
+        return False
+    edges = off & (coo.data > 0.0)
+    n = sym.shape[0]
+    if is_tridiagonal(sym):
+        # a path graph, connected iff no off-diagonal entry vanishes; the
+        # 1-D search thus never imports csgraph
+        return int(np.count_nonzero(edges)) == 2 * (n - 1)
+    from scipy.sparse.csgraph import connected_components
+    graph = sp.coo_matrix((coo.data[edges], (coo.row[edges], coo.col[edges])),
+                          shape=sym.shape)
+    return connected_components(graph, directed=False)[0] == 1
+
+
+def _positive(vector):
+    """``vector`` with its sign made positive, or None if its entries do not
+    all share one strict sign."""
+    if np.all(vector > 0.0):
+        return vector
+    if np.all(vector < 0.0):
+        return -vector
+    return None
+
+
+def _collatz_wielandt_upper(matrix, vector) -> float | None:
+    """Certified upper bound ``max_i (S x)_i / x_i`` on the top eigenvalue
+    of an irreducible symmetric Metzler matrix S, for any x > 0 (the
+    Collatz-Wielandt formula for S + cI, c >= -min diag S).
+
+    Each ``(S x)_i`` is widened by the error bound of a k-term dot product,
+    gamma_k sum_j |S_ij| x_j (Higham 2002, section 3.5), with k two above
+    the row's stored entries to cover the rounding of the widening sum, and
+    the largest ratio is rounded up by one ulp for the division. None when
+    x has entries of both signs or zeros.
+    """
+    x = _positive(np.asarray(vector, dtype=float))
+    if x is None:
+        return None
+    csr = sp.csr_matrix(matrix)
+    k = np.diff(csr.indptr) + 2.0
+    unit = 0.5 * np.finfo(float).eps
+    gamma = k * unit / (1.0 - k * unit)
+    ratios = (csr @ x + gamma * (abs(csr) @ x)) / x
+    return float(np.nextafter(np.max(ratios), np.inf))
+
+
+def _shared_lu_tops(sym, diagonals):
+    """Top eigenpair of ``sym - diag(d)`` for each nonnegative ``d``, lazily,
+    for an irreducible Metzler ``sym`` on the sparse path.
+
+    One :func:`~semidecay.spectral.sparse_lu` of ``sym - sigma I``, with
+    sigma above the spectrum of every candidate, preconditions LOBPCG
+    (Knyazev 2001) for all of them; each candidate starts from the previous
+    one's eigenvector. A Ritz pair is accepted when its last residual norm
+    is within ``LOBPCG_TOL`` and its vector has one sign, which in an
+    irreducible Metzler matrix only the top eigenvector has; any other
+    candidate takes the shift-invert path of :func:`_top_symmetric_eigs`.
+    Yields the eigenvalue and its eigenvector.
+    """
+    n = sym.shape[0]
+    lu = sparse_lu(sym - _shift_above(sym) * sp.identity(n, format="csc"))
+    start = np.full((n, 1), 1.0 / np.sqrt(n))
+    for diag in diagonals:
+        candidate = (sym - sp.diags(diag)).tocsr()
+        with warnings.catch_warnings():
+            # non-convergence is read from the residual history below
+            warnings.filterwarnings("ignore", category=UserWarning,
+                                    message="(?s).*not reaching the requested tolerance")
+            vals, vecs, history = spla.lobpcg(
+                candidate, start, M=lambda block: -lu.solve(block), tol=LOBPCG_TOL,
+                maxiter=LOBPCG_MAXITER, largest=True, retResidualNormsHistory=True)
+        vector = _positive(vecs[:, 0]) if np.max(history[-1]) <= LOBPCG_TOL else None
+        if vector is None:
+            vals, vecs = _top_symmetric_eigs(candidate, 1, want_vectors=True)
+            vector = vecs[:, 0]
+        start = vector[:, None]
+        yield float(vals[0]), vector
+
+
 def find_decomposition(disc: FPDiscretization, target_a: float,
                        m_grid=None, r_grid=None) -> DecompositionResult:
     """Search the cutoff family ``A = M chi(|x| <= R)`` for a coercive remainder.
@@ -531,6 +642,13 @@ def find_decomposition(disc: FPDiscretization, target_a: float,
     ambient-symmetrized remainder drops to ``target_a`` or below. When the
     whole box fails, the result carries the frontier of best achieved
     values so the caller can widen the search.
+
+    Every candidate is the symmetrized generator minus a nonnegative
+    diagonal. When that matrix is an irreducible Metzler matrix (checked
+    once) and takes the sparse path, one factorization serves the whole
+    search (:func:`_shared_lu_tops`); otherwise each candidate is solved by
+    :func:`_top_symmetric_eigs`. The accepted candidate also gets the
+    certified upper bound ``achieved_upper``.
     """
     check_target(target_a)
     if m_grid is None:
@@ -542,19 +660,29 @@ def find_decomposition(disc: FPDiscretization, target_a: float,
     # remainder of every candidate is this matrix minus M chi, bit for bit
     scaled = _similarity(disc.generator, np.log(disc.space_ambient.weights))
     sym = 0.5 * (scaled + scaled.T)
+    metzler = _is_irreducible_metzler(sym)
+    pairs = [(float(m_val), float(r_val)) for m_val in np.asarray(m_grid, dtype=float)
+             for r_val in np.asarray(r_grid, dtype=float)]
+    diagonals = (m_val * (coord <= r_val).astype(float) for m_val, r_val in pairs)
+    if metzler and sym.shape[0] > _DENSE_EIG_LIMIT and not is_tridiagonal(sym):
+        tops = _shared_lu_tops(sym, diagonals)
+    else:
+        tops = ((float(_top_symmetric_eigs(sym - sp.diags(diag), 1)[0][0]), None)
+                for diag in diagonals)
     frontier = []
-    for m_val in np.asarray(m_grid, dtype=float):
-        for r_val in np.asarray(r_grid, dtype=float):
-            chi = (coord <= r_val).astype(float)
-            vals, _ = _top_symmetric_eigs(sym - sp.diags(m_val * chi), 1)
-            top = float(vals[0])
-            frontier.append((float(m_val), float(r_val), top))
-            if top <= target_a:
-                return DecompositionResult(found=True, M=float(m_val),
-                                           R=float(r_val), achieved=top,
-                                           target=target_a,
-                                           part_a_diagonal=m_val * chi,
-                                           frontier=frontier)
+    for (m_val, r_val), (top, vector) in zip(pairs, tops):
+        frontier.append((m_val, r_val, top))
+        if top <= target_a:
+            diag = m_val * (coord <= r_val).astype(float)
+            upper = None
+            if metzler:
+                remainder = sym - sp.diags(diag)
+                if vector is None:
+                    vector = _top_symmetric_eigs(remainder, 1, want_vectors=True)[1][:, 0]
+                upper = _collatz_wielandt_upper(remainder, vector)
+            return DecompositionResult(found=True, M=m_val, R=r_val, achieved=top,
+                                       target=target_a, part_a_diagonal=diag,
+                                       frontier=frontier, achieved_upper=upper)
     return DecompositionResult(found=False, M=None, R=None, achieved=None,
                                target=target_a, part_a_diagonal=None,
                                frontier=frontier)

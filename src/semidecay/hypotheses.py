@@ -457,18 +457,25 @@ class H3Report:
     """Certified growth envelope ``||e^{tT}|| <= C_b e^{b t}``.
 
     The verdict passes when the fitted prefactor and rate are both finite,
-    so that the envelope is a bound; otherwise it is indeterminate.
+    so that the envelope is a bound; otherwise it is indeterminate and the
+    witness names the constant that is not.
     """
 
     fit: DecayFit
     t_grid: np.ndarray
     norms: np.ndarray
-    witness = None
 
     @property
     def verdict(self):
-        finite = np.isfinite(self.fit.prefactor) and np.isfinite(self.fit.rate)
-        return PASS if finite else INDETERMINATE
+        return INDETERMINATE if self.witness else PASS
+
+    @property
+    def witness(self):
+        """Which fitted constant is not finite, or None."""
+        bad = [f"{name} = {value}" for name, value in
+               (("C_b", self.fit.prefactor), ("b", self.fit.rate))
+               if not np.isfinite(value)]
+        return f"fitted constants not finite: {', '.join(bad)}" if bad else None
 
     def constants(self):
         return {"C_b": self.fit.prefactor, "b": self.fit.rate}

@@ -395,7 +395,55 @@ def test_non_finite_h3_fit_is_indeterminate(tmp_path, monkeypatch):
     assert main(["testbed", "--config", cfg]) == 2
     report = load_report(tmp_path / "out" / "report.json")
     assert report["verdicts"]["seed_1.h3"]["verdict"] == "indeterminate"
+    assert report["verdicts"]["seed_1.h3"]["witness"] == "fitted constants not finite: b = nan"
     assert report["verdicts"]["seed_1.h1"]["verdict"] == "pass"
+
+
+def _broken_factorization(verify_factorization, seen):
+    def broken(split, pair, samples, tol=None, sweep=None):
+        report = verify_factorization(split, pair, samples, tol=tol, sweep=sweep)
+        residuals = report.identity_residuals.copy()
+        residuals[3] = 1.0
+        seen.append(f"identity residual 1.000e+00 exceeds 1e-09 "
+                    f"at xi = {complex(report.samples[3])}")
+        return replace(report, identity_residuals=residuals, max_identity_residual=1.0)
+    return broken
+
+
+def _broken_bound_chain(enlargement_bound_chain, seen):
+    def broken(split, pair, samples, tol=None, sweep=None):
+        report = enlargement_bound_chain(split, pair, samples, tol=tol, sweep=sweep)
+        direct = report.direct_values.copy()
+        direct[2] = 2.0 * report.chain_values[2]
+        seen.append(f"chain {report.chain_values[2]:.6e} < direct {direct[2]:.6e} "
+                    f"at xi = {complex(report.samples[2])}")
+        return replace(report, direct_values=direct, dominated=False)
+    return broken
+
+
+def _broken_decay_transfer(verify_decay_from_resolvent, seen):
+    def broken(op, space, spectral, rate, tol=None):
+        # a requested rate far below the spectrum cannot be met
+        report = verify_decay_from_resolvent(op, space, spectral, 100.0 * rate, tol=tol)
+        seen.append(f"fitted rate {report.fitted_rate:.6e} exceeds the requested "
+                    f"rate {100.0 * rate:.6e}")
+        return report
+    return broken
+
+
+@pytest.mark.parametrize("check, function, breaker", [
+    ("factorization", "verify_factorization", _broken_factorization),
+    ("bound_chain", "enlargement_bound_chain", _broken_bound_chain),
+    ("decay_transfer", "verify_decay_from_resolvent", _broken_decay_transfer),
+])
+def test_failed_check_carries_a_witness(tmp_path, monkeypatch, check, function, breaker):
+    seen = []
+    monkeypatch.setattr(runner, function, breaker(getattr(runner, function), seen))
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg]) == 2
+    entry = load_report(tmp_path / "out" / "report.json")["verdicts"][f"seed_1.{check}"]
+    assert entry["verdict"] == "fail"
+    assert entry["witness"] == seen[0]
 
 
 def test_shipped_two_dimensional_swirl_config(tmp_path):

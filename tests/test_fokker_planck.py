@@ -354,14 +354,24 @@ def test_heavy_tail_formula(fp_small):
                         (1 + x**2) ** -2.0, rtol=1e-15)
 
 
+def _swirl_disc(N, amplitude=1.0):
+    return FPDiscretization.build(FPGrid(d=2, L=8.0, N=N), Potential(2.0),
+                                  EnlargedWeight("polynomial", 3.0),
+                                  swirl=SwirlField("inverse_linear", amplitude))
+
+
 @pytest.fixture(scope="module")
 def fp_swirl_sparse():
     """2-D swirl discretization just above the dense eigensolver limit."""
-    disc = FPDiscretization.build(FPGrid(d=2, L=8.0, N=34), Potential(2.0),
-                                  EnlargedWeight("polynomial", 3.0),
-                                  swirl=SwirlField("inverse_linear", 1.0))
+    disc = _swirl_disc(34)
     assert disc.grid.n_total > fokker_planck._DENSE_EIG_LIMIT
     return disc
+
+
+@pytest.fixture(scope="module")
+def fp_swirl_48():
+    """The shipped 2-D swirl grid (``configs/fp_d2_swirl.json``)."""
+    return _swirl_disc(48)
 
 
 def _ambient_symmetrized_remainder(disc, m_val, r_val):
@@ -371,6 +381,24 @@ def _ambient_symmetrized_remainder(disc, m_val, r_val):
     root = np.sqrt(disc.space_ambient.weights)
     scaled = root[:, None] * remainder / root[None, :]
     return 0.5 * (scaled + scaled.T)
+
+
+def _dense_top(disc, m_val, r_val):
+    """Top eigenvalue of the dense symmetrized remainder, and max|S|."""
+    dense = _ambient_symmetrized_remainder(disc, m_val, r_val)
+    n = dense.shape[0]
+    top = sla.eigh(dense, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0]
+    return top, np.max(np.abs(dense))
+
+
+def _search_every_candidate(disc):
+    """A 4-candidate search with an unreachable target, so every candidate
+    is tried; each frontier value must match the dense eigensolver."""
+    result = find_decomposition(disc, -1e3, m_grid=[1.0, 10.0], r_grid=[1.0, 2.0])
+    assert len(result.frontier) == 4
+    for m_val, r_val, top in result.frontier:
+        expected, scale = _dense_top(disc, m_val, r_val)
+        npt.assert_allclose(top, expected, rtol=0.0, atol=1e-13 * scale)
 
 
 class TestSparseBranchAgainstDenseOracle:
@@ -406,23 +434,64 @@ class TestSparseBranchAgainstDenseOracle:
         npt.assert_allclose(result.frontier[0][2], top, rtol=0.0,
                             atol=1e-13 * np.max(np.abs(dense)))
 
-    def test_search_frontier_equals_the_per_candidate_symmetrization(self, fp_swirl_sparse):
-        """The search symmetrizes the generator once; each candidate's
-        remainder is the one built and symmetrized per candidate, bit for
-        bit, so the frontier is too."""
-        disc = fp_swirl_sparse
-        m_grid, r_grid = [1.0, 10.0], [1.0, 2.0]
-        result = find_decomposition(disc, -1e3, m_grid=m_grid, r_grid=r_grid)
-        coord = disc.grid.flat_coordinate()
-        log_w = np.log(disc.space_ambient.weights)
-        expected = []
-        for m_val in m_grid:
-            for r_val in r_grid:
-                part_b = (disc.generator - sp.diags(m_val * (coord <= r_val))).tocsr()
-                vals, _ = fokker_planck._top_symmetric_eigs(
-                    fokker_planck._similarity(part_b, log_w), 1)
-                expected.append((m_val, r_val, float(vals[0])))
-        assert result.frontier == expected
+    @pytest.mark.parametrize("fixture", ["fp_swirl_sparse", "fp_swirl_48"],
+                             ids=["34", "48"])
+    def test_frontier_equals_dense_eigh(self, request, fixture):
+        """Every candidate of the shared-factorization search, against the
+        dense eigensolver of that candidate's remainder."""
+        _search_every_candidate(request.getfixturevalue(fixture))
+
+    def test_non_metzler_search_takes_the_shift_invert_path(self, eigen_calls):
+        """A strong swirl gives the symmetrized generator negative
+        off-diagonal entries; every candidate is then solved by shift-invert
+        Lanczos on its own factorization."""
+        disc = _swirl_disc(34, amplitude=100.0)
+        scaled = fokker_planck._similarity(disc.generator,
+                                           np.log(disc.space_ambient.weights))
+        assert not fokker_planck._is_irreducible_metzler(0.5 * (scaled + scaled.T))
+        _search_every_candidate(disc)
+        assert eigen_calls() == {"splu": 4, "eigsh": 4, "lobpcg": 0}
+
+    @pytest.mark.parametrize("defect", ["sign_change", "residual"])
+    def test_rejected_ritz_pair_falls_back(self, fp_swirl_sparse, eigen_calls,
+                                           monkeypatch, defect):
+        """A Ritz vector with entries of both signs is not the Perron vector,
+        and an unconverged residual is no eigenpair: either sends that
+        candidate down the shift-invert path."""
+        lobpcg = spla.lobpcg
+        seen = []
+
+        def defective_second_call(*args, **kwargs):
+            vals, vecs, history = lobpcg(*args, **kwargs)
+            seen.append(vals[0])
+            if len(seen) == 2 and defect == "sign_change":
+                vecs = vecs.copy()
+                vecs[0] = -vecs[0]
+            if len(seen) == 2 and defect == "residual":
+                history = history[:-1] + [np.array(2 * fokker_planck.LOBPCG_TOL)]
+            return vals, vecs, history
+
+        monkeypatch.setattr(spla, "lobpcg", defective_second_call)
+        _search_every_candidate(fp_swirl_sparse)
+        assert len(seen) == 4
+        assert eigen_calls() == {"splu": 2, "eigsh": 1, "lobpcg": 4}
+
+    @pytest.mark.parametrize("d, N, target", [(2, 34, -2.0), (1, 200, None)])
+    def test_achieved_upper_brackets_the_dense_top(self, d, N, target):
+        """The accepted Ritz value bounds the top eigenvalue from below (up
+        to the dense solver's rounding) and ``achieved_upper`` from above."""
+        disc = _swirl_disc(N) if d == 2 else FPDiscretization.build(
+            FPGrid(d=1, L=8.0, N=N), Potential(2.0), EnlargedWeight("polynomial", 3.0))
+        if target is None:
+            target = 0.5 * spectral_gap_H(disc).lambda_gap
+        result = find_decomposition(disc, target, m_grid=[1.0, 10.0], r_grid=[1.0, 2.0])
+        assert result.found
+        expected, scale = _dense_top(disc, result.M, result.R)
+        assert result.achieved <= expected + 1e-13 * scale
+        assert expected <= result.achieved_upper
+        assert result.achieved_upper - result.achieved <= 1e-6 * abs(result.achieved)
+        assert result.to_dict()["achieved_upper"] == result.achieved_upper
+        assert result.constants()["achieved_upper"] == result.achieved_upper
 
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_sparse_and_dense_steppers_agree(self, fp_swirl_sparse, scheme):
@@ -455,16 +524,32 @@ def splu_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eigen_calls(splu_calls, monkeypatch):
+    """A function returning the counts of sparse LU factorizations and of
+    ``eigsh`` and ``lobpcg`` calls so far."""
+    counts = {"eigsh": 0, "lobpcg": 0}
+    for name in counts:
+        def counting(*args, _name=name, _original=getattr(spla, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spla, name, counting)
+    return lambda: {"splu": len(splu_calls), **counts}
+
+
 class TestSparseFactorizationCount:
-    def test_one_factorization_per_eigensolve(self, fp_swirl_sparse, splu_calls):
+    def test_one_factorization_per_eigensolve(self, fp_swirl_sparse, eigen_calls):
+        """The gap factors once; the whole search of an irreducible Metzler
+        remainder shares one factorization and makes no Lanczos call."""
         disc = fp_swirl_sparse
         spectral_gap_H(disc)
-        assert len(splu_calls) == 1
+        assert eigen_calls() == {"splu": 1, "eigsh": 1, "lobpcg": 0}
         # an unreachable target makes the search try every candidate
         result = find_decomposition(disc, -1e3, m_grid=[1.0, 10.0],
                                     r_grid=[1.0, 2.0])
         assert len(result.frontier) == 4
-        assert len(splu_calls) == 5
+        assert eigen_calls() == {"splu": 2, "eigsh": 1, "lobpcg": 4}
 
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_one_factorization_per_trajectory(self, fp_swirl_sparse, splu_calls,
