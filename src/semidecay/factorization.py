@@ -9,12 +9,23 @@ inverse is what the verification routines certify.
 H4, :func:`verify_factorization` and :func:`enlargement_bound_chain` read
 the same per-sample norms. :func:`shift_sweep` computes them in one pass
 over the samples, in blocks of ``SHIFT_BLOCK`` shifts: each block inverts
-B - xi and T - xi once per sample with one stacked solve each. A norm
-takes a stacked SVD only where its exact value sets a reported number;
-the rounding-level factorization residuals are certified by O(n^2)
-bounds (:func:`~semidecay.spaces.operator_norm_bounds`), and
-``||B(xi)^{-1} A||``, read only through its supremum, is taken by SVD only
-where its upper bound reaches the largest value seen so far.
+B - xi and T - xi once per sample with one stacked solve each. A norm is
+taken exactly (:func:`~semidecay.spaces.spectral_norms`) only where a
+reported number or a verdict can depend on it:
+
+- the direct ``||R(xi)||_amb`` at every sample;
+- each of ``||B(xi)^{-1}||``, ``||A B(xi)^{-1}||``, ``||R(xi)||_small``
+  and ``||B(xi)^{-1} A||`` where its O(n^2) bracket
+  (:func:`~semidecay.spaces.norm_bracket`) cannot rule it out of its
+  column's supremum, or where the sample's bound-chain value must be
+  exact: its upper bound reaches the chain's supremum so far, or its lower
+  bound does not dominate the direct value.
+
+Elsewhere the H4 norms keep their upper bound and the chain its lower
+bound, so every supremum, every domination decision and every witness is
+that of the exact norms. The rounding-level factorization residuals are
+certified by O(n^2) bounds (:func:`~semidecay.spaces.operator_norm_bounds`).
+Smallest singular values (:func:`injectivity_check`) stay on the SVD.
 """
 
 from __future__ import annotations
@@ -26,8 +37,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, SingularityError
 from .reports import FAIL, PASS
-from .spaces import (EmbeddedSpacePair, operator_norm_bounds, operator_norms,
-                     weighted_congruence, weighted_norm)
+from .spaces import (EmbeddedSpacePair, operator_norm_bounds, operator_norm_bracket,
+                     operator_norms, weighted_congruence, weighted_norm)
 from .spectral import SHIFT_BLOCK, guarded_inverses, resolvent_matrix
 
 # the factorization check passes iff its two certified residual maxima stay
@@ -107,23 +118,38 @@ def _assemble(b_inv, r_small, a_b_inv) -> np.ndarray:
 class ShiftSweep:
     """The weighted norms of B(xi)^{-1}, R(xi) and U(xi) over a sample.
 
-    Every array has one entry per sample. Exact (one SVD each):
-    ``b_inverse`` is ``||B(xi)^{-1}||_amb``, ``a_b_inverse`` is
-    ``||A B(xi)^{-1}||`` from the ambient into the small space, and
-    ``resolvent`` and ``resolvent_small`` are ``||R(xi)||`` in the two
-    spaces. These set the H4 suprema, the chain and the direct values.
+    Every array has one entry per sample. ``resolvent``, the direct
+    ``||R(xi)||_amb``, is exact at every sample. Exact norms are largest
+    singular values from the Gram kernel
+    :func:`~semidecay.spaces.spectral_norms`; smallest singular values
+    (:func:`injectivity_check`) stay on the SVD.
 
-    Certified bounds (no SVD, within a factor ``sqrt(n)`` of the norm):
-    ``shifted`` is a lower bound on ``||T - xi||_amb``, ``identity_defect``
-    an upper bound on ``||(T - xi) U(xi) - Id||_amb`` and ``mismatch`` one
-    on ``||U(xi) - R(xi)||_amb``; they only enter the rounding-level
-    residuals of :func:`verify_factorization`.
+    Bracketed (exact where a reported number or a verdict can depend on
+    them): ``b_inverse`` is ``||B(xi)^{-1}||_amb``, ``a_b_inverse`` and
+    ``b_inverse_a`` are ``||A B(xi)^{-1}||`` and ``||B(xi)^{-1} A||`` from
+    the ambient into the small space, and ``resolvent_small`` is
+    ``||R(xi)||_small``. Each comes with an O(n^2) bracket
+    (:func:`~semidecay.spaces.norm_bracket`), and is exact wherever its
+    upper bound reaches the largest lower bound or exact value of its
+    column seen so far; elsewhere it holds that upper bound, which stays
+    below the column's maximum. So each maximum, and the sample attaining
+    it, are those of the exact norms.
 
-    ``b_inverse_a`` is ``||B(xi)^{-1} A||`` from the ambient into the small
-    space. It is exact wherever its upper bound reaches the column's
-    maximum; elsewhere it may hold that upper bound, which stays below the
-    maximum. So its maximum, and the sample attaining it, are exact.
+    ``chain`` is ``b_inverse + c_J resolvent_small a_b_inverse`` of the
+    bound chain. It is exact (its three norms exact) wherever its upper
+    bound reaches the chain's running floor, or where its lower bound does
+    not dominate ``resolvent`` (see :func:`_dominates`); elsewhere it holds
+    its lower bound, which dominates ``resolvent`` and stays below the
+    chain's maximum. So the maximum and every domination decision are those
+    of the exact chain.
 
+    Certified bounds (no exact norm, within a factor ``sqrt(n)`` of the
+    norm): ``shifted`` is a lower bound on ``||T - xi||_amb``,
+    ``identity_defect`` an upper bound on ``||(T - xi) U(xi) - Id||_amb``
+    and ``mismatch`` one on ``||U(xi) - R(xi)||_amb``; they only enter the
+    rounding-level residuals of :func:`verify_factorization`.
+
+    ``exact_norms`` counts the matrices whose norm the sweep took exactly.
     ``b_failure`` and ``t_failure`` hold the index and the
     :class:`SingularityError` of the first sample where B - xi, resp.
     T - xi, could not be inverted; entries that depend on a failed inverse
@@ -138,8 +164,10 @@ class ShiftSweep:
     shifted: np.ndarray
     resolvent: np.ndarray
     resolvent_small: np.ndarray
+    chain: np.ndarray
     identity_defect: np.ndarray
     mismatch: np.ndarray
+    exact_norms: int = 0
     b_failure: tuple[int, SingularityError] | None = None
     t_failure: tuple[int, SingularityError] | None = None
 
@@ -150,35 +178,64 @@ class ShiftSweep:
             raise min(failures, key=lambda f: f[0])[1]
 
 
-_B_NORMS = ("b_inverse", "a_b_inverse", "b_inverse_a")
-_T_NORMS = ("resolvent", "resolvent_small")
+_B_NORMS = ("b_inverse", "a_b_inverse", "b_inverse_a", "chain")
+_T_NORMS = ("resolvent", "resolvent_small", "chain")
 _U_NORMS = ("identity_defect", "mismatch")
+# the bracketed columns, and the three of them the chain is made of
+_BRACKETED = ("b_inverse", "a_b_inverse", "resolvent_small", "b_inverse_a")
+_CHAIN = ("b_inverse", "resolvent_small", "a_b_inverse")
 
 
-def _norms_below_floor(stack, dom, cod, floor: float) -> tuple[np.ndarray, float]:
-    """Norms of a stack that are exact wherever they may reach the maximum.
+def _chain(norms, c_j):
+    """``||B^{-1}|| + c_J ||R||_small ||A B^{-1}||``, monotone in each norm."""
+    return norms["b_inverse"] + c_j * norms["resolvent_small"] * norms["a_b_inverse"]
 
-    ``floor`` is a lower bound on the maximum norm (over this stack and any
-    before it). A matrix whose upper bound reaches the floor, raised by the
-    lower bounds of this stack, gets its norm by SVD; any other keeps its
-    upper bound, which lies below the floor, so the maximum and the index
-    attaining it are those of the exact norms. Returns the norms and the
-    floor raised by them.
+
+def _refined_norms(stacks, direct, valid, c_j, floors):
+    """The bracketed norms of one block, exact only where they may matter.
+
+    ``stacks`` maps each bracketed column to its stack and spaces, ``valid``
+    each column (and ``"chain"``) to the samples whose inverses exist, and
+    ``floors`` each column and the chain to a lower bound on its maximum
+    over this block and all before it; the floors are raised in place. A
+    norm is refined to its exact value where its upper bound reaches its
+    column's floor, or where its sample's chain must be exact: there the
+    chain's upper bound reaches the chain's floor, or its lower bound does
+    not dominate the direct value. Returns the column values (exact, else
+    upper bound), the chain values (exact, else lower bound) and the
+    number of exact norms taken.
     """
-    lower, upper = operator_norm_bounds(stack, dom, cod)
-    floor = max(floor, float(np.max(lower, initial=0.0)))
-    exact = upper >= floor
-    norms = upper
-    if exact.any():
-        norms[exact] = operator_norms(stack[exact], dom, cod)
-        floor = max(floor, float(np.max(norms[exact])))
-    return norms, floor
+    lower, upper, refine = {}, {}, {}
+    for name, (stack, dom, cod) in stacks.items():
+        lower[name], upper[name] = operator_norm_bracket(stack, dom, cod)
+        floors[name] = max(floors[name], float(np.max(lower[name][valid[name]],
+                                                      initial=0.0)))
+        refine[name] = valid[name] & (upper[name] >= floors[name])
+    chain_lower = _chain(lower, c_j)
+    floors["chain"] = max(floors["chain"], float(np.max(chain_lower[valid["chain"]],
+                                                        initial=0.0)))
+    exact_chain = valid["chain"] & ((_chain(upper, c_j) >= floors["chain"])
+                                    | ~_dominates(chain_lower, direct))
+    for name in _CHAIN:
+        refine[name] |= exact_chain
+    count = 0
+    for name, (stack, dom, cod) in stacks.items():
+        exact = refine[name]
+        if exact.any():
+            values = operator_norms(stack[exact], dom, cod)
+            upper[name][exact] = lower[name][exact] = values
+            floors[name] = max(floors[name], float(np.max(values)))
+            count += int(exact.sum())
+    chain = _chain(lower, c_j)
+    floors["chain"] = max(floors["chain"], float(np.max(chain[valid["chain"]],
+                                                        initial=0.0)))
+    return upper, chain, count
 
 
 def _sweep_block(split: SplitOperator, pair: EmbeddedSpacePair, xis,
-                 tol: Tolerances, floor: float):
-    """The eight norms on one block of shifts, and the raised floor of
-    ``b_inverse_a`` (see :func:`_norms_below_floor`).
+                 tol: Tolerances, floors: dict):
+    """The norms of :class:`ShiftSweep` on one block of shifts, raising the
+    running ``floors`` of :func:`_refined_norms` in place.
 
     Each stack is dropped once its norms are read, so that few stacks of
     the block are alive at a time.
@@ -186,14 +243,22 @@ def _sweep_block(split: SplitOperator, pair: EmbeddedSpacePair, xis,
     amb, small = pair.ambient, pair.small
     eye = np.eye(split.dim)
     r, t_errors = guarded_inverses(split.full, xis, tol)
-    norms = {"resolvent": operator_norms(r, amb, amb),
-             "resolvent_small": operator_norms(r, small, small)}
     b_inv, b_errors = guarded_inverses(split.part_b, xis, tol)
     a_b_inv = split.part_a @ b_inv
-    norms["b_inverse"] = operator_norms(b_inv, amb, amb)
-    norms["a_b_inverse"] = operator_norms(a_b_inv, amb, small)
-    norms["b_inverse_a"], floor = _norms_below_floor(b_inv @ split.part_a, amb,
-                                                     small, floor)
+    norms = {"resolvent": operator_norms(r, amb, amb)}
+    valid_b = np.ones(len(xis), dtype=bool)
+    valid_b[list(b_errors)] = False
+    valid_t = np.ones(len(xis), dtype=bool)
+    valid_t[list(t_errors)] = False
+    valid = {"b_inverse": valid_b, "a_b_inverse": valid_b, "b_inverse_a": valid_b,
+             "resolvent_small": valid_t, "chain": valid_b & valid_t}
+    stacks = {"b_inverse": (b_inv, amb, amb), "a_b_inverse": (a_b_inv, amb, small),
+              "resolvent_small": (r, small, small),
+              "b_inverse_a": (b_inv @ split.part_a, amb, small)}
+    bracketed, norms["chain"], exact_norms = _refined_norms(
+        stacks, norms["resolvent"], valid, pair.embedding_constant, floors)
+    del stacks
+    norms.update(bracketed)
     u = _assemble(b_inv, r, a_b_inv)
     del b_inv, a_b_inv
     _, norms["mismatch"] = operator_norm_bounds(u - r, amb, amb)
@@ -209,7 +274,7 @@ def _sweep_block(split: SplitOperator, pair: EmbeddedSpacePair, xis,
     for i in t_errors:
         for name in _T_NORMS + _U_NORMS:
             norms[name][i] = np.nan
-    return norms, floor, b_errors, t_errors
+    return norms, len(xis) + exact_norms, b_errors, t_errors
 
 
 def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
@@ -218,21 +283,24 @@ def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
 
     Walks the samples in blocks of ``SHIFT_BLOCK`` shifts. Per block,
     B - xi and T - xi are each inverted once per sample by one stacked
-    solve. The four exact norms of :class:`ShiftSweep` are stacked SVDs,
-    the three certified bounds cost O(n^2) per sample, and the floor that
-    decides which ``b_inverse_a`` entries take an SVD is carried from block
-    to block.
+    solve. The direct ``resolvent`` is exact at every sample; the four
+    bracketed norms and the chain of :class:`ShiftSweep` take exact norms
+    only where their brackets cannot settle a maximum or a domination
+    decision, against floors carried from block to block; the three
+    certified bounds cost O(n^2) per sample.
     """
     if split.dim != pair.dim:
         raise DimensionMismatchError("split operator and space pair dimensions differ")
     samples = np.asarray(xi_samples, dtype=complex)
-    names = _B_NORMS + ("shifted",) + _T_NORMS + _U_NORMS
+    names = _BRACKETED + ("shifted", "resolvent", "chain") + _U_NORMS
     norms = {name: np.full(len(samples), np.nan) for name in names}
+    floors = dict.fromkeys(_BRACKETED + ("chain",), 0.0)
     b_failure = t_failure = None
-    floor = 0.0
+    exact_norms = 0
     for start in range(0, len(samples), SHIFT_BLOCK):
         xis = samples[start:start + SHIFT_BLOCK]
-        block, floor, b_errors, t_errors = _sweep_block(split, pair, xis, tol, floor)
+        block, count, b_errors, t_errors = _sweep_block(split, pair, xis, tol, floors)
+        exact_norms += count
         for name, values in block.items():
             norms[name][start:start + len(xis)] = values
         if t_errors and t_failure is None:
@@ -242,8 +310,8 @@ def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
             i = min(b_errors)
             b_failure = (start + i, b_errors[i])
             break
-    return ShiftSweep(samples=samples, b_failure=b_failure, t_failure=t_failure,
-                      **norms)
+    return ShiftSweep(samples=samples, exact_norms=exact_norms, b_failure=b_failure,
+                      t_failure=t_failure, **norms)
 
 
 def _sweep_for(split, pair, xi_samples, tol, sweep: ShiftSweep | None) -> ShiftSweep:
@@ -389,6 +457,15 @@ class BoundChainReport:
     ``||B(xi)^{-1}||_amb + c_J ||R(xi)||_small ||A B(xi)^{-1}||_amb->small``
     and must dominate the directly computed ``||(T - xi)^{-1}||_amb``; the
     verdict passes iff it does on every sample.
+
+    ``direct_values`` are exact. A ``chain_values`` entry is exact where
+    its upper bound reaches ``certified_bound`` or its lower bound does not
+    dominate the direct value; elsewhere it is a certified lower bound that
+    dominates the direct value (see :class:`ShiftSweep`). So
+    ``certified_bound``, ``direct_sup``, ``dominated`` and the witness are
+    those of the exact chain. Exact values are largest singular values
+    from :func:`~semidecay.spaces.spectral_norms`; no smallest singular
+    value enters the chain (those stay on the SVD).
     """
 
     certified_bound: float
@@ -427,8 +504,7 @@ def enlargement_bound_chain(split: SplitOperator, pair: EmbeddedSpacePair,
     """
     sweep = _sweep_for(split, pair, xi_samples, tol, sweep)
     sweep.raise_failure()
-    chain = (sweep.b_inverse
-             + pair.embedding_constant * sweep.resolvent_small * sweep.a_b_inverse)
+    chain = sweep.chain.copy()
     direct = sweep.resolvent.copy()
     dominated = bool(np.all(_dominates(chain, direct)))
     return BoundChainReport(

@@ -544,7 +544,13 @@ class H4Report:
 
     ``table`` has one row per sampled xi:
     (xi, ||B(xi)^{-1}||_amb, ||A B(xi)^{-1}||_amb->small, ||B(xi)^{-1} A||_amb->small).
-    ``sweep`` is the :class:`~semidecay.factorization.ShiftSweep` the table
+    An entry is the exact norm wherever it may reach its column's
+    supremum (or the bound chain needs it); elsewhere it is a certified
+    upper bound below that supremum (see
+    :class:`~semidecay.factorization.ShiftSweep`). So the three suprema and
+    the witness sample are those of the exact norms, largest singular
+    values from :func:`~semidecay.spaces.spectral_norms` (smallest singular
+    values, as in H2, stay on the SVD). ``sweep`` is the :class:`~semidecay.factorization.ShiftSweep` the table
     was read from; the factorization check and the bound chain reuse it. It
     is not serialized.
     """

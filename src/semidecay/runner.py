@@ -14,7 +14,7 @@ import numpy as np
 from . import matio
 from .config import SCHEMA_VERSION, RunConfig
 from .equivalence import verify_decay_from_resolvent, verify_resolvent_from_decay
-from .errors import ConfigError, SingularityError
+from .errors import SingularityError
 from .factorization import enlargement_bound_chain, verify_factorization
 from .fokker_planck import (ResolventScans, build_problem, decay_experiment,
                             find_decomposition, initial_datum, resolvent_scan_fp,
@@ -82,9 +82,7 @@ def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
     tol = config.tolerances
     os.makedirs(config.out_dir, exist_ok=True)
 
-    if config.command == "enlarge-check" or config.instance_path:
-        if not config.instance_path:
-            raise ConfigError("enlarge-check requires instance_path")
+    if config.instance_path:
         instances = [("loaded", load_instance(config.instance_path))]
     else:
         spec = config.instance

@@ -110,7 +110,8 @@ def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
     propagator ``e^{dt T}`` applied to ``e^{t_0 T}`` (scaling and squaring
     builds ``expm(k dt T)`` from the same powers), so the whole grid costs
     at most two matrix exponentials; other grids take one per time. The
-    norms are stacked SVDs over blocks of ``SHIFT_BLOCK`` times.
+    norms are stacked :func:`~semidecay.spaces.spectral_norms` over blocks
+    of ``SHIFT_BLOCK`` times.
     """
     matrix = np.asarray(op)
     if space is None:

@@ -3,8 +3,13 @@
 Every norm in the package reduces to one kernel: scale by the diagonal
 congruence ``W_cod^{1/2} M W_dom^{-1/2}`` and take the plain spectral norm.
 Vectors use the same scaling, so a single audited code path serves all
-norm flavours. Where a norm only has to be bounded, :func:`norm_bounds`
-brackets the spectral norm in O(n^2) without an SVD.
+norm flavours. Every dense largest singular value on the testbed path is
+:func:`spectral_norms`: the top eigenvalue of each Hermitian Gram matrix,
+from one batched ``eigvalsh``. Smallest singular values stay on the SVD
+(the H2 lines and :func:`~semidecay.factorization.injectivity_check`),
+because the Gram matrix squares the condition number. Where a norm only
+has to be bounded, :func:`norm_bounds` and :func:`norm_bracket` bracket
+the kernel's value in O(n^2).
 """
 
 from __future__ import annotations
@@ -95,7 +100,7 @@ def spectral_norm_power_iteration(matrix, tol=1e-12, max_iter=10000) -> float:
 
     Deterministic: starts from the normalized all-ones vector. It converges
     to the norm from below, so it serves only as the independent
-    cross-check of the SVD path in the tests.
+    cross-check of :func:`spectral_norms` in the tests.
     """
     matrix = np.asarray(matrix)
     n = matrix.shape[1]
@@ -118,8 +123,8 @@ def spectral_norm_power_iteration(matrix, tol=1e-12, max_iter=10000) -> float:
 def operator_norm(matrix, dom: WeightedSpace, cod: WeightedSpace) -> float:
     """Operator norm of ``matrix`` as a map (dom, ||.||_dom) -> (cod, ||.||_cod).
 
-    Computed as the largest singular value of the diagonally congruent
-    matrix ``W_cod^{1/2} M W_dom^{-1/2}``: the one-matrix stack of
+    The largest singular value of the diagonally congruent matrix
+    ``W_cod^{1/2} M W_dom^{-1/2}``: the one-matrix stack of
     :func:`operator_norms`.
     """
     matrix = np.asarray(matrix)
@@ -130,8 +135,87 @@ def operator_norm(matrix, dom: WeightedSpace, cod: WeightedSpace) -> float:
 
 
 def operator_norms(stack, dom: WeightedSpace, cod: WeightedSpace) -> np.ndarray:
-    """:func:`operator_norm` of every matrix in a stack, as one stacked SVD."""
-    return np.linalg.norm(weighted_congruence(stack, dom, cod), 2, axis=(1, 2))
+    """:func:`operator_norm` of every matrix in a stack, by :func:`spectral_norms`."""
+    return spectral_norms(weighted_congruence(stack, dom, cod))
+
+
+def rounding_margin(stack) -> float:
+    """Relative error bound of :func:`spectral_norms` on this stack, plus the
+    rounding of the O(n^2) bounds: ``(k + 2)^2 eps`` with k the larger side.
+
+    The kernel's error is below ``k (k + 1) eps / 2`` to first order (see
+    :func:`spectral_norms`), the column, row and power-step norms of
+    :func:`norm_bracket` round by at most ``(k^{3/2} + 3) eps``.
+    """
+    k = max(np.shape(stack)[-2:])
+    return (k + 2) ** 2 * np.finfo(float).eps
+
+
+def _exponents(peak):
+    """Per matrix, the e with the largest entry magnitude ``peak`` in
+    [2^(e-1), 2^e); scaling by 2^-e is exact (and finite for a subnormal
+    largest entry)."""
+    _, exponent = np.frexp(peak)
+    return np.maximum(exponent, -1021)
+
+
+def _scaled(array, exponent):
+    return array * np.ldexp(1.0, -exponent)[..., None, None]
+
+
+def spectral_norms(stack) -> np.ndarray:
+    """Largest singular value of every matrix of a stack.
+
+    Each matrix X is scaled by the power of two nearest above its largest
+    entry magnitude (exact, and the Gram matrix can neither overflow nor
+    lose its top eigenvalue to underflow). The top eigenvalue of the
+    Hermitian Gram matrix ``G = X^H X`` (``X X^H`` if X is wide) comes from
+    one batched ``np.linalg.eigvalsh``, and ``sigma_max`` is its square
+    root scaled back. A one-matrix stack gives bit for bit the value the
+    matrix has in a larger stack. A matrix with a non-finite entry has the
+    norm NaN.
+
+    Error bound, for X with larger side k: the computed Gram matrix is
+    ``G + dG`` with ``|dG| <= gamma_k |X|^H |X|`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 3.5), so
+    ``||dG||_2 <= k gamma_k sigma_max^2`` since ``||X||_F^2 <= k
+    sigma_max^2``; ``eigvalsh`` returns the top eigenvalue within
+    ``p(k) eps ||G||_2`` (LAPACK Users' Guide, section 4.7, taking
+    p(k) = k). The square root halves the relative error, so the result is
+    within ``k (k + 1) eps / 2`` of ``sigma_max`` to first order, inside
+    :func:`rounding_margin`. Smallest singular values must not come from
+    the Gram matrix, which squares the condition number; they stay on the
+    SVD.
+    """
+    stack = np.asarray(stack)
+    if stack.shape[-2] < stack.shape[-1]:
+        stack = stack.swapaxes(-1, -2)
+    peak = np.abs(stack).max(axis=(-2, -1))
+    exponent = _exponents(peak)
+    finite = np.isfinite(peak)
+    with np.errstate(under="ignore", invalid="ignore"):
+        scaled = _scaled(stack, exponent)
+        if not finite.all():
+            scaled[~finite] = 0.0
+        gram = scaled.conj().swapaxes(-1, -2) @ scaled
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    return np.where(finite, np.ldexp(np.sqrt(np.maximum(top, 0.0)), exponent), np.nan)
+
+
+def _bounds(stack):
+    """:func:`norm_bounds`, the squared column norms of the scaled stack,
+    and the scaling exponents."""
+    margin = rounding_margin(stack)
+    magnitude = np.abs(stack)
+    exponent = _exponents(magnitude.max(axis=(-2, -1)))
+    with np.errstate(under="ignore"):
+        magnitude = _scaled(magnitude, exponent)
+        col_sq = (magnitude * magnitude).sum(axis=-2)
+    col_sums = magnitude.sum(axis=-2).max(axis=-1)
+    row_sums = magnitude.sum(axis=-1).max(axis=-1)
+    upper = np.ldexp(np.sqrt(col_sums * row_sums) * (1.0 + margin), exponent)
+    lower = np.ldexp(np.sqrt(col_sq.max(axis=-1)) * (1.0 - margin), exponent)
+    return lower, upper, col_sq, exponent
 
 
 def norm_bounds(stack) -> tuple[np.ndarray, np.ndarray]:
@@ -141,23 +225,48 @@ def norm_bounds(stack) -> tuple[np.ndarray, np.ndarray]:
     ``sqrt(||X||_1 ||X||_inf)`` (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2002, section 6.3). Both cost O(n^2) per matrix
     and lie within a factor ``sqrt(n)`` of the 2-norm. Each is widened by
-    ``8 n eps`` for rounding, so that they also bracket the 2-norm an SVD
-    computes.
+    :func:`rounding_margin`, so that they also bracket the 2-norm that
+    :func:`spectral_norms` or an SVD computes.
     """
-    magnitude = np.abs(stack)
-    margin = 8.0 * stack.shape[-1] * np.finfo(float).eps
-    col_sums = magnitude.sum(axis=-2).max(axis=-1)
-    row_sums = magnitude.sum(axis=-1).max(axis=-1)
-    upper = np.sqrt(col_sums * row_sums) * (1.0 + margin)
-    lower = np.sqrt((magnitude * magnitude).sum(axis=-2).max(axis=-1)) * (1.0 - margin)
+    lower, upper, *_ = _bounds(np.asarray(stack))
     return lower, upper
+
+
+def norm_bracket(stack) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`norm_bounds` with the lower bound raised by one power step.
+
+    From the largest column x_j, ``y = X^H x_j`` and ``||X y|| / ||y||``
+    bound the 2-norm from below: the square root of the Rayleigh quotient
+    of ``X^H X`` at ``X^H X e_j``, which is never below ``||x_j||``. It is
+    widened for rounding like the column bound and costs two more O(n^2)
+    products per matrix.
+    """
+    stack = np.asarray(stack)
+    lower, upper, col_sq, exponent = _bounds(stack)
+    index = np.argmax(col_sq, axis=-1)[..., None, None]
+    with np.errstate(under="ignore", invalid="ignore"):
+        scaled = _scaled(stack, exponent)
+        column = np.take_along_axis(scaled, index, axis=-1)
+        # rows y^H = x_j^H X and (X y)^T = conj(y^H) X^T: no transposed copy of X
+        y = column.conj().swapaxes(-1, -2) @ scaled
+        xy = y.conj() @ scaled.swapaxes(-1, -2)
+        step = np.sqrt(np.vecdot(xy, xy).real / np.vecdot(y, y).real)[..., 0]
+    step = np.ldexp(step * (1.0 - rounding_margin(stack)), exponent)
+    # a zero matrix gives 0/0: keep its column bound
+    return np.fmax(lower, step), upper
 
 
 def operator_norm_bounds(stack, dom: WeightedSpace, cod: WeightedSpace
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`norm_bounds` of the weighted norms :func:`operator_norms` takes
-    by SVD: the bracket of the diagonally congruent stack, with no SVD."""
+    """:func:`norm_bounds` of the weighted norms :func:`operator_norms`
+    takes: the bracket of the diagonally congruent stack."""
     return norm_bounds(weighted_congruence(stack, dom, cod))
+
+
+def operator_norm_bracket(stack, dom: WeightedSpace, cod: WeightedSpace
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`norm_bracket` of the weighted norms :func:`operator_norms` takes."""
+    return norm_bracket(weighted_congruence(stack, dom, cod))
 
 
 def weighted_adjoint(matrix, space: WeightedSpace) -> np.ndarray:

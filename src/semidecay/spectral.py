@@ -4,8 +4,9 @@ Every resolvent is computed by :func:`shifted_inverses`: one stacked solve
 over a block of at most ``SHIFT_BLOCK`` shifts, filtered per shift by
 O(n^2) bounds on the 2-norms of the conditioning guard. A shift the filter
 flags goes to the one-shift path, the exact arbiter: its guard takes the
-2-norms by SVD, accepts the shift or raises the :class:`SingularityError`
-with its diagnostics. :func:`resolvent_matrix` is the one-shift case.
+2-norms exactly (:func:`~semidecay.spaces.spectral_norms`), accepts the
+shift or raises the :class:`SingularityError` with its diagnostics.
+:func:`resolvent_matrix` is the one-shift case.
 
 Every sparse LU factorization is :func:`sparse_lu`, which fixes its
 column ordering.
@@ -31,7 +32,7 @@ import scipy.sparse.linalg as spla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (EigenConvergenceError, ProjectorMismatchError,
                      SeparationError, SingularityError)
-from .spaces import norm_bounds
+from .spaces import norm_bounds, spectral_norms
 
 # shifts per stacked solve (and times per stack of semigroup norms): amortizes
 # the per-call cost of the stacked kernels, while each stack of a block stays
@@ -106,8 +107,8 @@ def _resolvent_scalar(matrix, xi: complex, tol: Tolerances) -> np.ndarray:
         raise SingularityError(
             f"shift {xi} is numerically singular "
             f"(distance to spectrum {dist:.3e})", distance=dist, witness=xi)
-    shifted_norm = np.linalg.norm(shifted, 2)
-    res_norm = np.linalg.norm(res, 2)
+    shifted_norm, res_norm, residual = spectral_norms(
+        np.stack([shifted, res, shifted @ res - ident]))
     # sigma_min(shifted) = 1/||res||; reject shifts inside the conditioning band
     if res_norm * shifted_norm * tol.tol_solve >= 1.0:
         dist = distance_to_spectrum(matrix, xi)
@@ -116,7 +117,6 @@ def _resolvent_scalar(matrix, xi: complex, tol: Tolerances) -> np.ndarray:
             f"puts it inside the tol_solve={tol.tol_solve:.1e} conditioning band "
             f"(distance to spectrum {dist:.3e})",
             distance=dist, witness=xi)
-    residual = np.linalg.norm(shifted @ res - ident, 2)
     if residual > tol.tol_solve * max(shifted_norm * res_norm, 1.0):
         dist = distance_to_spectrum(matrix, xi)
         raise SingularityError(
@@ -145,9 +145,9 @@ def shifted_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
     ``||(M - xi) R - Id||_hi`` exceeds ``tol_solve * max(cond_lo, 1)``.
     Here ``cond_hi`` and ``cond_lo`` bound ``||M - xi|| ||R||`` from above
     and below. A shift that passes the filter therefore passes the exact
-    test, and no SVD runs here; :func:`guarded_inverses` hands every flagged
-    shift to the one-shift path, whose exact SVD guard accepts or rejects
-    it. Flagged entries of the stack are meaningless.
+    test, and no exact norm is taken here; :func:`guarded_inverses` hands
+    every flagged shift to the one-shift path, whose exact guard accepts or
+    rejects it. Flagged entries of the stack are meaningless.
     """
     matrix = np.asarray(matrix)
     xis = np.asarray(xis)
@@ -244,7 +244,7 @@ def eigen_decompose(op, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralReport:
         eigvals, right = sla.eig(matrix)
     except sla.LinAlgError as exc:
         raise EigenConvergenceError(f"dense eigensolver failed: {exc}")
-    scale = np.linalg.norm(matrix, 2)
+    scale = spectral_norms(matrix[None])[0]
     residuals = np.linalg.norm(matrix @ right - right * eigvals[None, :], axis=0)
     max_rel = float(np.max(residuals) / max(scale, 1e-300)) if len(eigvals) else 0.0
     if max_rel > tol.tol_eig:
@@ -336,11 +336,11 @@ def spectral_projector(op, center: complex, radius: float,
         return _projector_contour(matrix, center, radius, n_contour, tol)
 
     proj_sub = _projector_subspace(matrix, inside)
-    scale = max(np.linalg.norm(proj_sub, 2), 1.0)
+    scale = max(spectral_norms(proj_sub[None])[0], 1.0)
     points = n_contour
     while True:
         proj_con = _projector_contour(matrix, center, radius, points, tol)
-        gap = np.linalg.norm(proj_sub - proj_con, 2) / scale
+        gap = spectral_norms((proj_sub - proj_con)[None])[0] / scale
         if gap <= tol.tol_proj:
             break
         if points >= 1024:

@@ -48,6 +48,13 @@ def test_unknown_config_key_gives_exit_four(tmp_path):
     assert main(["testbed", "--config", cfg]) == 4
 
 
+def test_enlarge_check_without_instance_path_gives_exit_four(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"schema_version": 1, "command": "enlarge-check"})
+    assert main(["enlarge-check", "--config", cfg]) == 4
+    assert capsys.readouterr().err.strip() == (
+        "config error: missing key 'instance_path' at config (required by enlarge-check)")
+
+
 def test_missing_config_file_gives_exit_four(tmp_path):
     assert main(["testbed", "--config", str(tmp_path / "absent.json")]) == 4
 

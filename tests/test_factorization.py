@@ -12,13 +12,14 @@ from semidecay.errors import DimensionMismatchError, SingularityError
 from semidecay.factorization import (IDENTITY_RESIDUAL_LIMIT,
                                      INVERSE_MISMATCH_LIMIT, BoundChainReport,
                                      FactorizationReport, SplitOperator,
+                                     _dominates,
                                      enlarged_resolvent,
                                      enlargement_bound_chain,
                                      injectivity_check, shift_sweep,
                                      verify_factorization)
 from semidecay.hypotheses import FAIL, PASS, check_h4, sample_xi_region
 from semidecay.runner import _check_instance
-from semidecay.spaces import EmbeddedSpacePair, operator_norm, operator_norm_bounds
+from semidecay.spaces import EmbeddedSpacePair, operator_norm, operator_norm_bracket
 from semidecay.spectral import (_resolvent_scalar, resolvent_matrix,
                                 shifted_inverses)
 
@@ -215,51 +216,112 @@ def test_split_operator_shape_and_finiteness_checks():
 
 # ----------------------------------------------------------------------
 # dense oracle: the per-sample loops the shared sweep replaced, one guarded
-# one-shift inverse (LU) per matrix and check, one SVD per norm
+# one-shift inverse (LU) per matrix and check, one exact norm (the sweep's
+# kernel, one matrix at a time) per norm
 
 EPS = np.finfo(float).eps
 
 
 def _inverse(matrix, xi):
-    return _resolvent_scalar(np.asarray(matrix), xi, DEFAULT_TOLERANCES)
+    """In the sweep's row-major layout, which the O(n^2) bounds' sums
+    depend on at rounding level."""
+    return np.ascontiguousarray(_resolvent_scalar(np.asarray(matrix), xi,
+                                                  DEFAULT_TOLERANCES))
 
 
-def oracle_h4_table(split, pair, samples):
-    amb, small = pair.ambient, pair.small
-    rows = np.empty((len(samples), 4), dtype=complex)
-    for i, xi in enumerate(samples):
-        b_inv = _inverse(split.part_b, xi)
-        rows[i] = (xi, operator_norm(b_inv, amb, amb),
-                   operator_norm(split.part_a @ b_inv, amb, small),
-                   operator_norm(b_inv @ split.part_a, amb, small))
-    return rows
+class Oracle:
+    """Per sample, the exact value and the O(n^2) bracket of each bracketed
+    sweep column, and the exact, lower and upper chain values. Where
+    T - xi is singular, its norms and the chain are NaN."""
+
+    def __init__(self, split, pair, samples):
+        amb, small = pair.ambient, pair.small
+        b_invs = [_inverse(split.part_b, xi) for xi in samples]
+        rs = [_inverse_or_none(split.full, xi) for xi in samples]
+        matrices = {"b_inverse": (b_invs, amb, amb),
+                    "a_b_inverse": ([split.part_a @ b for b in b_invs], amb, small),
+                    "b_inverse_a": ([b @ split.part_a for b in b_invs], amb, small),
+                    "resolvent_small": (rs, small, small),
+                    "direct": (rs, amb, amb)}
+        self.exact, self.lower, self.upper = {}, {}, {}
+        for name, (stack, dom, cod) in matrices.items():
+            self.exact[name] = np.array([np.nan if m is None else operator_norm(m, dom, cod)
+                                         for m in stack])
+            self.lower[name], self.upper[name] = np.array(
+                [(np.nan, np.nan) if m is None
+                 else [bound[0] for bound in operator_norm_bracket(m[None], dom, cod)]
+                 for m in stack]).reshape(-1, 2).T
+        self.direct = self.exact.pop("direct")
+        c_j = pair.embedding_constant
+        self.chain, self.chain_lower, self.chain_upper = (
+            norms["b_inverse"] + c_j * norms["resolvent_small"] * norms["a_b_inverse"]
+            for norms in (self.exact, self.lower, self.upper))
 
 
-def oracle_b_inverse_a_upper(split, pair, samples):
-    """The O(n^2) upper bound on each ``||B(xi)^{-1} A||`` of the oracle."""
-    stack = np.stack([_inverse(split.part_b, xi) @ split.part_a for xi in samples])
-    return operator_norm_bounds(stack, pair.ambient, pair.small)[1]
+def _inverse_or_none(matrix, xi):
+    try:
+        return _inverse(matrix, xi)
+    except SingularityError:
+        return None
 
 
-def assert_h4_table(table, split, pair, samples):
-    """Columns 0-2 of an H4 table equal the oracle's bit for bit. The
-    ``||B(xi)^{-1} A||`` column does wherever the oracle value's upper
-    bound reaches the column's sup; elsewhere it lies between the oracle
-    value and the sup. Returns the oracle table and the mask of pruned rows."""
-    oracle = oracle_h4_table(split, pair, samples)
-    npt.assert_array_equal(table[:, :3], oracle[:, :3])
-    exact = oracle[:, 3].real
-    sup = max(0.0, *exact)
-    reaches = oracle_b_inverse_a_upper(split, pair, samples) >= sup
-    npt.assert_array_equal(table[reaches, 3], oracle[reaches, 3])
-    pruned = table[~reaches, 3]
-    assert np.all(pruned.imag == 0.0)
-    assert np.all(exact[~reaches] <= pruned.real) and np.all(pruned.real < sup)
-    return oracle, ~reaches
+def assert_bracketed(values, exact, upper, sup, must_be_exact):
+    """A bracketed column: exact (bit for bit) wherever its upper bound
+    reaches the sup or ``must_be_exact``; elsewhere the exact value or its
+    upper bound, which stays below the sup. Returns the unrefined mask."""
+    reaches = (upper >= sup) | must_be_exact
+    npt.assert_array_equal(values[reaches], exact[reaches])
+    assert np.all((values == exact) | (values == upper))
+    assert np.all(values[~reaches] < sup)
+    return values != exact
+
+
+def assert_h4_table(table, oracle, samples):
+    """The three norm columns of an H4 table against the oracle: each is
+    exact where its upper bound reaches the column's sup or where the
+    sample's chain must be exact, and otherwise holds that upper bound.
+    The sups are the oracle's. Returns the mask of rows with no exact
+    entry."""
+    npt.assert_array_equal(table[:, 0], samples)
+    assert np.all(table.imag[:, 1:] == 0.0)
+    chain_exact = chain_must_be_exact(oracle)
+    unrefined = np.ones(len(samples), dtype=bool)
+    for j, name in enumerate(("b_inverse", "a_b_inverse", "b_inverse_a"), start=1):
+        exact = oracle.exact[name]
+        sup = max(0.0, *exact)
+        assert max(0.0, *table[:, j].real) == sup
+        unrefined &= assert_bracketed(table[:, j].real, exact, oracle.upper[name], sup,
+                                      chain_exact if name != "b_inverse_a" else False)
+    return unrefined
+
+
+def chain_must_be_exact(oracle):
+    """Where the chain's upper bound reaches its max, or its lower bound
+    does not dominate the direct value."""
+    finite = np.isfinite(oracle.chain)
+    return finite & ((oracle.chain_upper >= np.max(oracle.chain[finite], initial=0.0))
+                     | ~_dominates(oracle.chain_lower, oracle.direct))
+
+
+def assert_chain(report, oracle):
+    """Chain values exact where :func:`chain_must_be_exact`, elsewhere
+    between the oracle's lower bound and the exact value and dominating
+    the direct value; the sups and the verdict are the oracle's. Returns
+    the mask of unrefined chain values."""
+    must = chain_must_be_exact(oracle)
+    values = report.chain_values
+    npt.assert_array_equal(values[must], oracle.chain[must])
+    assert np.all(oracle.chain_lower <= values) and np.all(values <= oracle.chain)
+    assert np.all(_dominates(values[~must], oracle.direct[~must]))
+    npt.assert_array_equal(report.direct_values, oracle.direct)
+    assert report.certified_bound == max(0.0, *oracle.chain)
+    assert report.direct_sup == max(0.0, *oracle.direct)
+    assert report.dominated == bool(np.all(_dominates(oracle.chain, oracle.direct)))
+    return values != oracle.chain
 
 
 def assert_certified_residuals(values, oracle, n):
-    """A certified residual bounds the SVD one from above, within the
+    """A certified residual bounds the exact one from above, within the
     factor ``n`` of ``sqrt(n) ||X||_2 >= sqrt(||X||_1 ||X||_inf)`` and the
     column-norm bound ``sqrt(n) max_j ||x_j|| >= ||X||_2``."""
     assert np.all(oracle <= values)
@@ -283,20 +345,6 @@ def oracle_factorization(split, pair, samples):
     return id_res, inv_mis
 
 
-def oracle_chain(split, pair, samples):
-    amb, small = pair.ambient, pair.small
-    chain = np.empty(len(samples))
-    direct = np.empty(len(samples))
-    for i, xi in enumerate(samples):
-        b_inv = _inverse(split.part_b, xi)
-        r_small = _inverse(split.full, xi)
-        chain[i] = (operator_norm(b_inv, amb, amb)
-                    + pair.embedding_constant * operator_norm(r_small, small, small)
-                    * operator_norm(split.part_a @ b_inv, amb, small))
-        direct[i] = operator_norm(r_small, amb, amb)
-    return chain, direct
-
-
 def _oracle_error(matrix, xi):
     with pytest.raises(SingularityError) as info:
         _inverse(matrix, xi)
@@ -316,17 +364,18 @@ class TestSweepAgainstDenseOracle:
         chain = enlargement_bound_chain(split, pair, samples, sweep=h4.sweep)
 
         assert h4.verdict == PASS
-        table, pruned = assert_h4_table(h4.table, split, pair, samples)
-        # not vacuous: most rows keep their upper bound
-        assert pruned.sum() > len(samples) // 2
-        sups = [max(0.0, *table[:, j].real) for j in (1, 2, 3)]
-        assert [h4.sup_b_inverse, h4.sup_a_b_inverse, h4.sup_b_inverse_a] == sups
+        oracle = Oracle(split, pair, samples)
+        unrefined = assert_h4_table(h4.table, oracle, samples)
+        assert [h4.sup_b_inverse, h4.sup_a_b_inverse, h4.sup_b_inverse_a] == [
+            max(0.0, *oracle.exact[name])
+            for name in ("b_inverse", "a_b_inverse", "b_inverse_a")]
         id_res, inv_mis = oracle_factorization(split, pair, samples)
         assert_certified_residuals(fact.identity_residuals, id_res, n)
         assert_certified_residuals(fact.inverse_mismatches, inv_mis, n)
-        chain_values, direct_values = oracle_chain(split, pair, samples)
-        npt.assert_array_equal(chain.chain_values, chain_values)
-        npt.assert_array_equal(chain.direct_values, direct_values)
+        unrefined &= assert_chain(chain, oracle)
+        # not vacuous: most rows take no exact norm but the direct one
+        assert unrefined.sum() > len(samples) // 2
+        assert h4.sweep.exact_norms < 2 * len(samples)
         # standalone calls build their own sweep and agree with the shared one
         alone = verify_factorization(split, pair, samples)
         npt.assert_array_equal(alone.identity_residuals, fact.identity_residuals)
@@ -354,7 +403,8 @@ class TestSweepFailures:
         assert report.verdict == FAIL
         assert report.witness == (f"B - xi numerically singular at xi={samples[10]} "
                                   f"(distance {exc.distance:.3e})")
-        assert_h4_table(report.table, self.split, self.pair, samples[:10])
+        assert_h4_table(report.table, Oracle(self.split, self.pair, samples[:10]),
+                        samples[:10])
         for check in (verify_factorization, enlargement_bound_chain):
             with pytest.raises(SingularityError, match="numerically singular") as info:
                 check(self.split, self.pair, samples, sweep=report.sweep)
@@ -387,8 +437,9 @@ class TestSweepFailures:
         samples = np.array([1.0, 0.0, 2.0 + 1j])
         report = check_h4(self.split, self.pair, -0.75, 0.1, [], samples=samples)
         assert report.verdict == PASS
-        table, _ = assert_h4_table(report.table, self.split, self.pair, samples)
-        assert report.sup_b_inverse_a == max(0.0, *table[:, 3].real)
+        oracle = Oracle(self.split, self.pair, samples)
+        assert_h4_table(report.table, oracle, samples)
+        assert report.sup_b_inverse_a == max(0.0, *oracle.exact["b_inverse_a"])
         with pytest.raises(SingularityError) as info:
             verify_factorization(self.split, self.pair, samples, sweep=report.sweep)
         assert str(info.value) == str(_oracle_error(self.split.full, samples[1]))

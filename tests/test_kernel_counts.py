@@ -19,10 +19,13 @@ from semidecay.runner import _check_instance
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts matrix exponentials, and SVDs inside :func:`shifted_inverses`."""
-    calls = {"expm": 0, "svd": 0, "svd_in_shifted_inverses": 0}
+    """Counts matrix exponentials, SVD matrices (also those inside
+    :func:`shifted_inverses`) and Hermitian eigensolve matrices, the kernel
+    of :func:`~semidecay.spaces.spectral_norms`."""
+    calls = {"expm": 0, "svd": 0, "svd_in_shifted_inverses": 0, "eigvalsh": 0}
     inside = []
     expm, svd, norm = scipy.linalg.expm, np.linalg.svd, np.linalg.norm
+    eigvalsh = np.linalg.eigvalsh
     shifted_inverses = spectral.shifted_inverses
 
     def count_svd(matrices=1):
@@ -44,6 +47,10 @@ def kernel_calls(monkeypatch):
             count_svd(int(np.prod(np.shape(x)[:-2])) or 1)
         return norm(x, ord=ord, axis=axis, keepdims=keepdims)
 
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls["eigvalsh"] += int(np.prod(np.shape(a)[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
     def counting_shifted_inverses(*args, **kwargs):
         inside.append(True)
         try:
@@ -54,6 +61,7 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(spectral, "shifted_inverses", counting_shifted_inverses)
     return calls
 
@@ -67,7 +75,7 @@ def test_instance_check_kernel_counts(kernel_calls):
     # starts off 0, and one for each grid from 0 (333 exponentials, one per
     # time point, before the walk; 8 before the commutation walk)
     assert 0 < kernel_calls["expm"] <= 4
-    assert kernel_calls["svd"] > 0
+    assert kernel_calls["svd"] > 0 and kernel_calls["eigvalsh"] > 0
     assert kernel_calls["svd_in_shifted_inverses"] == 0
 
 
@@ -78,10 +86,12 @@ def test_shift_sweep_takes_exact_norms_only_where_they_are_reported(kernel_calls
     assert len(samples) == 291
     sweep = shift_sweep(inst.split, inst.pair, samples)
     assert sweep.b_failure is None and sweep.t_failure is None
-    # four exact norms per sample (B^{-1}, A B^{-1} and R in both spaces),
-    # ||B^{-1} A|| only where its upper bound reaches the running sup, and
-    # the factorization residuals by O(n^2) bounds
-    assert kernel_calls["svd"] <= 4 * len(samples) + 32
+    # one exact norm per sample (the direct ||R||_amb); the four bracketed
+    # norms only where a sup or a domination decision needs them, and the
+    # factorization residuals by O(n^2) bounds (1184 matrices before)
+    exact = kernel_calls["svd"] + kernel_calls["eigvalsh"]
+    assert exact <= 2 * len(samples)
+    assert exact == sweep.exact_norms
 
 
 def test_banded_scan_runs_no_square_svd_per_line_point(monkeypatch):

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semidecay.errors import DimensionMismatchError
-from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
-                              operator_norm_bounds, operator_norms,
+from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, norm_bounds,
+                              norm_bracket, operator_norm, operator_norm_bounds,
+                              operator_norms, rounding_margin, spectral_norms,
                               spectral_norm_power_iteration, weighted_adjoint,
                               weighted_congruence, weighted_norm)
 
@@ -119,6 +120,61 @@ def test_operator_norm_bounds_bracket_the_stacked_svd(w_dom, w_cod, seed):
     # within the sqrt(n) factor of both bounds
     assert np.all(upper <= np.sqrt(5.0) * exact * (1 + 1e-12))
     assert np.all(np.sqrt(5.0) * lower >= exact * (1 - 1e-12))
+
+
+def _kernel_stack(kind, shape, complex_, seed=0):
+    gen = np.random.default_rng(seed)
+    stack = gen.standard_normal(shape)
+    if complex_:
+        stack = stack + 1j * gen.standard_normal(shape)
+    if kind == "graded":
+        stack *= np.logspace(-150, 150, shape[-1])
+    elif kind == "rank_one":
+        stack = (stack[..., :, :1] @ stack[..., :1, :]) + 1e-10 * stack
+    elif kind == "zero":
+        stack[1:] = 0.0
+    elif kind == "huge":
+        stack *= 1e200
+    elif kind == "tiny":
+        stack *= 1e-200
+    return stack
+
+
+@pytest.mark.parametrize("kind", ["plain", "graded", "rank_one", "zero", "huge", "tiny"])
+@pytest.mark.parametrize("shape", [(5, 9, 9), (4, 7, 12), (4, 12, 7), (3, 1, 6)])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_spectral_norms_match_the_svd_within_the_stated_bound(kind, shape, complex_):
+    stack = _kernel_stack(kind, shape, complex_)
+    svd = np.linalg.svd(stack, compute_uv=False)[..., 0]
+    with np.errstate(all="raise"):
+        values = spectral_norms(stack)
+        lower, upper = norm_bounds(stack)
+        bracket_lower, bracket_upper = norm_bracket(stack)
+    margin = rounding_margin(stack)
+    assert np.all(np.abs(values - svd) <= margin * svd)
+    if kind == "zero":
+        assert np.all(values[1:] == 0.0) and np.all(upper[1:] == 0.0)
+    # both brackets hold the kernel's values; the power step only raises the floor
+    assert np.all(lower <= values) and np.all(values <= upper)
+    assert np.all(bracket_lower <= values) and np.all(bracket_upper == upper)
+    assert np.all(lower <= bracket_lower)
+    # a one-matrix stack is the batched value bit for bit
+    npt.assert_array_equal([spectral_norms(m[None])[0] for m in stack], values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectral_norms_of_a_non_finite_matrix_are_nan(bad):
+    stack = _kernel_stack("plain", (3, 6, 6), True)
+    stack[1, 2, 4] = bad
+    values = spectral_norms(stack)
+    assert np.isnan(values[1])
+    npt.assert_array_equal(values[[0, 2]], spectral_norms(stack[[0, 2]]))
+
+
+def test_power_step_lower_bound_is_sharp_on_rank_one():
+    stack = _kernel_stack("rank_one", (4, 16, 16), True, seed=3)
+    lower, _ = norm_bracket(stack)
+    npt.assert_allclose(lower, spectral_norms(stack), rtol=1e-9)
 
 
 def test_operator_norm_power_method_agrees_with_svd(rng):
