@@ -33,8 +33,8 @@ def main(n_seeds=100, max_size=32):
         xi = sample_xi_region(cert.a, cert.r, list(cert.xi),
                               n_line=9, n_circle=8, grid_shape=(6, 6))
         sweep = shift_sweep(inst.split, inst.pair, xi)
-        fact = verify_factorization(inst.split, inst.pair, xi, sweep=sweep)
-        chain = enlargement_bound_chain(inst.split, inst.pair, xi, sweep=sweep)
+        fact = verify_factorization(sweep)
+        chain = enlargement_bound_chain(sweep)
         worst_identity = max(worst_identity, fact.max_identity_residual)
         worst_mismatch = max(worst_mismatch, fact.max_inverse_mismatch)
         violations += 0 if chain.dominated else 1

@@ -314,15 +314,6 @@ def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
                       t_failure=t_failure, **norms)
 
 
-def _sweep_for(split, pair, xi_samples, tol, sweep: ShiftSweep | None) -> ShiftSweep:
-    """``sweep`` if it covers exactly these samples, else a new one."""
-    if sweep is None:
-        return shift_sweep(split, pair, xi_samples, tol)
-    if not np.array_equal(sweep.samples, np.asarray(xi_samples, dtype=complex)):
-        raise ValueError("the shift sweep was built on other samples")
-    return sweep
-
-
 @dataclass
 class FactorizationReport:
     """Residuals of the factorized inverse over a sample of shifts.
@@ -366,26 +357,20 @@ class FactorizationReport:
                 "n_samples": int(len(self.samples))}
 
 
-def verify_factorization(split: SplitOperator, pair: EmbeddedSpacePair,
-                         xi_samples, tol: Tolerances = DEFAULT_TOLERANCES,
-                         sweep: ShiftSweep | None = None) -> FactorizationReport:
+def verify_factorization(sweep: ShiftSweep) -> FactorizationReport:
     """Certify ``(T-xi) U(xi) = Id`` and ``U(xi) = (T-xi)^{-1}`` on samples.
 
-    The one dense inverse of T - xi per sample serves both as R(xi) inside
-    U(xi) and as the direct inverse U(xi) is compared with. The norms come
-    from ``sweep``, built by :func:`shift_sweep` from the same split, pair,
-    samples and tolerances, or from a sweep of its own: its upper bounds on
-    the two defects over its lower bound on ``||T - xi||`` make both
-    residuals certified upper bounds.
+    Reads the :func:`shift_sweep` of the split, the space pair and the
+    samples. The one dense inverse of T - xi per sample serves both as
+    R(xi) inside U(xi) and as the direct inverse U(xi) is compared with;
+    the sweep's upper bounds on the two defects over its lower bound on
+    ``||T - xi||`` make both residuals certified upper bounds.
 
     Raises
     ------
     SingularityError
         For the first sample where B - xi or T - xi is not invertible.
     """
-    if split.dim != pair.dim:
-        raise DimensionMismatchError("split operator and space pair dimensions differ")
-    sweep = _sweep_for(split, pair, xi_samples, tol, sweep)
     sweep.raise_failure()
     cond_lo = sweep.shifted * sweep.resolvent
     id_res = sweep.identity_defect / np.maximum(cond_lo, 1.0)
@@ -494,15 +479,12 @@ class BoundChainReport:
                 "n_samples": int(len(self.samples))}
 
 
-def enlargement_bound_chain(split: SplitOperator, pair: EmbeddedSpacePair,
-                            xi_samples, tol: Tolerances = DEFAULT_TOLERANCES,
-                            sweep: ShiftSweep | None = None) -> BoundChainReport:
+def enlargement_bound_chain(sweep: ShiftSweep) -> BoundChainReport:
     """Certified ambient resolvent bound assembled from the split bounds.
 
     Reads ``sweep`` like :func:`verify_factorization`, and raises the same
     :class:`SingularityError` for the first sample that is not invertible.
     """
-    sweep = _sweep_for(split, pair, xi_samples, tol, sweep)
     sweep.raise_failure()
     chain = sweep.chain.copy()
     direct = sweep.resolvent.copy()

@@ -187,7 +187,7 @@ class FPGrid:
         return np.sqrt(r2).ravel()
 
 
-def check_truncation(grid: FPGrid, potential, guard: float = TRUNCATION_GUARD):
+def check_truncation(grid: FPGrid, potential):
     """Require the equilibrium to have decayed at the boundary."""
     if not getattr(potential, "requires_truncation_guard", True):
         return
@@ -196,10 +196,10 @@ def check_truncation(grid: FPGrid, potential, guard: float = TRUNCATION_GUARD):
     u_boundary = float(np.asarray(potential.value(*boundary)))
     u_center = float(np.asarray(potential.value(*origin)))
     ratio = np.exp(u_center - u_boundary)
-    if ratio > guard:
+    if ratio > TRUNCATION_GUARD:
         raise DomainTooSmallError(
             f"equilibrium boundary/center ratio {ratio:.2e} exceeds the "
-            f"truncation guard {guard:.1e}; enlarge L")
+            f"truncation guard {TRUNCATION_GUARD:.1e}; enlarge L")
 
 
 def _equilibrium_nodes(grid: FPGrid, potential) -> np.ndarray:
@@ -332,9 +332,8 @@ class FPDiscretization:
 
     @classmethod
     def build(cls, grid: FPGrid, potential, weight: EnlargedWeight,
-              swirl: SwirlField | None = None,
-              guard: float = TRUNCATION_GUARD) -> "FPDiscretization":
-        check_truncation(grid, potential, guard)
+              swirl: SwirlField | None = None) -> "FPDiscretization":
+        check_truncation(grid, potential)
         weight.validate_for_dimension(grid.d)
         meshes = grid.meshes()
         u_vals = np.asarray(potential.value(*meshes), dtype=float).ravel()
@@ -463,8 +462,8 @@ def spectral_gap_H(disc: FPDiscretization, tol: Tolerances = DEFAULT_TOLERANCES
             f"(scale {scale:.3e}); the assembled stencil lost its equilibrium")
     sqrt_mu = np.sqrt(disc.mu)
     sqrt_mu /= np.linalg.norm(sqrt_mu)
-    alignment = float(abs(vecs[:, 0] @ sqrt_mu)) if vecs is not None else np.nan
-    if vecs is not None and alignment < 1.0 - 1e-8:
+    alignment = float(abs(vecs[:, 0] @ sqrt_mu))
+    if alignment < 1.0 - 1e-8:
         raise AssemblyError(
             f"leading eigenvector alignment with sqrt(mu) is {alignment:.12f}")
     return GapReport(lambda_gap=float(vals[1]), leading=leading,
@@ -508,11 +507,6 @@ class DecompositionResult:
     part_a_diagonal: np.ndarray | None
     frontier: list
     achieved_upper: float | None = None
-
-    def split_matrices(self, disc: FPDiscretization):
-        gen = disc.generator
-        part_a = sp.diags(self.part_a_diagonal).tocsr()
-        return gen, part_a, (gen - part_a).tocsr()
 
     @property
     def verdict(self):

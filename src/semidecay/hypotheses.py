@@ -145,18 +145,18 @@ def check_h1(op, a: float, r: float, expected_k: int | None = None,
 # H2: uniform resolvent bound on a vertical line
 
 
-def make_y_grid(core_scale: float, y_max: float, n_core: int = 33,
-                n_outer: int = 12) -> np.ndarray:
+def make_y_grid(core_scale: float, y_max: float) -> np.ndarray:
     """Symmetric scan grid: quadratic refinement near 0, geometric tail.
 
-    The inner part covers [0, core_scale] with spacing that shrinks
-    quadratically toward the origin (where resolvent norms peak for our
-    operators); the outer part continues geometrically to ``y_max``.
+    The inner part covers [0, core_scale] with 33 points whose spacing
+    shrinks quadratically toward the origin (where resolvent norms peak for
+    our operators); the outer part continues geometrically to ``y_max`` in
+    12 more.
     """
-    u = np.linspace(0.0, 1.0, n_core)
+    u = np.linspace(0.0, 1.0, 33)
     inner = core_scale * u**2
     if y_max > core_scale:
-        outer = np.geomspace(core_scale, y_max, n_outer + 1)[1:]
+        outer = np.geomspace(core_scale, y_max, 13)[1:]
         half = np.concatenate([inner, outer])
     else:
         half = inner
@@ -505,29 +505,25 @@ def check_h3(op, space: WeightedSpace | None = None, t_grid=None,
 # H4: decomposition bounds on the sampled admissible region
 
 
-def sample_xi_region(a: float, r: float, xi_list, gap_scale: float | None = None,
-                     eps_line: float = 1e-6, circle_factor: float = 1.05,
-                     n_line: int = 21, n_circle: int = 16,
-                     grid_shape=(16, 16)) -> np.ndarray:
+def sample_xi_region(a: float, r: float, xi_list, n_line: int = 21,
+                     n_circle: int = 16, grid_shape=(16, 16)) -> np.ndarray:
     """Sample the region {Re z > a} minus the excluded balls.
 
-    Three families: the vertical line ``Re = a + eps_line``, circles of
-    radius ``circle_factor * r`` around each excluded center, and a
-    rectangular sweep extending ``10 * gap_scale`` to the right of the
-    line. Points inside any excluded ball (or left of the line) are
-    dropped.
+    Three families: the vertical line ``Re = a + 1e-6``, circles of
+    radius ``1.05 r`` around each excluded center, and a rectangular sweep
+    extending ``10 * max(|a|, |xi_j - a|, 1)`` to the right of the line.
+    Points inside any excluded ball (or left of the line) are dropped.
     """
     xi_list = [complex(x) for x in xi_list]
-    if gap_scale is None:
-        gap_scale = max(abs(a), *(abs(x - a) for x in xi_list), 1.0)
+    gap_scale = max(abs(a), *(abs(x - a) for x in xi_list), 1.0)
     im_extent = max(abs(a), max((abs(x.imag) for x in xi_list), default=0.0) + 2 * r, 1.0)
     samples = []
     line_im = np.linspace(-2.0 * im_extent, 2.0 * im_extent, n_line)
-    samples.append((a + eps_line) + 1j * line_im)
+    samples.append((a + 1e-6) + 1j * line_im)
     for center in xi_list:
         theta = 2.0 * np.pi * np.arange(n_circle) / n_circle
-        samples.append(center + circle_factor * r * np.exp(1j * theta))
-    re = np.linspace(a + eps_line, a + 10.0 * gap_scale, grid_shape[0])
+        samples.append(center + 1.05 * r * np.exp(1j * theta))
+    re = np.linspace(a + 1e-6, a + 10.0 * gap_scale, grid_shape[0])
     im = np.linspace(-2.0 * im_extent, 2.0 * im_extent, grid_shape[1])
     re_mesh, im_mesh = np.meshgrid(re, im, indexing="ij")
     samples.append((re_mesh + 1j * im_mesh).ravel())
@@ -563,7 +559,7 @@ class H4Report:
     samples: np.ndarray
     table: np.ndarray
     ceiling: float
-    sweep: ShiftSweep | None = field(default=None, repr=False, compare=False)
+    sweep: ShiftSweep = field(repr=False, compare=False)
 
     def constants(self):
         return {"verdict": self.verdict, "witness": self.witness,
@@ -573,11 +569,12 @@ class H4Report:
                 "n_samples": int(len(self.samples)), "ceiling": self.ceiling}
 
 
-def check_h4(split, pair: EmbeddedSpacePair, a: float, r: float, xi_list,
-             samples=None, tol: Tolerances = DEFAULT_TOLERANCES) -> H4Report:
+def check_h4(split, pair: EmbeddedSpacePair, samples,
+             tol: Tolerances = DEFAULT_TOLERANCES) -> H4Report:
     """Certify invertibility and mixed bounds of the splitting off the balls.
 
-    For each sampled xi computes ``||B(xi)^{-1}||`` on the ambient space
+    ``samples`` come from :func:`sample_xi_region`. For each sampled xi
+    computes ``||B(xi)^{-1}||`` on the ambient space
     and the two mixed norms of ``A B(xi)^{-1}`` and ``B(xi)^{-1} A`` as
     maps from the ambient into the small space. Passes iff all three stay
     finite and below the configured ceiling over the whole sample. The
@@ -585,8 +582,6 @@ def check_h4(split, pair: EmbeddedSpacePair, a: float, r: float, xi_list,
     on the report for the factorization check and the bound chain; fails
     with a witness at the first sample where B - xi is singular.
     """
-    if samples is None:
-        samples = sample_xi_region(a, r, xi_list)
     sweep = shift_sweep(split, pair, samples, tol)
     samples = sweep.samples
     rows = np.column_stack([samples, sweep.b_inverse, sweep.a_b_inverse,

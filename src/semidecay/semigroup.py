@@ -130,10 +130,9 @@ def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
     return out
 
 
-def default_time_grid(rate_scale: float = 1.0, n: int = 200,
-                      horizon_factor: float = 5.0) -> np.ndarray:
-    """Uniform grid on [0, horizon_factor / |rate_scale|]."""
-    t_max = horizon_factor / max(abs(rate_scale), 1e-12)
+def default_time_grid(rate_scale: float = 1.0, n: int = 200) -> np.ndarray:
+    """Uniform grid on [0, 5 / |rate_scale|]."""
+    t_max = 5.0 / max(abs(rate_scale), 1e-12)
     return np.linspace(0.0, t_max, n)
 
 
@@ -157,15 +156,15 @@ class DecayFit:
         return self.prefactor * np.exp(self.rate * np.asarray(times))
 
 
-def fit_exponential_decay(times, norms, tail_fraction: float = 0.5,
-                          tol: Tolerances = DEFAULT_TOLERANCES) -> DecayFit:
+def fit_exponential_decay(times, norms, tol: Tolerances = DEFAULT_TOLERANCES
+                          ) -> DecayFit:
     """Least-squares exponential fit with a certified envelope.
 
-    The rate comes from a line through ``(t, log norm)`` on the designated
-    tail window (last ``tail_fraction`` of the samples above the floor by
-    default). The prefactor is then inflated minimally so the envelope
-    holds at every sample above the floor, making the returned pair a
-    certified envelope rather than a regression.
+    The rate comes from a line through ``(t, log norm)`` on the tail
+    window: the last half of the samples above the floor. The prefactor is
+    then inflated minimally so the envelope holds at every sample above the
+    floor, making the returned pair a certified envelope rather than a
+    regression.
 
     Raises
     ------
@@ -181,8 +180,6 @@ def fit_exponential_decay(times, norms, tail_fraction: float = 0.5,
         raise ValueError("need at least 4 samples to fit a decay envelope")
     if np.any(norms < 0.0):
         raise ValueError("norms must be nonnegative")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
     floor = tol.floor_factor * np.finfo(float).eps * norms[0]
     keep = norms > floor
     if keep.sum() < 2:
@@ -190,8 +187,7 @@ def fit_exponential_decay(times, norms, tail_fraction: float = 0.5,
             f"only {int(keep.sum())} samples above the floor {floor:.3e}")
     t_kept = times[keep]
     n_kept = norms[keep]
-    start = int(np.floor(len(t_kept) * (1.0 - tail_fraction)))
-    start = min(start, len(t_kept) - 2)
+    start = min(len(t_kept) // 2, len(t_kept) - 2)
     t_fit = t_kept[start:]
     log_fit = np.log(n_kept[start:])
     design = np.vstack([t_fit, np.ones(len(t_fit))]).T
@@ -203,15 +199,14 @@ def fit_exponential_decay(times, norms, tail_fraction: float = 0.5,
                     residual=residual)
 
 
-def envelope_prefactor(times, values, rate: float,
-                       curvature_safety: float = 2.0) -> float:
+def envelope_prefactor(times, values, rate: float) -> float:
     """Smallest certified C with ``values <= C e^{rate t}`` between samples too.
 
     The sampled maximum of ``values * e^{-rate t}`` is inflated by an
     estimate of how far the smooth curve can poke above its samples:
     for a C^2 function the inter-sample excess is at most
     ``max|y''| dt^2 / 8``, with ``y''`` estimated by second differences and
-    widened by ``curvature_safety``.
+    widened by a factor 2.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -221,14 +216,8 @@ def envelope_prefactor(times, values, rate: float,
         return c0
     dt = np.diff(times)
     second = np.abs(np.diff(y, 2)) / (dt[:-1] * dt[1:])
-    excess = curvature_safety * float(np.max(second)) * float(np.max(dt)) ** 2 / 8.0
+    excess = 2.0 * float(np.max(second)) * float(np.max(dt)) ** 2 / 8.0
     return c0 + excess
-
-
-def envelope_holds(times, values, prefactor, rate, slack=1e-12) -> bool:
-    values = np.asarray(values, dtype=float)
-    bound = prefactor * np.exp(rate * np.asarray(times, dtype=float))
-    return bool(np.all(values <= bound * (1.0 + slack)))
 
 
 def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler",

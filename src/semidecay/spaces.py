@@ -95,31 +95,6 @@ def weighted_congruence(matrix, dom: WeightedSpace, cod: WeightedSpace) -> np.nd
     return (s_cod[:, None] * matrix) / s_dom[None, :]
 
 
-def spectral_norm_power_iteration(matrix, tol=1e-12, max_iter=10000) -> float:
-    """Largest singular value by power iteration on ``M^H M``.
-
-    Deterministic: starts from the normalized all-ones vector. It converges
-    to the norm from below, so it serves only as the independent
-    cross-check of :func:`spectral_norms` in the tests.
-    """
-    matrix = np.asarray(matrix)
-    n = matrix.shape[1]
-    v = np.ones(n, dtype=complex if np.iscomplexobj(matrix) else float)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = matrix.conj().T @ (matrix @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v_new = w / norm_w
-        sigma_new = np.sqrt(norm_w)
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return float(sigma_new)
-        sigma, v = sigma_new, v_new
-    return float(sigma)
-
-
 def operator_norm(matrix, dom: WeightedSpace, cod: WeightedSpace) -> float:
     """Operator norm of ``matrix`` as a map (dom, ||.||_dom) -> (cod, ||.||_cod).
 
@@ -267,13 +242,6 @@ def operator_norm_bracket(stack, dom: WeightedSpace, cod: WeightedSpace
                           ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`norm_bracket` of the weighted norms :func:`operator_norms` takes."""
     return norm_bracket(weighted_congruence(stack, dom, cod))
-
-
-def weighted_adjoint(matrix, space: WeightedSpace) -> np.ndarray:
-    """Adjoint with respect to the space inner product: ``W^{-1} M^H W``."""
-    matrix = np.asarray(matrix)
-    w = space.weights
-    return (matrix.conj().T * w[None, :]) / w[:, None]
 
 
 @dataclass(frozen=True)

@@ -306,15 +306,16 @@ def _projector_contour(matrix, center, radius, n_points,
 
 
 def spectral_projector(op, center: complex, radius: float,
-                       method: str = "cross", n_contour: int = 64,
+                       method: str = "cross",
                        tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Spectral projector for the eigenvalue group inside a circle.
 
     Parameters
     ----------
     method : {"cross", "subspace", "contour"}
-        "cross" computes both constructions and verifies agreement within
-        ``tol_proj``, doubling contour points (up to 1024) if needed.
+        "contour" uses 64 contour points. "cross" computes both
+        constructions and verifies agreement within ``tol_proj``, doubling
+        the contour points (up to 1024) if needed.
 
     Raises
     ------
@@ -333,11 +334,11 @@ def spectral_projector(op, center: complex, radius: float,
     if method == "subspace":
         return _projector_subspace(matrix, inside)
     if method == "contour":
-        return _projector_contour(matrix, center, radius, n_contour, tol)
+        return _projector_contour(matrix, center, radius, 64, tol)
 
     proj_sub = _projector_subspace(matrix, inside)
     scale = max(spectral_norms(proj_sub[None])[0], 1.0)
-    points = n_contour
+    points = 64
     while True:
         proj_con = _projector_contour(matrix, center, radius, points, tol)
         gap = spectral_norms((proj_sub - proj_con)[None])[0] / scale

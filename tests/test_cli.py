@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semidecay import fokker_planck, runner
+from semidecay import fokker_planck, generate_instance, runner
 from semidecay.cli import main
 from semidecay.config import RunConfig
 from semidecay.errors import InsufficientSignalError, SingularityError
+from semidecay.factorization import shift_sweep
 from semidecay.reports import RunReport, load_report, reports_equal
 
 BASE_TESTBED = {
@@ -224,6 +225,27 @@ def test_singular_h2_line_is_indeterminate(tmp_path, monkeypatch):
     assert report["verdicts"]["seed_1.h1"]["verdict"] == "pass"
 
 
+def test_singular_sweep_sample_still_writes_the_report(tmp_path, monkeypatch):
+    """B - xi and T - xi are singular at xi = 0 on the pinned seed: H4 fails
+    with its witness, and the factorization and the bound chain, read from
+    the same sweep, are indeterminate with the sweep's error."""
+    samples = np.array([-0.5, 0.0], dtype=complex)
+    monkeypatch.setattr(runner, "sample_xi_region", lambda *args, **kwargs: samples)
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg]) == 2
+    report = load_report(tmp_path / "out" / "report.json")
+    inst = generate_instance(1, 2)
+    _, exc = shift_sweep(inst.split, inst.pair, samples).b_failure
+    verdicts = report["verdicts"]
+    assert verdicts["seed_1.h4"]["verdict"] == "fail"
+    assert "singular at xi=0j" in verdicts["seed_1.h4"]["witness"]
+    for name in ("factorization", "bound_chain"):
+        assert verdicts[f"seed_1.{name}"] == {"verdict": "indeterminate",
+                                              "witness": str(exc)}
+    assert report["constants"]["domination_violations"] == 0
+    assert verdicts["seed_1.h1"]["verdict"] == "pass"
+
+
 def test_equilibrium_initial_data_passes_decay(tmp_path):
     cfg_map = json.loads(json.dumps(BASE_FP))
     cfg_map["problem"]["initial_data"] = "equilibrium"
@@ -407,8 +429,8 @@ def test_non_finite_h3_fit_is_indeterminate(tmp_path, monkeypatch):
 
 
 def _broken_factorization(verify_factorization, seen):
-    def broken(split, pair, samples, tol=None, sweep=None):
-        report = verify_factorization(split, pair, samples, tol=tol, sweep=sweep)
+    def broken(sweep):
+        report = verify_factorization(sweep)
         residuals = report.identity_residuals.copy()
         residuals[3] = 1.0
         seen.append(f"identity residual 1.000e+00 exceeds 1e-09 "
@@ -418,8 +440,8 @@ def _broken_factorization(verify_factorization, seen):
 
 
 def _broken_bound_chain(enlargement_bound_chain, seen):
-    def broken(split, pair, samples, tol=None, sweep=None):
-        report = enlargement_bound_chain(split, pair, samples, tol=tol, sweep=sweep)
+    def broken(sweep):
+        report = enlargement_bound_chain(sweep)
         direct = report.direct_values.copy()
         direct[2] = 2.0 * report.chain_values[2]
         seen.append(f"chain {report.chain_values[2]:.6e} < direct {direct[2]:.6e} "

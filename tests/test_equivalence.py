@@ -7,7 +7,7 @@ from semidecay.equivalence import (DecayCertificate, verify_decay_from_resolvent
                                    verify_resolvent_from_decay)
 from semidecay.errors import CertificateError
 from semidecay.hypotheses import FAIL, PASS, check_h1
-from semidecay.spaces import WeightedSpace
+from semidecay.spaces import WeightedSpace, operator_norm
 
 
 def diag_report():
@@ -46,6 +46,19 @@ class TestDecayFromResolvent:
         assert transfer.prefactor_at_rate > 1.0
 
 
+    def test_report_without_projectors_is_rejected(self):
+        """An H1 report built without projectors cannot deflate its
+        surviving eigenvalue."""
+        inst = generate_instance(3, 8)
+        cert = inst.certificate
+        h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k,
+                      compute_projectors=False)
+        assert len(h1.spectral.discrete_eigs) == 1 and h1.spectral.projectors == []
+        with pytest.raises(CertificateError, match="1 discrete eigenvalues but 0"):
+            verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
+                                        h1.spectral, 0.5 * cert.a)
+
+
 class TestResolventFromDecay:
     def test_two_point_certificate_passes(self):
         t_mat = np.diag([0.0, -1.0])
@@ -53,7 +66,7 @@ class TestResolventFromDecay:
         cert = DecayCertificate(level=-1.0, prefactor=1.0,
                                 discrete_eigs=[0.0 + 0.0j],
                                 projectors=[np.diag([1.0, 0.0])], space=space)
-        report = verify_resolvent_from_decay(t_mat, space, cert)
+        report = verify_resolvent_from_decay(t_mat, cert)
         assert report.verdict == PASS
         assert report.laplace_max_ratio <= 1.0 + 1e-6
         assert report.h1.verdict == PASS
@@ -66,7 +79,7 @@ class TestResolventFromDecay:
         cert = DecayCertificate(level=-1.0, prefactor=1.0,
                                 discrete_eigs=[0.0 + 0.0j],
                                 projectors=[np.diag([0.0, 1.0])], space=space)
-        report = verify_resolvent_from_decay(t_mat, space, cert)
+        report = verify_resolvent_from_decay(t_mat, cert)
         assert report.verdict == FAIL
         assert "Laplace" in report.witness
 
@@ -78,7 +91,35 @@ class TestResolventFromDecay:
                                 projectors=[np.array([[1.0, 1.0], [0.0, 0.0]])],
                                 space=space)
         with pytest.raises(CertificateError):
-            verify_resolvent_from_decay(t_mat, space, cert)
+            verify_resolvent_from_decay(t_mat, cert)
+
+    def test_certificate_without_projectors_is_rejected(self):
+        space = WeightedSpace.unweighted(2)
+        cert = DecayCertificate(level=-1.0, prefactor=1.0,
+                                discrete_eigs=[0.0 + 0.0j], projectors=[], space=space)
+        with pytest.raises(CertificateError, match="1 discrete eigenvalues but 0"):
+            verify_resolvent_from_decay(np.diag([0.0, -1.0]), cert)
+
+    def test_norms_are_taken_in_the_certificate_space(self):
+        """The Laplace ratio is measured in ``certificate.space``: it matches
+        a direct inverse measured there, and not the unweighted one."""
+        t_mat = np.array([[0.0, 0.0], [1.0, -1.0]])
+        space = WeightedSpace(np.arange(2.0), np.array([1.0, 100.0]))
+        h1 = check_h1(t_mat, a=-0.5, r=0.25)
+        cert = verify_decay_from_resolvent(t_mat, space, h1.spectral, -0.4).certificate
+        report = verify_resolvent_from_decay(t_mat, cert)
+        ratios = {}
+        for name, norm_space in (("weighted", space),
+                                 ("unweighted", WeightedSpace.unweighted(2))):
+            worst = 0.0
+            for z in report.z_samples:
+                lhs = np.linalg.inv(t_mat - z * np.eye(2)) - sum(
+                    p / (xi - z) for xi, p in zip(cert.discrete_eigs, cert.projectors))
+                worst = max(worst, operator_norm(lhs, norm_space, norm_space)
+                            * (z.real - cert.level) / cert.prefactor)
+            ratios[name] = worst
+        assert report.laplace_max_ratio == pytest.approx(ratios["weighted"], rel=1e-10)
+        assert ratios["unweighted"] != pytest.approx(ratios["weighted"], rel=1e-3)
 
     def test_round_trip_on_random_normal_instances(self, rng):
         for _ in range(8):
@@ -90,7 +131,7 @@ class TestResolventFromDecay:
             assert h1.verdict == PASS
             transfer = verify_decay_from_resolvent(t_mat, space, h1.spectral, -0.4)
             assert transfer.verdict == PASS
-            converse = verify_resolvent_from_decay(t_mat, space, transfer.certificate)
+            converse = verify_resolvent_from_decay(t_mat, transfer.certificate)
             assert converse.verdict == PASS
 
 
@@ -104,7 +145,6 @@ def test_round_trip_on_generated_instances():
         transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                                h1.spectral, 0.5 * cert.a)
         assert transfer.verdict == PASS
-        converse = verify_resolvent_from_decay(inst.split.full, inst.pair.ambient,
-                                               transfer.certificate)
+        converse = verify_resolvent_from_decay(inst.split.full, transfer.certificate)
         assert converse.verdict == PASS
         assert converse.laplace_max_ratio <= 1.0 + 1e-6

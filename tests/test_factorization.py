@@ -60,20 +60,22 @@ class TestEnlargedResolvent:
 
 class TestVerifyFactorization:
     def test_three_instance_families(self, pinned_instance, rng):
-        report = verify_factorization(pinned_instance.split, pinned_instance.pair,
-                                      line_samples(pinned_instance.certificate))
+        report = verify_factorization(shift_sweep(
+            pinned_instance.split, pinned_instance.pair,
+            line_samples(pinned_instance.certificate)))
         assert report.max_identity_residual <= 1e-9
         assert report.max_inverse_mismatch <= 1e-9
 
         full = -2 * np.eye(6) + 0.3 * rng.standard_normal((6, 6))
         trivial = SplitOperator.from_regularizer(full, np.zeros((6, 6)))
         pair = EmbeddedSpacePair.from_weights(np.ones(6), np.full(6, 2.0))
-        report = verify_factorization(trivial, pair, [0.5 + 1j, 1.0, 2.0 - 0.5j])
+        report = verify_factorization(shift_sweep(trivial, pair,
+                                                  [0.5 + 1j, 1.0, 2.0 - 0.5j]))
         assert report.max_identity_residual <= 1e-9
 
         inst = generate_instance(23, 16)
-        report = verify_factorization(inst.split, inst.pair,
-                                      line_samples(inst.certificate))
+        report = verify_factorization(shift_sweep(inst.split, inst.pair,
+                                                  line_samples(inst.certificate)))
         assert report.max_identity_residual <= 1e-9
         assert report.max_inverse_mismatch <= 1e-8
 
@@ -145,13 +147,13 @@ class TestBoundChain:
         pair = EmbeddedSpacePair.from_weights(rng.uniform(0.5, 1.0, 4),
                                               rng.uniform(1.0, 3.0, 4))
         samples = [0.3 + 0.2j, 1.0, 0.5 - 1j]
-        report = enlargement_bound_chain(split, pair, samples)
+        report = enlargement_bound_chain(shift_sweep(split, pair, samples))
         npt.assert_allclose(report.chain_values, report.direct_values, rtol=1e-12)
         assert report.dominated
 
     def test_pinned_diagonal_arithmetic(self, pinned_instance):
-        report = enlargement_bound_chain(pinned_instance.split,
-                                         pinned_instance.pair, [-0.5])
+        report = enlargement_bound_chain(shift_sweep(pinned_instance.split,
+                                                     pinned_instance.pair, [-0.5]))
         # ||B(xi)^{-1}|| + c_J ||R(xi)|| ||A B(xi)^{-1}|| = 2 + 1 * 2 * 0.5
         assert report.chain_values[0] == pytest.approx(3.0, rel=1e-12)
         assert report.direct_values[0] == pytest.approx(2.0, rel=1e-12)
@@ -164,7 +166,7 @@ class TestBoundChain:
         cert = inst.certificate
         samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
                                    n_line=5, n_circle=6, grid_shape=(3, 3))
-        report = enlargement_bound_chain(inst.split, inst.pair, samples)
+        report = enlargement_bound_chain(shift_sweep(inst.split, inst.pair, samples))
         assert report.dominated
         assert report.certified_bound >= report.direct_sup
 
@@ -179,17 +181,15 @@ class TestShiftCovariance:
                                 part_a=inst.split.part_a,
                                 part_b=inst.split.part_b + sigma * eye)
         samples = line_samples(cert, 5)
-        base = check_h4(inst.split, inst.pair, cert.a, cert.r, list(cert.xi),
-                        samples=samples)
-        moved = check_h4(shifted, inst.pair, cert.a + sigma, cert.r,
-                         [x + sigma for x in cert.xi], samples=samples + sigma)
+        base = check_h4(inst.split, inst.pair, samples)
+        moved = check_h4(shifted, inst.pair, samples + sigma)
         # resolvents at shifted points are equal matrices, so all bounds agree
         assert moved.sup_b_inverse == pytest.approx(base.sup_b_inverse, rel=1e-12)
         assert moved.sup_a_b_inverse == pytest.approx(base.sup_a_b_inverse, rel=1e-12)
         assert moved.sup_b_inverse_a == pytest.approx(base.sup_b_inverse_a, rel=1e-12)
 
-        chain_base = enlargement_bound_chain(inst.split, inst.pair, samples)
-        chain_moved = enlargement_bound_chain(shifted, inst.pair, samples + sigma)
+        chain_base = enlargement_bound_chain(base.sweep)
+        chain_moved = enlargement_bound_chain(moved.sweep)
         assert chain_moved.certified_bound == pytest.approx(
             chain_base.certified_bound, rel=1e-12)
 
@@ -359,9 +359,9 @@ class TestSweepAgainstDenseOracle:
         # the thinned sample the runner uses for sweeps of more than four seeds
         samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
                                    n_line=9, n_circle=8, grid_shape=(6, 6))
-        h4 = check_h4(split, pair, cert.a, cert.r, list(cert.xi), samples=samples)
-        fact = verify_factorization(split, pair, samples, sweep=h4.sweep)
-        chain = enlargement_bound_chain(split, pair, samples, sweep=h4.sweep)
+        h4 = check_h4(split, pair, samples)
+        fact = verify_factorization(h4.sweep)
+        chain = enlargement_bound_chain(h4.sweep)
 
         assert h4.verdict == PASS
         oracle = Oracle(split, pair, samples)
@@ -376,16 +376,9 @@ class TestSweepAgainstDenseOracle:
         # not vacuous: most rows take no exact norm but the direct one
         assert unrefined.sum() > len(samples) // 2
         assert h4.sweep.exact_norms < 2 * len(samples)
-        # standalone calls build their own sweep and agree with the shared one
-        alone = verify_factorization(split, pair, samples)
+        # a sweep of its own agrees with the one H4 made
+        alone = verify_factorization(shift_sweep(split, pair, samples))
         npt.assert_array_equal(alone.identity_residuals, fact.identity_residuals)
-
-    def test_sweep_rejects_other_samples(self):
-        inst = generate_instance(2, 8)
-        samples = line_samples(inst.certificate)
-        sweep = shift_sweep(inst.split, inst.pair, samples)
-        with pytest.raises(ValueError):
-            verify_factorization(inst.split, inst.pair, samples[1:], sweep=sweep)
 
 
 class TestSweepFailures:
@@ -398,7 +391,7 @@ class TestSweepFailures:
     def test_h4_witness_at_first_singular_b(self):
         # ten regular shifts, so the singular one sits in the second block
         samples = np.concatenate([1.0 + 0.3j * np.arange(10), [-0.5, 2.0]])
-        report = check_h4(self.split, self.pair, -0.75, 0.1, [], samples=samples)
+        report = check_h4(self.split, self.pair, samples)
         exc = _oracle_error(self.split.part_b, samples[10])
         assert report.verdict == FAIL
         assert report.witness == (f"B - xi numerically singular at xi={samples[10]} "
@@ -407,18 +400,18 @@ class TestSweepFailures:
                         samples[:10])
         for check in (verify_factorization, enlargement_bound_chain):
             with pytest.raises(SingularityError, match="numerically singular") as info:
-                check(self.split, self.pair, samples, sweep=report.sweep)
+                check(report.sweep)
             assert str(info.value) == str(exc)
 
     def test_earlier_singular_t_raises_first(self):
         samples = np.concatenate([1.0 + 0.3j * np.arange(9), [0.0, -0.5]])
-        report = check_h4(self.split, self.pair, -0.75, 0.1, [], samples=samples)
+        report = check_h4(self.split, self.pair, samples)
         # H4 does not look at T - xi: it fails at the singular B(xi) only
         assert report.verdict == FAIL and len(report.table) == 10
         t_exc = _oracle_error(self.split.full, samples[9])
         for check in (verify_factorization, enlargement_bound_chain):
             with pytest.raises(SingularityError) as info:
-                check(self.split, self.pair, samples, sweep=report.sweep)
+                check(report.sweep)
             assert str(info.value) == str(t_exc)
             assert info.value.witness == samples[9]
 
@@ -430,16 +423,16 @@ class TestSweepFailures:
         samples = np.array([1.0, 0.0], dtype=complex)
         for check in (verify_factorization, enlargement_bound_chain):
             with pytest.raises(SingularityError, match="too close") as info:
-                check(split, self.pair, samples)
+                check(shift_sweep(split, self.pair, samples))
             assert str(info.value) == str(_oracle_error(split.part_b, samples[1]))
 
     def test_singular_t_alone_passes_h4(self):
         samples = np.array([1.0, 0.0, 2.0 + 1j])
-        report = check_h4(self.split, self.pair, -0.75, 0.1, [], samples=samples)
+        report = check_h4(self.split, self.pair, samples)
         assert report.verdict == PASS
         oracle = Oracle(self.split, self.pair, samples)
         assert_h4_table(report.table, oracle, samples)
         assert report.sup_b_inverse_a == max(0.0, *oracle.exact["b_inverse_a"])
         with pytest.raises(SingularityError) as info:
-            verify_factorization(self.split, self.pair, samples, sweep=report.sweep)
+            verify_factorization(report.sweep)
         assert str(info.value) == str(_oracle_error(self.split.full, samples[1]))

@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 
 from semidecay import fokker_planck
 from semidecay.errors import AssemblyError, DomainTooSmallError
-from semidecay.factorization import SplitOperator, enlargement_bound_chain
+from semidecay.factorization import (SplitOperator, enlargement_bound_chain,
+                                     shift_sweep)
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential, SwirlField, UniformPotential,
                                      assemble_skew_part,
@@ -21,6 +22,8 @@ from semidecay.hypotheses import PASS, check_h2, check_h4
 from semidecay.semigroup import step_trajectory
 from semidecay.spectral import sparse_lu
 from semidecay.spaces import EmbeddedSpacePair
+
+from helpers import split_matrices
 
 
 class TestIngredients:
@@ -213,7 +216,7 @@ class TestFindDecomposition:
         target = 0.5 * gap.lambda_gap
         result = find_decomposition(disc, target)
         assert result.found
-        gen, part_a, part_b = result.split_matrices(disc)
+        gen, part_a, part_b = split_matrices(result, disc)
         split = SplitOperator(full=gen.toarray(), part_a=part_a.toarray(),
                               part_b=part_b.toarray())
         pair = EmbeddedSpacePair.from_weights(
@@ -221,8 +224,7 @@ class TestFindDecomposition:
             grid=disc.space_small.grid,
             cell_measure=disc.space_small.cell_measure)
         samples = target + 1e-6 + 1j * np.linspace(-1.0, 1.0, 7)
-        report = check_h4(split, pair, target, 0.1 * abs(target), [0.0 + 0.0j],
-                          samples=samples)
+        report = check_h4(split, pair, samples)
         assert report.verdict == PASS
 
 
@@ -303,7 +305,7 @@ class TestResolventScan:
         target = 0.5 * gap.lambda_gap
         decomp = find_decomposition(disc, target)
         assert decomp.found
-        gen, part_a, part_b = decomp.split_matrices(disc)
+        gen, part_a, part_b = split_matrices(decomp, disc)
         split = SplitOperator(full=gen.toarray(), part_a=part_a.toarray(),
                               part_b=part_b.toarray())
         pair = EmbeddedSpacePair.from_weights(
@@ -312,7 +314,7 @@ class TestResolventScan:
             cell_measure=disc.space_small.cell_measure)
         ys = np.linspace(-2.0, 2.0, 9)
         samples = target + 1e-6 + 1j * ys
-        chain = enlargement_bound_chain(split, pair, samples)
+        chain = enlargement_bound_chain(shift_sweep(split, pair, samples))
         assert chain.dominated
         # the certified chain bound dominates the scan on the same points
         assert chain.certified_bound >= np.max(chain.direct_values)

@@ -4,7 +4,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from semidecay import generate_instance
 from semidecay.errors import SingularityError
 from semidecay.factorization import SplitOperator
 from semidecay import hypotheses
@@ -16,6 +15,8 @@ from semidecay.hypotheses import (FAIL, INDETERMINATE, PASS, check_h1, check_h2,
 from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
                               weighted_congruence)
 from semidecay.spectral import resolvent_matrix
+
+from helpers import split_matrices
 
 
 class TestH1:
@@ -306,25 +307,21 @@ class TestH4:
         full = np.diag([-1.0, -2.0])
         split = SplitOperator.from_regularizer(full, np.zeros((2, 2)))
         pair = EmbeddedSpacePair.from_weights(np.ones(2), np.ones(2))
-        report = check_h4(split, pair, a=-0.5, r=0.1, xi_list=[])
+        report = check_h4(split, pair, sample_xi_region(-0.5, 0.1, []))
         assert report.verdict == PASS
         assert report.sup_a_b_inverse == 0.0
         assert report.sup_b_inverse_a == 0.0
 
     def test_pinned_diagonal_arithmetic(self, pinned_instance):
-        split, pair, cert = (pinned_instance.split, pinned_instance.pair,
-                             pinned_instance.certificate)
-        report = check_h4(split, pair, cert.a, cert.r, list(cert.xi),
-                          samples=[-0.5 + 0.0j])
+        split, pair = pinned_instance.split, pinned_instance.pair
+        report = check_h4(split, pair, [-0.5 + 0.0j])
         assert report.verdict == PASS
         assert report.sup_b_inverse == pytest.approx(2.0, rel=1e-12)
 
     def test_singular_sample_fails_with_witness(self, pinned_instance):
-        split, pair, cert = (pinned_instance.split, pinned_instance.pair,
-                             pinned_instance.certificate)
+        split, pair = pinned_instance.split, pinned_instance.pair
         # xi = 0 is an eigenvalue of the coercive part (inside the excluded ball)
-        report = check_h4(split, pair, cert.a, cert.r, list(cert.xi),
-                          samples=[0.0 + 0.0j])
+        report = check_h4(split, pair, [0.0 + 0.0j])
         assert report.verdict == FAIL
         assert "singular" in report.witness
 
@@ -336,7 +333,7 @@ class TestH4:
         gap = spectral_gap_H(disc)
         decomp = find_decomposition(disc, 0.5 * gap.lambda_gap)
         assert decomp.found
-        gen, part_a, part_b = decomp.split_matrices(disc)
+        gen, part_a, part_b = split_matrices(decomp, disc)
         split = SplitOperator(full=gen.toarray(), part_a=part_a.toarray(),
                               part_b=part_b.toarray())
         pair = EmbeddedSpacePair.from_weights(disc.space_ambient.weights,

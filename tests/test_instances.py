@@ -64,8 +64,7 @@ def test_certificate_revalidates(seed, n):
     assert h1.verdict == PASS
     samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
                                n_line=5, n_circle=4, grid_shape=(3, 3))
-    h4 = check_h4(inst.split, inst.pair, cert.a, cert.r, list(cert.xi),
-                  samples=samples)
+    h4 = check_h4(inst.split, inst.pair, samples)
     assert h4.verdict == PASS
 
 
@@ -80,14 +79,12 @@ def test_multi_group_instance_revalidates_and_round_trips():
     assert len(h1.spectral.projectors) == 3
     samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
                                n_line=5, n_circle=4, grid_shape=(3, 3))
-    h4 = check_h4(inst.split, inst.pair, cert.a, cert.r, list(cert.xi),
-                  samples=samples)
+    h4 = check_h4(inst.split, inst.pair, samples)
     assert h4.verdict == PASS
     transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                            h1.spectral, 0.5 * cert.a)
     assert transfer.verdict == PASS
-    converse = verify_resolvent_from_decay(inst.split.full, inst.pair.ambient,
-                                           transfer.certificate)
+    converse = verify_resolvent_from_decay(inst.split.full, transfer.certificate)
     assert converse.verdict == PASS
 
 

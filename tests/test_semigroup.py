@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from semidecay import generate_instance, semigroup
 from semidecay.errors import InsufficientSignalError, MagnitudeGuardError
 from semidecay.hypotheses import check_h1
-from semidecay.semigroup import (default_time_grid, envelope_holds,
-                                 envelope_prefactor, fit_exponential_decay,
-                                 matrix_exponential, semigroup_apply,
-                                 semigroup_norms, step_trajectory)
+from semidecay.semigroup import (default_time_grid, envelope_prefactor,
+                                 fit_exponential_decay, matrix_exponential,
+                                 semigroup_apply, semigroup_norms, step_trajectory)
 from semidecay.spaces import WeightedSpace, operator_norm
+
+from helpers import envelope_holds
 
 
 class TestSemigroupApply:

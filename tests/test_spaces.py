@@ -9,8 +9,9 @@ from semidecay.errors import DimensionMismatchError
 from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, norm_bounds,
                               norm_bracket, operator_norm, operator_norm_bounds,
                               operator_norms, rounding_margin, spectral_norms,
-                              spectral_norm_power_iteration, weighted_adjoint,
                               weighted_congruence, weighted_norm)
+
+from helpers import spectral_norm_power_iteration, weighted_adjoint
 
 finite_vectors = arrays(np.float64, (5,),
                         elements=st.floats(-1e6, 1e6, allow_nan=False))
