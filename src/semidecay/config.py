@@ -49,6 +49,12 @@ class Tolerances:
     floor_factor: float = 1e3
     laplace_slack: float = 1e-6
 
+    def __post_init__(self):
+        # a NaN or non-positive slack would switch its check off silently
+        for key, val in self.to_dict().items():
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError(f"tolerance {key} must be finite and positive, got {val}")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -64,7 +70,7 @@ class Tolerances:
                 vals[key] = float(val)
             except (TypeError, ValueError):
                 raise ConfigError(f"value for {where}.{key} is not a number: {val!r}")
-        return cls(**vals)
+        return _build(where, lambda: cls(**vals))
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -119,7 +125,7 @@ class FPProblem:
 
     _ALLOWED = {"d", "s", "L", "N", "weight", "swirl", "scheme", "t_max",
                 "dt", "initial_data", "target_a"}
-    _SCHEMES = ("implicit-euler", "crank-nicolson", "reference-exponential")
+    _SCHEMES = ("implicit-euler", "crank-nicolson")
     _INITIAL = ("heavy-tail", "offset-heavy-tail", "equilibrium", "gap-mode")
 
     @classmethod
@@ -231,6 +237,14 @@ class RunConfig:
                 "instance_path", "problem", "tolerances", "out_dir", "jobs",
                 "write_operators"}
 
+    def __post_init__(self):
+        # runs for the file and again for each command-line override
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed} at config.seed")
+        if not isinstance(self.write_operators, bool):
+            raise ConfigError(f"write_operators must be true or false, got "
+                              f"{self.write_operators!r} at config.write_operators")
+
     @classmethod
     def from_mapping(cls, mapping, command=None) -> "RunConfig":
         _require_keys(mapping, cls._ALLOWED, {"schema_version"}, "config")
@@ -266,7 +280,7 @@ class RunConfig:
                    tolerances=tolerances,
                    out_dir=str(mapping.get("out_dir", "out")),
                    jobs=_build("config.jobs", lambda: _integer(mapping.get("jobs", 1))),
-                   write_operators=bool(mapping.get("write_operators", False)))
+                   write_operators=mapping.get("write_operators", False))
 
     @classmethod
     def from_json_file(cls, path, command=None) -> "RunConfig":

@@ -34,6 +34,9 @@ from .spaces import WeightedSpace
 from .spectral import is_tridiagonal, sparse_lu
 
 _DENSE_LIMIT = 4200
+# symmetric eigenproblems up to this size take a dense eigh, not Lanczos:
+# on a 2-D swirl search at N=16 with amplitude 100, shift-invert Lanczos
+# from v0 = ones misses the top eigenvalue of 3 of 4 candidates
 _DENSE_EIG_LIMIT = 1100
 TRUNCATION_GUARD = 1e-12
 
@@ -399,9 +402,9 @@ def _shift_above(sym) -> float:
     return max(float(np.max(diag + (abs_row_sums - np.abs(diag)))), 0.0) + 1.0
 
 
-def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int, want_vectors=False):
+def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int):
     """Largest k eigenvalues (descending) of the symmetric part
-    ``(S + S^T) / 2`` of a sparse matrix, with vectors on request.
+    ``(S + S^T) / 2`` of a sparse matrix, with their vectors.
     Deterministic: tridiagonal and dense paths are direct, the sparse path
     uses shift-invert Lanczos with a fixed start vector and a shift above
     the spectrum, over one :func:`~semidecay.spectral.sparse_lu` of the
@@ -410,22 +413,14 @@ def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int, want_vectors=False):
     if n > 1 and is_tridiagonal(s_mat):
         diag = s_mat.diagonal()
         off = 0.5 * (s_mat.diagonal(-1) + s_mat.diagonal(1))
-        if want_vectors:
-            vals, vecs = sla.eigh_tridiagonal(diag, off, select="i",
-                                              select_range=(n - k, n - 1))
-            return vals[::-1], vecs[:, ::-1]
-        vals = sla.eigh_tridiagonal(diag, off, select="i",
-                                    select_range=(n - k, n - 1),
-                                    eigvals_only=True)
-        return vals[::-1], None
+        vals, vecs = sla.eigh_tridiagonal(diag, off, select="i",
+                                          select_range=(n - k, n - 1))
+        return vals[::-1], vecs[:, ::-1]
     if n <= _DENSE_EIG_LIMIT:
         dense = s_mat.toarray()
         dense = 0.5 * (dense + dense.T)
-        if want_vectors:
-            vals, vecs = sla.eigh(dense, subset_by_index=[n - k, n - 1])
-            return vals[::-1], vecs[:, ::-1]
-        vals = sla.eigh(dense, subset_by_index=[n - k, n - 1], eigvals_only=True)
-        return vals[::-1], None
+        vals, vecs = sla.eigh(dense, subset_by_index=[n - k, n - 1])
+        return vals[::-1], vecs[:, ::-1]
     sym = (0.5 * (s_mat + s_mat.T)).tocsc()
     v0 = np.ones(n) / np.sqrt(n)
     sigma = _shift_above(sym)
@@ -434,7 +429,7 @@ def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int, want_vectors=False):
     vals, vecs = spla.eigsh(sym, k=k, sigma=sigma, which="LM", v0=v0,
                             OPinv=op_inv)
     order = np.argsort(vals)[::-1]
-    return vals[order], (vecs[:, order] if want_vectors else None)
+    return vals[order], vecs[:, order]
 
 
 def spectral_gap_H(disc: FPDiscretization, tol: Tolerances = DEFAULT_TOLERANCES
@@ -454,7 +449,7 @@ def spectral_gap_H(disc: FPDiscretization, tol: Tolerances = DEFAULT_TOLERANCES
     """
     s_mat = _similarity(disc.sym, -np.log(disc.mu))
     scale = float(abs(s_mat).max())
-    vals, vecs = _top_symmetric_eigs(s_mat, 2, want_vectors=True)
+    vals, vecs = _top_symmetric_eigs(s_mat, 2)
     leading = float(vals[0])
     if abs(leading) > tol.tol_eig * max(scale, 1.0):
         raise AssemblyError(
@@ -473,7 +468,7 @@ def spectral_gap_H(disc: FPDiscretization, tol: Tolerances = DEFAULT_TOLERANCES
 def gap_mode(disc: FPDiscretization) -> np.ndarray:
     """Eigenvector of the gap eigenvalue, mapped back to density variables."""
     s_mat = _similarity(disc.sym, -np.log(disc.mu))
-    _, vecs = _top_symmetric_eigs(s_mat, 2, want_vectors=True)
+    _, vecs = _top_symmetric_eigs(s_mat, 2)
     mode = vecs[:, 1] * np.sqrt(disc.mu)
     return mode / np.linalg.norm(mode)
 
@@ -620,7 +615,7 @@ def _shared_lu_tops(sym, diagonals):
                 maxiter=LOBPCG_MAXITER, largest=True, retResidualNormsHistory=True)
         vector = _positive(vecs[:, 0]) if np.max(history[-1]) <= LOBPCG_TOL else None
         if vector is None:
-            vals, vecs = _top_symmetric_eigs(candidate, 1, want_vectors=True)
+            vals, vecs = _top_symmetric_eigs(candidate, 1)
             vector = vecs[:, 0]
         start = vector[:, None]
         yield float(vals[0]), vector
@@ -661,8 +656,8 @@ def find_decomposition(disc: FPDiscretization, target_a: float,
     if metzler and sym.shape[0] > _DENSE_EIG_LIMIT and not is_tridiagonal(sym):
         tops = _shared_lu_tops(sym, diagonals)
     else:
-        tops = ((float(_top_symmetric_eigs(sym - sp.diags(diag), 1)[0][0]), None)
-                for diag in diagonals)
+        tops = ((float(vals[0]), vecs[:, 0]) for vals, vecs in
+                (_top_symmetric_eigs(sym - sp.diags(diag), 1) for diag in diagonals))
     frontier = []
     for (m_val, r_val), (top, vector) in zip(pairs, tops):
         frontier.append((m_val, r_val, top))
@@ -670,10 +665,7 @@ def find_decomposition(disc: FPDiscretization, target_a: float,
             diag = m_val * (coord <= r_val).astype(float)
             upper = None
             if metzler:
-                remainder = sym - sp.diags(diag)
-                if vector is None:
-                    vector = _top_symmetric_eigs(remainder, 1, want_vectors=True)[1][:, 0]
-                upper = _collatz_wielandt_upper(remainder, vector)
+                upper = _collatz_wielandt_upper(sym - sp.diags(diag), vector)
             return DecompositionResult(found=True, M=m_val, R=r_val, achieved=top,
                                        target=target_a, part_a_diagonal=diag,
                                        frontier=frontier, achieved_upper=upper)
@@ -772,7 +764,7 @@ def decay_experiment(disc: FPDiscretization, space: WeightedSpace, f0,
     hd = disc.grid.h ** disc.grid.d
     mass0 = float(f0.sum() * hd)
     equilibrium_share = mass0 * disc.mu
-    traj = step_trajectory(disc.generator, f0, t_grid, scheme=scheme, tol=tol)
+    traj = step_trajectory(disc.generator, f0, t_grid, scheme=scheme)
     mass = traj.sum(axis=1) * hd
     drift = np.max(np.abs(mass - mass0)) / max(abs(mass0), 1e-300)
     if drift > max(tol.mass_tol * len(t_grid), 1e-10):

@@ -104,12 +104,13 @@ def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
     for (label, _), checks in zip(instances, results):
         _instance_verdicts(report, label, checks)
 
+    # the run constants cover the chains that ran; null when none did
     chains = [checks["bound_chain"] for checks in results
               if not isinstance(checks["bound_chain"], RaisedCheck)]
     report.constants["max_certified_bound"] = max(
-        (c.certified_bound for c in chains), default=0.0)
+        (c.certified_bound for c in chains), default=None)
     report.constants["domination_violations"] = sum(
-        0 if c.dominated else 1 for c in chains)
+        0 if c.dominated else 1 for c in chains) if chains else None
 
     if config.write_operators and instances:
         inst_dir = os.path.join(config.out_dir, "instance")

@@ -14,8 +14,6 @@ from .errors import (InsufficientSignalError, MagnitudeGuardError,
 from .spaces import WeightedSpace, operator_norms
 from .spectral import SHIFT_BLOCK, sparse_lu
 
-EXPM_DENSE_LIMIT = 600
-
 
 def matrix_exponential(matrix) -> np.ndarray:
     """Scaling-and-squaring matrix exponential with an overflow guard."""
@@ -69,10 +67,8 @@ def propagators(matrix, t_grid):
 def semigroup_apply(op, f0, t_grid) -> np.ndarray:
     """Trajectory ``e^{tT} f0`` at each requested time.
 
-    Times must be nonnegative and increasing. On a uniformly spaced grid
-    (which may start at 0) the vector is stepped by one propagator
-    ``e^{dt T}`` per step from ``e^{t_0 T} f0``; general grids exponentiate
-    per time.
+    Times must be nonnegative and increasing. Each value is one propagator
+    of :func:`propagators` applied to ``f0``.
     """
     matrix = np.asarray(op)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -81,18 +77,7 @@ def semigroup_apply(op, f0, t_grid) -> np.ndarray:
         raise ValueError("t_grid must be a nonempty one-dimensional array")
     if np.any(t_grid < 0.0) or np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be nonnegative and strictly increasing")
-    out = np.empty((len(t_grid), len(f0)), dtype=np.result_type(matrix.dtype, f0.dtype))
-    walk = _uniform_walk(matrix, t_grid)
-    if walk is None:
-        for i, t in enumerate(t_grid):
-            out[i] = matrix_exponential(matrix * t) @ f0
-    else:
-        start, prop = walk
-        f = start @ f0
-        out[0] = f
-        for i in range(1, len(t_grid)):
-            f = prop @ f
-            out[i] = f
+    out = np.array([prop @ f0 for prop in propagators(matrix, t_grid)])
     if not np.all(np.isfinite(out.real)):
         raise MagnitudeGuardError("semigroup trajectory overflowed")
     return out
@@ -151,9 +136,6 @@ class DecayFit:
     rate: float
     window: tuple
     residual: float
-
-    def envelope(self, times) -> np.ndarray:
-        return self.prefactor * np.exp(self.rate * np.asarray(times))
 
 
 def fit_exponential_decay(times, norms, tol: Tolerances = DEFAULT_TOLERANCES
@@ -220,15 +202,13 @@ def envelope_prefactor(times, values, rate: float) -> float:
     return c0 + excess
 
 
-def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler",
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler"
+                    ) -> np.ndarray:
     """March ``df/dt = T f`` on a uniform grid with an A-stable one-step scheme.
 
-    Accepts dense or sparse ``matrix``. ``implicit-euler`` and
-    ``crank-nicolson`` factorize once and reuse the factorization (sparse
-    input through :func:`~semidecay.spectral.sparse_lu`);
-    ``reference-exponential`` applies the matrix exponential propagator
-    and is limited to moderate dense sizes.
+    Accepts dense or sparse ``matrix``; either way ``implicit-euler`` and
+    ``crank-nicolson`` factorize ``I - theta dt T`` once through
+    :func:`~semidecay.spectral.sparse_lu` and reuse the factorization.
 
     The implicit solves are residual-checked each step; a violation raises
     :class:`StepRejectionError` rather than silently drifting.
@@ -240,46 +220,24 @@ def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler",
     dt = steps[0]
     if not np.allclose(steps, dt, rtol=1e-12, atol=0.0):
         raise ValueError("step_trajectory requires a uniform time grid")
-    f0 = np.asarray(f0, dtype=float)
-    n = len(f0)
-    sparse = sp.issparse(matrix)
-    out = np.empty((len(t_grid), n))
-    out[0] = f0
-
-    if scheme == "reference-exponential":
-        if n > EXPM_DENSE_LIMIT:
-            raise MagnitudeGuardError(
-                f"reference-exponential is limited to N <= {EXPM_DENSE_LIMIT}, got {n}")
-        dense = matrix.toarray() if sparse else np.asarray(matrix)
-        prop = matrix_exponential(dense * dt)
-        f = f0
-        for i in range(1, len(t_grid)):
-            f = prop @ f
-            out[i] = f
-        return out
-
     if scheme not in ("implicit-euler", "crank-nicolson"):
         raise ValueError(f"unknown scheme '{scheme}'")
     theta = 1.0 if scheme == "implicit-euler" else 0.5
-    if sparse:
-        eye = sp.identity(n, format="csr")
-        lhs = (eye - dt * theta * matrix).tocsc()
-        solve = sparse_lu(lhs).solve
-        lhs_mat = lhs
-        rhs_mat = None if theta == 1.0 else (eye + dt * (1.0 - theta) * matrix).tocsr()
-    else:
-        dense = np.asarray(matrix)
-        eye = np.eye(n)
-        lhs_mat = eye - dt * theta * dense
-        lu = sla.lu_factor(lhs_mat)
-        solve = lambda b: sla.lu_solve(lu, b)
-        rhs_mat = None if theta == 1.0 else eye + dt * (1.0 - theta) * dense
+    f0 = np.asarray(f0, dtype=float)
+    n = len(f0)
+    matrix = sp.csr_matrix(matrix)
+    eye = sp.identity(n, format="csr")
+    lhs = (eye - dt * theta * matrix).tocsc()
+    solve = sparse_lu(lhs).solve
+    rhs_mat = None if theta == 1.0 else (eye + dt * (1.0 - theta) * matrix).tocsr()
 
+    out = np.empty((len(t_grid), n))
+    out[0] = f0
     f = f0
     for i in range(1, len(t_grid)):
         rhs = f if rhs_mat is None else rhs_mat @ f
         f_new = solve(rhs)
-        residual = np.linalg.norm(lhs_mat @ f_new - rhs)
+        residual = np.linalg.norm(lhs @ f_new - rhs)
         if residual > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
             raise StepRejectionError(
                 f"implicit solve residual {residual:.3e} at step {i}")

@@ -95,10 +95,19 @@ BASE_SWIRL = {**BASE_FP, "problem": {"d": 2, "s": 2.0, "L": 8.0, "N": 8,
     (BASE_TESTBED, {"instance": {"n": 4, "k": 1.5}}, [], "at instance.k"),
     (BASE_FP, {"N": 50.9}, [], "50.9 is not an integer at problem.N"),
     (BASE_FP, {"d": 1.5}, [], "at problem.d"),
+    (BASE_FP, {"scheme": "reference-exponential"}, [],
+     "unknown scheme 'reference-exponential' at problem.scheme"),
+    (BASE_TESTBED, {"seed": -1}, [], "got -1 at config.seed"),
+    (BASE_TESTBED, {}, ["--seed", "-2"], "got -2 at config.seed"),
+    (BASE_TESTBED, {"write_operators": "false"}, [], "'false' at config.write_operators"),
+    (BASE_TESTBED, {}, ["--tolerance", "h4_ceiling=nan"], "h4_ceiling must be finite"),
+    (BASE_TESTBED, {}, ["--tolerance", "tol_solve=-1"], "tol_solve must be finite"),
 ], ids=["N", "L", "amplitude", "dt", "t_max", "tolerance", "n_seeds0", "n_seeds-3",
         "seed_cast", "t_max_cast", "n_cast", "n0", "k_above_n", "strength",
         "target_a_positive", "seed_fraction", "seed_bool", "n_seeds_fraction",
-        "jobs_fraction", "n_fraction", "k_fraction", "N_fraction", "d_fraction"])
+        "jobs_fraction", "n_fraction", "k_fraction", "N_fraction", "d_fraction",
+        "scheme_removed", "seed_negative", "seed_flag_negative",
+        "write_operators_string", "tolerance_nan", "tolerance_negative"])
 def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
                                                           edit, argv, names):
     cfg_map = json.loads(json.dumps(base))
@@ -242,7 +251,9 @@ def test_singular_sweep_sample_still_writes_the_report(tmp_path, monkeypatch):
     for name in ("factorization", "bound_chain"):
         assert verdicts[f"seed_1.{name}"] == {"verdict": "indeterminate",
                                               "witness": str(exc)}
-    assert report["constants"]["domination_violations"] == 0
+    # no chain was certified, so the run constants claim nothing
+    assert report["constants"]["domination_violations"] is None
+    assert report["constants"]["max_certified_bound"] is None
     assert verdicts["seed_1.h1"]["verdict"] == "pass"
 
 

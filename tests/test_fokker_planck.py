@@ -371,6 +371,15 @@ def fp_swirl_sparse():
 
 
 @pytest.fixture(scope="module")
+def fp_swirl_16_strong():
+    """A strong swirl below the dense eigensolver limit: shift-invert
+    Lanczos from ``v0 = ones`` misses most of its search's top eigenvalues."""
+    disc = _swirl_disc(16, amplitude=100.0)
+    assert disc.grid.n_total <= fokker_planck._DENSE_EIG_LIMIT
+    return disc
+
+
+@pytest.fixture(scope="module")
 def fp_swirl_48():
     """The shipped 2-D swirl grid (``configs/fp_d2_swirl.json``)."""
     return _swirl_disc(48)
@@ -413,7 +422,7 @@ class TestSparseBranchAgainstDenseOracle:
     def _check_top_eigs(self, s_mat, k):
         dense = s_mat.toarray()
         dense = 0.5 * (dense + dense.T)
-        vals, vecs = fokker_planck._top_symmetric_eigs(s_mat, k, want_vectors=True)
+        vals, vecs = fokker_planck._top_symmetric_eigs(s_mat, k)
         ref = sla.eigh(dense, eigvals_only=True)[::-1][:k]
         scale = np.max(np.abs(dense))
         npt.assert_allclose(vals, ref, rtol=0.0, atol=1e-13 * scale)
@@ -436,11 +445,13 @@ class TestSparseBranchAgainstDenseOracle:
         npt.assert_allclose(result.frontier[0][2], top, rtol=0.0,
                             atol=1e-13 * np.max(np.abs(dense)))
 
-    @pytest.mark.parametrize("fixture", ["fp_swirl_sparse", "fp_swirl_48"],
-                             ids=["34", "48"])
+    @pytest.mark.parametrize("fixture", ["fp_swirl_sparse", "fp_swirl_48",
+                                         "fp_swirl_16_strong"],
+                             ids=["34", "48", "16-amplitude-100"])
     def test_frontier_equals_dense_eigh(self, request, fixture):
-        """Every candidate of the shared-factorization search, against the
-        dense eigensolver of that candidate's remainder."""
+        """Every candidate of the search, against the dense eigensolver of
+        that candidate's remainder: the shared-factorization search at N=34
+        and 48, the per-candidate dense path at N=16."""
         _search_every_candidate(request.getfixturevalue(fixture))
 
     def test_non_metzler_search_takes_the_shift_invert_path(self, eigen_calls):
@@ -502,8 +513,7 @@ class TestSparseBranchAgainstDenseOracle:
         t_grid = np.linspace(0.0, 0.5, 26)
         sparse = step_trajectory(disc.generator, f0, t_grid, scheme=scheme)
         dense = step_trajectory(disc.generator.toarray(), f0, t_grid, scheme=scheme)
-        npt.assert_allclose(sparse, dense, rtol=0.0,
-                            atol=1e-12 * np.max(np.abs(dense)))
+        npt.assert_array_equal(sparse, dense)
 
 
 @pytest.fixture

@@ -140,29 +140,9 @@ class TestStepTrajectory:
         err = np.max(np.abs(marched - exact))
         assert err <= 2e-2
 
-    def test_reference_exponential_size_guard(self):
-        import scipy.sparse as sp
-        big = sp.identity(700, format="csr") * -1.0
-        with pytest.raises(MagnitudeGuardError):
-            step_trajectory(big, np.ones(700), np.linspace(0.0, 1.0, 3),
-                            scheme="reference-exponential")
-
     def test_requires_uniform_grid(self):
         with pytest.raises(ValueError):
             step_trajectory(np.eye(2) * -1, np.ones(2), [0.0, 0.1, 0.3])
-
-
-def test_reference_stepper_overlaps_direct_exponential():
-    # the two trajectory paths agree on shared times to 1e-10 relative
-    gen = np.random.default_rng(4)
-    mat = -0.5 * np.eye(8) + 0.2 * gen.standard_normal((8, 8))
-    f0 = gen.standard_normal(8)
-    t_grid = np.linspace(0.0, 2.0, 101)
-    stepped = step_trajectory(mat, f0, t_grid, scheme="reference-exponential")
-    direct = semigroup_apply(mat, f0, t_grid[1:])
-    gap = np.max(np.linalg.norm(stepped[1:] - direct, axis=1)
-                 / np.linalg.norm(direct, axis=1))
-    assert gap <= 1e-10
 
 
 def test_semigroup_norms_with_deflation():
