@@ -67,7 +67,7 @@ class Tolerances:
         vals = {}
         for key, val in mapping.items():
             try:
-                vals[key] = float(val)
+                vals[key] = _number(val)
             except (TypeError, ValueError):
                 raise ConfigError(f"value for {where}.{key} is not a number: {val!r}")
         return _build(where, lambda: cls(**vals))
@@ -87,10 +87,18 @@ def _require_keys(mapping, allowed, required, where):
             raise ConfigError(f"missing key '{key}' at {where}")
 
 
+def _number(value, kind: str = "a number") -> float:
+    """A JSON number as a float: ``true`` and ``"8"`` raise ``ValueError``
+    rather than read as 1.0 and 8.0."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{value!r} is not {kind}")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """An integral config value: ``4`` and ``4.0`` read as 4, while ``4.7``
-    and ``true`` raise ``ValueError`` rather than truncate."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """An integral JSON number: ``4`` and ``4.0`` read as 4, while ``4.7``
+    raises ``ValueError`` rather than truncate."""
+    if not _number(value, "an integer").is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -102,6 +110,13 @@ def _build(where, make):
         return make()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{exc} at {where}") from None
+
+
+def _present(mapping, casts, where) -> dict:
+    """The keys of ``mapping`` that ``casts`` names, each cast under its
+    config key; an absent key is left out, so it takes its dataclass default."""
+    return {key: _build(f"{where}.{key}", lambda: cast(mapping[key]))
+            for key, cast in casts.items() if key in mapping}
 
 
 @dataclass(frozen=True)
@@ -120,29 +135,31 @@ class FPProblem:
     scheme: str = "implicit-euler"
     t_max: float = 4.0
     dt: float = 0.01
-    initial_data: str = "heavy-tail"    # heavy-tail | offset-heavy-tail | equilibrium | gap-mode
+    initial_data: str = "heavy-tail"
     target_a: float | None = None       # decomposition target; default half the gap
 
     _ALLOWED = {"d", "s", "L", "N", "weight", "swirl", "scheme", "t_max",
                 "dt", "initial_data", "target_a"}
-    _SCHEMES = ("implicit-euler", "crank-nicolson")
-    _INITIAL = ("heavy-tail", "offset-heavy-tail", "equilibrium", "gap-mode")
 
     @classmethod
     def from_mapping(cls, mapping, where="problem"):
-        # lazy import: fokker_planck imports this module
-        from .fokker_planck import (EnlargedWeight, FPGrid, Potential, SwirlField,
-                                    check_target)
+        # lazy imports: both modules import this one
+        from .fokker_planck import (INITIAL_DATA, EnlargedWeight, FPGrid, Potential,
+                                    SwirlField, check_target)
+        from .semigroup import SCHEMES
 
         _require_keys(mapping, cls._ALLOWED, {"d", "s", "L", "N"}, where)
         d = _build(f"{where}.d", lambda: _integer(mapping["d"]))
         n = _build(f"{where}.N", lambda: _integer(mapping["N"]))
-        grid = _build(where, lambda: FPGrid(d=d, L=float(mapping["L"]), N=n))
-        potential = _build(f"{where}.s", lambda: Potential(s=float(mapping["s"])))
-        weight_map = mapping.get("weight", {"kind": "polynomial", "k": 3.0})
-        _require_keys(weight_map, {"kind", "k"}, {"kind", "k"}, f"{where}.weight")
-        weight = _build(f"{where}.weight", lambda: EnlargedWeight(
-            kind=str(weight_map["kind"]), k=float(weight_map["k"])))
+        length = _build(f"{where}.L", lambda: _number(mapping["L"]))
+        grid = _build(where, lambda: FPGrid(d=d, L=length, N=n))
+        potential = _build(f"{where}.s", lambda: Potential(s=_number(mapping["s"])))
+        weight = EnlargedWeight()
+        if "weight" in mapping:
+            weight_map = mapping["weight"]
+            _require_keys(weight_map, {"kind", "k"}, {"kind", "k"}, f"{where}.weight")
+            weight = _build(f"{where}.weight", lambda: EnlargedWeight(**_present(
+                weight_map, {"kind": str, "k": _number}, f"{where}.weight")))
         _build(f"{where}.weight", lambda: weight.validate_for_dimension(grid.d))
         swirl = None
         if mapping.get("swirl") is not None:
@@ -150,17 +167,25 @@ class FPProblem:
                 raise ConfigError(f"swirl field requires d=2 at {where}.swirl")
             swirl_map = mapping["swirl"]
             _require_keys(swirl_map, {"phi", "amplitude"}, set(), f"{where}.swirl")
-            swirl = _build(f"{where}.swirl", lambda: SwirlField(
-                profile=str(swirl_map.get("phi", "inverse_linear")),
-                amplitude=float(swirl_map.get("amplitude", 1.0))))
-        scheme = str(mapping.get("scheme", "implicit-euler"))
-        if scheme not in cls._SCHEMES:
-            raise ConfigError(f"unknown scheme '{scheme}' at {where}.scheme")
-        initial = str(mapping.get("initial_data", "heavy-tail"))
-        if initial not in cls._INITIAL:
-            raise ConfigError(f"unknown initial data '{initial}' at {where}.initial_data")
-        t_max = _build(f"{where}.t_max", lambda: float(mapping.get("t_max", 4.0)))
-        dt = _build(f"{where}.dt", lambda: float(mapping.get("dt", 0.01)))
+            present = _present(swirl_map, {"phi": str, "amplitude": _number},
+                               f"{where}.swirl")
+            if "phi" in present:
+                present["profile"] = present.pop("phi")
+            swirl = _build(f"{where}.swirl", lambda: SwirlField(**present))
+        target_a = mapping.get("target_a")
+        if target_a is not None:
+            target_a = _build(f"{where}.target_a", lambda: _number(target_a))
+            _build(f"{where}.target_a", lambda: check_target(target_a))
+        problem = cls(grid=grid, potential=potential, weight=weight, swirl=swirl,
+                      target_a=target_a, **_present(
+                          mapping, {"scheme": str, "initial_data": str,
+                                    "t_max": _number, "dt": _number}, where))
+        if problem.scheme not in SCHEMES:
+            raise ConfigError(f"unknown scheme '{problem.scheme}' at {where}.scheme")
+        if problem.initial_data not in INITIAL_DATA:
+            raise ConfigError(f"unknown initial data '{problem.initial_data}' "
+                              f"at {where}.initial_data")
+        t_max, dt = problem.t_max, problem.dt
         if not (math.isfinite(dt) and dt > 0.0):
             raise ConfigError(f"time step must be finite and positive, got {dt} at {where}.dt")
         # the run samples arange(0, t_max + dt/2, dt): 3 steps give the 4 samples
@@ -168,13 +193,7 @@ class FPProblem:
         if not (math.isfinite(t_max) and t_max / dt >= 3.0 - 1e-9):
             raise ConfigError(f"horizon must be finite and at least 3 steps of dt "
                               f"(4 samples), got t_max={t_max} at {where}.t_max")
-        target_a = mapping.get("target_a")
-        if target_a is not None:
-            target_a = _build(f"{where}.target_a", lambda: float(target_a))
-            _build(f"{where}.target_a", lambda: check_target(target_a))
-        return cls(grid=grid, potential=potential, weight=weight, swirl=swirl,
-                   scheme=scheme, t_max=t_max, dt=dt, initial_data=initial,
-                   target_a=target_a)
+        return problem
 
     def to_dict(self):
         out = {"d": self.grid.d, "s": self.potential.s, "L": self.grid.L,
@@ -202,11 +221,10 @@ class InstanceSpec:
         # lazy import: instances imports this module
         from .instances import check_instance_shape
 
-        casts = {"n": _integer, "a": float, "gap": float, "strength": float,
+        casts = {"n": _integer, "a": _number, "gap": _number, "strength": _number,
                  "k": _integer}
         _require_keys(mapping, casts, set(), where)
-        spec = cls(**{key: _build(f"{where}.{key}", lambda: cast(mapping[key]))
-                      for key, cast in casts.items() if key in mapping})
+        spec = cls(**_present(mapping, casts, where))
         _build(where, lambda: check_instance_shape(spec.n, spec.k, spec.strength))
         return spec
 
@@ -241,9 +259,16 @@ class RunConfig:
         # runs for the file and again for each command-line override
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed} at config.seed")
+        if self.n_seeds < 1:
+            raise ConfigError(f"n_seeds must be at least 1, got {self.n_seeds} "
+                              f"at config.n_seeds")
         if not isinstance(self.write_operators, bool):
             raise ConfigError(f"write_operators must be true or false, got "
                               f"{self.write_operators!r} at config.write_operators")
+        for key in ("instance_path", "out_dir"):
+            path = getattr(self, key)
+            if not (isinstance(path, str) or (key == "instance_path" and path is None)):
+                raise ConfigError(f"{key} must be a string, got {path!r} at config.{key}")
 
     @classmethod
     def from_mapping(cls, mapping, command=None) -> "RunConfig":
@@ -268,19 +293,13 @@ class RunConfig:
             raise ConfigError("missing key 'instance_path' at config (required by enlarge-check)")
         instance = InstanceSpec.from_mapping(mapping.get("instance", {}))
         tolerances = Tolerances.from_mapping(mapping.get("tolerances", {}))
-        n_seeds = _build("config.n_seeds", lambda: _integer(mapping.get("n_seeds", 1)))
-        if n_seeds < 1:
-            raise ConfigError(f"n_seeds must be at least 1, got {n_seeds} at config.n_seeds")
-        return cls(command=cfg_command,
-                   seed=_build("config.seed", lambda: _integer(mapping.get("seed", 1))),
-                   n_seeds=n_seeds,
-                   instance=instance,
-                   instance_path=mapping.get("instance_path"),
-                   problem=problem,
-                   tolerances=tolerances,
-                   out_dir=str(mapping.get("out_dir", "out")),
-                   jobs=_build("config.jobs", lambda: _integer(mapping.get("jobs", 1))),
-                   write_operators=mapping.get("write_operators", False))
+        # __post_init__ checks the types of the keys passed uncast
+        uncast = {key: mapping[key] for key in ("instance_path", "out_dir", "write_operators")
+                  if key in mapping}
+        return cls(command=cfg_command, instance=instance, problem=problem,
+                   tolerances=tolerances, **uncast, **_present(
+                       mapping, {"seed": _integer, "n_seeds": _integer, "jobs": _integer},
+                       "config"))
 
     @classmethod
     def from_json_file(cls, path, command=None) -> "RunConfig":

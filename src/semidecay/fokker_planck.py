@@ -730,20 +730,27 @@ class DecayExperimentResult:
         return out
 
 
-def initial_datum(disc: FPDiscretization, kind: str) -> np.ndarray:
-    """Named initial data used by experiments and the CLI."""
+def _heavy_tail(disc: FPDiscretization, offset: float = 0.0) -> np.ndarray:
+    """``(1 + |x - offset e_1|^2)^(-(k+1)/2)`` at the nodes."""
     meshes = disc.grid.meshes()
-    r2 = sum(m**2 for m in meshes)
-    if kind == "heavy-tail":
-        return ((1.0 + r2) ** (-(disc.weight.k + 1.0) / 2.0)).ravel()
-    if kind == "offset-heavy-tail":
-        shifted = (meshes[0] - 1.0) ** 2 + sum(m**2 for m in meshes[1:])
-        return ((1.0 + shifted) ** (-(disc.weight.k + 1.0) / 2.0)).ravel()
-    if kind == "equilibrium":
-        return disc.mu.copy()
-    if kind == "gap-mode":
-        return disc.mu + 1e-3 * gap_mode(disc)
-    raise ValueError(f"unknown initial datum '{kind}'")
+    r2 = sum(m**2 for m in [meshes[0] - offset, *meshes[1:]])
+    return ((1.0 + r2) ** (-(disc.weight.k + 1.0) / 2.0)).ravel()
+
+
+# the named initial data of experiments and the CLI: name -> builder
+INITIAL_DATA = {
+    "heavy-tail": _heavy_tail,
+    "offset-heavy-tail": lambda disc: _heavy_tail(disc, 1.0),
+    "equilibrium": lambda disc: disc.mu.copy(),
+    "gap-mode": lambda disc: disc.mu + 1e-3 * gap_mode(disc),
+}
+
+
+def initial_datum(disc: FPDiscretization, kind: str) -> np.ndarray:
+    """The initial datum named ``kind`` in :data:`INITIAL_DATA`."""
+    if kind not in INITIAL_DATA:
+        raise ValueError(f"unknown initial datum '{kind}'")
+    return INITIAL_DATA[kind](disc)
 
 
 def decay_experiment(disc: FPDiscretization, space: WeightedSpace, f0,

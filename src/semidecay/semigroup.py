@@ -202,6 +202,10 @@ def envelope_prefactor(times, values, rate: float) -> float:
     return c0 + excess
 
 
+# the one-step schemes of step_trajectory: name -> theta
+SCHEMES = {"implicit-euler": 1.0, "crank-nicolson": 0.5}
+
+
 def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler"
                     ) -> np.ndarray:
     """March ``df/dt = T f`` on a uniform grid with an A-stable one-step scheme.
@@ -220,9 +224,9 @@ def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler"
     dt = steps[0]
     if not np.allclose(steps, dt, rtol=1e-12, atol=0.0):
         raise ValueError("step_trajectory requires a uniform time grid")
-    if scheme not in ("implicit-euler", "crank-nicolson"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
-    theta = 1.0 if scheme == "implicit-euler" else 0.5
+    theta = SCHEMES[scheme]
     f0 = np.asarray(f0, dtype=float)
     n = len(f0)
     matrix = sp.csr_matrix(matrix)

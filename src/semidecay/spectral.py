@@ -1,12 +1,13 @@
 """Resolvents, eigendecompositions, and spectral projectors.
 
-Every resolvent is computed by :func:`shifted_inverses`: one stacked solve
-over a block of at most ``SHIFT_BLOCK`` shifts, filtered per shift by
-O(n^2) bounds on the 2-norms of the conditioning guard. A shift the filter
-flags goes to the one-shift path, the exact arbiter: its guard takes the
-2-norms exactly (:func:`~semidecay.spaces.spectral_norms`), accepts the
-shift or raises the :class:`SingularityError` with its diagnostics.
-:func:`resolvent_matrix` is the one-shift case.
+Every resolvent is computed by :func:`guarded_inverses`: one stacked solve
+over a block of at most ``SHIFT_BLOCK`` shifts, which solves each shift
+once, and a conditioning guard on each. O(n^2) bounds on its 2-norms settle the guard
+for most shifts; only a shift they flag takes the 2-norms exactly
+(:func:`~semidecay.spaces.spectral_norms`) on the stack's own inverse, and
+is accepted or rejected with a :class:`SingularityError` and its
+diagnostics. :func:`resolvent_block` and :func:`resolvent_matrix` (the
+one-shift case) raise the first rejection.
 
 Every sparse LU factorization is :func:`sparse_lu`, which fixes its
 column ordering.
@@ -21,7 +22,6 @@ until the two constructions agree.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,50 +82,6 @@ def distance_to_spectrum(matrix, point: complex) -> float:
     return float(np.min(np.abs(np.linalg.eigvals(np.asarray(matrix)) - point)))
 
 
-def _resolvent_scalar(matrix, xi: complex, tol: Tolerances) -> np.ndarray:
-    """The one-shift guarded inverse, with the diagnostics of each rejection.
-
-    :func:`guarded_inverses` hands every shift :func:`shifted_inverses`
-    flags to this path, which raises the :class:`SingularityError` naming
-    the test that failed.
-    """
-    n = matrix.shape[0]
-    shifted = matrix - xi * np.eye(n)
-    ident = np.eye(n, dtype=shifted.dtype)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            res = sla.lu_solve(sla.lu_factor(shifted), ident)
-    except (sla.LinAlgError, ValueError):
-        dist = distance_to_spectrum(matrix, xi)
-        raise SingularityError(
-            f"shift {xi} is singular (distance to spectrum {dist:.3e})",
-            distance=dist, witness=xi)
-    if not np.all(np.isfinite(res)):
-        dist = distance_to_spectrum(matrix, xi)
-        raise SingularityError(
-            f"shift {xi} is numerically singular "
-            f"(distance to spectrum {dist:.3e})", distance=dist, witness=xi)
-    shifted_norm, res_norm, residual = spectral_norms(
-        np.stack([shifted, res, shifted @ res - ident]))
-    # sigma_min(shifted) = 1/||res||; reject shifts inside the conditioning band
-    if res_norm * shifted_norm * tol.tol_solve >= 1.0:
-        dist = distance_to_spectrum(matrix, xi)
-        raise SingularityError(
-            f"shift {xi} too close to the spectrum: inverse norm {res_norm:.3e} "
-            f"puts it inside the tol_solve={tol.tol_solve:.1e} conditioning band "
-            f"(distance to spectrum {dist:.3e})",
-            distance=dist, witness=xi)
-    if residual > tol.tol_solve * max(shifted_norm * res_norm, 1.0):
-        dist = distance_to_spectrum(matrix, xi)
-        raise SingularityError(
-            f"shift {xi} solve residual {residual:.3e} exceeds "
-            f"{tol.tol_solve:.1e} * cond (distance to spectrum {dist:.3e})",
-            distance=dist, witness=xi)
-    return res
-
-
 def _solve_or_nan(shifted, ident) -> np.ndarray:
     try:
         return np.linalg.solve(shifted, ident)
@@ -133,26 +89,30 @@ def _solve_or_nan(shifted, ident) -> np.ndarray:
         return np.full_like(shifted, np.nan)
 
 
-def shifted_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The stack of ``(M - xi)^{-1}`` over ``xis`` and a per-shift failure mask.
+def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
+                     ) -> tuple[np.ndarray, dict[int, SingularityError]]:
+    """The stack of ``(M - xi)^{-1}`` over ``xis``, and by index the
+    :class:`SingularityError` of each shift the guard rejects.
 
-    One stacked solve inverts every shift. The guard is a filter in front
-    of the exact one: a shift is flagged when its inverse has a non-finite
-    entry, or when the O(n^2) bounds of :func:`~semidecay.spaces.norm_bounds`
-    cannot show that it passes the exact test of the one-shift path, that is
-    when ``cond_hi tol_solve >= 1`` or the residual bound
-    ``||(M - xi) R - Id||_hi`` exceeds ``tol_solve * max(cond_lo, 1)``.
-    Here ``cond_hi`` and ``cond_lo`` bound ``||M - xi|| ||R||`` from above
-    and below. A shift that passes the filter therefore passes the exact
-    test, and no exact norm is taken here; :func:`guarded_inverses` hands
-    every flagged shift to the one-shift path, whose exact guard accepts or
-    rejects it. Flagged entries of the stack are meaningless.
+    One stacked solve inverts every shift, once; only an exactly singular
+    shift, which stops the stacked solve, has each shift of its block
+    solved alone. A shift whose inverse has a non-finite entry is rejected
+    as singular. Any other shift passes the guard when
+    ``||M - xi|| ||R|| tol_solve < 1`` and the residual
+    ``||(M - xi) R - Id||`` is at most ``tol_solve * max(||M - xi|| ||R||, 1)``.
+    The O(n^2) bounds of :func:`~semidecay.spaces.norm_bounds` settle most
+    shifts: a shift is flagged when ``cond_hi tol_solve >= 1`` or the
+    residual bound exceeds ``tol_solve * max(cond_lo, 1)``, where ``cond_hi``
+    and ``cond_lo`` bound ``||M - xi|| ||R||`` from above and below, so a
+    shift that is not flagged passes the exact test. Only a flagged shift
+    takes the three 2-norms exactly (:func:`~semidecay.spaces.spectral_norms`),
+    on the stack's own shifted matrix, inverse and residual. A rejected
+    shift's slot is zero.
     """
     matrix = np.asarray(matrix)
-    xis = np.asarray(xis)
+    shifts = np.asarray(xis)
     n = matrix.shape[0]
-    shifted = matrix - xis[:, None, None] * np.eye(n)
+    shifted = matrix - shifts[:, None, None] * np.eye(n)
     ident = np.broadcast_to(np.eye(n, dtype=shifted.dtype), shifted.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
@@ -160,40 +120,47 @@ def shifted_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
         except np.linalg.LinAlgError:
             # an exactly singular shift stops the stacked solve for all
             inverses = np.stack([_solve_or_nan(s, i) for s, i in zip(shifted, ident)])
-    failed = ~np.all(np.isfinite(inverses), axis=(1, 2))
-    ok = ~failed
-    if failed.any():
-        shifted, ident, checked = shifted[ok], ident[ok], inverses[ok]
+    finite = np.all(np.isfinite(inverses), axis=(1, 2))
+    if finite.all():
+        checked_shifted, checked_ident, checked = shifted, ident, inverses
     else:
-        checked = inverses
-    shifted_lo, shifted_hi = norm_bounds(shifted)
+        checked_shifted, checked_ident = shifted[finite], ident[finite]
+        checked = inverses[finite]
+    shifted_lo, shifted_hi = norm_bounds(checked_shifted)
     inverse_lo, inverse_hi = norm_bounds(checked)
-    defect = shifted @ checked
-    defect -= ident
+    defect = checked_shifted @ checked
+    defect -= checked_ident
     _, residual_hi = norm_bounds(defect)
     cond_lo = shifted_lo * inverse_lo
-    failed[ok] = ((shifted_hi * inverse_hi * tol.tol_solve >= 1.0)
-                  | (residual_hi > tol.tol_solve * np.maximum(cond_lo, 1.0)))
-    return inverses, failed
-
-
-def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
-                     ) -> tuple[np.ndarray, dict[int, SingularityError]]:
-    """:func:`shifted_inverses` with every flagged shift settled one by one.
-
-    A flagged shift is handed to the one-shift guarded inverse. Returns the
-    stack and, by index, the :class:`SingularityError` of each shift that
-    path rejects; a rejected shift's slot is zero.
-    """
-    matrix = np.asarray(matrix)
-    inverses, failed = shifted_inverses(matrix, xis, tol)
+    flagged = ~finite
+    flagged[finite] = ((shifted_hi * inverse_hi * tol.tol_solve >= 1.0)
+                       | (residual_hi > tol.tol_solve * np.maximum(cond_lo, 1.0)))
+    row = np.cumsum(finite) - 1
     errors = {}
-    for i in np.flatnonzero(failed):
-        try:
-            inverses[i] = _resolvent_scalar(matrix, xis[i], tol)
-        except SingularityError as exc:
-            inverses[i] = 0.0
-            errors[int(i)] = exc
+    for i in np.flatnonzero(flagged):
+        if not np.all(np.isfinite(shifted[i])):
+            reason = "is singular"
+        elif not finite[i]:
+            reason = "is numerically singular"
+        else:
+            j = row[i]
+            shifted_norm, inverse_norm, residual = spectral_norms(
+                np.stack([checked_shifted[j], checked[j], defect[j]]))
+            cond = shifted_norm * inverse_norm
+            # sigma_min(M - xi) = 1/||R||; reject shifts inside the conditioning band
+            if cond * tol.tol_solve >= 1.0:
+                reason = (f"too close to the spectrum: inverse norm {inverse_norm:.3e} "
+                          f"puts it inside the tol_solve={tol.tol_solve:.1e} conditioning band")
+            elif residual > tol.tol_solve * max(cond, 1.0):
+                reason = f"solve residual {residual:.3e} exceeds {tol.tol_solve:.1e} * cond"
+            else:
+                continue
+        # the witness is the caller's own value, as it was passed
+        dist = distance_to_spectrum(matrix, xis[i])
+        inverses[i] = 0.0
+        errors[int(i)] = SingularityError(
+            f"shift {xis[i]} {reason} (distance to spectrum {dist:.3e})",
+            distance=dist, witness=xis[i])
     return inverses, errors
 
 

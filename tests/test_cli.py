@@ -69,6 +69,7 @@ def test_weight_order_violation_gives_exit_four(tmp_path):
 
 BASE_SWIRL = {**BASE_FP, "problem": {"d": 2, "s": 2.0, "L": 8.0, "N": 8,
                                      "swirl": {"phi": "constant", "amplitude": 1.0}}}
+BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
 
 
 @pytest.mark.parametrize("base, edit, argv, names", [
@@ -102,12 +103,19 @@ BASE_SWIRL = {**BASE_FP, "problem": {"d": 2, "s": 2.0, "L": 8.0, "N": 8,
     (BASE_TESTBED, {"write_operators": "false"}, [], "'false' at config.write_operators"),
     (BASE_TESTBED, {}, ["--tolerance", "h4_ceiling=nan"], "h4_ceiling must be finite"),
     (BASE_TESTBED, {}, ["--tolerance", "tol_solve=-1"], "tol_solve must be finite"),
+    ({**BASE_TESTBED, "tolerances": {}}, {"tolerances": {"tol_solve": True}}, [],
+     "tolerances.tol_solve is not a number: True"),
+    (BASE_FP, {"s": True}, [], "True is not a number at problem.s"),
+    (BASE_FP, {"L": "8"}, [], "'8' is not a number at problem.L"),
+    (BASE_TESTBED, {"instance": {"a": "-0.5"}}, [], "'-0.5' is not a number at instance.a"),
+    (BASE_ENLARGE, {"instance_path": 5}, [], "got 5 at config.instance_path"),
 ], ids=["N", "L", "amplitude", "dt", "t_max", "tolerance", "n_seeds0", "n_seeds-3",
         "seed_cast", "t_max_cast", "n_cast", "n0", "k_above_n", "strength",
         "target_a_positive", "seed_fraction", "seed_bool", "n_seeds_fraction",
         "jobs_fraction", "n_fraction", "k_fraction", "N_fraction", "d_fraction",
         "scheme_removed", "seed_negative", "seed_flag_negative",
-        "write_operators_string", "tolerance_nan", "tolerance_negative"])
+        "write_operators_string", "tolerance_nan", "tolerance_negative",
+        "tol_solve_bool", "s_bool", "L_string", "a_string", "instance_path_number"])
 def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
                                                           edit, argv, names):
     cfg_map = json.loads(json.dumps(base))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semidecay import generate_instance, spectral
+from helpers import resolvent_scalar
+from semidecay import factorization, generate_instance, spectral
 from semidecay.config import DEFAULT_TOLERANCES
 from semidecay.errors import DimensionMismatchError, SingularityError
 from semidecay.factorization import (IDENTITY_RESIDUAL_LIMIT,
@@ -20,8 +21,7 @@ from semidecay.factorization import (IDENTITY_RESIDUAL_LIMIT,
 from semidecay.hypotheses import FAIL, PASS, check_h4, sample_xi_region
 from semidecay.runner import _check_instance
 from semidecay.spaces import EmbeddedSpacePair, operator_norm, operator_norm_bracket
-from semidecay.spectral import (_resolvent_scalar, resolvent_matrix,
-                                shifted_inverses)
+from semidecay.spectral import guarded_inverses, resolvent_matrix
 
 
 def line_samples(cert, n=9):
@@ -94,9 +94,11 @@ class TestVerifyFactorization:
             kind = ("B" if np.array_equal(matrix, split.part_b)
                     else "T" if np.array_equal(matrix, split.full) else None)
             inverted.update((kind, complex(xi)) for xi in xis)
-            return shifted_inverses(matrix, xis, tol)
+            return guarded_inverses(matrix, xis, tol)
 
-        monkeypatch.setattr(spectral, "shifted_inverses", counting)
+        # the sweep holds it by name; resolvent_matrix reaches it through spectral
+        for module in (spectral, factorization):
+            monkeypatch.setattr(module, "guarded_inverses", counting)
         result = _check_instance(inst, DEFAULT_TOLERANCES, thin_samples=True)
         per_sample = Counter(complex(xi) for xi in result["h4"].samples)
         assert len(per_sample) > 0
@@ -225,8 +227,8 @@ EPS = np.finfo(float).eps
 def _inverse(matrix, xi):
     """In the sweep's row-major layout, which the O(n^2) bounds' sums
     depend on at rounding level."""
-    return np.ascontiguousarray(_resolvent_scalar(np.asarray(matrix), xi,
-                                                  DEFAULT_TOLERANCES))
+    return np.ascontiguousarray(resolvent_scalar(np.asarray(matrix), xi,
+                                                 DEFAULT_TOLERANCES))
 
 
 class Oracle:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from semidecay import generate_instance, hypotheses, spectral
+from semidecay import factorization, generate_instance, hypotheses, spectral
 from semidecay.factorization import shift_sweep
 from semidecay.config import DEFAULT_TOLERANCES
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
@@ -19,19 +19,19 @@ from semidecay.runner import _check_instance
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts matrix exponentials, SVD matrices (also those inside
-    :func:`shifted_inverses`) and Hermitian eigensolve matrices, the kernel
-    of :func:`~semidecay.spaces.spectral_norms`."""
-    calls = {"expm": 0, "svd": 0, "svd_in_shifted_inverses": 0, "eigvalsh": 0}
+    """Counts matrix exponentials, SVD matrices, Hermitian eigensolve
+    matrices (the kernel of :func:`~semidecay.spaces.spectral_norms`), and
+    the exact norms inside :func:`~semidecay.spectral.guarded_inverses`."""
+    calls = {"expm": 0, "svd": 0, "exact_in_guarded_inverses": 0, "eigvalsh": 0}
     inside = []
     expm, svd, norm = scipy.linalg.expm, np.linalg.svd, np.linalg.norm
     eigvalsh = np.linalg.eigvalsh
-    shifted_inverses = spectral.shifted_inverses
+    guarded_inverses = spectral.guarded_inverses
 
     def count_svd(matrices=1):
         calls["svd"] += matrices
         if inside:
-            calls["svd_in_shifted_inverses"] += matrices
+            calls["exact_in_guarded_inverses"] += matrices
 
     def counting_expm(a, *args, **kwargs):
         calls["expm"] += 1
@@ -48,13 +48,16 @@ def kernel_calls(monkeypatch):
         return norm(x, ord=ord, axis=axis, keepdims=keepdims)
 
     def counting_eigvalsh(a, *args, **kwargs):
-        calls["eigvalsh"] += int(np.prod(np.shape(a)[:-2]))
+        matrices = int(np.prod(np.shape(a)[:-2]))
+        calls["eigvalsh"] += matrices
+        if inside:
+            calls["exact_in_guarded_inverses"] += matrices
         return eigvalsh(a, *args, **kwargs)
 
-    def counting_shifted_inverses(*args, **kwargs):
+    def counting_guarded_inverses(*args, **kwargs):
         inside.append(True)
         try:
-            return shifted_inverses(*args, **kwargs)
+            return guarded_inverses(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -62,7 +65,9 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(spectral, "shifted_inverses", counting_shifted_inverses)
+    # the sweep holds it by name; resolvent_block reaches it through spectral
+    for module in (spectral, factorization):
+        monkeypatch.setattr(module, "guarded_inverses", counting_guarded_inverses)
     return calls
 
 
@@ -76,7 +81,7 @@ def test_instance_check_kernel_counts(kernel_calls):
     # time point, before the walk; 8 before the commutation walk)
     assert 0 < kernel_calls["expm"] <= 4
     assert kernel_calls["svd"] > 0 and kernel_calls["eigvalsh"] > 0
-    assert kernel_calls["svd_in_shifted_inverses"] == 0
+    assert kernel_calls["exact_in_guarded_inverses"] == 0
 
 
 def test_shift_sweep_takes_exact_norms_only_where_they_are_reported(kernel_calls):

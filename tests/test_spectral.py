@@ -1,18 +1,20 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semidecay import generate_instance
+from helpers import resolvent_scalar
+from semidecay import generate_instance, spectral
 from semidecay.errors import SeparationError, SingularityError
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential)
 from semidecay.config import DEFAULT_TOLERANCES
 from semidecay.spaces import norm_bounds
-from semidecay.spectral import (_resolvent_scalar, eigen_decompose,
+from semidecay.spectral import (eigen_decompose, guarded_inverses,
                                 resolvent_block, resolvent_matrix,
-                                shifted_inverses, spectral_projector)
+                                spectral_projector)
 
 
 class TestResolvent:
@@ -73,33 +75,80 @@ class TestShiftedInverses:
     def test_bitwise_equal_to_scalar_inverses(self, rng):
         t = rng.standard_normal((12, 12))
         xis = rng.uniform(-3, 3, 11) + 1j * rng.uniform(-3, 3, 11)
-        inverses, failed = shifted_inverses(t, xis)
-        assert inverses.shape == (11, 12, 12) and not failed.any()
+        inverses, errors = guarded_inverses(t, xis)
+        assert inverses.shape == (11, 12, 12) and not errors
         for xi, inverse in zip(xis, inverses):
-            npt.assert_array_equal(inverse, _resolvent_scalar(t, xi, DEFAULT_TOLERANCES))
+            npt.assert_array_equal(inverse, resolvent_scalar(t, xi, DEFAULT_TOLERANCES))
             npt.assert_array_equal(inverse, resolvent_matrix(t, xi))
 
     def test_singular_shift_is_flagged_and_raises_the_scalar_error(self):
         t = np.diag([0.0, -1.0, -2.0]) + np.triu(np.ones((3, 3)), 1)
         # exactly singular at -1, inside the conditioning band at -2 + 1e-14
         xis = np.array([1j, -1.0, 0.5 + 0.5j, -2.0 + 1e-14])
-        inverses, failed = shifted_inverses(t, xis)
-        npt.assert_array_equal(failed, [False, True, False, True])
+        inverses, errors = guarded_inverses(t, xis)
+        assert sorted(errors) == [1, 3]
         assert [_exact_guard_passes(t, xi) for xi in xis] == [True, False, True, False]
         npt.assert_array_equal(inverses[0], resolvent_matrix(t, 1j))
-        for xi in xis[failed]:
+        for i, error in errors.items():
+            assert not inverses[i].any()
+            assert str(error) == str(_scalar_error(t, xis[i]))
             with pytest.raises(SingularityError) as one:
-                resolvent_matrix(t, xi)
-            assert str(one.value) == str(_scalar_error(t, xi))
-        # a block raises for its first flagged shift
+                resolvent_matrix(t, xis[i])
+            assert str(one.value) == str(error)
+        # a block raises for its first rejected shift
         with pytest.raises(SingularityError) as block:
             resolvent_block(t, xis)
         assert str(block.value) == str(_scalar_error(t, xis[1]))
 
+    def test_one_solve_per_shift(self, monkeypatch):
+        """Every shift is factored by the stacked solve, and by nothing else,
+        however the guard settles it: a shift whose inverse overflows, one
+        rejected inside the conditioning band, and a flagged shift that the
+        exact test accepts.
+
+        Matrices are counted as they enter a solve or an LU factorization.
+        An exactly singular shift makes ``np.linalg.solve`` raise for its
+        whole stack without returning it, so that block pays one more
+        solve per shift, the per-matrix fallback, and still no LU.
+        """
+        gen = np.random.default_rng(7)
+        t = np.triu(gen.standard_normal((8, 8)), 1) + np.diag(-np.arange(8.0))
+        xis = np.array([0.5 + 0.5j, 1e-310, -3.0 + 1e-10, -3.0 + 1.5e-9, 2.0j])
+        factored, exact = [0], [0]
+        solve, lu_factor = np.linalg.solve, scipy.linalg.lu_factor
+        norms = spectral.spectral_norms
+
+        def counting(kernel, counter):
+            def counted(a, *args, **kwargs):
+                counter[0] += int(np.prod(np.shape(a)[:-2]))
+                return kernel(a, *args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "solve", counting(solve, factored))
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting(lu_factor, factored))
+        monkeypatch.setattr(spectral, "spectral_norms", counting(norms, exact))
+        inverses, errors = guarded_inverses(t, xis)
+        assert factored[0] == len(xis)
+        assert sorted(errors) == [1, 2]
+        assert "is numerically singular" in str(errors[1])
+        assert "conditioning band" in str(errors[2])
+        # the filter flagged shifts 2 and 3, and the exact test accepted 3
+        assert exact[0] == 2 * 3
+        assert [_exact_guard_passes(t, xi) for xi in xis] == [True, False, False, True, True]
+        npt.assert_array_equal(inverses[3], resolvent_scalar(t, xis[3], DEFAULT_TOLERANCES))
+
+        xis[1] = -1.0
+        factored[0] = 0
+        _, errors = guarded_inverses(t, xis)
+        assert factored[0] == 2 * len(xis)
+        assert sorted(errors) == [1, 2]
+        assert str(errors[1]) == str(_scalar_error(t, xis[1]))
+
 
 class TestGuardFilter:
-    """The O(n^2) filter of :func:`shifted_inverses` against the exact
-    three-SVD guard it stands in front of."""
+    """The O(n^2) filter of :func:`guarded_inverses` against the exact
+    three-SVD guard it stands in front of, and the merged path against the
+    one-shift LU oracle."""
 
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 24),
            count=st.integers(1, 6), complex_=st.booleans(),
@@ -122,15 +171,63 @@ class TestGuardFilter:
         lam = np.linalg.eigvals(t)[0]
         offsets = 10.0 ** -np.arange(6, 13)
         xis = np.concatenate([lam + offsets, lam + 1j * offsets, [0.3 + 2.0j]])
-        _, failed = shifted_inverses(t, xis)
+        _, errors = guarded_inverses(t, xis)
         exact_ok = np.array([_exact_guard_passes(t, xi) for xi in xis])
-        assert not np.any(~failed & ~exact_ok)
-        # not vacuous: the far shift passes, the 1e-12 ones are flagged
-        assert not failed[-1] and failed[len(offsets) - 1] and failed[-2]
+        assert not any(exact_ok[i] for i in errors)
+        assert all(i in errors for i in np.flatnonzero(~exact_ok))
+        # not vacuous: the far shift passes, the 1e-12 ones are rejected
+        assert len(xis) - 1 not in errors
+        assert len(offsets) - 1 in errors and len(xis) - 2 in errors
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "triangular"])
+    def test_agrees_with_the_lu_oracle_near_the_spectrum(self, kind, monkeypatch):
+        exact_calls = [0]
+        norms = spectral.spectral_norms
+
+        def counting(stack):
+            exact_calls[0] += 1
+            return norms(stack)
+
+        monkeypatch.setattr(spectral, "spectral_norms", counting)
+        accepted = exact_rejected = 0
+        for seed in range(8):
+            gen = np.random.default_rng(seed)
+            n = 3 + 2 * seed
+            t = gen.standard_normal((n, n))
+            if kind == "complex":
+                t = t + 1j * gen.standard_normal((n, n))
+            elif kind == "triangular":
+                t = np.triu(t, 1) + np.diag(-np.arange(float(n)))
+            lam = np.linalg.eigvals(t)[seed % n]
+            # cond(T - lam - d) is about k / d: offsets around the band edge
+            # d = k tol_solve, where the filter flags and the exact test decides
+            k = 1e-6 * np.linalg.cond(t - (lam + 1e-6) * np.eye(n))
+            offsets = k * DEFAULT_TOLERANCES.tol_solve * 10.0 ** gen.uniform(-1.0, 1.0, 6)
+            xis = np.concatenate([lam + offsets, lam + 1j * offsets,
+                                  [lam.real, 0.2 + 3.0j]])
+            inverses, errors = guarded_inverses(t, xis)
+            for i, xi in enumerate(xis):
+                try:
+                    oracle = resolvent_scalar(t, xi, DEFAULT_TOLERANCES)
+                except SingularityError as exc:
+                    assert i in errors
+                    assert str(errors[i]) == str(exc)
+                    assert errors[i].distance == exc.distance
+                    assert errors[i].witness == exc.witness
+                    exact_rejected += "singular" not in str(exc)
+                else:
+                    assert i not in errors
+                    npt.assert_array_equal(inverses[i], oracle)
+                    accepted += 1
+        # not vacuous: shifts the exact test rejected, and flagged shifts it
+        # accepted (every exact test that did not reject)
+        assert exact_rejected > 0 and accepted > 0
+        assert exact_calls[0] > exact_rejected
 
 
 def _exact_guard_passes(matrix, xi, tol=DEFAULT_TOLERANCES):
-    """The three-SVD guard the filter replaced, on the stacked solve's inverse."""
+    """The three-SVD guard the filter stands in front of, on the stacked
+    solve's inverse."""
     n = matrix.shape[0]
     shifted = matrix - xi * np.eye(n)
     try:
@@ -147,7 +244,7 @@ def _exact_guard_passes(matrix, xi, tol=DEFAULT_TOLERANCES):
 
 def _scalar_error(t, xi):
     with pytest.raises(SingularityError) as info:
-        _resolvent_scalar(t, xi, DEFAULT_TOLERANCES)
+        resolvent_scalar(t, xi, DEFAULT_TOLERANCES)
     return info.value
 
 
