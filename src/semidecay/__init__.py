@@ -7,8 +7,7 @@ from .config import DEFAULT_TOLERANCES, FPProblem, RunConfig, Tolerances
 from .equivalence import (DecayCertificate, verify_decay_from_resolvent,
                           verify_resolvent_from_decay)
 from .factorization import (SplitOperator, enlarged_resolvent,
-                            enlargement_bound_chain, injectivity_check,
-                            verify_factorization)
+                            enlargement_bound_chain, verify_factorization)
 from .fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                             Potential, SwirlField, UniformPotential,
                             assemble_skew_part, assemble_symmetric_part,
@@ -17,7 +16,7 @@ from .fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
 from .hypotheses import check_h1, check_h2, check_h3, check_h4, sample_xi_region
 from .instances import generate_instance, load_instance, save_instance
 from .semigroup import (DecayFit, fit_exponential_decay, matrix_exponential,
-                        semigroup_apply, semigroup_norms, step_trajectory)
+                        semigroup_norms, step_trajectory)
 from .spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
                      weighted_norm)
 from .spectral import (SpectralReport, eigen_decompose, resolvent_matrix,
@@ -32,10 +31,10 @@ __all__ = [
     "SpectralReport", "resolvent_matrix", "eigen_decompose",
     "spectral_projector",
     "DecayFit", "fit_exponential_decay", "matrix_exponential",
-    "semigroup_apply", "semigroup_norms", "step_trajectory",
+    "semigroup_norms", "step_trajectory",
     "check_h1", "check_h2", "check_h3", "check_h4", "sample_xi_region",
     "SplitOperator", "enlarged_resolvent", "verify_factorization",
-    "injectivity_check", "enlargement_bound_chain",
+    "enlargement_bound_chain",
     "DecayCertificate", "verify_decay_from_resolvent",
     "verify_resolvent_from_decay",
     "generate_instance", "save_instance", "load_instance",

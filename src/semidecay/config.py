@@ -33,7 +33,6 @@ class Tolerances:
     tol_proj : allowed disagreement between the two projector constructions
     boundary_margin : half-width of the indeterminate band around decision lines
     h4_ceiling : largest admissible operator norm in the decomposition checks
-    injectivity_floor : smallest admissible weighted singular value
     mass_tol : relative mass drift allowed per trajectory
     floor_factor : signal floor is floor_factor * machine epsilon * initial norm
     laplace_slack : multiplicative slack on the resolvent bound in converse checks
@@ -44,7 +43,6 @@ class Tolerances:
     tol_proj: float = 1e-8
     boundary_margin: float = 1e-9
     h4_ceiling: float = 1e8
-    injectivity_floor: float = 1e-8
     mass_tol: float = 1e-12
     floor_factor: float = 1e3
     laplace_slack: float = 1e-6
@@ -229,8 +227,7 @@ class InstanceSpec:
         return spec
 
     def to_dict(self):
-        return {"n": self.n, "a": self.a, "gap": self.gap,
-                "strength": self.strength, "k": self.k}
+        return dataclasses.asdict(self)
 
 
 COMMANDS = ("testbed", "fp-spectrum", "fp-decay", "fp-resolvent-scan", "enlarge-check")
@@ -251,10 +248,6 @@ class RunConfig:
     jobs: int = 1
     write_operators: bool = False
 
-    _ALLOWED = {"schema_version", "command", "seed", "n_seeds", "instance",
-                "instance_path", "problem", "tolerances", "out_dir", "jobs",
-                "write_operators"}
-
     def __post_init__(self):
         # runs for the file and again for each command-line override
         if self.seed < 0:
@@ -272,7 +265,8 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, mapping, command=None) -> "RunConfig":
-        _require_keys(mapping, cls._ALLOWED, {"schema_version"}, "config")
+        allowed = {"schema_version"} | {f.name for f in dataclasses.fields(cls)}
+        _require_keys(mapping, allowed, {"schema_version"}, "config")
         version = mapping["schema_version"]
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version!r} at config.schema_version")
@@ -315,19 +309,11 @@ class RunConfig:
 
     def to_dict(self):
         """Full echo of the effective configuration, defaults included."""
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "seed": self.seed,
-            "n_seeds": self.n_seeds,
-            "instance": self.instance.to_dict(),
-            "instance_path": self.instance_path,
-            "problem": None if self.problem is None else self.problem.to_dict(),
-            "tolerances": self.tolerances.to_dict(),
-            "out_dir": self.out_dir,
-            "jobs": self.jobs,
-            "write_operators": self.write_operators,
-        }
+        out = {"schema_version": SCHEMA_VERSION}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.to_dict() if hasattr(value, "to_dict") else value
+        return out
 
 
 def parse_tolerance_overrides(pairs) -> dict:

@@ -25,7 +25,6 @@ Elsewhere the H4 norms keep their upper bound and the chain its lower
 bound, so every supremum, every domination decision and every witness is
 that of the exact norms. The rounding-level factorization residuals are
 certified by O(n^2) bounds (:func:`~semidecay.spaces.operator_norm_bounds`).
-Smallest singular values (:func:`injectivity_check`) stay on the SVD.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, SingularityError
 from .reports import FAIL, PASS
 from .spaces import (EmbeddedSpacePair, operator_norm_bounds, operator_norm_bracket,
-                     operator_norms, weighted_congruence, weighted_norm)
+                     operator_norms)
 from .spectral import SHIFT_BLOCK, guarded_inverses, resolvent_matrix
 
 # the factorization check passes iff its two certified residual maxima stay
@@ -121,8 +120,7 @@ class ShiftSweep:
     Every array has one entry per sample. ``resolvent``, the direct
     ``||R(xi)||_amb``, is exact at every sample. Exact norms are largest
     singular values from the Gram kernel
-    :func:`~semidecay.spaces.spectral_norms`; smallest singular values
-    (:func:`injectivity_check`) stay on the SVD.
+    :func:`~semidecay.spaces.spectral_norms`.
 
     Bracketed (exact where a reported number or a verdict can depend on
     them): ``b_inverse`` is ``||B(xi)^{-1}||_amb``, ``a_b_inverse`` and
@@ -379,53 +377,6 @@ def verify_factorization(sweep: ShiftSweep) -> FactorizationReport:
         max_identity_residual=float(np.max(id_res)) if len(id_res) else 0.0,
         max_inverse_mismatch=float(np.max(inv_mis)) if len(inv_mis) else 0.0,
         samples=sweep.samples, identity_residuals=id_res, inverse_mismatches=inv_mis)
-
-
-@dataclass
-class InjectivityReport:
-    """Smallest weighted singular value of T - xi, with failure forensics.
-
-    On failure the near-null vector g is produced and the contradiction
-    path is evaluated: ``B(xi) g = -A g`` must then land in the small space,
-    and ``small_norm_of_b_action`` records how small that image is there,
-    flagging which structural assumption broke.
-    """
-
-    passed: bool
-    sigma_min: float
-    null_vector: np.ndarray | None = None
-    b_action_small_norm: float | None = None
-    note: str | None = None
-
-
-def injectivity_check(split: SplitOperator, pair: EmbeddedSpacePair, xi: complex,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> InjectivityReport:
-    """Verify T - xi is one-to-one in the ambient geometry."""
-    n = split.dim
-    shifted = split.full - xi * np.eye(n)
-    amb = pair.ambient
-    scaled = weighted_congruence(shifted, amb, amb)
-    _, sv, vh = np.linalg.svd(scaled)
-    sigma_min = float(sv[-1])
-    if sigma_min > tol.injectivity_floor:
-        return InjectivityReport(True, sigma_min)
-    # near-null vector in the original coordinates
-    g = vh[-1].conj() / amb.scaling()
-    g = g / weighted_norm(g, amb)
-    b_action = (split.part_b - xi * np.eye(n)) @ g
-    a_action = split.part_a @ g
-    mismatch = weighted_norm(b_action + a_action, amb)
-    small_norm = weighted_norm(b_action, pair.small)
-    if mismatch > 1e-8 * max(weighted_norm(a_action, amb), 1.0):
-        note = ("near-null vector violates B(xi) g = -A g; "
-                "the splitting itself is inconsistent")
-    elif small_norm <= tol.h4_ceiling:
-        note = ("B(xi) g lands in the small space with finite norm, so the "
-                "invertibility of B - xi on the small space is what must fail")
-    else:
-        note = "B(xi) g has no small-space control; the mixed bound assumption fails"
-    return InjectivityReport(False, sigma_min,
-                             null_vector=g, b_action_small_norm=small_norm, note=note)
 
 
 def _dominates(chain, direct):

@@ -220,6 +220,16 @@ def _equilibrium_nodes(grid: FPGrid, potential) -> np.ndarray:
     return np.exp(-(u_vals - 0.5 * (u_vals.max() + u_vals.min())))
 
 
+def _csr_from_entries(entries, n) -> sp.csr_matrix:
+    """The n x n CSR matrix summing the ``(rows, cols, values)`` blocks of
+    ``entries``, duplicates added."""
+    rows, cols, vals = (np.concatenate([np.ravel(entry[k]) for entry in entries])
+                        for k in range(3))
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    matrix.sum_duplicates()
+    return matrix
+
+
 def assemble_symmetric_part(grid: FPGrid, potential) -> sp.csr_matrix:
     """Divergence-form stencil for ``div(grad f + grad U f)``.
 
@@ -234,13 +244,7 @@ def assemble_symmetric_part(grid: FPGrid, potential) -> sp.csr_matrix:
     n = grid.n_total
     shape = mu.shape if grid.d == 2 else (grid.N,)
     idx = np.arange(n).reshape(shape)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v).ravel())
-
+    entries = []
     for axis in range(grid.d):
         sl_lo = [slice(None)] * grid.d
         sl_hi = [slice(None)] * grid.d
@@ -254,15 +258,9 @@ def assemble_symmetric_part(grid: FPGrid, potential) -> sp.csr_matrix:
         c_lo = mu_face / mu_lo / h**2     # coefficient of the left cell in the face flux
         c_hi = mu_face / mu_hi / h**2
         # flux at the face enters the left cell with +, the right cell with -
-        add(i_lo, i_hi, c_hi)
-        add(i_lo, i_lo, -c_lo)
-        add(i_hi, i_lo, c_lo)
-        add(i_hi, i_hi, -c_hi)
-    matrix = sp.coo_matrix((np.concatenate(vals),
-                            (np.concatenate(rows), np.concatenate(cols))),
-                           shape=(n, n)).tocsr()
-    matrix.sum_duplicates()
-    return matrix
+        entries += [(i_lo, i_hi, c_hi), (i_lo, i_lo, -c_lo),
+                    (i_hi, i_lo, c_lo), (i_hi, i_hi, -c_hi)]
+    return _csr_from_entries(entries, n)
 
 
 def assemble_skew_part(grid: FPGrid, potential, swirl: SwirlField | None
@@ -280,35 +278,20 @@ def assemble_skew_part(grid: FPGrid, potential, swirl: SwirlField | None
     ax = grid.axis()
     h = grid.h
     idx = np.arange(n).reshape(grid.N, grid.N)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v).ravel())
-
     face = ax[:-1] + 0.5 * h
     # x-directed faces between (i, j) and (i+1, j)
     xf, yf = np.meshgrid(face, ax, indexing="ij")
     f_x = swirl.field(potential, xf, yf)[0]
     i_lo, i_hi = idx[:-1, :], idx[1:, :]
-    add(i_lo, i_lo, f_x / (2 * h))
-    add(i_lo, i_hi, f_x / (2 * h))
-    add(i_hi, i_lo, -f_x / (2 * h))
-    add(i_hi, i_hi, -f_x / (2 * h))
     # y-directed faces between (i, j) and (i, j+1)
     xg, yg = np.meshgrid(ax, face, indexing="ij")
     f_y = swirl.field(potential, xg, yg)[1]
     j_lo, j_hi = idx[:, :-1], idx[:, 1:]
-    add(j_lo, j_lo, f_y / (2 * h))
-    add(j_lo, j_hi, f_y / (2 * h))
-    add(j_hi, j_lo, -f_y / (2 * h))
-    add(j_hi, j_hi, -f_y / (2 * h))
-    matrix = sp.coo_matrix((np.concatenate(vals),
-                            (np.concatenate(rows), np.concatenate(cols))),
-                           shape=(n, n)).tocsr()
-    matrix.sum_duplicates()
-    return matrix
+    return _csr_from_entries(
+        [(i_lo, i_lo, f_x / (2 * h)), (i_lo, i_hi, f_x / (2 * h)),
+         (i_hi, i_lo, -f_x / (2 * h)), (i_hi, i_hi, -f_x / (2 * h)),
+         (j_lo, j_lo, f_y / (2 * h)), (j_lo, j_hi, f_y / (2 * h)),
+         (j_hi, j_lo, -f_y / (2 * h)), (j_hi, j_hi, -f_y / (2 * h))], n)
 
 
 @dataclass

@@ -48,27 +48,13 @@ class H1Report:
 
 
 def _cluster(points, radius):
-    """Connected components under single linkage at distance ``radius``."""
+    """Connected components under single linkage at distance ``radius``,
+    ordered by their first point, each in increasing index order."""
+    from scipy.sparse.csgraph import connected_components
     points = np.asarray(points)
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(idx) for idx in groups.values()]
+    linked = np.abs(points[:, None] - points[None, :]) <= radius
+    count, labels = connected_components(linked, directed=False)
+    return [np.flatnonzero(labels == k) for k in range(count)]
 
 
 def check_h1(op, a: float, r: float, expected_k: int | None = None,
@@ -233,6 +219,9 @@ RITZ_MAX_STEPS = 8      # within this many inverse-iteration steps
 # computed once per line.
 HERMITIAN_ROUNDING = 1.0
 
+# bisection levels per grid segment before it is left uncertified
+MAX_REFINE_DEPTH = 12
+
 
 def _hermitian_band(upper, u):
     """LAPACK general band layout (``ab[u + i - j, j] = H[i, j]``, ``u``
@@ -353,7 +342,7 @@ def _line_norm(line: _ShiftedLine, y):
 
 def check_h2(op, a: float, space: WeightedSpace | None = None,
              y_grid=None, tol: Tolerances = DEFAULT_TOLERANCES,
-             max_refine_depth: int = 12, eigvals=None) -> H2Report:
+             eigvals=None) -> H2Report:
     """Scan ``||(T - a - iy)^{-1}||`` over a symmetric y grid.
 
     The weighted norm is obtained by scanning the diagonally congruent
@@ -425,7 +414,7 @@ def check_h2(op, a: float, space: WeightedSpace | None = None,
         if half * v < 0.5:
             certified = max(certified, v / (1.0 - half * v))
             continue
-        if depth >= max_refine_depth:
+        if depth >= MAX_REFINE_DEPTH:
             uncertified.append((y0, y1))
             continue
         ym = 0.5 * (y0 + y1)

@@ -76,8 +76,8 @@ class RunReport:
         return bool(self.verdicts) and all(
             v["verdict"] == PASS for v in self.verdicts.values())
 
-    def to_dict(self, with_timestamp=True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": self.schema_version,
             "command": self.command,
             "config": _jsonable(self.config),
@@ -86,10 +86,8 @@ class RunReport:
             "details": _jsonable(self.details),
             "artifacts": list(self.artifacts),
             "all_passed": self.all_passed,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        if with_timestamp:
-            out["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        return out
 
     def write(self, path) -> str:
         with open(path, "w", encoding="utf-8") as fh:

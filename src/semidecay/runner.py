@@ -114,7 +114,7 @@ def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
 
     if config.write_operators and instances:
         inst_dir = os.path.join(config.out_dir, "instance")
-        manifest = save_instance(instances[0][1], inst_dir)
+        manifest = save_instance(instances[0][1], inst_dir, tol)
         report.artifacts.append(os.path.relpath(manifest, config.out_dir))
     return _finish(report, config)
 
@@ -124,8 +124,10 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
 
     ``fp-spectrum`` stops after the gap; ``fp-decay`` adds the
     decomposition search and the trajectory experiment; ``fp-resolvent-scan``
-    runs the line scans in both spaces. Infeasible decomposition searches
-    exit with their own status and ship the search frontier.
+    runs the line scans in both spaces, recorded as indeterminate (and
+    without CSVs) when an eigenvalue lies on the scan line. Infeasible
+    decomposition searches exit with their own status and ship the search
+    frontier.
     """
     problem = config.problem
     report = RunReport(command=config.command, config=config.to_dict())
@@ -160,7 +162,11 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
 
     if config.command == "fp-resolvent-scan":
         a_line = 0.5 * lam_p
-        small = resolvent_scan_fp(disc, disc.space_small, a_line, tol=tol)
+        try:
+            small = resolvent_scan_fp(disc, disc.space_small, a_line, tol=tol)
+        except SingularityError as exc:
+            report.add_check("resolvent_scan", RaisedCheck(exc))
+            return _finish(report, config)
         scans = ResolventScans(small, resolvent_scan_fp(disc, disc.space_ambient, a_line,
                                                         tol=tol, eigvals=small.spectrum),
                                a_line)

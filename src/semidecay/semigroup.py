@@ -64,25 +64,6 @@ def propagators(matrix, t_grid):
         yield power
 
 
-def semigroup_apply(op, f0, t_grid) -> np.ndarray:
-    """Trajectory ``e^{tT} f0`` at each requested time.
-
-    Times must be nonnegative and increasing. Each value is one propagator
-    of :func:`propagators` applied to ``f0``.
-    """
-    matrix = np.asarray(op)
-    t_grid = np.asarray(t_grid, dtype=float)
-    f0 = np.asarray(f0)
-    if t_grid.ndim != 1 or len(t_grid) == 0:
-        raise ValueError("t_grid must be a nonempty one-dimensional array")
-    if np.any(t_grid < 0.0) or np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("t_grid must be nonnegative and strictly increasing")
-    out = np.array([prop @ f0 for prop in propagators(matrix, t_grid)])
-    if not np.all(np.isfinite(out.real)):
-        raise MagnitudeGuardError("semigroup trajectory overflowed")
-    return out
-
-
 def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
                     deflation=None) -> np.ndarray:
     """``||e^{tT} - sum_j e^{xi_j t} P_j||`` in the induced norm of ``space``.

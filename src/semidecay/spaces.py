@@ -5,11 +5,10 @@ congruence ``W_cod^{1/2} M W_dom^{-1/2}`` and take the plain spectral norm.
 Vectors use the same scaling, so a single audited code path serves all
 norm flavours. Every dense largest singular value on the testbed path is
 :func:`spectral_norms`: the top eigenvalue of each Hermitian Gram matrix,
-from one batched ``eigvalsh``. Smallest singular values stay on the SVD
-(the H2 lines and :func:`~semidecay.factorization.injectivity_check`),
-because the Gram matrix squares the condition number. Where a norm only
-has to be bounded, :func:`norm_bounds` and :func:`norm_bracket` bracket
-the kernel's value in O(n^2).
+from one batched ``eigvalsh``. Smallest singular values (the H2 lines)
+stay on the SVD, because the Gram matrix squares the condition number.
+Where a norm only has to be bounded, :func:`norm_bounds` and
+:func:`norm_bracket` bracket the kernel's value in O(n^2).
 """
 
 from __future__ import annotations

@@ -273,16 +273,12 @@ def _projector_contour(matrix, center, radius, n_points,
 
 
 def spectral_projector(op, center: complex, radius: float,
-                       method: str = "cross",
                        tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Spectral projector for the eigenvalue group inside a circle.
 
-    Parameters
-    ----------
-    method : {"cross", "subspace", "contour"}
-        "contour" uses 64 contour points. "cross" computes both
-        constructions and verifies agreement within ``tol_proj``, doubling
-        the contour points (up to 1024) if needed.
+    Computes both constructions and verifies their agreement within
+    ``tol_proj``, doubling the contour points from 64 (up to 1024) if
+    needed; returns the invariant-subspace one.
 
     Raises
     ------
@@ -297,11 +293,6 @@ def spectral_projector(op, center: complex, radius: float,
 
     def inside(z):
         return bool(np.abs(z - center) < radius)
-
-    if method == "subspace":
-        return _projector_subspace(matrix, inside)
-    if method == "contour":
-        return _projector_contour(matrix, center, radius, 64, tol)
 
     proj_sub = _projector_subspace(matrix, inside)
     scale = max(spectral_norms(proj_sub[None])[0], 1.0)

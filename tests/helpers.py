@@ -60,6 +60,32 @@ def split_matrices(result, disc):
     return gen, part_a, (gen - part_a).tocsr()
 
 
+def cluster_union_find(points, radius):
+    """Single-linkage groups at distance ``radius`` by union-find: the
+    reference for ``hypotheses._cluster``, with the same group and member
+    order (groups by first point, members by index)."""
+    points = np.asarray(points)
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(points[i] - points[j]) <= radius:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(idx) for idx in groups.values()]
+
+
 def resolvent_scalar(matrix, xi: complex, tol: Tolerances) -> np.ndarray:
     """The one-shift guarded inverse by its own LU factorization, with the
     diagnostics of each rejection.

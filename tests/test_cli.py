@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semidecay import fokker_planck, generate_instance, runner
+from semidecay import fokker_planck, generate_instance, hypotheses, runner
 from semidecay.cli import main
 from semidecay.config import RunConfig
 from semidecay.errors import InsufficientSignalError, SingularityError
@@ -109,13 +109,18 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
     (BASE_FP, {"L": "8"}, [], "'8' is not a number at problem.L"),
     (BASE_TESTBED, {"instance": {"a": "-0.5"}}, [], "'-0.5' is not a number at instance.a"),
     (BASE_ENLARGE, {"instance_path": 5}, [], "got 5 at config.instance_path"),
+    ({**BASE_TESTBED, "tolerances": {}}, {"tolerances": {"injectivity_floor": 1e-8}}, [],
+     "unknown key 'injectivity_floor' at tolerances"),
+    (BASE_TESTBED, {}, ["--tolerance", "injectivity_floor=1e-8"],
+     "unknown key 'injectivity_floor' at --tolerance"),
 ], ids=["N", "L", "amplitude", "dt", "t_max", "tolerance", "n_seeds0", "n_seeds-3",
         "seed_cast", "t_max_cast", "n_cast", "n0", "k_above_n", "strength",
         "target_a_positive", "seed_fraction", "seed_bool", "n_seeds_fraction",
         "jobs_fraction", "n_fraction", "k_fraction", "N_fraction", "d_fraction",
         "scheme_removed", "seed_negative", "seed_flag_negative",
         "write_operators_string", "tolerance_nan", "tolerance_negative",
-        "tol_solve_bool", "s_bool", "L_string", "a_string", "instance_path_number"])
+        "tol_solve_bool", "s_bool", "L_string", "a_string", "instance_path_number",
+        "injectivity_floor_removed", "injectivity_floor_flag_removed"])
 def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
                                                           edit, argv, names):
     cfg_map = json.loads(json.dumps(base))
@@ -361,6 +366,16 @@ def test_tolerance_override_lands_in_report(tmp_path):
     assert report["config"]["tolerances"]["tol_proj"] == 1e-7
 
 
+def test_tolerance_override_lands_in_instance_manifest(tmp_path):
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "write_operators": True,
+                                  "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg, "--tolerance", "tol_proj=1e-7"]) == 0
+    report = load_report(tmp_path / "out" / "report.json")
+    manifest = json.loads((tmp_path / "out" / "instance" / "instance.json").read_text())
+    assert manifest["tolerances"]["tol_proj"] == 1e-7
+    assert manifest["tolerances"] == report["config"]["tolerances"]
+
+
 def test_golden_seed_one_report(tmp_path):
     golden_path = os.path.join(os.path.dirname(__file__), "data",
                                "testbed_seed1_report.json")
@@ -411,13 +426,25 @@ def test_resolvent_scan_verdict_needs_both_certificates(tmp_path, monkeypatch):
     assert entry["constants"]["K_ambient_certified"] == constants["K_ambient_certified"]
 
 
+def test_singular_scan_line_still_writes_the_report(tmp_path, capsys):
+    """A boundary margin wide enough to put an eigenvalue on the scan line
+    makes the scan indeterminate, like H2 in the testbed, and writes no CSV."""
+    cfg = write_config(tmp_path, {**BASE_SCAN, "out_dir": str(tmp_path / "out")})
+    assert main(["fp-resolvent-scan", "--config", cfg,
+                 "--tolerance", "boundary_margin=0.5"]) == 2
+    assert "check error" not in capsys.readouterr().err
+    report = load_report(tmp_path / "out" / "report.json")
+    entry = report["verdicts"]["resolvent_scan"]
+    assert entry["verdict"] == "indeterminate"
+    assert entry["witness"].startswith("eigenvalue ")
+    assert "lies on the scan line" in entry["witness"]
+    assert report["verdicts"]["decomposition"]["verdict"] == "pass"
+    assert "K_small" not in report["constants"]
+    assert sorted(os.listdir(tmp_path / "out")) == ["report.json"]
+
+
 def test_open_h2_certificate_carries_its_witness(tmp_path, monkeypatch):
-    check_h2 = runner.check_h2
-
-    def shallow(op, a, space=None, tol=None):
-        return check_h2(op, a, space, tol=tol, max_refine_depth=1)
-
-    monkeypatch.setattr(runner, "check_h2", shallow)
+    monkeypatch.setattr(hypotheses, "MAX_REFINE_DEPTH", 1)
     cfg = write_config(tmp_path, {**BASE_TESTBED, "out_dir": str(tmp_path / "out"),
                                   "instance": {**BASE_TESTBED["instance"], "n": 16}})
     assert main(["testbed", "--config", cfg]) == 2
@@ -503,3 +530,15 @@ def test_shipped_two_dimensional_swirl_config(tmp_path):
     verdicts = load_report(tmp_path / "report.json")["verdicts"]
     for name in ("assembly", "decomposition", "decay"):
         assert verdicts[name]["verdict"] == "pass"
+
+
+SHIPPED_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SHIPPED_CONFIGS)))
+def test_shipped_config_passes(tmp_path, name):
+    cfg = os.path.join(SHIPPED_CONFIGS, name)
+    with open(cfg, encoding="utf-8") as fh:
+        command = json.load(fh)["command"]
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert load_report(tmp_path / "report.json")["all_passed"]

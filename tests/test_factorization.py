@@ -15,8 +15,7 @@ from semidecay.factorization import (IDENTITY_RESIDUAL_LIMIT,
                                      FactorizationReport, SplitOperator,
                                      _dominates,
                                      enlarged_resolvent,
-                                     enlargement_bound_chain,
-                                     injectivity_check, shift_sweep,
+                                     enlargement_bound_chain, shift_sweep,
                                      verify_factorization)
 from semidecay.hypotheses import FAIL, PASS, check_h4, sample_xi_region
 from semidecay.runner import _check_instance
@@ -120,26 +119,6 @@ def test_report_verdicts():
     for dominated, verdict in ((True, PASS), (False, FAIL)):
         chain = BoundChainReport(1.0, 1.0, dominated, one, one, one)
         assert chain.verdict == verdict
-
-
-class TestInjectivity:
-    def test_pinned_passes_off_spectrum(self, pinned_instance):
-        report = injectivity_check(pinned_instance.split, pinned_instance.pair, -0.5)
-        assert report.passed
-        assert report.sigma_min == pytest.approx(0.5, rel=1e-12)
-
-    def test_excluded_center_fails_with_null_vector(self, pinned_instance):
-        report = injectivity_check(pinned_instance.split, pinned_instance.pair, 0.0)
-        assert not report.passed
-        assert report.sigma_min <= 1e-14
-        npt.assert_allclose(np.abs(report.null_vector), [1.0, 0.0], atol=1e-12)
-        assert report.note is not None
-
-    def test_random_instance_on_scan_line(self):
-        inst = generate_instance(5, 12)
-        for xi in line_samples(inst.certificate, 4):
-            report = injectivity_check(inst.split, inst.pair, xi)
-            assert report.passed
 
 
 class TestBoundChain:

@@ -16,10 +16,24 @@ from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
                               weighted_congruence)
 from semidecay.spectral import resolvent_matrix
 
-from helpers import split_matrices
+from helpers import cluster_union_find, split_matrices
 
 
 class TestH1:
+    def test_clusters_match_union_find(self, rng):
+        # points on a 0.1 lattice put many pair distances at the radius
+        for trial in range(300):
+            n = int(rng.integers(1, 25))
+            points = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+            if trial % 2:
+                points = np.round(points, 1)
+            radius = float(np.round(rng.uniform(0.05, 1.5), 1 + trial % 2))
+            groups = hypotheses._cluster(points, radius)
+            expected = cluster_union_find(points, radius)
+            assert len(groups) == len(expected)
+            for got, want in zip(groups, expected):
+                npt.assert_array_equal(got, want)
+
     def test_two_point_spectrum_passes(self):
         report = check_h1(np.diag([0.0, -1.0]), a=-0.5, r=0.25)
         assert report.verdict == PASS
@@ -60,11 +74,11 @@ class TestH2:
         assert report.constants() == {"K": report.bound,
                                       "K_certified": report.certified_bound}
 
-    def test_uncertified_segments_are_indeterminate(self):
+    def test_uncertified_segments_are_indeterminate(self, monkeypatch):
         # the sampled maximum is finite, but depth-1 bisection leaves
         # segments where the Lipschitz certificate does not close
-        report = check_h2(np.array([[-1.0, 50.0], [0.0, -1.1]]), a=0.0,
-                          max_refine_depth=1)
+        monkeypatch.setattr(hypotheses, "MAX_REFINE_DEPTH", 1)
+        report = check_h2(np.array([[-1.0, 50.0], [0.0, -1.1]]), a=0.0)
         assert np.isfinite(report.bound)
         assert len(report.uncertified_segments) == 58
         assert report.verdict == INDETERMINATE

@@ -12,7 +12,8 @@ from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential)
 from semidecay.config import DEFAULT_TOLERANCES
 from semidecay.spaces import norm_bounds
-from semidecay.spectral import (eigen_decompose, guarded_inverses,
+from semidecay.spectral import (_projector_contour, _projector_subspace,
+                                eigen_decompose, guarded_inverses,
                                 resolvent_block, resolvent_matrix,
                                 spectral_projector)
 
@@ -292,8 +293,8 @@ class TestSpectralProjector:
         lams = np.array([1.0, -2.0, -2.5, -3.0, -3.5, -4.0])
         basis = rng.standard_normal((6, 6)) + np.eye(6) * 2
         t = basis @ np.diag(lams) @ np.linalg.inv(basis)
-        p_sub = spectral_projector(t, 1.0, 0.8, method="subspace")
-        p_con = spectral_projector(t, 1.0, 0.8, method="contour")
+        p_sub = _projector_subspace(t, lambda z: bool(abs(z - 1.0) < 0.8))
+        p_con = _projector_contour(t, 1.0, 0.8, 64, DEFAULT_TOLERANCES)
         assert np.linalg.norm(p_sub - p_con, 2) <= 1e-8
 
     def test_circle_through_eigenvalue_rejected(self):
