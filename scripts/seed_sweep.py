@@ -5,7 +5,10 @@ The identity and mismatch columns are certified upper bounds on the
 factorization residuals, within a factor n of their exact values. The
 exact column counts the matrices whose norm the shift sweep took exactly
 (one direct resolvent norm per sample, the rest where a supremum or a
-domination decision needed it) against the number of samples.
+domination decision needed it) against the number of samples. That count
+depends on the sweep's blocks (``spectral.block_size``: 32 samples at
+n = 16, 8 from n = 32 on), because each block raises its floors from all
+of its lower bounds at once; the other columns do not.
 
 Usage: python scripts/seed_sweep.py [n_seeds] [max_size]
 """

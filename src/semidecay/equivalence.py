@@ -22,8 +22,8 @@ from .errors import CertificateError
 from .hypotheses import FAIL, PASS, H1Report, check_h1
 from .semigroup import (DecayFit, default_time_grid, envelope_prefactor,
                         fit_exponential_decay, propagators, semigroup_norms)
-from .spaces import WeightedSpace, operator_norm, operator_norms
-from .spectral import SHIFT_BLOCK, SpectralReport, resolvent_block
+from .spaces import WeightedSpace, operator_norm_bracket, operator_norms
+from .spectral import SpectralReport, blocks, resolvent_block
 
 
 @dataclass
@@ -126,12 +126,17 @@ def default_z_samples(level: float, scale: float) -> np.ndarray:
 
 @dataclass
 class ConverseReport:
+    """``laplace_max_ratio`` is the largest ratio of the Laplace bound's two
+    sides over ``z_samples``, and ``worst_z`` the first sample attaining it
+    (None when every ratio is 0, or H1 failed)."""
+
     verdict: str
     witness: str | None
     h1: H1Report
     laplace_max_ratio: float
     commutation_defect: float
     z_samples: np.ndarray | None = None
+    worst_z: complex | None = None
 
     def constants(self):
         return {"laplace_max_ratio": self.laplace_max_ratio}
@@ -164,14 +169,17 @@ def verify_resolvent_from_decay(op, certificate: DecayCertificate,
     projs = [np.asarray(p) for p in certificate.projectors]
 
     # commutation of the certified projectors with the semigroup, on
-    # propagators walked from e^{0.1 T} by one step propagator
+    # propagators walked from e^{0.1 T} by one step propagator; one stack
+    # holds each propagator followed by its commutators
     defect = 0.0
     if projs:
+        stack = []
         for prop in propagators(matrix, np.linspace(0.1, 2.0, 5)):
-            prop_norm = max(operator_norm(prop, space, space), 1e-300)
-            for proj in projs:
-                comm = operator_norm(proj @ prop - prop @ proj, space, space)
-                defect = max(defect, comm / prop_norm)
+            stack.append(prop)
+            stack.extend(proj @ prop - prop @ proj for proj in projs)
+        norms = operator_norms(np.stack(stack), space, space).reshape(-1, 1 + len(projs))
+        ratios = norms[:, 1:] / np.maximum(norms[:, :1], 1e-300)
+        defect = float(np.fmax.reduce(ratios, axis=None, initial=0.0))
     if defect > 1e-8:
         raise CertificateError(
             f"projectors do not commute with the semigroup (defect {defect:.3e})")
@@ -192,22 +200,31 @@ def verify_resolvent_from_decay(op, certificate: DecayCertificate,
     if h1.verdict != PASS:
         return ConverseReport(h1.verdict, f"H1: {h1.witness}", h1, np.inf, defect)
 
+    # the floor rule of the shift sweep: a norm is taken exactly only where
+    # its bracket's upper ratio reaches the largest ratio known so far (an
+    # exact one, or a lower one of this block), so the maximum and the first
+    # z attaining it are those of the exact norms
     z_samples = default_z_samples(level, max(abs(level), 1.0))
     worst = 0.0
     worst_z = None
-    for start in range(0, len(z_samples), SHIFT_BLOCK):
-        zs = z_samples[start:start + SHIFT_BLOCK]
+    for block in blocks(len(z_samples), matrix.shape[0]):
+        zs = z_samples[block]
         defected = resolvent_block(matrix, zs, tol).astype(complex, copy=False)
         for xi, proj in zip(xis, projs):
             defected -= proj / (xi - zs)[:, None, None]
-        lhs = operator_norms(defected, space, space)
-        for z, lhs_z in zip(zs, lhs):
-            ratio = lhs_z / (c_a / (z.real - level))
+        bound = c_a / (zs.real - level)
+        lower, upper = operator_norm_bracket(defected, space, space)
+        floor = np.fmax.reduce(lower / bound, initial=worst)
+        exact = np.flatnonzero(upper / bound >= floor)
+        if len(exact) == 0:
+            continue
+        for i, lhs_z in zip(exact, operator_norms(defected[exact], space, space)):
+            ratio = lhs_z / bound[i]
             if ratio > worst:
-                worst, worst_z = ratio, z
+                worst, worst_z = ratio, zs[i]
     if worst > 1.0 + tol.laplace_slack:
         return ConverseReport(FAIL,
                               f"Laplace bound violated at z={worst_z} "
                               f"(ratio {worst:.6f})",
-                              h1, float(worst), defect, z_samples)
-    return ConverseReport(PASS, None, h1, float(worst), defect, z_samples)
+                              h1, float(worst), defect, z_samples, worst_z)
+    return ConverseReport(PASS, None, h1, float(worst), defect, z_samples, worst_z)

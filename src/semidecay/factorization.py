@@ -8,8 +8,9 @@ inverse is what the verification routines certify.
 
 H4, :func:`verify_factorization` and :func:`enlargement_bound_chain` read
 the same per-sample norms. :func:`shift_sweep` computes them in one pass
-over the samples, in blocks of ``SHIFT_BLOCK`` shifts: each block inverts
-B - xi and T - xi once per sample with one stacked solve each. A norm is
+over the samples, in blocks of :func:`~semidecay.spectral.block_size`
+shifts (32 at n = 16, 8 from n = 32 on): each block inverts B - xi and
+T - xi once per sample with one stacked solve each. A norm is
 taken exactly (:func:`~semidecay.spaces.spectral_norms`) only where a
 reported number or a verdict can depend on it:
 
@@ -38,7 +39,7 @@ from .errors import DimensionMismatchError, SingularityError
 from .reports import FAIL, PASS
 from .spaces import (EmbeddedSpacePair, operator_norm_bounds, operator_norm_bracket,
                      operator_norms)
-from .spectral import SHIFT_BLOCK, guarded_inverses, resolvent_matrix
+from .spectral import blocks, guarded_inverses, resolvent_matrix
 
 # the factorization check passes iff its two certified residual maxima stay
 # below these: rounding level is ~1e-15 at the sizes the package runs
@@ -279,7 +280,7 @@ def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> ShiftSweep:
     """One pass over the samples for H4, the factorization and the chain.
 
-    Walks the samples in blocks of ``SHIFT_BLOCK`` shifts. Per block,
+    Walks the samples in :func:`~semidecay.spectral.blocks`. Per block,
     B - xi and T - xi are each inverted once per sample by one stacked
     solve. The direct ``resolvent`` is exact at every sample; the four
     bracketed norms and the chain of :class:`ShiftSweep` take exact norms
@@ -295,18 +296,18 @@ def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
     floors = dict.fromkeys(_BRACKETED + ("chain",), 0.0)
     b_failure = t_failure = None
     exact_norms = 0
-    for start in range(0, len(samples), SHIFT_BLOCK):
-        xis = samples[start:start + SHIFT_BLOCK]
-        block, count, b_errors, t_errors = _sweep_block(split, pair, xis, tol, floors)
+    for block in blocks(len(samples), split.dim):
+        values, count, b_errors, t_errors = _sweep_block(split, pair, samples[block],
+                                                         tol, floors)
         exact_norms += count
-        for name, values in block.items():
-            norms[name][start:start + len(xis)] = values
+        for name, column in values.items():
+            norms[name][block] = column
         if t_errors and t_failure is None:
             i = min(t_errors)
-            t_failure = (start + i, t_errors[i])
+            t_failure = (block.start + i, t_errors[i])
         if b_errors:
             i = min(b_errors)
-            b_failure = (start + i, b_errors[i])
+            b_failure = (block.start + i, b_errors[i])
             break
     return ShiftSweep(samples=samples, exact_norms=exact_norms, b_failure=b_failure,
                       t_failure=t_failure, **norms)

@@ -12,7 +12,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (InsufficientSignalError, MagnitudeGuardError,
                      StepRejectionError)
 from .spaces import WeightedSpace, operator_norms
-from .spectral import SHIFT_BLOCK, sparse_lu
+from .spectral import blocks, sparse_lu
 
 
 def matrix_exponential(matrix) -> np.ndarray:
@@ -76,8 +76,8 @@ def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
     propagator ``e^{dt T}`` applied to ``e^{t_0 T}`` (scaling and squaring
     builds ``expm(k dt T)`` from the same powers), so the whole grid costs
     at most two matrix exponentials; other grids take one per time. The
-    norms are stacked :func:`~semidecay.spaces.spectral_norms` over blocks
-    of ``SHIFT_BLOCK`` times.
+    norms are stacked :func:`~semidecay.spaces.spectral_norms` over the
+    :func:`~semidecay.spectral.blocks` of the grid.
     """
     matrix = np.asarray(op)
     if space is None:
@@ -85,14 +85,14 @@ def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.empty(len(t_grid))
     props = propagators(matrix, t_grid)
-    for start in range(0, len(t_grid), SHIFT_BLOCK):
-        times = t_grid[start:start + SHIFT_BLOCK]
+    for block in blocks(len(t_grid), matrix.shape[0]):
+        times = t_grid[block]
         stack = np.stack([next(props) for _ in times])
         if deflation:
             stack = stack.astype(complex)
             for xi, proj in deflation:
                 stack -= np.exp(xi * times)[:, None, None] * proj
-        out[start:start + len(times)] = operator_norms(stack, space, space)
+        out[block] = operator_norms(stack, space, space)
     return out
 
 

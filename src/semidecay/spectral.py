@@ -1,13 +1,20 @@
 """Resolvents, eigendecompositions, and spectral projectors.
 
 Every resolvent is computed by :func:`guarded_inverses`: one stacked solve
-over a block of at most ``SHIFT_BLOCK`` shifts, which solves each shift
-once, and a conditioning guard on each. O(n^2) bounds on its 2-norms settle the guard
-for most shifts; only a shift they flag takes the 2-norms exactly
+over a block of shifts, which solves each shift once, and a conditioning
+guard on each. O(n^2) bounds on its 2-norms settle the guard for most
+shifts; only a shift they flag takes the 2-norms exactly
 (:func:`~semidecay.spaces.spectral_norms`) on the stack's own inverse, and
 is accepted or rejected with a :class:`SingularityError` and its
 diagnostics. :func:`resolvent_block` and :func:`resolvent_matrix` (the
 one-shift case) raise the first rejection.
+
+A block of an n x n operator holds :func:`block_size` samples (shifts,
+times or contour points): as many complex matrices as fill ``BLOCK_BYTES``,
+32 at n = 16, and never fewer than 8, which every n >= 32 gets.
+:func:`blocks` cuts a sample into them for every stacked pass of the
+package. The cut changes no reported number, only the number of stacked
+calls (and which per-sample sweep values are exact).
 
 Every sparse LU factorization is :func:`sparse_lu`, which fixes its
 column ordering.
@@ -34,10 +41,10 @@ from .errors import (EigenConvergenceError, ProjectorMismatchError,
                      SeparationError, SingularityError)
 from .spaces import norm_bounds, spectral_norms
 
-# shifts per stacked solve (and times per stack of semigroup norms): amortizes
-# the per-call cost of the stacked kernels, while each stack of a block stays
-# small (128 kB at n = 32)
-SHIFT_BLOCK = 8
+# bytes of one stack of a block (shifts per stacked solve, times per stack of
+# semigroup norms): large blocks amortize the per-call cost of the stacked
+# kernels, while a block of 8 complex matrices at n = 32 stays at this size
+BLOCK_BYTES = 2 ** 17
 
 # minimum degree on the pattern of A + A^T: the standard ordering for
 # structurally symmetric matrices such as the 2-D drift-diffusion stencils
@@ -78,8 +85,17 @@ class SpectralReport:
         }
 
 
-def distance_to_spectrum(matrix, point: complex) -> float:
-    return float(np.min(np.abs(np.linalg.eigvals(np.asarray(matrix)) - point)))
+def block_size(n: int) -> int:
+    """Samples per block for an n x n operator: as many complex128
+    matrices as fill ``BLOCK_BYTES``, and never fewer than 8."""
+    return max(8, BLOCK_BYTES // (16 * n * n))
+
+
+def blocks(count: int, n: int) -> list[slice]:
+    """The consecutive blocks of :func:`block_size` samples that cover
+    ``count`` samples for an n x n operator."""
+    size = block_size(n)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _solve_or_nan(shifted, ident) -> np.ndarray:
@@ -137,6 +153,7 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
                        | (residual_hi > tol.tol_solve * np.maximum(cond_lo, 1.0)))
     row = np.cumsum(finite) - 1
     errors = {}
+    spectrum = None
     for i in np.flatnonzero(flagged):
         if not np.all(np.isfinite(shifted[i])):
             reason = "is singular"
@@ -155,8 +172,11 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
                 reason = f"solve residual {residual:.3e} exceeds {tol.tol_solve:.1e} * cond"
             else:
                 continue
-        # the witness is the caller's own value, as it was passed
-        dist = distance_to_spectrum(matrix, xis[i])
+        # one eigensolve serves every rejected shift; the witness is the
+        # caller's own value, as it was passed
+        if spectrum is None:
+            spectrum = np.linalg.eigvals(matrix)
+        dist = float(np.min(np.abs(spectrum - xis[i])))
         inverses[i] = 0.0
         errors[int(i)] = SingularityError(
             f"shift {xis[i]} {reason} (distance to spectrum {dist:.3e})",
@@ -264,8 +284,8 @@ def _projector_contour(matrix, center, radius, n_points,
     n = matrix.shape[0]
     theta = 2.0 * np.pi * np.arange(n_points) / n_points
     acc = np.zeros((n, n), dtype=complex)
-    for start in range(0, n_points, SHIFT_BLOCK):
-        phases = [np.exp(1j * th) for th in theta[start:start + SHIFT_BLOCK]]
+    for block in blocks(n_points, n):
+        phases = [np.exp(1j * th) for th in theta[block]]
         inverses = resolvent_block(matrix, [center + radius * p for p in phases], tol)
         for phase, inverse in zip(phases, inverses):
             acc += phase * inverse

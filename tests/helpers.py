@@ -6,10 +6,16 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from semidecay import generate_instance
 from semidecay.config import Tolerances
+from semidecay.equivalence import verify_decay_from_resolvent
 from semidecay.errors import SingularityError
-from semidecay.spaces import spectral_norms
-from semidecay.spectral import distance_to_spectrum
+from semidecay.hypotheses import check_h1
+from semidecay.spaces import operator_norms, spectral_norms
+
+
+def distance_to_spectrum(matrix, point: complex) -> float:
+    return float(np.min(np.abs(np.linalg.eigvals(np.asarray(matrix)) - point)))
 
 
 def spectral_norm_power_iteration(matrix, tol=1e-12, max_iter=10000) -> float:
@@ -130,3 +136,28 @@ def resolvent_scalar(matrix, xi: complex, tol: Tolerances) -> np.ndarray:
             f"{tol.tol_solve:.1e} * cond (distance to spectrum {dist:.3e})",
             distance=dist, witness=xi)
     return res
+
+
+def decay_certificate(seed, n):
+    """The generated operator and the decay certificate the testbed runner
+    hands to the converse: H1 at the instance's abscissa, decay at half of it."""
+    inst = generate_instance(seed, n)
+    cert = inst.certificate
+    h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k)
+    transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
+                                           h1.spectral, 0.5 * cert.a)
+    return inst.split.full, transfer.certificate
+
+
+def laplace_ratios(matrix, certificate, z_samples):
+    """The converse's ratio ``||R(z) - sum_j P_j / (xi_j - z)|| (Re z - a) / C``
+    at every z, each norm taken exactly, one z at a time."""
+    space, level = certificate.space, certificate.level
+    ratios = []
+    for z in z_samples:
+        lhs = resolvent_scalar(matrix, z, Tolerances()).astype(complex)
+        for xi, proj in zip(certificate.discrete_eigs, certificate.projectors):
+            lhs -= proj / (complex(xi) - z)
+        norm = operator_norms(lhs[None], space, space)[0]
+        ratios.append(norm / (certificate.prefactor / (z.real - level)))
+    return np.array(ratios)

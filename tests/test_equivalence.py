@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from semidecay import generate_instance
+from helpers import decay_certificate, laplace_ratios
+from semidecay import equivalence, generate_instance
 from semidecay.equivalence import (DecayCertificate, verify_decay_from_resolvent,
                                    verify_resolvent_from_decay)
 from semidecay.errors import CertificateError
@@ -133,6 +134,34 @@ class TestResolventFromDecay:
             assert transfer.verdict == PASS
             converse = verify_resolvent_from_decay(t_mat, transfer.certificate)
             assert converse.verdict == PASS
+
+    @pytest.mark.parametrize("n,seeds", [(16, range(1, 21)), (32, range(1, 5))])
+    def test_laplace_maximum_takes_exact_norms_only_where_it_can_be(
+            self, n, seeds, monkeypatch):
+        """The Laplace maximum and the first z attaining it are those of an
+        all-exact loop, while its brackets spare about a third of the 72
+        exact norms."""
+        taken = []
+        norms = equivalence.operator_norms
+
+        def counting(stack, dom, cod):
+            taken.append(len(stack))
+            return norms(stack, dom, cod)
+
+        monkeypatch.setattr(equivalence, "operator_norms", counting)
+        for seed in seeds:
+            matrix, cert = decay_certificate(seed, n)
+            taken.clear()
+            report = verify_resolvent_from_decay(matrix, cert)
+            assert report.verdict == PASS
+            ratios = laplace_ratios(matrix, cert, report.z_samples)
+            assert np.all(np.isfinite(ratios))
+            worst = int(np.argmax(ratios))
+            assert report.laplace_max_ratio == ratios[worst]
+            assert report.worst_z == report.z_samples[worst]
+            # one stack of the five propagators and their commutators first
+            assert taken[0] == 5 * (1 + len(cert.projectors))
+            assert sum(taken[1:]) < len(report.z_samples)
 
 
 def test_round_trip_on_generated_instances():

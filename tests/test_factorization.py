@@ -364,10 +364,17 @@ class TestSweepAgainstDenseOracle:
 
 class TestSweepFailures:
     """T = diag(0, -1), A = diag(1/2, 0): B - xi is singular at xi = -1/2,
-    T - xi at xi = 0 (each exactly, so the stacked solve itself fails)."""
+    T - xi at xi = 0 (each exactly, so the stacked solve itself fails).
+
+    At n = 2 every sample here would fit one block, so the width is pinned
+    to 8 shifts: the cases place their failures relative to that."""
 
     split = SplitOperator.from_regularizer(np.diag([0.0, -1.0]), np.diag([0.5, 0.0]))
     pair = EmbeddedSpacePair.from_weights(np.ones(2), np.full(2, 2.0))
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_eight(self, monkeypatch):
+        monkeypatch.setattr(spectral, "block_size", lambda n: 8)
 
     def test_h4_witness_at_first_singular_b(self):
         # ten regular shifts, so the singular one sits in the second block
@@ -395,6 +402,29 @@ class TestSweepFailures:
                 check(report.sweep)
             assert str(info.value) == str(t_exc)
             assert info.value.witness == samples[9]
+
+    def test_b_failure_ends_the_sweep_after_its_block(self):
+        """A singular B - xi at the second sample of the first block: the
+        block's other samples are still computed, B-dependent entries of
+        the failed sample are NaN, and the later block is not computed."""
+        samples = np.concatenate([[1.0, -0.5], 1.0 + 0.3j * np.arange(1, 11)])
+        sweep = shift_sweep(self.split, self.pair, samples)
+        assert sweep.b_failure[0] == 1 and sweep.t_failure is None
+        exc = _oracle_error(self.split.part_b, samples[1])
+        assert str(sweep.b_failure[1]) == str(exc)
+        computed = np.array([0, 2, 3, 4, 5, 6, 7])
+        oracle = Oracle(self.split, self.pair, samples[computed])
+        npt.assert_array_equal(sweep.resolvent[computed], oracle.direct)
+        for name in ("b_inverse", "a_b_inverse", "b_inverse_a"):
+            values = getattr(sweep, name)[computed]
+            assert np.all((values == oracle.exact[name]) | (values == oracle.upper[name]))
+            assert np.isnan(getattr(sweep, name)[1])
+        # T - xi is regular at the failed sample: its own norm is kept
+        assert np.isfinite(sweep.resolvent[1])
+        for name in ("resolvent", "b_inverse", "chain", "mismatch", "shifted"):
+            assert np.all(np.isnan(getattr(sweep, name)[8:]))
+        report = check_h4(self.split, self.pair, samples)
+        assert report.verdict == FAIL and len(report.table) == 1
 
     def test_same_sample_raises_b_before_t(self):
         # at xi = 0, T - xi is exactly singular and B - xi = diag(1e-12, -1)

@@ -20,12 +20,14 @@ from semidecay.runner import _check_instance
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts matrix exponentials, SVD matrices, Hermitian eigensolve
-    matrices (the kernel of :func:`~semidecay.spaces.spectral_norms`), and
-    the exact norms inside :func:`~semidecay.spectral.guarded_inverses`."""
-    calls = {"expm": 0, "svd": 0, "exact_in_guarded_inverses": 0, "eigvalsh": 0}
+    matrices (the kernel of :func:`~semidecay.spaces.spectral_norms`) and
+    the calls that take them, dense solve matrices and calls, and the exact
+    norms inside :func:`~semidecay.spectral.guarded_inverses`."""
+    calls = {"expm": 0, "svd": 0, "exact_in_guarded_inverses": 0, "eigvalsh": 0,
+             "eigvalsh_calls": 0, "solve": 0, "solve_calls": 0}
     inside = []
     expm, svd, norm = scipy.linalg.expm, np.linalg.svd, np.linalg.norm
-    eigvalsh = np.linalg.eigvalsh
+    eigvalsh, solve = np.linalg.eigvalsh, np.linalg.solve
     guarded_inverses = spectral.guarded_inverses
 
     def count_svd(matrices=1):
@@ -50,9 +52,15 @@ def kernel_calls(monkeypatch):
     def counting_eigvalsh(a, *args, **kwargs):
         matrices = int(np.prod(np.shape(a)[:-2]))
         calls["eigvalsh"] += matrices
+        calls["eigvalsh_calls"] += 1
         if inside:
             calls["exact_in_guarded_inverses"] += matrices
         return eigvalsh(a, *args, **kwargs)
+
+    def counting_solve(a, *args, **kwargs):
+        calls["solve"] += int(np.prod(np.shape(a)[:-2]))
+        calls["solve_calls"] += 1
+        return solve(a, *args, **kwargs)
 
     def counting_guarded_inverses(*args, **kwargs):
         inside.append(True)
@@ -65,6 +73,7 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
     # the sweep holds it by name; resolvent_block reaches it through spectral
     for module in (spectral, factorization):
         monkeypatch.setattr(module, "guarded_inverses", counting_guarded_inverses)
@@ -82,6 +91,20 @@ def test_instance_check_kernel_counts(kernel_calls):
     assert 0 < kernel_calls["expm"] <= 4
     assert kernel_calls["svd"] > 0 and kernel_calls["eigvalsh"] > 0
     assert kernel_calls["exact_in_guarded_inverses"] == 0
+
+
+def test_instance_check_stacks_whole_blocks(kernel_calls):
+    """At n = 16 a block holds 32 shifts, times or contour points, so the
+    thin 53-shift sample, the 200 decay times and the 72 converse points
+    take few stacked calls: 32 solves and 71 eigensolves with blocks of 8,
+    whose norms also came one commutation matrix at a time. A change that
+    splits the blocks again shows here."""
+    assert spectral.block_size(16) == 32
+    _check_instance(generate_instance(1, 16), DEFAULT_TOLERANCES, thin_samples=True)
+    assert kernel_calls["solve_calls"] <= 10
+    assert kernel_calls["solve"] == 243
+    assert kernel_calls["eigvalsh_calls"] <= 32
+    assert kernel_calls["eigvalsh"] <= 416
 
 
 def test_shift_sweep_takes_exact_norms_only_where_they_are_reported(kernel_calls):

@@ -110,14 +110,16 @@ class TestShiftedInverses:
         Matrices are counted as they enter a solve or an LU factorization.
         An exactly singular shift makes ``np.linalg.solve`` raise for its
         whole stack without returning it, so that block pays one more
-        solve per shift, the per-matrix fallback, and still no LU.
+        solve per shift, the per-matrix fallback, and still no LU. The
+        distances to the spectrum of all rejected shifts come from one
+        eigensolve, and a block with no rejection takes none.
         """
         gen = np.random.default_rng(7)
         t = np.triu(gen.standard_normal((8, 8)), 1) + np.diag(-np.arange(8.0))
         xis = np.array([0.5 + 0.5j, 1e-310, -3.0 + 1e-10, -3.0 + 1.5e-9, 2.0j])
-        factored, exact = [0], [0]
+        factored, exact, spectra = [0], [0], [0]
         solve, lu_factor = np.linalg.solve, scipy.linalg.lu_factor
-        norms = spectral.spectral_norms
+        norms, eigvals = spectral.spectral_norms, np.linalg.eigvals
 
         def counting(kernel, counter):
             def counted(a, *args, **kwargs):
@@ -128,9 +130,11 @@ class TestShiftedInverses:
         monkeypatch.setattr(np.linalg, "solve", counting(solve, factored))
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting(lu_factor, factored))
         monkeypatch.setattr(spectral, "spectral_norms", counting(norms, exact))
+        monkeypatch.setattr(np.linalg, "eigvals", counting(eigvals, spectra))
         inverses, errors = guarded_inverses(t, xis)
         assert factored[0] == len(xis)
         assert sorted(errors) == [1, 2]
+        assert spectra[0] == 1
         assert "is numerically singular" in str(errors[1])
         assert "conditioning band" in str(errors[2])
         # the filter flagged shifts 2 and 3, and the exact test accepted 3
@@ -139,11 +143,17 @@ class TestShiftedInverses:
         npt.assert_array_equal(inverses[3], resolvent_scalar(t, xis[3], DEFAULT_TOLERANCES))
 
         xis[1] = -1.0
-        factored[0] = 0
+        factored[0] = spectra[0] = 0
         _, errors = guarded_inverses(t, xis)
         assert factored[0] == 2 * len(xis)
         assert sorted(errors) == [1, 2]
+        assert spectra[0] == 1
         assert str(errors[1]) == str(_scalar_error(t, xis[1]))
+        assert str(errors[2]) == str(_scalar_error(t, xis[2]))
+
+        spectra[0] = 0
+        _, errors = guarded_inverses(t, xis[[0, 3, 4]])
+        assert not errors and spectra[0] == 0
 
 
 class TestGuardFilter:
