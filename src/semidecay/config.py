@@ -21,6 +21,10 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 
+# most samples a drift-diffusion horizon may ask for; the decay run keeps
+# three numbers per sample (the shipped configs ask for at most 401)
+MAX_TIME_SAMPLES = 10**7
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -191,6 +195,10 @@ class FPProblem:
         if not (math.isfinite(t_max) and t_max / dt >= 3.0 - 1e-9):
             raise ConfigError(f"horizon must be finite and at least 3 steps of dt "
                               f"(4 samples), got t_max={t_max} at {where}.t_max")
+        if t_max / dt + 1.0 > MAX_TIME_SAMPLES:
+            raise ConfigError(f"horizon of {t_max / dt + 1.0:.3g} samples exceeds "
+                              f"{MAX_TIME_SAMPLES}, got t_max={t_max}, dt={dt} "
+                              f"at {where}.t_max")
         return problem
 
     def to_dict(self):

@@ -187,13 +187,16 @@ def envelope_prefactor(times, values, rate: float) -> float:
 SCHEMES = {"implicit-euler": 1.0, "crank-nicolson": 0.5}
 
 
-def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler"
-                    ) -> np.ndarray:
+def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler"):
     """March ``df/dt = T f`` on a uniform grid with an A-stable one-step scheme.
 
-    Accepts dense or sparse ``matrix``; either way ``implicit-euler`` and
-    ``crank-nicolson`` factorize ``I - theta dt T`` once through
-    :func:`~semidecay.spectral.sparse_lu` and reuse the factorization.
+    Returns an iterator over the states at the times of ``t_grid``, in
+    order, starting with a copy of ``f0``; each state is a fresh array, so
+    a caller that reduces them as they arrive holds O(n) memory whatever
+    the step count. The grid and scheme are validated, and ``I - theta dt
+    T`` is factorized once through :func:`~semidecay.spectral.sparse_lu`,
+    when this function is called; the solves run as the states are read.
+    Accepts dense or sparse ``matrix``.
 
     The implicit solves are residual-checked each step; a violation raises
     :class:`StepRejectionError` rather than silently drifting.
@@ -208,18 +211,20 @@ def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler"
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
     theta = SCHEMES[scheme]
-    f0 = np.asarray(f0, dtype=float)
+    f0 = np.array(f0, dtype=float)
     n = len(f0)
     matrix = sp.csr_matrix(matrix)
     eye = sp.identity(n, format="csr")
     lhs = (eye - dt * theta * matrix).tocsc()
     solve = sparse_lu(lhs).solve
     rhs_mat = None if theta == 1.0 else (eye + dt * (1.0 - theta) * matrix).tocsr()
+    return _march(lhs, solve, rhs_mat, f0, len(t_grid))
 
-    out = np.empty((len(t_grid), n))
-    out[0] = f0
-    f = f0
-    for i in range(1, len(t_grid)):
+
+def _march(lhs, solve, rhs_mat, f, count):
+    """``f`` and the ``count - 1`` residual-checked steps after it."""
+    yield f
+    for i in range(1, count):
         rhs = f if rhs_mat is None else rhs_mat @ f
         f_new = solve(rhs)
         residual = np.linalg.norm(lhs @ f_new - rhs)
@@ -227,5 +232,4 @@ def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler"
             raise StepRejectionError(
                 f"implicit solve residual {residual:.3e} at step {i}")
         f = f_new
-        out[i] = f
-    return out
+        yield f

@@ -78,6 +78,7 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
     (BASE_SWIRL, {"swirl": {"amplitude": float("inf")}}, [], "problem.swirl"),
     (BASE_FP, {"dt": 0.0}, [], "problem.dt"),
     (BASE_FP, {"t_max": 0.025}, [], "problem.t_max"),
+    (BASE_FP, {"t_max": 1e9, "dt": 1e-9, "N": 60}, [], "exceeds 10000000"),
     (BASE_FP, {}, ["--tolerance", "bogus=1"], "'bogus' at --tolerance"),
     (BASE_TESTBED, {"n_seeds": 0}, [], "config.n_seeds"),
     (BASE_TESTBED, {"n_seeds": -3}, [], "config.n_seeds"),
@@ -113,8 +114,9 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
      "unknown key 'injectivity_floor' at tolerances"),
     (BASE_TESTBED, {}, ["--tolerance", "injectivity_floor=1e-8"],
      "unknown key 'injectivity_floor' at --tolerance"),
-], ids=["N", "L", "amplitude", "dt", "t_max", "tolerance", "n_seeds0", "n_seeds-3",
-        "seed_cast", "t_max_cast", "n_cast", "n0", "k_above_n", "strength",
+], ids=["N", "L", "amplitude", "dt", "t_max", "t_max_samples", "tolerance",
+        "n_seeds0", "n_seeds-3", "seed_cast", "t_max_cast", "n_cast", "n0",
+        "k_above_n", "strength",
         "target_a_positive", "seed_fraction", "seed_bool", "n_seeds_fraction",
         "jobs_fraction", "n_fraction", "k_fraction", "N_fraction", "d_fraction",
         "scheme_removed", "seed_negative", "seed_flag_negative",

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -511,8 +512,10 @@ class TestSparseBranchAgainstDenseOracle:
         disc = fp_swirl_sparse
         f0 = initial_datum(disc, "heavy-tail")
         t_grid = np.linspace(0.0, 0.5, 26)
-        sparse = step_trajectory(disc.generator, f0, t_grid, scheme=scheme)
-        dense = step_trajectory(disc.generator.toarray(), f0, t_grid, scheme=scheme)
+        sparse = np.stack(list(step_trajectory(disc.generator, f0, t_grid,
+                                               scheme=scheme)))
+        dense = np.stack(list(step_trajectory(disc.generator.toarray(), f0, t_grid,
+                                              scheme=scheme)))
         npt.assert_array_equal(sparse, dense)
 
 
@@ -570,6 +573,50 @@ class TestSparseFactorizationCount:
         step_trajectory(disc.generator, initial_datum(disc, "heavy-tail"),
                         np.linspace(0.0, 0.5, 26), scheme=scheme)
         assert splu_calls == [(disc.grid.n_total,) * 2]
+
+
+class TestStreamedDecay:
+    """``decay_experiment`` reduces each streamed state as it arrives."""
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    @pytest.mark.parametrize("which", ["fp_small", "fp_swirl_sparse"])
+    def test_matches_stacked_trajectory(self, request, which, scheme):
+        disc = request.getfixturevalue(which)
+        f0 = initial_datum(disc, "heavy-tail")
+        t_grid = np.linspace(0.0, 0.5, 26)
+        result = decay_experiment(disc, disc.space_ambient, f0, t_grid, scheme=scheme)
+        # oracle: the whole trajectory stacked, then reduced row by row
+        traj = np.stack(list(step_trajectory(disc.generator, f0, t_grid, scheme=scheme)))
+        hd = disc.grid.h ** disc.grid.d
+        deviation = traj - (float(f0.sum() * hd) * disc.mu)[None, :]
+        npt.assert_array_equal(result.mass, traj.sum(axis=1) * hd)
+        npt.assert_array_equal(result.deviation_ambient,
+                               [disc.space_ambient.norm(g) for g in deviation])
+        npt.assert_array_equal(result.deviation_small,
+                               [disc.space_small.norm(g) for g in deviation])
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_memory_does_not_grow_with_the_step_count(self, scheme):
+        """From 50 to 400 steps the traced peak grows by a few numbers per
+        sample; a stacked trajectory and its deviation would add 2 * 350 * n
+        * 8 bytes."""
+        disc = FPDiscretization.build(FPGrid(d=1, L=8.0, N=2000), Potential(2.0),
+                                      EnlargedWeight("polynomial", 3.0))
+        f0 = initial_datum(disc, "heavy-tail")
+
+        def traced_peak(steps):
+            t_grid = np.linspace(0.0, 0.01 * steps, steps + 1)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                decay_experiment(disc, disc.space_ambient, f0, t_grid,
+                                 scheme=scheme, pinned_rate=-1.0)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        growth = traced_peak(400) - traced_peak(50)
+        assert growth < 2 * disc.grid.n_total * 8
 
 
 class TestSparseOrdering:

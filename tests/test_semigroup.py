@@ -129,7 +129,8 @@ class TestStepTrajectory:
         f0 = gen.standard_normal(6)
         t_grid = np.linspace(0.0, 1.0, 201)
         reference = matrix_exponential(mat) @ f0
-        marched = step_trajectory(mat, f0, t_grid, scheme="crank-nicolson")
+        marched = np.stack(list(step_trajectory(mat, f0, t_grid,
+                                                 scheme="crank-nicolson")))
         err = np.linalg.norm(marched[-1] - reference) / np.linalg.norm(reference)
         assert err <= 5e-5    # second-order scheme at dt = 5e-3
 
@@ -137,7 +138,8 @@ class TestStepTrajectory:
         mat = np.diag([-1.0, -2.0])
         f0 = np.ones(2)
         t_grid = np.linspace(0.0, 1.0, 101)
-        marched = step_trajectory(mat, f0, t_grid, scheme="implicit-euler")
+        marched = np.stack(list(step_trajectory(mat, f0, t_grid,
+                                                 scheme="implicit-euler")))
         exact = np.exp(np.outer(t_grid, np.diag(mat)))
         err = np.max(np.abs(marched - exact))
         assert err <= 2e-2
