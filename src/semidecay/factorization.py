@@ -151,9 +151,12 @@ class ShiftSweep:
     ``exact_norms`` counts the matrices whose norm the sweep took exactly.
     ``b_failure`` and ``t_failure`` hold the index and the
     :class:`SingularityError` of the first sample where B - xi, resp.
-    T - xi, could not be inverted; entries that depend on a failed inverse
-    are NaN. The sweep stops after the block of the first B failure, so
-    later entries are NaN too.
+    T - xi, could not be inverted. A rejected inverse is NaN
+    (:func:`~semidecay.spectral.guarded_inverses`), so every entry computed
+    from it is NaN by arithmetic: a failed B - xi leaves ``resolvent`` and
+    ``resolvent_small`` finite, a failed T - xi the three B norms, and
+    ``shifted`` is always finite. The sweep stops after the block of the
+    first B failure, so later entries are NaN too.
     """
 
     samples: np.ndarray
@@ -177,9 +180,6 @@ class ShiftSweep:
             raise min(failures, key=lambda f: f[0])[1]
 
 
-_B_NORMS = ("b_inverse", "a_b_inverse", "b_inverse_a", "chain")
-_T_NORMS = ("resolvent", "resolvent_small", "chain")
-_U_NORMS = ("identity_defect", "mismatch")
 # the bracketed columns, and the three of them the chain is made of
 _BRACKETED = ("b_inverse", "a_b_inverse", "resolvent_small", "b_inverse_a")
 _CHAIN = ("b_inverse", "resolvent_small", "a_b_inverse")
@@ -190,31 +190,31 @@ def _chain(norms, c_j):
     return norms["b_inverse"] + c_j * norms["resolvent_small"] * norms["a_b_inverse"]
 
 
-def _refined_norms(stacks, direct, valid, c_j, floors):
+def _refined_norms(stacks, direct, c_j, floors):
     """The bracketed norms of one block, exact only where they may matter.
 
-    ``stacks`` maps each bracketed column to its stack and spaces, ``valid``
-    each column (and ``"chain"``) to the samples whose inverses exist, and
+    ``stacks`` maps each bracketed column to its stack and spaces, and
     ``floors`` each column and the chain to a lower bound on its maximum
     over this block and all before it; the floors are raised in place. A
     norm is refined to its exact value where its upper bound reaches its
     column's floor, or where its sample's chain must be exact: there the
     chain's upper bound reaches the chain's floor, or its lower bound does
-    not dominate the direct value. Returns the column values (exact, else
-    upper bound), the chain values (exact, else lower bound) and the
-    number of exact norms taken.
+    not dominate the direct value. A sample with a rejected inverse has NaN
+    bounds: it raises no floor and is never refined. Returns the column
+    values (exact, else upper bound), the chain values (exact, else lower
+    bound) and the number of exact norms taken.
     """
     lower, upper, refine = {}, {}, {}
     for name, (stack, dom, cod) in stacks.items():
         lower[name], upper[name] = operator_norm_bracket(stack, dom, cod)
-        floors[name] = max(floors[name], float(np.max(lower[name][valid[name]],
-                                                      initial=0.0)))
-        refine[name] = valid[name] & (upper[name] >= floors[name])
+        floors[name] = np.fmax.reduce(lower[name], initial=floors[name])
+        refine[name] = upper[name] >= floors[name]
     chain_lower = _chain(lower, c_j)
-    floors["chain"] = max(floors["chain"], float(np.max(chain_lower[valid["chain"]],
-                                                        initial=0.0)))
-    exact_chain = valid["chain"] & ((_chain(upper, c_j) >= floors["chain"])
-                                    | ~_dominates(chain_lower, direct))
+    floors["chain"] = np.fmax.reduce(chain_lower, initial=floors["chain"])
+    # the negation of _dominates but False on NaN: a rejected sample's chain
+    # must stay out of the exact kernel
+    exact_chain = ((_chain(upper, c_j) >= floors["chain"])
+                   | (chain_lower < direct * (1.0 - 1e-12)))
     for name in _CHAIN:
         refine[name] |= exact_chain
     count = 0
@@ -226,8 +226,7 @@ def _refined_norms(stacks, direct, valid, c_j, floors):
             floors[name] = max(floors[name], float(np.max(values)))
             count += int(exact.sum())
     chain = _chain(lower, c_j)
-    floors["chain"] = max(floors["chain"], float(np.max(chain[valid["chain"]],
-                                                        initial=0.0)))
+    floors["chain"] = np.fmax.reduce(chain, initial=floors["chain"])
     return upper, chain, count
 
 
@@ -245,17 +244,11 @@ def _sweep_block(split: SplitOperator, pair: EmbeddedSpacePair, xis,
     b_inv, b_errors = guarded_inverses(split.part_b, xis, tol)
     a_b_inv = split.part_a @ b_inv
     norms = {"resolvent": operator_norms(r, amb, amb)}
-    valid_b = np.ones(len(xis), dtype=bool)
-    valid_b[list(b_errors)] = False
-    valid_t = np.ones(len(xis), dtype=bool)
-    valid_t[list(t_errors)] = False
-    valid = {"b_inverse": valid_b, "a_b_inverse": valid_b, "b_inverse_a": valid_b,
-             "resolvent_small": valid_t, "chain": valid_b & valid_t}
     stacks = {"b_inverse": (b_inv, amb, amb), "a_b_inverse": (a_b_inv, amb, small),
               "resolvent_small": (r, small, small),
               "b_inverse_a": (b_inv @ split.part_a, amb, small)}
     bracketed, norms["chain"], exact_norms = _refined_norms(
-        stacks, norms["resolvent"], valid, pair.embedding_constant, floors)
+        stacks, norms["resolvent"], pair.embedding_constant, floors)
     del stacks
     norms.update(bracketed)
     u = _assemble(b_inv, r, a_b_inv)
@@ -267,12 +260,6 @@ def _sweep_block(split: SplitOperator, pair: EmbeddedSpacePair, xis,
     defect = shifted @ u
     defect -= eye
     _, norms["identity_defect"] = operator_norm_bounds(defect, amb, amb)
-    for i in b_errors:
-        for name in _B_NORMS + _U_NORMS:
-            norms[name][i] = np.nan
-    for i in t_errors:
-        for name in _T_NORMS + _U_NORMS:
-            norms[name][i] = np.nan
     return norms, len(xis) + exact_norms, b_errors, t_errors
 
 
@@ -291,7 +278,7 @@ def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
     if split.dim != pair.dim:
         raise DimensionMismatchError("split operator and space pair dimensions differ")
     samples = np.asarray(xi_samples, dtype=complex)
-    names = _BRACKETED + ("shifted", "resolvent", "chain") + _U_NORMS
+    names = _BRACKETED + ("shifted", "resolvent", "chain", "identity_defect", "mismatch")
     norms = {name: np.full(len(samples), np.nan) for name in names}
     floors = dict.fromkeys(_BRACKETED + ("chain",), 0.0)
     b_failure = t_failure = None

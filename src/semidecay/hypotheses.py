@@ -474,17 +474,16 @@ class H3Report:
                 "residual": self.fit.residual, "window": list(self.fit.window)}
 
 
-def check_h3(op, space: WeightedSpace | None = None, t_grid=None,
+def check_h3(op, space: WeightedSpace | None = None,
              tol: Tolerances = DEFAULT_TOLERANCES) -> H3Report:
-    """Certified envelope ``||e^{tT}|| <= C_b e^{b t}`` on a sampled horizon."""
+    """Certified envelope ``||e^{tT}|| <= C_b e^{b t}`` on a sampled horizon
+    scaled by the spread of the real parts of the spectrum."""
     matrix = np.asarray(op)
     if space is None:
         space = WeightedSpace.unweighted(matrix.shape[0])
-    if t_grid is None:
-        eigvals = np.linalg.eigvals(matrix)
-        spread = float(np.max(eigvals.real) - np.min(eigvals.real)) if len(eigvals) else 1.0
-        t_grid = default_time_grid(rate_scale=max(spread, 1e-2), n=64)
-    t_grid = np.asarray(t_grid, dtype=float)
+    eigvals = np.linalg.eigvals(matrix)
+    spread = float(np.max(eigvals.real) - np.min(eigvals.real)) if len(eigvals) else 1.0
+    t_grid = default_time_grid(rate_scale=max(spread, 1e-2), n=64)
     norms = semigroup_norms(matrix, t_grid, space)
     fit = fit_exponential_decay(t_grid, norms, tol=tol)
     return H3Report(fit=fit, t_grid=t_grid, norms=norms)

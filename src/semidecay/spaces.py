@@ -55,8 +55,8 @@ class WeightedSpace:
             raise ValueError("cell_measure must be strictly positive and finite")
 
     @classmethod
-    def unweighted(cls, n: int, name: str = "") -> "WeightedSpace":
-        return cls(grid=np.arange(n, dtype=float), weights=np.ones(n), name=name)
+    def unweighted(cls, n: int) -> "WeightedSpace":
+        return cls(grid=np.arange(n, dtype=float), weights=np.ones(n))
 
     @property
     def dim(self) -> int:

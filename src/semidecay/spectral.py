@@ -1,13 +1,15 @@
 """Resolvents, eigendecompositions, and spectral projectors.
 
 Every resolvent is computed by :func:`guarded_inverses`: one stacked solve
-over a block of shifts, which solves each shift once, and a conditioning
-guard on each. O(n^2) bounds on its 2-norms settle the guard for most
-shifts; only a shift they flag takes the 2-norms exactly
-(:func:`~semidecay.spaces.spectral_norms`) on the stack's own inverse, and
-is accepted or rejected with a :class:`SingularityError` and its
-diagnostics. :func:`resolvent_block` and :func:`resolvent_matrix` (the
-one-shift case) raise the first rejection.
+over a block of shifts, which solves each shift once unless the block holds
+an exactly singular shift (then the stacked solve fails and every shift of
+the block is solved again alone), and a conditioning guard on each. O(n^2)
+bounds on its 2-norms settle the guard for most shifts; only a shift they
+flag takes the 2-norms exactly (:func:`~semidecay.spaces.spectral_norms`)
+on the stack's own inverse, and is accepted or rejected with a
+:class:`SingularityError` and its diagnostics. A rejected shift's slot is
+NaN. :func:`resolvent_block` and :func:`resolvent_matrix` (the one-shift
+case) raise the first rejection.
 
 A block of an n x n operator holds :func:`block_size` samples (shifts,
 times or contour points): as many complex matrices as fill ``BLOCK_BYTES``,
@@ -111,8 +113,8 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
     :class:`SingularityError` of each shift the guard rejects.
 
     One stacked solve inverts every shift, once; only an exactly singular
-    shift, which stops the stacked solve, has each shift of its block
-    solved alone. A shift whose inverse has a non-finite entry is rejected
+    shift, which stops the stacked solve, has every shift of its block
+    solved again, alone. A shift whose inverse has a non-finite entry is rejected
     as singular. Any other shift passes the guard when
     ``||M - xi|| ||R|| tol_solve < 1`` and the residual
     ``||(M - xi) R - Id||`` is at most ``tol_solve * max(||M - xi|| ||R||, 1)``.
@@ -123,7 +125,7 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
     shift that is not flagged passes the exact test. Only a flagged shift
     takes the three 2-norms exactly (:func:`~semidecay.spaces.spectral_norms`),
     on the stack's own shifted matrix, inverse and residual. A rejected
-    shift's slot is zero.
+    shift's slot is NaN, so that everything computed from it is NaN too.
     """
     matrix = np.asarray(matrix)
     shifts = np.asarray(xis)
@@ -136,22 +138,16 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
         except np.linalg.LinAlgError:
             # an exactly singular shift stops the stacked solve for all
             inverses = np.stack([_solve_or_nan(s, i) for s, i in zip(shifted, ident)])
-    finite = np.all(np.isfinite(inverses), axis=(1, 2))
-    if finite.all():
-        checked_shifted, checked_ident, checked = shifted, ident, inverses
-    else:
-        checked_shifted, checked_ident = shifted[finite], ident[finite]
-        checked = inverses[finite]
-    shifted_lo, shifted_hi = norm_bounds(checked_shifted)
-    inverse_lo, inverse_hi = norm_bounds(checked)
-    defect = checked_shifted @ checked
-    defect -= checked_ident
-    _, residual_hi = norm_bounds(defect)
-    cond_lo = shifted_lo * inverse_lo
-    flagged = ~finite
-    flagged[finite] = ((shifted_hi * inverse_hi * tol.tol_solve >= 1.0)
-                       | (residual_hi > tol.tol_solve * np.maximum(cond_lo, 1.0)))
-    row = np.cumsum(finite) - 1
+        shifted_lo, shifted_hi = norm_bounds(shifted)
+        inverse_lo, inverse_hi = norm_bounds(inverses)
+        defect = shifted @ inverses
+        defect -= ident
+        _, residual_hi = norm_bounds(defect)
+        cond_lo = shifted_lo * inverse_lo
+        # a non-finite inverse has non-finite bounds, which flag nothing
+        finite = np.all(np.isfinite(inverses), axis=(1, 2))
+        flagged = (~finite | (shifted_hi * inverse_hi * tol.tol_solve >= 1.0)
+                   | (residual_hi > tol.tol_solve * np.maximum(cond_lo, 1.0)))
     errors = {}
     spectrum = None
     for i in np.flatnonzero(flagged):
@@ -160,9 +156,8 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
         elif not finite[i]:
             reason = "is numerically singular"
         else:
-            j = row[i]
             shifted_norm, inverse_norm, residual = spectral_norms(
-                np.stack([checked_shifted[j], checked[j], defect[j]]))
+                np.stack([shifted[i], inverses[i], defect[i]]))
             cond = shifted_norm * inverse_norm
             # sigma_min(M - xi) = 1/||R||; reject shifts inside the conditioning band
             if cond * tol.tol_solve >= 1.0:
@@ -177,7 +172,7 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
         if spectrum is None:
             spectrum = np.linalg.eigvals(matrix)
         dist = float(np.min(np.abs(spectrum - xis[i])))
-        inverses[i] = 0.0
+        inverses[i] = np.nan
         errors[int(i)] = SingularityError(
             f"shift {xis[i]} {reason} (distance to spectrum {dist:.3e})",
             distance=dist, witness=xis[i])

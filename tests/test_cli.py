@@ -414,8 +414,10 @@ def test_resolvent_scan_verdict_needs_both_certificates(tmp_path, monkeypatch):
     scan = runner.resolvent_scan_fp
 
     def short_small_scan(disc, space, a, tol, eigvals=None):
-        y_grid = [-1.0, 0.0, 1.0] if space is disc.space_small else None
-        return scan(disc, space, a, y_grid=y_grid, tol=tol, eigvals=eigvals)
+        if space is disc.space_small:
+            return hypotheses.check_h2(disc.dense_generator(), a, space,
+                                       y_grid=[-1.0, 0.0, 1.0], tol=tol, eigvals=eigvals)
+        return scan(disc, space, a, tol=tol, eigvals=eigvals)
 
     monkeypatch.setattr(runner, "resolvent_scan_fp", short_small_scan)
     cfg = write_config(tmp_path, {**BASE_SCAN, "out_dir": str(tmp_path / "open")})

@@ -437,6 +437,38 @@ class TestSweepFailures:
                 check(shift_sweep(split, self.pair, samples))
             assert str(info.value) == str(_oracle_error(split.part_b, samples[1]))
 
+    @pytest.mark.parametrize("samples, exact_norms", [
+        (np.concatenate([[1.0, -0.5], 1.0 + 0.3j * np.arange(1, 11)]), 13),
+        (np.array([1.0, 0.0, 2.0 + 1j]), 9),
+        (np.concatenate([1.0 + 0.3j * np.arange(10), [-0.5, 2.0]]), 17),
+        (np.concatenate([1.0 + 0.3j * np.arange(9), [0.0, -0.5]]), 19),
+    ], ids=["b_at_1", "t_alone", "b_at_10", "t_at_9_then_b_at_10"])
+    def test_rejected_samples_never_reach_the_exact_kernel(self, samples, exact_norms,
+                                                           monkeypatch):
+        """A rejected inverse is NaN, and its NaN brackets must neither
+        raise a floor nor send its sample to the exact norms."""
+        refined, norms = factorization._refined_norms, factorization.operator_norms
+        inside, stacks = [False], []
+
+        def recording_norms(stack, dom, cod):
+            if inside[0]:
+                stacks.append(stack)
+            return norms(stack, dom, cod)
+
+        def recording_refined(*args):
+            inside[0] = True
+            try:
+                return refined(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(factorization, "_refined_norms", recording_refined)
+        monkeypatch.setattr(factorization, "operator_norms", recording_norms)
+        sweep = shift_sweep(self.split, self.pair, samples)
+        assert sweep.b_failure is not None or sweep.t_failure is not None
+        assert sweep.exact_norms == exact_norms
+        assert stacks and all(np.all(np.isfinite(stack)) for stack in stacks)
+
     def test_singular_t_alone_passes_h4(self):
         samples = np.array([1.0, 0.0, 2.0 + 1j])
         report = check_h4(self.split, self.pair, samples)
