@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 2 checks failed or indeterminate,
-3 infeasible search, 4 configuration error, 1 internal error.
+3 infeasible search, 4 configuration or usage error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import sys
 import traceback
 
-from .config import COMMANDS, RunConfig, Tolerances, parse_tolerance_overrides
+from .config import COMMANDS, RunConfig
 from .errors import ConfigError, InfeasibleParameterError, SemidecayError
 from .reports import (EXIT_CHECKS_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                       EXIT_INTERNAL, EXIT_OK)
@@ -30,18 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--jobs", type=int, default=None,
                          help="accepted and ignored; runs are serial")
         cmd.add_argument("--out", default=None, help="override output directory")
-        cmd.add_argument("--tolerance", action="append", default=[],
-                         metavar="KEY=VAL", help="override one tolerance (repeatable)")
     return parser
 
 
 def _load_config(args) -> RunConfig:
     config = RunConfig.from_json_file(args.config, command=args.command)
-    overrides = parse_tolerance_overrides(args.tolerance)
-    if overrides:
-        merged = {**config.tolerances.to_dict(), **overrides}
-        config = config.override(
-            tolerances=Tolerances.from_mapping(merged, where="--tolerance"))
     if args.seed is not None:
         config = config.override(seed=args.seed)
     if args.jobs is not None:
@@ -53,7 +46,11 @@ def _load_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message; --help exits 0
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         config = _load_config(args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -61,18 +61,16 @@ class Tolerances:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_mapping(cls, mapping: dict, where: str = "tolerances") -> "Tolerances":
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in mapping:
-            if key not in known:
-                raise ConfigError(f"unknown key '{key}' at {where}")
+    def from_mapping(cls, mapping: dict) -> "Tolerances":
+        _require_keys(mapping, {f.name for f in dataclasses.fields(cls)}, set(),
+                      "tolerances")
         vals = {}
         for key, val in mapping.items():
             try:
                 vals[key] = _number(val)
             except (TypeError, ValueError):
-                raise ConfigError(f"value for {where}.{key} is not a number: {val!r}")
-        return _build(where, lambda: cls(**vals))
+                raise ConfigError(f"value for tolerances.{key} is not a number: {val!r}")
+        return _build("tolerances", lambda: cls(**vals))
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -323,16 +321,3 @@ class RunConfig:
             out[f.name] = value.to_dict() if hasattr(value, "to_dict") else value
         return out
 
-
-def parse_tolerance_overrides(pairs) -> dict:
-    """Parse repeatable ``KEY=VAL`` command-line tolerance overrides."""
-    out = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ConfigError(f"tolerance override '{pair}' is not KEY=VAL")
-        key, _, val = pair.partition("=")
-        try:
-            out[key.strip()] = float(val)
-        except ValueError:
-            raise ConfigError(f"tolerance override '{pair}' has a non-numeric value")
-    return out

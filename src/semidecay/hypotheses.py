@@ -524,19 +524,18 @@ def sample_xi_region(a: float, r: float, xi_list, n_line: int = 21,
 
 @dataclass
 class H4Report:
-    """Per-sample decomposition bounds and their suprema.
+    """The suprema of the decomposition bounds over the sample.
 
-    ``table`` has one row per sampled xi:
-    (xi, ||B(xi)^{-1}||_amb, ||A B(xi)^{-1}||_amb->small, ||B(xi)^{-1} A||_amb->small).
-    An entry is the exact norm wherever it may reach its column's
-    supremum (or the bound chain needs it); elsewhere it is a certified
-    upper bound below that supremum (see
-    :class:`~semidecay.factorization.ShiftSweep`). So the three suprema and
-    the witness sample are those of the exact norms, largest singular
+    The per-sample norms are the columns ``b_inverse`` (``||B(xi)^{-1}||_amb``),
+    ``a_b_inverse`` and ``b_inverse_a`` (``||A B(xi)^{-1}||`` and
+    ``||B(xi)^{-1} A||``, ambient into small) of ``sweep``, the
+    :class:`~semidecay.factorization.ShiftSweep` the factorization check
+    and the bound chain reuse. An entry is the exact norm wherever it may
+    reach its column's supremum (or the bound chain needs it); elsewhere it
+    is a certified upper bound below that supremum. So the three suprema
+    and the witness sample are those of the exact norms, largest singular
     values from :func:`~semidecay.spaces.spectral_norms` (smallest singular
-    values, as in H2, stay on the SVD). ``sweep`` is the :class:`~semidecay.factorization.ShiftSweep` the table
-    was read from; the factorization check and the bound chain reuse it. It
-    is not serialized.
+    values, as in H2, stay on the SVD). The sweep is not serialized.
     """
 
     verdict: str
@@ -544,8 +543,6 @@ class H4Report:
     sup_b_inverse: float
     sup_a_b_inverse: float
     sup_b_inverse_a: float
-    samples: np.ndarray
-    table: np.ndarray
     ceiling: float
     sweep: ShiftSweep = field(repr=False, compare=False)
 
@@ -554,7 +551,7 @@ class H4Report:
                 "sup_b_inverse": self.sup_b_inverse,
                 "sup_a_b_inverse": self.sup_a_b_inverse,
                 "sup_b_inverse_a": self.sup_b_inverse_a,
-                "n_samples": int(len(self.samples)), "ceiling": self.ceiling}
+                "n_samples": int(len(self.sweep.samples)), "ceiling": self.ceiling}
 
 
 def check_h4(split, pair: EmbeddedSpacePair, samples,
@@ -572,22 +569,18 @@ def check_h4(split, pair: EmbeddedSpacePair, samples,
     """
     sweep = shift_sweep(split, pair, samples, tol)
     samples = sweep.samples
-    rows = np.column_stack([samples, sweep.b_inverse, sweep.a_b_inverse,
-                            sweep.b_inverse_a])
     if sweep.b_failure is not None:
         i, exc = sweep.b_failure
         return H4Report(FAIL, f"B - xi numerically singular at xi={samples[i]} "
                               f"(distance {exc.distance:.3e})",
-                        np.inf, np.inf, np.inf, samples,
-                        rows[:i], tol.h4_ceiling, sweep)
-    sup_b, sup_ab, sup_ba = (float(np.max(col, initial=0.0)) for col in
-                             (sweep.b_inverse, sweep.a_b_inverse, sweep.b_inverse_a))
+                        np.inf, np.inf, np.inf, tol.h4_ceiling, sweep)
+    columns = np.stack([sweep.b_inverse, sweep.a_b_inverse, sweep.b_inverse_a])
+    sup_b, sup_ab, sup_ba = (float(np.max(col, initial=0.0)) for col in columns)
     worst = max(sup_b, sup_ab, sup_ba)
     if not np.isfinite(worst) or worst > tol.h4_ceiling:
-        i_bad = int(np.argmax(np.max(rows[:, 1:].real, axis=1)))
+        i_bad = int(np.argmax(np.max(columns, axis=0)))
         return H4Report(FAIL,
                         f"bound {worst:.3e} exceeds ceiling {tol.h4_ceiling:.1e} "
-                        f"at xi={rows[i_bad, 0]}",
-                        sup_b, sup_ab, sup_ba, samples, rows, tol.h4_ceiling, sweep)
-    return H4Report(PASS, None, sup_b, sup_ab, sup_ba, samples, rows, tol.h4_ceiling,
-                    sweep)
+                        f"at xi={samples[i_bad]}",
+                        sup_b, sup_ab, sup_ba, tol.h4_ceiling, sweep)
+    return H4Report(PASS, None, sup_b, sup_ab, sup_ba, tol.h4_ceiling, sweep)

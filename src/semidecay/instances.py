@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SCHEMA_VERSION
+from .config import DEFAULT_TOLERANCES, SCHEMA_VERSION, Tolerances
 from .errors import ConfigError, DimensionMismatchError, InfeasibleParameterError
 from .factorization import SplitOperator
 from .spaces import EmbeddedSpacePair
+from .spectral import spectral_projector
 
 _FEASIBILITY_MARGIN = 0.05
 
@@ -34,7 +35,6 @@ class InstanceCertificate:
     xi: tuple
     gap: float
     strength: float
-    embedding_constant: float
     seed: int
     n: int
 
@@ -45,9 +45,7 @@ class InstanceCertificate:
     def to_dict(self):
         return {"a": self.a, "r": self.r,
                 "xi": [[complex(z).real, complex(z).imag] for z in self.xi],
-                "gap": self.gap, "strength": self.strength,
-                "embedding_constant": self.embedding_constant,
-                "seed": self.seed, "n": self.n}
+                "gap": self.gap, "strength": self.strength, "seed": self.seed, "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -55,16 +53,6 @@ class GeneratedInstance:
     split: SplitOperator
     pair: EmbeddedSpacePair
     certificate: InstanceCertificate
-    projectors: tuple = ()
-
-    def with_projectors(self):
-        """Attach the spectral projectors of the certified eigenvalues."""
-        if self.projectors:
-            return self
-        from .spectral import spectral_projector
-        projs = tuple(spectral_projector(self.split.full, xi, self.certificate.r)
-                      for xi in self.certificate.xi)
-        return GeneratedInstance(self.split, self.pair, self.certificate, projs)
 
 
 def check_instance_shape(n, k, strength):
@@ -118,9 +106,7 @@ def generate_instance(seed: int, n: int, a: float = -0.75, gap: float = -1.0,
         split = SplitOperator.from_regularizer(full, part_a)
         pair = EmbeddedSpacePair.from_weights(np.ones(2), np.ones(2))
         cert = InstanceCertificate(a=a, r=r, xi=(0.0 + 0.0j,), gap=gap,
-                                   strength=strength,
-                                   embedding_constant=pair.embedding_constant,
-                                   seed=seed, n=n)
+                                   strength=strength, seed=seed, n=n)
         return GeneratedInstance(split, pair, cert)
 
     rng = np.random.default_rng(seed)
@@ -157,41 +143,41 @@ def generate_instance(seed: int, n: int, a: float = -0.75, gap: float = -1.0,
     pair = EmbeddedSpacePair.from_weights(w_ambient, w_small)
 
     cert = InstanceCertificate(a=a, r=r, xi=tuple(survivors.tolist()), gap=gap,
-                               strength=strength,
-                               embedding_constant=pair.embedding_constant,
-                               seed=seed, n=n)
+                               strength=strength, seed=seed, n=n)
     return GeneratedInstance(split, pair, cert)
 
 
-def save_instance(instance: GeneratedInstance, directory, tolerances=None):
+def save_instance(instance: GeneratedInstance, directory,
+                  tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Write the instance as a JSON manifest plus Matrix Market files.
 
     The manifest records the certificate (spectra, seed), both weight
     vectors, the tolerances in force, and references the matrix files for
     the generator, both split parts, and the spectral projectors of the
-    certified eigenvalues.
+    certified eigenvalues. The projectors, computed under those tolerances,
+    are written for the reader: :func:`load_instance` does not read them.
     """
     from . import matio as mio
-    from .config import DEFAULT_TOLERANCES
-    instance = instance.with_projectors()
+    split, cert = instance.split, instance.certificate
+    projectors = [spectral_projector(split.full, xi, cert.r, tolerances) for xi in cert.xi]
     os.makedirs(directory, exist_ok=True)
     names = {"full": "T.mtx", "part_a": "A.mtx", "part_b": "B.mtx"}
     for attr, fname in names.items():
-        mio.write_matrix(os.path.join(directory, fname), getattr(instance.split, attr))
+        mio.write_matrix(os.path.join(directory, fname), getattr(split, attr))
     projector_files = []
-    for j, proj in enumerate(instance.projectors, start=1):
+    for j, proj in enumerate(projectors, start=1):
         fname = f"Pi_{j}.mtx"
         mio.write_matrix(os.path.join(directory, fname), proj)
         projector_files.append(fname)
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "certificate": instance.certificate.to_dict(),
+        "certificate": cert.to_dict(),
         "matrices": names,
         "projectors": projector_files,
         "weights_ambient": instance.pair.ambient.weights.tolist(),
         "weights_small": instance.pair.small.weights.tolist(),
         "cell_measure": instance.pair.ambient.cell_measure,
-        "tolerances": (tolerances or DEFAULT_TOLERANCES).to_dict(),
+        "tolerances": tolerances.to_dict(),
     }
     path = os.path.join(directory, "instance.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -244,11 +230,9 @@ def load_instance(directory) -> GeneratedInstance:
             a=cert_raw["a"], r=cert_raw["r"],
             xi=tuple(complex(re, im) for re, im in cert_raw["xi"]),
             gap=cert_raw["gap"], strength=cert_raw["strength"],
-            embedding_constant=cert_raw["embedding_constant"],
             seed=cert_raw["seed"], n=cert_raw["n"])
     except KeyError as exc:
         raise ConfigError(f"instance manifest {path} lacks the key {exc}") from None
     except (DimensionMismatchError, TypeError, ValueError) as exc:
         raise ConfigError(f"{exc} at {where}") from None
-    projectors = tuple(read_matrix(fname) for fname in manifest.get("projectors", []))
-    return GeneratedInstance(split, pair, cert, projectors)
+    return GeneratedInstance(split, pair, cert)

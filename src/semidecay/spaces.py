@@ -13,7 +13,7 @@ Where a norm only has to be bounded, :func:`norm_bounds` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,27 +248,23 @@ class EmbeddedSpacePair:
     """One vector space carrying two norms with a continuous embedding.
 
     ``ambient`` is the large space, ``small`` the strongly weighted one on
-    the same index set. ``embedding_constant`` is any c with
-    ``norm_ambient(f) <= c * norm_small(f)`` for all f; it must dominate
-    the computed pointwise bound ``max_i sqrt(w_ambient_i / w_small_i)``.
+    the same index set.
     """
 
     ambient: WeightedSpace
     small: WeightedSpace
-    embedding_constant: float
 
     def __post_init__(self):
         if self.ambient.dim != self.small.dim:
             raise DimensionMismatchError("ambient and small spaces must share the index set")
         if self.ambient.cell_measure != self.small.cell_measure:
             raise ValueError("ambient and small spaces must share the cell measure")
-        computed = self.computed_embedding_constant()
-        if not self.embedding_constant >= computed:
-            raise ValueError(
-                f"embedding constant {self.embedding_constant} is below the "
-                f"computed bound {computed}")
 
-    def computed_embedding_constant(self) -> float:
+    @property
+    def embedding_constant(self) -> float:
+        """``c_J = max_i sqrt(w_ambient_i / w_small_i)``: the norm of the
+        identity from the small space into the ambient one, the least c with
+        ``norm_ambient(f) <= c * norm_small(f)`` for all f."""
         return float(np.sqrt(np.max(self.ambient.weights / self.small.weights)))
 
     @classmethod
@@ -280,8 +276,7 @@ class EmbeddedSpacePair:
         ambient = WeightedSpace(grid, ambient_weights, cell_measure, name="ambient")
         small = WeightedSpace(grid, np.asarray(small_weights, dtype=float),
                               cell_measure, name="small")
-        pair = cls(ambient=ambient, small=small, embedding_constant=np.inf)
-        return replace(pair, embedding_constant=pair.computed_embedding_constant())
+        return cls(ambient=ambient, small=small)
 
     @property
     def dim(self) -> int:

@@ -61,11 +61,11 @@ TRIDIAGONAL_ORDERING = "COLAMD"
 
 @dataclass
 class SpectralReport:
-    """Spectral data of one operator, enriched as checks run.
+    """Spectral data of one operator, enriched by the H1 check.
 
-    ``eigenvalues`` come from the dense eigensolve. The localization fields (``half_plane_abscissa``,
-    ``isolation_radius``, ``discrete_eigs``, ``projectors``) and the
-    resolvent bound are attached by the hypothesis checkers.
+    ``eigenvalues`` come from the dense eigensolve. The localization fields
+    (``half_plane_abscissa``, ``isolation_radius``, ``discrete_eigs``,
+    ``projectors``) are attached by :func:`~semidecay.hypotheses.check_h1`.
     """
 
     eigenvalues: np.ndarray
@@ -73,7 +73,6 @@ class SpectralReport:
     isolation_radius: float | None = None
     discrete_eigs: list = field(default_factory=list)
     projectors: list = field(default_factory=list)
-    resolvent_bound: float | None = None
     max_residual: float = 0.0
 
     def summary(self) -> dict:
@@ -82,7 +81,6 @@ class SpectralReport:
             "half_plane_abscissa": self.half_plane_abscissa,
             "isolation_radius": self.isolation_radius,
             "discrete_eigs": [[z.real, z.imag] for z in self.discrete_eigs],
-            "resolvent_bound": self.resolvent_bound,
             "max_residual": self.max_residual,
         }
 

@@ -79,7 +79,6 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
     (BASE_FP, {"dt": 0.0}, [], "problem.dt"),
     (BASE_FP, {"t_max": 0.025}, [], "problem.t_max"),
     (BASE_FP, {"t_max": 1e9, "dt": 1e-9, "N": 60}, [], "exceeds 10000000"),
-    (BASE_FP, {}, ["--tolerance", "bogus=1"], "'bogus' at --tolerance"),
     (BASE_TESTBED, {"n_seeds": 0}, [], "config.n_seeds"),
     (BASE_TESTBED, {"n_seeds": -3}, [], "config.n_seeds"),
     (BASE_TESTBED, {"seed": "x"}, [], "config.seed"),
@@ -102,8 +101,10 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
     (BASE_TESTBED, {"seed": -1}, [], "got -1 at config.seed"),
     (BASE_TESTBED, {}, ["--seed", "-2"], "got -2 at config.seed"),
     (BASE_TESTBED, {"write_operators": "false"}, [], "'false' at config.write_operators"),
-    (BASE_TESTBED, {}, ["--tolerance", "h4_ceiling=nan"], "h4_ceiling must be finite"),
-    (BASE_TESTBED, {}, ["--tolerance", "tol_solve=-1"], "tol_solve must be finite"),
+    ({**BASE_TESTBED, "tolerances": {}}, {"tolerances": {"h4_ceiling": float("nan")}}, [],
+     "h4_ceiling must be finite"),
+    ({**BASE_TESTBED, "tolerances": {}}, {"tolerances": {"tol_solve": -1.0}}, [],
+     "tol_solve must be finite"),
     ({**BASE_TESTBED, "tolerances": {}}, {"tolerances": {"tol_solve": True}}, [],
      "tolerances.tol_solve is not a number: True"),
     (BASE_FP, {"s": True}, [], "True is not a number at problem.s"),
@@ -112,9 +113,9 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
     (BASE_ENLARGE, {"instance_path": 5}, [], "got 5 at config.instance_path"),
     ({**BASE_TESTBED, "tolerances": {}}, {"tolerances": {"injectivity_floor": 1e-8}}, [],
      "unknown key 'injectivity_floor' at tolerances"),
-    (BASE_TESTBED, {}, ["--tolerance", "injectivity_floor=1e-8"],
-     "unknown key 'injectivity_floor' at --tolerance"),
-], ids=["N", "L", "amplitude", "dt", "t_max", "t_max_samples", "tolerance",
+    (BASE_TESTBED, {"tolerances": 5}, [], "expected an object at tolerances"),
+    (BASE_TESTBED, {"tolerances": None}, [], "expected an object at tolerances"),
+], ids=["N", "L", "amplitude", "dt", "t_max", "t_max_samples",
         "n_seeds0", "n_seeds-3", "seed_cast", "t_max_cast", "n_cast", "n0",
         "k_above_n", "strength",
         "target_a_positive", "seed_fraction", "seed_bool", "n_seeds_fraction",
@@ -122,7 +123,7 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
         "scheme_removed", "seed_negative", "seed_flag_negative",
         "write_operators_string", "tolerance_nan", "tolerance_negative",
         "tol_solve_bool", "s_bool", "L_string", "a_string", "instance_path_number",
-        "injectivity_floor_removed", "injectivity_floor_flag_removed"])
+        "injectivity_floor_removed", "tolerances_number", "tolerances_null"])
 def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
                                                           edit, argv, names):
     cfg_map = json.loads(json.dumps(base))
@@ -139,6 +140,22 @@ def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
     assert err.startswith("config error:") and names in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["testbed"], ["testbed", "--config", "cfg.json", "--bogus"], ["bogus"],
+    ["testbed", "--config", "cfg.json", "--tolerance", "tol_proj=1e-7"],
+], ids=["no_config", "unknown_flag", "unknown_command", "tolerance_flag_removed"])
+def test_usage_error_gives_exit_four(capsys, argv):
+    """Exit 2 means checks failed or indeterminate: a usage error must
+    not read as one."""
+    assert main(argv) == 4
+    assert "usage: semidecay" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["testbed", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_integral_floats_read_as_integers():
@@ -245,7 +262,6 @@ def test_singular_h2_line_is_indeterminate(tmp_path, monkeypatch):
     assert report["verdicts"]["seed_1.h2"] == {"verdict": "indeterminate",
                                                "witness": str(exc)}
     assert report["details"]["seed_1.hypotheses"]["h2"] is None
-    assert report["details"]["seed_1.hypotheses"]["h1"]["spectral"]["resolvent_bound"] is None
     assert report["verdicts"]["seed_1.h1"]["verdict"] == "pass"
 
 
@@ -361,17 +377,35 @@ def test_jobs_do_not_change_results(tmp_path):
     assert reports_equal(reports[1], reports[2], rtol=0.0)
 
 
+def test_loaded_instance_sample_does_not_depend_on_n_seeds(tmp_path):
+    """One loaded instance is one instance: ``n_seeds`` does not thin its
+    H4 sample."""
+    from semidecay import save_instance
+    save_instance(generate_instance(3, 6), tmp_path / "inst")
+    verdicts = []
+    for n_seeds in (1, 5):
+        out = tmp_path / f"out{n_seeds}"
+        cfg = write_config(tmp_path, {**BASE_ENLARGE, "n_seeds": n_seeds,
+                                      "instance_path": str(tmp_path / "inst"),
+                                      "out_dir": str(out)})
+        assert main(["enlarge-check", "--config", cfg]) == 0
+        verdicts.append(load_report(out / "report.json")["verdicts"])
+    assert verdicts[0] == verdicts[1]
+
+
 def test_tolerance_override_lands_in_report(tmp_path):
-    cfg = write_config(tmp_path, {**BASE_TESTBED, "out_dir": str(tmp_path / "out")})
-    assert main(["testbed", "--config", cfg, "--tolerance", "tol_proj=1e-7"]) == 0
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "tolerances": {"tol_proj": 1e-7},
+                                  "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg]) == 0
     report = load_report(tmp_path / "out" / "report.json")
     assert report["config"]["tolerances"]["tol_proj"] == 1e-7
 
 
 def test_tolerance_override_lands_in_instance_manifest(tmp_path):
     cfg = write_config(tmp_path, {**BASE_TESTBED, "write_operators": True,
+                                  "tolerances": {"tol_proj": 1e-7},
                                   "out_dir": str(tmp_path / "out")})
-    assert main(["testbed", "--config", cfg, "--tolerance", "tol_proj=1e-7"]) == 0
+    assert main(["testbed", "--config", cfg]) == 0
     report = load_report(tmp_path / "out" / "report.json")
     manifest = json.loads((tmp_path / "out" / "instance" / "instance.json").read_text())
     assert manifest["tolerances"]["tol_proj"] == 1e-7
@@ -433,9 +467,9 @@ def test_resolvent_scan_verdict_needs_both_certificates(tmp_path, monkeypatch):
 def test_singular_scan_line_still_writes_the_report(tmp_path, capsys):
     """A boundary margin wide enough to put an eigenvalue on the scan line
     makes the scan indeterminate, like H2 in the testbed, and writes no CSV."""
-    cfg = write_config(tmp_path, {**BASE_SCAN, "out_dir": str(tmp_path / "out")})
-    assert main(["fp-resolvent-scan", "--config", cfg,
-                 "--tolerance", "boundary_margin=0.5"]) == 2
+    cfg = write_config(tmp_path, {**BASE_SCAN, "tolerances": {"boundary_margin": 0.5},
+                                  "out_dir": str(tmp_path / "out")})
+    assert main(["fp-resolvent-scan", "--config", cfg]) == 2
     assert "check error" not in capsys.readouterr().err
     report = load_report(tmp_path / "out" / "report.json")
     entry = report["verdicts"]["resolvent_scan"]

@@ -99,7 +99,7 @@ class TestVerifyFactorization:
         for module in (spectral, factorization):
             monkeypatch.setattr(module, "guarded_inverses", counting)
         result = _check_instance(inst, DEFAULT_TOLERANCES, thin_samples=True)
-        per_sample = Counter(complex(xi) for xi in result["h4"].samples)
+        per_sample = Counter(complex(xi) for xi in result["h4"].sweep.samples)
         assert len(per_sample) > 0
         for xi, count in per_sample.items():
             assert inverted[("B", xi)] == count
@@ -257,21 +257,21 @@ def assert_bracketed(values, exact, upper, sup, must_be_exact):
     return values != exact
 
 
-def assert_h4_table(table, oracle, samples):
-    """The three norm columns of an H4 table against the oracle: each is
-    exact where its upper bound reaches the column's sup or where the
-    sample's chain must be exact, and otherwise holds that upper bound.
-    The sups are the oracle's. Returns the mask of rows with no exact
-    entry."""
-    npt.assert_array_equal(table[:, 0], samples)
-    assert np.all(table.imag[:, 1:] == 0.0)
+def assert_h4_columns(sweep, oracle, samples):
+    """The three H4 norm columns of a sweep, on its first
+    ``len(samples)`` samples, against the oracle: each is exact where its
+    upper bound reaches the column's sup or where the sample's chain must
+    be exact, and otherwise holds that upper bound. The sups are the
+    oracle's. Returns the mask of samples with no exact entry."""
+    npt.assert_array_equal(sweep.samples[:len(samples)], samples)
     chain_exact = chain_must_be_exact(oracle)
     unrefined = np.ones(len(samples), dtype=bool)
-    for j, name in enumerate(("b_inverse", "a_b_inverse", "b_inverse_a"), start=1):
+    for name in ("b_inverse", "a_b_inverse", "b_inverse_a"):
+        values = getattr(sweep, name)[:len(samples)]
         exact = oracle.exact[name]
         sup = max(0.0, *exact)
-        assert max(0.0, *table[:, j].real) == sup
-        unrefined &= assert_bracketed(table[:, j].real, exact, oracle.upper[name], sup,
+        assert max(0.0, *values) == sup
+        unrefined &= assert_bracketed(values, exact, oracle.upper[name], sup,
                                       chain_exact if name != "b_inverse_a" else False)
     return unrefined
 
@@ -346,7 +346,7 @@ class TestSweepAgainstDenseOracle:
 
         assert h4.verdict == PASS
         oracle = Oracle(split, pair, samples)
-        unrefined = assert_h4_table(h4.table, oracle, samples)
+        unrefined = assert_h4_columns(h4.sweep, oracle, samples)
         assert [h4.sup_b_inverse, h4.sup_a_b_inverse, h4.sup_b_inverse_a] == [
             max(0.0, *oracle.exact[name])
             for name in ("b_inverse", "a_b_inverse", "b_inverse_a")]
@@ -384,8 +384,8 @@ class TestSweepFailures:
         assert report.verdict == FAIL
         assert report.witness == (f"B - xi numerically singular at xi={samples[10]} "
                                   f"(distance {exc.distance:.3e})")
-        assert_h4_table(report.table, Oracle(self.split, self.pair, samples[:10]),
-                        samples[:10])
+        assert_h4_columns(report.sweep, Oracle(self.split, self.pair, samples[:10]),
+                          samples[:10])
         for check in (verify_factorization, enlargement_bound_chain):
             with pytest.raises(SingularityError, match="numerically singular") as info:
                 check(report.sweep)
@@ -395,7 +395,7 @@ class TestSweepFailures:
         samples = np.concatenate([1.0 + 0.3j * np.arange(9), [0.0, -0.5]])
         report = check_h4(self.split, self.pair, samples)
         # H4 does not look at T - xi: it fails at the singular B(xi) only
-        assert report.verdict == FAIL and len(report.table) == 10
+        assert report.verdict == FAIL and report.sweep.b_failure[0] == 10
         t_exc = _oracle_error(self.split.full, samples[9])
         for check in (verify_factorization, enlargement_bound_chain):
             with pytest.raises(SingularityError) as info:
@@ -424,7 +424,7 @@ class TestSweepFailures:
         for name in ("resolvent", "b_inverse", "chain", "mismatch", "shifted"):
             assert np.all(np.isnan(getattr(sweep, name)[8:]))
         report = check_h4(self.split, self.pair, samples)
-        assert report.verdict == FAIL and len(report.table) == 1
+        assert report.verdict == FAIL and report.sweep.b_failure[0] == 1
 
     def test_same_sample_raises_b_before_t(self):
         # at xi = 0, T - xi is exactly singular and B - xi = diag(1e-12, -1)
@@ -474,7 +474,7 @@ class TestSweepFailures:
         report = check_h4(self.split, self.pair, samples)
         assert report.verdict == PASS
         oracle = Oracle(self.split, self.pair, samples)
-        assert_h4_table(report.table, oracle, samples)
+        assert_h4_columns(report.sweep, oracle, samples)
         assert report.sup_b_inverse_a == max(0.0, *oracle.exact["b_inverse_a"])
         with pytest.raises(SingularityError) as info:
             verify_factorization(report.sweep)

@@ -338,8 +338,7 @@ class TestStretchedExponentialWeight:
         grid = FPGrid(d=1, L=8.0, N=100)
         disc = FPDiscretization.build(grid, Potential(2.0),
                                       EnlargedWeight("stretched-exponential", 0.5))
-        pair = EmbeddedSpacePair(disc.space_ambient, disc.space_small, np.inf)
-        c = pair.computed_embedding_constant()
+        c = EmbeddedSpacePair(disc.space_ambient, disc.space_small).embedding_constant
         assert np.isfinite(c) and c > 0
 
 

@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semidecay import generate_instance, load_instance, save_instance
+from semidecay import generate_instance, instances, load_instance, save_instance
+from semidecay.cli import main
+from semidecay.config import Tolerances
 from semidecay.errors import InfeasibleParameterError
 from semidecay.hypotheses import PASS, check_h1, check_h4, sample_xi_region
-from semidecay.spectral import eigen_decompose
+from semidecay.matio import read_matrix
+from semidecay.reports import load_report
+from semidecay.spectral import eigen_decompose, spectral_projector
 
 
 def test_seed_one_is_the_pinned_diagonal_instance():
@@ -108,17 +114,52 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_manifest_ships_projectors_and_tolerances(tmp_path):
-    import json
     inst = generate_instance(6, 7)
     save_instance(inst, tmp_path / "inst")
     manifest = json.loads((tmp_path / "inst" / "instance.json").read_text())
     assert manifest["projectors"] == ["Pi_1.mtx"]
     assert "tol_solve" in manifest["tolerances"]
-    loaded = load_instance(tmp_path / "inst")
-    proj = loaded.projectors[0]
+    proj = read_matrix(tmp_path / "inst" / "Pi_1.mtx")
     assert np.linalg.norm(proj @ proj - proj, 2) <= 1e-10
     commutator = inst.split.full @ proj - proj @ inst.split.full
     assert np.linalg.norm(commutator, 2) <= 1e-9 * np.linalg.norm(inst.split.full, 2)
+
+
+def test_projectors_are_computed_under_the_recorded_tolerances(tmp_path, monkeypatch):
+    used = []
+
+    def recording(op, center, radius, tol):
+        used.append(tol)
+        return spectral_projector(op, center, radius, tol)
+
+    monkeypatch.setattr(instances, "spectral_projector", recording)
+    tol = Tolerances(tol_proj=1e-7)
+    save_instance(generate_instance(13, 14, k=3), tmp_path / "inst", tol)
+    assert used == [tol] * 3
+    manifest = json.loads((tmp_path / "inst" / "instance.json").read_text())
+    assert manifest["tolerances"] == tol.to_dict()
+
+
+def test_manifest_in_the_older_format_gives_the_same_verdicts(tmp_path):
+    """A manifest that still carries ``certificate.embedding_constant``
+    loads, and its instance checks as the freshly written one does."""
+    inst = generate_instance(6, 7)
+    reports = {}
+    for name in ("fresh", "older"):
+        inst_dir = tmp_path / name
+        save_instance(inst, inst_dir)
+        if name == "older":
+            manifest = json.loads((inst_dir / "instance.json").read_text())
+            manifest["certificate"]["embedding_constant"] = inst.pair.embedding_constant
+            (inst_dir / "instance.json").write_text(json.dumps(manifest))
+        assert (inst_dir / "Pi_1.mtx").exists()
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "command": "enlarge-check",
+                                   "instance_path": str(inst_dir),
+                                   "out_dir": str(tmp_path / f"out_{name}")}))
+        assert main(["enlarge-check", "--config", str(cfg)]) == 0
+        reports[name] = load_report(tmp_path / f"out_{name}" / "report.json")
+    assert reports["older"]["verdicts"] == reports["fresh"]["verdicts"]
 
 
 def test_determinism():

@@ -9,8 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import semidecay
-from semidecay.config import (FPProblem, RunConfig, Tolerances,
-                              parse_tolerance_overrides)
+from semidecay.config import FPProblem, RunConfig, Tolerances
 from semidecay.errors import ConfigError
 from semidecay.matio import read_csv, read_matrix, write_csv, write_matrix
 
@@ -119,10 +118,9 @@ class TestConfigParsing:
             FPProblem.from_mapping(problem)
 
     def test_tolerance_overrides(self):
-        overrides = parse_tolerance_overrides(["tol_eig=1e-6", "h4_ceiling=1e9"])
-        assert overrides == {"tol_eig": 1e-6, "h4_ceiling": 1e9}
-        with pytest.raises(ConfigError):
-            parse_tolerance_overrides(["oops"])
+        tol = Tolerances.from_mapping({"tol_eig": 1e-6, "h4_ceiling": 1e9})
+        assert (tol.tol_eig, tol.h4_ceiling) == (1e-6, 1e9)
+        assert tol.tol_solve == Tolerances().tol_solve
         with pytest.raises(ConfigError):
             Tolerances.from_mapping({"not_a_tolerance": 1.0})
 

@@ -208,23 +208,26 @@ def test_weighted_adjoint_is_inner_product_adjoint(rng):
 
 def test_embedded_pair_constant_dominates_pointwise_bound():
     pair = EmbeddedSpacePair.from_weights([1.0, 2.0], [4.0, 2.0])
-    computed = pair.computed_embedding_constant()
-    assert pair.embedding_constant >= computed
+    assert pair.embedding_constant == 1.0
     # the embedding inequality holds for an arbitrary vector
     v = np.array([0.3, -1.7])
     assert (weighted_norm(v, pair.ambient)
             <= pair.embedding_constant * weighted_norm(v, pair.small) * (1 + 1e-12))
 
 
-def test_embedded_pair_rejects_understated_constant():
-    ambient = WeightedSpace(grid=[0.0, 1.0], weights=[4.0, 1.0])
-    small = WeightedSpace(grid=[0.0, 1.0], weights=[1.0, 1.0])
-    with pytest.raises(ValueError):
-        EmbeddedSpacePair(ambient=ambient, small=small, embedding_constant=1.0)
+@given(ambient=positive_weights, small=positive_weights)
+@settings(max_examples=50, deadline=None)
+def test_embedding_constant_is_the_norm_of_the_identity(ambient, small):
+    """c_J is the weighted norm of the identity from the small space into
+    the ambient one, and the pointwise formula bit for bit."""
+    pair = EmbeddedSpacePair.from_weights(ambient, small)
+    eye = np.eye(pair.dim)[None]
+    norm = operator_norms(eye, pair.small, pair.ambient)[0]
+    assert abs(pair.embedding_constant - norm) <= rounding_margin(eye) * norm
+    assert pair.embedding_constant == float(np.sqrt(np.max(ambient / small)))
 
 
 def test_embedded_pair_requires_shared_index_set():
     with pytest.raises(DimensionMismatchError):
         EmbeddedSpacePair(ambient=WeightedSpace.unweighted(2),
-                          small=WeightedSpace.unweighted(3),
-                          embedding_constant=10.0)
+                          small=WeightedSpace.unweighted(3))
