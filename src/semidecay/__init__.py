@@ -13,14 +13,14 @@ from .fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                             assemble_skew_part, assemble_symmetric_part,
                             decay_experiment, find_decomposition,
                             resolvent_scan_fp, spectral_gap_H)
-from .hypotheses import check_h1, check_h2, check_h3, check_h4, sample_xi_region
+from .hypotheses import (H1Report, check_h1, check_h2, check_h3, check_h4,
+                         sample_xi_region)
 from .instances import generate_instance, load_instance, save_instance
 from .semigroup import (DecayFit, fit_exponential_decay, matrix_exponential,
                         semigroup_norms, step_trajectory)
 from .spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
                      weighted_norm)
-from .spectral import (SpectralReport, eigen_decompose, resolvent_matrix,
-                       spectral_projector)
+from .spectral import eigen_decompose, resolvent_matrix, spectral_projector
 
 __version__ = "0.1.0"
 
@@ -28,11 +28,10 @@ __all__ = [
     "DEFAULT_TOLERANCES", "Tolerances", "RunConfig", "FPProblem",
     "WeightedSpace", "EmbeddedSpacePair",
     "weighted_norm", "operator_norm",
-    "SpectralReport", "resolvent_matrix", "eigen_decompose",
-    "spectral_projector",
+    "resolvent_matrix", "eigen_decompose", "spectral_projector",
     "DecayFit", "fit_exponential_decay", "matrix_exponential",
     "semigroup_norms", "step_trajectory",
-    "check_h1", "check_h2", "check_h3", "check_h4", "sample_xi_region",
+    "H1Report", "check_h1", "check_h2", "check_h3", "check_h4", "sample_xi_region",
     "SplitOperator", "enlarged_resolvent", "verify_factorization",
     "enlargement_bound_chain",
     "DecayCertificate", "verify_decay_from_resolvent",

@@ -23,7 +23,7 @@ from .hypotheses import FAIL, PASS, H1Report, check_h1
 from .semigroup import (DecayFit, default_time_grid, envelope_prefactor,
                         fit_exponential_decay, propagators, semigroup_norms)
 from .spaces import WeightedSpace, operator_norm_bracket, operator_norms
-from .spectral import SpectralReport, blocks, resolvent_block
+from .spectral import blocks, resolvent_block
 
 
 @dataclass
@@ -45,8 +45,6 @@ class DecayCertificate:
 @dataclass
 class DecayTransferReport:
     verdict: str
-    fitted_rate: float
-    prefactor_at_rate: float
     fit: DecayFit
     certificate: DecayCertificate
     t_grid: np.ndarray
@@ -56,12 +54,12 @@ class DecayTransferReport:
     def witness(self):
         if self.verdict == PASS:
             return None
-        return (f"fitted rate {self.fitted_rate:.6e} exceeds the requested rate "
+        return (f"fitted rate {self.fit.rate:.6e} exceeds the requested rate "
                 f"{self.certificate.level:.6e}")
 
     def constants(self):
-        return {"rate": self.certificate.level, "C_lambda": self.prefactor_at_rate,
-                "fitted_rate": self.fitted_rate}
+        return {"rate": self.certificate.level, "C_lambda": self.certificate.prefactor,
+                "fitted_rate": self.fit.rate}
 
 
 def _check_deflation(eigs, projectors):
@@ -72,13 +70,13 @@ def _check_deflation(eigs, projectors):
                                f"{len(projectors)} projectors")
 
 
-def verify_decay_from_resolvent(op, space: WeightedSpace, report: SpectralReport,
-                                rate: float, tol: Tolerances = DEFAULT_TOLERANCES
-                                ) -> DecayTransferReport:
+def verify_decay_from_resolvent(op, space: WeightedSpace, h1: H1Report, rate: float,
+                                tol: Tolerances = DEFAULT_TOLERANCES) -> DecayTransferReport:
     """Certify the decay of the semigroup deflated by its surviving modes.
 
-    Computes ``D(t) = ||e^{tT} - sum_j e^{xi_j t} P_j||`` on 200 times up
-    to ``5 / |a|`` (``a`` the report's abscissa, else ``rate``), fits a
+    Computes ``D(t) = ||e^{tT} - sum_j e^{xi_j t} P_j||``, with the
+    surviving modes and projectors of ``h1``, on 200 times up to ``5 / |a|``
+    (``a`` the H1 abscissa, else ``rate`` where it is 0), fits a
     certified envelope, and passes iff the fitted rate does not exceed the
     requested one. The returned certificate carries the requested rate
     together with the smallest prefactor valid at that rate (inflated by
@@ -88,26 +86,24 @@ def verify_decay_from_resolvent(op, space: WeightedSpace, report: SpectralReport
     Raises
     ------
     CertificateError
-        If the report does not carry one projector per discrete eigenvalue
+        If ``h1`` does not carry one projector per discrete eigenvalue
         (an H1 report built without projectors, say).
     """
     matrix = np.asarray(op)
-    _check_deflation(report.discrete_eigs, report.projectors)
-    gap = abs(report.half_plane_abscissa) if report.half_plane_abscissa else abs(rate)
+    _check_deflation(h1.discrete_eigs, h1.projectors)
+    gap = abs(h1.a) if h1.a else abs(rate)
     t_grid = default_time_grid(rate_scale=max(gap, 1e-2), n=200)
-    deflation = list(zip(map(complex, report.discrete_eigs), report.projectors))
+    deflation = list(zip(map(complex, h1.discrete_eigs), h1.projectors))
     norms = semigroup_norms(matrix, t_grid, space, deflation=deflation)
     fit = fit_exponential_decay(t_grid, norms, tol=tol)
     prefactor = envelope_prefactor(t_grid, norms, rate)
     certificate = DecayCertificate(level=rate, prefactor=prefactor,
-                                   discrete_eigs=list(report.discrete_eigs),
-                                   projectors=list(report.projectors),
+                                   discrete_eigs=list(h1.discrete_eigs),
+                                   projectors=list(h1.projectors),
                                    space=space)
     verdict = PASS if fit.rate <= rate else FAIL
-    return DecayTransferReport(verdict=verdict, fitted_rate=fit.rate,
-                               prefactor_at_rate=prefactor, fit=fit,
-                               certificate=certificate, t_grid=t_grid,
-                               deviation_norms=norms)
+    return DecayTransferReport(verdict=verdict, fit=fit, certificate=certificate,
+                               t_grid=t_grid, deviation_norms=norms)
 
 
 def default_z_samples(level: float, scale: float) -> np.ndarray:

@@ -46,6 +46,10 @@ from .spectral import blocks, guarded_inverses, resolvent_matrix
 IDENTITY_RESIDUAL_LIMIT = 1e-9
 INVERSE_MISMATCH_LIMIT = 1e-8
 
+# relative rounding slack by which a chain value may fall short of the
+# direct resolvent norm and still dominate it
+DOMINATION_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class SplitOperator:
@@ -214,7 +218,7 @@ def _refined_norms(stacks, direct, c_j, floors):
     # the negation of _dominates but False on NaN: a rejected sample's chain
     # must stay out of the exact kernel
     exact_chain = ((_chain(upper, c_j) >= floors["chain"])
-                   | (chain_lower < direct * (1.0 - 1e-12)))
+                   | (chain_lower < direct * (1.0 - DOMINATION_SLACK)))
     for name in _CHAIN:
         refine[name] |= exact_chain
     count = 0
@@ -368,9 +372,9 @@ def verify_factorization(sweep: ShiftSweep) -> FactorizationReport:
 
 
 def _dominates(chain, direct):
-    """Per sample, whether the chain value covers the direct one (up to a
-    relative rounding slack of 1e-12)."""
-    return chain >= direct * (1.0 - 1e-12)
+    """Per sample, whether the chain value covers the direct one (up to
+    ``DOMINATION_SLACK``)."""
+    return chain >= direct * (1.0 - DOMINATION_SLACK)
 
 
 @dataclass

@@ -327,11 +327,8 @@ class FPDiscretization:
         mu = mu / (mu.sum() * grid.h ** grid.d)
         sym = assemble_symmetric_part(grid, potential)
         skew = assemble_skew_part(grid, potential, swirl)
-        coord = grid.flat_coordinate()
-        w_small = 1.0 / mu
-        w_ambient = weight.theta(u_vals)
-        space_small = WeightedSpace(coord, w_small, grid.h ** grid.d, name="small")
-        space_ambient = WeightedSpace(coord, w_ambient, grid.h ** grid.d, name="ambient")
+        space_small = WeightedSpace(1.0 / mu, grid.h ** grid.d)
+        space_ambient = WeightedSpace(weight.theta(u_vals), grid.h ** grid.d)
         return cls(grid=grid, potential=potential, weight=weight, swirl=swirl,
                    sym=sym, skew=skew, mu=mu, space_small=space_small,
                    space_ambient=space_ambient)

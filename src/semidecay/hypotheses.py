@@ -24,7 +24,7 @@ from .factorization import ShiftSweep, shift_sweep
 from .reports import FAIL, INDETERMINATE, PASS
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
 from .spaces import EmbeddedSpacePair, WeightedSpace, weighted_congruence
-from .spectral import SpectralReport, eigen_decompose, spectral_projector
+from .spectral import eigen_decompose, spectral_projector
 
 
 # ----------------------------------------------------------------------
@@ -33,18 +33,36 @@ from .spectral import SpectralReport, eigen_decompose, spectral_projector
 
 @dataclass
 class H1Report:
+    """The split of the spectrum at ``Re z = a``.
+
+    ``eigenvalues`` and ``max_residual`` (the largest eigenpair residual
+    relative to ``||T||``) come from
+    :func:`~semidecay.spectral.eigen_decompose`. On a pass,
+    ``discrete_eigs`` are the centers of the eigenvalue groups right of the
+    line, each inside a ball of radius ``r``, and ``projectors`` their
+    spectral projectors when they were computed; otherwise both are empty.
+    """
+
     verdict: str
     witness: str | None
-    spectral: SpectralReport
+    eigenvalues: np.ndarray
+    max_residual: float
+    a: float
+    r: float
+    discrete_eigs: list = field(default_factory=list)
+    projectors: list = field(default_factory=list)
 
     def constants(self):
-        spectral = self.spectral
-        return {"k": len(spectral.discrete_eigs), "discrete_eigs": spectral.discrete_eigs,
-                "a": spectral.half_plane_abscissa, "r": spectral.isolation_radius}
+        return {"k": len(self.discrete_eigs), "discrete_eigs": self.discrete_eigs,
+                "a": self.a, "r": self.r}
 
     def to_dict(self):
-        return {"verdict": self.verdict, "witness": self.witness,
-                "spectral": self.spectral.summary()}
+        spectral = {
+            "eigenvalues": [[z.real, z.imag] for z in np.atleast_1d(self.eigenvalues)],
+            "half_plane_abscissa": self.a, "isolation_radius": self.r,
+            "discrete_eigs": [[z.real, z.imag] for z in self.discrete_eigs],
+            "max_residual": self.max_residual}
+        return {"verdict": self.verdict, "witness": self.witness, "spectral": spectral}
 
 
 def _cluster(points, radius):
@@ -68,26 +86,25 @@ def check_h1(op, a: float, r: float, expected_k: int | None = None,
     indeterminate verdict.
     """
     matrix = np.asarray(op)
-    spectral = eigen_decompose(matrix, tol)
-    spectral.half_plane_abscissa = a
-    spectral.isolation_radius = r
-    eigvals = spectral.eigenvalues
+    eigvals, max_residual = eigen_decompose(matrix, tol)
+
+    def report(verdict, witness=None, **split):
+        return H1Report(verdict, witness, eigvals, max_residual, a, r, **split)
+
     scale = max(1.0, float(np.max(np.abs(eigvals))) if len(eigvals) else 1.0)
     margin = tol.boundary_margin * scale
 
     on_boundary = np.abs(eigvals.real - a) <= margin
     if np.any(on_boundary):
         witness = eigvals[on_boundary][0]
-        return H1Report(INDETERMINATE,
-                        f"eigenvalue {witness} within {margin:.1e} of the line Re z = {a}",
-                        spectral)
+        return report(INDETERMINATE,
+                      f"eigenvalue {witness} within {margin:.1e} of the line Re z = {a}")
 
     inside = eigvals[eigvals.real > a]
     if len(inside) == 0:
         if expected_k not in (None, 0):
-            return H1Report(FAIL, f"expected {expected_k} eigenvalue groups, found 0",
-                            spectral)
-        return H1Report(PASS, None, spectral)
+            return report(FAIL, f"expected {expected_k} eigenvalue groups, found 0")
+        return report(PASS)
 
     clusters = _cluster(inside, r)
     centers = []
@@ -95,36 +112,28 @@ def check_h1(op, a: float, r: float, expected_k: int | None = None,
         center = complex(np.mean(inside[idx]))
         radius_used = float(np.max(np.abs(inside[idx] - center)))
         if radius_used > r:
-            return H1Report(
-                FAIL, f"eigenvalue group around {center} has spread {radius_used:.3e} > r={r}",
-                spectral)
+            return report(
+                FAIL, f"eigenvalue group around {center} has spread {radius_used:.3e} > r={r}")
         centers.append(center)
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             if abs(centers[i] - centers[j]) <= 2 * r:
-                return H1Report(
-                    FAIL, f"balls around {centers[i]} and {centers[j]} are not disjoint",
-                    spectral)
+                return report(
+                    FAIL, f"balls around {centers[i]} and {centers[j]} are not disjoint")
     for center in centers:
         clearance = center.real - r - a
         if clearance <= 0.0:
-            return H1Report(
-                FAIL, f"ball around {center} is not strictly inside Re z > {a}",
-                spectral)
+            return report(FAIL, f"ball around {center} is not strictly inside Re z > {a}")
         if clearance <= margin:
-            return H1Report(
+            return report(
                 INDETERMINATE,
-                f"ball around {center} clears the line Re z = {a} by only {clearance:.1e}",
-                spectral)
+                f"ball around {center} clears the line Re z = {a} by only {clearance:.1e}")
     if expected_k is not None and len(centers) != expected_k:
-        return H1Report(FAIL,
-                        f"expected {expected_k} eigenvalue groups, found {len(centers)}",
-                        spectral)
+        return report(FAIL, f"expected {expected_k} eigenvalue groups, found {len(centers)}")
     centers.sort(key=lambda z: (-z.real, z.imag))
-    spectral.discrete_eigs = centers
-    if compute_projectors:
-        spectral.projectors = [spectral_projector(matrix, c, r, tol=tol) for c in centers]
-    return H1Report(PASS, None, spectral)
+    projectors = ([spectral_projector(matrix, c, r, tol=tol) for c in centers]
+                  if compute_projectors else [])
+    return report(PASS, discrete_eigs=centers, projectors=projectors)
 
 
 # ----------------------------------------------------------------------
@@ -340,10 +349,11 @@ def _line_norm(line: _ShiftedLine, y):
     return 1.0 / np.linalg.svd(shifted, compute_uv=False)[-1]
 
 
-def check_h2(op, a: float, space: WeightedSpace | None = None,
-             y_grid=None, tol: Tolerances = DEFAULT_TOLERANCES,
-             eigvals=None) -> H2Report:
-    """Scan ``||(T - a - iy)^{-1}||`` over a symmetric y grid.
+def check_h2(op, a: float, space: WeightedSpace, y_grid=None,
+             tol: Tolerances = DEFAULT_TOLERANCES, eigvals=None) -> H2Report:
+    """Scan ``||(T - a - iy)^{-1}||`` in the norm of ``space`` over a
+    symmetric y grid: :func:`make_y_grid` with the eigenvalue heights
+    added, unless ``y_grid`` is given.
 
     The weighted norm is obtained by scanning the diagonally congruent
     matrix in the plain spectral norm. Between grid points the bound is
@@ -366,8 +376,6 @@ def check_h2(op, a: float, space: WeightedSpace | None = None,
     """
     matrix = np.asarray(op, dtype=complex)
     n = matrix.shape[0]
-    if space is None:
-        space = WeightedSpace.unweighted(n)
     if eigvals is None:
         eigvals = np.linalg.eigvals(matrix)
     scale = max(1.0, float(np.max(np.abs(eigvals))) if len(eigvals) else 1.0)
@@ -474,13 +482,10 @@ class H3Report:
                 "residual": self.fit.residual, "window": list(self.fit.window)}
 
 
-def check_h3(op, space: WeightedSpace | None = None,
-             tol: Tolerances = DEFAULT_TOLERANCES) -> H3Report:
+def check_h3(op, space: WeightedSpace, tol: Tolerances = DEFAULT_TOLERANCES) -> H3Report:
     """Certified envelope ``||e^{tT}|| <= C_b e^{b t}`` on a sampled horizon
     scaled by the spread of the real parts of the spectrum."""
     matrix = np.asarray(op)
-    if space is None:
-        space = WeightedSpace.unweighted(matrix.shape[0])
     eigvals = np.linalg.eigvals(matrix)
     spread = float(np.max(eigvals.real) - np.min(eigvals.real)) if len(eigvals) else 1.0
     t_grid = default_time_grid(rate_scale=max(spread, 1e-2), n=64)

@@ -58,8 +58,7 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dic
         checks["factorization"] = checks["bound_chain"] = RaisedCheck(exc)
     if passes(h1):
         rate = 0.5 * a    # strictly above a, still negative
-        transfer = verify_decay_from_resolvent(split.full, pair.ambient,
-                                               h1.spectral, rate, tol=tol)
+        transfer = verify_decay_from_resolvent(split.full, pair.ambient, h1, rate, tol=tol)
         checks["decay_transfer"] = transfer
         checks["converse"] = verify_resolvent_from_decay(
             split.full, transfer.certificate, tol=tol)
@@ -70,10 +69,9 @@ def _instance_verdicts(report: RunReport, label, checks: dict):
     prefix = f"seed_{label}"
     for name, check in checks.items():
         report.add_check(f"{prefix}.{name}", check)
-    h1, h2, h3, h4 = (checks[name] for name in ("h1", "h2", "h3", "h4"))
     report.details[f"{prefix}.hypotheses"] = {
-        "schema_version": SCHEMA_VERSION, "h1": h1.to_dict(), "h2": h2.to_dict(),
-        "h3": h3.to_dict(), "h4": h4.constants()}
+        "schema_version": SCHEMA_VERSION,
+        **{name: checks[name].to_dict() for name in ("h1", "h2", "h3")}}
 
 
 def _finish(report: RunReport, config: RunConfig, code=None) -> tuple[RunReport, int]:

@@ -64,8 +64,7 @@ def propagators(matrix, t_grid):
         yield power
 
 
-def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
-                    deflation=None) -> np.ndarray:
+def semigroup_norms(op, t_grid, space: WeightedSpace, deflation=None) -> np.ndarray:
     """``||e^{tT} - sum_j e^{xi_j t} P_j||`` in the induced norm of ``space``.
 
     ``deflation`` is an optional list of ``(xi_j, P_j)`` pairs subtracted
@@ -80,8 +79,6 @@ def semigroup_norms(op, t_grid, space: WeightedSpace | None = None,
     :func:`~semidecay.spectral.blocks` of the grid.
     """
     matrix = np.asarray(op)
-    if space is None:
-        space = WeightedSpace.unweighted(matrix.shape[0])
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.empty(len(t_grid))
     props = propagators(matrix, t_grid)

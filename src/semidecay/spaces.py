@@ -1,4 +1,4 @@
-"""Weighted grid spaces and the weighted norms of vectors and matrices.
+"""Weighted spaces and the weighted norms of vectors and matrices.
 
 Every norm in the package reduces to one kernel: scale by the diagonal
 congruence ``W_cod^{1/2} M W_dom^{-1/2}`` and take the plain spectral norm.
@@ -22,41 +22,28 @@ from .errors import DimensionMismatchError
 
 @dataclass(frozen=True)
 class WeightedSpace:
-    """Inner-product structure ``<f, g> = sum_i f_i conj(g_i) w_i h`` on a grid.
+    """Inner-product structure ``<f, g> = sum_i f_i conj(g_i) w_i h``.
 
     Parameters
     ----------
-    grid : ndarray
-        Ordered coordinates, or a plain index set for abstract instances.
     weights : ndarray
-        Strictly positive, finite weights, one per grid point.
+        Strictly positive, finite weights, one per index.
     cell_measure : float
         Cell volume ``h`` (1.0 for abstract index sets).
     """
 
-    grid: np.ndarray
     weights: np.ndarray
     cell_measure: float = 1.0
-    name: str = ""
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "weights", weights)
-        if grid.ndim != 1 or weights.ndim != 1:
-            raise DimensionMismatchError("grid and weights must be one-dimensional")
-        if len(grid) != len(weights):
-            raise DimensionMismatchError(
-                f"{len(weights)} weights for {len(grid)} grid points")
+        if weights.ndim != 1:
+            raise DimensionMismatchError("weights must be one-dimensional")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
             raise ValueError("weights must be strictly positive and finite")
         if not (np.isfinite(self.cell_measure) and self.cell_measure > 0.0):
             raise ValueError("cell_measure must be strictly positive and finite")
-
-    @classmethod
-    def unweighted(cls, n: int) -> "WeightedSpace":
-        return cls(grid=np.arange(n, dtype=float), weights=np.ones(n))
 
     @property
     def dim(self) -> int:
@@ -68,14 +55,6 @@ class WeightedSpace:
 
     def norm(self, v) -> float:
         return weighted_norm(v, self)
-
-    def inner(self, u, v) -> complex:
-        u = np.asarray(u)
-        v = np.asarray(v)
-        if len(u) != self.dim or len(v) != self.dim:
-            raise DimensionMismatchError("vector length does not match space")
-        val = np.sum(u * np.conjugate(v) * self.weights) * self.cell_measure
-        return val if np.iscomplexobj(u) or np.iscomplexobj(v) else float(val.real)
 
 
 def weighted_norm(v, space: WeightedSpace) -> float:
@@ -268,15 +247,10 @@ class EmbeddedSpacePair:
         return float(np.sqrt(np.max(self.ambient.weights / self.small.weights)))
 
     @classmethod
-    def from_weights(cls, ambient_weights, small_weights, grid=None,
-                     cell_measure=1.0) -> "EmbeddedSpacePair":
-        ambient_weights = np.asarray(ambient_weights, dtype=float)
-        if grid is None:
-            grid = np.arange(len(ambient_weights), dtype=float)
-        ambient = WeightedSpace(grid, ambient_weights, cell_measure, name="ambient")
-        small = WeightedSpace(grid, np.asarray(small_weights, dtype=float),
-                              cell_measure, name="small")
-        return cls(ambient=ambient, small=small)
+    def from_weights(cls, ambient_weights, small_weights, cell_measure=1.0
+                     ) -> "EmbeddedSpacePair":
+        return cls(ambient=WeightedSpace(ambient_weights, cell_measure),
+                   small=WeightedSpace(small_weights, cell_measure))
 
     @property
     def dim(self) -> int:

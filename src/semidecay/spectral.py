@@ -21,6 +21,11 @@ calls (and which per-sample sweep values are exact).
 Every sparse LU factorization is :func:`sparse_lu`, which fixes its
 column ordering.
 
+:func:`eigen_decompose` returns the residual-checked eigenvalues and their
+largest relative residual; the H1 check
+(:class:`~semidecay.hypotheses.H1Report`) keeps both with the split of
+the spectrum it certifies.
+
 Projectors are computed two independent ways and cross-checked: once from
 orthonormal bases of the right and left invariant subspaces (ordered Schur
 forms), and once by trapezoidal contour integration of the resolvent. The
@@ -30,8 +35,6 @@ until the two constructions agree.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -57,32 +60,6 @@ BLOCK_BYTES = 2 ** 17
 # so the 1-D results do not move with the ordering of the 2-D ones
 SPARSE_ORDERING = "MMD_AT_PLUS_A"
 TRIDIAGONAL_ORDERING = "COLAMD"
-
-
-@dataclass
-class SpectralReport:
-    """Spectral data of one operator, enriched by the H1 check.
-
-    ``eigenvalues`` come from the dense eigensolve. The localization fields
-    (``half_plane_abscissa``, ``isolation_radius``, ``discrete_eigs``,
-    ``projectors``) are attached by :func:`~semidecay.hypotheses.check_h1`.
-    """
-
-    eigenvalues: np.ndarray
-    half_plane_abscissa: float | None = None
-    isolation_radius: float | None = None
-    discrete_eigs: list = field(default_factory=list)
-    projectors: list = field(default_factory=list)
-    max_residual: float = 0.0
-
-    def summary(self) -> dict:
-        return {
-            "eigenvalues": [[z.real, z.imag] for z in np.atleast_1d(self.eigenvalues)],
-            "half_plane_abscissa": self.half_plane_abscissa,
-            "isolation_radius": self.isolation_radius,
-            "discrete_eigs": [[z.real, z.imag] for z in self.discrete_eigs],
-            "max_residual": self.max_residual,
-        }
 
 
 def block_size(n: int) -> int:
@@ -213,11 +190,16 @@ def sparse_lu(matrix) -> spla.SuperLU:
     return spla.splu(csc, permc_spec=ordering)
 
 
-def eigen_decompose(op, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralReport:
-    """Dense eigendecomposition.
+def eigen_decompose(op, tol: Tolerances = DEFAULT_TOLERANCES
+                    ) -> tuple[np.ndarray, float]:
+    """Dense eigendecomposition: the eigenvalues and the largest eigenpair
+    residual relative to ``||T||``.
 
-    Every eigenpair is residual-checked against ``tol_eig * ||T||``; the
-    report keeps the eigenvalues.
+    Raises
+    ------
+    EigenConvergenceError
+        If the eigensolver fails, or an eigenpair's residual exceeds
+        ``tol_eig * ||T||``.
     """
     matrix = np.asarray(op)
     try:
@@ -230,7 +212,7 @@ def eigen_decompose(op, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralReport:
     if max_rel > tol.tol_eig:
         raise EigenConvergenceError(
             f"eigenpair residual {max_rel:.3e} exceeds tol_eig={tol.tol_eig:.1e}")
-    return SpectralReport(eigenvalues=eigvals, max_residual=max_rel)
+    return eigvals, max_rel
 
 
 def _check_separation(eigvals, center, radius, margin) -> np.ndarray:

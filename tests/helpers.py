@@ -145,7 +145,7 @@ def decay_certificate(seed, n):
     cert = inst.certificate
     h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k)
     transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
-                                           h1.spectral, 0.5 * cert.a)
+                                           h1, 0.5 * cert.a)
     return inst.split.full, transfer.certificate
 
 

@@ -93,7 +93,7 @@ def test_criterion_3_decay_resolvent_round_trip(suite_instances):
         h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k)
         assert h1.verdict == PASS
         transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
-                                               h1.spectral, 0.5 * cert.a)
+                                               h1, 0.5 * cert.a)
         assert transfer.verdict == PASS
         certificate = transfer.certificate
         assert envelope_holds(transfer.t_grid, transfer.deviation_norms,

@@ -535,10 +535,10 @@ def _broken_bound_chain(enlargement_bound_chain, seen):
 
 
 def _broken_decay_transfer(verify_decay_from_resolvent, seen):
-    def broken(op, space, spectral, rate, tol=None):
+    def broken(op, space, h1, rate, tol=None):
         # a requested rate far below the spectrum cannot be met
-        report = verify_decay_from_resolvent(op, space, spectral, 100.0 * rate, tol=tol)
-        seen.append(f"fitted rate {report.fitted_rate:.6e} exceeds the requested "
+        report = verify_decay_from_resolvent(op, space, h1, 100.0 * rate, tol=tol)
+        seen.append(f"fitted rate {report.fit.rate:.6e} exceeds the requested "
                     f"rate {100.0 * rate:.6e}")
         return report
     return broken

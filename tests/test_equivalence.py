@@ -19,10 +19,10 @@ class TestDecayFromResolvent:
     def test_two_point_pass(self):
         t_mat = np.diag([0.0, -1.0])
         report = diag_report()
-        space = WeightedSpace.unweighted(2)
-        transfer = verify_decay_from_resolvent(t_mat, space, report.spectral, -0.9)
+        space = WeightedSpace(np.ones(2))
+        transfer = verify_decay_from_resolvent(t_mat, space, report, -0.9)
         assert transfer.verdict == PASS
-        assert transfer.fitted_rate == pytest.approx(-1.0, abs=1e-6)
+        assert transfer.fit.rate == pytest.approx(-1.0, abs=1e-6)
         # the deflated propagator is exactly e^{-t} on the second mode
         npt.assert_allclose(transfer.deviation_norms,
                             np.exp(-transfer.t_grid), rtol=1e-9)
@@ -30,21 +30,21 @@ class TestDecayFromResolvent:
     def test_rate_below_true_decay_fails(self):
         t_mat = np.diag([0.0, -1.0])
         report = diag_report()
-        space = WeightedSpace.unweighted(2)
-        transfer = verify_decay_from_resolvent(t_mat, space, report.spectral, -1.1)
+        space = WeightedSpace(np.ones(2))
+        transfer = verify_decay_from_resolvent(t_mat, space, report, -1.1)
         assert transfer.verdict == FAIL
 
     def test_transient_growth_passes_with_large_prefactor(self):
         t_mat = np.array([[-1.0, 10.0], [0.0, -2.0]])
-        space = WeightedSpace.unweighted(2)
+        space = WeightedSpace(np.ones(2))
         # k=0 configuration: no surviving modes above a=-0.95, so the
         # undeflated semigroup norm itself must obey the envelope
         report0 = check_h1(t_mat, a=-0.95, r=0.01)
-        assert report0.spectral.discrete_eigs == []
-        transfer = verify_decay_from_resolvent(t_mat, space, report0.spectral, -0.9)
+        assert report0.discrete_eigs == []
+        transfer = verify_decay_from_resolvent(t_mat, space, report0, -0.9)
         assert transfer.verdict == PASS
-        assert transfer.fitted_rate == pytest.approx(-1.0, abs=0.05)
-        assert transfer.prefactor_at_rate > 1.0
+        assert transfer.fit.rate == pytest.approx(-1.0, abs=0.05)
+        assert transfer.certificate.prefactor > 1.0
 
 
     def test_report_without_projectors_is_rejected(self):
@@ -54,16 +54,16 @@ class TestDecayFromResolvent:
         cert = inst.certificate
         h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k,
                       compute_projectors=False)
-        assert len(h1.spectral.discrete_eigs) == 1 and h1.spectral.projectors == []
+        assert len(h1.discrete_eigs) == 1 and h1.projectors == []
         with pytest.raises(CertificateError, match="1 discrete eigenvalues but 0"):
             verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
-                                        h1.spectral, 0.5 * cert.a)
+                                        h1, 0.5 * cert.a)
 
 
 class TestResolventFromDecay:
     def test_two_point_certificate_passes(self):
         t_mat = np.diag([0.0, -1.0])
-        space = WeightedSpace.unweighted(2)
+        space = WeightedSpace(np.ones(2))
         cert = DecayCertificate(level=-1.0, prefactor=1.0,
                                 discrete_eigs=[0.0 + 0.0j],
                                 projectors=[np.diag([1.0, 0.0])], space=space)
@@ -76,7 +76,7 @@ class TestResolventFromDecay:
     def test_wrong_projector_rejected_by_laplace_bound(self):
         # commutes with the diagonal semigroup but misattributes the modes
         t_mat = np.diag([0.0, -1.0])
-        space = WeightedSpace.unweighted(2)
+        space = WeightedSpace(np.ones(2))
         cert = DecayCertificate(level=-1.0, prefactor=1.0,
                                 discrete_eigs=[0.0 + 0.0j],
                                 projectors=[np.diag([0.0, 1.0])], space=space)
@@ -86,7 +86,7 @@ class TestResolventFromDecay:
 
     def test_noncommuting_projector_rejected_outright(self):
         t_mat = np.diag([0.0, -1.0])
-        space = WeightedSpace.unweighted(2)
+        space = WeightedSpace(np.ones(2))
         cert = DecayCertificate(level=-1.0, prefactor=1.0,
                                 discrete_eigs=[0.0 + 0.0j],
                                 projectors=[np.array([[1.0, 1.0], [0.0, 0.0]])],
@@ -95,7 +95,7 @@ class TestResolventFromDecay:
             verify_resolvent_from_decay(t_mat, cert)
 
     def test_certificate_without_projectors_is_rejected(self):
-        space = WeightedSpace.unweighted(2)
+        space = WeightedSpace(np.ones(2))
         cert = DecayCertificate(level=-1.0, prefactor=1.0,
                                 discrete_eigs=[0.0 + 0.0j], projectors=[], space=space)
         with pytest.raises(CertificateError, match="1 discrete eigenvalues but 0"):
@@ -105,13 +105,13 @@ class TestResolventFromDecay:
         """The Laplace ratio is measured in ``certificate.space``: it matches
         a direct inverse measured there, and not the unweighted one."""
         t_mat = np.array([[0.0, 0.0], [1.0, -1.0]])
-        space = WeightedSpace(np.arange(2.0), np.array([1.0, 100.0]))
+        space = WeightedSpace(np.array([1.0, 100.0]))
         h1 = check_h1(t_mat, a=-0.5, r=0.25)
-        cert = verify_decay_from_resolvent(t_mat, space, h1.spectral, -0.4).certificate
+        cert = verify_decay_from_resolvent(t_mat, space, h1, -0.4).certificate
         report = verify_resolvent_from_decay(t_mat, cert)
         ratios = {}
         for name, norm_space in (("weighted", space),
-                                 ("unweighted", WeightedSpace.unweighted(2))):
+                                 ("unweighted", WeightedSpace(np.ones(2)))):
             worst = 0.0
             for z in report.z_samples:
                 lhs = np.linalg.inv(t_mat - z * np.eye(2)) - sum(
@@ -127,10 +127,10 @@ class TestResolventFromDecay:
             lams = np.concatenate([[0.0], rng.uniform(-3.0, -1.0, 5)])
             q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             t_mat = q @ np.diag(lams) @ q.T
-            space = WeightedSpace.unweighted(6)
+            space = WeightedSpace(np.ones(6))
             h1 = check_h1(t_mat, a=-0.5, r=0.2)
             assert h1.verdict == PASS
-            transfer = verify_decay_from_resolvent(t_mat, space, h1.spectral, -0.4)
+            transfer = verify_decay_from_resolvent(t_mat, space, h1, -0.4)
             assert transfer.verdict == PASS
             converse = verify_resolvent_from_decay(t_mat, transfer.certificate)
             assert converse.verdict == PASS
@@ -172,7 +172,7 @@ def test_round_trip_on_generated_instances():
         h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=1)
         assert h1.verdict == PASS
         transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
-                                               h1.spectral, 0.5 * cert.a)
+                                               h1, 0.5 * cert.a)
         assert transfer.verdict == PASS
         converse = verify_resolvent_from_decay(inst.split.full, transfer.certificate)
         assert converse.verdict == PASS

@@ -220,10 +220,7 @@ class TestFindDecomposition:
         gen, part_a, part_b = split_matrices(result, disc)
         split = SplitOperator(full=gen.toarray(), part_a=part_a.toarray(),
                               part_b=part_b.toarray())
-        pair = EmbeddedSpacePair.from_weights(
-            disc.space_ambient.weights, disc.space_small.weights,
-            grid=disc.space_small.grid,
-            cell_measure=disc.space_small.cell_measure)
+        pair = EmbeddedSpacePair(disc.space_ambient, disc.space_small)
         samples = target + 1e-6 + 1j * np.linspace(-1.0, 1.0, 7)
         report = check_h4(split, pair, samples)
         assert report.verdict == PASS
@@ -309,10 +306,7 @@ class TestResolventScan:
         gen, part_a, part_b = split_matrices(decomp, disc)
         split = SplitOperator(full=gen.toarray(), part_a=part_a.toarray(),
                               part_b=part_b.toarray())
-        pair = EmbeddedSpacePair.from_weights(
-            disc.space_ambient.weights, disc.space_small.weights,
-            grid=disc.space_small.grid,
-            cell_measure=disc.space_small.cell_measure)
+        pair = EmbeddedSpacePair(disc.space_ambient, disc.space_small)
         ys = np.linspace(-2.0, 2.0, 9)
         samples = target + 1e-6 + 1j * ys
         chain = enlargement_bound_chain(shift_sweep(split, pair, samples))

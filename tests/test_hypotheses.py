@@ -37,8 +37,8 @@ class TestH1:
     def test_two_point_spectrum_passes(self):
         report = check_h1(np.diag([0.0, -1.0]), a=-0.5, r=0.25)
         assert report.verdict == PASS
-        assert report.spectral.discrete_eigs == [0.0 + 0.0j]
-        npt.assert_allclose(report.spectral.projectors[0], np.diag([1.0, 0.0]),
+        assert report.discrete_eigs == [0.0 + 0.0j]
+        npt.assert_allclose(report.projectors[0], np.diag([1.0, 0.0]),
                             atol=1e-12)
 
     def test_undeclared_eigenvalue_in_half_plane_fails(self):
@@ -60,13 +60,13 @@ class TestH1:
         t_dense = fp_small.dense_generator()
         report = check_h1(t_dense, a=0.5 * gap.lambda_gap, r=0.1 * abs(gap.lambda_gap))
         assert report.verdict == PASS
-        assert len(report.spectral.discrete_eigs) == 1
-        assert abs(report.spectral.discrete_eigs[0]) <= 1e-8
+        assert len(report.discrete_eigs) == 1
+        assert abs(report.discrete_eigs[0]) <= 1e-8
 
 
 class TestH2:
     def test_diagonal_bound_attained_at_origin(self):
-        report = check_h2(np.diag([0.0, -1.0]), a=-0.5)
+        report = check_h2(np.diag([0.0, -1.0]), a=-0.5, space=WeightedSpace(np.ones(2)))
         assert report.bound == pytest.approx(2.0, rel=1e-12)
         assert report.argmax_y == 0.0
         assert report.certified_bound >= report.bound
@@ -78,7 +78,8 @@ class TestH2:
         # the sampled maximum is finite, but depth-1 bisection leaves
         # segments where the Lipschitz certificate does not close
         monkeypatch.setattr(hypotheses, "MAX_REFINE_DEPTH", 1)
-        report = check_h2(np.array([[-1.0, 50.0], [0.0, -1.1]]), a=0.0)
+        report = check_h2(np.array([[-1.0, 50.0], [0.0, -1.1]]), a=0.0,
+                          space=WeightedSpace(np.ones(2)))
         assert np.isfinite(report.bound)
         assert len(report.uncertified_segments) == 58
         assert report.verdict == INDETERMINATE
@@ -90,7 +91,7 @@ class TestH2:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         t_mat = q @ np.diag(lams) @ q.conj().T
         a_line = -0.4
-        report = check_h2(t_mat, a=a_line)
+        report = check_h2(t_mat, a=a_line, space=WeightedSpace(np.ones(3)))
         oracle = 1.0 / np.min(np.abs(lams.real - a_line))
         assert report.bound == pytest.approx(oracle, rel=1e-9)
 
@@ -98,7 +99,7 @@ class TestH2:
         # oracle: dense SVD per grid point, far above the normal prediction
         t_mat = np.array([[-1.0, 10.0], [0.0, -1.1]])
         a_line = -0.5
-        report = check_h2(t_mat, a=a_line)
+        report = check_h2(t_mat, a=a_line, space=WeightedSpace(np.ones(2)))
         y_oracle = report.y_grid
         oracle = max(1.0 / np.linalg.svd(t_mat - (a_line + 1j * y) * np.eye(2),
                                          compute_uv=False)[-1]
@@ -108,10 +109,10 @@ class TestH2:
 
     def test_eigenvalue_on_scan_line_raises(self):
         with pytest.raises(SingularityError):
-            check_h2(np.diag([0.0, -1.0]), a=0.0)
+            check_h2(np.diag([0.0, -1.0]), a=0.0, space=WeightedSpace(np.ones(2)))
 
     def test_weighted_scan(self):
-        space = WeightedSpace(grid=[0.0, 1.0], weights=[1.0, 9.0])
+        space = WeightedSpace([1.0, 9.0])
         t_mat = np.array([[0.0, 1.0], [0.0, -1.0]])
         report = check_h2(t_mat, a=-0.5, space=space)
         scaling = np.diag([1.0, 3.0])
@@ -271,7 +272,7 @@ class TestH2Mirror:
 
     def test_real_operator_is_evaluated_once_per_abs_y(self, evaluated):
         t_mat = np.array([[-1.0, 10.0], [0.0, -1.1]])
-        report = check_h2(t_mat, a=-0.5)
+        report = check_h2(t_mat, a=-0.5, space=WeightedSpace(np.ones(2)))
         assert min(evaluated) >= 0.0
         assert len(evaluated) == len(set(evaluated))
         assert set(np.abs(report.y_grid)) <= set(evaluated)
@@ -280,7 +281,7 @@ class TestH2Mirror:
     def test_complex_operator_is_evaluated_at_both_signs(self, evaluated):
         t_mat = np.array([[-1.0 + 1.0j, 5.0], [0.0, -2.0]])
         ys = np.array([-1.0, 1.0])
-        report = check_h2(t_mat, a=-0.5, y_grid=ys)
+        report = check_h2(t_mat, a=-0.5, space=WeightedSpace(np.ones(2)), y_grid=ys)
         assert -1.0 in evaluated
         oracle = _dense_line_norms(t_mat + 0.5 * np.eye(2), ys)
         npt.assert_allclose(report.norms, oracle, rtol=1e-12, atol=0.0)
@@ -290,18 +291,18 @@ class TestH2Mirror:
 
 class TestH3:
     def test_contraction_with_neutral_mode(self):
-        report = check_h3(np.diag([0.0, -1.0]))
+        report = check_h3(np.diag([0.0, -1.0]), WeightedSpace(np.ones(2)))
         assert report.fit.prefactor == pytest.approx(1.0, rel=1e-9)
         assert report.fit.rate == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_generator(self):
-        report = check_h3(np.zeros((3, 3)))
+        report = check_h3(np.zeros((3, 3)), WeightedSpace(np.ones(3)))
         assert report.fit.prefactor == pytest.approx(1.0, rel=1e-12)
         assert report.fit.rate == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("prefactor,rate", [(np.inf, -0.1), (1.0, np.nan)])
     def test_non_finite_fit_is_indeterminate(self, prefactor, rate):
-        report = check_h3(np.diag([0.0, -1.0]))
+        report = check_h3(np.diag([0.0, -1.0]), WeightedSpace(np.ones(2)))
         assert report.verdict == PASS
         broken = replace(report, fit=replace(report.fit, prefactor=prefactor,
                                              rate=rate))
@@ -311,8 +312,9 @@ class TestH3:
         # the default grid depends only on the spread of the real parts,
         # which the shift leaves unchanged
         t_mat = np.diag([0.0, -1.0])
-        base = check_h3(t_mat)
-        shifted = check_h3(t_mat + 0.3 * np.eye(2))
+        space = WeightedSpace(np.ones(2))
+        base = check_h3(t_mat, space)
+        shifted = check_h3(t_mat + 0.3 * np.eye(2), space)
         npt.assert_array_equal(shifted.t_grid, base.t_grid)
         assert shifted.fit.rate - base.fit.rate == pytest.approx(0.3, abs=1e-9)
         assert shifted.fit.prefactor == pytest.approx(base.fit.prefactor, rel=1e-9)
@@ -352,10 +354,7 @@ class TestH4:
         gen, part_a, part_b = split_matrices(decomp, disc)
         split = SplitOperator(full=gen.toarray(), part_a=part_a.toarray(),
                               part_b=part_b.toarray())
-        pair = EmbeddedSpacePair.from_weights(disc.space_ambient.weights,
-                                              disc.space_small.weights,
-                                              grid=disc.space_small.grid,
-                                              cell_measure=disc.space_small.cell_measure)
+        pair = EmbeddedSpacePair(disc.space_ambient, disc.space_small)
         xi = 0.5 * gap.lambda_gap + 1e-6 + 0.3j
         b_inv = resolvent_matrix(split.part_b, xi)
         mixed = operator_norm(split.part_a @ b_inv, pair.ambient, pair.small)

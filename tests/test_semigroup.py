@@ -153,7 +153,8 @@ def test_semigroup_norms_with_deflation():
     t_mat = np.diag([0.0, -1.0])
     proj = np.diag([1.0, 0.0])
     times = np.linspace(0.0, 3.0, 7)
-    norms = semigroup_norms(t_mat, times, deflation=[(0.0 + 0.0j, proj)])
+    norms = semigroup_norms(t_mat, times, WeightedSpace(np.ones(2)),
+                            deflation=[(0.0 + 0.0j, proj)])
     npt.assert_allclose(norms, np.exp(-times), rtol=1e-12)
 
 
@@ -201,8 +202,7 @@ class TestPropagatorWalk:
                             oracle_semigroup_norms(matrix, h3_grid, space),
                             rtol=1e-12, atol=0.0)
         h1 = check_h1(matrix, cert.a, cert.r, expected_k=cert.k)
-        deflation = list(zip(map(complex, h1.spectral.discrete_eigs),
-                             h1.spectral.projectors))
+        deflation = list(zip(map(complex, h1.discrete_eigs), h1.projectors))
         assert deflation
         transfer_grid = default_time_grid(rate_scale=abs(cert.a), n=200)
         expm_calls.clear()
@@ -215,27 +215,28 @@ class TestPropagatorWalk:
     def test_grid_off_zero_exponentiates_start_and_step(self, rng, expm_calls):
         mat = -0.5 * np.eye(6) + 0.3 * rng.standard_normal((6, 6))
         t_grid = np.linspace(0.4, 3.0, 27)
-        norms = semigroup_norms(mat, t_grid)
+        space = WeightedSpace(np.ones(6))
+        norms = semigroup_norms(mat, t_grid, space)
         assert len(expm_calls) == 2
-        space = WeightedSpace.unweighted(6)
         npt.assert_allclose(norms, oracle_semigroup_norms(mat, t_grid, space),
                             rtol=1e-12, atol=0.0)
 
     def test_nonuniform_grid_exponentiates_per_time(self, rng, expm_calls):
         mat = -0.5 * np.eye(6) + 0.3 * rng.standard_normal((6, 6))
         t_grid = np.array([0.0, 0.1, 0.3, 0.35, 1.0, 2.5])
-        norms = semigroup_norms(mat, t_grid)
+        space = WeightedSpace(np.ones(6))
+        norms = semigroup_norms(mat, t_grid, space)
         assert len(expm_calls) == len(t_grid)
-        space = WeightedSpace.unweighted(6)
         npt.assert_array_equal(norms, oracle_semigroup_norms(mat, t_grid, space))
 
     def test_overflowing_power_raises(self):
         # one step e^{0.1 * 700} is finite; its powers pass e^{709.8} by t = 1.1
         t_grid = np.linspace(0.0, 2.0, 21)
+        space = WeightedSpace(np.ones(2))
         with pytest.raises(MagnitudeGuardError, match="overflowed"):
-            semigroup_norms(np.diag([700.0, -1.0]), t_grid)
+            semigroup_norms(np.diag([700.0, -1.0]), t_grid, space)
         with pytest.raises(MagnitudeGuardError, match="overflowed"):
-            semigroup_norms(np.diag([700.0, -1.0]), t_grid[1:])
+            semigroup_norms(np.diag([700.0, -1.0]), t_grid[1:], space)
 
     def test_apply_walks_a_grid_from_zero(self, rng, expm_calls):
         mat = -0.5 * np.eye(5) + 0.2 * rng.standard_normal((5, 5))
