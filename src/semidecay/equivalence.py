@@ -3,8 +3,8 @@
 The forward direction turns verified spectral structure into a certified
 decay envelope on the deflated semigroup. The converse direction takes a
 decay certificate (level, prefactor, surviving eigenvalues, commuting
-projectors), re-derives the localization H1 of the surviving modes, and
-verifies the quantitative Laplace-transform bound
+projectors), re-splits the operator's spectrum to localize the surviving
+modes (H1), and verifies the quantitative Laplace-transform bound
 
     ||R(z) - sum_j P_j / (xi_j - z)|| <= C_a / (Re z - a)
 
@@ -138,15 +138,17 @@ class ConverseReport:
         return {"laplace_max_ratio": self.laplace_max_ratio}
 
 
-def verify_resolvent_from_decay(op, certificate: DecayCertificate,
+def verify_resolvent_from_decay(op, spectrum, certificate: DecayCertificate,
                                 tol: Tolerances = DEFAULT_TOLERANCES
                                 ) -> ConverseReport:
     """Recover the structural hypotheses from a decay certificate.
 
-    Every norm is taken in ``certificate.space``. The projectors are first checked to commute with the semigroup on
-    sampled times (a certificate violating this is rejected outright).
-    Then H1 is re-derived on a line slightly above the certificate level
-    (which may itself touch the spectrum), and the Laplace bound is
+    Every norm is taken in ``certificate.space``. The projectors are first
+    checked to commute with the semigroup on sampled times (a certificate
+    violating this is rejected outright). Then ``spectrum``, as
+    :func:`~semidecay.spectral.eigen_decompose` returned it for ``op``, is
+    split (H1) on a line slightly above the certificate level (which may
+    itself touch the spectrum), and the Laplace bound is
     verified at the certificate level with multiplicative slack
     ``laplace_slack`` on the sampled half plane (:func:`default_z_samples`).
 
@@ -191,7 +193,7 @@ def verify_resolvent_from_decay(op, certificate: DecayCertificate,
     sep = min((abs(x - y) for x in xis for y in xis if x != y), default=np.inf)
     room = min((x.real - a_check for x in xis), default=1.0)
     ball_radius = 0.45 * min(sep, room) if np.isfinite(sep) else 0.45 * room
-    h1 = check_h1(matrix, a_check, ball_radius, expected_k=len(xis), tol=tol,
+    h1 = check_h1(matrix, spectrum, a_check, ball_radius, expected_k=len(xis), tol=tol,
                   compute_projectors=False)
     if h1.verdict != PASS:
         return ConverseReport(h1.verdict, f"H1: {h1.witness}", h1, np.inf, defect)

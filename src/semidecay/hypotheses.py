@@ -24,7 +24,7 @@ from .factorization import ShiftSweep, shift_sweep
 from .reports import FAIL, INDETERMINATE, PASS
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
 from .spaces import EmbeddedSpacePair, WeightedSpace, weighted_congruence
-from .spectral import eigen_decompose, spectral_projector
+from .spectral import spectral_projector
 
 
 # ----------------------------------------------------------------------
@@ -36,8 +36,8 @@ class H1Report:
     """The split of the spectrum at ``Re z = a``.
 
     ``eigenvalues`` and ``max_residual`` (the largest eigenpair residual
-    relative to ``||T||``) come from
-    :func:`~semidecay.spectral.eigen_decompose`. On a pass,
+    relative to ``||T||``) are the pair
+    :func:`~semidecay.spectral.eigen_decompose` returned for T. On a pass,
     ``discrete_eigs`` are the centers of the eigenvalue groups right of the
     line, each inside a ball of radius ``r``, and ``projectors`` their
     spectral projectors when they were computed; otherwise both are empty.
@@ -75,18 +75,19 @@ def _cluster(points, radius):
     return [np.flatnonzero(labels == k) for k in range(count)]
 
 
-def check_h1(op, a: float, r: float, expected_k: int | None = None,
+def check_h1(op, spectrum, a: float, r: float, expected_k: int | None = None,
              tol: Tolerances = DEFAULT_TOLERANCES,
              compute_projectors: bool = True) -> H1Report:
     """Verify that the spectrum splits into {Re <= a} plus isolated balls.
 
-    Passes iff every eigenvalue either has real part <= a or lies in one
-    of k pairwise disjoint balls B(xi_j, r) strictly inside the half plane
-    {Re z > a}. Eigenvalues within the boundary margin of the line give an
-    indeterminate verdict.
+    ``spectrum`` is the pair :func:`~semidecay.spectral.eigen_decompose`
+    returned for ``op``. Passes iff every eigenvalue either has real part
+    <= a or lies in one of k pairwise disjoint balls B(xi_j, r) strictly
+    inside the half plane {Re z > a}. Eigenvalues within the boundary margin
+    of the line give an indeterminate verdict.
     """
     matrix = np.asarray(op)
-    eigvals, max_residual = eigen_decompose(matrix, tol)
+    eigvals, max_residual = spectrum
 
     def report(verdict, witness=None, **split):
         return H1Report(verdict, witness, eigvals, max_residual, a, r, **split)
@@ -131,7 +132,7 @@ def check_h1(op, a: float, r: float, expected_k: int | None = None,
     if expected_k is not None and len(centers) != expected_k:
         return report(FAIL, f"expected {expected_k} eigenvalue groups, found {len(centers)}")
     centers.sort(key=lambda z: (-z.real, z.imag))
-    projectors = ([spectral_projector(matrix, c, r, tol=tol) for c in centers]
+    projectors = ([spectral_projector(matrix, eigvals, c, r, tol=tol) for c in centers]
                   if compute_projectors else [])
     return report(PASS, discrete_eigs=centers, projectors=projectors)
 
@@ -172,9 +173,7 @@ class H2Report:
     ``uncertified_segments``. The verdict passes only when the certificate
     closed: ``certified_bound`` finite and no segment left uncertified;
     otherwise it is indeterminate, and the witness gives the certified
-    bound and the number of open segments. ``spectrum`` holds the
-    eigenvalues of the scanned operator for another scan of it (not
-    serialized).
+    bound and the number of open segments.
     """
 
     bound: float
@@ -186,7 +185,6 @@ class H2Report:
     tail_valid_from: float
     shifted_norm: float
     uncertified_segments: list = field(default_factory=list)
-    spectrum: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def verdict(self):
@@ -349,11 +347,13 @@ def _line_norm(line: _ShiftedLine, y):
     return 1.0 / np.linalg.svd(shifted, compute_uv=False)[-1]
 
 
-def check_h2(op, a: float, space: WeightedSpace, y_grid=None,
-             tol: Tolerances = DEFAULT_TOLERANCES, eigvals=None) -> H2Report:
+def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
+             tol: Tolerances = DEFAULT_TOLERANCES) -> H2Report:
     """Scan ``||(T - a - iy)^{-1}||`` in the norm of ``space`` over a
     symmetric y grid: :func:`make_y_grid` with the eigenvalue heights
-    added, unless ``y_grid`` is given.
+    added, unless ``y_grid`` is given. ``eigvals``, the spectrum of ``op``
+    (H1's, for a testbed operator), places those heights and decides
+    whether the line touches the spectrum.
 
     The weighted norm is obtained by scanning the diagonally congruent
     matrix in the plain spectral norm. Between grid points the bound is
@@ -365,10 +365,6 @@ def check_h2(op, a: float, space: WeightedSpace, y_grid=None,
     is the upper bound ``1 / (dist(iy, spectrum) - delta)`` of
     :func:`_line_norm` rather than the norm itself.
 
-    ``eigvals``, the ``spectrum`` of an earlier report on the same ``op``,
-    lets scans of one operator in several spaces share one eigensolve; it
-    is computed when omitted.
-
     Raises
     ------
     SingularityError
@@ -376,8 +372,6 @@ def check_h2(op, a: float, space: WeightedSpace, y_grid=None,
     """
     matrix = np.asarray(op, dtype=complex)
     n = matrix.shape[0]
-    if eigvals is None:
-        eigvals = np.linalg.eigvals(matrix)
     scale = max(1.0, float(np.max(np.abs(eigvals))) if len(eigvals) else 1.0)
     gap_to_line = float(np.min(np.abs(eigvals.real - a))) if len(eigvals) else np.inf
     if gap_to_line <= tol.boundary_margin * scale:
@@ -441,8 +435,7 @@ def check_h2(op, a: float, space: WeightedSpace, y_grid=None,
     return H2Report(bound=bound, certified_bound=float(certified),
                     y_grid=y_grid, norms=norms, argmax_y=float(y_grid[i_max]),
                     tail_bound=float(tail), tail_valid_from=y_max_used,
-                    shifted_norm=shifted_norm, uncertified_segments=uncertified,
-                    spectrum=eigvals)
+                    shifted_norm=shifted_norm, uncertified_segments=uncertified)
 
 
 # ----------------------------------------------------------------------
@@ -482,11 +475,11 @@ class H3Report:
                 "residual": self.fit.residual, "window": list(self.fit.window)}
 
 
-def check_h3(op, space: WeightedSpace, tol: Tolerances = DEFAULT_TOLERANCES) -> H3Report:
+def check_h3(op, space: WeightedSpace, eigvals,
+             tol: Tolerances = DEFAULT_TOLERANCES) -> H3Report:
     """Certified envelope ``||e^{tT}|| <= C_b e^{b t}`` on a sampled horizon
-    scaled by the spread of the real parts of the spectrum."""
+    scaled by the spread of the real parts of ``eigvals``, the spectrum."""
     matrix = np.asarray(op)
-    eigvals = np.linalg.eigvals(matrix)
     spread = float(np.max(eigvals.real) - np.min(eigvals.real)) if len(eigvals) else 1.0
     t_grid = default_time_grid(rate_scale=max(spread, 1e-2), n=64)
     norms = semigroup_norms(matrix, t_grid, space)

@@ -147,19 +147,21 @@ def generate_instance(seed: int, n: int, a: float = -0.75, gap: float = -1.0,
     return GeneratedInstance(split, pair, cert)
 
 
-def save_instance(instance: GeneratedInstance, directory,
+def save_instance(instance: GeneratedInstance, directory, eigvals,
                   tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Write the instance as a JSON manifest plus Matrix Market files.
 
     The manifest records the certificate (spectra, seed), both weight
     vectors, the tolerances in force, and references the matrix files for
     the generator, both split parts, and the spectral projectors of the
-    certified eigenvalues. The projectors, computed under those tolerances,
-    are written for the reader: :func:`load_instance` does not read them.
+    certified eigenvalues. The projectors, computed from ``eigvals`` (the
+    generator's spectrum) under those tolerances, are written for the reader:
+    :func:`load_instance` does not read them.
     """
     from . import matio as mio
     split, cert = instance.split, instance.certificate
-    projectors = [spectral_projector(split.full, xi, cert.r, tolerances) for xi in cert.xi]
+    projectors = [spectral_projector(split.full, eigvals, xi, cert.r, tolerances)
+                  for xi in cert.xi]
     os.makedirs(directory, exist_ok=True)
     names = {"full": "T.mtx", "part_a": "A.mtx", "part_b": "B.mtx"}
     for attr, fname in names.items():

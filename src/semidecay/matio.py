@@ -45,13 +45,3 @@ def write_csv(path, header, columns):
         for row in zip(*columns):
             writer.writerow([_format(v) for v in row])
 
-
-def read_csv(path):
-    """Read a header row plus float columns; returns (header, dict of arrays)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    data = {name: np.array([float(row[i]) for row in rows])
-            for i, name in enumerate(header)}
-    return header, data

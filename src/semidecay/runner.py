@@ -24,13 +24,13 @@ from .config import SCHEMA_VERSION, RunConfig
 from .equivalence import verify_decay_from_resolvent, verify_resolvent_from_decay
 from .errors import SingularityError
 from .factorization import enlargement_bound_chain, verify_factorization
-from .fokker_planck import (ResolventScans, build_problem, decay_experiment,
-                            find_decomposition, initial_datum, resolvent_scan_fp,
-                            spectral_gap_H)
+from .fokker_planck import (build_problem, decay_experiment, find_decomposition,
+                            initial_datum, resolvent_scan_fp, spectral_gap_H)
 from .hypotheses import check_h1, check_h2, check_h3, check_h4, sample_xi_region
 from .instances import GeneratedInstance, generate_instance, load_instance, save_instance
 from .reports import (EXIT_CHECKS_FAILED, EXIT_INFEASIBLE, EXIT_OK, RaisedCheck,
                       RunReport, passes)
+from .spectral import eigen_decompose
 
 
 def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dict:
@@ -38,12 +38,13 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dic
     split, pair, cert = instance.split, instance.pair, instance.certificate
     a, r, xis = cert.a, cert.r, list(cert.xi)
 
-    h1 = check_h1(split.full, a, r, expected_k=cert.k, tol=tol)
+    spectrum = eigen_decompose(split.full, tol)
+    h1 = check_h1(split.full, spectrum, a, r, expected_k=cert.k, tol=tol)
     try:
-        h2 = check_h2(split.full, a, pair.small, tol=tol)
+        h2 = check_h2(split.full, a, pair.small, h1.eigenvalues, tol=tol)
     except SingularityError as exc:
         h2 = RaisedCheck(exc)
-    h3 = check_h3(split.full, pair.ambient, tol=tol)
+    h3 = check_h3(split.full, pair.ambient, h1.eigenvalues, tol=tol)
     if thin_samples:
         samples = sample_xi_region(a, r, xis, n_line=9, n_circle=8,
                                    grid_shape=(6, 6))
@@ -61,7 +62,7 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dic
         transfer = verify_decay_from_resolvent(split.full, pair.ambient, h1, rate, tol=tol)
         checks["decay_transfer"] = transfer
         checks["converse"] = verify_resolvent_from_decay(
-            split.full, transfer.certificate, tol=tol)
+            split.full, spectrum, transfer.certificate, tol=tol)
     return checks
 
 
@@ -112,7 +113,7 @@ def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
 
     if config.write_operators and instances:
         inst_dir = os.path.join(config.out_dir, "instance")
-        manifest = save_instance(instances[0][1], inst_dir, tol)
+        manifest = save_instance(instances[0][1], inst_dir, results[0]["h1"].eigenvalues, tol)
         report.artifacts.append(os.path.relpath(manifest, config.out_dir))
     return _finish(report, config)
 
@@ -161,13 +162,10 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
     if config.command == "fp-resolvent-scan":
         a_line = 0.5 * lam_p
         try:
-            small = resolvent_scan_fp(disc, disc.space_small, a_line, tol=tol)
+            scans = resolvent_scan_fp(disc, a_line, tol=tol)
         except SingularityError as exc:
             report.add_check("resolvent_scan", RaisedCheck(exc))
             return _finish(report, config)
-        scans = ResolventScans(small, resolvent_scan_fp(disc, disc.space_ambient, a_line,
-                                                        tol=tol, eigvals=small.spectrum),
-                               a_line)
         report.constants["K_small"] = scans.small.bound
         report.constants["K_ambient"] = scans.ambient.bound
         report.add_check("resolvent_scan", scans)

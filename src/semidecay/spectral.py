@@ -21,10 +21,10 @@ calls (and which per-sample sweep values are exact).
 Every sparse LU factorization is :func:`sparse_lu`, which fixes its
 column ordering.
 
-:func:`eigen_decompose` returns the residual-checked eigenvalues and their
-largest relative residual; the H1 check
-(:class:`~semidecay.hypotheses.H1Report`) keeps both with the split of
-the spectrum it certifies.
+:func:`eigen_decompose`, the one eigensolve of a testbed operator, returns
+its residual-checked eigenvalues and their largest relative residual; H1
+(:class:`~semidecay.hypotheses.H1Report`) splits them, and H2, H3, the
+projectors and the converse read them.
 
 Projectors are computed two independent ways and cross-checked: once from
 orthonormal bases of the right and left invariant subspaces (ordered Schur
@@ -267,11 +267,12 @@ def _projector_contour(matrix, center, radius, n_points,
     return -(radius / n_points) * acc
 
 
-def spectral_projector(op, center: complex, radius: float,
+def spectral_projector(op, eigvals, center: complex, radius: float,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Spectral projector for the eigenvalue group inside a circle.
 
-    Computes both constructions and verifies their agreement within
+    ``eigvals``, the spectrum of ``op``, decides the separation of the
+    circle. Computes both constructions and verifies their agreement within
     ``tol_proj``, doubling the contour points from 64 (up to 1024) if
     needed; returns the invariant-subspace one.
 
@@ -283,7 +284,6 @@ def spectral_projector(op, center: complex, radius: float,
         If the two constructions never agree within ``tol_proj``.
     """
     matrix = np.asarray(op)
-    eigvals = np.linalg.eigvals(matrix)
     _check_separation(eigvals, center, radius, tol.boundary_margin)
 
     def inside(z):

@@ -12,6 +12,7 @@ from semidecay.equivalence import verify_decay_from_resolvent
 from semidecay.errors import SingularityError
 from semidecay.hypotheses import check_h1
 from semidecay.spaces import operator_norms, spectral_norms
+from semidecay.spectral import eigen_decompose
 
 
 def distance_to_spectrum(matrix, point: complex) -> float:
@@ -139,14 +140,16 @@ def resolvent_scalar(matrix, xi: complex, tol: Tolerances) -> np.ndarray:
 
 
 def decay_certificate(seed, n):
-    """The generated operator and the decay certificate the testbed runner
-    hands to the converse: H1 at the instance's abscissa, decay at half of it."""
+    """The generated operator, its spectrum and the decay certificate the
+    testbed runner hands to the converse: H1 at the instance's abscissa,
+    decay at half of it."""
     inst = generate_instance(seed, n)
     cert = inst.certificate
-    h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k)
+    spectrum = eigen_decompose(inst.split.full)
+    h1 = check_h1(inst.split.full, spectrum, cert.a, cert.r, expected_k=cert.k)
     transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                            h1, 0.5 * cert.a)
-    return inst.split.full, transfer.certificate
+    return inst.split.full, spectrum, transfer.certificate
 
 
 def laplace_ratios(matrix, certificate, z_samples):

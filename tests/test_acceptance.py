@@ -25,6 +25,7 @@ from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      spectral_gap_H)
 from semidecay.hypotheses import PASS, check_h1, sample_xi_region
 from semidecay.reports import load_report, reports_equal
+from semidecay.spectral import eigen_decompose
 from scipy.linalg import eigh_tridiagonal
 
 from helpers import envelope_holds
@@ -90,7 +91,8 @@ def test_criterion_3_decay_resolvent_round_trip(suite_instances):
     worst_ratio = 0.0
     for inst in suite_instances:
         cert = inst.certificate
-        h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k)
+        spectrum = eigen_decompose(inst.split.full)
+        h1 = check_h1(inst.split.full, spectrum, cert.a, cert.r, expected_k=cert.k)
         assert h1.verdict == PASS
         transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                                h1, 0.5 * cert.a)
@@ -98,7 +100,7 @@ def test_criterion_3_decay_resolvent_round_trip(suite_instances):
         certificate = transfer.certificate
         assert envelope_holds(transfer.t_grid, transfer.deviation_norms,
                               certificate.prefactor, certificate.level)
-        converse = verify_resolvent_from_decay(inst.split.full, certificate)
+        converse = verify_resolvent_from_decay(inst.split.full, spectrum, certificate)
         assert len(converse.z_samples) >= 50
         assert converse.verdict == PASS
         worst_ratio = max(worst_ratio, converse.laplace_max_ratio)

@@ -41,13 +41,13 @@ def _results(seed, n):
     out["dominated"] = _dominates(sweep.chain, sweep.resolvent)
     for name in ("resolvent", "shifted", "identity_defect", "mismatch"):
         out[name] = getattr(sweep, name)
-    matrix, decay = decay_certificate(seed, n)
+    matrix, spectrum, decay = decay_certificate(seed, n)
     deflation = list(zip(map(complex, decay.discrete_eigs), decay.projectors))
     out["semigroup_norms"] = semigroup_norms(matrix, default_time_grid(0.5, 200),
                                              decay.space, deflation)
     out["contour"] = spectral._projector_contour(matrix, complex(cert.xi[0]), cert.r,
                                                  64, DEFAULT_TOLERANCES)
-    converse = verify_resolvent_from_decay(matrix, decay)
+    converse = verify_resolvent_from_decay(matrix, spectrum, decay)
     out["laplace"] = (converse.laplace_max_ratio, converse.worst_z)
     return out
 

@@ -206,9 +206,10 @@ def _malform_invalid_json(inst_dir):
 ], ids=["nan_in_T", "short_weights", "no_weights_small", "no_certificate_gap",
         "invalid_json", "no_A_matrix", "no_manifest"])
 def test_malformed_instance_directory_gives_exit_four(tmp_path, capsys, malform, names):
-    from semidecay import generate_instance, save_instance
+    from semidecay import eigen_decompose, generate_instance, save_instance
     inst_dir = tmp_path / "inst"
-    save_instance(generate_instance(3, 4), inst_dir)
+    inst = generate_instance(3, 4)
+    save_instance(inst, inst_dir, eigen_decompose(inst.split.full)[0])
     malform(inst_dir)
     cfg = write_config(tmp_path, {
         "schema_version": 1, "command": "enlarge-check",
@@ -314,10 +315,10 @@ def test_decay_below_the_signal_floor_is_indeterminate(tmp_path, monkeypatch):
 
 
 def test_abscissa_on_spectrum_reports_indeterminate(tmp_path):
-    from semidecay import generate_instance, save_instance
+    from semidecay import eigen_decompose, generate_instance, save_instance
     inst = generate_instance(1, 2)
     inst_dir = tmp_path / "inst"
-    save_instance(inst, inst_dir)
+    save_instance(inst, inst_dir, eigen_decompose(inst.split.full)[0])
     manifest = json.loads((inst_dir / "instance.json").read_text())
     manifest["certificate"]["a"] = -1.0   # sits exactly on an eigenvalue
     (inst_dir / "instance.json").write_text(json.dumps(manifest))
@@ -380,8 +381,9 @@ def test_jobs_do_not_change_results(tmp_path):
 def test_loaded_instance_sample_does_not_depend_on_n_seeds(tmp_path):
     """One loaded instance is one instance: ``n_seeds`` does not thin its
     H4 sample."""
-    from semidecay import save_instance
-    save_instance(generate_instance(3, 6), tmp_path / "inst")
+    from semidecay import eigen_decompose, save_instance
+    inst = generate_instance(3, 6)
+    save_instance(inst, tmp_path / "inst", eigen_decompose(inst.split.full)[0])
     verdicts = []
     for n_seeds in (1, 5):
         out = tmp_path / f"out{n_seeds}"
@@ -447,11 +449,12 @@ def test_resolvent_scan_verdict_needs_both_certificates(tmp_path, monkeypatch):
     # tail, so its certificate cannot close
     scan = runner.resolvent_scan_fp
 
-    def short_small_scan(disc, space, a, tol, eigvals=None):
-        if space is disc.space_small:
-            return hypotheses.check_h2(disc.dense_generator(), a, space,
-                                       y_grid=[-1.0, 0.0, 1.0], tol=tol, eigvals=eigvals)
-        return scan(disc, space, a, tol=tol, eigvals=eigvals)
+    def short_small_scan(disc, a, tol):
+        dense = disc.dense_generator()
+        small = hypotheses.check_h2(dense, a, disc.space_small,
+                                    np.linalg.eigvals(dense.astype(complex)),
+                                    y_grid=[-1.0, 0.0, 1.0], tol=tol)
+        return replace(scan(disc, a, tol=tol), small=small)
 
     monkeypatch.setattr(runner, "resolvent_scan_fp", short_small_scan)
     cfg = write_config(tmp_path, {**BASE_SCAN, "out_dir": str(tmp_path / "open")})
@@ -499,8 +502,8 @@ def test_open_h2_certificate_carries_its_witness(tmp_path, monkeypatch):
 def test_non_finite_h3_fit_is_indeterminate(tmp_path, monkeypatch):
     check_h3 = runner.check_h3
 
-    def no_rate(op, space=None, tol=None):
-        report = check_h3(op, space, tol=tol)
+    def no_rate(op, space, eigvals, tol=None):
+        report = check_h3(op, space, eigvals, tol=tol)
         return replace(report, fit=replace(report.fit, rate=np.nan))
 
     monkeypatch.setattr(runner, "check_h3", no_rate)

@@ -9,10 +9,12 @@ from semidecay.equivalence import (DecayCertificate, verify_decay_from_resolvent
 from semidecay.errors import CertificateError
 from semidecay.hypotheses import FAIL, PASS, check_h1
 from semidecay.spaces import WeightedSpace, operator_norm
+from semidecay.spectral import eigen_decompose
 
 
 def diag_report():
-    return check_h1(np.diag([0.0, -1.0]), a=-0.9, r=0.25)
+    t_mat = np.diag([0.0, -1.0])
+    return check_h1(t_mat, eigen_decompose(t_mat), a=-0.9, r=0.25)
 
 
 class TestDecayFromResolvent:
@@ -39,7 +41,7 @@ class TestDecayFromResolvent:
         space = WeightedSpace(np.ones(2))
         # k=0 configuration: no surviving modes above a=-0.95, so the
         # undeflated semigroup norm itself must obey the envelope
-        report0 = check_h1(t_mat, a=-0.95, r=0.01)
+        report0 = check_h1(t_mat, eigen_decompose(t_mat), a=-0.95, r=0.01)
         assert report0.discrete_eigs == []
         transfer = verify_decay_from_resolvent(t_mat, space, report0, -0.9)
         assert transfer.verdict == PASS
@@ -52,8 +54,8 @@ class TestDecayFromResolvent:
         surviving eigenvalue."""
         inst = generate_instance(3, 8)
         cert = inst.certificate
-        h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k,
-                      compute_projectors=False)
+        h1 = check_h1(inst.split.full, eigen_decompose(inst.split.full), cert.a, cert.r,
+                      expected_k=cert.k, compute_projectors=False)
         assert len(h1.discrete_eigs) == 1 and h1.projectors == []
         with pytest.raises(CertificateError, match="1 discrete eigenvalues but 0"):
             verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
@@ -67,7 +69,7 @@ class TestResolventFromDecay:
         cert = DecayCertificate(level=-1.0, prefactor=1.0,
                                 discrete_eigs=[0.0 + 0.0j],
                                 projectors=[np.diag([1.0, 0.0])], space=space)
-        report = verify_resolvent_from_decay(t_mat, cert)
+        report = verify_resolvent_from_decay(t_mat, eigen_decompose(t_mat), cert)
         assert report.verdict == PASS
         assert report.laplace_max_ratio <= 1.0 + 1e-6
         assert report.h1.verdict == PASS
@@ -80,7 +82,7 @@ class TestResolventFromDecay:
         cert = DecayCertificate(level=-1.0, prefactor=1.0,
                                 discrete_eigs=[0.0 + 0.0j],
                                 projectors=[np.diag([0.0, 1.0])], space=space)
-        report = verify_resolvent_from_decay(t_mat, cert)
+        report = verify_resolvent_from_decay(t_mat, eigen_decompose(t_mat), cert)
         assert report.verdict == FAIL
         assert "Laplace" in report.witness
 
@@ -92,23 +94,25 @@ class TestResolventFromDecay:
                                 projectors=[np.array([[1.0, 1.0], [0.0, 0.0]])],
                                 space=space)
         with pytest.raises(CertificateError):
-            verify_resolvent_from_decay(t_mat, cert)
+            verify_resolvent_from_decay(t_mat, eigen_decompose(t_mat), cert)
 
     def test_certificate_without_projectors_is_rejected(self):
         space = WeightedSpace(np.ones(2))
         cert = DecayCertificate(level=-1.0, prefactor=1.0,
                                 discrete_eigs=[0.0 + 0.0j], projectors=[], space=space)
+        t_mat = np.diag([0.0, -1.0])
         with pytest.raises(CertificateError, match="1 discrete eigenvalues but 0"):
-            verify_resolvent_from_decay(np.diag([0.0, -1.0]), cert)
+            verify_resolvent_from_decay(t_mat, eigen_decompose(t_mat), cert)
 
     def test_norms_are_taken_in_the_certificate_space(self):
         """The Laplace ratio is measured in ``certificate.space``: it matches
         a direct inverse measured there, and not the unweighted one."""
         t_mat = np.array([[0.0, 0.0], [1.0, -1.0]])
         space = WeightedSpace(np.array([1.0, 100.0]))
-        h1 = check_h1(t_mat, a=-0.5, r=0.25)
+        spectrum = eigen_decompose(t_mat)
+        h1 = check_h1(t_mat, spectrum, a=-0.5, r=0.25)
         cert = verify_decay_from_resolvent(t_mat, space, h1, -0.4).certificate
-        report = verify_resolvent_from_decay(t_mat, cert)
+        report = verify_resolvent_from_decay(t_mat, spectrum, cert)
         ratios = {}
         for name, norm_space in (("weighted", space),
                                  ("unweighted", WeightedSpace(np.ones(2)))):
@@ -128,11 +132,12 @@ class TestResolventFromDecay:
             q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             t_mat = q @ np.diag(lams) @ q.T
             space = WeightedSpace(np.ones(6))
-            h1 = check_h1(t_mat, a=-0.5, r=0.2)
+            spectrum = eigen_decompose(t_mat)
+            h1 = check_h1(t_mat, spectrum, a=-0.5, r=0.2)
             assert h1.verdict == PASS
             transfer = verify_decay_from_resolvent(t_mat, space, h1, -0.4)
             assert transfer.verdict == PASS
-            converse = verify_resolvent_from_decay(t_mat, transfer.certificate)
+            converse = verify_resolvent_from_decay(t_mat, spectrum, transfer.certificate)
             assert converse.verdict == PASS
 
     @pytest.mark.parametrize("n,seeds", [(16, range(1, 21)), (32, range(1, 5))])
@@ -150,9 +155,9 @@ class TestResolventFromDecay:
 
         monkeypatch.setattr(equivalence, "operator_norms", counting)
         for seed in seeds:
-            matrix, cert = decay_certificate(seed, n)
+            matrix, spectrum, cert = decay_certificate(seed, n)
             taken.clear()
-            report = verify_resolvent_from_decay(matrix, cert)
+            report = verify_resolvent_from_decay(matrix, spectrum, cert)
             assert report.verdict == PASS
             ratios = laplace_ratios(matrix, cert, report.z_samples)
             assert np.all(np.isfinite(ratios))
@@ -169,11 +174,13 @@ def test_round_trip_on_generated_instances():
     for seed in (2, 9, 31):
         inst = generate_instance(seed, 10)
         cert = inst.certificate
-        h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=1)
+        spectrum = eigen_decompose(inst.split.full)
+        h1 = check_h1(inst.split.full, spectrum, cert.a, cert.r, expected_k=1)
         assert h1.verdict == PASS
         transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                                h1, 0.5 * cert.a)
         assert transfer.verdict == PASS
-        converse = verify_resolvent_from_decay(inst.split.full, transfer.certificate)
+        converse = verify_resolvent_from_decay(inst.split.full, spectrum,
+                                               transfer.certificate)
         assert converse.verdict == PASS
         assert converse.laplace_max_ratio <= 1.0 + 1e-6

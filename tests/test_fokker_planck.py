@@ -281,8 +281,10 @@ class TestResolventScan:
                                       EnlargedWeight("polynomial", 3.0))
         gap = spectral_gap_H(disc)
         a_line = 0.5 * gap.lambda_gap
-        scan = resolvent_scan_fp(disc, disc.space_small, a_line)
-        direct = check_h2(disc.dense_generator(), a_line, disc.space_small)
+        scan = resolvent_scan_fp(disc, a_line).small
+        dense = disc.dense_generator()
+        direct = check_h2(dense, a_line, disc.space_small,
+                          np.linalg.eigvals(dense.astype(complex)))
         assert scan.bound == direct.bound
         npt.assert_array_equal(scan.norms, direct.norms)
 
@@ -291,7 +293,7 @@ class TestResolventScan:
         disc = FPDiscretization.build(grid, Potential(2.0),
                                       EnlargedWeight("polynomial", 3.0))
         gap = spectral_gap_H(disc)
-        scan = resolvent_scan_fp(disc, disc.space_ambient, 0.5 * gap.lambda_gap)
+        scan = resolvent_scan_fp(disc, 0.5 * gap.lambda_gap).ambient
         assert np.isfinite(scan.bound)
         assert scan.bound > 0
 

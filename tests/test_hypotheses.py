@@ -14,7 +14,7 @@ from semidecay.hypotheses import (FAIL, INDETERMINATE, PASS, check_h1, check_h2,
                                   check_h3, check_h4, make_y_grid, sample_xi_region)
 from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
                               weighted_congruence)
-from semidecay.spectral import resolvent_matrix
+from semidecay.spectral import eigen_decompose, resolvent_matrix
 
 from helpers import cluster_union_find, split_matrices
 
@@ -35,30 +35,35 @@ class TestH1:
                 npt.assert_array_equal(got, want)
 
     def test_two_point_spectrum_passes(self):
-        report = check_h1(np.diag([0.0, -1.0]), a=-0.5, r=0.25)
+        t_mat = np.diag([0.0, -1.0])
+        report = check_h1(t_mat, eigen_decompose(t_mat), a=-0.5, r=0.25)
         assert report.verdict == PASS
         assert report.discrete_eigs == [0.0 + 0.0j]
         npt.assert_allclose(report.projectors[0], np.diag([1.0, 0.0]),
                             atol=1e-12)
 
     def test_undeclared_eigenvalue_in_half_plane_fails(self):
-        report = check_h1(np.diag([0.0, -0.4]), a=-0.5, r=0.25, expected_k=1)
+        t_mat = np.diag([0.0, -0.4])
+        report = check_h1(t_mat, eigen_decompose(t_mat), a=-0.5, r=0.25, expected_k=1)
         assert report.verdict == FAIL
         assert report.witness is not None
 
     def test_eigenvalue_on_the_line_is_indeterminate(self):
-        report = check_h1(np.diag([0.0, -0.5]), a=-0.5, r=0.2)
+        t_mat = np.diag([0.0, -0.5])
+        report = check_h1(t_mat, eigen_decompose(t_mat), a=-0.5, r=0.2)
         assert report.verdict == INDETERMINATE
 
     def test_ball_touching_the_line_fails(self):
         # group center at -0.2 with r = 0.4 is not strictly inside Re > -0.5
-        report = check_h1(np.diag([-0.2, -2.0]), a=-0.5, r=0.4)
+        t_mat = np.diag([-0.2, -2.0])
+        report = check_h1(t_mat, eigen_decompose(t_mat), a=-0.5, r=0.4)
         assert report.verdict == FAIL
 
     def test_drift_diffusion_generator(self, fp_small):
         gap = spectral_gap_H(fp_small)
         t_dense = fp_small.dense_generator()
-        report = check_h1(t_dense, a=0.5 * gap.lambda_gap, r=0.1 * abs(gap.lambda_gap))
+        report = check_h1(t_dense, eigen_decompose(t_dense), a=0.5 * gap.lambda_gap,
+                          r=0.1 * abs(gap.lambda_gap))
         assert report.verdict == PASS
         assert len(report.discrete_eigs) == 1
         assert abs(report.discrete_eigs[0]) <= 1e-8
@@ -66,7 +71,8 @@ class TestH1:
 
 class TestH2:
     def test_diagonal_bound_attained_at_origin(self):
-        report = check_h2(np.diag([0.0, -1.0]), a=-0.5, space=WeightedSpace(np.ones(2)))
+        t_mat = np.diag([0.0, -1.0])
+        report = check_h2(t_mat, -0.5, WeightedSpace(np.ones(2)), eigen_decompose(t_mat)[0])
         assert report.bound == pytest.approx(2.0, rel=1e-12)
         assert report.argmax_y == 0.0
         assert report.certified_bound >= report.bound
@@ -78,8 +84,8 @@ class TestH2:
         # the sampled maximum is finite, but depth-1 bisection leaves
         # segments where the Lipschitz certificate does not close
         monkeypatch.setattr(hypotheses, "MAX_REFINE_DEPTH", 1)
-        report = check_h2(np.array([[-1.0, 50.0], [0.0, -1.1]]), a=0.0,
-                          space=WeightedSpace(np.ones(2)))
+        t_mat = np.array([[-1.0, 50.0], [0.0, -1.1]])
+        report = check_h2(t_mat, 0.0, WeightedSpace(np.ones(2)), eigen_decompose(t_mat)[0])
         assert np.isfinite(report.bound)
         assert len(report.uncertified_segments) == 58
         assert report.verdict == INDETERMINATE
@@ -91,7 +97,7 @@ class TestH2:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         t_mat = q @ np.diag(lams) @ q.conj().T
         a_line = -0.4
-        report = check_h2(t_mat, a=a_line, space=WeightedSpace(np.ones(3)))
+        report = check_h2(t_mat, a_line, WeightedSpace(np.ones(3)), eigen_decompose(t_mat)[0])
         oracle = 1.0 / np.min(np.abs(lams.real - a_line))
         assert report.bound == pytest.approx(oracle, rel=1e-9)
 
@@ -99,7 +105,7 @@ class TestH2:
         # oracle: dense SVD per grid point, far above the normal prediction
         t_mat = np.array([[-1.0, 10.0], [0.0, -1.1]])
         a_line = -0.5
-        report = check_h2(t_mat, a=a_line, space=WeightedSpace(np.ones(2)))
+        report = check_h2(t_mat, a_line, WeightedSpace(np.ones(2)), eigen_decompose(t_mat)[0])
         y_oracle = report.y_grid
         oracle = max(1.0 / np.linalg.svd(t_mat - (a_line + 1j * y) * np.eye(2),
                                          compute_uv=False)[-1]
@@ -108,13 +114,14 @@ class TestH2:
         assert report.bound > 5.0 * (1.0 / 0.5)
 
     def test_eigenvalue_on_scan_line_raises(self):
+        t_mat = np.diag([0.0, -1.0])
         with pytest.raises(SingularityError):
-            check_h2(np.diag([0.0, -1.0]), a=0.0, space=WeightedSpace(np.ones(2)))
+            check_h2(t_mat, 0.0, WeightedSpace(np.ones(2)), eigen_decompose(t_mat)[0])
 
     def test_weighted_scan(self):
         space = WeightedSpace([1.0, 9.0])
         t_mat = np.array([[0.0, 1.0], [0.0, -1.0]])
-        report = check_h2(t_mat, a=-0.5, space=space)
+        report = check_h2(t_mat, -0.5, space, eigen_decompose(t_mat)[0])
         scaling = np.diag([1.0, 3.0])
         oracle = max(np.linalg.norm(
             np.linalg.inv(scaling @ (t_mat - (-0.5 + 1j * y) * np.eye(2))
@@ -153,7 +160,7 @@ class TestH2LineKernel:
     def test_fp_scan_matches_dense_oracle(self, ambient):
         matrix, a_line, space, scaled = _fp_line(FPGrid(d=1, L=8.0, N=120),
                                                  ambient=ambient)
-        report = check_h2(matrix, a_line, space)
+        report = check_h2(matrix, a_line, space, eigen_decompose(matrix)[0])
         dense = _dense_line_norms(scaled, report.y_grid)
         if not ambient:
             # the scan takes the Hermitian path here (see TestH2HermitianLine);
@@ -219,7 +226,7 @@ class TestH2HermitianLine:
         matrix, a_line, space, scaled = _fp_line(FPGrid(d=1, L=8.0, N=120))
         line = hypotheses._ShiftedLine(scaled)
         assert line.nearest is not None and line.defect > 0.0
-        report = check_h2(matrix, a_line, space)
+        report = check_h2(matrix, a_line, space, eigen_decompose(matrix)[0])
         dense = _dense_line_norms(scaled, report.y_grid)
         values = report.norms
         assert np.all(dense <= values)
@@ -272,7 +279,7 @@ class TestH2Mirror:
 
     def test_real_operator_is_evaluated_once_per_abs_y(self, evaluated):
         t_mat = np.array([[-1.0, 10.0], [0.0, -1.1]])
-        report = check_h2(t_mat, a=-0.5, space=WeightedSpace(np.ones(2)))
+        report = check_h2(t_mat, -0.5, WeightedSpace(np.ones(2)), eigen_decompose(t_mat)[0])
         assert min(evaluated) >= 0.0
         assert len(evaluated) == len(set(evaluated))
         assert set(np.abs(report.y_grid)) <= set(evaluated)
@@ -281,7 +288,8 @@ class TestH2Mirror:
     def test_complex_operator_is_evaluated_at_both_signs(self, evaluated):
         t_mat = np.array([[-1.0 + 1.0j, 5.0], [0.0, -2.0]])
         ys = np.array([-1.0, 1.0])
-        report = check_h2(t_mat, a=-0.5, space=WeightedSpace(np.ones(2)), y_grid=ys)
+        report = check_h2(t_mat, -0.5, WeightedSpace(np.ones(2)), eigen_decompose(t_mat)[0],
+                          y_grid=ys)
         assert -1.0 in evaluated
         oracle = _dense_line_norms(t_mat + 0.5 * np.eye(2), ys)
         npt.assert_allclose(report.norms, oracle, rtol=1e-12, atol=0.0)
@@ -291,18 +299,21 @@ class TestH2Mirror:
 
 class TestH3:
     def test_contraction_with_neutral_mode(self):
-        report = check_h3(np.diag([0.0, -1.0]), WeightedSpace(np.ones(2)))
+        t_mat = np.diag([0.0, -1.0])
+        report = check_h3(t_mat, WeightedSpace(np.ones(2)), eigen_decompose(t_mat)[0])
         assert report.fit.prefactor == pytest.approx(1.0, rel=1e-9)
         assert report.fit.rate == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_generator(self):
-        report = check_h3(np.zeros((3, 3)), WeightedSpace(np.ones(3)))
+        t_mat = np.zeros((3, 3))
+        report = check_h3(t_mat, WeightedSpace(np.ones(3)), eigen_decompose(t_mat)[0])
         assert report.fit.prefactor == pytest.approx(1.0, rel=1e-12)
         assert report.fit.rate == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("prefactor,rate", [(np.inf, -0.1), (1.0, np.nan)])
     def test_non_finite_fit_is_indeterminate(self, prefactor, rate):
-        report = check_h3(np.diag([0.0, -1.0]), WeightedSpace(np.ones(2)))
+        t_mat = np.diag([0.0, -1.0])
+        report = check_h3(t_mat, WeightedSpace(np.ones(2)), eigen_decompose(t_mat)[0])
         assert report.verdict == PASS
         broken = replace(report, fit=replace(report.fit, prefactor=prefactor,
                                              rate=rate))
@@ -313,8 +324,9 @@ class TestH3:
         # which the shift leaves unchanged
         t_mat = np.diag([0.0, -1.0])
         space = WeightedSpace(np.ones(2))
-        base = check_h3(t_mat, space)
-        shifted = check_h3(t_mat + 0.3 * np.eye(2), space)
+        base = check_h3(t_mat, space, eigen_decompose(t_mat)[0])
+        shifted_mat = t_mat + 0.3 * np.eye(2)
+        shifted = check_h3(shifted_mat, space, eigen_decompose(shifted_mat)[0])
         npt.assert_array_equal(shifted.t_grid, base.t_grid)
         assert shifted.fit.rate - base.fit.rate == pytest.approx(0.3, abs=1e-9)
         assert shifted.fit.prefactor == pytest.approx(base.fit.prefactor, rel=1e-9)

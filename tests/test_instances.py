@@ -65,8 +65,8 @@ def test_certificate_revalidates(seed, n):
     """Self-check oracle: every emitted certificate passes its own checks."""
     inst = generate_instance(seed, n)
     cert = inst.certificate
-    h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=cert.k,
-                  compute_projectors=False)
+    h1 = check_h1(inst.split.full, eigen_decompose(inst.split.full), cert.a, cert.r,
+                  expected_k=cert.k, compute_projectors=False)
     assert h1.verdict == PASS
     samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
                                n_line=5, n_circle=4, grid_shape=(3, 3))
@@ -80,7 +80,8 @@ def test_multi_group_instance_revalidates_and_round_trips():
     inst = generate_instance(13, 14, k=3)
     cert = inst.certificate
     assert len(cert.xi) == 3
-    h1 = check_h1(inst.split.full, cert.a, cert.r, expected_k=3)
+    spectrum = eigen_decompose(inst.split.full)
+    h1 = check_h1(inst.split.full, spectrum, cert.a, cert.r, expected_k=3)
     assert h1.verdict == PASS
     assert len(h1.projectors) == 3
     samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
@@ -90,7 +91,7 @@ def test_multi_group_instance_revalidates_and_round_trips():
     transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                            h1, 0.5 * cert.a)
     assert transfer.verdict == PASS
-    converse = verify_resolvent_from_decay(inst.split.full, transfer.certificate)
+    converse = verify_resolvent_from_decay(inst.split.full, spectrum, transfer.certificate)
     assert converse.verdict == PASS
 
 
@@ -103,7 +104,7 @@ def test_group_count_validation():
 
 def test_save_load_round_trip(tmp_path):
     inst = generate_instance(6, 7)
-    save_instance(inst, tmp_path / "inst")
+    save_instance(inst, tmp_path / "inst", eigen_decompose(inst.split.full)[0])
     loaded = load_instance(tmp_path / "inst")
     npt.assert_allclose(loaded.split.full, inst.split.full, rtol=1e-15)
     npt.assert_allclose(loaded.split.part_a, inst.split.part_a, rtol=1e-15)
@@ -115,7 +116,7 @@ def test_save_load_round_trip(tmp_path):
 
 def test_manifest_ships_projectors_and_tolerances(tmp_path):
     inst = generate_instance(6, 7)
-    save_instance(inst, tmp_path / "inst")
+    save_instance(inst, tmp_path / "inst", eigen_decompose(inst.split.full)[0])
     manifest = json.loads((tmp_path / "inst" / "instance.json").read_text())
     assert manifest["projectors"] == ["Pi_1.mtx"]
     assert "tol_solve" in manifest["tolerances"]
@@ -128,13 +129,14 @@ def test_manifest_ships_projectors_and_tolerances(tmp_path):
 def test_projectors_are_computed_under_the_recorded_tolerances(tmp_path, monkeypatch):
     used = []
 
-    def recording(op, center, radius, tol):
+    def recording(op, eigvals, center, radius, tol):
         used.append(tol)
-        return spectral_projector(op, center, radius, tol)
+        return spectral_projector(op, eigvals, center, radius, tol)
 
     monkeypatch.setattr(instances, "spectral_projector", recording)
     tol = Tolerances(tol_proj=1e-7)
-    save_instance(generate_instance(13, 14, k=3), tmp_path / "inst", tol)
+    inst = generate_instance(13, 14, k=3)
+    save_instance(inst, tmp_path / "inst", eigen_decompose(inst.split.full)[0], tol)
     assert used == [tol] * 3
     manifest = json.loads((tmp_path / "inst" / "instance.json").read_text())
     assert manifest["tolerances"] == tol.to_dict()
@@ -147,7 +149,7 @@ def test_manifest_in_the_older_format_gives_the_same_verdicts(tmp_path):
     reports = {}
     for name in ("fresh", "older"):
         inst_dir = tmp_path / name
-        save_instance(inst, inst_dir)
+        save_instance(inst, inst_dir, eigen_decompose(inst.split.full)[0])
         if name == "older":
             manifest = json.loads((inst_dir / "instance.json").read_text())
             manifest["certificate"]["embedding_constant"] = inst.pair.embedding_constant

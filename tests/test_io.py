@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import pathlib
@@ -11,7 +12,7 @@ import scipy.sparse as sp
 import semidecay
 from semidecay.config import FPProblem, RunConfig, Tolerances
 from semidecay.errors import ConfigError
-from semidecay.matio import read_csv, read_matrix, write_csv, write_matrix
+from semidecay.matio import read_matrix, write_csv, write_matrix
 
 
 class TestMatrixMarket:
@@ -41,10 +42,12 @@ class TestCsv:
         n = np.exp(-t)
         path = tmp_path / "curve.csv"
         write_csv(path, ["t", "norm"], [t, n])
-        header, data = read_csv(path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        data = np.array(rows, dtype=float)
         assert header == ["t", "norm"]
-        npt.assert_array_equal(data["t"], t)
-        npt.assert_array_equal(data["norm"], n)
+        npt.assert_array_equal(data[:, 0], t)
+        npt.assert_array_equal(data[:, 1], n)
 
     def test_byte_determinism(self, tmp_path):
         t = np.linspace(0.0, 3.0, 50)

@@ -12,8 +12,8 @@ from semidecay import factorization, generate_instance, hypotheses, spectral
 from semidecay.factorization import shift_sweep
 from semidecay.config import DEFAULT_TOLERANCES
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
-                                     Potential, resolvent_scan_fp, spectral_gap_H)
-from semidecay.hypotheses import PASS, sample_xi_region
+                                     Potential, spectral_gap_H)
+from semidecay.hypotheses import PASS, check_h2, sample_xi_region
 from semidecay.runner import _check_instance
 
 
@@ -93,6 +93,27 @@ def test_instance_check_kernel_counts(kernel_calls):
     assert kernel_calls["exact_in_guarded_inverses"] == 0
 
 
+def test_instance_check_decomposes_its_operator_once(monkeypatch):
+    """H1's eigendecomposition is the only eigensolve of an instance check:
+    H2, H3, the projector and the converse read its spectrum (2 ``eig`` and
+    3 ``eigvals`` calls before)."""
+    calls = {"eig": 0, "eigvals": 0}
+    originals = {"eig": scipy.linalg.eig, "eigvals": np.linalg.eigvals}
+
+    def counting(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(scipy.linalg, "eig", counting("eig"))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals"))
+    result = _check_instance(generate_instance(1, 16), DEFAULT_TOLERANCES,
+                             thin_samples=True)
+    assert result["converse"].verdict == PASS
+    assert calls == {"eig": 1, "eigvals": 0}
+
+
 def test_instance_check_stacks_whole_blocks(kernel_calls):
     """At n = 16 a block holds 32 shifts, times or contour points, so the
     thin 53-shift sample, the 200 decay times and the 72 converse points
@@ -143,7 +164,9 @@ def test_banded_scan_runs_no_square_svd_per_line_point(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(hypotheses, "_line_norm", recording_line_norm)
-    report = resolvent_scan_fp(disc, disc.space_ambient, a_line)
+    dense = disc.dense_generator()
+    report = check_h2(dense, a_line, disc.space_ambient,
+                      np.linalg.eigvals(dense.astype(complex)))
     n = grid.n_total
     assert shapes_inside and (n, n) not in shapes_inside
     # the operator is real: one evaluation per distinct |y|
@@ -155,9 +178,10 @@ def test_banded_scan_runs_no_square_svd_per_line_point(monkeypatch):
 def test_scan_shares_one_spectrum_and_the_small_line_is_closed_form(tmp_path, monkeypatch):
     from semidecay.config import RunConfig
     from semidecay.runner import run_fp
-    calls = {"eigvals": 0, "eig_banded": 0, "solve_banded": 0}
+    calls = {"eigvals": 0, "eig_banded": 0, "solve_banded": 0, "dense_generator": 0}
     originals = {"eigvals": np.linalg.eigvals, "eig_banded": scipy.linalg.eig_banded,
-                 "solve_banded": scipy.linalg.solve_banded}
+                 "solve_banded": scipy.linalg.solve_banded,
+                 "dense_generator": FPDiscretization.dense_generator}
 
     def counting(name):
         def counted(*args, **kwargs):
@@ -168,6 +192,7 @@ def test_scan_shares_one_spectrum_and_the_small_line_is_closed_form(tmp_path, mo
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals"))
     monkeypatch.setattr(scipy.linalg, "eig_banded", counting("eig_banded"))
     monkeypatch.setattr(scipy.linalg, "solve_banded", counting("solve_banded"))
+    monkeypatch.setattr(FPDiscretization, "dense_generator", counting("dense_generator"))
     problem = {"d": 1, "s": 2.0, "L": 8.0, "N": 80,
                "weight": {"kind": "polynomial", "k": 3.0}}
     config = RunConfig.from_mapping({"schema_version": 1, "command": "fp-resolvent-scan",
@@ -175,12 +200,15 @@ def test_scan_shares_one_spectrum_and_the_small_line_is_closed_form(tmp_path, mo
     report, _ = run_fp(config)
     assert report.verdicts["resolvent_scan"]["verdict"] == PASS
     assert calls["eigvals"] == 1
+    assert calls["dense_generator"] == 1
 
     # the small-space line: one banded eigensolve for its spectrum, none per y
     grid = FPGrid(d=1, L=8.0, N=80)
     disc = FPDiscretization.build(grid, Potential(2.0), EnlargedWeight("polynomial", 3.0))
     a_line = 0.5 * spectral_gap_H(disc).lambda_gap
+    dense = disc.dense_generator()
+    eigvals = np.linalg.eigvals(dense.astype(complex))
     calls.update(eig_banded=0, solve_banded=0)
-    scan = resolvent_scan_fp(disc, disc.space_small, a_line)
+    scan = check_h2(dense, a_line, disc.space_small, eigvals)
     assert len(scan.y_grid) > 100
     assert calls["eig_banded"] == 1 and calls["solve_banded"] == 0

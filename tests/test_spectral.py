@@ -295,13 +295,14 @@ class TestEigenDecompose:
 
 class TestSpectralProjector:
     def test_diagonal_rank_one(self):
-        proj = spectral_projector(np.diag([0.0, -1.0]), 0.0, 0.5)
+        t = np.diag([0.0, -1.0])
+        proj = spectral_projector(t, eigen_decompose(t)[0], 0.0, 0.5)
         npt.assert_allclose(proj, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_jordan_block_full_circle(self):
         # defective group: whole spectrum inside, projector is the identity
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
-        proj = spectral_projector(jordan, 0.0, 0.5)
+        proj = spectral_projector(jordan, eigen_decompose(jordan)[0], 0.0, 0.5)
         npt.assert_allclose(proj, np.eye(2), atol=1e-10)
         assert np.linalg.matrix_rank(proj) == 2
 
@@ -315,22 +316,24 @@ class TestSpectralProjector:
         assert np.linalg.norm(p_sub - p_con, 2) <= 1e-8
 
     def test_circle_through_eigenvalue_rejected(self):
+        t = np.diag([0.0, -1.0])
         with pytest.raises(SeparationError):
-            spectral_projector(np.diag([0.0, -1.0]), 0.0, 1.0)
+            spectral_projector(t, eigen_decompose(t)[0], 0.0, 1.0)
 
     def test_projector_algebra_on_generated_instances(self):
         for seed in (2, 3, 5):
             inst = generate_instance(seed, 10)
             t = inst.split.full
             cert = inst.certificate
-            proj = spectral_projector(t, 0.0, cert.r)
+            eigvals = eigen_decompose(t)[0]
+            proj = spectral_projector(t, eigvals, 0.0, cert.r)
             t_norm = np.linalg.norm(t, 2)
             assert np.linalg.norm(proj @ proj - proj, 2) <= 1e-9 * max(np.linalg.norm(proj, 2), 1)
             assert np.linalg.norm(t @ proj - proj @ t, 2) <= 1e-9 * t_norm
             # a projector for a disjoint group annihilates this one
-            other_center = np.sort_complex(eigen_decompose(t)[0])[0]
+            other_center = np.sort_complex(eigvals)[0]
             try:
-                proj_other = spectral_projector(t, other_center, 0.1 * cert.r)
+                proj_other = spectral_projector(t, eigvals, other_center, 0.1 * cert.r)
             except SeparationError:
                 continue
             assert np.linalg.norm(proj @ proj_other, 2) <= 1e-8
