@@ -223,13 +223,14 @@ class InstanceSpec:
     @classmethod
     def from_mapping(cls, mapping, where="instance"):
         # lazy import: instances imports this module
-        from .instances import check_instance_shape
+        from .instances import check_instance
 
         casts = {"n": _integer, "a": _number, "gap": _number, "strength": _number,
                  "k": _integer}
         _require_keys(mapping, casts, set(), where)
         spec = cls(**_present(mapping, casts, where))
-        _build(where, lambda: check_instance_shape(spec.n, spec.k, spec.strength))
+        _build(where, lambda: check_instance(spec.n, spec.a, spec.gap, spec.strength,
+                                             spec.k))
         return spec
 
     def to_dict(self):

@@ -394,6 +394,11 @@ class BoundChainReport:
     those of the exact chain. Exact values are largest singular values
     from :func:`~semidecay.spaces.spectral_norms`; no smallest singular
     value enters the chain (those stay on the SVD).
+
+    ``certified_bound`` and ``direct_sup`` are maxima over the sampled xi,
+    not suprema over the region, which can be larger: on testbed seed 1
+    ``certified_bound`` is 9.7 % (n=16) and 10.7 % (n=32) below the chain's
+    maximum on a 6 001-point grid of the line.
     """
 
     certified_bound: float

@@ -41,6 +41,8 @@ class H1Report:
     ``discrete_eigs`` are the centers of the eigenvalue groups right of the
     line, each inside a ball of radius ``r``, and ``projectors`` their
     spectral projectors when they were computed; otherwise both are empty.
+    ``constants()`` prints ``k`` and the fields from ``eigenvalues`` to
+    ``discrete_eigs``.
     """
 
     verdict: str
@@ -54,15 +56,8 @@ class H1Report:
 
     def constants(self):
         return {"k": len(self.discrete_eigs), "discrete_eigs": self.discrete_eigs,
-                "a": self.a, "r": self.r}
-
-    def to_dict(self):
-        spectral = {
-            "eigenvalues": [[z.real, z.imag] for z in np.atleast_1d(self.eigenvalues)],
-            "half_plane_abscissa": self.a, "isolation_radius": self.r,
-            "discrete_eigs": [[z.real, z.imag] for z in self.discrete_eigs],
-            "max_residual": self.max_residual}
-        return {"verdict": self.verdict, "witness": self.witness, "spectral": spectral}
+                "a": self.a, "r": self.r, "eigenvalues": self.eigenvalues,
+                "max_residual": self.max_residual}
 
 
 def _cluster(points, radius):
@@ -165,7 +160,9 @@ class H2Report:
 
     ``bound`` is the grid maximum of ``norms``, each the resolvent norm at
     its y, or an upper bound on it where the line is Hermitian up to
-    rounding (see :func:`_line_norm`); ``certified_bound`` additionally covers
+    rounding (see :func:`_line_norm`). Being a maximum over samples, it can
+    fall below the supremum on the line (66.354 against 67.706 on testbed
+    seed 1's small space at n=16). ``certified_bound`` additionally covers
     the gaps between grid points (via the resolvent Lipschitz estimate)
     and the tail beyond the scan truncation (via a Neumann-series
     envelope from the shifted operator norm). Segments where the
@@ -173,7 +170,10 @@ class H2Report:
     ``uncertified_segments``. The verdict passes only when the certificate
     closed: ``certified_bound`` finite and no segment left uncertified;
     otherwise it is indeterminate, and the witness gives the certified
-    bound and the number of open segments.
+    bound and the number of open segments. ``constants()`` prints every
+    field but the arrays and the segments: ``bound`` and
+    ``certified_bound`` as ``K`` and ``K_certified``, with the grid and
+    open-segment counts ``n_grid`` and ``n_uncertified_segments``.
     """
 
     bound: float
@@ -199,14 +199,10 @@ class H2Report:
                 f"{len(self.uncertified_segments)} uncertified segments")
 
     def constants(self):
-        return {"K": self.bound, "K_certified": self.certified_bound}
-
-    def to_dict(self):
-        return {"bound": self.bound, "certified_bound": self.certified_bound,
+        return {"K": self.bound, "K_certified": self.certified_bound,
                 "argmax_y": self.argmax_y, "tail_bound": self.tail_bound,
                 "tail_valid_from": self.tail_valid_from,
-                "shifted_norm": self.shifted_norm,
-                "n_grid": int(len(self.y_grid)),
+                "shifted_norm": self.shifted_norm, "n_grid": len(self.y_grid),
                 "n_uncertified_segments": len(self.uncertified_segments)}
 
 
@@ -448,12 +444,12 @@ class H3Report:
 
     The verdict passes when the fitted prefactor and rate are both finite,
     so that the envelope is a bound; otherwise it is indeterminate and the
-    witness names the constant that is not.
+    witness names the constant that is not. ``constants()`` prints the
+    fit: ``C_b``, ``b``, its ``residual`` and its time ``window``.
     """
 
     fit: DecayFit
     t_grid: np.ndarray
-    norms: np.ndarray
 
     @property
     def verdict(self):
@@ -468,11 +464,8 @@ class H3Report:
         return f"fitted constants not finite: {', '.join(bad)}" if bad else None
 
     def constants(self):
-        return {"C_b": self.fit.prefactor, "b": self.fit.rate}
-
-    def to_dict(self):
         return {"C_b": self.fit.prefactor, "b": self.fit.rate,
-                "residual": self.fit.residual, "window": list(self.fit.window)}
+                "residual": self.fit.residual, "window": self.fit.window}
 
 
 def check_h3(op, space: WeightedSpace, eigvals,
@@ -482,9 +475,8 @@ def check_h3(op, space: WeightedSpace, eigvals,
     matrix = np.asarray(op)
     spread = float(np.max(eigvals.real) - np.min(eigvals.real)) if len(eigvals) else 1.0
     t_grid = default_time_grid(rate_scale=max(spread, 1e-2), n=64)
-    norms = semigroup_norms(matrix, t_grid, space)
-    fit = fit_exponential_decay(t_grid, norms, tol=tol)
-    return H3Report(fit=fit, t_grid=t_grid, norms=norms)
+    fit = fit_exponential_decay(t_grid, semigroup_norms(matrix, t_grid, space), tol=tol)
+    return H3Report(fit=fit, t_grid=t_grid)
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +525,9 @@ class H4Report:
     is a certified upper bound below that supremum. So the three suprema
     and the witness sample are those of the exact norms, largest singular
     values from :func:`~semidecay.spaces.spectral_norms` (smallest singular
-    values, as in H2, stay on the SVD). The sweep is not serialized.
+    values, as in H2, stay on the SVD). The suprema are maxima over the
+    sampled xi, not over the region, so the verdict certifies the ceiling
+    at the samples only. The sweep is not serialized.
     """
 
     verdict: str

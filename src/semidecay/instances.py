@@ -12,6 +12,7 @@ decomposition hypotheses hold for every admissible parameter choice.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ class GeneratedInstance:
     certificate: InstanceCertificate
 
 
-def check_instance_shape(n, k, strength):
-    """The generator's checks on its size, group count and strength.
+def check_instance(n, a, gap, strength, k):
+    """The generator's checks on its parameters.
 
     Shared with :class:`~semidecay.config.InstanceSpec`, which runs them
     when the config is read; :class:`InfeasibleParameterError` is a
@@ -67,12 +68,11 @@ def check_instance_shape(n, k, strength):
     if not 1 <= k <= n - 1:
         raise InfeasibleParameterError(
             f"need 1 <= k <= n-1 surviving eigenvalue groups, got k={k}, n={n}")
+    if not all(math.isfinite(v) for v in (a, gap, strength)):
+        raise InfeasibleParameterError(
+            f"need finite a, gap and strength, got a={a}, gap={gap}, strength={strength}")
     if strength < 0.0:
         raise InfeasibleParameterError("regularization strength must be nonnegative")
-
-
-def _validate(n, a, gap, strength, k):
-    check_instance_shape(n, k, strength)
     if not gap < a < 0.0:
         raise InfeasibleParameterError(
             f"need gap < a < 0, got gap={gap}, a={a}")
@@ -95,7 +95,7 @@ def generate_instance(seed: int, n: int, a: float = -0.75, gap: float = -1.0,
     k : number of surviving simple eigenvalues: 0 plus k-1 more stacked
         vertically at spacing 3r so the certificate balls stay disjoint.
     """
-    _validate(n, a, gap, strength, k)
+    check_instance(n, a, gap, strength, k)
     r = abs(a) / 3.0
     survivors = np.array([3.0j * r * j for j in range(k)])
 

@@ -4,9 +4,9 @@ A report echoes the effective configuration (defaults included, so it is
 self-reproducing), carries per-check verdicts with witnesses or the
 certified constants backing them, and lists every artifact written.
 Every check result exposes ``verdict``, ``witness`` (a string or None) and
-``constants()``; :meth:`RunReport.add_check` is the one writer of verdicts.
-JSON output is deterministic up to the timestamp field, which comparers
-must exclude.
+``constants()``; :meth:`RunReport.add_check` is the one writer of verdicts,
+and a check's verdict entry is its only record in the report. JSON output
+is deterministic up to the timestamp field, which comparers must exclude.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class RunReport:
     config: dict
     verdicts: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
 
@@ -76,22 +75,19 @@ class RunReport:
         return bool(self.verdicts) and all(
             v["verdict"] == PASS for v in self.verdicts.values())
 
-    def to_dict(self) -> dict:
-        return {
+    def write(self, path) -> str:
+        record = {
             "schema_version": self.schema_version,
             "command": self.command,
             "config": _jsonable(self.config),
             "verdicts": _jsonable(self.verdicts),
             "constants": _jsonable(self.constants),
-            "details": _jsonable(self.details),
             "artifacts": list(self.artifacts),
             "all_passed": self.all_passed,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-
-    def write(self, path) -> str:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
         self.artifacts.append(os.path.basename(str(path)))
         return str(path)
@@ -99,7 +95,7 @@ class RunReport:
 
 class RaisedCheck:
     """A check that raised before it could decide: indeterminate, with the
-    error's message as witness; it serializes to None (null in details)."""
+    error's message as witness and no constants."""
 
     verdict = INDETERMINATE
 
@@ -108,9 +104,6 @@ class RaisedCheck:
 
     def constants(self):
         return {}
-
-    def to_dict(self):
-        return None
 
 
 def passes(check) -> bool:

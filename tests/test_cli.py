@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,11 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
     (BASE_TESTBED, {"instance": {"n": 0}}, [], "at least 2 at instance"),
     (BASE_TESTBED, {"instance": {"n": 2, "k": 5}}, [], "k=5, n=2 at instance"),
     (BASE_TESTBED, {"instance": {"strength": -1.0}}, [], "nonnegative at instance"),
+    (BASE_TESTBED, {"instance": {"a": 0.5}}, [], "got gap=-1.0, a=0.5 at instance"),
+    (BASE_TESTBED, {"instance": {"a": -0.75, "gap": -0.76}}, [],
+     "leaves no margin below a=-0.75 at instance"),
+    (BASE_TESTBED, {"instance": {"strength": float("nan")}}, [], "strength=nan at instance"),
+    (BASE_TESTBED, {"instance": {"strength": float("inf")}}, [], "strength=inf at instance"),
     (BASE_FP, {"target_a": 0.5}, [], "negative at problem.target_a"),
     (BASE_TESTBED, {"seed": 1.9}, [], "1.9 is not an integer at config.seed"),
     (BASE_TESTBED, {"seed": True}, [], "True is not an integer at config.seed"),
@@ -117,7 +123,8 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
     (BASE_TESTBED, {"tolerances": None}, [], "expected an object at tolerances"),
 ], ids=["N", "L", "amplitude", "dt", "t_max", "t_max_samples",
         "n_seeds0", "n_seeds-3", "seed_cast", "t_max_cast", "n_cast", "n0",
-        "k_above_n", "strength",
+        "k_above_n", "strength", "a_positive", "gap_no_margin", "strength_nan",
+        "strength_inf",
         "target_a_positive", "seed_fraction", "seed_bool", "n_seeds_fraction",
         "jobs_fraction", "n_fraction", "k_fraction", "N_fraction", "d_fraction",
         "scheme_removed", "seed_negative", "seed_flag_negative",
@@ -247,7 +254,7 @@ def test_infeasible_decomposition_gives_exit_three(tmp_path):
     assert report["constants"]["decomposition"]["frontier"]
     assert report["verdicts"]["decomposition"] == {
         "verdict": "fail", "witness": "no (M, R) reached -50.0 in the search box"}
-    assert report["details"] == {}
+    assert "details" not in report
 
 
 def test_singular_h2_line_is_indeterminate(tmp_path, monkeypatch):
@@ -262,7 +269,7 @@ def test_singular_h2_line_is_indeterminate(tmp_path, monkeypatch):
     report = load_report(tmp_path / "out" / "report.json")
     assert report["verdicts"]["seed_1.h2"] == {"verdict": "indeterminate",
                                                "witness": str(exc)}
-    assert report["details"]["seed_1.hypotheses"]["h2"] is None
+    assert "details" not in report
     assert report["verdicts"]["seed_1.h1"]["verdict"] == "pass"
 
 
@@ -298,7 +305,7 @@ def test_equilibrium_initial_data_passes_decay(tmp_path):
     report = load_report(tmp_path / "out" / "report.json")
     assert report["verdicts"]["decay"] == {"verdict": "pass",
                                            "constants": {"equilibrium": True}}
-    assert report["details"] == {}
+    assert "details" not in report
 
 
 def test_decay_below_the_signal_floor_is_indeterminate(tmp_path, monkeypatch):
@@ -311,7 +318,7 @@ def test_decay_below_the_signal_floor_is_indeterminate(tmp_path, monkeypatch):
     report = load_report(tmp_path / "out" / "report.json")
     assert report["verdicts"]["decay"] == {
         "verdict": "indeterminate", "witness": "deviation fell below the signal floor"}
-    assert report["details"] == {}
+    assert "details" not in report
 
 
 def test_abscissa_on_spectrum_reports_indeterminate(tmp_path):
@@ -425,6 +432,29 @@ def test_golden_seed_one_report(tmp_path):
     assert reports_equal(produced, golden, rtol=1e-8)
 
 
+def _readme_constants_columns():
+    """The README verdict table's testbed rows: verdict -> the names in
+    its constants column."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = [line.strip().strip("|").split("|") for line in fh
+                if line.startswith("| `seed_N.")]
+    return {cells[0].strip().strip("`"): set(re.findall(r"`([^`]+)`", cells[-1]))
+            for cells in rows}
+
+
+def test_readme_verdict_table_names_every_constant(tmp_path):
+    """Each testbed verdict of the golden run prints exactly the constants
+    its README row names."""
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg]) == 0
+    verdicts = load_report(tmp_path / "out" / "report.json")["verdicts"]
+    columns = _readme_constants_columns()
+    assert {name.replace("seed_1.", "seed_N.") for name in verdicts} == set(columns)
+    for name, entry in verdicts.items():
+        assert set(entry["constants"]) == columns[name.replace("seed_1.", "seed_N.")], name
+
+
 BASE_SCAN = {**BASE_FP, "command": "fp-resolvent-scan",
              "problem": {"d": 1, "s": 2.0, "L": 8.0, "N": 60,
                          "weight": {"kind": "polynomial", "k": 3.0}}}
@@ -491,12 +521,13 @@ def test_open_h2_certificate_carries_its_witness(tmp_path, monkeypatch):
     assert main(["testbed", "--config", cfg]) == 2
     report = load_report(tmp_path / "out" / "report.json")
     entry = report["verdicts"]["seed_1.h2"]
-    h2 = report["details"]["seed_1.hypotheses"]["h2"]
+    h2 = entry["constants"]
     assert h2["n_uncertified_segments"] > 0
+    assert h2["K_certified"] >= h2["K"]
     assert entry == {"verdict": "indeterminate",
-                     "witness": f"certified bound {h2['certified_bound']:.6e}, "
+                     "witness": f"certified bound {h2['K_certified']:.6e}, "
                                 f"{h2['n_uncertified_segments']} uncertified segments",
-                     "constants": {"K": h2["bound"], "K_certified": h2["certified_bound"]}}
+                     "constants": h2}
 
 
 def test_non_finite_h3_fit_is_indeterminate(tmp_path, monkeypatch):

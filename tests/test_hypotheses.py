@@ -77,8 +77,12 @@ class TestH2:
         assert report.argmax_y == 0.0
         assert report.certified_bound >= report.bound
         assert report.verdict == PASS and report.witness is None
-        assert report.constants() == {"K": report.bound,
-                                      "K_certified": report.certified_bound}
+        assert report.constants() == {
+            "K": report.bound, "K_certified": report.certified_bound,
+            "argmax_y": 0.0, "tail_bound": report.tail_bound,
+            "tail_valid_from": report.tail_valid_from,
+            "shifted_norm": report.shifted_norm, "n_grid": len(report.y_grid),
+            "n_uncertified_segments": 0}
 
     def test_uncertified_segments_are_indeterminate(self, monkeypatch):
         # the sampled maximum is finite, but depth-1 bisection leaves
