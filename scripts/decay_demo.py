@@ -23,8 +23,7 @@ def main(out_csv="decay_demo.csv"):
     lam_p = spectral_gap_H(disc).lambda_gap
     print(f"measured gap: {lam_p:.6f}")
     t_grid = np.arange(0.0, 4.0 + 1e-9, 0.01)
-    result = decay_experiment(disc, disc.space_ambient,
-                              initial_datum(disc, "heavy-tail"), t_grid,
+    result = decay_experiment(disc, initial_datum(disc, "heavy-tail"), t_grid,
                               scheme="crank-nicolson", pinned_rate=lam_p)
     rel = result.deviation_ambient / result.deviation_ambient[0]
     print(f"pinned envelope: rate {result.pinned.rate:.4f}, "

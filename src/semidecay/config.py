@@ -304,11 +304,11 @@ class RunConfig:
 
     @classmethod
     def from_json_file(cls, path, command=None) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 mapping = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         return cls.from_mapping(mapping, command=command)
 
     def override(self, **kwargs) -> "RunConfig":

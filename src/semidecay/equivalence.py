@@ -23,7 +23,7 @@ from .hypotheses import FAIL, PASS, H1Report, check_h1
 from .semigroup import (DecayFit, default_time_grid, envelope_prefactor,
                         fit_exponential_decay, propagators, semigroup_norms)
 from .spaces import WeightedSpace, operator_norm_bracket, operator_norms
-from .spectral import blocks, resolvent_block
+from .spectral import blocks, resolvent_block, spectral_projector
 
 
 @dataclass
@@ -62,45 +62,33 @@ class DecayTransferReport:
                 "fitted_rate": self.fit.rate}
 
 
-def _check_deflation(eigs, projectors):
-    """Every surviving eigenvalue needs its projector: a shorter list would
-    leave modes undeflated."""
-    if len(eigs) != len(projectors):
-        raise CertificateError(f"{len(eigs)} discrete eigenvalues but "
-                               f"{len(projectors)} projectors")
-
-
 def verify_decay_from_resolvent(op, space: WeightedSpace, h1: H1Report, rate: float,
                                 tol: Tolerances = DEFAULT_TOLERANCES) -> DecayTransferReport:
     """Certify the decay of the semigroup deflated by its surviving modes.
 
-    Computes ``D(t) = ||e^{tT} - sum_j e^{xi_j t} P_j||``, with the
-    surviving modes and projectors of ``h1``, on 200 times up to ``5 / |a|``
-    (``a`` the H1 abscissa, else ``rate`` where it is 0), fits a
+    Builds the spectral projector P_j of each surviving mode xi_j of the
+    passing H1 report ``h1`` (:func:`~semidecay.spectral.spectral_projector`
+    on H1's eigenvalues and ball radius), computes
+    ``D(t) = ||e^{tT} - sum_j e^{xi_j t} P_j||`` on 200 times up to
+    ``5 / |a|`` (``a`` the H1 abscissa, else ``rate`` where it is 0), fits a
     certified envelope, and passes iff the fitted rate does not exceed the
-    requested one. The returned certificate carries the requested rate
-    together with the smallest prefactor valid at that rate (inflated by
-    the inter-sample curvature margin so the continuous envelope is
-    covered, not just the samples).
-
-    Raises
-    ------
-    CertificateError
-        If ``h1`` does not carry one projector per discrete eigenvalue
-        (an H1 report built without projectors, say).
+    requested one. The returned certificate carries the modes, their
+    projectors and the requested rate together with the smallest prefactor
+    valid at that rate (inflated by the inter-sample curvature margin so
+    the continuous envelope is covered, not just the samples).
     """
     matrix = np.asarray(op)
-    _check_deflation(h1.discrete_eigs, h1.projectors)
+    projectors = [spectral_projector(matrix, h1.eigenvalues, c, h1.r, tol=tol)
+                  for c in h1.discrete_eigs]
     gap = abs(h1.a) if h1.a else abs(rate)
     t_grid = default_time_grid(rate_scale=max(gap, 1e-2), n=200)
-    deflation = list(zip(map(complex, h1.discrete_eigs), h1.projectors))
+    deflation = list(zip(map(complex, h1.discrete_eigs), projectors))
     norms = semigroup_norms(matrix, t_grid, space, deflation=deflation)
     fit = fit_exponential_decay(t_grid, norms, tol=tol)
     prefactor = envelope_prefactor(t_grid, norms, rate)
     certificate = DecayCertificate(level=rate, prefactor=prefactor,
                                    discrete_eigs=list(h1.discrete_eigs),
-                                   projectors=list(h1.projectors),
-                                   space=space)
+                                   projectors=projectors, space=space)
     verdict = PASS if fit.rate <= rate else FAIL
     return DecayTransferReport(verdict=verdict, fit=fit, certificate=certificate,
                                t_grid=t_grid, deviation_norms=norms)
@@ -160,11 +148,15 @@ def verify_resolvent_from_decay(op, spectrum, certificate: DecayCertificate,
     """
     matrix = np.asarray(op)
     space = certificate.space
-    _check_deflation(certificate.discrete_eigs, certificate.projectors)
     level = certificate.level
     c_a = certificate.prefactor
     xis = [complex(z) for z in certificate.discrete_eigs]
     projs = [np.asarray(p) for p in certificate.projectors]
+    # every surviving eigenvalue needs its projector: a shorter list would
+    # leave modes undeflated
+    if len(xis) != len(projs):
+        raise CertificateError(f"{len(xis)} discrete eigenvalues but "
+                               f"{len(projs)} projectors")
 
     # commutation of the certified projectors with the semigroup, on
     # propagators walked from e^{0.1 T} by one step propagator; one stack
@@ -193,8 +185,7 @@ def verify_resolvent_from_decay(op, spectrum, certificate: DecayCertificate,
     sep = min((abs(x - y) for x in xis for y in xis if x != y), default=np.inf)
     room = min((x.real - a_check for x in xis), default=1.0)
     ball_radius = 0.45 * min(sep, room) if np.isfinite(sep) else 0.45 * room
-    h1 = check_h1(matrix, spectrum, a_check, ball_radius, expected_k=len(xis), tol=tol,
-                  compute_projectors=False)
+    h1 = check_h1(spectrum, a_check, ball_radius, expected_k=len(xis), tol=tol)
     if h1.verdict != PASS:
         return ConverseReport(h1.verdict, f"H1: {h1.witness}", h1, np.inf, defect)
 

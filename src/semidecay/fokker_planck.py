@@ -359,7 +359,6 @@ class GapReport:
     lambda_gap: float
     leading: float
     gap_eigenvector_alignment: float
-    n: int
 
 
 def _similarity(matrix: sp.spmatrix, log_w: np.ndarray) -> sp.csr_matrix:
@@ -442,7 +441,7 @@ def spectral_gap_H(disc: FPDiscretization, tol: Tolerances = DEFAULT_TOLERANCES
         raise AssemblyError(
             f"leading eigenvector alignment with sqrt(mu) is {alignment:.12f}")
     return GapReport(lambda_gap=float(vals[1]), leading=leading,
-                     gap_eigenvector_alignment=alignment, n=disc.grid.n_total)
+                     gap_eigenvector_alignment=alignment)
 
 
 def gap_mode(disc: FPDiscretization) -> np.ndarray:
@@ -733,8 +732,7 @@ def initial_datum(disc: FPDiscretization, kind: str) -> np.ndarray:
     return INITIAL_DATA[kind](disc)
 
 
-def decay_experiment(disc: FPDiscretization, space: WeightedSpace, f0,
-                     t_grid, scheme: str = "implicit-euler",
+def decay_experiment(disc: FPDiscretization, f0, t_grid, scheme: str = "implicit-euler",
                      pinned_rate: float | None = None,
                      tol: Tolerances = DEFAULT_TOLERANCES
                      ) -> DecayExperimentResult:
@@ -752,6 +750,7 @@ def decay_experiment(disc: FPDiscretization, space: WeightedSpace, f0,
     f0 = np.asarray(f0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     hd = disc.grid.h ** disc.grid.d
+    ambient = disc.space_ambient
     mass0 = float(f0.sum() * hd)
     equilibrium_share = mass0 * disc.mu
     mass = np.empty(len(t_grid))
@@ -761,14 +760,14 @@ def decay_experiment(disc: FPDiscretization, space: WeightedSpace, f0,
     for i, f in enumerate(states):
         mass[i] = f.sum() * hd
         deviation = f - equilibrium_share
-        dev_ambient[i] = space.norm(deviation)
+        dev_ambient[i] = ambient.norm(deviation)
         dev_small[i] = disc.space_small.norm(deviation)
     drift = np.max(np.abs(mass - mass0)) / max(abs(mass0), 1e-300)
     if drift > max(tol.mass_tol * len(t_grid), 1e-10):
         raise AssemblyError(f"mass drifted by {drift:.3e} over the trajectory")
 
     scale0 = dev_ambient[0]
-    floor = tol.floor_factor * np.finfo(float).eps * max(space.norm(f0), 1e-300)
+    floor = tol.floor_factor * np.finfo(float).eps * max(ambient.norm(f0), 1e-300)
     if scale0 <= floor or np.all(dev_ambient <= floor):
         return DecayExperimentResult(times=t_grid, deviation_ambient=dev_ambient,
                                      deviation_small=dev_small, mass=mass,

@@ -24,7 +24,6 @@ from .factorization import ShiftSweep, shift_sweep
 from .reports import FAIL, INDETERMINATE, PASS
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
 from .spaces import EmbeddedSpacePair, WeightedSpace, weighted_congruence
-from .spectral import spectral_projector
 
 
 # ----------------------------------------------------------------------
@@ -39,10 +38,10 @@ class H1Report:
     relative to ``||T||``) are the pair
     :func:`~semidecay.spectral.eigen_decompose` returned for T. On a pass,
     ``discrete_eigs`` are the centers of the eigenvalue groups right of the
-    line, each inside a ball of radius ``r``, and ``projectors`` their
-    spectral projectors when they were computed; otherwise both are empty.
-    ``constants()`` prints ``k`` and the fields from ``eigenvalues`` to
-    ``discrete_eigs``.
+    line, each inside a ball of radius ``r``, ordered by decreasing real
+    part; otherwise it is empty. The spectral projectors of these groups
+    are built by their reader, the decay transfer. ``constants()`` prints
+    ``k`` and every field but the verdict and the witness.
     """
 
     verdict: str
@@ -52,7 +51,6 @@ class H1Report:
     a: float
     r: float
     discrete_eigs: list = field(default_factory=list)
-    projectors: list = field(default_factory=list)
 
     def constants(self):
         return {"k": len(self.discrete_eigs), "discrete_eigs": self.discrete_eigs,
@@ -70,18 +68,17 @@ def _cluster(points, radius):
     return [np.flatnonzero(labels == k) for k in range(count)]
 
 
-def check_h1(op, spectrum, a: float, r: float, expected_k: int | None = None,
-             tol: Tolerances = DEFAULT_TOLERANCES,
-             compute_projectors: bool = True) -> H1Report:
+def check_h1(spectrum, a: float, r: float, expected_k: int | None = None,
+             tol: Tolerances = DEFAULT_TOLERANCES) -> H1Report:
     """Verify that the spectrum splits into {Re <= a} plus isolated balls.
 
     ``spectrum`` is the pair :func:`~semidecay.spectral.eigen_decompose`
-    returned for ``op``. Passes iff every eigenvalue either has real part
-    <= a or lies in one of k pairwise disjoint balls B(xi_j, r) strictly
-    inside the half plane {Re z > a}. Eigenvalues within the boundary margin
-    of the line give an indeterminate verdict.
+    returned for the operator; the split reads nothing else. Passes iff
+    every eigenvalue either has real part <= a or lies in one of k pairwise
+    disjoint balls B(xi_j, r) strictly inside the half plane {Re z > a}.
+    Eigenvalues within the boundary margin of the line give an
+    indeterminate verdict.
     """
-    matrix = np.asarray(op)
     eigvals, max_residual = spectrum
 
     def report(verdict, witness=None, **split):
@@ -127,9 +124,7 @@ def check_h1(op, spectrum, a: float, r: float, expected_k: int | None = None,
     if expected_k is not None and len(centers) != expected_k:
         return report(FAIL, f"expected {expected_k} eigenvalue groups, found {len(centers)}")
     centers.sort(key=lambda z: (-z.real, z.imag))
-    projectors = ([spectral_projector(matrix, eigvals, c, r, tol=tol) for c in centers]
-                  if compute_projectors else [])
-    return report(PASS, discrete_eigs=centers, projectors=projectors)
+    return report(PASS, discrete_eigs=centers)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dic
     a, r, xis = cert.a, cert.r, list(cert.xi)
 
     spectrum = eigen_decompose(split.full, tol)
-    h1 = check_h1(split.full, spectrum, a, r, expected_k=cert.k, tol=tol)
+    h1 = check_h1(spectrum, a, r, expected_k=cert.k, tol=tol)
     try:
         h2 = check_h2(split.full, a, pair.small, h1.eigenvalues, tol=tol)
     except SingularityError as exc:
@@ -170,7 +170,7 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
     # fp-decay
     f0 = initial_datum(disc, problem.initial_data)
     t_grid = np.arange(0.0, problem.t_max + 0.5 * problem.dt, problem.dt)
-    result = decay_experiment(disc, disc.space_ambient, f0, t_grid,
+    result = decay_experiment(disc, f0, t_grid,
                               scheme=problem.scheme, pinned_rate=lam_p, tol=tol)
     path = os.path.join(config.out_dir, "trajectory.csv")
     matio.write_csv(path, ["t", "norm_H", "norm_HH", "mass"],

@@ -146,7 +146,7 @@ def decay_certificate(seed, n):
     inst = generate_instance(seed, n)
     cert = inst.certificate
     spectrum = eigen_decompose(inst.split.full)
-    h1 = check_h1(inst.split.full, spectrum, cert.a, cert.r, expected_k=cert.k)
+    h1 = check_h1(spectrum, cert.a, cert.r, expected_k=cert.k)
     transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                            h1, 0.5 * cert.a)
     return inst.split.full, spectrum, transfer.certificate

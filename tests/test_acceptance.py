@@ -92,7 +92,7 @@ def test_criterion_3_decay_resolvent_round_trip(suite_instances):
     for inst in suite_instances:
         cert = inst.certificate
         spectrum = eigen_decompose(inst.split.full)
-        h1 = check_h1(inst.split.full, spectrum, cert.a, cert.r, expected_k=cert.k)
+        h1 = check_h1(spectrum, cert.a, cert.r, expected_k=cert.k)
         assert h1.verdict == PASS
         transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                                h1, 0.5 * cert.a)
@@ -173,7 +173,7 @@ def test_criterion_6_enlarged_space_decay():
     x = grid.axis()
     np.testing.assert_allclose(f0, (1 + x**2) ** -2.0, rtol=1e-14)
     t_grid = np.arange(0.0, 4.0 + 1e-9, 0.01)
-    result = decay_experiment(disc, disc.space_ambient, f0, t_grid,
+    result = decay_experiment(disc, f0, t_grid,
                               scheme="crank-nicolson", pinned_rate=lam_p)
     rel = result.deviation_ambient / result.deviation_ambient[0]
 
@@ -217,7 +217,7 @@ def test_criterion_7_skew_part_and_rotational_decay():
     disc = FPDiscretization.build(grid, pot, weight, swirl=swirl)
     f0 = initial_datum(disc, "heavy-tail")
     t_grid = np.arange(0.0, 3.0 + 1e-9, 0.02)
-    result = decay_experiment(disc, disc.space_ambient, f0, t_grid)
+    result = decay_experiment(disc, f0, t_grid)
     rel = result.deviation_ambient / result.deviation_ambient[0]
     decay_ok = (result.fit is not None and result.fit.rate < 0.0
                 and envelope_holds(result.times, rel,

@@ -57,8 +57,19 @@ def test_enlarge_check_without_instance_path_gives_exit_four(tmp_path, capsys):
         "config error: missing key 'instance_path' at config (required by enlarge-check)")
 
 
-def test_missing_config_file_gives_exit_four(tmp_path):
-    assert main(["testbed", "--config", str(tmp_path / "absent.json")]) == 4
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe{}"),
+    lambda path: path.write_text("{\"schema_version\": 1,"),
+], ids=["absent", "directory", "not_utf8", "invalid_json"])
+def test_missing_config_file_gives_exit_four(tmp_path, capsys, make):
+    path = tmp_path / "config.json"
+    make(path)
+    assert main(["testbed", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {path}")
+    assert "Traceback" not in err
 
 
 def test_weight_order_violation_gives_exit_four(tmp_path):

@@ -14,7 +14,7 @@ from semidecay.spectral import eigen_decompose
 
 def diag_report():
     t_mat = np.diag([0.0, -1.0])
-    return check_h1(t_mat, eigen_decompose(t_mat), a=-0.9, r=0.25)
+    return check_h1(eigen_decompose(t_mat), a=-0.9, r=0.25)
 
 
 class TestDecayFromResolvent:
@@ -41,25 +41,12 @@ class TestDecayFromResolvent:
         space = WeightedSpace(np.ones(2))
         # k=0 configuration: no surviving modes above a=-0.95, so the
         # undeflated semigroup norm itself must obey the envelope
-        report0 = check_h1(t_mat, eigen_decompose(t_mat), a=-0.95, r=0.01)
+        report0 = check_h1(eigen_decompose(t_mat), a=-0.95, r=0.01)
         assert report0.discrete_eigs == []
         transfer = verify_decay_from_resolvent(t_mat, space, report0, -0.9)
         assert transfer.verdict == PASS
         assert transfer.fit.rate == pytest.approx(-1.0, abs=0.05)
         assert transfer.certificate.prefactor > 1.0
-
-
-    def test_report_without_projectors_is_rejected(self):
-        """An H1 report built without projectors cannot deflate its
-        surviving eigenvalue."""
-        inst = generate_instance(3, 8)
-        cert = inst.certificate
-        h1 = check_h1(inst.split.full, eigen_decompose(inst.split.full), cert.a, cert.r,
-                      expected_k=cert.k, compute_projectors=False)
-        assert len(h1.discrete_eigs) == 1 and h1.projectors == []
-        with pytest.raises(CertificateError, match="1 discrete eigenvalues but 0"):
-            verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
-                                        h1, 0.5 * cert.a)
 
 
 class TestResolventFromDecay:
@@ -110,7 +97,7 @@ class TestResolventFromDecay:
         t_mat = np.array([[0.0, 0.0], [1.0, -1.0]])
         space = WeightedSpace(np.array([1.0, 100.0]))
         spectrum = eigen_decompose(t_mat)
-        h1 = check_h1(t_mat, spectrum, a=-0.5, r=0.25)
+        h1 = check_h1(spectrum, a=-0.5, r=0.25)
         cert = verify_decay_from_resolvent(t_mat, space, h1, -0.4).certificate
         report = verify_resolvent_from_decay(t_mat, spectrum, cert)
         ratios = {}
@@ -133,7 +120,7 @@ class TestResolventFromDecay:
             t_mat = q @ np.diag(lams) @ q.T
             space = WeightedSpace(np.ones(6))
             spectrum = eigen_decompose(t_mat)
-            h1 = check_h1(t_mat, spectrum, a=-0.5, r=0.2)
+            h1 = check_h1(spectrum, a=-0.5, r=0.2)
             assert h1.verdict == PASS
             transfer = verify_decay_from_resolvent(t_mat, space, h1, -0.4)
             assert transfer.verdict == PASS
@@ -175,7 +162,7 @@ def test_round_trip_on_generated_instances():
         inst = generate_instance(seed, 10)
         cert = inst.certificate
         spectrum = eigen_decompose(inst.split.full)
-        h1 = check_h1(inst.split.full, spectrum, cert.a, cert.r, expected_k=1)
+        h1 = check_h1(spectrum, cert.a, cert.r, expected_k=1)
         assert h1.verdict == PASS
         transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                                h1, 0.5 * cert.a)

@@ -229,16 +229,14 @@ class TestFindDecomposition:
 class TestDecayExperiment:
     def test_equilibrium_stays_flat(self, fp_small):
         t_grid = np.linspace(0.0, 1.0, 51)
-        result = decay_experiment(fp_small, fp_small.space_ambient,
-                                  initial_datum(fp_small, "equilibrium"), t_grid)
+        result = decay_experiment(fp_small, initial_datum(fp_small, "equilibrium"), t_grid)
         assert result.equilibrium
         assert np.max(result.deviation_ambient) <= 1e-10
 
     def test_gap_mode_decays_at_gap_rate(self, fp_small):
         gap = spectral_gap_H(fp_small)
         t_grid = np.arange(0.0, 3.0 + 1e-9, 0.005)
-        result = decay_experiment(fp_small, fp_small.space_ambient,
-                                  initial_datum(fp_small, "gap-mode"), t_grid,
+        result = decay_experiment(fp_small, initial_datum(fp_small, "gap-mode"), t_grid,
                                   scheme="crank-nicolson")
         assert result.fit.rate == pytest.approx(gap.lambda_gap, abs=5e-3)
         assert result.fit.prefactor == pytest.approx(1.0, abs=5e-3)
@@ -246,16 +244,14 @@ class TestDecayExperiment:
     def test_offcenter_heavy_tail_settles_on_gap_rate(self, fp_small):
         gap = spectral_gap_H(fp_small)
         t_grid = np.arange(0.0, 4.0 + 1e-9, 0.01)
-        result = decay_experiment(fp_small, fp_small.space_ambient,
-                                  initial_datum(fp_small, "offset-heavy-tail"),
+        result = decay_experiment(fp_small, initial_datum(fp_small, "offset-heavy-tail"),
                                   t_grid, scheme="crank-nicolson")
         assert gap.lambda_gap - 0.1 * abs(gap.lambda_gap) <= result.fit.rate < 0.0
 
     def test_even_heavy_tail_exhibits_transient_prefactor(self, fp_small):
         gap = spectral_gap_H(fp_small)
         t_grid = np.arange(0.0, 4.0 + 1e-9, 0.01)
-        result = decay_experiment(fp_small, fp_small.space_ambient,
-                                  initial_datum(fp_small, "heavy-tail"), t_grid,
+        result = decay_experiment(fp_small, initial_datum(fp_small, "heavy-tail"), t_grid,
                                   scheme="crank-nicolson",
                                   pinned_rate=gap.lambda_gap)
         # parity: the even datum skips the odd gap mode, so the free fit
@@ -269,7 +265,7 @@ class TestDecayExperiment:
     def test_mass_recorded_and_conserved(self, fp_small):
         t_grid = np.linspace(0.0, 1.0, 101)
         f0 = initial_datum(fp_small, "heavy-tail")
-        result = decay_experiment(fp_small, fp_small.space_ambient, f0, t_grid)
+        result = decay_experiment(fp_small, f0, t_grid)
         drift = np.max(np.abs(result.mass - result.mass[0]))
         assert drift <= 1e-10 * abs(result.mass[0])
 
@@ -325,8 +321,7 @@ class TestStretchedExponentialWeight:
         gap = spectral_gap_H(disc)
         assert gap.lambda_gap == pytest.approx(-2.0, rel=2e-3)
         t_grid = np.arange(0.0, 2.0 + 1e-9, 0.01)
-        result = decay_experiment(disc, disc.space_ambient,
-                                  initial_datum(disc, "gap-mode"), t_grid,
+        result = decay_experiment(disc, initial_datum(disc, "gap-mode"), t_grid,
                                   scheme="crank-nicolson")
         assert result.fit.rate == pytest.approx(gap.lambda_gap, abs=2e-2)
 
@@ -579,7 +574,7 @@ class TestStreamedDecay:
         disc = request.getfixturevalue(which)
         f0 = initial_datum(disc, "heavy-tail")
         t_grid = np.linspace(0.0, 0.5, 26)
-        result = decay_experiment(disc, disc.space_ambient, f0, t_grid, scheme=scheme)
+        result = decay_experiment(disc, f0, t_grid, scheme=scheme)
         # oracle: the whole trajectory stacked, then reduced row by row
         traj = np.stack(list(step_trajectory(disc.generator, f0, t_grid, scheme=scheme)))
         hd = disc.grid.h ** disc.grid.d
@@ -604,7 +599,7 @@ class TestStreamedDecay:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                decay_experiment(disc, disc.space_ambient, f0, t_grid,
+                decay_experiment(disc, f0, t_grid,
                                  scheme=scheme, pinned_rate=-1.0)
                 return tracemalloc.get_traced_memory()[1] - base
             finally:

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from semidecay.equivalence import verify_decay_from_resolvent
 from semidecay.errors import SingularityError
 from semidecay.factorization import SplitOperator
 from semidecay import hypotheses
@@ -36,33 +37,36 @@ class TestH1:
 
     def test_two_point_spectrum_passes(self):
         t_mat = np.diag([0.0, -1.0])
-        report = check_h1(t_mat, eigen_decompose(t_mat), a=-0.5, r=0.25)
+        report = check_h1(eigen_decompose(t_mat), a=-0.5, r=0.25)
         assert report.verdict == PASS
         assert report.discrete_eigs == [0.0 + 0.0j]
-        npt.assert_allclose(report.projectors[0], np.diag([1.0, 0.0]),
+        # the decay transfer builds the projector of the surviving mode
+        space = WeightedSpace(np.ones(2))
+        transfer = verify_decay_from_resolvent(t_mat, space, report, -0.9)
+        npt.assert_allclose(transfer.certificate.projectors[0], np.diag([1.0, 0.0]),
                             atol=1e-12)
 
     def test_undeclared_eigenvalue_in_half_plane_fails(self):
         t_mat = np.diag([0.0, -0.4])
-        report = check_h1(t_mat, eigen_decompose(t_mat), a=-0.5, r=0.25, expected_k=1)
+        report = check_h1(eigen_decompose(t_mat), a=-0.5, r=0.25, expected_k=1)
         assert report.verdict == FAIL
         assert report.witness is not None
 
     def test_eigenvalue_on_the_line_is_indeterminate(self):
         t_mat = np.diag([0.0, -0.5])
-        report = check_h1(t_mat, eigen_decompose(t_mat), a=-0.5, r=0.2)
+        report = check_h1(eigen_decompose(t_mat), a=-0.5, r=0.2)
         assert report.verdict == INDETERMINATE
 
     def test_ball_touching_the_line_fails(self):
         # group center at -0.2 with r = 0.4 is not strictly inside Re > -0.5
         t_mat = np.diag([-0.2, -2.0])
-        report = check_h1(t_mat, eigen_decompose(t_mat), a=-0.5, r=0.4)
+        report = check_h1(eigen_decompose(t_mat), a=-0.5, r=0.4)
         assert report.verdict == FAIL
 
     def test_drift_diffusion_generator(self, fp_small):
         gap = spectral_gap_H(fp_small)
         t_dense = fp_small.dense_generator()
-        report = check_h1(t_dense, eigen_decompose(t_dense), a=0.5 * gap.lambda_gap,
+        report = check_h1(eigen_decompose(t_dense), a=0.5 * gap.lambda_gap,
                           r=0.1 * abs(gap.lambda_gap))
         assert report.verdict == PASS
         assert len(report.discrete_eigs) == 1

@@ -65,8 +65,7 @@ def test_certificate_revalidates(seed, n):
     """Self-check oracle: every emitted certificate passes its own checks."""
     inst = generate_instance(seed, n)
     cert = inst.certificate
-    h1 = check_h1(inst.split.full, eigen_decompose(inst.split.full), cert.a, cert.r,
-                  expected_k=cert.k, compute_projectors=False)
+    h1 = check_h1(eigen_decompose(inst.split.full), cert.a, cert.r, expected_k=cert.k)
     assert h1.verdict == PASS
     samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
                                n_line=5, n_circle=4, grid_shape=(3, 3))
@@ -81,9 +80,8 @@ def test_multi_group_instance_revalidates_and_round_trips():
     cert = inst.certificate
     assert len(cert.xi) == 3
     spectrum = eigen_decompose(inst.split.full)
-    h1 = check_h1(inst.split.full, spectrum, cert.a, cert.r, expected_k=3)
+    h1 = check_h1(spectrum, cert.a, cert.r, expected_k=3)
     assert h1.verdict == PASS
-    assert len(h1.projectors) == 3
     samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
                                n_line=5, n_circle=4, grid_shape=(3, 3))
     h4 = check_h4(inst.split, inst.pair, samples)
@@ -91,6 +89,7 @@ def test_multi_group_instance_revalidates_and_round_trips():
     transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,
                                            h1, 0.5 * cert.a)
     assert transfer.verdict == PASS
+    assert len(transfer.certificate.projectors) == 3
     converse = verify_resolvent_from_decay(inst.split.full, spectrum, transfer.certificate)
     assert converse.verdict == PASS
 

@@ -4,6 +4,8 @@ The counts patch the numpy/scipy entry points, so they see every call
 whichever module makes it.
 """
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -112,6 +114,31 @@ def test_instance_check_decomposes_its_operator_once(monkeypatch):
                              thin_samples=True)
     assert result["converse"].verdict == PASS
     assert calls == {"eig": 1, "eigvals": 0}
+
+
+@pytest.mark.parametrize("seed,n,k", [(1, 16, 1), (13, 14, 3)])
+def test_decay_transfer_builds_the_projectors(seed, n, k, monkeypatch):
+    """H1 decides on the spectrum alone: the decay transfer builds one
+    projector per surviving mode, and no other check of an instance builds
+    any."""
+    callers = []
+    projector = spectral.spectral_projector
+
+    def recording(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):    # a comprehension's frame
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return projector(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semidecay") and hasattr(module, "spectral_projector"):
+            monkeypatch.setattr(module, "spectral_projector", recording)
+    result = _check_instance(generate_instance(seed, n, k=k), DEFAULT_TOLERANCES,
+                             thin_samples=True)
+    assert result["h1"].verdict == PASS and len(result["h1"].discrete_eigs) == k
+    assert callers == ["verify_decay_from_resolvent"] * k
+    assert len(result["decay_transfer"].certificate.projectors) == k
 
 
 def test_instance_check_stacks_whole_blocks(kernel_calls):

@@ -11,7 +11,7 @@ from semidecay.semigroup import (default_time_grid, envelope_prefactor,
                                  fit_exponential_decay, matrix_exponential,
                                  propagators, semigroup_norms, step_trajectory)
 from semidecay.spaces import WeightedSpace, operator_norm
-from semidecay.spectral import eigen_decompose
+from semidecay.spectral import eigen_decompose, spectral_projector
 
 from helpers import envelope_holds
 
@@ -202,8 +202,9 @@ class TestPropagatorWalk:
         npt.assert_allclose(semigroup_norms(matrix, h3_grid, space),
                             oracle_semigroup_norms(matrix, h3_grid, space),
                             rtol=1e-12, atol=0.0)
-        h1 = check_h1(matrix, eigen_decompose(matrix), cert.a, cert.r, expected_k=cert.k)
-        deflation = list(zip(map(complex, h1.discrete_eigs), h1.projectors))
+        h1 = check_h1(eigen_decompose(matrix), cert.a, cert.r, expected_k=cert.k)
+        deflation = [(complex(c), spectral_projector(matrix, h1.eigenvalues, c, h1.r))
+                     for c in h1.discrete_eigs]
         assert deflation
         transfer_grid = default_time_grid(rate_scale=abs(cert.a), n=200)
         expm_calls.clear()
