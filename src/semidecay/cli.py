@@ -14,7 +14,7 @@ from .config import COMMANDS, RunConfig
 from .errors import ConfigError, InfeasibleParameterError, SemidecayError
 from .reports import (EXIT_CHECKS_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                       EXIT_INTERNAL, EXIT_OK)
-from .runner import run_fp, run_testbed
+from .runner import run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,14 +53,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         config = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if config.command in ("testbed", "enlarge-check"):
-            report, code = run_testbed(config)
-        else:
-            report, code = run_fp(config)
+        _, code = run(config)
     except InfeasibleParameterError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -31,7 +31,7 @@ class EigenConvergenceError(SemidecayError):
 
 
 class ProjectorMismatchError(SemidecayError):
-    """Contour and invariant-subspace projectors disagree beyond tolerance."""
+    """Contour and Schur-form projectors disagree beyond tolerance."""
 
 
 class MagnitudeGuardError(SemidecayError):

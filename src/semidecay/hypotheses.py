@@ -23,7 +23,8 @@ from .errors import SingularityError
 from .factorization import ShiftSweep, shift_sweep
 from .reports import FAIL, INDETERMINATE, PASS
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
-from .spaces import EmbeddedSpacePair, WeightedSpace, weighted_congruence
+from .spaces import (EmbeddedSpacePair, WeightedSpace, rounding_margin, spectral_norms,
+                     weighted_congruence)
 
 
 # ----------------------------------------------------------------------
@@ -349,9 +350,11 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
     The weighted norm is obtained by scanning the diagonally congruent
     matrix in the plain spectral norm. Between grid points the bound is
     closed with ``||R(y + d)|| <= v / (1 - d v)`` and adaptive bisection;
-    beyond the truncation the Neumann tail ``1 / (|y| - ||T - aI||)``
-    takes over. Each y is evaluated once, by :func:`_line_norm`; for a real
-    congruent matrix once per ``|y|``, since the norms at ``±y`` agree.
+    beyond the truncation the Neumann tail ``1 / (|y| - s)`` takes over,
+    with s >= ``||T - aI||`` the :func:`~semidecay.spaces.spectral_norms`
+    value widened by its :func:`~semidecay.spaces.rounding_margin`. Each y
+    is evaluated once, by :func:`_line_norm`; for a real congruent matrix
+    once per ``|y|``, since the norms at ``±y`` agree.
     When the congruent matrix is Hermitian up to rounding, each grid value
     is the upper bound ``1 / (dist(iy, spectrum) - delta)`` of
     :func:`_line_norm` rather than the norm itself.
@@ -372,7 +375,7 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
             distance=gap_to_line, witness=witness)
 
     scaled = weighted_congruence(matrix, space, space) - a * np.eye(n)
-    shifted_norm = float(np.linalg.norm(scaled, 2))
+    shifted_norm = float(spectral_norms(scaled[None])[0] * (1.0 + rounding_margin(scaled)))
     if y_grid is None:
         core = 10.0 * max(abs(a), 1.0, float(np.max(np.abs(eigvals.imag))) if len(eigvals) else 0.0)
         y_max = max(2.0 * shifted_norm + 1.0, core)

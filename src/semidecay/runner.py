@@ -22,7 +22,7 @@ import numpy as np
 from . import matio
 from .config import RunConfig
 from .equivalence import verify_decay_from_resolvent, verify_resolvent_from_decay
-from .errors import SingularityError
+from .errors import ConfigError, SingularityError
 from .factorization import enlargement_bound_chain, verify_factorization
 from .fokker_planck import (build_problem, decay_experiment, find_decomposition,
                             initial_datum, resolvent_scan_fp, spectral_gap_H)
@@ -74,11 +74,19 @@ def _finish(report: RunReport, config: RunConfig, code=None) -> tuple[RunReport,
     return report, code
 
 
+def run(config: RunConfig) -> tuple[RunReport, int]:
+    """Create the output directory, then run the configured command."""
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {config.out_dir}: {exc}") from None
+    return (run_testbed if config.command in ("testbed", "enlarge-check") else run_fp)(config)
+
+
 def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
     """Generate (or load) instances and run the whole check chain on each."""
     report = RunReport(command=config.command, config=config.to_dict())
     tol = config.tolerances
-    os.makedirs(config.out_dir, exist_ok=True)
 
     if config.instance_path:
         instances = [("loaded", load_instance(config.instance_path))]
@@ -123,7 +131,6 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
     problem = config.problem
     report = RunReport(command=config.command, config=config.to_dict())
     tol = config.tolerances
-    os.makedirs(config.out_dir, exist_ok=True)
 
     disc = build_problem(problem)
     gap = spectral_gap_H(disc, tol=tol)

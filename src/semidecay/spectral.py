@@ -27,11 +27,11 @@ its residual-checked eigenvalues and their largest relative residual; H1
 projectors and the converse read them.
 
 Projectors are computed two independent ways and cross-checked: once from
-orthonormal bases of the right and left invariant subspaces (ordered Schur
-forms), and once by trapezoidal contour integration of the resolvent. The
-contour rule is spectrally accurate for the analytic integrand, so 64
-points usually reach rounding level; the point count doubles automatically
-until the two constructions agree.
+one ordered Schur form and a triangular Sylvester solve, and once by
+trapezoidal contour integration of the resolvent. The contour rule is
+spectrally accurate for the analytic integrand, so 64 points usually reach
+rounding level; the point count doubles automatically until the two
+constructions agree.
 """
 
 from __future__ import annotations
@@ -226,31 +226,29 @@ def _check_separation(eigvals, center, radius, margin) -> np.ndarray:
 
 
 def _projector_subspace(matrix, inside_mask_fn) -> np.ndarray:
-    """Oblique projector from right/left invariant-subspace bases.
+    """Spectral projector from one ordered Schur form.
 
-    Ordered Schur forms give orthonormal bases V_R, V_L of the right and
-    left invariant subspaces of the selected eigenvalue group; the spectral
-    projector is ``V_R (V_L^H V_R)^{-1} V_L^H``. For a simple eigenvalue
-    this reduces to the right/left eigenvector outer product
-    ``v w^H / (w^H v)``, and unlike raw eigenvector sums it survives
-    defective (Jordan) groups.
+    ``T = Q [[U11, U12], [0, U22]] Q^H`` with the selected group in ``U11``;
+    the projector is ``Q [[I, Y], [0, 0]] Q^H`` with ``U11 Y - Y U22 = U12``,
+    a triangular Sylvester equation that LAPACK ``trsyl`` solves (Golub &
+    Van Loan, *Matrix Computations*, 2013, sec. 7.6). It survives defective
+    (Jordan) groups. A nonzero ``trsyl`` info, which means the two blocks
+    share or nearly share an eigenvalue, raises :class:`SeparationError`.
     """
     matrix = np.asarray(matrix, dtype=complex)
     n = matrix.shape[0]
-    _, q_right, sdim = sla.schur(matrix, output="complex", sort=inside_mask_fn)
+    u, q, sdim = sla.schur(matrix, output="complex", sort=inside_mask_fn)
     if sdim == 0:
         return np.zeros_like(matrix)
     if sdim == n:
         return np.eye(n, dtype=complex)
-    v_right = q_right[:, :sdim]
-    _, q_left, sdim_l = sla.schur(matrix.conj().T, output="complex",
-                                  sort=lambda z: inside_mask_fn(np.conjugate(z)))
-    if sdim_l != sdim:
-        raise SeparationError(
-            f"left/right invariant subspace dimensions disagree ({sdim_l} vs {sdim})")
-    v_left = q_left[:, :sdim]
-    gram = v_left.conj().T @ v_right
-    return v_right @ np.linalg.solve(gram, v_left.conj().T)
+    trsyl = sla.get_lapack_funcs("trsyl", (u,))
+    x, scale, info = trsyl(u[:sdim, :sdim], u[sdim:, sdim:], u[:sdim, sdim:], isgn=-1)
+    if info != 0:
+        raise SeparationError(f"the group inside the circle and the rest share "
+                              f"or nearly share an eigenvalue (trsyl info {info})")
+    q_in = q[:, :sdim]
+    return q_in @ (q_in.conj().T + (x / scale) @ q[:, sdim:].conj().T)
 
 
 def _projector_contour(matrix, center, radius, n_points,
@@ -274,22 +272,20 @@ def spectral_projector(op, eigvals, center: complex, radius: float,
     ``eigvals``, the spectrum of ``op``, decides the separation of the
     circle. Computes both constructions and verifies their agreement within
     ``tol_proj``, doubling the contour points from 64 (up to 1024) if
-    needed; returns the invariant-subspace one.
+    needed; returns the Schur-form one.
 
     Raises
     ------
     SeparationError
-        If an eigenvalue sits on the circle within the boundary margin.
+        If an eigenvalue sits on the circle within the boundary margin, or
+        the Sylvester solve finds the group and the rest inseparable.
     ProjectorMismatchError
         If the two constructions never agree within ``tol_proj``.
     """
     matrix = np.asarray(op)
     _check_separation(eigvals, center, radius, tol.boundary_margin)
 
-    def inside(z):
-        return bool(np.abs(z - center) < radius)
-
-    proj_sub = _projector_subspace(matrix, inside)
+    proj_sub = _projector_subspace(matrix, lambda z: bool(abs(z - center) < radius))
     scale = max(spectral_norms(proj_sub[None])[0], 1.0)
     points = 64
     while True:

@@ -72,6 +72,26 @@ def test_missing_config_file_gives_exit_four(tmp_path, capsys, make):
     assert "Traceback" not in err
 
 
+BASE_SPECTRUM = {"schema_version": 1, "command": "fp-spectrum",
+                 "problem": {"d": 1, "s": 2.0, "L": 8.0, "N": 40,
+                             "weight": {"kind": "polynomial", "k": 3.0}}}
+
+
+@pytest.mark.parametrize("base", [BASE_TESTBED, BASE_SPECTRUM], ids=["testbed", "fp-spectrum"])
+@pytest.mark.parametrize("out_dir, out_flag", [
+    ("out", "blocker"), ("out", "blocker/sub"), ("", None),
+], ids=["existing_file", "below_a_file", "empty"])
+def test_uncreatable_output_directory_gives_exit_four(tmp_path, capsys, base, out_dir,
+                                                      out_flag):
+    (tmp_path / "blocker").write_text("")
+    cfg = write_config(tmp_path, {**base, "out_dir": out_dir and str(tmp_path / out_dir)})
+    argv = ["--out", str(tmp_path / out_flag)] if out_flag else []
+    assert main([base["command"], "--config", cfg, *argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory")
+    assert "Traceback" not in err
+
+
 def test_weight_order_violation_gives_exit_four(tmp_path):
     bad = json.loads(json.dumps(BASE_FP))
     bad["problem"]["weight"]["k"] = 0.5

@@ -23,14 +23,24 @@ from semidecay.runner import _check_instance
 def kernel_calls(monkeypatch):
     """Counts matrix exponentials, SVD matrices, Hermitian eigensolve
     matrices (the kernel of :func:`~semidecay.spaces.spectral_norms`) and
-    the calls that take them, dense solve matrices and calls, and the exact
-    norms inside :func:`~semidecay.spectral.guarded_inverses`."""
+    the calls that take them, dense solve matrices and calls, the exact
+    norms inside :func:`~semidecay.spectral.guarded_inverses`, and the
+    eigendecompositions (``eig``, ``schur`` and ``eigvals`` calls, as the
+    benchmark tracer counts them) with the Schur forms among them."""
     calls = {"expm": 0, "svd": 0, "exact_in_guarded_inverses": 0, "eigvalsh": 0,
-             "eigvalsh_calls": 0, "solve": 0, "solve_calls": 0}
+             "eigvalsh_calls": 0, "solve": 0, "solve_calls": 0, "eig": 0, "schur": 0}
     inside = []
     expm, svd, norm = scipy.linalg.expm, np.linalg.svd, np.linalg.norm
     eigvalsh, solve = np.linalg.eigvalsh, np.linalg.solve
+    eig, schur, eigvals = scipy.linalg.eig, scipy.linalg.schur, np.linalg.eigvals
     guarded_inverses = spectral.guarded_inverses
+
+    def counting_eig(kernel, schur_form=False):
+        def counted(*args, **kwargs):
+            calls["eig"] += 1
+            calls["schur"] += schur_form
+            return kernel(*args, **kwargs)
+        return counted
 
     def count_svd(matrices=1):
         calls["svd"] += matrices
@@ -76,6 +86,9 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(scipy.linalg, "eig", counting_eig(eig))
+    monkeypatch.setattr(scipy.linalg, "schur", counting_eig(schur, schur_form=True))
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eig(eigvals))
     # the sweep holds it by name; resolvent_block reaches it through spectral
     for module in (spectral, factorization):
         monkeypatch.setattr(module, "guarded_inverses", counting_guarded_inverses)
@@ -117,10 +130,11 @@ def test_instance_check_decomposes_its_operator_once(monkeypatch):
 
 
 @pytest.mark.parametrize("seed,n,k", [(1, 16, 1), (13, 14, 3)])
-def test_decay_transfer_builds_the_projectors(seed, n, k, monkeypatch):
+def test_decay_transfer_builds_the_projectors(seed, n, k, monkeypatch, kernel_calls):
     """H1 decides on the spectrum alone: the decay transfer builds one
     projector per surviving mode, and no other check of an instance builds
-    any."""
+    any. Each projector takes one ordered Schur form (two, of T and of T^H,
+    before), beside H1's one eigendecomposition."""
     callers = []
     projector = spectral.spectral_projector
 
@@ -139,6 +153,8 @@ def test_decay_transfer_builds_the_projectors(seed, n, k, monkeypatch):
     assert result["h1"].verdict == PASS and len(result["h1"].discrete_eigs) == k
     assert callers == ["verify_decay_from_resolvent"] * k
     assert len(result["decay_transfer"].certificate.projectors) == k
+    assert kernel_calls["schur"] == k
+    assert kernel_calls["eig"] == k + 1
 
 
 def test_instance_check_stacks_whole_blocks(kernel_calls):
@@ -146,11 +162,12 @@ def test_instance_check_stacks_whole_blocks(kernel_calls):
     thin 53-shift sample, the 200 decay times and the 72 converse points
     take few stacked calls: 32 solves and 71 eigensolves with blocks of 8,
     whose norms also came one commutation matrix at a time. A change that
-    splits the blocks again shows here."""
+    splits the blocks again shows here. The projector's Sylvester solve
+    takes no dense solve (243 with its Gram solve)."""
     assert spectral.block_size(16) == 32
     _check_instance(generate_instance(1, 16), DEFAULT_TOLERANCES, thin_samples=True)
     assert kernel_calls["solve_calls"] <= 10
-    assert kernel_calls["solve"] == 243
+    assert kernel_calls["solve"] == 242
     assert kernel_calls["eigvalsh_calls"] <= 32
     assert kernel_calls["eigvalsh"] <= 416
 

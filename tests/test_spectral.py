@@ -306,6 +306,32 @@ class TestSpectralProjector:
         npt.assert_allclose(proj, np.eye(2), atol=1e-10)
         assert np.linalg.matrix_rank(proj) == 2
 
+    def test_jordan_group_beside_the_rest(self):
+        # a defective group that does not fill the circle goes through the
+        # Sylvester solve: the oracle is S diag(1, 1, 0, 0) S^{-1}
+        jordan = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                           [0.0, 0.0, -2.0, 1.0], [0.0, 0.0, 0.0, -3.0]])
+        basis = np.random.default_rng(7).standard_normal((4, 4)) + 3.0 * np.eye(4)
+        t = basis @ jordan @ np.linalg.inv(basis)
+        eigvals = eigen_decompose(t)[0]
+        for center, radius, mask in ((0.0, 0.5, [1.0, 1.0, 0.0, 0.0]),
+                                     (-2.5, 0.8, [0.0, 0.0, 1.0, 1.0])):
+            oracle = basis @ np.diag(mask) @ np.linalg.inv(basis)
+            proj = spectral_projector(t, eigvals, center, radius)
+            assert np.linalg.norm(proj - oracle, 2) <= 1e-10 * np.linalg.norm(oracle, 2)
+
+    def test_split_jordan_block_is_inseparable(self):
+        # a selection that takes one of two equal eigenvalues leaves the
+        # Sylvester equation singular, which trsyl reports
+        picked = []
+
+        def first_only(z):
+            picked.append(z)
+            return len(picked) == 1
+
+        with pytest.raises(SeparationError, match="trsyl info"):
+            _projector_subspace(np.array([[1.0, 1.0], [0.0, 1.0]]), first_only)
+
     def test_methods_agree_on_planted_eigenvalue(self, rng):
         # cross-method oracle: contour vs invariant subspaces
         lams = np.array([1.0, -2.0, -2.5, -3.0, -3.5, -4.0])
