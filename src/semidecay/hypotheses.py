@@ -205,9 +205,15 @@ class H2Report:
 # H2 line kernel for banded operators: sigma_min(S - iyI) from the Hermitian
 # band of its Gram matrix instead of a dense SVD per y (Trefethen,
 # "Computation of pseudospectra", Acta Numerica 8, 1999). The band costs
-# O(n^2 b) per point against the SVD's O(n^3), so it is taken when
-# BAND_RATIO * b < n.
+# O(n^2 b) per anchor (below) and O(n b^2) per inverse-iteration step
+# against the SVD's O(n^3), so it is taken when BAND_RATIO * b < n. The
+# shift of its inverse iteration is an anchor's smallest Gram eigenvalue,
+# kept along the y walk while Weyl's inequality moves the Gram spectrum by
+# at most SHIFT_REUSE times the anchor's gap between its two smallest
+# eigenvalues (Parlett, "The Symmetric Eigenvalue Problem", 1998, ch. 4
+# and 10); a y beyond that takes a new anchor.
 BAND_RATIO = 4
+SHIFT_REUSE = 0.25
 RITZ_RTOL = 1e-13       # stop once sigma moves by at most this, relatively,
 RITZ_MAX_STEPS = 8      # within this many inverse-iteration steps
 
@@ -239,12 +245,19 @@ def _hermitian_band(upper, u):
 class _GramBand:
     """``sigma_min(S - iyI)`` for a banded ``S`` of bandwidth ``b``.
 
-    ``G(y) = (S - iyI)^H (S - iyI) = S^H S + y i(S - S^H) + y^2 I`` is a
-    Hermitian band of width ``2b``; ``S^H S`` and ``i(S - S^H)`` are stored
-    once. Its smallest eigenvalue (``eig_banded``) squares the condition
+    ``G(y) = (S - iyI)^H (S - iyI) = S^H S + y K + y^2 I`` with
+    ``K = i(S - S^H)`` is a Hermitian band of width ``2b``; ``S^H S``, ``K``
+    and ``||K||_1`` (the largest absolute column sum, at least ``||K||_2``)
+    are stored once. The smallest eigenvalue of ``G`` squares the condition
     number of ``S - iyI``, so it only shifts a block inverse iteration on
     ``G(y)``; sigma is the Rayleigh-Ritz value ``sigma_min((S - iyI) Q)``
-    on the iterate's span, computed from ``S`` itself.
+    on the iterate's span, computed from ``S`` itself. The shift is the
+    smallest eigenvalue ``l1`` of the anchor ``G(y_a)``, taken with the
+    second one ``l2`` by one ``eig_banded``. Since
+    ``G(y) - G(y_a) = (y - y_a) K + (y^2 - y_a^2) I``, every eigenvalue
+    moves by at most ``d = |y^2 - y_a^2| + |y - y_a| ||K||_1``; while
+    ``d <= SHIFT_REUSE (l2 - l1)`` the shift stays nearer the wanted
+    eigenvalue than the rest, and otherwise y becomes the new anchor.
     """
 
     def __init__(self, scaled, b):
@@ -255,8 +268,33 @@ class _GramBand:
         self.skew = _hermitian_band(
             [1j * (np.diagonal(scaled, k) - np.conj(np.diagonal(scaled, -k)))
              for k in range(b + 1)], 2 * b)
+        self.skew_norm = float(np.max(np.sum(np.abs(self.skew), axis=0)))
+        self.anchor = None      # (y_a, l1, l2)
         rng = np.random.default_rng(0)
         self.start = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+
+    def _shift(self, y, band):
+        """The anchor's ``l1`` while Weyl keeps it, else a new anchor at y."""
+        if self.anchor is not None:
+            y_a, low, second = self.anchor
+            drift = abs(y * y - y_a * y_a) + abs(y - y_a) * self.skew_norm
+            if drift <= SHIFT_REUSE * (second - low):
+                return low
+        u = (band.shape[0] - 1) // 2
+        lowest = sla.eig_banded(band[:u + 1], eigvals_only=True, select="i",
+                                select_range=(0, min(1, band.shape[1] - 1)),
+                                check_finite=False)
+        low, second = np.append(lowest, np.inf)[:2]     # a 1 x 1 G has no l2
+        self.anchor = (y, low, second)
+        return low
+
+    def norm(self):
+        """``||S||_2``, the square root of the top eigenvalue of ``S^H S``."""
+        u = (self.gram.shape[0] - 1) // 2
+        n = self.gram.shape[1]
+        top = sla.eig_banded(self.gram[:u + 1], eigvals_only=True, select="i",
+                             select_range=(n - 1, n - 1), check_finite=False)[0]
+        return math.sqrt(max(top, 0.0))
 
     def sigma_min(self, y):
         """The smallest singular value, or None where the iteration does not
@@ -264,9 +302,7 @@ class _GramBand:
         u = (self.gram.shape[0] - 1) // 2
         band = self.gram + y * self.skew
         band[u] += y * y
-        lowest = sla.eig_banded(band[:u + 1], eigvals_only=True, select="i",
-                                select_range=(0, 0), check_finite=False)[0]
-        band[u] -= lowest
+        band[u] -= self._shift(y, band)
         basis, previous = self.start, None
         for _ in range(RITZ_MAX_STEPS):
             try:
@@ -290,7 +326,11 @@ class _ShiftedLine:
     None for a dense S. ``nearest`` and ``defect``: for an S that is
     Hermitian up to rounding, ``min |lambda_k|`` over the computed spectrum
     of ``H = (S + S^H) / 2`` and the margin ``delta`` of the bound in
-    :func:`_line_norm`; None otherwise.
+    :func:`_line_norm`; None otherwise. ``norm``: an upper bound on
+    ``||S||_2``, widened by :func:`~semidecay.spaces.rounding_margin`. A
+    dense S takes it from :func:`~semidecay.spaces.spectral_norms`; a banded
+    one from the band, as ``max |lambda_k| + delta`` on a Hermitian line
+    (Weyl, as for ``delta``) and as :meth:`_GramBand.norm` otherwise.
     """
 
     def __init__(self, scaled):
@@ -304,22 +344,29 @@ class _ShiftedLine:
         self.nearest = self.defect = None
         skew = 0.5 * float(np.linalg.norm(scaled - scaled.conj().T))
         eps = np.finfo(float).eps
-        if skew > HERMITIAN_ROUNDING * n * eps * float(np.linalg.norm(scaled)):
-            return
-        if banded:
-            upper = [0.5 * (np.diagonal(scaled, k) + np.conj(np.diagonal(scaled, -k)))
-                     for k in range(b + 1)]
-            hermitian = _hermitian_band(upper, b)[:b + 1]
-            spectrum = sla.eig_banded(hermitian.real if self.mirrored else hermitian,
-                                      eigvals_only=True, check_finite=False)
+        if skew <= HERMITIAN_ROUNDING * n * eps * float(np.linalg.norm(scaled)):
+            if banded:
+                upper = [0.5 * (np.diagonal(scaled, k) + np.conj(np.diagonal(scaled, -k)))
+                         for k in range(b + 1)]
+                hermitian = _hermitian_band(upper, b)[:b + 1]
+                spectrum = sla.eig_banded(hermitian.real if self.mirrored else hermitian,
+                                          eigvals_only=True, check_finite=False)
+            else:
+                hermitian = 0.5 * (scaled + scaled.conj().T)
+                spectrum = np.linalg.eigvalsh(hermitian.real if self.mirrored else hermitian)
+            # Weyl: sigma_min(S - iyI) >= sigma_min(H - iyI) - ||S - H||_2, with
+            # ||S - H||_2 <= ||S - S^H||_F / 2; each computed eigenvalue of H is
+            # within n eps ||H||_2 of an exact one (LAPACK Users' Guide, 4.7)
+            top = float(np.max(np.abs(spectrum)))
+            self.nearest = float(np.min(np.abs(spectrum)))
+            self.defect = skew + n * eps * top
+        if not banded:
+            norm = float(spectral_norms(scaled[None])[0])
+        elif self.nearest is not None:
+            norm = top + self.defect     # ||S||_2 <= ||H||_2 + ||S - H||_2
         else:
-            hermitian = 0.5 * (scaled + scaled.conj().T)
-            spectrum = np.linalg.eigvalsh(hermitian.real if self.mirrored else hermitian)
-        # Weyl: sigma_min(S - iyI) >= sigma_min(H - iyI) - ||S - H||_2, with
-        # ||S - H||_2 <= ||S - S^H||_F / 2; each computed eigenvalue of H is
-        # within n eps ||H||_2 of an exact one (LAPACK Users' Guide, 4.7)
-        self.nearest = float(np.min(np.abs(spectrum)))
-        self.defect = skew + n * eps * float(np.max(np.abs(spectrum)))
+            norm = self.band.norm()
+        self.norm = norm * (1.0 + rounding_margin(scaled))
 
 
 def _line_norm(line: _ShiftedLine, y):
@@ -351,8 +398,10 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
     matrix in the plain spectral norm. Between grid points the bound is
     closed with ``||R(y + d)|| <= v / (1 - d v)`` and adaptive bisection;
     beyond the truncation the Neumann tail ``1 / (|y| - s)`` takes over,
-    with s >= ``||T - aI||`` the :func:`~semidecay.spaces.spectral_norms`
-    value widened by its :func:`~semidecay.spaces.rounding_margin`. Each y
+    with s >= ``||T - aI||`` the line's upper bound ``_ShiftedLine.norm``:
+    the :func:`~semidecay.spaces.spectral_norms` value on a dense line, and
+    on a banded one a bound from the band that takes no dense eigensolve,
+    each widened by :func:`~semidecay.spaces.rounding_margin`. Each y
     is evaluated once, by :func:`_line_norm`; for a real congruent matrix
     once per ``|y|``, since the norms at ``±y`` agree.
     When the congruent matrix is Hermitian up to rounding, each grid value
@@ -375,7 +424,8 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
             distance=gap_to_line, witness=witness)
 
     scaled = weighted_congruence(matrix, space, space) - a * np.eye(n)
-    shifted_norm = float(spectral_norms(scaled[None])[0] * (1.0 + rounding_margin(scaled)))
+    line = _ShiftedLine(scaled)
+    shifted_norm = line.norm
     if y_grid is None:
         core = 10.0 * max(abs(a), 1.0, float(np.max(np.abs(eigvals.imag))) if len(eigvals) else 0.0)
         y_max = max(2.0 * shifted_norm + 1.0, core)
@@ -384,7 +434,6 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
         peaks = eigvals.imag
         y_grid = np.unique(np.concatenate([y_grid, peaks, -peaks]))
     y_grid = np.asarray(y_grid, dtype=float)
-    line = _ShiftedLine(scaled)
     values = {}
 
     def line_norm(y):

@@ -95,11 +95,12 @@ class RunReport:
 
 class RaisedCheck:
     """A check that raised before it could decide: indeterminate, with the
-    error's message as witness and no constants."""
+    error's message as witness and no constants. ``error`` may also be the
+    message of a check skipped because one it depends on raised."""
 
     verdict = INDETERMINATE
 
-    def __init__(self, error: Exception):
+    def __init__(self, error: Exception | str):
         self.witness = str(error)
 
     def constants(self):

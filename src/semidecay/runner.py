@@ -10,7 +10,9 @@ region; a run of more than four instances samples each more thinly.
 Where the sweep could not invert B - xi or T - xi at a sample, those two
 are recorded as indeterminate with the sweep's error as witness, and the
 run still writes ``report.json``. When H1 passes, the
-decay transfer and its converse follow.
+decay transfer and its converse follow; a package error raised inside
+either is recorded the same way, and a converse whose transfer raised is
+recorded as skipped.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import matio
 from .config import RunConfig
 from .equivalence import verify_decay_from_resolvent, verify_resolvent_from_decay
-from .errors import ConfigError, SingularityError
+from .errors import ConfigError, SemidecayError, SingularityError
 from .factorization import enlargement_bound_chain, verify_factorization
 from .fokker_planck import (build_problem, decay_experiment, find_decomposition,
                             initial_datum, resolvent_scan_fp, spectral_gap_H)
@@ -59,10 +61,19 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dic
         checks["factorization"] = checks["bound_chain"] = RaisedCheck(exc)
     if passes(h1):
         rate = 0.5 * a    # strictly above a, still negative
-        transfer = verify_decay_from_resolvent(split.full, pair.ambient, h1, rate, tol=tol)
+        try:
+            transfer = verify_decay_from_resolvent(split.full, pair.ambient, h1, rate, tol=tol)
+        except SemidecayError as exc:
+            checks["decay_transfer"] = RaisedCheck(exc)
+            checks["converse"] = RaisedCheck(
+                f"skipped: the decay transfer raised {type(exc).__name__}: {exc}")
+            return checks
         checks["decay_transfer"] = transfer
-        checks["converse"] = verify_resolvent_from_decay(
-            split.full, spectrum, transfer.certificate, tol=tol)
+        try:
+            checks["converse"] = verify_resolvent_from_decay(
+                split.full, spectrum, transfer.certificate, tol=tol)
+        except SemidecayError as exc:
+            checks["converse"] = RaisedCheck(exc)
     return checks
 
 

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semidecay import fokker_planck, generate_instance, hypotheses, runner
+from semidecay import equivalence, fokker_planck, generate_instance, hypotheses, runner
 from semidecay.cli import main
 from semidecay.config import RunConfig
-from semidecay.errors import InsufficientSignalError, SingularityError
+from semidecay.errors import (CertificateError, InsufficientSignalError,
+                              ProjectorMismatchError, SingularityError)
 from semidecay.factorization import shift_sweep
 from semidecay.reports import RunReport, load_report, reports_equal
 
@@ -325,6 +326,46 @@ def test_singular_sweep_sample_still_writes_the_report(tmp_path, monkeypatch):
     assert report["constants"]["domination_violations"] is None
     assert report["constants"]["max_certified_bound"] is None
     assert verdicts["seed_1.h1"]["verdict"] == "pass"
+
+
+def test_raising_decay_transfer_still_writes_the_report(tmp_path, monkeypatch, capsys):
+    """A package error inside the decay transfer (here its projector) makes
+    the transfer indeterminate and skips the converse; the run exits 2 with
+    its report, and no check error."""
+    exc = ProjectorMismatchError("contour and Schur-form projectors differ by 1.0e-03")
+
+    def mismatched(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(equivalence, "spectral_projector", mismatched)
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "instance": {"n": 16},
+                                  "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg]) == 2
+    assert "check error:" not in capsys.readouterr().err
+    verdicts = load_report(tmp_path / "out" / "report.json")["verdicts"]
+    assert verdicts["seed_1.h1"]["verdict"] == "pass"
+    assert verdicts["seed_1.decay_transfer"] == {"verdict": "indeterminate",
+                                                 "witness": str(exc)}
+    converse = verdicts["seed_1.converse"]
+    assert converse["verdict"] == "indeterminate"
+    assert "skipped" in converse["witness"]
+    assert f"ProjectorMismatchError: {exc}" in converse["witness"]
+
+
+def test_raising_converse_still_writes_the_report(tmp_path, monkeypatch, capsys):
+    exc = CertificateError("1 discrete eigenvalues but 0 projectors")
+
+    def inadmissible(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(runner, "verify_resolvent_from_decay", inadmissible)
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "instance": {"n": 16},
+                                  "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg]) == 2
+    assert "check error:" not in capsys.readouterr().err
+    verdicts = load_report(tmp_path / "out" / "report.json")["verdicts"]
+    assert verdicts["seed_1.decay_transfer"]["verdict"] == "pass"
+    assert verdicts["seed_1.converse"] == {"verdict": "indeterminate", "witness": str(exc)}
 
 
 def test_equilibrium_initial_data_passes_decay(tmp_path):

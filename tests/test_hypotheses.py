@@ -14,7 +14,7 @@ from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
 from semidecay.hypotheses import (FAIL, INDETERMINATE, PASS, check_h1, check_h2,
                                   check_h3, check_h4, make_y_grid, sample_xi_region)
 from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
-                              weighted_congruence)
+                              rounding_margin, spectral_norms, weighted_congruence)
 from semidecay.spectral import eigen_decompose, resolvent_matrix
 
 from helpers import cluster_union_find, split_matrices
@@ -225,6 +225,93 @@ class TestH2LineKernel:
         assert any(line.band.sigma_min(y) is None for y in ys)
         values = [hypotheses._line_norm(line, y) for y in ys]
         npt.assert_allclose(values, _dense_line_norms(scaled, ys), rtol=1e-12, atol=0.0)
+
+
+    def test_reused_shifts_on_the_scan_walk_match_the_oracles(self, monkeypatch):
+        """The fp_d1_scan ambient line at N=200, walked in check_h2's own
+        order: every grid and bisection |y|, the 200 spurious heights up to
+        2.5e-7 among them. Reused shifts meet the dense SVD and a kernel
+        that anchors at every point, and a fresh kernel replays the walk bit
+        for bit."""
+        matrix, a_line, space, scaled = _fp_line(FPGrid(d=1, L=8.0, N=200), ambient=True)
+        walk, line_norm = [], hypotheses._line_norm
+
+        def recording(line, y):
+            walk.append((y, line_norm(line, y)))
+            return walk[-1][1]
+
+        monkeypatch.setattr(hypotheses, "_line_norm", recording)
+        check_h2(matrix, a_line, space, np.linalg.eigvals(matrix))
+        ys, values = (np.array(column) for column in zip(*walk))
+        assert 200 <= len(ys) <= 300 and np.sum((ys > 0.0) & (ys <= 2.5e-7)) == 200
+        npt.assert_allclose(values, _dense_line_norms(scaled, ys), rtol=1e-12, atol=0.0)
+        replay = hypotheses._ShiftedLine(scaled).band
+        npt.assert_array_equal(1.0 / np.array([replay.sigma_min(y) for y in ys]), values)
+        every_point = hypotheses._GramBand(scaled, 1)
+        anchored = []
+        for y in ys:
+            every_point.anchor = None
+            anchored.append(every_point.sigma_min(y))
+        npt.assert_allclose(1.0 / np.array(anchored), values, rtol=1e-13, atol=0.0)
+
+    def test_a_shift_weyl_cannot_keep_takes_a_new_anchor(self, monkeypatch):
+        """At y = 0 the Gram eigenvalues nearest 0 are 0.09 and 1.0001; at
+        y = 1 they are 0.0001 and 0.09, so the anchor's smallest one lies
+        nearer the second than the first. A nearby y reuses the shift."""
+        n = 40
+        diagonal = np.full(n, -3.0, dtype=complex)
+        diagonal[5], diagonal[20], diagonal[30] = -0.3, -0.01 + 1.0j, -0.3 + 1.0j
+        coupling = 1e-3 * np.ones(n - 1)
+        scaled = np.diag(diagonal) + np.diag(coupling, 1) + np.diag(coupling, -1)
+        eye = np.eye(n)
+        gram = lambda y: (scaled - 1j * y * eye).conj().T @ (scaled - 1j * y * eye)
+        anchor_low = np.linalg.eigvalsh(gram(0.0))[0]
+        low, second = np.linalg.eigvalsh(gram(1.0))[:2]
+        assert abs(anchor_low - second) < abs(anchor_low - low)
+
+        calls = []
+        eig_banded = hypotheses.sla.eig_banded
+
+        def counting(*args, **kwargs):
+            calls.append(True)
+            return eig_banded(*args, **kwargs)
+
+        monkeypatch.setattr(hypotheses.sla, "eig_banded", counting)
+        band = hypotheses._GramBand(scaled, 1)
+        ys = [0.0, 0.01, 1.0]
+        counts = []
+        sigmas = []
+        for y in ys:
+            sigmas.append(band.sigma_min(y))
+            counts.append(len(calls))
+        assert counts == [1, 1, 2] and band.anchor[0] == 1.0
+        npt.assert_allclose(1.0 / np.array(sigmas), _dense_line_norms(scaled, ys),
+                            rtol=1e-12, atol=0.0)
+
+    def test_one_by_one_line_has_no_second_eigenvalue(self):
+        # the shift is the exact eigenvalue, so the solve is singular and
+        # the value comes from the SVD fallback
+        t_mat = np.array([[-1.0 + 1.0j]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = check_h2(t_mat, -0.5, WeightedSpace(np.ones(1)),
+                              eigen_decompose(t_mat)[0])
+        npt.assert_allclose(report.norms, 1.0 / np.abs(-0.5 + 1.0j - 1j * report.y_grid),
+                            rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d,swirl,ambient", [
+        (1, None, False), (1, None, True),
+        (2, SwirlField("inverse_linear", 1.0), False),
+        (2, SwirlField("inverse_linear", 1.0), True)],
+        ids=["1d-small", "1d-ambient", "2d-small", "2d-ambient"])
+    def test_banded_shifted_norm_is_an_upper_bound(self, d, swirl, ambient):
+        grid = FPGrid(d=d, L=8.0, N=120 if d == 1 else 16)
+        _, _, _, scaled = _fp_line(grid, swirl=swirl, ambient=ambient)
+        line = hypotheses._ShiftedLine(scaled)
+        assert line.band is not None
+        assert line.norm >= np.linalg.svd(scaled, compute_uv=False)[0]
+        margin = rounding_margin(scaled)
+        dense = spectral_norms(scaled[None])[0] * (1.0 + margin)
+        assert abs(line.norm - dense) <= margin * dense
 
 
 class TestH2HermitianLine:

@@ -256,3 +256,65 @@ def test_scan_shares_one_spectrum_and_the_small_line_is_closed_form(tmp_path, mo
     scan = check_h2(dense, a_line, disc.space_small, eigvals)
     assert len(scan.y_grid) > 100
     assert calls["eig_banded"] == 1 and calls["solve_banded"] == 0
+
+
+@pytest.fixture
+def line_kernels(monkeypatch):
+    """Counts ``eig_banded`` calls, ``eigvalsh`` calls on an n x n matrix
+    (n the line's size, set by the test), ``spectral_norms`` calls made by
+    the H2 module, and H2 line evaluations."""
+    calls = {"eig_banded": 0, "square_eigvalsh": 0, "spectral_norms": 0,
+             "evaluations": 0, "n": None}
+    eig_banded, eigvalsh = scipy.linalg.eig_banded, np.linalg.eigvalsh
+    spectral_norms, line_norm = hypotheses.spectral_norms, hypotheses._line_norm
+
+    def counting_eig_banded(*args, **kwargs):
+        calls["eig_banded"] += 1
+        return eig_banded(*args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls["square_eigvalsh"] += np.shape(a)[-2:] == (calls["n"], calls["n"])
+        return eigvalsh(a, *args, **kwargs)
+
+    def counting_spectral_norms(*args, **kwargs):
+        calls["spectral_norms"] += 1
+        return spectral_norms(*args, **kwargs)
+
+    def counting_line_norm(*args, **kwargs):
+        calls["evaluations"] += 1
+        return line_norm(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", counting_eig_banded)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(hypotheses, "spectral_norms", counting_spectral_norms)
+    monkeypatch.setattr(hypotheses, "_line_norm", counting_line_norm)
+    return calls
+
+
+def test_banded_scan_lines_reuse_the_shift_and_take_no_dense_eigensolve(line_kernels):
+    """The fp_d1_scan lines (N=200): the ambient line takes a new shift for
+    few of its evaluations (one eig_banded per evaluation before), and
+    neither line takes an n x n eigvalsh or spectral_norms, since the tail's
+    ||S||_2 comes from the band (one dense Gram eigensolve per line before)."""
+    grid = FPGrid(d=1, L=8.0, N=200)
+    disc = FPDiscretization.build(grid, Potential(2.0), EnlargedWeight("polynomial", 3.0))
+    a_line = 0.5 * spectral_gap_H(disc).lambda_gap
+    dense = disc.dense_generator()
+    eigvals = np.linalg.eigvals(dense.astype(complex))
+    line_kernels["n"] = grid.n_total
+    for space in (disc.space_small, disc.space_ambient):
+        line_kernels.update(eig_banded=0, evaluations=0)
+        assert check_h2(dense, a_line, space, eigvals).verdict == PASS
+    assert 200 <= line_kernels["evaluations"] <= 300
+    assert line_kernels["eig_banded"] <= 60
+    assert line_kernels["square_eigvalsh"] == 0
+    assert line_kernels["spectral_norms"] == 0
+
+
+def test_dense_testbed_line_takes_one_spectral_norm(line_kernels):
+    inst = generate_instance(1, 16)
+    line_kernels["n"] = 16
+    eigvals = spectral.eigen_decompose(inst.split.full)[0]
+    check_h2(inst.split.full, inst.certificate.a, inst.pair.small, eigvals)
+    assert line_kernels["spectral_norms"] == 1
+    assert line_kernels["eig_banded"] == 0
