@@ -205,13 +205,18 @@ class H2Report:
 # H2 line kernel for banded operators: sigma_min(S - iyI) from the Hermitian
 # band of its Gram matrix instead of a dense SVD per y (Trefethen,
 # "Computation of pseudospectra", Acta Numerica 8, 1999). The band costs
-# O(n^2 b) per anchor (below) and O(n b^2) per inverse-iteration step
-# against the SVD's O(n^3), so it is taken when BAND_RATIO * b < n. The
-# shift of its inverse iteration is an anchor's smallest Gram eigenvalue,
-# kept along the y walk while Weyl's inequality moves the Gram spectrum by
-# at most SHIFT_REUSE times the anchor's gap between its two smallest
-# eigenvalues (Parlett, "The Symmetric Eigenvalue Problem", 1998, ch. 4
-# and 10); a y beyond that takes a new anchor.
+# O(n^2 b) per anchor (below), one O(n b^2) banded LU per y and O(n b) per
+# inverse-iteration step against the SVD's O(n^3), so it is taken when
+# BAND_RATIO * b < n. The shift of its inverse iteration is an anchor's
+# smallest Gram eigenvalue, kept along the y walk while Weyl's inequality
+# moves the Gram spectrum by at most SHIFT_REUSE times the anchor's gap
+# between its two smallest eigenvalues (Parlett, "The Symmetric Eigenvalue
+# Problem", 1998, ch. 4 and 10); a y beyond that takes a new anchor. The
+# kernel calls LAPACK through handles resolved once per band: gbtrf factors
+# each shifted band once and gbtrs solves every step with it (LAPACK Users'
+# Guide, 2.4), geqrf + ungqr orthonormalize the iterate, and hbevx takes
+# selected band eigenvalues with eig_banded's abstol, so each value is the
+# one solve_banded, np.linalg.qr and eig_banded give.
 BAND_RATIO = 4
 SHIFT_REUSE = 0.25
 RITZ_RTOL = 1e-13       # stop once sigma moves by at most this, relatively,
@@ -250,14 +255,20 @@ class _GramBand:
     and ``||K||_1`` (the largest absolute column sum, at least ``||K||_2``)
     are stored once. The smallest eigenvalue of ``G`` squares the condition
     number of ``S - iyI``, so it only shifts a block inverse iteration on
-    ``G(y)``; sigma is the Rayleigh-Ritz value ``sigma_min((S - iyI) Q)``
-    on the iterate's span, computed from ``S`` itself. The shift is the
-    smallest eigenvalue ``l1`` of the anchor ``G(y_a)``, taken with the
-    second one ``l2`` by one ``eig_banded``. Since
+    ``G(y)``: ``gbtrf`` factors ``G(y) - l1 I`` once per y and each step is
+    one ``gbtrs`` solve and a ``geqrf`` + ``ungqr`` orthonormalization of
+    the ``n x min(n, 2)`` iterate. sigma is the Rayleigh-Ritz value
+    ``sigma_min((S - iyI) Q)`` on the iterate's span, computed from ``S``
+    itself. The shift is the smallest eigenvalue ``l1`` of the anchor
+    ``G(y_a)``, taken with the second one ``l2`` by one ``hbevx``. Since
     ``G(y) - G(y_a) = (y - y_a) K + (y^2 - y_a^2) I``, every eigenvalue
     moves by at most ``d = |y^2 - y_a^2| + |y - y_a| ||K||_1``; while
     ``d <= SHIFT_REUSE (l2 - l1)`` the shift stays nearer the wanted
     eigenvalue than the rest, and otherwise y becomes the new anchor.
+
+    ``anchors``, ``factorizations`` and ``fallbacks`` count the anchor
+    eigensolves, the banded LU factorizations and the values left to the
+    caller's SVD.
     """
 
     def __init__(self, scaled, b):
@@ -271,7 +282,24 @@ class _GramBand:
         self.skew_norm = float(np.max(np.sum(np.abs(self.skew), axis=0)))
         self.anchor = None      # (y_a, l1, l2)
         rng = np.random.default_rng(0)
-        self.start = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        start = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        self.start = start[:, :min(n, 2)]    # ungqr takes no block wider than tall
+        self._gbtrf, self._gbtrs, self._geqrf, self._ungqr, self._hbevx = \
+            sla.get_lapack_funcs(("gbtrf", "gbtrs", "geqrf", "ungqr", "hbevx"),
+                                 (self.gram,))
+        self._abstol = 2.0 * sla.get_lapack_funcs("lamch", dtype=float)("s")
+        self.anchors = self.factorizations = self.fallbacks = 0
+
+    def _eigvals(self, band, first, last):
+        """Eigenvalues ``first..last`` (0-based, ascending) of the Hermitian
+        band, as ``eig_banded(..., select="i")`` returns them."""
+        u = (band.shape[0] - 1) // 2
+        w, _, found, _, info = self._hbevx(band[:u + 1], 0.0, 1.0, first + 1, last + 1,
+                                           compute_v=0, mmax=1, range=2, lower=0,
+                                           abstol=self._abstol)
+        if info:
+            raise np.linalg.LinAlgError(f"hbevx returned info = {info}")
+        return w[:found]
 
     def _shift(self, y, band):
         """The anchor's ``l1`` while Weyl keeps it, else a new anchor at y."""
@@ -280,41 +308,46 @@ class _GramBand:
             drift = abs(y * y - y_a * y_a) + abs(y - y_a) * self.skew_norm
             if drift <= SHIFT_REUSE * (second - low):
                 return low
-        u = (band.shape[0] - 1) // 2
-        lowest = sla.eig_banded(band[:u + 1], eigvals_only=True, select="i",
-                                select_range=(0, min(1, band.shape[1] - 1)),
-                                check_finite=False)
+        lowest = self._eigvals(band, 0, min(1, band.shape[1] - 1))
         low, second = np.append(lowest, np.inf)[:2]     # a 1 x 1 G has no l2
         self.anchor = (y, low, second)
+        self.anchors += 1
         return low
 
     def norm(self):
         """``||S||_2``, the square root of the top eigenvalue of ``S^H S``."""
-        u = (self.gram.shape[0] - 1) // 2
         n = self.gram.shape[1]
-        top = sla.eig_banded(self.gram[:u + 1], eigvals_only=True, select="i",
-                             select_range=(n - 1, n - 1), check_finite=False)[0]
+        top = self._eigvals(self.gram, n - 1, n - 1)[0]
         return math.sqrt(max(top, 0.0))
 
     def sigma_min(self, y):
         """The smallest singular value, or None where the iteration does not
-        settle or a solve is singular (the caller then takes the dense SVD)."""
+        settle or the shifted band is singular (the caller then takes the
+        dense SVD)."""
         u = (self.gram.shape[0] - 1) // 2
         band = self.gram + y * self.skew
         band[u] += y * y
         band[u] -= self._shift(y, band)
+        # gbtrf's layout: u rows above the band for the fill-in of pivoting
+        lu = np.zeros((3 * u + 1, band.shape[1]), dtype=complex, order="F")
+        lu[u:] = band
+        lu, pivots, info = self._gbtrf(lu, u, u, overwrite_ab=1)
+        self.factorizations += 1
         basis, previous = self.start, None
-        for _ in range(RITZ_MAX_STEPS):
-            try:
-                basis = np.linalg.qr(sla.solve_banded((u, u), band, basis,
-                                                      check_finite=False))[0]
+        if info == 0:
+            for _ in range(RITZ_MAX_STEPS):
+                solved, _ = self._gbtrs(lu, u, u, basis, pivots)
+                packed, tau, _, _ = self._geqrf(solved, overwrite_a=1)
+                basis, _, _ = self._ungqr(packed, tau, overwrite_a=1)
                 image = self.matrix @ basis - 1j * y * basis
-                sigma = np.linalg.svd(image, compute_uv=False)[-1]
-            except np.linalg.LinAlgError:   # a singular solve or a non-finite iterate
-                return None
-            if previous is not None and abs(sigma - previous) <= RITZ_RTOL * sigma:
-                return float(sigma)
-            previous = sigma
+                try:
+                    sigma = np.linalg.svd(image, compute_uv=False)[-1]
+                except np.linalg.LinAlgError:   # a non-finite iterate
+                    break
+                if previous is not None and abs(sigma - previous) <= RITZ_RTOL * sigma:
+                    return float(sigma)
+                previous = sigma
+        self.fallbacks += 1
         return None
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semidecay import generate_instance
+from semidecay import generate_instance, hypotheses
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential)
 
@@ -18,6 +18,21 @@ def fp_small():
     grid = FPGrid(d=1, L=8.0, N=400)
     return FPDiscretization.build(grid, Potential(2.0),
                                   EnlargedWeight("polynomial", 3.0))
+
+
+@pytest.fixture
+def gram_bands(monkeypatch):
+    """Every ``hypotheses._GramBand`` built while the test runs, with its
+    anchor, factorization and fallback counts."""
+    bands = []
+
+    class Recording(hypotheses._GramBand):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bands.append(self)
+
+    monkeypatch.setattr(hypotheses, "_GramBand", Recording)
+    return bands
 
 
 @pytest.fixture

@@ -254,7 +254,26 @@ class TestH2LineKernel:
             anchored.append(every_point.sigma_min(y))
         npt.assert_allclose(1.0 / np.array(anchored), values, rtol=1e-13, atol=0.0)
 
-    def test_a_shift_weyl_cannot_keep_takes_a_new_anchor(self, monkeypatch):
+    def test_one_factorization_per_band_evaluation(self, monkeypatch, gram_bands):
+        """The fp_d1_scan ambient line at N=200 in check_h2's own walk: each
+        band evaluation factors its shifted band once (two banded solves
+        each refactored it before), 49 anchors serve the 249 evaluations,
+        and none falls back to the SVD."""
+        matrix, a_line, space, _ = _fp_line(FPGrid(d=1, L=8.0, N=200), ambient=True)
+        evaluations, line_norm = [], hypotheses._line_norm
+
+        def counting(line, y):
+            evaluations.append(y)
+            return line_norm(line, y)
+
+        monkeypatch.setattr(hypotheses, "_line_norm", counting)
+        check_h2(matrix, a_line, space, np.linalg.eigvals(matrix))
+        band, = gram_bands
+        assert len(evaluations) == 249
+        assert band.factorizations == 249
+        assert band.anchors == 49 and band.fallbacks == 0
+
+    def test_a_shift_weyl_cannot_keep_takes_a_new_anchor(self):
         """At y = 0 the Gram eigenvalues nearest 0 are 0.09 and 1.0001; at
         y = 1 they are 0.0001 and 0.09, so the anchor's smallest one lies
         nearer the second than the first. A nearby y reuses the shift."""
@@ -269,34 +288,38 @@ class TestH2LineKernel:
         low, second = np.linalg.eigvalsh(gram(1.0))[:2]
         assert abs(anchor_low - second) < abs(anchor_low - low)
 
-        calls = []
-        eig_banded = hypotheses.sla.eig_banded
-
-        def counting(*args, **kwargs):
-            calls.append(True)
-            return eig_banded(*args, **kwargs)
-
-        monkeypatch.setattr(hypotheses.sla, "eig_banded", counting)
         band = hypotheses._GramBand(scaled, 1)
         ys = [0.0, 0.01, 1.0]
         counts = []
         sigmas = []
         for y in ys:
             sigmas.append(band.sigma_min(y))
-            counts.append(len(calls))
+            counts.append(band.anchors)
         assert counts == [1, 1, 2] and band.anchor[0] == 1.0
         npt.assert_allclose(1.0 / np.array(sigmas), _dense_line_norms(scaled, ys),
                             rtol=1e-12, atol=0.0)
 
     def test_one_by_one_line_has_no_second_eigenvalue(self):
-        # the shift is the exact eigenvalue, so the solve is singular and
-        # the value comes from the SVD fallback
+        # the shift is the exact eigenvalue, so gbtrf meets a zero pivot and
+        # the value comes from the SVD fallback, with no warning
         t_mat = np.array([[-1.0 + 1.0j]])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            report = check_h2(t_mat, -0.5, WeightedSpace(np.ones(1)),
-                              eigen_decompose(t_mat)[0])
+        report = check_h2(t_mat, -0.5, WeightedSpace(np.ones(1)),
+                          eigen_decompose(t_mat)[0])
         npt.assert_allclose(report.norms, 1.0 / np.abs(-0.5 + 1.0j - 1j * report.y_grid),
                             rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_banded_lines_match_the_svd(self, n, capfd):
+        # a diagonal line is banded at any n; its iterate is n x min(n, 2),
+        # and LAPACK reports a wider block on stdout as an illegal value
+        scaled = np.diag([-0.5 + 0.1j, -1.5 - 0.05j, -3.0 + 0.02j][:n])
+        ys = np.linspace(-3.0, 3.0, 25)
+        line = hypotheses._ShiftedLine(scaled)
+        assert line.band is not None and line.nearest is None
+        values = [hypotheses._line_norm(line, y) for y in ys]
+        npt.assert_allclose(values, _dense_line_norms(scaled, ys), rtol=1e-12, atol=0.0)
+        assert "illegal value" not in capfd.readouterr().out
+        assert line.band.factorizations > line.band.fallbacks
 
     @pytest.mark.parametrize("d,swirl,ambient", [
         (1, None, False), (1, None, True),

@@ -219,12 +219,12 @@ def test_banded_scan_runs_no_square_svd_per_line_point(monkeypatch):
     assert set(np.abs(report.y_grid)) <= set(evaluated)
 
 
-def test_scan_shares_one_spectrum_and_the_small_line_is_closed_form(tmp_path, monkeypatch):
+def test_scan_shares_one_spectrum_and_the_small_line_is_closed_form(tmp_path, monkeypatch,
+                                                                     gram_bands):
     from semidecay.config import RunConfig
     from semidecay.runner import run_fp
-    calls = {"eigvals": 0, "eig_banded": 0, "solve_banded": 0, "dense_generator": 0}
+    calls = {"eigvals": 0, "eig_banded": 0, "dense_generator": 0}
     originals = {"eigvals": np.linalg.eigvals, "eig_banded": scipy.linalg.eig_banded,
-                 "solve_banded": scipy.linalg.solve_banded,
                  "dense_generator": FPDiscretization.dense_generator}
 
     def counting(name):
@@ -235,7 +235,6 @@ def test_scan_shares_one_spectrum_and_the_small_line_is_closed_form(tmp_path, mo
 
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals"))
     monkeypatch.setattr(scipy.linalg, "eig_banded", counting("eig_banded"))
-    monkeypatch.setattr(scipy.linalg, "solve_banded", counting("solve_banded"))
     monkeypatch.setattr(FPDiscretization, "dense_generator", counting("dense_generator"))
     problem = {"d": 1, "s": 2.0, "L": 8.0, "N": 80,
                "weight": {"kind": "polynomial", "k": 3.0}}
@@ -252,19 +251,23 @@ def test_scan_shares_one_spectrum_and_the_small_line_is_closed_form(tmp_path, mo
     a_line = 0.5 * spectral_gap_H(disc).lambda_gap
     dense = disc.dense_generator()
     eigvals = np.linalg.eigvals(dense.astype(complex))
-    calls.update(eig_banded=0, solve_banded=0)
+    calls.update(eig_banded=0)
+    gram_bands.clear()
     scan = check_h2(dense, a_line, disc.space_small, eigvals)
     assert len(scan.y_grid) > 100
-    assert calls["eig_banded"] == 1 and calls["solve_banded"] == 0
+    assert calls["eig_banded"] == 1
+    band, = gram_bands
+    assert band.anchors == band.factorizations == 0
 
 
 @pytest.fixture
-def line_kernels(monkeypatch):
+def line_kernels(monkeypatch, gram_bands):
     """Counts ``eig_banded`` calls, ``eigvalsh`` calls on an n x n matrix
     (n the line's size, set by the test), ``spectral_norms`` calls made by
-    the H2 module, and H2 line evaluations."""
+    the H2 module, and H2 line evaluations; ``bands`` are the band kernels
+    built."""
     calls = {"eig_banded": 0, "square_eigvalsh": 0, "spectral_norms": 0,
-             "evaluations": 0, "n": None}
+             "evaluations": 0, "n": None, "bands": gram_bands}
     eig_banded, eigvalsh = scipy.linalg.eig_banded, np.linalg.eigvalsh
     spectral_norms, line_norm = hypotheses.spectral_norms, hypotheses._line_norm
 
@@ -293,7 +296,7 @@ def line_kernels(monkeypatch):
 
 def test_banded_scan_lines_reuse_the_shift_and_take_no_dense_eigensolve(line_kernels):
     """The fp_d1_scan lines (N=200): the ambient line takes a new shift for
-    few of its evaluations (one eig_banded per evaluation before), and
+    few of its evaluations (one anchor eigensolve per evaluation before), and
     neither line takes an n x n eigvalsh or spectral_norms, since the tail's
     ||S||_2 comes from the band (one dense Gram eigensolve per line before)."""
     grid = FPGrid(d=1, L=8.0, N=200)
@@ -303,10 +306,10 @@ def test_banded_scan_lines_reuse_the_shift_and_take_no_dense_eigensolve(line_ker
     eigvals = np.linalg.eigvals(dense.astype(complex))
     line_kernels["n"] = grid.n_total
     for space in (disc.space_small, disc.space_ambient):
-        line_kernels.update(eig_banded=0, evaluations=0)
+        line_kernels.update(evaluations=0)
         assert check_h2(dense, a_line, space, eigvals).verdict == PASS
     assert 200 <= line_kernels["evaluations"] <= 300
-    assert line_kernels["eig_banded"] <= 60
+    assert line_kernels["bands"][-1].anchors <= 60
     assert line_kernels["square_eigvalsh"] == 0
     assert line_kernels["spectral_norms"] == 0
 
@@ -318,3 +321,4 @@ def test_dense_testbed_line_takes_one_spectral_norm(line_kernels):
     check_h2(inst.split.full, inst.certificate.a, inst.pair.small, eigvals)
     assert line_kernels["spectral_norms"] == 1
     assert line_kernels["eig_banded"] == 0
+    assert line_kernels["bands"] == []

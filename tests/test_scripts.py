@@ -47,3 +47,17 @@ def test_decay_demo_writes_its_trajectory(tmp_path, capsys):
     assert lines[0] == "t,norm_H,norm_HH,mass"
     assert len(lines) == 1 + 401
     assert float(lines[1].split(",")[0]) == pytest.approx(0.0)
+
+
+def test_scan_scale_counts_the_band_kernel(capsys):
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "fp_d1_scan.json")
+    _load("scan_scale").main(config, 60)
+    out = capsys.readouterr().out
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()
+            if line.split()[:1] in (["small"], ["ambient"])}
+    assert out.startswith("d=1 N=60 n=60")
+    assert set(rows) == {"small", "ambient"}
+    # every ambient evaluation takes the band kernel and factors once
+    _, evaluations, anchors, factorizations, _ = rows["ambient"]
+    assert int(factorizations) == int(evaluations) > int(anchors) > 0
