@@ -7,8 +7,8 @@ grid size replaced by N when given, along the line Re z = lambda_P / 2
 that ``fp-resolvent-scan`` scans. For each line it prints the wall time,
 the number of evaluations (one per distinct y, or per distinct |y| on a
 real line) and the band kernel's anchor eigensolves, banded LU
-factorizations and SVD fallbacks; a dense line has no band kernel and
-prints ``-`` for these.
+factorizations and SVD fallbacks; a dense or Hermitian line has no band
+kernel and prints ``-`` for these.
 
 Usage: python scripts/scan_scale.py CONFIG [N]
 """
@@ -26,7 +26,8 @@ from semidecay.fokker_planck import build_problem, resolvent_scan_fp, spectral_g
 @contextmanager
 def _recorded_lines(lines):
     """Append one record per ``check_h2`` call of ``resolvent_scan_fp``:
-    its wall time, evaluations and band kernel (None on a dense line)."""
+    its wall time, evaluations and band kernel (None on a dense or
+    Hermitian line)."""
     check_h2, line_norm, gram_band = (fokker_planck.check_h2, hypotheses._line_norm,
                                       hypotheses._GramBand)
 

@@ -355,11 +355,11 @@ class _ShiftedLine:
     """``S = W^{1/2} (T - aI) W^{-1/2}``, prepared once for every y.
 
     ``mirrored``: S is real, so ``R(a - iy)`` is the entrywise conjugate of
-    ``R(a + iy)`` and one norm serves both. ``band``: the banded kernel,
-    None for a dense S. ``nearest`` and ``defect``: for an S that is
-    Hermitian up to rounding, ``min |lambda_k|`` over the computed spectrum
-    of ``H = (S + S^H) / 2`` and the margin ``delta`` of the bound in
-    :func:`_line_norm`; None otherwise. ``norm``: an upper bound on
+    ``R(a + iy)`` and one norm serves both. ``nearest`` and ``defect``: for
+    an S that is Hermitian up to rounding, ``min |lambda_k|`` over the
+    computed spectrum of ``H = (S + S^H) / 2`` and the margin ``delta`` of
+    the bound in :func:`_line_norm`; None otherwise. ``band``: the banded
+    kernel, None for a dense or Hermitian S. ``norm``: an upper bound on
     ``||S||_2``, widened by :func:`~semidecay.spaces.rounding_margin`. A
     dense S takes it from :func:`~semidecay.spaces.spectral_norms`; a banded
     one from the band, as ``max |lambda_k| + delta`` on a Hermitian line
@@ -373,7 +373,6 @@ class _ShiftedLine:
         rows, cols = np.nonzero(scaled)
         b = int(np.max(np.abs(rows - cols), initial=0))
         banded = BAND_RATIO * b < n
-        self.band = _GramBand(scaled, b) if banded else None
         self.nearest = self.defect = None
         skew = 0.5 * float(np.linalg.norm(scaled - scaled.conj().T))
         eps = np.finfo(float).eps
@@ -393,6 +392,7 @@ class _ShiftedLine:
             top = float(np.max(np.abs(spectrum)))
             self.nearest = float(np.min(np.abs(spectrum)))
             self.defect = skew + n * eps * top
+        self.band = _GramBand(scaled, b) if banded and self.nearest is None else None
         if not banded:
             norm = float(spectral_norms(scaled[None])[0])
         elif self.nearest is not None:
@@ -404,8 +404,9 @@ class _ShiftedLine:
 
 def _line_norm(line: _ShiftedLine, y):
     """``||(S - iyI)^{-1}||``: on a Hermitian line the bound
-    ``1 / (min_k |lambda_k - iy| - delta)`` where it is finite; else the band
-    kernel where it settles, else one SVD."""
+    ``1 / (min_k |lambda_k - iy| - delta)`` where it is finite, else one
+    SVD; on another banded line the band kernel where it settles, else one
+    SVD."""
     if line.nearest is not None:
         gap = math.hypot(line.nearest, y) - line.defect
         if gap > 0.0:

@@ -9,7 +9,8 @@ bound chain, both read from the shift sweep H4 made on the sampled
 region; a run of more than four instances samples each more thinly.
 Where the sweep could not invert B - xi or T - xi at a sample, those two
 are recorded as indeterminate with the sweep's error as witness, and the
-run still writes ``report.json``. When H1 passes, the
+run still writes ``report.json``. H2 on a line through the spectrum and
+H3 on a package error are recorded the same way. When H1 passes, the
 decay transfer and its converse follow; a package error raised inside
 either is recorded the same way, and a converse whose transfer raised is
 recorded as skipped.
@@ -46,7 +47,10 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dic
         h2 = check_h2(split.full, a, pair.small, h1.eigenvalues, tol=tol)
     except SingularityError as exc:
         h2 = RaisedCheck(exc)
-    h3 = check_h3(split.full, pair.ambient, h1.eigenvalues, tol=tol)
+    try:
+        h3 = check_h3(split.full, pair.ambient, h1.eigenvalues, tol=tol)
+    except SemidecayError as exc:
+        h3 = RaisedCheck(exc)
     if thin_samples:
         samples = sample_xi_region(a, r, xis, n_line=9, n_circle=8,
                                    grid_shape=(6, 6))

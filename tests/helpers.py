@@ -1,13 +1,15 @@
 """Independent oracles and small helpers that only the tests use."""
 
+import json
+import os
 import warnings
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from semidecay import generate_instance
-from semidecay.config import Tolerances
+from semidecay import generate_instance, matio
+from semidecay.config import SCHEMA_VERSION, Tolerances
 from semidecay.equivalence import verify_decay_from_resolvent
 from semidecay.errors import SingularityError
 from semidecay.hypotheses import check_h1
@@ -164,3 +166,24 @@ def laplace_ratios(matrix, certificate, z_samples):
         norm = operator_norms(lhs[None], space, space)[0]
         ratios.append(norm / (certificate.prefactor / (z.real - level)))
     return np.array(ratios)
+
+
+def write_instance_manifest(directory, t_mat, a_mat, weights_ambient, weights_small,
+                            a, r, xi):
+    """Write by hand an instance ``enlarge-check`` loads: ``instance.json``
+    with the certificate (a, r, xi) and both weight vectors, and the
+    Matrix Market files of T, A and B = T - A."""
+    os.makedirs(directory, exist_ok=True)
+    t_mat, a_mat = np.asarray(t_mat), np.asarray(a_mat)
+    names = {"full": "T.mtx", "part_a": "A.mtx", "part_b": "B.mtx"}
+    for matrix, fname in zip((t_mat, a_mat, t_mat - a_mat), names.values()):
+        matio.write_matrix(os.path.join(directory, fname), matrix)
+    manifest = {
+        "schema_version": SCHEMA_VERSION, "matrices": names,
+        "weights_ambient": list(map(float, weights_ambient)),
+        "weights_small": list(map(float, weights_small)),
+        "certificate": {"a": a, "r": r,
+                        "xi": [[complex(z).real, complex(z).imag] for z in xi],
+                        "gap": a, "strength": 0.0, "seed": 0, "n": len(t_mat)}}
+    with open(os.path.join(directory, "instance.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)

@@ -1,18 +1,27 @@
+import contextlib
+import io
 import json
 import os
 import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semidecay import equivalence, fokker_planck, generate_instance, hypotheses, runner
 from semidecay.cli import main
 from semidecay.config import RunConfig
 from semidecay.errors import (CertificateError, InsufficientSignalError,
-                              ProjectorMismatchError, SingularityError)
+                              MagnitudeGuardError, ProjectorMismatchError,
+                              SingularityError)
 from semidecay.factorization import shift_sweep
 from semidecay.reports import RunReport, load_report, reports_equal
+from semidecay.spaces import WeightedSpace
+
+from helpers import write_instance_manifest
 
 BASE_TESTBED = {
     "schema_version": 1,
@@ -616,6 +625,57 @@ def test_non_finite_h3_fit_is_indeterminate(tmp_path, monkeypatch):
     assert report["verdicts"]["seed_1.h3"]["verdict"] == "indeterminate"
     assert report["verdicts"]["seed_1.h3"]["witness"] == "fitted constants not finite: b = nan"
     assert report["verdicts"]["seed_1.h1"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("diagonal,error", [
+    ((100.0, 100.5), MagnitudeGuardError),
+    ((-100.0, -100.1), InsufficientSignalError)], ids=["overflow", "no_signal"])
+def test_raised_h3_is_indeterminate_and_the_report_is_written(tmp_path, diagonal, error):
+    """An H3 whose propagators overflow, or whose norms fall below the
+    signal floor, is recorded with its error as witness, like H2's
+    SingularityError; the run still writes its report."""
+    write_instance_manifest(tmp_path / "inst", np.diag(diagonal), np.zeros((2, 2)),
+                            np.ones(2), np.ones(2), a=-0.5, r=0.25, xi=(0.0,))
+    cfg = write_config(tmp_path, {**BASE_ENLARGE, "instance_path": str(tmp_path / "inst"),
+                                  "out_dir": str(tmp_path / "out")})
+    with pytest.raises(error) as direct:
+        hypotheses.check_h3(np.diag(diagonal), WeightedSpace(np.ones(2)), np.array(diagonal))
+    assert main(["enlarge-check", "--config", cfg]) == 2
+    entry = load_report(tmp_path / "out" / "report.json")["verdicts"]["seed_loaded.h3"]
+    assert entry == {"verdict": "indeterminate", "witness": str(direct.value)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), complex_entries=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_enlarge_check_on_random_instances_exits_with_a_report(n, complex_entries, seed):
+    """A loaded instance with a Gaussian T (real or complex), a sparse A,
+    weights log-uniform in [1e-3, 1e3] and a random certificate exits with
+    a documented code, with no traceback, and writes its report whenever
+    it ran its checks."""
+    rng = np.random.default_rng(seed)
+    t_mat = rng.standard_normal((n, n))
+    if complex_entries:
+        t_mat = t_mat + 1j * rng.standard_normal((n, n))
+    a_mat = np.where(rng.random((n, n)) < 0.2, t_mat, 0.0)
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, (2, n))
+    xi = rng.uniform(-2.0, 2.0, rng.integers(0, 3)) + 1j * rng.uniform(-2.0, 2.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_instance_manifest(os.path.join(tmp, "inst"), t_mat, a_mat, *weights,
+                                a=float(rng.uniform(-3.0, 1.0)),
+                                r=float(rng.uniform(0.01, 1.0)), xi=xi)
+        out = os.path.join(tmp, "out")
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({**BASE_ENLARGE, "instance_path": os.path.join(tmp, "inst"),
+                       "out_dir": out}, fh)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["enlarge-check", "--config", cfg])
+        assert code in (0, 2, 3, 4), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        if code in (0, 2):
+            assert os.path.exists(os.path.join(out, "report.json")), stderr.getvalue()
 
 
 def _broken_factorization(verify_factorization, seen):

@@ -330,7 +330,8 @@ class TestH2LineKernel:
         grid = FPGrid(d=d, L=8.0, N=120 if d == 1 else 16)
         _, _, _, scaled = _fp_line(grid, swirl=swirl, ambient=ambient)
         line = hypotheses._ShiftedLine(scaled)
-        assert line.band is not None
+        # the band gives the norm: a Hermitian line's closed form, else the kernel
+        assert (line.band is None) == (line.nearest is not None)
         assert line.norm >= np.linalg.svd(scaled, compute_uv=False)[0]
         margin = rounding_margin(scaled)
         dense = spectral_norms(scaled[None])[0] * (1.0 + margin)
@@ -372,10 +373,10 @@ class TestH2HermitianLine:
 
     def test_unclosed_margin_falls_back_to_the_exact_norm(self):
         # a defect larger than the distance to the spectrum leaves no bound,
-        # so the value is the band kernel's or the SVD's
+        # so the value is the SVD's: a Hermitian line has no band kernel
         scaled = np.diag([-0.5, -1.5, -3.0]).astype(complex)
         line = hypotheses._ShiftedLine(scaled)
-        assert line.nearest == 0.5
+        assert line.nearest == 0.5 and line.band is None
         line.defect = 1.0
         ys = np.array([0.0, 0.3, 0.6])
         values = [hypotheses._line_norm(line, y) for y in ys]

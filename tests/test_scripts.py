@@ -58,6 +58,8 @@ def test_scan_scale_counts_the_band_kernel(capsys):
             if line.split()[:1] in (["small"], ["ambient"])}
     assert out.startswith("d=1 N=60 n=60")
     assert set(rows) == {"small", "ambient"}
-    # every ambient evaluation takes the band kernel and factors once
+    # every ambient evaluation takes the band kernel and factors once; the
+    # Hermitian small line has none
     _, evaluations, anchors, factorizations, _ = rows["ambient"]
     assert int(factorizations) == int(evaluations) > int(anchors) > 0
+    assert rows["small"][2:] == ["-", "-", "-"]
