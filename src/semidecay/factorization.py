@@ -10,22 +10,12 @@ H4, :func:`verify_factorization` and :func:`enlargement_bound_chain` read
 the same per-sample norms. :func:`shift_sweep` computes them in one pass
 over the samples, in blocks of :func:`~semidecay.spectral.block_size`
 shifts (32 at n = 16, 8 from n = 32 on): each block inverts B - xi and
-T - xi once per sample with one stacked solve each. A norm is
-taken exactly (:func:`~semidecay.spaces.spectral_norms`) only where a
-reported number or a verdict can depend on it:
-
-- the direct ``||R(xi)||_amb`` at every sample;
-- each of ``||B(xi)^{-1}||``, ``||A B(xi)^{-1}||``, ``||R(xi)||_small``
-  and ``||B(xi)^{-1} A||`` where its O(n^2) bracket
-  (:func:`~semidecay.spaces.norm_bracket`) cannot rule it out of its
-  column's supremum, or where the sample's bound-chain value must be
-  exact: its upper bound reaches the chain's supremum so far, or its lower
-  bound does not dominate the direct value.
-
-Elsewhere the H4 norms keep their upper bound and the chain its lower
-bound, so every supremum, every domination decision and every witness is
-that of the exact norms. The rounding-level factorization residuals are
-certified by O(n^2) bounds (:func:`~semidecay.spaces.operator_norm_bounds`).
+T - xi once per sample with one stacked solve each, in ambient-weighted
+coordinates, where an ambient norm is a plain 2-norm. A norm is taken
+exactly (:func:`~semidecay.spaces.spectral_norms`) only where a reported
+number or a verdict can depend on it, and O(n^2) bounds stand in
+elsewhere (:class:`ShiftSweep`), so every supremum, every domination
+decision and every witness is that of the exact norms.
 """
 
 from __future__ import annotations
@@ -37,8 +27,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, SingularityError
 from .reports import FAIL, PASS
-from .spaces import (EmbeddedSpacePair, operator_norm_bounds, operator_norm_bracket,
-                     operator_norms)
+from .spaces import (EmbeddedSpacePair, norm_bounds, norm_bracket, spectral_norms,
+                     weighted_congruence)
 from .spectral import blocks, guarded_inverses, resolvent_matrix
 
 # the factorization check passes iff its two certified residual maxima stay
@@ -125,14 +115,16 @@ class ShiftSweep:
     Every array has one entry per sample. ``resolvent``, the direct
     ``||R(xi)||_amb``, is exact at every sample. Exact norms are largest
     singular values from the Gram kernel
-    :func:`~semidecay.spaces.spectral_norms`.
+    :func:`~semidecay.spaces.spectral_norms`, taken like every bound on the
+    ambient-weighted stacks of :func:`_sweep_block`.
 
     Bracketed (exact where a reported number or a verdict can depend on
     them): ``b_inverse`` is ``||B(xi)^{-1}||_amb``, ``a_b_inverse`` and
     ``b_inverse_a`` are ``||A B(xi)^{-1}||`` and ``||B(xi)^{-1} A||`` from
     the ambient into the small space, and ``resolvent_small`` is
     ``||R(xi)||_small``. Each comes with an O(n^2) bracket
-    (:func:`~semidecay.spaces.norm_bracket`), and is exact wherever its
+    (:func:`~semidecay.spaces.norm_bracket`: a power step below, the
+    Frobenius norm above), and is exact wherever its
     upper bound reaches the largest lower bound or exact value of its
     column seen so far; elsewhere it holds that upper bound, which stays
     below the column's maximum. So each maximum, and the sample attaining
@@ -197,9 +189,10 @@ def _chain(norms, c_j):
 def _refined_norms(stacks, direct, c_j, floors):
     """The bracketed norms of one block, exact only where they may matter.
 
-    ``stacks`` maps each bracketed column to its stack and spaces, and
-    ``floors`` each column and the chain to a lower bound on its maximum
-    over this block and all before it; the floors are raised in place. A
+    ``stacks`` maps each bracketed column to its stack, whose norm is the
+    plain 2-norm, and its guard bounds or None, and ``floors`` each column
+    and the chain to a lower bound on its maximum over this block and all
+    before it; the floors are raised in place. A
     norm is refined to its exact value where its upper bound reaches its
     column's floor, or where its sample's chain must be exact: there the
     chain's upper bound reaches the chain's floor, or its lower bound does
@@ -209,8 +202,8 @@ def _refined_norms(stacks, direct, c_j, floors):
     bound) and the number of exact norms taken.
     """
     lower, upper, refine = {}, {}, {}
-    for name, (stack, dom, cod) in stacks.items():
-        lower[name], upper[name] = operator_norm_bracket(stack, dom, cod)
+    for name, (stack, bounds) in stacks.items():
+        lower[name], upper[name] = norm_bracket(stack, bounds)
         floors[name] = np.fmax.reduce(lower[name], initial=floors[name])
         refine[name] = upper[name] >= floors[name]
     chain_lower = _chain(lower, c_j)
@@ -222,10 +215,10 @@ def _refined_norms(stacks, direct, c_j, floors):
     for name in _CHAIN:
         refine[name] |= exact_chain
     count = 0
-    for name, (stack, dom, cod) in stacks.items():
+    for name, (stack, _) in stacks.items():
         exact = refine[name]
         if exact.any():
-            values = operator_norms(stack[exact], dom, cod)
+            values = spectral_norms(stack[exact])
             upper[name][exact] = lower[name][exact] = values
             floors[name] = max(floors[name], float(np.max(values)))
             count += int(exact.sum())
@@ -234,36 +227,38 @@ def _refined_norms(stacks, direct, c_j, floors):
     return upper, chain, count
 
 
-def _sweep_block(split: SplitOperator, pair: EmbeddedSpacePair, xis,
-                 tol: Tolerances, floors: dict):
+def _sweep_block(weighted, c_j: float, xis, tol: Tolerances, floors: dict):
     """The norms of :class:`ShiftSweep` on one block of shifts, raising the
     running ``floors`` of :func:`_refined_norms` in place.
 
-    Each stack is dropped once its norms are read, so that few stacks of
-    the block are alive at a time.
+    ``weighted`` holds ``S_a = D T D^{-1}``, ``B_a``, ``A_a`` (D the ambient
+    scaling) and ``e = D_small / D``. The guard's bounds on ``S_a - xi`` and
+    ``B_a(xi)^{-1}`` give ``shifted`` and half the ``b_inverse`` bracket; a
+    norm into the small space takes one row scaling by e, ``||R||_small``
+    the congruence ``e R_a e^{-1}``. Each stack is dropped once its norms
+    are read, so that few stacks of the block are alive at a time.
     """
-    amb, small = pair.ambient, pair.small
-    eye = np.eye(split.dim)
-    r, t_errors = guarded_inverses(split.full, xis, tol)
-    b_inv, b_errors = guarded_inverses(split.part_b, xis, tol)
-    a_b_inv = split.part_a @ b_inv
-    norms = {"resolvent": operator_norms(r, amb, amb)}
-    stacks = {"b_inverse": (b_inv, amb, amb), "a_b_inverse": (a_b_inv, amb, small),
-              "resolvent_small": (r, small, small),
-              "b_inverse_a": (b_inv @ split.part_a, amb, small)}
+    s_a, b_a, a_a, ratio = weighted
+    e = ratio[:, None]
+    eye = np.eye(len(ratio))
+    r, t_errors, (shifted_bounds, _) = guarded_inverses(s_a, xis, tol)
+    b_inv, b_errors, (_, b_inv_bounds) = guarded_inverses(b_a, xis, tol)
+    a_b_inv = a_a @ b_inv
+    norms = {"resolvent": spectral_norms(r), "shifted": shifted_bounds[0]}
+    stacks = {"b_inverse": (b_inv, b_inv_bounds), "a_b_inverse": (e * a_b_inv, None),
+              "resolvent_small": (e * r / ratio, None),
+              "b_inverse_a": (e * (b_inv @ a_a), None)}
     bracketed, norms["chain"], exact_norms = _refined_norms(
-        stacks, norms["resolvent"], pair.embedding_constant, floors)
+        stacks, norms["resolvent"], c_j, floors)
     del stacks
     norms.update(bracketed)
     u = _assemble(b_inv, r, a_b_inv)
     del b_inv, a_b_inv
-    _, norms["mismatch"] = operator_norm_bounds(u - r, amb, amb)
+    _, norms["mismatch"] = norm_bounds(u - r)
     del r
-    shifted = split.full - xis[:, None, None] * eye
-    norms["shifted"], _ = operator_norm_bounds(shifted, amb, amb)
-    defect = shifted @ u
+    defect = (s_a - xis[:, None, None] * eye) @ u
     defect -= eye
-    _, norms["identity_defect"] = operator_norm_bounds(defect, amb, amb)
+    _, norms["identity_defect"] = norm_bounds(defect)
     return norms, len(xis) + exact_norms, b_errors, t_errors
 
 
@@ -271,25 +266,30 @@ def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> ShiftSweep:
     """One pass over the samples for H4, the factorization and the chain.
 
-    Walks the samples in :func:`~semidecay.spectral.blocks`. Per block,
-    B - xi and T - xi are each inverted once per sample by one stacked
-    solve. The direct ``resolvent`` is exact at every sample; the four
-    bracketed norms and the chain of :class:`ShiftSweep` take exact norms
-    only where their brackets cannot settle a maximum or a domination
-    decision, against floors carried from block to block; the three
-    certified bounds cost O(n^2) per sample.
+    Weights the operators by the ambient space once, then walks the samples
+    in :func:`~semidecay.spectral.blocks`. Per block, B - xi and T - xi are
+    each inverted once per sample by one stacked solve. The direct
+    ``resolvent`` is exact at every sample; the four bracketed norms and the
+    chain of :class:`ShiftSweep` take exact norms only where their brackets
+    cannot settle a maximum or a domination decision, against floors
+    carried from block to block; the three certified bounds cost O(n^2) per
+    sample, and ``shifted`` none beyond the guard's.
     """
     if split.dim != pair.dim:
         raise DimensionMismatchError("split operator and space pair dimensions differ")
     samples = np.asarray(xi_samples, dtype=complex)
+    amb = pair.ambient
+    weighted = [weighted_congruence(m, amb, amb)
+                for m in (split.full, split.part_b, split.part_a)]
+    weighted.append(pair.small.scaling() / amb.scaling())
     names = _BRACKETED + ("shifted", "resolvent", "chain", "identity_defect", "mismatch")
     norms = {name: np.full(len(samples), np.nan) for name in names}
     floors = dict.fromkeys(_BRACKETED + ("chain",), 0.0)
     b_failure = t_failure = None
     exact_norms = 0
     for block in blocks(len(samples), split.dim):
-        values, count, b_errors, t_errors = _sweep_block(split, pair, samples[block],
-                                                         tol, floors)
+        values, count, b_errors, t_errors = _sweep_block(
+            weighted, pair.embedding_constant, samples[block], tol, floors)
         exact_norms += count
         for name, column in values.items():
             norms[name][block] = column

@@ -23,6 +23,7 @@ from .errors import SingularityError
 from .factorization import ShiftSweep, shift_sweep
 from .reports import FAIL, INDETERMINATE, PASS
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
+from .spectral import blocks
 from .spaces import (EmbeddedSpacePair, WeightedSpace, rounding_margin, spectral_norms,
                      weighted_congruence)
 
@@ -420,6 +421,17 @@ def _line_norm(line: _ShiftedLine, y):
     return 1.0 / np.linalg.svd(shifted, compute_uv=False)[-1]
 
 
+def _dense_line_norms(scaled, ys):
+    """:func:`_line_norm` of a dense line at every y, bit for bit, by
+    stacked SVDs over the :func:`~semidecay.spectral.blocks` of ``ys``."""
+    n, norms = len(scaled), np.empty(len(ys))
+    for block in blocks(len(ys), n):
+        stack = np.repeat(scaled[None], block.stop - block.start, axis=0)
+        stack[:, range(n), range(n)] -= 1j * np.array(ys[block])[:, None]
+        norms[block] = 1.0 / np.linalg.svd(stack, compute_uv=False)[:, -1]
+    return norms
+
+
 def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
              tol: Tolerances = DEFAULT_TOLERANCES) -> H2Report:
     """Scan ``||(T - a - iy)^{-1}||`` in the norm of ``space`` over a
@@ -436,8 +448,8 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
     the :func:`~semidecay.spaces.spectral_norms` value on a dense line, and
     on a banded one a bound from the band that takes no dense eigensolve,
     each widened by :func:`~semidecay.spaces.rounding_margin`. Each y
-    is evaluated once, by :func:`_line_norm`; for a real congruent matrix
-    once per ``|y|``, since the norms at ``±y`` agree.
+    is evaluated once, by :func:`_line_norm` or :func:`_dense_line_norms`;
+    for a real congruent matrix once per ``|y|``, since the norms at ``±y`` agree.
     When the congruent matrix is Hermitian up to rounding, each grid value
     is the upper bound ``1 / (dist(iy, spectrum) - delta)`` of
     :func:`_line_norm` rather than the norm itself.
@@ -470,37 +482,41 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
     y_grid = np.asarray(y_grid, dtype=float)
     values = {}
 
-    def line_norm(y):
-        key = abs(y) if line.mirrored else y
-        if key not in values:
-            values[key] = _line_norm(line, key)
-        return values[key]
+    def line_norms(ys):
+        keys = [abs(y) if line.mirrored else y for y in ys]
+        new = [key for key in dict.fromkeys(keys) if key not in values]
+        if line.nearest is None and line.band is None:
+            values.update(zip(new, _dense_line_norms(line.scaled, new)))
+        else:
+            values.update((key, _line_norm(line, key)) for key in new)
+        return np.array([values[key] for key in keys])
 
-    norms = np.array([line_norm(y) for y in y_grid])
+    norms = line_norms(y_grid)
     i_max = int(np.argmax(norms))
     bound = float(norms[i_max])
 
     # close the gaps between grid points: ||R|| is 1-Lipschitz in log via
-    # ||R(y+d)|| <= v/(1-dv); bisect until each segment certifies
+    # ||R(y+d)|| <= v/(1-dv); bisect until each segment certifies, a depth at
+    # a time, but depth first on a banded line, whose shift reuse follows the order
     certified = bound
     uncertified = []
-    stack = [(y_grid[i], y_grid[i + 1], norms[i], norms[i + 1], 0)
-             for i in range(len(y_grid) - 1)]
-    while stack:
-        y0, y1, v0, v1, depth = stack.pop()
-        half = 0.5 * (y1 - y0)
-        v = max(v0, v1)
-        if half * v < 0.5:
-            certified = max(certified, v / (1.0 - half * v))
-            continue
-        if depth >= MAX_REFINE_DEPTH:
-            uncertified.append((y0, y1))
-            continue
-        ym = 0.5 * (y0 + y1)
-        vm = line_norm(ym)
-        certified = max(certified, vm)
-        stack.append((y0, ym, v0, vm, depth + 1))
-        stack.append((ym, y1, vm, v1, depth + 1))
+    pending = [(y_grid[i], y_grid[i + 1], norms[i], norms[i + 1], 0)
+               for i in range(len(y_grid) - 1)]
+    while pending:
+        batch, pending = ([pending.pop()], pending) if line.band is not None else (pending, [])
+        split = []
+        for y0, y1, v0, v1, depth in batch:
+            half = 0.5 * (y1 - y0)
+            v = max(v0, v1)
+            if half * v < 0.5:
+                certified = max(certified, v / (1.0 - half * v))
+            elif depth >= MAX_REFINE_DEPTH:
+                uncertified.append((y0, y1))
+            else:
+                split.append((y0, 0.5 * (y0 + y1), y1, v0, v1, depth + 1))
+        for (y0, ym, y1, v0, v1, depth), vm in zip(split, line_norms([s[1] for s in split])):
+            certified = max(certified, vm)
+            pending += [(y0, ym, v0, vm, depth), (ym, y1, vm, v1, depth)]
 
     y_max_used = float(np.max(np.abs(y_grid)))
     if y_max_used > shifted_norm:
@@ -552,10 +568,12 @@ class H3Report:
 def check_h3(op, space: WeightedSpace, eigvals,
              tol: Tolerances = DEFAULT_TOLERANCES) -> H3Report:
     """Certified envelope ``||e^{tT}|| <= C_b e^{b t}`` on a sampled horizon
-    scaled by the spread of the real parts of ``eigvals``, the spectrum."""
+    scaled by the spread of the real parts of ``eigvals``, the spectrum,
+    floored at 1e-2 max(1, max |Re lambda|): e^{t Re lambda} stays below e^500."""
     matrix = np.asarray(op)
     spread = float(np.max(eigvals.real) - np.min(eigvals.real)) if len(eigvals) else 1.0
-    t_grid = default_time_grid(rate_scale=max(spread, 1e-2), n=64)
+    scale = float(np.max(np.abs(eigvals.real), initial=1.0))
+    t_grid = default_time_grid(rate_scale=max(spread, 1e-2 * scale), n=64)
     fit = fit_exponential_decay(t_grid, semigroup_norms(matrix, t_grid, space), tol=tol)
     return H3Report(fit=fit, t_grid=t_grid)
 

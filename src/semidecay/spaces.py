@@ -97,11 +97,15 @@ def rounding_margin(stack) -> float:
     rounding of the O(n^2) bounds: ``(k + 2)^2 eps`` with k the larger side.
 
     The kernel's error is below ``k (k + 1) eps / 2`` to first order (see
-    :func:`spectral_norms`), the column, row and power-step norms of
-    :func:`norm_bracket` round by at most ``(k^{3/2} + 3) eps``.
+    :func:`spectral_norms`). A squared column or Frobenius norm sums at most
+    k^2 squares ``re^2 + im^2`` of two roundings, and any order of summing m
+    non-negative terms errs by ``gamma_{m-1}`` at most (Higham 2002, 4.2);
+    with the square root and the widening that is ``(k^2 + 5) eps / 4``, and
+    ``(k^{3/2} + 3) eps`` for the power step of :func:`norm_bracket`. Each plus
+    the kernel's error stays below ``(k + 2)^2 eps``.
     """
     k = max(np.shape(stack)[-2:])
-    return (k + 2) ** 2 * np.finfo(float).eps
+    return (k + 2) ** 2 * 2.0 ** -52     # eps, without a per-call np.finfo
 
 
 def _exponents(peak):
@@ -156,49 +160,56 @@ def spectral_norms(stack) -> np.ndarray:
 
 
 def _bounds(stack):
-    """:func:`norm_bounds`, the squared column norms of the scaled stack,
-    and the scaling exponents."""
+    """:func:`norm_bounds`, the squared column norms ``re^2 + im^2`` of the
+    scaled stack, and the scaling exponents (:func:`_exponents`), 0 where
+    the largest squared column norm lies in [2^-300, 2^300]: there neither
+    its Frobenius norm nor the power step of :func:`norm_bracket`
+    (``sigma^6 <= k^3 2^900``) overflows, and what underflows is negligible."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        col_sq = np.vecdot(stack, stack, axis=-2).real
+        peak = col_sq.max(axis=-1)
+        exponent = np.zeros(np.shape(peak), dtype=int)
+        outside = ~((peak >= 2.0 ** -300) & (peak <= 2.0 ** 300))   # zero, NaN too
+        if outside.any():
+            exponent[outside] = _exponents(np.abs(stack[outside]).max(axis=(-2, -1)))
+            scaled = _scaled(stack[outside], exponent[outside])
+            col_sq[outside] = np.vecdot(scaled, scaled, axis=-2).real
+            peak = col_sq.max(axis=-1)
     margin = rounding_margin(stack)
-    magnitude = np.abs(stack)
-    exponent = _exponents(magnitude.max(axis=(-2, -1)))
-    with np.errstate(under="ignore"):
-        magnitude = _scaled(magnitude, exponent)
-        col_sq = (magnitude * magnitude).sum(axis=-2)
-    col_sums = magnitude.sum(axis=-2).max(axis=-1)
-    row_sums = magnitude.sum(axis=-1).max(axis=-1)
-    upper = np.ldexp(np.sqrt(col_sums * row_sums) * (1.0 + margin), exponent)
-    lower = np.ldexp(np.sqrt(col_sq.max(axis=-1)) * (1.0 - margin), exponent)
+    upper = np.ldexp(np.sqrt(col_sq.sum(axis=-1)) * (1.0 + margin), exponent)
+    lower = np.ldexp(np.sqrt(peak) * (1.0 - margin), exponent)
     return lower, upper, col_sq, exponent
 
 
 def norm_bounds(stack) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds on the 2-norm of every matrix of a stack.
 
-    The lower bound is the largest column 2-norm, the upper one
-    ``sqrt(||X||_1 ||X||_inf)`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, section 6.3). Both cost O(n^2) per matrix
-    and lie within a factor ``sqrt(n)`` of the 2-norm. Each is widened by
-    :func:`rounding_margin`, so that they also bracket the 2-norm that
-    :func:`spectral_norms` or an SVD computes.
+    The lower bound is the largest column 2-norm, the upper one the
+    Frobenius norm. Both cost O(n^2) per matrix and lie within a factor
+    ``sqrt(n)`` of the 2-norm; the upper one is the 2-norm itself on a
+    rank-one matrix. Each is widened by :func:`rounding_margin`, so that
+    they also bracket the 2-norm that :func:`spectral_norms` or an SVD
+    computes. A matrix with a NaN entry has NaN bounds.
     """
     lower, upper, *_ = _bounds(np.asarray(stack))
     return lower, upper
 
 
-def norm_bracket(stack) -> tuple[np.ndarray, np.ndarray]:
+def norm_bracket(stack, bounds=None) -> tuple[np.ndarray, np.ndarray]:
     """:func:`norm_bounds` with the lower bound raised by one power step.
 
     From the largest column x_j, ``y = X^H x_j`` and ``||X y|| / ||y||``
     bound the 2-norm from below: the square root of the Rayleigh quotient
     of ``X^H X`` at ``X^H X e_j``, which is never below ``||x_j||``. It is
     widened for rounding like the column bound and costs two more O(n^2)
-    products per matrix.
+    products per matrix. ``bounds``: the :func:`_bounds` of ``stack``, if
+    taken (:func:`~semidecay.spectral.guarded_inverses` hands them back).
     """
     stack = np.asarray(stack)
-    lower, upper, col_sq, exponent = _bounds(stack)
+    lower, upper, col_sq, exponent = _bounds(stack) if bounds is None else bounds
     index = np.argmax(col_sq, axis=-1)[..., None, None]
-    with np.errstate(under="ignore", invalid="ignore"):
-        scaled = _scaled(stack, exponent)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scaled = _scaled(stack, exponent) if exponent.any() else stack
         column = np.take_along_axis(scaled, index, axis=-1)
         # rows y^H = x_j^H X and (X y)^T = conj(y^H) X^T: no transposed copy of X
         y = column.conj().swapaxes(-1, -2) @ scaled
@@ -207,19 +218,6 @@ def norm_bracket(stack) -> tuple[np.ndarray, np.ndarray]:
     step = np.ldexp(step * (1.0 - rounding_margin(stack)), exponent)
     # a zero matrix gives 0/0: keep its column bound
     return np.fmax(lower, step), upper
-
-
-def operator_norm_bounds(stack, dom: WeightedSpace, cod: WeightedSpace
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`norm_bounds` of the weighted norms :func:`operator_norms`
-    takes: the bracket of the diagonally congruent stack."""
-    return norm_bounds(weighted_congruence(stack, dom, cod))
-
-
-def operator_norm_bracket(stack, dom: WeightedSpace, cod: WeightedSpace
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`norm_bracket` of the weighted norms :func:`operator_norms` takes."""
-    return norm_bracket(weighted_congruence(stack, dom, cod))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ import scipy.sparse.linalg as spla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (EigenConvergenceError, ProjectorMismatchError,
                      SeparationError, SingularityError)
-from .spaces import norm_bounds, spectral_norms
+from .spaces import _bounds, norm_bounds, spectral_norms
 
 # bytes of one stack of a block (shifts per stacked solve, times per stack of
 # semigroup norms): large blocks amortize the per-call cost of the stacked
@@ -83,9 +83,11 @@ def _solve_or_nan(shifted, ident) -> np.ndarray:
 
 
 def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
-                     ) -> tuple[np.ndarray, dict[int, SingularityError]]:
-    """The stack of ``(M - xi)^{-1}`` over ``xis``, and by index the
-    :class:`SingularityError` of each shift the guard rejects.
+                     ) -> tuple[np.ndarray, dict[int, SingularityError], tuple]:
+    """The stack of ``(M - xi)^{-1}`` over ``xis``, by index the
+    :class:`SingularityError` of each shift the guard rejects, and the
+    guard's O(n^2) bounds on the shifted matrices and on the inverses, as
+    :func:`~semidecay.spaces.norm_bracket` takes them (NaN for a rejected inverse).
 
     One stacked solve inverts every shift, once; only an exactly singular
     shift, which stops the stacked solve, has every shift of its block
@@ -113,8 +115,8 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
         except np.linalg.LinAlgError:
             # an exactly singular shift stops the stacked solve for all
             inverses = np.stack([_solve_or_nan(s, i) for s, i in zip(shifted, ident)])
-        shifted_lo, shifted_hi = norm_bounds(shifted)
-        inverse_lo, inverse_hi = norm_bounds(inverses)
+        bounds = _bounds(shifted), _bounds(inverses)
+        (shifted_lo, shifted_hi, *_), (inverse_lo, inverse_hi, *_) = bounds
         defect = shifted @ inverses
         defect -= ident
         _, residual_hi = norm_bounds(defect)
@@ -148,15 +150,17 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
             spectrum = np.linalg.eigvals(matrix)
         dist = float(np.min(np.abs(spectrum - xis[i])))
         inverses[i] = np.nan
+        for column in bounds[1][:3]:
+            column[i] = np.nan
         errors[int(i)] = SingularityError(
             f"shift {xis[i]} {reason} (distance to spectrum {dist:.3e})",
             distance=dist, witness=xis[i])
-    return inverses, errors
+    return inverses, errors, bounds
 
 
 def resolvent_block(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """The stack of ``(M - xi)^{-1}``; raises for the first rejected shift."""
-    inverses, errors = guarded_inverses(matrix, xis, tol)
+    inverses, errors, _ = guarded_inverses(matrix, xis, tol)
     if errors:
         raise errors[min(errors)]
     return inverses

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from semidecay import equivalence, fokker_planck, generate_instance, hypotheses, runner
 from semidecay.cli import main
-from semidecay.config import RunConfig
+from semidecay.config import RunConfig, Tolerances
 from semidecay.errors import (CertificateError, InsufficientSignalError,
                               MagnitudeGuardError, ProjectorMismatchError,
                               SingularityError)
@@ -627,19 +627,25 @@ def test_non_finite_h3_fit_is_indeterminate(tmp_path, monkeypatch):
     assert report["verdicts"]["seed_1.h1"]["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("diagonal,error", [
-    ((100.0, 100.5), MagnitudeGuardError),
-    ((-100.0, -100.1), InsufficientSignalError)], ids=["overflow", "no_signal"])
-def test_raised_h3_is_indeterminate_and_the_report_is_written(tmp_path, diagonal, error):
+@pytest.mark.parametrize("t_mat,tolerances,error", [
+    (((100.0, 1e100), (0.0, 100.5)), {}, MagnitudeGuardError),
+    (((-100.0, 0.0), (0.0, -100.1)), {"floor_factor": 1e13}, InsufficientSignalError)],
+    ids=["overflow", "no_signal"])
+def test_raised_h3_is_indeterminate_and_the_report_is_written(tmp_path, t_mat, tolerances,
+                                                             error):
     """An H3 whose propagators overflow, or whose norms fall below the
     signal floor, is recorded with its error as witness, like H2's
-    SingularityError; the run still writes its report."""
-    write_instance_manifest(tmp_path / "inst", np.diag(diagonal), np.zeros((2, 2)),
+    SingularityError; the run still writes its report. The horizon keeps
+    e^{t Re lambda} below e^500, so the overflow takes transient growth
+    and the lost signal a raised floor."""
+    t_mat = np.array(t_mat)
+    write_instance_manifest(tmp_path / "inst", t_mat, np.zeros((2, 2)),
                             np.ones(2), np.ones(2), a=-0.5, r=0.25, xi=(0.0,))
     cfg = write_config(tmp_path, {**BASE_ENLARGE, "instance_path": str(tmp_path / "inst"),
-                                  "out_dir": str(tmp_path / "out")})
+                                  "out_dir": str(tmp_path / "out"), "tolerances": tolerances})
     with pytest.raises(error) as direct:
-        hypotheses.check_h3(np.diag(diagonal), WeightedSpace(np.ones(2)), np.array(diagonal))
+        hypotheses.check_h3(t_mat, WeightedSpace(np.ones(2)), np.diag(t_mat),
+                            tol=Tolerances(**tolerances))
     assert main(["enlarge-check", "--config", cfg]) == 2
     entry = load_report(tmp_path / "out" / "report.json")["verdicts"]["seed_loaded.h3"]
     assert entry == {"verdict": "indeterminate", "witness": str(direct.value)}

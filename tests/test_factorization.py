@@ -19,8 +19,19 @@ from semidecay.factorization import (IDENTITY_RESIDUAL_LIMIT,
                                      verify_factorization)
 from semidecay.hypotheses import FAIL, PASS, check_h4, sample_xi_region
 from semidecay.runner import _check_instance
-from semidecay.spaces import EmbeddedSpacePair, operator_norm, operator_norm_bracket
+from semidecay.spaces import (EmbeddedSpacePair, norm_bracket, operator_norm, spectral_norms,
+                              weighted_congruence)
 from semidecay.spectral import guarded_inverses, resolvent_matrix
+
+
+def weighted_operators(split, pair):
+    """The operators the sweep inverts and multiplies: ``S_a = D T D^{-1}``,
+    ``B_a`` and ``A_a`` likewise, D the ambient scaling, and the ratio
+    ``e = D_small / D`` that maps their ambient norms to the small space."""
+    amb = pair.ambient
+    return (*(weighted_congruence(m, amb, amb)
+              for m in (split.full, split.part_b, split.part_a)),
+            pair.small.scaling() / amb.scaling())
 
 
 def line_samples(cert, n=9):
@@ -83,15 +94,16 @@ class TestVerifyFactorization:
 
         H4, the factorization check and the bound chain share one sweep, so
         every sampled xi is inverted once for B and once for T, however many
-        times the three checks read its norms.
+        times the three checks read its norms. The sweep inverts them in
+        ambient-weighted coordinates, as ``B_a - xi`` and ``S_a - xi``.
         """
         inst = generate_instance(23, 16)
-        split = inst.split
+        s_a, b_a, _, _ = weighted_operators(inst.split, inst.pair)
         inverted = Counter()
 
         def counting(matrix, xis, tol=DEFAULT_TOLERANCES):
-            kind = ("B" if np.array_equal(matrix, split.part_b)
-                    else "T" if np.array_equal(matrix, split.full) else None)
+            kind = ("B" if np.array_equal(matrix, b_a)
+                    else "T" if np.array_equal(matrix, s_a) else None)
             inverted.update((kind, complex(xi)) for xi in xis)
             return guarded_inverses(matrix, xis, tol)
 
@@ -210,27 +222,33 @@ def _inverse(matrix, xi):
                                                  DEFAULT_TOLERANCES))
 
 
+def _norm(matrix):
+    return spectral_norms(matrix[None])[0]
+
+
 class Oracle:
     """Per sample, the exact value and the O(n^2) bracket of each bracketed
     sweep column, and the exact, lower and upper chain values. Where
-    T - xi is singular, its norms and the chain are NaN."""
+    T - xi is singular, its norms and the chain are NaN. Like the sweep it
+    inverts ``B_a - xi`` and ``S_a - xi``, the ambient-weighted operators,
+    and takes every norm as a plain 2-norm of the same matrix."""
 
     def __init__(self, split, pair, samples):
-        amb, small = pair.ambient, pair.small
-        b_invs = [_inverse(split.part_b, xi) for xi in samples]
-        rs = [_inverse_or_none(split.full, xi) for xi in samples]
-        matrices = {"b_inverse": (b_invs, amb, amb),
-                    "a_b_inverse": ([split.part_a @ b for b in b_invs], amb, small),
-                    "b_inverse_a": ([b @ split.part_a for b in b_invs], amb, small),
-                    "resolvent_small": (rs, small, small),
-                    "direct": (rs, amb, amb)}
+        s_a, b_a, a_a, ratio = weighted_operators(split, pair)
+        e = ratio[:, None]
+        b_invs = [_inverse(b_a, xi) for xi in samples]
+        rs = [_inverse_or_none(s_a, xi) for xi in samples]
+        matrices = {"b_inverse": b_invs,
+                    "a_b_inverse": [e * (a_a @ b) for b in b_invs],
+                    "b_inverse_a": [e * (b @ a_a) for b in b_invs],
+                    "resolvent_small": [None if r is None else e * r / ratio for r in rs],
+                    "direct": rs}
         self.exact, self.lower, self.upper = {}, {}, {}
-        for name, (stack, dom, cod) in matrices.items():
-            self.exact[name] = np.array([np.nan if m is None else operator_norm(m, dom, cod)
-                                         for m in stack])
+        for name, stack in matrices.items():
+            self.exact[name] = np.array([np.nan if m is None else _norm(m) for m in stack])
             self.lower[name], self.upper[name] = np.array(
                 [(np.nan, np.nan) if m is None
-                 else [bound[0] for bound in operator_norm_bracket(m[None], dom, cod)]
+                 else [bound[0] for bound in norm_bracket(m[None])]
                  for m in stack]).reshape(-1, 2).T
         self.direct = self.exact.pop("direct")
         c_j = pair.embedding_constant
@@ -310,19 +328,18 @@ def assert_certified_residuals(values, oracle, n):
 
 
 def oracle_factorization(split, pair, samples):
-    amb = pair.ambient
+    s_a, b_a, a_a, _ = weighted_operators(split, pair)
     eye = np.eye(split.dim)
     id_res = np.empty(len(samples))
     inv_mis = np.empty(len(samples))
     for i, xi in enumerate(samples):
-        b_inv = _inverse(split.part_b, xi)
-        direct = _inverse(split.full, xi)
-        u = b_inv - direct @ (split.part_a @ b_inv)
-        shifted = split.full - xi * eye
-        cond = operator_norm(shifted, amb, amb) * operator_norm(direct, amb, amb)
-        id_res[i] = operator_norm(shifted @ u - eye, amb, amb) / max(cond, 1.0)
-        inv_mis[i] = (operator_norm(u - direct, amb, amb)
-                      / max(operator_norm(direct, amb, amb), 1e-300))
+        b_inv = _inverse(b_a, xi)
+        direct = _inverse(s_a, xi)
+        u = b_inv - direct @ (a_a @ b_inv)
+        shifted = s_a - xi * eye
+        cond = _norm(shifted) * _norm(direct)
+        id_res[i] = _norm(shifted @ u - eye) / max(cond, 1.0)
+        inv_mis[i] = _norm(u - direct) / max(_norm(direct), 1e-300)
     return id_res, inv_mis
 
 
@@ -360,6 +377,37 @@ class TestSweepAgainstDenseOracle:
         # a sweep of its own agrees with the one H4 made
         alone = verify_factorization(shift_sweep(split, pair, samples))
         npt.assert_array_equal(alone.identity_residuals, fact.identity_residuals)
+
+    @pytest.mark.parametrize("seed,n", [(1, 16), (2, 16), (3, 16), (1, 32), (2, 32)])
+    def test_weighted_coordinates_agree_with_plain_ones(self, seed, n):
+        """The sweep inverts the ambient-weighted operators; the plain
+        oracle inverts T - xi and B - xi and takes each weighted norm by
+        :func:`~semidecay.spaces.operator_norm`. The exact direct norms and
+        every column's maximum agree at rounding level."""
+        inst = generate_instance(seed, n)
+        split, pair, cert = inst.split, inst.pair, inst.certificate
+        amb, small = pair.ambient, pair.small
+        samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
+                                   n_line=9, n_circle=8, grid_shape=(6, 6))
+        sweep = shift_sweep(split, pair, samples)
+        plain = {name: np.empty(len(samples)) for name in
+                 ("resolvent", "b_inverse", "a_b_inverse", "b_inverse_a", "resolvent_small")}
+        for i, xi in enumerate(samples):
+            b_inv = resolvent_matrix(split.part_b, xi)
+            r = resolvent_matrix(split.full, xi)
+            for name, matrix, dom, cod in (
+                    ("resolvent", r, amb, amb), ("b_inverse", b_inv, amb, amb),
+                    ("a_b_inverse", split.part_a @ b_inv, amb, small),
+                    ("b_inverse_a", b_inv @ split.part_a, amb, small),
+                    ("resolvent_small", r, small, small)):
+                plain[name][i] = operator_norm(matrix, dom, cod)
+        npt.assert_allclose(sweep.resolvent, plain["resolvent"], rtol=1e-12, atol=0.0)
+        for name, column in plain.items():
+            npt.assert_allclose(np.max(getattr(sweep, name)), np.max(column),
+                                rtol=1e-12, atol=0.0)
+        chain = (plain["b_inverse"]
+                 + pair.embedding_constant * plain["resolvent_small"] * plain["a_b_inverse"])
+        npt.assert_allclose(np.max(sweep.chain), np.max(chain), rtol=1e-12, atol=0.0)
 
 
 class TestSweepFailures:
@@ -437,23 +485,25 @@ class TestSweepFailures:
                 check(shift_sweep(split, self.pair, samples))
             assert str(info.value) == str(_oracle_error(split.part_b, samples[1]))
 
+    # the Frobenius upper bound exceeds a diagonal matrix's 2-norm, which
+    # sqrt(||X||_1 ||X||_inf) gave exactly: 13, 9, 17 and 19 exact norms with it
     @pytest.mark.parametrize("samples, exact_norms", [
-        (np.concatenate([[1.0, -0.5], 1.0 + 0.3j * np.arange(1, 11)]), 13),
+        (np.concatenate([[1.0, -0.5], 1.0 + 0.3j * np.arange(1, 11)]), 21),
         (np.array([1.0, 0.0, 2.0 + 1j]), 9),
-        (np.concatenate([1.0 + 0.3j * np.arange(10), [-0.5, 2.0]]), 17),
-        (np.concatenate([1.0 + 0.3j * np.arange(9), [0.0, -0.5]]), 19),
+        (np.concatenate([1.0 + 0.3j * np.arange(10), [-0.5, 2.0]]), 25),
+        (np.concatenate([1.0 + 0.3j * np.arange(9), [0.0, -0.5]]), 27),
     ], ids=["b_at_1", "t_alone", "b_at_10", "t_at_9_then_b_at_10"])
     def test_rejected_samples_never_reach_the_exact_kernel(self, samples, exact_norms,
                                                            monkeypatch):
         """A rejected inverse is NaN, and its NaN brackets must neither
         raise a floor nor send its sample to the exact norms."""
-        refined, norms = factorization._refined_norms, factorization.operator_norms
+        refined, norms = factorization._refined_norms, factorization.spectral_norms
         inside, stacks = [False], []
 
-        def recording_norms(stack, dom, cod):
+        def recording_norms(stack):
             if inside[0]:
                 stacks.append(stack)
-            return norms(stack, dom, cod)
+            return norms(stack)
 
         def recording_refined(*args):
             inside[0] = True
@@ -463,7 +513,7 @@ class TestSweepFailures:
                 inside[0] = False
 
         monkeypatch.setattr(factorization, "_refined_norms", recording_refined)
-        monkeypatch.setattr(factorization, "operator_norms", recording_norms)
+        monkeypatch.setattr(factorization, "spectral_norms", recording_norms)
         sweep = shift_sweep(self.split, self.pair, samples)
         assert sweep.b_failure is not None or sweep.t_failure is not None
         assert sweep.exact_norms == exact_norms

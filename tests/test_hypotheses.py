@@ -386,14 +386,20 @@ class TestH2HermitianLine:
 class TestH2Mirror:
     @pytest.fixture
     def evaluated(self, monkeypatch):
+        """The y of every line evaluation, one at a time or stacked."""
         calls = []
-        line_norm = hypotheses._line_norm
+        line_norm, dense_line_norms = hypotheses._line_norm, hypotheses._dense_line_norms
 
         def recording(line, y):
             calls.append(float(y))
             return line_norm(line, y)
 
+        def recording_dense(scaled, ys):
+            calls.extend(float(y) for y in ys)
+            return dense_line_norms(scaled, ys)
+
         monkeypatch.setattr(hypotheses, "_line_norm", recording)
+        monkeypatch.setattr(hypotheses, "_dense_line_norms", recording_dense)
         return calls
 
     def test_real_operator_is_evaluated_once_per_abs_y(self, evaluated):
@@ -438,9 +444,18 @@ class TestH3:
                                              rate=rate))
         assert broken.verdict == INDETERMINATE
 
+    def test_single_real_part_spectrum_has_a_finite_horizon(self):
+        """Zero spread put the horizon at 5 / 1e-2 and e^{1.5 t} overflowed
+        there; the floor 1e-2 max(1, max |Re lambda|) of the spread keeps
+        e^{t Re lambda} below e^500 on the horizon."""
+        report = check_h3(np.array([[1.5]]), WeightedSpace(np.ones(1)), np.array([1.5]))
+        assert report.verdict == PASS
+        assert report.t_grid[-1] == pytest.approx(5.0 / 0.015, rel=1e-12)
+        assert report.fit.rate == pytest.approx(1.5, rel=1e-9)
+
     def test_shift_moves_rate_exactly(self):
-        # the default grid depends only on the spread of the real parts,
-        # which the shift leaves unchanged
+        # the default grid depends only on the spread of the real parts
+        # while it stays above its floor, and the shift leaves it unchanged
         t_mat = np.diag([0.0, -1.0])
         space = WeightedSpace(np.ones(2))
         base = check_h3(t_mat, space, eigen_decompose(t_mat)[0])

@@ -7,9 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from semidecay.errors import DimensionMismatchError
 from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, norm_bounds,
-                              norm_bracket, operator_norm, operator_norm_bounds,
-                              operator_norms, rounding_margin, spectral_norms,
-                              weighted_congruence, weighted_norm)
+                              norm_bracket, operator_norm, operator_norms,
+                              rounding_margin, spectral_norms, weighted_congruence,
+                              weighted_norm)
 
 from helpers import spectral_norm_power_iteration, weighted_adjoint
 
@@ -115,7 +115,7 @@ def test_operator_norm_bounds_bracket_the_stacked_svd(w_dom, w_cod, seed):
     dom = WeightedSpace(w_dom)
     cod = WeightedSpace(w_cod)
     stack = gen.standard_normal((3, 5, 5)) + 1j * gen.standard_normal((3, 5, 5))
-    lower, upper = operator_norm_bounds(stack, dom, cod)
+    lower, upper = norm_bounds(weighted_congruence(stack, dom, cod))
     exact = operator_norms(stack, dom, cod)
     assert np.all(lower <= exact) and np.all(exact <= upper)
     # within the sqrt(n) factor of both bounds
@@ -170,6 +170,34 @@ def test_spectral_norms_of_a_non_finite_matrix_are_nan(bad):
     values = spectral_norms(stack)
     assert np.isnan(values[1])
     npt.assert_array_equal(values[[0, 2]], spectral_norms(stack[[0, 2]]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), complex_=st.booleans(),
+       log_scales=st.lists(st.sampled_from([-200.0, -100.0, 0.0, 100.0, 200.0])
+                           | st.floats(-200.0, 200.0), min_size=6, max_size=6),
+       nan_at=st.integers(0, 5))
+def test_o_n2_bounds_bracket_the_svd_at_every_scale(seed, n, complex_, log_scales, nan_at):
+    """A stack with a zero, a diagonal, a rank-one and a NaN member, each
+    member scaled alone, some to entries near 1e+-200 (outside the range
+    bounded unscaled): every finite member's largest singular value lies
+    in both brackets, and the NaN member's bounds are NaN."""
+    gen = np.random.default_rng(seed)
+    stack = gen.standard_normal((6, n, n))
+    if complex_:
+        stack = stack + 1j * gen.standard_normal((6, n, n))
+    stack[1] = 0.0
+    stack[2] = np.diag(np.diag(stack[2]))
+    stack[3] = np.outer(stack[3][:, 0], stack[3][0].conj())
+    stack *= (10.0 ** np.array(log_scales))[:, None, None]
+    svd = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    stack[nan_at, gen.integers(n), gen.integers(n)] = np.nan
+    finite = np.arange(6) != nan_at
+    for lower, upper in (norm_bounds(stack), norm_bracket(stack)):
+        assert np.isnan(lower[nan_at]) and np.isnan(upper[nan_at])
+        assert np.all(lower[finite] <= svd[finite])
+        assert np.all(svd[finite] <= upper[finite])
+    assert norm_bounds(stack)[1][1] == 0.0 or nan_at == 1
 
 
 def test_power_step_lower_bound_is_sharp_on_rank_one():

@@ -76,7 +76,7 @@ class TestShiftedInverses:
     def test_bitwise_equal_to_scalar_inverses(self, rng):
         t = rng.standard_normal((12, 12))
         xis = rng.uniform(-3, 3, 11) + 1j * rng.uniform(-3, 3, 11)
-        inverses, errors = guarded_inverses(t, xis)
+        inverses, errors, _ = guarded_inverses(t, xis)
         assert inverses.shape == (11, 12, 12) and not errors
         for xi, inverse in zip(xis, inverses):
             npt.assert_array_equal(inverse, resolvent_scalar(t, xi, DEFAULT_TOLERANCES))
@@ -86,8 +86,13 @@ class TestShiftedInverses:
         t = np.diag([0.0, -1.0, -2.0]) + np.triu(np.ones((3, 3)), 1)
         # exactly singular at -1, inside the conditioning band at -2 + 1e-14
         xis = np.array([1j, -1.0, 0.5 + 0.5j, -2.0 + 1e-14])
-        inverses, errors = guarded_inverses(t, xis)
+        inverses, errors, (shifted_bounds, inverse_bounds) = guarded_inverses(t, xis)
         assert sorted(errors) == [1, 3]
+        # the guard hands back the bounds of its stacks, NaN for a rejected inverse
+        npt.assert_array_equal(shifted_bounds[:2], norm_bounds(t - xis[:, None, None] * np.eye(3)))
+        lower, upper, col_sq, _ = inverse_bounds
+        npt.assert_array_equal((lower[[0, 2]], upper[[0, 2]]), norm_bounds(inverses[[0, 2]]))
+        assert all(np.isnan(bound[[1, 3]]).all() for bound in (lower, upper, col_sq))
         assert [_exact_guard_passes(t, xi) for xi in xis] == [True, False, True, False]
         npt.assert_array_equal(inverses[0], resolvent_matrix(t, 1j))
         for i, error in errors.items():
@@ -131,7 +136,7 @@ class TestShiftedInverses:
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting(lu_factor, factored))
         monkeypatch.setattr(spectral, "spectral_norms", counting(norms, exact))
         monkeypatch.setattr(np.linalg, "eigvals", counting(eigvals, spectra))
-        inverses, errors = guarded_inverses(t, xis)
+        inverses, errors, _ = guarded_inverses(t, xis)
         assert factored[0] == len(xis)
         assert sorted(errors) == [1, 2]
         assert spectra[0] == 1
@@ -144,7 +149,7 @@ class TestShiftedInverses:
 
         xis[1] = -1.0
         factored[0] = spectra[0] = 0
-        inverses, errors = guarded_inverses(t, xis)
+        inverses, errors, _ = guarded_inverses(t, xis)
         assert factored[0] == 2 * len(xis)
         assert sorted(errors) == [1, 2]
         assert spectra[0] == 1
@@ -159,7 +164,7 @@ class TestShiftedInverses:
                                        resolvent_scalar(t, xi, DEFAULT_TOLERANCES))
 
         spectra[0] = 0
-        _, errors = guarded_inverses(t, xis[[0, 3, 4]])
+        _, errors, _ = guarded_inverses(t, xis[[0, 3, 4]])
         assert not errors and spectra[0] == 0
 
 
@@ -189,7 +194,7 @@ class TestGuardFilter:
         lam = np.linalg.eigvals(t)[0]
         offsets = 10.0 ** -np.arange(6, 13)
         xis = np.concatenate([lam + offsets, lam + 1j * offsets, [0.3 + 2.0j]])
-        _, errors = guarded_inverses(t, xis)
+        _, errors, _ = guarded_inverses(t, xis)
         exact_ok = np.array([_exact_guard_passes(t, xi) for xi in xis])
         assert not any(exact_ok[i] for i in errors)
         assert all(i in errors for i in np.flatnonzero(~exact_ok))
@@ -223,7 +228,7 @@ class TestGuardFilter:
             offsets = k * DEFAULT_TOLERANCES.tol_solve * 10.0 ** gen.uniform(-1.0, 1.0, 6)
             xis = np.concatenate([lam + offsets, lam + 1j * offsets,
                                   [lam.real, 0.2 + 3.0j]])
-            inverses, errors = guarded_inverses(t, xis)
+            inverses, errors, _ = guarded_inverses(t, xis)
             for i, xi in enumerate(xis):
                 try:
                     oracle = resolvent_scalar(t, xi, DEFAULT_TOLERANCES)
