@@ -12,7 +12,7 @@ over the samples, in blocks of :func:`~semidecay.spectral.block_size`
 shifts (32 at n = 16, 8 from n = 32 on): each block inverts B - xi and
 T - xi once per sample with one stacked solve each, in ambient-weighted
 coordinates, where an ambient norm is a plain 2-norm. A norm is taken
-exactly (:func:`~semidecay.spaces.spectral_norms`) only where a reported
+exactly (:func:`~semidecay.certify.spectral_norms`) only where a reported
 number or a verdict can depend on it, and O(n^2) bounds stand in
 elsewhere (:class:`ShiftSweep`), so every supremum, every domination
 decision and every witness is that of the exact norms.
@@ -27,8 +27,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, SingularityError
 from .reports import FAIL, PASS
-from .spaces import (EmbeddedSpacePair, norm_bounds, norm_bracket, spectral_norms,
-                     weighted_congruence)
+from .certify import norm_bounds, norm_bracket, spectral_norms
+from .spaces import EmbeddedSpacePair, weighted_congruence
 from .spectral import blocks, guarded_inverses, resolvent_matrix
 
 # the factorization check passes iff its two certified residual maxima stay
@@ -115,7 +115,7 @@ class ShiftSweep:
     Every array has one entry per sample. ``resolvent``, the direct
     ``||R(xi)||_amb``, is exact at every sample. Exact norms are largest
     singular values from the Gram kernel
-    :func:`~semidecay.spaces.spectral_norms`, taken like every bound on the
+    :func:`~semidecay.certify.spectral_norms`, taken like every bound on the
     ambient-weighted stacks of :func:`_sweep_block`.
 
     Bracketed (exact where a reported number or a verdict can depend on
@@ -123,7 +123,7 @@ class ShiftSweep:
     ``b_inverse_a`` are ``||A B(xi)^{-1}||`` and ``||B(xi)^{-1} A||`` from
     the ambient into the small space, and ``resolvent_small`` is
     ``||R(xi)||_small``. Each comes with an O(n^2) bracket
-    (:func:`~semidecay.spaces.norm_bracket`: a power step below, the
+    (:func:`~semidecay.certify.norm_bracket`: a power step below, the
     Frobenius norm above), and is exact wherever its
     upper bound reaches the largest lower bound or exact value of its
     column seen so far; elsewhere it holds that upper bound, which stays
@@ -392,7 +392,7 @@ class BoundChainReport:
     dominates the direct value (see :class:`ShiftSweep`). So
     ``certified_bound``, ``direct_sup``, ``dominated`` and the witness are
     those of the exact chain. Exact values are largest singular values
-    from :func:`~semidecay.spaces.spectral_norms`; no smallest singular
+    from :func:`~semidecay.certify.spectral_norms`; no smallest singular
     value enters the chain (those stay on the SVD).
 
     ``certified_bound`` and ``direct_sup`` are maxima over the sampled xi,

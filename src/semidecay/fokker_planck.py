@@ -22,6 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .certify import collatz_wielandt_upper
 from .config import DEFAULT_TOLERANCES, FPProblem, Tolerances
 from .errors import (AssemblyError, DomainTooSmallError,
                      InfeasibleParameterError, InsufficientSignalError,
@@ -469,8 +470,9 @@ class DecompositionResult:
     ``achieved`` is the accepted candidate's top eigenvalue as computed (a
     Ritz value on the sparse path, so a lower bound); ``achieved_upper`` is
     a certified upper bound on that eigenvalue (see
-    :func:`_collatz_wielandt_upper`), or None where the symmetrized generator is not an irreducible Metzler
-    matrix or the computed top eigenvector is not positive.
+    :func:`~semidecay.certify.collatz_wielandt_upper`), or None where the
+    symmetrized generator is not an irreducible Metzler matrix or the
+    computed top eigenvector is not positive.
     """
 
     found: bool
@@ -543,28 +545,6 @@ def _positive(vector):
     if np.all(vector < 0.0):
         return -vector
     return None
-
-
-def _collatz_wielandt_upper(matrix, vector) -> float | None:
-    """Certified upper bound ``max_i (S x)_i / x_i`` on the top eigenvalue
-    of an irreducible symmetric Metzler matrix S, for any x > 0 (the
-    Collatz-Wielandt formula for S + cI, c >= -min diag S).
-
-    Each ``(S x)_i`` is widened by the error bound of a k-term dot product,
-    gamma_k sum_j |S_ij| x_j (Higham 2002, section 3.5), with k two above
-    the row's stored entries to cover the rounding of the widening sum, and
-    the largest ratio is rounded up by one ulp for the division. None when
-    x has entries of both signs or zeros.
-    """
-    x = _positive(np.asarray(vector, dtype=float))
-    if x is None:
-        return None
-    csr = sp.csr_matrix(matrix)
-    k = np.diff(csr.indptr) + 2.0
-    unit = 0.5 * np.finfo(float).eps
-    gamma = k * unit / (1.0 - k * unit)
-    ratios = (csr @ x + gamma * (abs(csr) @ x)) / x
-    return float(np.nextafter(np.max(ratios), np.inf))
 
 
 def _shared_lu_tops(sym, diagonals):
@@ -642,9 +622,9 @@ def find_decomposition(disc: FPDiscretization, target_a: float,
         frontier.append((m_val, r_val, top))
         if top <= target_a:
             diag = m_val * (coord <= r_val).astype(float)
-            upper = None
-            if metzler:
-                upper = _collatz_wielandt_upper(sym - sp.diags(diag), vector)
+            positive = _positive(vector) if metzler else None
+            upper = (None if positive is None
+                     else collatz_wielandt_upper(sym - sp.diags(diag), positive))
             return DecompositionResult(found=True, M=m_val, R=r_val, achieved=top,
                                        target=target_a, part_a_diagonal=diag,
                                        frontier=frontier, achieved_upper=upper)
@@ -685,9 +665,9 @@ class DecayExperimentResult:
 
     @property
     def witness(self):
-        if self.verdict == INDETERMINATE:
-            return "deviation fell below the signal floor"
-        return None
+        if self.verdict == FAIL:
+            return f"fitted rate {self.fit.rate:.6e} is not negative"
+        return "deviation fell below the signal floor" if self.verdict == INDETERMINATE else None
 
     def constants(self):
         if self.fit is None:

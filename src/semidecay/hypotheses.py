@@ -18,14 +18,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .certify import eigenvalue_margin, hermitian_defect, rounding_margin, spectral_norms
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SingularityError
 from .factorization import ShiftSweep, shift_sweep
 from .reports import FAIL, INDETERMINATE, PASS
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
 from .spectral import blocks
-from .spaces import (EmbeddedSpacePair, WeightedSpace, rounding_margin, spectral_norms,
-                     weighted_congruence)
+from .spaces import EmbeddedSpacePair, WeightedSpace, weighted_congruence
 
 
 # ----------------------------------------------------------------------
@@ -223,13 +223,6 @@ SHIFT_REUSE = 0.25
 RITZ_RTOL = 1e-13       # stop once sigma moves by at most this, relatively,
 RITZ_MAX_STEPS = 8      # within this many inverse-iteration steps
 
-# H2 line kernel for Hermitian lines: an S with ||S - S^H||_F / 2 at most
-# HERMITIAN_ROUNDING * n * eps * ||S||_F is normal up to rounding, so its
-# resolvent norm is the reciprocal distance to the spectrum (Trefethen &
-# Embree, "Spectra and Pseudospectra", 2005, ch. 2); that spectrum is
-# computed once per line.
-HERMITIAN_ROUNDING = 1.0
-
 # bisection levels per grid segment before it is left uncertified
 MAX_REFINE_DEPTH = 12
 
@@ -356,15 +349,16 @@ class _ShiftedLine:
     """``S = W^{1/2} (T - aI) W^{-1/2}``, prepared once for every y.
 
     ``mirrored``: S is real, so ``R(a - iy)`` is the entrywise conjugate of
-    ``R(a + iy)`` and one norm serves both. ``nearest`` and ``defect``: for
-    an S that is Hermitian up to rounding, ``min |lambda_k|`` over the
-    computed spectrum of ``H = (S + S^H) / 2`` and the margin ``delta`` of
-    the bound in :func:`_line_norm`; None otherwise. ``band``: the banded
-    kernel, None for a dense or Hermitian S. ``norm``: an upper bound on
-    ``||S||_2``, widened by :func:`~semidecay.spaces.rounding_margin`. A
-    dense S takes it from :func:`~semidecay.spaces.spectral_norms`; a banded
-    one from the band, as ``max |lambda_k| + delta`` on a Hermitian line
-    (Weyl, as for ``delta``) and as :meth:`_GramBand.norm` otherwise.
+    ``R(a + iy)`` and one norm serves both. Each kind of line has one path.
+    A *Hermitian* line (:func:`~semidecay.certify.hermitian_defect`) has
+    ``nearest``, ``min |lambda_k|`` over the spectrum of ``H = (S + S^H) / 2``
+    from ``eig_banded`` at the line's bandwidth, and ``defect``, the margin
+    ``delta`` of the bound in :func:`_line_norm`. Any other line is *banded*
+    (``BAND_RATIO * b < n``), with the Gram-band kernel ``band``, or *dense*,
+    taking stacked SVDs. ``norm``: an upper bound on ``||S||_2``, widened by
+    :func:`~semidecay.certify.rounding_margin`: ``max |lambda_k| + delta``
+    on a Hermitian line (Weyl), :meth:`_GramBand.norm` on a banded one and
+    :func:`~semidecay.certify.spectral_norms` on a dense one.
     """
 
     def __init__(self, scaled):
@@ -373,57 +367,43 @@ class _ShiftedLine:
         self.mirrored = not np.any(scaled.imag)
         rows, cols = np.nonzero(scaled)
         b = int(np.max(np.abs(rows - cols), initial=0))
-        banded = BAND_RATIO * b < n
-        self.nearest = self.defect = None
-        skew = 0.5 * float(np.linalg.norm(scaled - scaled.conj().T))
-        eps = np.finfo(float).eps
-        if skew <= HERMITIAN_ROUNDING * n * eps * float(np.linalg.norm(scaled)):
-            if banded:
-                upper = [0.5 * (np.diagonal(scaled, k) + np.conj(np.diagonal(scaled, -k)))
-                         for k in range(b + 1)]
-                hermitian = _hermitian_band(upper, b)[:b + 1]
-                spectrum = sla.eig_banded(hermitian.real if self.mirrored else hermitian,
-                                          eigvals_only=True, check_finite=False)
-            else:
-                hermitian = 0.5 * (scaled + scaled.conj().T)
-                spectrum = np.linalg.eigvalsh(hermitian.real if self.mirrored else hermitian)
-            # Weyl: sigma_min(S - iyI) >= sigma_min(H - iyI) - ||S - H||_2, with
-            # ||S - H||_2 <= ||S - S^H||_F / 2; each computed eigenvalue of H is
-            # within n eps ||H||_2 of an exact one (LAPACK Users' Guide, 4.7)
-            top = float(np.max(np.abs(spectrum)))
+        self.nearest = self.defect = self.band = None
+        skew = hermitian_defect(scaled)
+        if skew is not None:
+            upper = [0.5 * (np.diagonal(scaled, k) + np.conj(np.diagonal(scaled, -k)))
+                     for k in range(b + 1)]
+            hermitian = _hermitian_band(upper, b)[:b + 1]
+            spectrum = sla.eig_banded(hermitian.real if self.mirrored else hermitian,
+                                      eigvals_only=True, check_finite=False)
             self.nearest = float(np.min(np.abs(spectrum)))
-            self.defect = skew + n * eps * top
-        self.band = _GramBand(scaled, b) if banded and self.nearest is None else None
-        if not banded:
-            norm = float(spectral_norms(scaled[None])[0])
-        elif self.nearest is not None:
-            norm = top + self.defect     # ||S||_2 <= ||H||_2 + ||S - H||_2
-        else:
+            self.defect = skew + eigenvalue_margin(spectrum)
+            # ||S||_2 <= ||H||_2 + ||S - H||_2
+            norm = float(np.max(np.abs(spectrum))) + self.defect
+        elif BAND_RATIO * b < n:
+            self.band = _GramBand(scaled, b)
             norm = self.band.norm()
+        else:
+            norm = float(spectral_norms(scaled[None])[0])
         self.norm = norm * (1.0 + rounding_margin(scaled))
 
 
 def _line_norm(line: _ShiftedLine, y):
-    """``||(S - iyI)^{-1}||``: on a Hermitian line the bound
-    ``1 / (min_k |lambda_k - iy| - delta)`` where it is finite, else one
-    SVD; on another banded line the band kernel where it settles, else one
-    SVD."""
+    """``||(S - iyI)^{-1}||`` on a Hermitian or banded line: ``1 / sigma``
+    with sigma the lower bound ``min_k |lambda_k - iy| - delta`` on
+    ``sigma_min`` where it is positive, or the band kernel's ``sigma_min``
+    where it settles; else the value of :func:`_dense_line_norms`."""
     if line.nearest is not None:
         gap = math.hypot(line.nearest, y) - line.defect
-        if gap > 0.0:
-            return 1.0 / gap
-    if line.band is not None:
+        sigma = gap if gap > 0.0 else None
+    else:
         sigma = line.band.sigma_min(y)
-        if sigma is not None:
-            return 1.0 / sigma
-    shifted = line.scaled.copy()
-    shifted.flat[::shifted.shape[0] + 1] -= 1j * y
-    return 1.0 / np.linalg.svd(shifted, compute_uv=False)[-1]
+    return _dense_line_norms(line.scaled, [y])[0] if sigma is None else 1.0 / sigma
 
 
 def _dense_line_norms(scaled, ys):
-    """:func:`_line_norm` of a dense line at every y, bit for bit, by
-    stacked SVDs over the :func:`~semidecay.spectral.blocks` of ``ys``."""
+    """``||(S - iyI)^{-1}||`` at every y, by stacked SVDs over the
+    :func:`~semidecay.spectral.blocks` of ``ys``; a y gets the same value
+    bits alone as in any stack."""
     n, norms = len(scaled), np.empty(len(ys))
     for block in blocks(len(ys), n):
         stack = np.repeat(scaled[None], block.stop - block.start, axis=0)
@@ -442,14 +422,13 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
 
     The weighted norm is obtained by scanning the diagonally congruent
     matrix in the plain spectral norm. Between grid points the bound is
-    closed with ``||R(y + d)|| <= v / (1 - d v)`` and adaptive bisection;
+    closed with ``||R(y + d)|| <= v / (1 - d v)`` and adaptive bisection,
+    which evaluates the midpoints of every open segment one depth at a time;
     beyond the truncation the Neumann tail ``1 / (|y| - s)`` takes over,
-    with s >= ``||T - aI||`` the line's upper bound ``_ShiftedLine.norm``:
-    the :func:`~semidecay.spaces.spectral_norms` value on a dense line, and
-    on a banded one a bound from the band that takes no dense eigensolve,
-    each widened by :func:`~semidecay.spaces.rounding_margin`. Each y
-    is evaluated once, by :func:`_line_norm` or :func:`_dense_line_norms`;
-    for a real congruent matrix once per ``|y|``, since the norms at ``±y`` agree.
+    with s >= ``||T - aI||`` the line's upper bound ``_ShiftedLine.norm``.
+    Each y is evaluated once, by :func:`_line_norm` on a Hermitian or banded
+    line and by :func:`_dense_line_norms` on a dense one; for a real
+    congruent matrix once per ``|y|``, since the norms at ``±y`` agree.
     When the congruent matrix is Hermitian up to rounding, each grid value
     is the upper bound ``1 / (dist(iy, spectrum) - delta)`` of
     :func:`_line_norm` rather than the norm itself.
@@ -485,7 +464,7 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
     def line_norms(ys):
         keys = [abs(y) if line.mirrored else y for y in ys]
         new = [key for key in dict.fromkeys(keys) if key not in values]
-        if line.nearest is None and line.band is None:
+        if line.nearest is None and line.band is None:     # a dense line
             values.update(zip(new, _dense_line_norms(line.scaled, new)))
         else:
             values.update((key, _line_norm(line, key)) for key in new)
@@ -496,16 +475,14 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
     bound = float(norms[i_max])
 
     # close the gaps between grid points: ||R|| is 1-Lipschitz in log via
-    # ||R(y+d)|| <= v/(1-dv); bisect until each segment certifies, a depth at
-    # a time, but depth first on a banded line, whose shift reuse follows the order
+    # ||R(y+d)|| <= v/(1-dv); bisect until each segment certifies, a depth at a time
     certified = bound
     uncertified = []
     pending = [(y_grid[i], y_grid[i + 1], norms[i], norms[i + 1], 0)
                for i in range(len(y_grid) - 1)]
     while pending:
-        batch, pending = ([pending.pop()], pending) if line.band is not None else (pending, [])
         split = []
-        for y0, y1, v0, v1, depth in batch:
+        for y0, y1, v0, v1, depth in pending:
             half = 0.5 * (y1 - y0)
             v = max(v0, v1)
             if half * v < 0.5:
@@ -514,6 +491,7 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
                 uncertified.append((y0, y1))
             else:
                 split.append((y0, 0.5 * (y0 + y1), y1, v0, v1, depth + 1))
+        pending = []
         for (y0, ym, y1, v0, v1, depth), vm in zip(split, line_norms([s[1] for s in split])):
             certified = max(certified, vm)
             pending += [(y0, ym, v0, vm, depth), (ym, y1, vm, v1, depth)]
@@ -623,7 +601,7 @@ class H4Report:
     reach its column's supremum (or the bound chain needs it); elsewhere it
     is a certified upper bound below that supremum. So the three suprema
     and the witness sample are those of the exact norms, largest singular
-    values from :func:`~semidecay.spaces.spectral_norms` (smallest singular
+    values from :func:`~semidecay.certify.spectral_norms` (smallest singular
     values, as in H2, stay on the SVD). The suprema are maxima over the
     sampled xi, not over the region, so the verdict certifies the ceiling
     at the samples only. The sweep is not serialized.

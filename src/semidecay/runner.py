@@ -10,10 +10,12 @@ region; a run of more than four instances samples each more thinly.
 Where the sweep could not invert B - xi or T - xi at a sample, those two
 are recorded as indeterminate with the sweep's error as witness, and the
 run still writes ``report.json``. H2 on a line through the spectrum and
-H3 on a package error are recorded the same way. When H1 passes, the
-decay transfer and its converse follow; a package error raised inside
-either is recorded the same way, and a converse whose transfer raised is
-recorded as skipped.
+H3 on a package error are recorded the same way, and so is H1 when the
+eigensolve raises; H2 and H3, which read the spectrum, are then recorded
+as skipped, and H4 and the checks on its sweep run as usual. When H1
+passes, the decay transfer and its converse follow; a package error
+raised inside either is recorded the same way, and a converse whose
+transfer raised is recorded as skipped.
 """
 
 from __future__ import annotations
@@ -41,16 +43,21 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dic
     split, pair, cert = instance.split, instance.pair, instance.certificate
     a, r, xis = cert.a, cert.r, list(cert.xi)
 
-    spectrum = eigen_decompose(split.full, tol)
-    h1 = check_h1(spectrum, a, r, expected_k=cert.k, tol=tol)
     try:
-        h2 = check_h2(split.full, a, pair.small, h1.eigenvalues, tol=tol)
-    except SingularityError as exc:
-        h2 = RaisedCheck(exc)
-    try:
-        h3 = check_h3(split.full, pair.ambient, h1.eigenvalues, tol=tol)
+        spectrum = eigen_decompose(split.full, tol)
     except SemidecayError as exc:
-        h3 = RaisedCheck(exc)
+        h1 = RaisedCheck(exc)
+        h2 = h3 = RaisedCheck(f"skipped: the eigensolve raised {type(exc).__name__}: {exc}")
+    else:
+        h1 = check_h1(spectrum, a, r, expected_k=cert.k, tol=tol)
+        try:
+            h2 = check_h2(split.full, a, pair.small, h1.eigenvalues, tol=tol)
+        except SingularityError as exc:
+            h2 = RaisedCheck(exc)
+        try:
+            h3 = check_h3(split.full, pair.ambient, h1.eigenvalues, tol=tol)
+        except SemidecayError as exc:
+            h3 = RaisedCheck(exc)
     if thin_samples:
         samples = sample_xi_region(a, r, xis, n_line=9, n_circle=8,
                                    grid_shape=(6, 6))
@@ -126,7 +133,7 @@ def run_testbed(config: RunConfig) -> tuple[RunReport, int]:
     report.constants["domination_violations"] = sum(
         0 if c.dominated else 1 for c in chains) if chains else None
 
-    if config.write_operators and instances:
+    if config.write_operators and instances and not isinstance(results[0]["h1"], RaisedCheck):
         inst_dir = os.path.join(config.out_dir, "instance")
         manifest = save_instance(instances[0][1], inst_dir, results[0]["h1"].eigenvalues, tol)
         report.artifacts.append(os.path.relpath(manifest, config.out_dir))

@@ -75,7 +75,7 @@ def semigroup_norms(op, t_grid, space: WeightedSpace, deflation=None) -> np.ndar
     propagator ``e^{dt T}`` applied to ``e^{t_0 T}`` (scaling and squaring
     builds ``expm(k dt T)`` from the same powers), so the whole grid costs
     at most two matrix exponentials; other grids take one per time. The
-    norms are stacked :func:`~semidecay.spaces.spectral_norms` over the
+    norms are stacked :func:`~semidecay.certify.spectral_norms` over the
     :func:`~semidecay.spectral.blocks` of the grid.
     """
     matrix = np.asarray(op)

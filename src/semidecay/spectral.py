@@ -5,7 +5,7 @@ over a block of shifts, which solves each shift once unless the block holds
 an exactly singular shift (then the stacked solve fails and every shift of
 the block is solved again alone), and a conditioning guard on each. O(n^2)
 bounds on its 2-norms settle the guard for most shifts; only a shift they
-flag takes the 2-norms exactly (:func:`~semidecay.spaces.spectral_norms`)
+flag takes the 2-norms exactly (:func:`~semidecay.certify.spectral_norms`)
 on the stack's own inverse, and is accepted or rejected with a
 :class:`SingularityError` and its diagnostics. A rejected shift's slot is
 NaN. :func:`resolvent_block` and :func:`resolvent_matrix` (the one-shift
@@ -44,7 +44,7 @@ import scipy.sparse.linalg as spla
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (EigenConvergenceError, ProjectorMismatchError,
                      SeparationError, SingularityError)
-from .spaces import _bounds, norm_bounds, spectral_norms
+from .certify import _bounds, norm_bounds, spectral_norms
 
 # bytes of one stack of a block (shifts per stacked solve, times per stack of
 # semigroup norms): large blocks amortize the per-call cost of the stacked
@@ -87,7 +87,7 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
     """The stack of ``(M - xi)^{-1}`` over ``xis``, by index the
     :class:`SingularityError` of each shift the guard rejects, and the
     guard's O(n^2) bounds on the shifted matrices and on the inverses, as
-    :func:`~semidecay.spaces.norm_bracket` takes them (NaN for a rejected inverse).
+    :func:`~semidecay.certify.norm_bracket` takes them (NaN for a rejected inverse).
 
     One stacked solve inverts every shift, once; only an exactly singular
     shift, which stops the stacked solve, has every shift of its block
@@ -95,12 +95,12 @@ def guarded_inverses(matrix, xis, tol: Tolerances = DEFAULT_TOLERANCES
     as singular. Any other shift passes the guard when
     ``||M - xi|| ||R|| tol_solve < 1`` and the residual
     ``||(M - xi) R - Id||`` is at most ``tol_solve * max(||M - xi|| ||R||, 1)``.
-    The O(n^2) bounds of :func:`~semidecay.spaces.norm_bounds` settle most
+    The O(n^2) bounds of :func:`~semidecay.certify.norm_bounds` settle most
     shifts: a shift is flagged when ``cond_hi tol_solve >= 1`` or the
     residual bound exceeds ``tol_solve * max(cond_lo, 1)``, where ``cond_hi``
     and ``cond_lo`` bound ``||M - xi|| ||R||`` from above and below, so a
     shift that is not flagged passes the exact test. Only a flagged shift
-    takes the three 2-norms exactly (:func:`~semidecay.spaces.spectral_norms`),
+    takes the three 2-norms exactly (:func:`~semidecay.certify.spectral_norms`),
     on the stack's own shifted matrix, inverse and residual. A rejected
     shift's slot is NaN, so that everything computed from it is NaN too.
     """

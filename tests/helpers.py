@@ -13,7 +13,8 @@ from semidecay.config import SCHEMA_VERSION, Tolerances
 from semidecay.equivalence import verify_decay_from_resolvent
 from semidecay.errors import SingularityError
 from semidecay.hypotheses import check_h1
-from semidecay.spaces import operator_norms, spectral_norms
+from semidecay.certify import spectral_norms
+from semidecay.spaces import operator_norms
 from semidecay.spectral import eigen_decompose
 
 
@@ -26,7 +27,7 @@ def spectral_norm_power_iteration(matrix, tol=1e-12, max_iter=10000) -> float:
 
     Deterministic: starts from the normalized all-ones vector. It converges
     to the norm from below, so it serves only as the independent
-    cross-check of :func:`semidecay.spaces.spectral_norms`.
+    cross-check of :func:`semidecay.certify.spectral_norms`.
     """
     matrix = np.asarray(matrix)
     n = matrix.shape[1]

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -375,6 +376,38 @@ def test_raising_converse_still_writes_the_report(tmp_path, monkeypatch, capsys)
     verdicts = load_report(tmp_path / "out" / "report.json")["verdicts"]
     assert verdicts["seed_1.decay_transfer"]["verdict"] == "pass"
     assert verdicts["seed_1.converse"] == {"verdict": "indeterminate", "witness": str(exc)}
+
+
+@pytest.mark.parametrize("write_operators", [False, True],
+                         ids=["report-only", "write-operators"])
+def test_failed_eigensolve_still_writes_the_report(tmp_path, monkeypatch, capsys,
+                                                   write_operators):
+    """An eigensolver that fails makes H1 indeterminate with its error and
+    skips H2 and H3, which read the spectrum, and the decay transfer and the
+    converse, which need a passing H1; H4 runs as usual and the run exits 2
+    with its report. No instance manifest is written, for want of the
+    spectrum its projectors are computed from."""
+    def unconverged(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("eig algorithm did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eig", unconverged)
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "instance": {"n": 16},
+                                  "write_operators": write_operators,
+                                  "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg]) == 2
+    assert "check error:" not in capsys.readouterr().err
+    report = load_report(tmp_path / "out" / "report.json")
+    verdicts = report["verdicts"]
+    error = "dense eigensolver failed: eig algorithm did not converge"
+    assert verdicts["seed_1.h1"] == {"verdict": "indeterminate", "witness": error}
+    for name in ("h2", "h3"):
+        assert verdicts[f"seed_1.{name}"] == {
+            "verdict": "indeterminate",
+            "witness": f"skipped: the eigensolve raised EigenConvergenceError: {error}"}
+    assert verdicts["seed_1.h4"]["verdict"] == "pass"
+    assert "seed_1.decay_transfer" not in verdicts and "seed_1.converse" not in verdicts
+    assert not (tmp_path / "out" / "instance").exists()
+    assert report["artifacts"] == []
 
 
 def test_equilibrium_initial_data_passes_decay(tmp_path):

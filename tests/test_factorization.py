@@ -19,8 +19,8 @@ from semidecay.factorization import (IDENTITY_RESIDUAL_LIMIT,
                                      verify_factorization)
 from semidecay.hypotheses import FAIL, PASS, check_h4, sample_xi_region
 from semidecay.runner import _check_instance
-from semidecay.spaces import (EmbeddedSpacePair, norm_bracket, operator_norm, spectral_norms,
-                              weighted_congruence)
+from semidecay.certify import norm_bracket, spectral_norms
+from semidecay.spaces import EmbeddedSpacePair, operator_norm, weighted_congruence
 from semidecay.spectral import guarded_inverses, resolvent_matrix
 
 

@@ -20,7 +20,8 @@ from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      gap_mode, initial_datum,
                                      resolvent_scan_fp, spectral_gap_H)
 from semidecay.hypotheses import PASS, check_h2, check_h4
-from semidecay.semigroup import step_trajectory
+from semidecay.reports import RunReport
+from semidecay.semigroup import DecayFit, step_trajectory
 from semidecay.spectral import sparse_lu
 from semidecay.spaces import EmbeddedSpacePair
 
@@ -227,6 +228,20 @@ class TestFindDecomposition:
 
 
 class TestDecayExperiment:
+    def test_failed_decay_carries_its_witness(self):
+        """A fitted rate that is not negative fails, and the report names it."""
+        times = np.linspace(0.0, 1.0, 3)
+        fit = DecayFit(prefactor=1.0, rate=0.0, window=(0.0, 1.0), residual=0.0)
+        result = fokker_planck.DecayExperimentResult(
+            times=times, deviation_ambient=np.ones(3), deviation_small=np.ones(3),
+            mass=np.ones(3), scheme="implicit-euler", fit=fit, pinned=None,
+            equilibrium=False)
+        report = RunReport(command="fp-decay", config={})
+        report.add_check("decay", result)
+        assert report.verdicts["decay"] == {
+            "verdict": "fail", "witness": "fitted rate 0.000000e+00 is not negative",
+            "constants": {"rate": 0.0, "C": 1.0}}
+
     def test_equilibrium_stays_flat(self, fp_small):
         t_grid = np.linspace(0.0, 1.0, 51)
         result = decay_experiment(fp_small, initial_datum(fp_small, "equilibrium"), t_grid)

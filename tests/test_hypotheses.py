@@ -13,8 +13,9 @@ from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      spectral_gap_H)
 from semidecay.hypotheses import (FAIL, INDETERMINATE, PASS, check_h1, check_h2,
                                   check_h3, check_h4, make_y_grid, sample_xi_region)
+from semidecay.certify import rounding_margin, spectral_norms
 from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
-                              rounding_margin, spectral_norms, weighted_congruence)
+                              weighted_congruence)
 from semidecay.spectral import eigen_decompose, resolvent_matrix
 
 from helpers import cluster_union_find, split_matrices
@@ -224,7 +225,7 @@ class TestH2LineKernel:
         assert line.band is not None
         assert any(line.band.sigma_min(y) is None for y in ys)
         values = [hypotheses._line_norm(line, y) for y in ys]
-        npt.assert_allclose(values, _dense_line_norms(scaled, ys), rtol=1e-12, atol=0.0)
+        npt.assert_array_equal(values, hypotheses._dense_line_norms(scaled, ys))
 
 
     def test_reused_shifts_on_the_scan_walk_match_the_oracles(self, monkeypatch):
@@ -380,7 +381,7 @@ class TestH2HermitianLine:
         line.defect = 1.0
         ys = np.array([0.0, 0.3, 0.6])
         values = [hypotheses._line_norm(line, y) for y in ys]
-        npt.assert_allclose(values, _dense_line_norms(scaled, ys), rtol=1e-12, atol=0.0)
+        npt.assert_array_equal(values, hypotheses._dense_line_norms(scaled, ys))
 
 
 class TestH2Mirror:

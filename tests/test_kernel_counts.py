@@ -22,7 +22,7 @@ from semidecay.runner import _check_instance
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts matrix exponentials, SVD matrices, Hermitian eigensolve
-    matrices (the kernel of :func:`~semidecay.spaces.spectral_norms`) and
+    matrices (the kernel of :func:`~semidecay.certify.spectral_norms`) and
     the calls that take them, dense solve matrices and calls, the exact
     norms inside :func:`~semidecay.spectral.guarded_inverses`, and the
     eigendecompositions (``eig``, ``schur`` and ``eigvals`` calls, as the

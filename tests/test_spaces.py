@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from semidecay.certify import norm_bounds, norm_bracket, rounding_margin, spectral_norms
 from semidecay.errors import DimensionMismatchError
-from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, norm_bounds,
-                              norm_bracket, operator_norm, operator_norms,
-                              rounding_margin, spectral_norms, weighted_congruence,
-                              weighted_norm)
+from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm, operator_norms,
+                              weighted_congruence, weighted_norm)
 
 from helpers import spectral_norm_power_iteration, weighted_adjoint
 

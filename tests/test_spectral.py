@@ -11,7 +11,7 @@ from semidecay.errors import SeparationError, SingularityError
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential)
 from semidecay.config import DEFAULT_TOLERANCES
-from semidecay.spaces import norm_bounds
+from semidecay.certify import norm_bounds
 from semidecay.spectral import (_projector_contour, _projector_subspace,
                                 eigen_decompose, guarded_inverses,
                                 resolvent_block, resolvent_matrix,
