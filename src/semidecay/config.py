@@ -125,7 +125,9 @@ class FPProblem:
 
     Holds the physical objects of :mod:`semidecay.fokker_planck`, built
     once here; each validates its own parameters. This class checks only
-    what spans fields: the swirl needs d = 2, and the time horizon.
+    what spans fields: the domain must resolve the potential's equilibrium
+    (:func:`~semidecay.fokker_planck.check_domain`), the swirl needs d = 2,
+    and the time horizon.
     """
 
     grid: FPGrid
@@ -145,7 +147,7 @@ class FPProblem:
     def from_mapping(cls, mapping, where="problem"):
         # lazy imports: both modules import this one
         from .fokker_planck import (INITIAL_DATA, EnlargedWeight, FPGrid, Potential,
-                                    SwirlField, check_target)
+                                    SwirlField, check_domain, check_target)
         from .semigroup import SCHEMES
 
         _require_keys(mapping, cls._ALLOWED, {"d", "s", "L", "N"}, where)
@@ -154,6 +156,7 @@ class FPProblem:
         length = _build(f"{where}.L", lambda: _number(mapping["L"]))
         grid = _build(where, lambda: FPGrid(d=d, L=length, N=n))
         potential = _build(f"{where}.s", lambda: Potential(s=_number(mapping["s"])))
+        _build(f"{where}.L", lambda: check_domain(grid, potential))
         weight = EnlargedWeight()
         if "weight" in mapping:
             weight_map = mapping["weight"]

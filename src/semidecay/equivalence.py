@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import CertificateError
-from .hypotheses import FAIL, PASS, H1Report, check_h1
+from .hypotheses import H1Report, check_h1
+from .reports import FAIL, PASS, Check
 from .semigroup import (DecayFit, default_time_grid, envelope_prefactor,
                         fit_exponential_decay, propagators, semigroup_norms)
 from .spaces import WeightedSpace, operator_norms
@@ -43,8 +44,7 @@ class DecayCertificate:
 
 
 @dataclass
-class DecayTransferReport:
-    verdict: str
+class DecayTransferReport(Check):
     fit: DecayFit
     certificate: DecayCertificate
     t_grid: np.ndarray
@@ -52,7 +52,7 @@ class DecayTransferReport:
 
     @property
     def witness(self):
-        if self.verdict == PASS:
+        if self.fit.rate <= self.certificate.level:
             return None
         return (f"fitted rate {self.fit.rate:.6e} exceeds the requested rate "
                 f"{self.certificate.level:.6e}")
@@ -89,9 +89,8 @@ def verify_decay_from_resolvent(op, space: WeightedSpace, h1: H1Report, rate: fl
     certificate = DecayCertificate(level=rate, prefactor=prefactor,
                                    discrete_eigs=list(h1.discrete_eigs),
                                    projectors=projectors, space=space)
-    verdict = PASS if fit.rate <= rate else FAIL
-    return DecayTransferReport(verdict=verdict, fit=fit, certificate=certificate,
-                               t_grid=t_grid, deviation_norms=norms)
+    return DecayTransferReport(fit=fit, certificate=certificate, t_grid=t_grid,
+                               deviation_norms=norms)
 
 
 def default_z_samples(level: float, scale: float) -> np.ndarray:
@@ -109,19 +108,19 @@ def default_z_samples(level: float, scale: float) -> np.ndarray:
 
 
 @dataclass
-class ConverseReport:
+class ConverseReport(Check):
     """``laplace_max_ratio`` is the largest ratio of the Laplace bound's two
     sides over ``z_samples``, each left side an exact norm, and ``worst_z``
     the first sample attaining it (None when every ratio is 0, or H1
-    failed)."""
+    failed). A re-derived H1 that does not pass gives its ``unmet``."""
 
-    verdict: str
     witness: str | None
     h1: H1Report
     laplace_max_ratio: float
     commutation_defect: float
     z_samples: np.ndarray | None = None
     worst_z: complex | None = None
+    unmet: str = FAIL
 
     def constants(self):
         return {"laplace_max_ratio": self.laplace_max_ratio}
@@ -190,7 +189,7 @@ def verify_resolvent_from_decay(op, spectrum, certificate: DecayCertificate,
     ball_radius = 0.45 * min(sep, room) if np.isfinite(sep) else 0.45 * room
     h1 = check_h1(spectrum, a_check, ball_radius, expected_k=len(xis), tol=tol)
     if h1.verdict != PASS:
-        return ConverseReport(h1.verdict, f"H1: {h1.witness}", h1, np.inf, defect)
+        return ConverseReport(f"H1: {h1.witness}", h1, np.inf, defect, unmet=h1.unmet)
 
     z_samples = default_z_samples(level, max(abs(level), 1.0))
     ratios = np.empty(len(z_samples))
@@ -204,8 +203,7 @@ def verify_resolvent_from_decay(op, spectrum, certificate: DecayCertificate,
     worst = float(ratios[i])
     worst_z = z_samples[i] if worst > 0.0 else None
     if worst > 1.0 + tol.laplace_slack:
-        return ConverseReport(FAIL,
-                              f"Laplace bound violated at z={worst_z} "
+        return ConverseReport(f"Laplace bound violated at z={worst_z} "
                               f"(ratio {worst:.6f})",
                               h1, worst, defect, z_samples, worst_z)
-    return ConverseReport(PASS, None, h1, worst, defect, z_samples, worst_z)
+    return ConverseReport(None, h1, worst, defect, z_samples, worst_z)

@@ -47,7 +47,7 @@ class AssemblyError(SemidecayError):
     """A discrete operator violates an identity it must satisfy by construction."""
 
 
-class DomainTooSmallError(SemidecayError):
+class DomainTooSmallError(SemidecayError, ValueError):
     """The truncated domain does not resolve the equilibrium tail."""
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, SingularityError
-from .reports import FAIL, PASS
+from .reports import Check
 from .certify import norm_bounds, norm_bracket, spectral_norms
 from .spaces import EmbeddedSpacePair, weighted_congruence
 from .spectral import blocks, guarded_inverses, resolvent_matrix
@@ -305,7 +305,7 @@ def shift_sweep(split: SplitOperator, pair: EmbeddedSpacePair, xi_samples,
 
 
 @dataclass
-class FactorizationReport:
+class FactorizationReport(Check):
     """Residuals of the factorized inverse over a sample of shifts.
 
     ``max_identity_residual`` is a certified upper bound on the largest
@@ -322,10 +322,6 @@ class FactorizationReport:
     samples: np.ndarray
     identity_residuals: np.ndarray
     inverse_mismatches: np.ndarray
-
-    @property
-    def verdict(self):
-        return FAIL if self.witness else PASS
 
     @property
     def witness(self):
@@ -378,7 +374,7 @@ def _dominates(chain, direct):
 
 
 @dataclass
-class BoundChainReport:
+class BoundChainReport(Check):
     """Triangle-inequality envelope for the enlarged resolvent bound.
 
     Per sampled xi the chain value is
@@ -407,10 +403,6 @@ class BoundChainReport:
     samples: np.ndarray
     chain_values: np.ndarray
     direct_values: np.ndarray
-
-    @property
-    def verdict(self):
-        return PASS if self.dominated else FAIL
 
     @property
     def witness(self):

@@ -28,7 +28,7 @@ from .errors import (AssemblyError, DomainTooSmallError,
                      InfeasibleParameterError, InsufficientSignalError,
                      MagnitudeGuardError)
 from .hypotheses import H2Report, check_h2
-from .reports import FAIL, INDETERMINATE, PASS
+from .reports import FAIL, INDETERMINATE, Check
 from .semigroup import (DecayFit, envelope_prefactor, fit_exponential_decay,
                         step_trajectory)
 from .spaces import WeightedSpace
@@ -221,6 +221,13 @@ def _equilibrium_nodes(grid: FPGrid, potential) -> np.ndarray:
     return np.exp(-(u_vals - 0.5 * (u_vals.max() + u_vals.min())))
 
 
+def check_domain(grid: FPGrid, potential):
+    """Require the truncated domain to resolve the equilibrium: its tail
+    decayed at the boundary and its node values representable."""
+    check_truncation(grid, potential)
+    _equilibrium_nodes(grid, potential)
+
+
 def _csr_from_entries(entries, n) -> sp.csr_matrix:
     """The n x n CSR matrix summing the ``(rows, cols, values)`` blocks of
     ``entries``, duplicates added."""
@@ -296,7 +303,7 @@ def assemble_skew_part(grid: FPGrid, potential, swirl: SwirlField | None
 
 
 @dataclass
-class FPDiscretization:
+class FPDiscretization(Check):
     """Assembled generator with its two weighted spaces.
 
     The generator is kept sparse; ``dense_generator`` materializes it for
@@ -314,7 +321,6 @@ class FPDiscretization:
     mu: np.ndarray                 # equilibrium node values, unit discrete mass
     space_small: WeightedSpace     # weights mu^{-1}
     space_ambient: WeightedSpace   # weights theta(U)
-    verdict = PASS
     witness = None
 
     @classmethod
@@ -464,7 +470,7 @@ LOBPCG_MAXITER = 100
 
 
 @dataclass
-class DecompositionResult:
+class DecompositionResult(Check):
     """Outcome of the cutoff search.
 
     ``achieved`` is the accepted candidate's top eigenvalue as computed (a
@@ -483,10 +489,6 @@ class DecompositionResult:
     part_a_diagonal: np.ndarray | None
     frontier: list
     achieved_upper: float | None = None
-
-    @property
-    def verdict(self):
-        return PASS if self.found else FAIL
 
     @property
     def witness(self):
@@ -638,7 +640,7 @@ def find_decomposition(disc: FPDiscretization, target_a: float,
 
 
 @dataclass
-class DecayExperimentResult:
+class DecayExperimentResult(Check):
     """Trajectory of the deviation from equilibrium in both norms.
 
     ``fit`` is the free-fitted certified envelope of the relative ambient
@@ -658,16 +660,14 @@ class DecayExperimentResult:
     equilibrium: bool
 
     @property
-    def verdict(self):
-        if self.fit is None:
-            return PASS if self.equilibrium else INDETERMINATE
-        return PASS if self.fit.rate < 0.0 else FAIL
+    def unmet(self):
+        return INDETERMINATE if self.fit is None else FAIL
 
     @property
     def witness(self):
-        if self.verdict == FAIL:
-            return f"fitted rate {self.fit.rate:.6e} is not negative"
-        return "deviation fell below the signal floor" if self.verdict == INDETERMINATE else None
+        if self.fit is None:
+            return None if self.equilibrium else "deviation fell below the signal floor"
+        return None if self.fit.rate < 0.0 else f"fitted rate {self.fit.rate:.6e} is not negative"
 
     def constants(self):
         if self.fit is None:
@@ -784,13 +784,14 @@ def resolvent_scan_fp(disc: FPDiscretization, a: float,
 
 
 @dataclass
-class ResolventScans:
+class ResolventScans(Check):
     """Both resolvent scans of one generator along ``Re z = a``: they pass
     iff both certificates closed, else the witness names each open scan."""
 
     small: H2Report
     ambient: H2Report
     a: float
+    unmet = INDETERMINATE
 
     def named(self):
         return (("scan_small", self.small), ("scan_ambient", self.ambient))
@@ -800,10 +801,6 @@ class ResolventScans:
         open_scans = [f"{name}: {scan.witness}" for name, scan in self.named()
                       if scan.witness is not None]
         return "; ".join(open_scans) or None
-
-    @property
-    def verdict(self):
-        return INDETERMINATE if self.witness else PASS
 
     def constants(self):
         return {"K_small": self.small.bound, "K_ambient": self.ambient.bound,

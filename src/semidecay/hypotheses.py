@@ -5,8 +5,9 @@ isolated eigenvalue groups), H2 bounds the resolvent uniformly on that
 line, H3 bounds the semigroup growth, and H4 certifies the splitting
 T = A + B on the enlarged space. Verdicts are three-valued: eigenvalues
 within the boundary margin of a decision line yield ``indeterminate``
-rather than a coerced pass or fail. Each report exposes ``verdict``,
-``witness`` and ``constants()``, the entry a run report records for it.
+rather than a coerced pass or fail. Each report is a
+:class:`~semidecay.reports.Check`: it states its ``witness`` and
+``constants()``, the entry a run report records for it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .certify import eigenvalue_margin, hermitian_defect, rounding_margin, spect
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SingularityError
 from .factorization import ShiftSweep, shift_sweep
-from .reports import FAIL, INDETERMINATE, PASS
+from .reports import FAIL, INDETERMINATE, Check
 from .semigroup import DecayFit, default_time_grid, fit_exponential_decay, semigroup_norms
 from .spectral import blocks
 from .spaces import EmbeddedSpacePair, WeightedSpace, weighted_congruence
@@ -33,7 +34,7 @@ from .spaces import EmbeddedSpacePair, WeightedSpace, weighted_congruence
 
 
 @dataclass
-class H1Report:
+class H1Report(Check):
     """The split of the spectrum at ``Re z = a``.
 
     ``eigenvalues`` and ``max_residual`` (the largest eigenpair residual
@@ -42,17 +43,18 @@ class H1Report:
     ``discrete_eigs`` are the centers of the eigenvalue groups right of the
     line, each inside a ball of radius ``r``, ordered by decreasing real
     part; otherwise it is empty. The spectral projectors of these groups
-    are built by their reader, the decay transfer. ``constants()`` prints
-    ``k`` and every field but the verdict and the witness.
+    are built by their reader, the decay transfer. ``unmet`` is the
+    verdict of a split that is not a pass. ``constants()`` prints ``k``
+    and every field but the witness and ``unmet``.
     """
 
-    verdict: str
     witness: str | None
     eigenvalues: np.ndarray
     max_residual: float
     a: float
     r: float
     discrete_eigs: list = field(default_factory=list)
+    unmet: str = FAIL
 
     def constants(self):
         return {"k": len(self.discrete_eigs), "discrete_eigs": self.discrete_eigs,
@@ -83,8 +85,8 @@ def check_h1(spectrum, a: float, r: float, expected_k: int | None = None,
     """
     eigvals, max_residual = spectrum
 
-    def report(verdict, witness=None, **split):
-        return H1Report(verdict, witness, eigvals, max_residual, a, r, **split)
+    def report(witness=None, unmet=FAIL, **split):
+        return H1Report(witness, eigvals, max_residual, a, r, unmet=unmet, **split)
 
     scale = max(1.0, float(np.max(np.abs(eigvals))) if len(eigvals) else 1.0)
     margin = tol.boundary_margin * scale
@@ -92,14 +94,14 @@ def check_h1(spectrum, a: float, r: float, expected_k: int | None = None,
     on_boundary = np.abs(eigvals.real - a) <= margin
     if np.any(on_boundary):
         witness = eigvals[on_boundary][0]
-        return report(INDETERMINATE,
-                      f"eigenvalue {witness} within {margin:.1e} of the line Re z = {a}")
+        return report(f"eigenvalue {witness} within {margin:.1e} of the line Re z = {a}",
+                      INDETERMINATE)
 
     inside = eigvals[eigvals.real > a]
     if len(inside) == 0:
         if expected_k not in (None, 0):
-            return report(FAIL, f"expected {expected_k} eigenvalue groups, found 0")
-        return report(PASS)
+            return report(f"expected {expected_k} eigenvalue groups, found 0")
+        return report()
 
     clusters = _cluster(inside, r)
     centers = []
@@ -108,25 +110,25 @@ def check_h1(spectrum, a: float, r: float, expected_k: int | None = None,
         radius_used = float(np.max(np.abs(inside[idx] - center)))
         if radius_used > r:
             return report(
-                FAIL, f"eigenvalue group around {center} has spread {radius_used:.3e} > r={r}")
+                f"eigenvalue group around {center} has spread {radius_used:.3e} > r={r}")
         centers.append(center)
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             if abs(centers[i] - centers[j]) <= 2 * r:
                 return report(
-                    FAIL, f"balls around {centers[i]} and {centers[j]} are not disjoint")
+                    f"balls around {centers[i]} and {centers[j]} are not disjoint")
     for center in centers:
         clearance = center.real - r - a
         if clearance <= 0.0:
-            return report(FAIL, f"ball around {center} is not strictly inside Re z > {a}")
+            return report(f"ball around {center} is not strictly inside Re z > {a}")
         if clearance <= margin:
             return report(
-                INDETERMINATE,
-                f"ball around {center} clears the line Re z = {a} by only {clearance:.1e}")
+                f"ball around {center} clears the line Re z = {a} by only {clearance:.1e}",
+                INDETERMINATE)
     if expected_k is not None and len(centers) != expected_k:
-        return report(FAIL, f"expected {expected_k} eigenvalue groups, found {len(centers)}")
+        return report(f"expected {expected_k} eigenvalue groups, found {len(centers)}")
     centers.sort(key=lambda z: (-z.real, z.imag))
-    return report(PASS, discrete_eigs=centers)
+    return report(discrete_eigs=centers)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +154,7 @@ def make_y_grid(core_scale: float, y_max: float) -> np.ndarray:
 
 
 @dataclass
-class H2Report:
+class H2Report(Check):
     """Uniform resolvent bound along ``Re z = a``.
 
     ``bound`` is the grid maximum of ``norms``, each the resolvent norm at
@@ -182,15 +184,11 @@ class H2Report:
     tail_valid_from: float
     shifted_norm: float
     uncertified_segments: list = field(default_factory=list)
-
-    @property
-    def verdict(self):
-        closed = np.isfinite(self.certified_bound) and not self.uncertified_segments
-        return PASS if closed else INDETERMINATE
+    unmet = INDETERMINATE
 
     @property
     def witness(self):
-        if self.verdict == PASS:
+        if np.isfinite(self.certified_bound) and not self.uncertified_segments:
             return None
         return (f"certified bound {self.certified_bound:.6e}, "
                 f"{len(self.uncertified_segments)} uncertified segments")
@@ -514,7 +512,7 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
 
 
 @dataclass
-class H3Report:
+class H3Report(Check):
     """Certified growth envelope ``||e^{tT}|| <= C_b e^{b t}``.
 
     The verdict passes when the fitted prefactor and rate are both finite,
@@ -525,10 +523,7 @@ class H3Report:
 
     fit: DecayFit
     t_grid: np.ndarray
-
-    @property
-    def verdict(self):
-        return INDETERMINATE if self.witness else PASS
+    unmet = INDETERMINATE
 
     @property
     def witness(self):
@@ -590,7 +585,7 @@ def sample_xi_region(a: float, r: float, xi_list, n_line: int = 21,
 
 
 @dataclass
-class H4Report:
+class H4Report(Check):
     """The suprema of the decomposition bounds over the sample.
 
     The per-sample norms are the columns ``b_inverse`` (``||B(xi)^{-1}||_amb``),
@@ -607,7 +602,6 @@ class H4Report:
     at the samples only. The sweep is not serialized.
     """
 
-    verdict: str
     witness: str | None
     sup_b_inverse: float
     sup_a_b_inverse: float
@@ -640,16 +634,15 @@ def check_h4(split, pair: EmbeddedSpacePair, samples,
     samples = sweep.samples
     if sweep.b_failure is not None:
         i, exc = sweep.b_failure
-        return H4Report(FAIL, f"B - xi numerically singular at xi={samples[i]} "
-                              f"(distance {exc.distance:.3e})",
+        return H4Report(f"B - xi numerically singular at xi={samples[i]} "
+                        f"(distance {exc.distance:.3e})",
                         np.inf, np.inf, np.inf, tol.h4_ceiling, sweep)
     columns = np.stack([sweep.b_inverse, sweep.a_b_inverse, sweep.b_inverse_a])
     sup_b, sup_ab, sup_ba = (float(np.max(col, initial=0.0)) for col in columns)
     worst = max(sup_b, sup_ab, sup_ba)
     if not np.isfinite(worst) or worst > tol.h4_ceiling:
         i_bad = int(np.argmax(np.max(columns, axis=0)))
-        return H4Report(FAIL,
-                        f"bound {worst:.3e} exceeds ceiling {tol.h4_ceiling:.1e} "
+        return H4Report(f"bound {worst:.3e} exceeds ceiling {tol.h4_ceiling:.1e} "
                         f"at xi={samples[i_bad]}",
                         sup_b, sup_ab, sup_ba, tol.h4_ceiling, sweep)
-    return H4Report(PASS, None, sup_b, sup_ab, sup_ba, tol.h4_ceiling, sweep)
+    return H4Report(None, sup_b, sup_ab, sup_ba, tol.h4_ceiling, sweep)

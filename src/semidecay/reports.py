@@ -3,10 +3,12 @@
 A report echoes the effective configuration (defaults included, so it is
 self-reproducing), carries per-check verdicts with witnesses or the
 certified constants backing them, and lists every artifact written.
-Every check result exposes ``verdict``, ``witness`` (a string or None) and
-``constants()``; :meth:`RunReport.add_check` is the one writer of verdicts,
-and a check's verdict entry is its only record in the report. JSON output
-is deterministic up to the timestamp field, which comparers must exclude.
+Every check result is a :class:`Check`: it states its ``witness`` (a
+string or None) and ``constants()``, and :attr:`Check.verdict` is the one
+rule that turns them into a verdict. :meth:`RunReport.add_check` is the
+one writer of verdicts, and a check's verdict entry is its only record in
+the report. JSON output is deterministic up to the timestamp field, which
+comparers must exclude.
 """
 
 from __future__ import annotations
@@ -29,6 +31,19 @@ EXIT_INTERNAL = 1
 EXIT_CHECKS_FAILED = 2
 EXIT_INFEASIBLE = 3
 EXIT_CONFIG = 4
+
+
+class Check:
+    """A check result. It passes exactly when its ``witness`` is None;
+    otherwise its verdict is ``unmet``: fail, unless the result sets
+    indeterminate because the check could not decide. So a verdict other
+    than pass always carries its witness."""
+
+    unmet = FAIL
+
+    @property
+    def verdict(self) -> str:
+        return PASS if self.witness is None else self.unmet
 
 
 def _jsonable(value):
@@ -93,22 +108,19 @@ class RunReport:
         return str(path)
 
 
-class RaisedCheck:
+class RaisedCheck(Check):
     """A check that raised before it could decide: indeterminate, with the
     error's message as witness and no constants. ``error`` may also be the
     message of a check skipped because one it depends on raised."""
 
-    verdict = INDETERMINATE
+    unmet = INDETERMINATE
 
     def __init__(self, error: Exception | str):
+        self.error = error
         self.witness = str(error)
 
     def constants(self):
         return {}
-
-
-def passes(check) -> bool:
-    return check.verdict == PASS
 
 
 def load_report(path) -> dict:

@@ -7,15 +7,16 @@ ignored.
 A testbed instance runs H1 to H4, then the factorization check and the
 bound chain, both read from the shift sweep H4 made on the sampled
 region; a run of more than four instances samples each more thinly.
-Where the sweep could not invert B - xi or T - xi at a sample, those two
-are recorded as indeterminate with the sweep's error as witness, and the
-run still writes ``report.json``. H2 on a line through the spectrum and
-H3 on a package error are recorded the same way, and so is H1 when the
-eigensolve raises; H2 and H3, which read the spectrum, are then recorded
-as skipped, and H4 and the checks on its sweep run as usual. When H1
-passes, the decay transfer and its converse follow; a package error
-raised inside either is recorded the same way, and a converse whose
-transfer raised is recorded as skipped.
+When H1 passes, the decay transfer and its converse follow.
+
+Every guarded stage runs through :func:`_attempt`: a package error it
+raises is that check's indeterminate verdict, with the error as witness,
+and the run still writes ``report.json``. A check that reads what a
+raising stage would have given is recorded as skipped, naming the error:
+H2 and H3 when the eigensolve raises (H1 is then the raised check), the
+converse when the decay transfer raises. The guarded stages are the
+eigensolve, H2, H3, the factorization, the bound chain, the decay
+transfer, the converse and the drift-diffusion resolvent scan.
 """
 
 from __future__ import annotations
@@ -27,15 +28,30 @@ import numpy as np
 from . import matio
 from .config import RunConfig
 from .equivalence import verify_decay_from_resolvent, verify_resolvent_from_decay
-from .errors import ConfigError, SemidecayError, SingularityError
+from .errors import ConfigError, SemidecayError
 from .factorization import enlargement_bound_chain, verify_factorization
 from .fokker_planck import (build_problem, decay_experiment, find_decomposition,
                             initial_datum, resolvent_scan_fp, spectral_gap_H)
 from .hypotheses import check_h1, check_h2, check_h3, check_h4, sample_xi_region
 from .instances import GeneratedInstance, generate_instance, load_instance, save_instance
-from .reports import (EXIT_CHECKS_FAILED, EXIT_INFEASIBLE, EXIT_OK, RaisedCheck,
-                      RunReport, passes)
+from .reports import (EXIT_CHECKS_FAILED, EXIT_INFEASIBLE, EXIT_OK, PASS, RaisedCheck,
+                      RunReport)
 from .spectral import eigen_decompose
+
+
+def _attempt(check, *args, **kwargs):
+    """``check(*args, **kwargs)``, or the :class:`RaisedCheck` of the
+    package error it raised."""
+    try:
+        return check(*args, **kwargs)
+    except SemidecayError as exc:
+        return RaisedCheck(exc)
+
+
+def _skipped(stage: str, raised: RaisedCheck) -> RaisedCheck:
+    """The entry of a check skipped because ``stage`` raised."""
+    error = raised.error
+    return RaisedCheck(f"skipped: the {stage} raised {type(error).__name__}: {error}")
 
 
 def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dict:
@@ -43,48 +59,32 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dic
     split, pair, cert = instance.split, instance.pair, instance.certificate
     a, r, xis = cert.a, cert.r, list(cert.xi)
 
-    try:
-        spectrum = eigen_decompose(split.full, tol)
-    except SemidecayError as exc:
-        h1 = RaisedCheck(exc)
-        h2 = h3 = RaisedCheck(f"skipped: the eigensolve raised {type(exc).__name__}: {exc}")
+    spectrum = _attempt(eigen_decompose, split.full, tol)
+    if isinstance(spectrum, RaisedCheck):
+        h1 = spectrum
+        h2 = h3 = _skipped("eigensolve", spectrum)
     else:
         h1 = check_h1(spectrum, a, r, expected_k=cert.k, tol=tol)
-        try:
-            h2 = check_h2(split.full, a, pair.small, h1.eigenvalues, tol=tol)
-        except SingularityError as exc:
-            h2 = RaisedCheck(exc)
-        try:
-            h3 = check_h3(split.full, pair.ambient, h1.eigenvalues, tol=tol)
-        except SemidecayError as exc:
-            h3 = RaisedCheck(exc)
+        h2 = _attempt(check_h2, split.full, a, pair.small, h1.eigenvalues, tol=tol)
+        h3 = _attempt(check_h3, split.full, pair.ambient, h1.eigenvalues, tol=tol)
     if thin_samples:
         samples = sample_xi_region(a, r, xis, n_line=9, n_circle=8,
                                    grid_shape=(6, 6))
     else:
         samples = sample_xi_region(a, r, xis)
     h4 = check_h4(split, pair, samples, tol=tol)
-    checks = {"h1": h1, "h2": h2, "h3": h3, "h4": h4}
-    try:
-        checks["factorization"] = verify_factorization(h4.sweep)
-        checks["bound_chain"] = enlargement_bound_chain(h4.sweep)
-    except SingularityError as exc:
-        checks["factorization"] = checks["bound_chain"] = RaisedCheck(exc)
-    if passes(h1):
+    checks = {"h1": h1, "h2": h2, "h3": h3, "h4": h4,
+              "factorization": _attempt(verify_factorization, h4.sweep),
+              "bound_chain": _attempt(enlargement_bound_chain, h4.sweep)}
+    if h1.verdict == PASS:
         rate = 0.5 * a    # strictly above a, still negative
-        try:
-            transfer = verify_decay_from_resolvent(split.full, pair.ambient, h1, rate, tol=tol)
-        except SemidecayError as exc:
-            checks["decay_transfer"] = RaisedCheck(exc)
-            checks["converse"] = RaisedCheck(
-                f"skipped: the decay transfer raised {type(exc).__name__}: {exc}")
-            return checks
+        transfer = _attempt(verify_decay_from_resolvent, split.full, pair.ambient, h1,
+                            rate, tol=tol)
         checks["decay_transfer"] = transfer
-        try:
-            checks["converse"] = verify_resolvent_from_decay(
-                split.full, spectrum, transfer.certificate, tol=tol)
-        except SemidecayError as exc:
-            checks["converse"] = RaisedCheck(exc)
+        checks["converse"] = (
+            _skipped("decay transfer", transfer) if isinstance(transfer, RaisedCheck)
+            else _attempt(verify_resolvent_from_decay, split.full, spectrum,
+                          transfer.certificate, tol=tol))
     return checks
 
 
@@ -146,7 +146,8 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
     ``fp-spectrum`` stops after the gap; ``fp-decay`` adds the
     decomposition search and the trajectory experiment; ``fp-resolvent-scan``
     runs the line scans in both spaces, recorded as indeterminate (and
-    without CSVs) when an eigenvalue lies on the scan line. Infeasible
+    without CSVs) when they raise, as on an eigenvalue on the scan line or
+    above the dense size limit. Infeasible
     decomposition searches exit with their own status and ship the search
     frontier.
     """
@@ -181,15 +182,12 @@ def run_fp(config: RunConfig) -> tuple[RunReport, int]:
         return _finish(report, config, EXIT_INFEASIBLE)
 
     if config.command == "fp-resolvent-scan":
-        a_line = 0.5 * lam_p
-        try:
-            scans = resolvent_scan_fp(disc, a_line, tol=tol)
-        except SingularityError as exc:
-            report.add_check("resolvent_scan", RaisedCheck(exc))
+        scans = _attempt(resolvent_scan_fp, disc, 0.5 * lam_p, tol=tol)
+        report.add_check("resolvent_scan", scans)
+        if isinstance(scans, RaisedCheck):
             return _finish(report, config)
         report.constants["K_small"] = scans.small.bound
         report.constants["K_ambient"] = scans.ambient.bound
-        report.add_check("resolvent_scan", scans)
         for name, scan in scans.named():
             path = os.path.join(config.out_dir, f"{name}.csv")
             matio.write_csv(path, ["y", "resolvent_norm"], [scan.y_grid, scan.norms])

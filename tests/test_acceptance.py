@@ -23,8 +23,8 @@ from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      _similarity, assemble_skew_part,
                                      decay_experiment, initial_datum,
                                      spectral_gap_H)
-from semidecay.hypotheses import PASS, check_h1, sample_xi_region
-from semidecay.reports import load_report, reports_equal
+from semidecay.hypotheses import check_h1, sample_xi_region
+from semidecay.reports import PASS, load_report, reports_equal
 from semidecay.spectral import eigen_decompose
 from scipy.linalg import eigh_tridiagonal
 

@@ -16,7 +16,8 @@ from semidecay import hypotheses
 from semidecay.certify import (EPS, collatz_wielandt_upper, eigenvalue_margin,
                                hermitian_defect)
 from semidecay.fokker_planck import _is_irreducible_metzler, _positive
-from semidecay.hypotheses import PASS, check_h2
+from semidecay.hypotheses import check_h2
+from semidecay.reports import PASS
 from semidecay.spaces import WeightedSpace
 
 

@@ -136,6 +136,10 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
     (BASE_TESTBED, {"instance": {"strength": float("nan")}}, [], "strength=nan at instance"),
     (BASE_TESTBED, {"instance": {"strength": float("inf")}}, [], "strength=inf at instance"),
     (BASE_FP, {"target_a": 0.5}, [], "negative at problem.target_a"),
+    (BASE_FP, {"L": 3.0}, [], "ratio 1.23e-04 exceeds the truncation guard 1.0e-12; "
+                              "enlarge L at problem.L"),
+    (BASE_FP, {"d": 2, "L": 20.0, "N": 40}, [],
+     "potential range 760 exceeds the representable window; shrink L or s at problem.L"),
     (BASE_TESTBED, {"seed": 1.9}, [], "1.9 is not an integer at config.seed"),
     (BASE_TESTBED, {"seed": True}, [], "True is not an integer at config.seed"),
     (BASE_TESTBED, {"n_seeds": 2.5}, [], "at config.n_seeds"),
@@ -167,7 +171,8 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
         "n_seeds0", "n_seeds-3", "seed_cast", "t_max_cast", "n_cast", "n0",
         "k_above_n", "strength", "a_positive", "gap_no_margin", "strength_nan",
         "strength_inf",
-        "target_a_positive", "seed_fraction", "seed_bool", "n_seeds_fraction",
+        "target_a_positive", "L_truncation", "L_range", "seed_fraction", "seed_bool",
+        "n_seeds_fraction",
         "jobs_fraction", "n_fraction", "k_fraction", "N_fraction", "d_fraction",
         "scheme_removed", "seed_negative", "seed_flag_negative",
         "write_operators_string", "tolerance_nan", "tolerance_negative",
@@ -274,15 +279,22 @@ def test_report_without_verdicts_does_not_pass():
     assert not RunReport(command="testbed", config={}).all_passed
 
 
-def test_dense_scan_above_size_limit_gives_check_error(tmp_path, capsys):
+def test_dense_scan_above_size_limit_is_indeterminate(tmp_path, capsys):
+    """A scan above the dense size limit is recorded with the size guard's
+    error as witness, like an eigenvalue on the line: the report is written
+    without CSVs and the run exits 2."""
     cfg_map = json.loads(json.dumps(BASE_FP))
     cfg_map.update(command="fp-resolvent-scan", out_dir=str(tmp_path / "out"))
     cfg_map["problem"]["N"] = 4201
     cfg = write_config(tmp_path, cfg_map)
     assert main(["fp-resolvent-scan", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("check error:") and "4201" in err
-    assert "Traceback" not in err
+    assert "check error" not in capsys.readouterr().err
+    verdicts = load_report(tmp_path / "out" / "report.json")["verdicts"]
+    assert verdicts["assembly"]["verdict"] == "pass"
+    assert verdicts["decomposition"]["verdict"] == "pass"
+    assert verdicts["resolvent_scan"]["verdict"] == "indeterminate"
+    assert "4201" in verdicts["resolvent_scan"]["witness"]
+    assert sorted(os.listdir(tmp_path / "out")) == ["report.json"]
 
 
 def test_infeasible_decomposition_gives_exit_three(tmp_path):
@@ -336,6 +348,30 @@ def test_singular_sweep_sample_still_writes_the_report(tmp_path, monkeypatch):
     assert report["constants"]["domination_violations"] is None
     assert report["constants"]["max_certified_bound"] is None
     assert verdicts["seed_1.h1"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("check, function", [
+    ("h2", "check_h2"), ("factorization", "verify_factorization"),
+    ("bound_chain", "enlargement_bound_chain")])
+def test_package_error_in_a_check_is_its_indeterminate_verdict(tmp_path, monkeypatch,
+                                                               capsys, check, function):
+    """Any package error a guarded check raises, not only a
+    SingularityError, is that check's indeterminate verdict with the error
+    as witness; every other check runs and the report is written."""
+    def planted(*args, **kwargs):
+        raise MagnitudeGuardError("planted")
+
+    monkeypatch.setattr(runner, function, planted)
+    cfg = write_config(tmp_path, {**BASE_TESTBED, "instance": {"n": 16},
+                                  "out_dir": str(tmp_path / "out")})
+    assert main(["testbed", "--config", cfg]) == 2
+    assert "check error" not in capsys.readouterr().err
+    verdicts = load_report(tmp_path / "out" / "report.json")["verdicts"]
+    assert verdicts.pop(f"seed_1.{check}") == {"verdict": "indeterminate",
+                                               "witness": "planted"}
+    assert len(verdicts) == 7
+    assert {name: entry["verdict"] for name, entry in verdicts.items()} == dict.fromkeys(
+        verdicts, "pass")
 
 
 def test_raising_decay_transfer_still_writes_the_report(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,8 @@ from semidecay import equivalence, generate_instance
 from semidecay.equivalence import (DecayCertificate, verify_decay_from_resolvent,
                                    verify_resolvent_from_decay)
 from semidecay.errors import CertificateError
-from semidecay.hypotheses import FAIL, PASS, check_h1
+from semidecay.hypotheses import check_h1
+from semidecay.reports import FAIL, PASS
 from semidecay.spaces import WeightedSpace, operator_norm
 from semidecay.spectral import eigen_decompose
 

@@ -17,7 +17,8 @@ from semidecay.factorization import (IDENTITY_RESIDUAL_LIMIT,
                                      enlarged_resolvent,
                                      enlargement_bound_chain, shift_sweep,
                                      verify_factorization)
-from semidecay.hypotheses import FAIL, PASS, check_h4, sample_xi_region
+from semidecay.hypotheses import check_h4, sample_xi_region
+from semidecay.reports import FAIL, PASS
 from semidecay.runner import _check_instance
 from semidecay.certify import norm_bracket, spectral_norms
 from semidecay.spaces import EmbeddedSpacePair, operator_norm, weighted_congruence

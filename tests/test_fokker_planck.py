@@ -19,8 +19,8 @@ from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      decay_experiment, find_decomposition,
                                      gap_mode, initial_datum,
                                      resolvent_scan_fp, spectral_gap_H)
-from semidecay.hypotheses import PASS, check_h2, check_h4
-from semidecay.reports import RunReport
+from semidecay.hypotheses import check_h2, check_h4
+from semidecay.reports import PASS, RunReport
 from semidecay.semigroup import DecayFit, step_trajectory
 from semidecay.spectral import sparse_lu
 from semidecay.spaces import EmbeddedSpacePair

@@ -11,8 +11,9 @@ from semidecay import hypotheses
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential, SwirlField, find_decomposition,
                                      spectral_gap_H)
-from semidecay.hypotheses import (FAIL, INDETERMINATE, PASS, check_h1, check_h2,
-                                  check_h3, check_h4, make_y_grid, sample_xi_region)
+from semidecay.hypotheses import (check_h1, check_h2, check_h3, check_h4, make_y_grid,
+                                  sample_xi_region)
+from semidecay.reports import FAIL, INDETERMINATE, PASS
 from semidecay.certify import rounding_margin, spectral_norms
 from semidecay.spaces import (EmbeddedSpacePair, WeightedSpace, operator_norm,
                               weighted_congruence)

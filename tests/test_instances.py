@@ -10,9 +10,9 @@ from semidecay import generate_instance, instances, load_instance, save_instance
 from semidecay.cli import main
 from semidecay.config import Tolerances
 from semidecay.errors import InfeasibleParameterError
-from semidecay.hypotheses import PASS, check_h1, check_h4, sample_xi_region
+from semidecay.hypotheses import check_h1, check_h4, sample_xi_region
 from semidecay.matio import read_matrix
-from semidecay.reports import load_report
+from semidecay.reports import PASS, load_report
 from semidecay.spectral import eigen_decompose, spectral_projector
 
 

@@ -15,7 +15,8 @@ from semidecay.factorization import shift_sweep
 from semidecay.config import DEFAULT_TOLERANCES
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential, spectral_gap_H)
-from semidecay.hypotheses import PASS, check_h2, sample_xi_region
+from semidecay.hypotheses import check_h2, sample_xi_region
+from semidecay.reports import PASS
 from semidecay.runner import _check_instance
 
 
