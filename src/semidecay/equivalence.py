@@ -166,9 +166,10 @@ def verify_resolvent_from_decay(op, spectrum, certificate: DecayCertificate,
     defect = 0.0
     if projs:
         stack = []
-        for prop in propagators(matrix, np.linspace(0.1, 2.0, 5)):
-            stack.append(prop)
-            stack.extend(proj @ prop - prop @ proj for proj in projs)
+        for props in propagators(matrix, np.linspace(0.1, 2.0, 5)):
+            for prop in props:
+                stack.append(prop)
+                stack.extend(proj @ prop - prop @ proj for proj in projs)
         norms = operator_norms(np.stack(stack), space, space).reshape(-1, 1 + len(projs))
         ratios = norms[:, 1:] / np.maximum(norms[:, :1], 1e-300)
         defect = float(np.fmax.reduce(ratios, axis=None, initial=0.0))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .certify import collatz_wielandt_upper
 from .config import DEFAULT_TOLERANCES, FPProblem, Tolerances
@@ -394,7 +393,7 @@ def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int):
     Deterministic: tridiagonal and dense paths are direct, the sparse path
     uses shift-invert Lanczos with a fixed start vector and a shift above
     the spectrum, over one :func:`~semidecay.spectral.sparse_lu` of the
-    shifted matrix."""
+    shifted matrix. Only the sparse path imports ``scipy.sparse.linalg``."""
     n = s_mat.shape[0]
     if n > 1 and is_tridiagonal(s_mat):
         diag = s_mat.diagonal()
@@ -407,6 +406,7 @@ def _top_symmetric_eigs(s_mat: sp.csr_matrix, k: int):
         dense = 0.5 * (dense + dense.T)
         vals, vecs = sla.eigh(dense, subset_by_index=[n - k, n - 1])
         return vals[::-1], vecs[:, ::-1]
+    import scipy.sparse.linalg as spla
     sym = (0.5 * (s_mat + s_mat.T)).tocsc()
     v0 = np.ones(n) / np.sqrt(n)
     sigma = _shift_above(sym)
@@ -562,6 +562,7 @@ def _shared_lu_tops(sym, diagonals):
     candidate takes the shift-invert path of :func:`_top_symmetric_eigs`.
     Yields the eigenvalue and its eigenvector.
     """
+    import scipy.sparse.linalg as spla
     n = sym.shape[0]
     lu = sparse_lu(sym - _shift_above(sym) * sp.identity(n, format="csc"))
     start = np.full((n, 1), 1.0 / np.sqrt(n))

@@ -64,12 +64,21 @@ class H1Report(Check):
 
 def _cluster(points, radius):
     """Connected components under single linkage at distance ``radius``,
-    ordered by their first point, each in increasing index order."""
-    from scipy.sparse.csgraph import connected_components
+    ordered by their first point, each in increasing index order.
+
+    The reflexive link relation is closed by boolean squaring (at most
+    log2 of the point count products) until it stops growing; each row of
+    the closure is then its point's component, found from its first point.
+    """
     points = np.asarray(points)
-    linked = np.abs(points[:, None] - points[None, :]) <= radius
-    count, labels = connected_components(linked, directed=False)
-    return [np.flatnonzero(labels == k) for k in range(count)]
+    reach = np.abs(points[:, None] - points[None, :]) <= radius
+    reach |= np.eye(len(points), dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    return [np.flatnonzero(reach[first]) for first in np.unique(np.argmax(reach, axis=1))]
 
 
 def check_h1(spectrum, a: float, r: float, expected_k: int | None = None,

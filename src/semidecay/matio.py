@@ -1,7 +1,8 @@
 """File formats: Matrix Market for operators, CSV for curves.
 
 CSV floats are written with 17 significant digits so identical runs
-produce byte-identical files.
+produce byte-identical files. ``scipy.io`` is imported by the two Matrix
+Market functions, so a run that writes only CSVs never loads it.
 """
 
 from __future__ import annotations
@@ -9,16 +10,18 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 
 def write_matrix(path, matrix):
     """Matrix Market file: coordinate format for sparse input, array otherwise."""
+    import scipy.io
     scipy.io.mmwrite(path, matrix if sp.issparse(matrix) else np.asarray(matrix))
 
 
 def read_matrix(path) -> np.ndarray:
+    """Dense array of a Matrix Market file."""
+    import scipy.io
     matrix = scipy.io.mmread(path)
     if hasattr(matrix, "toarray"):
         matrix = matrix.toarray()

@@ -42,26 +42,37 @@ def _uniform_walk(matrix, t_grid):
 
 
 def propagators(matrix, t_grid):
-    """``e^{tT}`` at each time of ``t_grid``, in order.
+    """``e^{tT}`` at the times of ``t_grid``, one stack per
+    :func:`~semidecay.spectral.blocks` block, in order.
 
-    On a uniform grid each one is the previous times the one-step
-    propagator ``e^{dt T}``, with the overflow guard on every power; any
-    other grid exponentiates per time.
+    On a uniform grid each propagator is the previous one times the
+    one-step propagator ``e^{dt T}``, written in place into its slot of the
+    stack; any other grid takes one :func:`matrix_exponential` per time, in
+    the same loop. Each block is filled under one ``errstate`` and checked
+    by one overflow guard, which raises :class:`MagnitudeGuardError` when
+    any of its propagators is not finite. Every stack is a fresh array
+    that the caller may modify.
     """
+    t_grid = np.asarray(t_grid, dtype=float)
     walk = _uniform_walk(matrix, t_grid)
-    if walk is None:
-        for t in t_grid:
-            yield matrix_exponential(matrix * t)
-        return
-    power, step = walk
-    yield power
-    for _ in range(len(t_grid) - 1):
+    dtype = np.result_type(*walk) if walk else np.result_type(matrix.dtype, float)
+    n = matrix.shape[0]
+    power = None
+    for block in blocks(len(t_grid), n):
+        stack = np.empty((block.stop - block.start, n, n), dtype=dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ step
-        if not np.all(np.isfinite(power.real)):
-            raise MagnitudeGuardError(
-                "matrix exponential overflowed; shorten the horizon")
-        yield power
+            for j, t in enumerate(t_grid[block]):
+                if walk is None:
+                    stack[j] = matrix_exponential(matrix * t)
+                elif power is None:
+                    stack[j] = walk[0]
+                else:
+                    np.matmul(power, walk[1], out=stack[j])
+                power = stack[j]
+        if not np.all(np.isfinite(stack.real)):
+            raise MagnitudeGuardError("matrix exponential overflowed; shorten the horizon")
+        power = power.copy()
+        yield stack
 
 
 def semigroup_norms(op, t_grid, space: WeightedSpace, deflation=None) -> np.ndarray:
@@ -74,21 +85,19 @@ def semigroup_norms(op, t_grid, space: WeightedSpace, deflation=None) -> np.ndar
     On a uniform grid the propagators are the powers of one short-step
     propagator ``e^{dt T}`` applied to ``e^{t_0 T}`` (scaling and squaring
     builds ``expm(k dt T)`` from the same powers), so the whole grid costs
-    at most two matrix exponentials; other grids take one per time. The
-    norms are stacked :func:`~semidecay.certify.spectral_norms` over the
-    :func:`~semidecay.spectral.blocks` of the grid.
+    at most two matrix exponentials; other grids take one per time. Each
+    stack of :func:`propagators` is deflated in place and reduced by one
+    stacked :func:`~semidecay.certify.spectral_norms`.
     """
     matrix = np.asarray(op)
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.empty(len(t_grid))
-    props = propagators(matrix, t_grid)
-    for block in blocks(len(t_grid), matrix.shape[0]):
-        times = t_grid[block]
-        stack = np.stack([next(props) for _ in times])
+    for block, stack in zip(blocks(len(t_grid), matrix.shape[0]),
+                            propagators(matrix, t_grid)):
         if deflation:
-            stack = stack.astype(complex)
+            stack = stack.astype(complex, copy=False)
             for xi, proj in deflation:
-                stack -= np.exp(xi * times)[:, None, None] * proj
+                stack -= np.exp(xi * t_grid[block])[:, None, None] * proj
         out[block] = operator_norms(stack, space, space)
     return out
 

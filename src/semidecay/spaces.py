@@ -40,14 +40,18 @@ class WeightedSpace:
             raise ValueError("weights must be strictly positive and finite")
         if not (np.isfinite(self.cell_measure) and self.cell_measure > 0.0):
             raise ValueError("cell_measure must be strictly positive and finite")
+        scaling = np.sqrt(weights * self.cell_measure)
+        scaling.flags.writeable = False
+        object.__setattr__(self, "_scaling", scaling)
 
     @property
     def dim(self) -> int:
         return len(self.weights)
 
     def scaling(self) -> np.ndarray:
-        """Diagonal D with ``norm(v) = ||D v||_2``."""
-        return np.sqrt(self.weights * self.cell_measure)
+        """Diagonal D with ``norm(v) = ||D v||_2``, computed once with the
+        space and read-only."""
+        return self._scaling
 
     def norm(self, v) -> float:
         return weighted_norm(v, self)

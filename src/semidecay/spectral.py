@@ -19,7 +19,8 @@ package. The cut changes no reported number, only the number of stacked
 calls (and which per-sample sweep values are exact).
 
 Every sparse LU factorization is :func:`sparse_lu`, which fixes its
-column ordering.
+column ordering. It is the module's one use of ``scipy.sparse.linalg``,
+imported inside it, so the dense testbed never loads the sparse solvers.
 
 :func:`eigen_decompose`, the one eigensolve of a testbed operator, returns
 its residual-checked eigenvalues and their largest relative residual; H1
@@ -39,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (EigenConvergenceError, ProjectorMismatchError,
@@ -186,9 +186,11 @@ def is_tridiagonal(matrix) -> bool:
     return coo.nnz > 0 and int(np.max(np.abs(coo.row - coo.col))) <= 1
 
 
-def sparse_lu(matrix) -> spla.SuperLU:
-    """Sparse LU factorization of a square matrix, in the ``SPARSE_ORDERING``
-    unless it is tridiagonal."""
+def sparse_lu(matrix):
+    """Sparse LU factorization of a square matrix, a
+    ``scipy.sparse.linalg.SuperLU``, in the ``SPARSE_ORDERING`` unless it
+    is tridiagonal. It imports ``scipy.sparse.linalg`` when first called."""
+    import scipy.sparse.linalg as spla
     csc = sp.csc_matrix(matrix)
     ordering = TRIDIAGONAL_ORDERING if is_tridiagonal(csc) else SPARSE_ORDERING
     return spla.splu(csc, permc_spec=ordering)

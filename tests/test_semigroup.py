@@ -11,15 +11,16 @@ from semidecay.semigroup import (default_time_grid, envelope_prefactor,
                                  fit_exponential_decay, matrix_exponential,
                                  propagators, semigroup_norms, step_trajectory)
 from semidecay.spaces import WeightedSpace, operator_norm
-from semidecay.spectral import eigen_decompose, spectral_projector
+from semidecay.spectral import blocks, eigen_decompose, spectral_projector
 
 from helpers import envelope_holds
 
 
 def trajectory(mat, f0, t_grid):
-    """``e^{tT} f0`` at each time of ``t_grid``, read from the propagators."""
-    props = propagators(np.asarray(mat), np.asarray(t_grid, dtype=float))
-    return np.array([prop @ f0 for prop in props])
+    """``e^{tT} f0`` at each time of ``t_grid``, read from the propagator
+    stacks."""
+    stacks = propagators(np.asarray(mat), np.asarray(t_grid, dtype=float))
+    return np.array([prop @ f0 for stack in stacks for prop in stack])
 
 
 class TestSemigroupApply:
@@ -176,6 +177,29 @@ def oracle_semigroup_norms(matrix, t_grid, space, deflation=None):
     return out
 
 
+def walked_oracle_norms(matrix, t_grid, space, deflation=None):
+    """The walk one time at a time, ``power = power @ step``, with one guard
+    and one norm per time: the order in which the stacked walk multiplies."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    dt = (t_grid[-1] - t_grid[0]) / (len(t_grid) - 1)
+    step = matrix_exponential(matrix * dt)
+    out = np.empty(len(t_grid))
+    for i, t in enumerate(t_grid):
+        if i == 0:
+            power = (np.eye(len(matrix), dtype=matrix.dtype) if t == 0.0
+                     else matrix_exponential(matrix * t))
+        else:
+            power = power @ step
+        assert np.all(np.isfinite(power))
+        prop = power
+        if deflation:
+            prop = prop.astype(complex)
+            for xi, proj in deflation:
+                prop -= np.exp(xi * t) * proj
+        out[i] = operator_norm(prop, space, space)
+    return out
+
+
 @pytest.fixture
 def expm_calls(monkeypatch):
     """Counts the matrix exponentials the semigroup module takes."""
@@ -250,3 +274,67 @@ class TestPropagatorWalk:
         for t, row in zip(t_grid, traj):
             npt.assert_allclose(row, matrix_exponential(mat * t) @ f0,
                                 rtol=1e-12, atol=1e-15)
+
+
+class TestStackedWalk:
+    """:func:`propagators` fills one stack per block of
+    :func:`~semidecay.spectral.blocks`; the stacks must reproduce the walk one
+    time at a time bit for bit, also on a grid whose last block is short."""
+
+    @pytest.mark.parametrize("n,count", [(16, 200), (32, 64)])
+    def test_equals_the_per_time_walk(self, n, count):
+        inst = generate_instance(3, n)
+        space, matrix = inst.pair.ambient, inst.split.full
+        cert = inst.certificate
+        t_grid = default_time_grid(rate_scale=abs(cert.a), n=count)
+        sizes = [len(stack) for stack in propagators(matrix, t_grid)]
+        assert sizes == [b.stop - b.start for b in blocks(count, n)]
+        npt.assert_array_equal(semigroup_norms(matrix, t_grid, space),
+                               walked_oracle_norms(matrix, t_grid, space))
+        h1 = check_h1(eigen_decompose(matrix), cert.a, cert.r, expected_k=cert.k)
+        deflation = [(complex(c), spectral_projector(matrix, h1.eigenvalues, c, h1.r))
+                     for c in h1.discrete_eigs]
+        assert deflation
+        npt.assert_array_equal(
+            semigroup_norms(matrix, t_grid, space, deflation=deflation),
+            walked_oracle_norms(matrix, t_grid, space, deflation))
+
+    def test_grid_off_zero_equals_the_per_time_walk(self, rng):
+        mat = -0.5 * np.eye(16) + 0.3 * rng.standard_normal((16, 16))
+        t_grid = np.linspace(0.4, 3.0, 45)
+        space = WeightedSpace(rng.uniform(0.5, 2.0, 16))
+        npt.assert_array_equal(semigroup_norms(mat, t_grid, space),
+                               walked_oracle_norms(mat, t_grid, space))
+
+    def test_overflow_in_the_second_block_raises(self):
+        # n = 16 takes blocks of 32; e^{40 t} passes e^{709.8} at t = 18,
+        # the 37th time of this grid
+        matrix = np.diag(np.r_[40.0, -np.ones(15)])
+        t_grid = np.linspace(0.0, 30.0, 61)
+        stacks = propagators(matrix, t_grid)
+        first = next(stacks)
+        assert len(first) == 32 and np.all(np.isfinite(first))
+        with pytest.raises(MagnitudeGuardError, match="overflowed"):
+            next(stacks)
+        with pytest.raises(MagnitudeGuardError, match="overflowed"):
+            semigroup_norms(matrix, t_grid, WeightedSpace(np.ones(16)))
+
+    def test_nonuniform_grid_exponentiates_once_per_time(self, rng, expm_calls):
+        mat = -0.5 * np.eye(16) + 0.3 * rng.standard_normal((16, 16))
+        t_grid = np.sort(rng.uniform(0.0, 3.0, 40))
+        space = WeightedSpace(np.ones(16))
+        norms = semigroup_norms(mat, t_grid, space)
+        assert len(expm_calls) == len(t_grid)
+        assert [len(stack) for stack in propagators(mat, t_grid)] == [32, 8]
+        npt.assert_array_equal(norms, oracle_semigroup_norms(mat, t_grid, space))
+
+    def test_stacks_are_the_callers(self, rng):
+        # writing into a yielded stack leaves the stacks after it unchanged
+        mat = -0.5 * np.eye(16) + 0.3 * rng.standard_normal((16, 16))
+        t_grid = np.linspace(0.0, 4.0, 70)
+        expected = np.concatenate(list(propagators(mat, t_grid)))
+        scribbled = []
+        for stack in propagators(mat, t_grid):
+            scribbled.append(stack.copy())
+            stack[:] = np.nan
+        npt.assert_array_equal(np.concatenate(scribbled), expected)

@@ -45,6 +45,14 @@ def test_nonpositive_weights_rejected():
         WeightedSpace([np.inf])
 
 
+def test_scaling_is_computed_once_and_read_only():
+    space = WeightedSpace([0.5, 2.0, 8.0], cell_measure=0.25)
+    npt.assert_array_equal(space.scaling(), np.sqrt(space.weights * 0.25))
+    assert space.scaling() is space.scaling()
+    with pytest.raises(ValueError):
+        space.scaling()[0] = 1.0
+
+
 def test_operator_norm_identity():
     space = WeightedSpace([0.5, 2.0, 9.0])
     assert operator_norm(np.eye(3), space, space) == pytest.approx(1.0, rel=1e-14)
