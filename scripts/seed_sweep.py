@@ -33,8 +33,7 @@ def main(n_seeds=100, max_size=32):
         n = 2 if seed == 1 else int(size_rng.integers(4, max_size + 1))
         inst = generate_instance(seed, n)
         cert = inst.certificate
-        xi = sample_xi_region(cert.a, cert.r, list(cert.xi),
-                              n_line=9, n_circle=8, grid_shape=(6, 6))
+        xi = sample_xi_region(cert.a, cert.r, list(cert.xi), thin=True)
         sweep = shift_sweep(inst.split, inst.pair, xi)
         fact = verify_factorization(sweep)
         chain = enlargement_bound_chain(sweep)

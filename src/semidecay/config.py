@@ -277,7 +277,7 @@ class RunConfig:
     def from_mapping(cls, mapping, command=None) -> "RunConfig":
         allowed = {"schema_version"} | {f.name for f in dataclasses.fields(cls)}
         _require_keys(mapping, allowed, {"schema_version"}, "config")
-        version = mapping["schema_version"]
+        version = _build("config.schema_version", lambda: _integer(mapping["schema_version"]))
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version!r} at config.schema_version")
         cfg_command = mapping.get("command", command)

@@ -161,12 +161,12 @@ def verify_resolvent_from_decay(op, spectrum, certificate: DecayCertificate,
                                f"{len(projs)} projectors")
 
     # commutation of the certified projectors with the semigroup, on
-    # propagators walked from e^{0.1 T} by one step propagator; one stack
-    # holds each propagator followed by its commutators
+    # propagators walked from the identity by one step propagator; one
+    # stack holds each propagator followed by its commutators
     defect = 0.0
     if projs:
         stack = []
-        for props in propagators(matrix, np.linspace(0.1, 2.0, 5)):
+        for props in propagators(matrix, np.linspace(0.0, 2.0, 6)):
             for prop in props:
                 stack.append(prop)
                 stack.extend(proj @ prop - prop @ proj for proj in projs)

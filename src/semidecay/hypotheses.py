@@ -419,13 +419,13 @@ def _dense_line_norms(scaled, ys):
     return norms
 
 
-def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
+def check_h2(op, a: float, space: WeightedSpace, eigvals,
              tol: Tolerances = DEFAULT_TOLERANCES) -> H2Report:
     """Scan ``||(T - a - iy)^{-1}||`` in the norm of ``space`` over a
     symmetric y grid: :func:`make_y_grid` with the eigenvalue heights
-    added, unless ``y_grid`` is given. ``eigvals``, the spectrum of ``op``
-    (H1's, for a testbed operator), places those heights and decides
-    whether the line touches the spectrum.
+    added. ``eigvals``, the spectrum of ``op`` (H1's, for a testbed
+    operator), places those heights and decides whether the line touches
+    the spectrum.
 
     The weighted norm is obtained by scanning the diagonally congruent
     matrix in the plain spectral norm. Between grid points the bound is
@@ -458,14 +458,11 @@ def check_h2(op, a: float, space: WeightedSpace, eigvals, y_grid=None,
     scaled = weighted_congruence(matrix, space, space) - a * np.eye(n)
     line = _ShiftedLine(scaled)
     shifted_norm = line.norm
-    if y_grid is None:
-        core = 10.0 * max(abs(a), 1.0, float(np.max(np.abs(eigvals.imag))) if len(eigvals) else 0.0)
-        y_max = max(2.0 * shifted_norm + 1.0, core)
-        y_grid = make_y_grid(core, y_max)
-        # norm peaks of near-normal operators sit at the eigenvalue heights
-        peaks = eigvals.imag
-        y_grid = np.unique(np.concatenate([y_grid, peaks, -peaks]))
-    y_grid = np.asarray(y_grid, dtype=float)
+    core = 10.0 * max(abs(a), 1.0, float(np.max(np.abs(eigvals.imag))) if len(eigvals) else 0.0)
+    y_max = max(2.0 * shifted_norm + 1.0, core)
+    # norm peaks of near-normal operators sit at the eigenvalue heights
+    peaks = eigvals.imag
+    y_grid = np.unique(np.concatenate([make_y_grid(core, y_max), peaks, -peaks]))
     values = {}
 
     def line_norms(ys):
@@ -564,15 +561,22 @@ def check_h3(op, space: WeightedSpace, eigvals,
 # H4: decomposition bounds on the sampled admissible region
 
 
-def sample_xi_region(a: float, r: float, xi_list, n_line: int = 21,
-                     n_circle: int = 16, grid_shape=(16, 16)) -> np.ndarray:
+# the two H4 samples, (line points, points per circle, sweep shape)
+FULL_SAMPLE = (21, 16, (16, 16))
+THIN_SAMPLE = (9, 8, (6, 6))
+
+
+def sample_xi_region(a: float, r: float, xi_list, thin: bool = False) -> np.ndarray:
     """Sample the region {Re z > a} minus the excluded balls.
 
     Three families: the vertical line ``Re = a + 1e-6``, circles of
     radius ``1.05 r`` around each excluded center, and a rectangular sweep
     extending ``10 * max(|a|, |xi_j - a|, 1)`` to the right of the line.
-    Points inside any excluded ball (or left of the line) are dropped.
+    Their sizes are :data:`FULL_SAMPLE`, or :data:`THIN_SAMPLE` when
+    ``thin``. Points inside any excluded ball (or left of the line) are
+    dropped.
     """
+    n_line, n_circle, grid_shape = THIN_SAMPLE if thin else FULL_SAMPLE
     xi_list = [complex(x) for x in xi_list]
     gap_scale = max(abs(a), *(abs(x - a) for x in xi_list), 1.0)
     im_extent = max(abs(a), max((abs(x.imag) for x in xi_list), default=0.0) + 2 * r, 1.0)

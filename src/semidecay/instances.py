@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, SCHEMA_VERSION, Tolerances
+from .config import DEFAULT_TOLERANCES, SCHEMA_VERSION, Tolerances, _build, _integer, _number
 from .errors import ConfigError, DimensionMismatchError, InfeasibleParameterError
 from .factorization import SplitOperator
 from .spaces import EmbeddedSpacePair
@@ -190,11 +190,15 @@ def save_instance(instance: GeneratedInstance, directory, eigvals,
 def load_instance(directory) -> GeneratedInstance:
     """Read an instance written by :func:`save_instance`.
 
-    A manifest that is missing or not JSON, a missing manifest key or
-    certificate entry, a matrix file that cannot be read, a matrix or
-    weight vector the split or the space pair rejects, or weights of
-    another size than the operator, is a :class:`ConfigError` naming the
-    manifest or the file.
+    A manifest that is missing or not JSON, a ``schema_version`` other
+    than the integer 1, a missing manifest key or certificate entry, a
+    matrix file that cannot be read, a matrix or weight vector the split or
+    the space pair rejects, weights of another size than the operator, or
+    a certificate entry that is not a number (an integer for ``seed`` and
+    ``n``), is a :class:`ConfigError` naming the manifest or the file. So
+    is a certificate with a non-finite ``a``, ``gap``, ``strength`` or
+    ``xi``, a radius ``r`` that is not finite and positive, or an ``n``
+    other than the operator's size.
     """
     from . import matio as mio
     path = os.path.join(directory, "instance.json")
@@ -211,10 +215,11 @@ def load_instance(directory) -> GeneratedInstance:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read instance manifest {path}: {exc}") from None
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported instance schema_version in {path}")
     where = path
     try:
+        version = _build(f"schema_version in {path}", lambda: _integer(manifest["schema_version"]))
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported instance schema_version {version!r} in {path}")
         files = manifest["matrices"]
         mats = {key: read_matrix(fname) for key, fname in files.items()}
         where = f"{path} ({', '.join(f'{key}: {fname}' for key, fname in files.items())})"
@@ -227,12 +232,19 @@ def load_instance(directory) -> GeneratedInstance:
         if pair.dim != split.dim:
             raise ConfigError(f"{pair.dim} weights for an operator of size {split.dim} "
                               f"at {where}")
-        cert_raw = manifest["certificate"]
+        raw = manifest["certificate"]
         cert = InstanceCertificate(
-            a=cert_raw["a"], r=cert_raw["r"],
-            xi=tuple(complex(re, im) for re, im in cert_raw["xi"]),
-            gap=cert_raw["gap"], strength=cert_raw["strength"],
-            seed=cert_raw["seed"], n=cert_raw["n"])
+            xi=tuple(complex(_number(re), _number(im)) for re, im in raw["xi"]),
+            **{key: _build(f"certificate.{key} in {path}", lambda: cast(raw[key]))
+               for key, cast in (("a", _number), ("r", _number), ("gap", _number),
+                                 ("strength", _number), ("seed", _integer), ("n", _integer))})
+        if not (np.isfinite([cert.a, cert.gap, cert.strength, *cert.xi]).all()
+                and 0.0 < cert.r < math.inf):
+            raise ValueError(f"need a finite certificate with r > 0, got a={cert.a}, "
+                             f"r={cert.r}, gap={cert.gap}, strength={cert.strength}, "
+                             f"xi={list(cert.xi)}")
+        if cert.n != split.dim:
+            raise ValueError(f"certificate n = {cert.n} for an operator of size {split.dim}")
     except KeyError as exc:
         raise ConfigError(f"instance manifest {path} lacks the key {exc}") from None
     except (DimensionMismatchError, TypeError, ValueError) as exc:

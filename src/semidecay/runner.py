@@ -67,12 +67,7 @@ def _check_instance(instance: GeneratedInstance, tol, thin_samples=False) -> dic
         h1 = check_h1(spectrum, a, r, expected_k=cert.k, tol=tol)
         h2 = _attempt(check_h2, split.full, a, pair.small, h1.eigenvalues, tol=tol)
         h3 = _attempt(check_h3, split.full, pair.ambient, h1.eigenvalues, tol=tol)
-    if thin_samples:
-        samples = sample_xi_region(a, r, xis, n_line=9, n_circle=8,
-                                   grid_shape=(6, 6))
-    else:
-        samples = sample_xi_region(a, r, xis)
-    h4 = check_h4(split, pair, samples, tol=tol)
+    h4 = check_h4(split, pair, sample_xi_region(a, r, xis, thin=thin_samples), tol=tol)
     checks = {"h1": h1, "h2": h2, "h3": h3, "h4": h4,
               "factorization": _attempt(verify_factorization, h4.sweep),
               "bound_chain": _attempt(enlargement_bound_chain, h4.sweep)}

@@ -24,51 +24,46 @@ def matrix_exponential(matrix) -> np.ndarray:
     return result
 
 
-def _uniform_walk(matrix, t_grid):
-    """``(e^{t_0 T}, e^{dt T})`` on a uniform grid, ``None`` on any other.
+def uniform_step(t_grid) -> float:
+    """The step of a sampled time grid, the one grid rule of both walks.
 
-    A grid is uniform when it has at least two times and its steps agree
-    to rtol 1e-12. ``e^{t_0 T}`` is the identity when ``t_0 = 0``.
+    A grid passes when it starts at 0, has at least two times, and its
+    steps are positive and agree to rtol 1e-12; the step is the first one.
+    Any other grid is a ``ValueError``.
     """
+    t_grid = np.asarray(t_grid, dtype=float)
     steps = np.diff(t_grid)
-    if len(steps) == 0 or not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        return None
-    dt = (t_grid[-1] - t_grid[0]) / len(steps)
-    if t_grid[0] == 0.0:
-        start = np.eye(matrix.shape[0], dtype=matrix.dtype)
-    else:
-        start = matrix_exponential(matrix * t_grid[0])
-    return start, matrix_exponential(matrix * dt)
+    if (len(steps) == 0 or t_grid[0] != 0.0 or not steps[0] > 0.0
+            or not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0)):
+        raise ValueError("a time grid must start at 0 and be uniform and increasing, "
+                         "with at least two times")
+    return steps[0]
 
 
 def propagators(matrix, t_grid):
     """``e^{tT}`` at the times of ``t_grid``, one stack per
     :func:`~semidecay.spectral.blocks` block, in order.
 
-    On a uniform grid each propagator is the previous one times the
-    one-step propagator ``e^{dt T}``, written in place into its slot of the
-    stack; any other grid takes one :func:`matrix_exponential` per time, in
-    the same loop. Each block is filled under one ``errstate`` and checked
-    by one overflow guard, which raises :class:`MagnitudeGuardError` when
-    any of its propagators is not finite. Every stack is a fresh array
-    that the caller may modify.
+    The grid passes :func:`uniform_step`. The walk starts at the identity,
+    and each propagator after it is the previous one times the one-step
+    propagator ``e^{dt T}``, the walk's one :func:`matrix_exponential`,
+    written in place into its slot of the stack. Each block is filled
+    under one ``errstate`` and checked by one overflow guard, which raises
+    :class:`MagnitudeGuardError` when any of its propagators is not finite.
+    Every stack is a fresh array that the caller may modify.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    walk = _uniform_walk(matrix, t_grid)
-    dtype = np.result_type(*walk) if walk else np.result_type(matrix.dtype, float)
+    step = matrix_exponential(matrix * uniform_step(t_grid))
     n = matrix.shape[0]
     power = None
     for block in blocks(len(t_grid), n):
-        stack = np.empty((block.stop - block.start, n, n), dtype=dtype)
+        stack = np.empty((block.stop - block.start, n, n), dtype=step.dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, t in enumerate(t_grid[block]):
-                if walk is None:
-                    stack[j] = matrix_exponential(matrix * t)
-                elif power is None:
-                    stack[j] = walk[0]
+            for prop in stack:
+                if power is None:
+                    prop[:] = np.eye(n)
                 else:
-                    np.matmul(power, walk[1], out=stack[j])
-                power = stack[j]
+                    np.matmul(power, step, out=prop)
+                power = prop
         if not np.all(np.isfinite(stack.real)):
             raise MagnitudeGuardError("matrix exponential overflowed; shorten the horizon")
         power = power.copy()
@@ -82,12 +77,12 @@ def semigroup_norms(op, t_grid, space: WeightedSpace, deflation=None) -> np.ndar
     from the propagator before taking the norm; with no deflation this is
     the plain semigroup norm.
 
-    On a uniform grid the propagators are the powers of one short-step
-    propagator ``e^{dt T}`` applied to ``e^{t_0 T}`` (scaling and squaring
-    builds ``expm(k dt T)`` from the same powers), so the whole grid costs
-    at most two matrix exponentials; other grids take one per time. Each
-    stack of :func:`propagators` is deflated in place and reduced by one
-    stacked :func:`~semidecay.certify.spectral_norms`.
+    The propagators are the powers of one short-step propagator
+    ``e^{dt T}`` (scaling and squaring builds ``expm(k dt T)`` from the
+    same powers), so the whole grid, which passes :func:`uniform_step`,
+    costs one matrix exponential. Each stack of :func:`propagators` is
+    deflated in place and reduced by one stacked
+    :func:`~semidecay.certify.spectral_norms`.
     """
     matrix = np.asarray(op)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -102,7 +97,7 @@ def semigroup_norms(op, t_grid, space: WeightedSpace, deflation=None) -> np.ndar
     return out
 
 
-def default_time_grid(rate_scale: float = 1.0, n: int = 200) -> np.ndarray:
+def default_time_grid(rate_scale: float, n: int) -> np.ndarray:
     """Uniform grid on [0, 5 / |rate_scale|]."""
     t_max = 5.0 / max(abs(rate_scale), 1e-12)
     return np.linspace(0.0, t_max, n)
@@ -199,21 +194,16 @@ def step_trajectory(matrix, f0, t_grid, scheme: str = "implicit-euler"):
     Returns an iterator over the states at the times of ``t_grid``, in
     order, starting with a copy of ``f0``; each state is a fresh array, so
     a caller that reduces them as they arrive holds O(n) memory whatever
-    the step count. The grid and scheme are validated, and ``I - theta dt
-    T`` is factorized once through :func:`~semidecay.spectral.sparse_lu`,
-    when this function is called; the solves run as the states are read.
+    the step count. The grid (by :func:`uniform_step`) and scheme are
+    validated, and ``I - theta dt T`` is factorized once through
+    :func:`~semidecay.spectral.sparse_lu`, when this function is called;
+    the solves run as the states are read.
     Accepts dense or sparse ``matrix``.
 
     The implicit solves are residual-checked each step; a violation raises
     :class:`StepRejectionError` rather than silently drifting.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or t_grid[0] != 0.0:
-        raise ValueError("t_grid must start at 0 and contain at least two points")
-    steps = np.diff(t_grid)
-    dt = steps[0]
-    if not np.allclose(steps, dt, rtol=1e-12, atol=0.0):
-        raise ValueError("step_trajectory requires a uniform time grid")
+    dt = uniform_step(t_grid)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
     theta = SCHEMES[scheme]

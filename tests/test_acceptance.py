@@ -56,8 +56,7 @@ def suite_samples(suite_instances):
     samples = []
     for inst in suite_instances:
         cert = inst.certificate
-        xi = sample_xi_region(cert.a, cert.r, list(cert.xi),
-                              n_line=9, n_circle=8, grid_shape=(6, 6))
+        xi = sample_xi_region(cert.a, cert.r, list(cert.xi), thin=True)
         assert len(xi) >= 25
         samples.append(xi)
     return samples

@@ -28,8 +28,7 @@ def _results(seed, n):
     split, pair, cert = inst.split, inst.pair, inst.certificate
     if n == 16:
         # the thinned sample the runner uses for sweeps of more than four seeds
-        samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
-                                   n_line=9, n_circle=8, grid_shape=(6, 6))
+        samples = sample_xi_region(cert.a, cert.r, list(cert.xi), thin=True)
     else:
         samples = sample_xi_region(cert.a, cert.r, list(cert.xi))
     sweep = shift_sweep(split, pair, samples)

@@ -243,6 +243,10 @@ def _malform_manifest(edit):
     return malform
 
 
+def _set_certificate(**entries):
+    return _malform_manifest(lambda m: m["certificate"].update(entries))
+
+
 def _malform_invalid_json(inst_dir):
     path = inst_dir / "instance.json"
     path.write_text(path.read_text()[:-10])
@@ -257,8 +261,21 @@ def _malform_invalid_json(inst_dir):
     (lambda inst_dir: (inst_dir / "A.mtx").unlink(), ("cannot read matrix", "A.mtx")),
     (lambda inst_dir: (inst_dir / "instance.json").unlink(),
      ("cannot read instance manifest",)),
+    (_set_certificate(a=float("nan")), ("need a finite certificate", "a=nan")),
+    (_set_certificate(a="x"), ("'x' is not a number at certificate.a",)),
+    (_set_certificate(gap=float("inf")), ("need a finite certificate", "gap=inf")),
+    (_set_certificate(strength=None), ("certificate.strength",)),
+    (_set_certificate(xi=[[0.0, float("nan")]]), ("need a finite certificate",)),
+    (_set_certificate(r=-1), ("need a finite certificate", "r=-1.0")),
+    (_set_certificate(r=float("inf")), ("need a finite certificate", "r=inf")),
+    (_set_certificate(n=99), ("certificate n = 99 for an operator of size 4",)),
+    (_set_certificate(n=4.5), ("4.5 is not an integer at certificate.n",)),
+    (_malform_manifest(lambda m: m.update(schema_version=True)),
+     ("True is not an integer at schema_version",)),
 ], ids=["nan_in_T", "short_weights", "no_weights_small", "no_certificate_gap",
-        "invalid_json", "no_A_matrix", "no_manifest"])
+        "invalid_json", "no_A_matrix", "no_manifest", "nan_a", "string_a", "infinite_gap",
+        "null_strength", "nan_xi", "negative_r", "infinite_r", "wrong_n", "fractional_n",
+        "true_schema_version"])
 def test_malformed_instance_directory_gives_exit_four(tmp_path, capsys, malform, names):
     from semidecay import eigen_decompose, generate_instance, save_instance
     inst_dir = tmp_path / "inst"
@@ -631,9 +648,10 @@ def test_resolvent_scan_verdict_needs_both_certificates(tmp_path, monkeypatch):
 
     def short_small_scan(disc, a, tol):
         dense = disc.dense_generator()
-        small = hypotheses.check_h2(dense, a, disc.space_small,
-                                    np.linalg.eigvals(dense.astype(complex)),
-                                    y_grid=[-1.0, 0.0, 1.0], tol=tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(hypotheses, "make_y_grid", lambda *_: np.array([-1.0, 0.0, 1.0]))
+            small = hypotheses.check_h2(dense, a, disc.space_small,
+                                        np.linalg.eigvals(dense.astype(complex)), tol=tol)
         return replace(scan(disc, a, tol=tol), small=small)
 
     monkeypatch.setattr(runner, "resolvent_scan_fp", short_small_scan)

@@ -150,8 +150,8 @@ class TestResolventFromDecay:
             worst = int(np.argmax(ratios))
             assert report.laplace_max_ratio == ratios[worst]
             assert report.worst_z == report.z_samples[worst]
-            # one stack of the five propagators and their commutators first
-            assert taken[0] == 5 * (1 + len(cert.projectors))
+            # one stack of the six propagators and their commutators first
+            assert taken[0] == 6 * (1 + len(cert.projectors))
 
 
 def test_round_trip_on_generated_instances():

@@ -158,8 +158,7 @@ class TestBoundChain:
     def test_domination_on_random_seeds(self, seed):
         inst = generate_instance(seed, 8)
         cert = inst.certificate
-        samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
-                                   n_line=5, n_circle=6, grid_shape=(3, 3))
+        samples = sample_xi_region(cert.a, cert.r, list(cert.xi), thin=True)
         report = enlargement_bound_chain(shift_sweep(inst.split, inst.pair, samples))
         assert report.dominated
         assert report.certified_bound >= report.direct_sup
@@ -356,8 +355,7 @@ class TestSweepAgainstDenseOracle:
         inst = generate_instance(seed, n)
         split, pair, cert = inst.split, inst.pair, inst.certificate
         # the thinned sample the runner uses for sweeps of more than four seeds
-        samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
-                                   n_line=9, n_circle=8, grid_shape=(6, 6))
+        samples = sample_xi_region(cert.a, cert.r, list(cert.xi), thin=True)
         h4 = check_h4(split, pair, samples)
         fact = verify_factorization(h4.sweep)
         chain = enlargement_bound_chain(h4.sweep)
@@ -388,8 +386,7 @@ class TestSweepAgainstDenseOracle:
         inst = generate_instance(seed, n)
         split, pair, cert = inst.split, inst.pair, inst.certificate
         amb, small = pair.ambient, pair.small
-        samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
-                                   n_line=9, n_circle=8, grid_shape=(6, 6))
+        samples = sample_xi_region(cert.a, cert.r, list(cert.xi), thin=True)
         sweep = shift_sweep(split, pair, samples)
         plain = {name: np.empty(len(samples)) for name in
                  ("resolvent", "b_inverse", "a_b_inverse", "b_inverse_a", "resolvent_small")}

@@ -7,7 +7,7 @@ import pytest
 from semidecay.equivalence import verify_decay_from_resolvent
 from semidecay.errors import SingularityError
 from semidecay.factorization import SplitOperator
-from semidecay import hypotheses
+from semidecay import generate_instance, hypotheses
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential, SwirlField, find_decomposition,
                                      spectral_gap_H)
@@ -414,13 +414,14 @@ class TestH2Mirror:
 
     def test_complex_operator_is_evaluated_at_both_signs(self, evaluated):
         t_mat = np.array([[-1.0 + 1.0j, 5.0], [0.0, -2.0]])
-        ys = np.array([-1.0, 1.0])
-        report = check_h2(t_mat, -0.5, WeightedSpace(np.ones(2)), eigen_decompose(t_mat)[0],
-                          y_grid=ys)
-        assert -1.0 in evaluated
+        report = check_h2(t_mat, -0.5, WeightedSpace(np.ones(2)), eigen_decompose(t_mat)[0])
+        ys = report.y_grid
+        assert set(ys) <= set(evaluated)
         oracle = _dense_line_norms(t_mat + 0.5 * np.eye(2), ys)
         npt.assert_allclose(report.norms, oracle, rtol=1e-12, atol=0.0)
-        assert report.norms[1] > 1.5 * report.norms[0]
+        # the eigenvalue height +1 is on the grid, and its mirror is not a peak
+        at = {y: norm for y, norm in zip(ys, report.norms)}
+        assert at[1.0] > 1.5 * at[-1.0]
 
 
 
@@ -518,3 +519,14 @@ def test_sampled_region_avoids_balls_and_line():
     assert len(samples) >= 25
     assert np.all(samples.real > -0.75)
     assert np.all(np.abs(samples - 0.0) > 0.25)
+
+
+def test_the_two_samples_keep_their_sizes():
+    """The full and the thin H4 sample of testbed seed 1 are the 291- and
+    53-point samples of every earlier testbed report."""
+    cert = generate_instance(1, 16).certificate
+    full = sample_xi_region(cert.a, cert.r, list(cert.xi))
+    thin = sample_xi_region(cert.a, cert.r, list(cert.xi), thin=True)
+    assert (hypotheses.FULL_SAMPLE, hypotheses.THIN_SAMPLE) == ((21, 16, (16, 16)),
+                                                                (9, 8, (6, 6)))
+    assert (len(full), len(thin)) == (291, 53)

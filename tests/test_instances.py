@@ -67,8 +67,7 @@ def test_certificate_revalidates(seed, n):
     cert = inst.certificate
     h1 = check_h1(eigen_decompose(inst.split.full), cert.a, cert.r, expected_k=cert.k)
     assert h1.verdict == PASS
-    samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
-                               n_line=5, n_circle=4, grid_shape=(3, 3))
+    samples = sample_xi_region(cert.a, cert.r, list(cert.xi), thin=True)
     h4 = check_h4(inst.split, inst.pair, samples)
     assert h4.verdict == PASS
 
@@ -82,8 +81,7 @@ def test_multi_group_instance_revalidates_and_round_trips():
     spectrum = eigen_decompose(inst.split.full)
     h1 = check_h1(spectrum, cert.a, cert.r, expected_k=3)
     assert h1.verdict == PASS
-    samples = sample_xi_region(cert.a, cert.r, list(cert.xi),
-                               n_line=5, n_circle=4, grid_shape=(3, 3))
+    samples = sample_xi_region(cert.a, cert.r, list(cert.xi), thin=True)
     h4 = check_h4(inst.split, inst.pair, samples)
     assert h4.verdict == PASS
     transfer = verify_decay_from_resolvent(inst.split.full, inst.pair.ambient,

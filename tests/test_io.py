@@ -86,6 +86,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="schema_version"):
             RunConfig.from_mapping({"command": "testbed"})
 
+    def test_schema_version_is_the_integer_one(self):
+        assert RunConfig.from_mapping(self.base(schema_version=1.0)).command == "testbed"
+        for version in (True, "1", 1.5, 2):
+            with pytest.raises(ConfigError, match="at config.schema_version"):
+                RunConfig.from_mapping(self.base(schema_version=version))
+
     def test_command_mismatch(self):
         with pytest.raises(ConfigError, match="does not match"):
             RunConfig.from_mapping(self.base(), command="fp-decay")

@@ -26,28 +26,19 @@ def trajectory(mat, f0, t_grid):
 class TestSemigroupApply:
     def test_zero_generator_is_constant(self):
         f0 = np.array([1.0, -2.0, 0.5])
-        traj = trajectory(np.zeros((3, 3)), f0, [0.5, 1.0, 2.0])
+        traj = trajectory(np.zeros((3, 3)), f0, [0.0, 0.5, 1.0, 1.5, 2.0])
         for row in traj:
             npt.assert_allclose(row, f0, atol=1e-15)
 
     def test_diagonal(self):
-        traj = trajectory(np.diag([0.0, -1.0]), np.array([1.0, 1.0]), [1.0])
-        npt.assert_allclose(traj[0], [1.0, np.exp(-1.0)], rtol=1e-13)
+        traj = trajectory(np.diag([0.0, -1.0]), np.array([1.0, 1.0]), [0.0, 1.0])
+        npt.assert_allclose(traj[1], [1.0, np.exp(-1.0)], rtol=1e-13)
 
     def test_nilpotent_is_polynomial(self):
         # e^{tT} = I + tT for a nilpotent block
         t_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
-        traj = trajectory(t_mat, np.array([0.0, 1.0]), [2.0])
-        npt.assert_allclose(traj[0], [2.0, 1.0], atol=1e-14)
-
-    def test_nonuniform_grid_matches_uniform(self, rng):
-        mat = -0.5 * np.eye(4) + 0.1 * rng.standard_normal((4, 4))
-        f0 = rng.standard_normal(4)
-        irregular = np.array([0.3, 0.5, 1.1, 2.0])
-        traj = trajectory(mat, f0, irregular)
-        for t, row in zip(irregular, traj):
-            expected = matrix_exponential(mat * t) @ f0
-            npt.assert_allclose(row, expected, rtol=1e-12)
+        traj = trajectory(t_mat, np.array([0.0, 1.0]), [0.0, 2.0])
+        npt.assert_allclose(traj[1], [2.0, 1.0], atol=1e-14)
 
     def test_overflow_guard(self):
         with pytest.raises(MagnitudeGuardError):
@@ -181,15 +172,10 @@ def walked_oracle_norms(matrix, t_grid, space, deflation=None):
     """The walk one time at a time, ``power = power @ step``, with one guard
     and one norm per time: the order in which the stacked walk multiplies."""
     t_grid = np.asarray(t_grid, dtype=float)
-    dt = (t_grid[-1] - t_grid[0]) / (len(t_grid) - 1)
-    step = matrix_exponential(matrix * dt)
+    step = matrix_exponential(matrix * t_grid[1])
     out = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
-        if i == 0:
-            power = (np.eye(len(matrix), dtype=matrix.dtype) if t == 0.0
-                     else matrix_exponential(matrix * t))
-        else:
-            power = power @ step
+        power = np.eye(len(matrix)) if i == 0 else power @ step
         assert np.all(np.isfinite(power))
         prop = power
         if deflation:
@@ -238,23 +224,6 @@ class TestPropagatorWalk:
             walked, oracle_semigroup_norms(matrix, transfer_grid, space, deflation),
             rtol=1e-12, atol=0.0)
 
-    def test_grid_off_zero_exponentiates_start_and_step(self, rng, expm_calls):
-        mat = -0.5 * np.eye(6) + 0.3 * rng.standard_normal((6, 6))
-        t_grid = np.linspace(0.4, 3.0, 27)
-        space = WeightedSpace(np.ones(6))
-        norms = semigroup_norms(mat, t_grid, space)
-        assert len(expm_calls) == 2
-        npt.assert_allclose(norms, oracle_semigroup_norms(mat, t_grid, space),
-                            rtol=1e-12, atol=0.0)
-
-    def test_nonuniform_grid_exponentiates_per_time(self, rng, expm_calls):
-        mat = -0.5 * np.eye(6) + 0.3 * rng.standard_normal((6, 6))
-        t_grid = np.array([0.0, 0.1, 0.3, 0.35, 1.0, 2.5])
-        space = WeightedSpace(np.ones(6))
-        norms = semigroup_norms(mat, t_grid, space)
-        assert len(expm_calls) == len(t_grid)
-        npt.assert_array_equal(norms, oracle_semigroup_norms(mat, t_grid, space))
-
     def test_overflowing_power_raises(self):
         # one step e^{0.1 * 700} is finite; its powers pass e^{709.8} by t = 1.1
         t_grid = np.linspace(0.0, 2.0, 21)
@@ -262,7 +231,7 @@ class TestPropagatorWalk:
         with pytest.raises(MagnitudeGuardError, match="overflowed"):
             semigroup_norms(np.diag([700.0, -1.0]), t_grid, space)
         with pytest.raises(MagnitudeGuardError, match="overflowed"):
-            semigroup_norms(np.diag([700.0, -1.0]), t_grid[1:], space)
+            semigroup_norms(np.diag([700.0, -1.0]), t_grid[:12], space)
 
     def test_apply_walks_a_grid_from_zero(self, rng, expm_calls):
         mat = -0.5 * np.eye(5) + 0.2 * rng.standard_normal((5, 5))
@@ -299,13 +268,6 @@ class TestStackedWalk:
             semigroup_norms(matrix, t_grid, space, deflation=deflation),
             walked_oracle_norms(matrix, t_grid, space, deflation))
 
-    def test_grid_off_zero_equals_the_per_time_walk(self, rng):
-        mat = -0.5 * np.eye(16) + 0.3 * rng.standard_normal((16, 16))
-        t_grid = np.linspace(0.4, 3.0, 45)
-        space = WeightedSpace(rng.uniform(0.5, 2.0, 16))
-        npt.assert_array_equal(semigroup_norms(mat, t_grid, space),
-                               walked_oracle_norms(mat, t_grid, space))
-
     def test_overflow_in_the_second_block_raises(self):
         # n = 16 takes blocks of 32; e^{40 t} passes e^{709.8} at t = 18,
         # the 37th time of this grid
@@ -319,15 +281,6 @@ class TestStackedWalk:
         with pytest.raises(MagnitudeGuardError, match="overflowed"):
             semigroup_norms(matrix, t_grid, WeightedSpace(np.ones(16)))
 
-    def test_nonuniform_grid_exponentiates_once_per_time(self, rng, expm_calls):
-        mat = -0.5 * np.eye(16) + 0.3 * rng.standard_normal((16, 16))
-        t_grid = np.sort(rng.uniform(0.0, 3.0, 40))
-        space = WeightedSpace(np.ones(16))
-        norms = semigroup_norms(mat, t_grid, space)
-        assert len(expm_calls) == len(t_grid)
-        assert [len(stack) for stack in propagators(mat, t_grid)] == [32, 8]
-        npt.assert_array_equal(norms, oracle_semigroup_norms(mat, t_grid, space))
-
     def test_stacks_are_the_callers(self, rng):
         # writing into a yielded stack leaves the stacks after it unchanged
         mat = -0.5 * np.eye(16) + 0.3 * rng.standard_normal((16, 16))
@@ -338,3 +291,31 @@ class TestStackedWalk:
             scribbled.append(stack.copy())
             stack[:] = np.nan
         npt.assert_array_equal(np.concatenate(scribbled), expected)
+
+
+class TestGridRule:
+    """Both walks, :func:`propagators` and :func:`step_trajectory`, take
+    the grids :func:`~semidecay.semigroup.uniform_step` passes and raise
+    one ``ValueError`` on any other, before any matrix exponential."""
+
+    @pytest.mark.parametrize("t_grid", [
+        pytest.param([0.0, -0.1, -0.2], id="decreasing"),
+        pytest.param(np.linspace(0.4, 3.0, 27), id="off-zero"),
+        pytest.param([0.0, 0.1, 0.3, 0.35, 1.0, 2.5], id="non-uniform"),
+        pytest.param([0.0], id="one-time"),
+    ])
+    def test_both_walks_reject(self, t_grid, expm_calls):
+        mat = np.diag([-1.0, -2.0])
+        with pytest.raises(ValueError) as walked:
+            semigroup_norms(mat, t_grid, WeightedSpace(np.ones(2)))
+        with pytest.raises(ValueError) as marched:
+            step_trajectory(mat, np.ones(2), t_grid)
+        assert str(walked.value) == str(marched.value)
+        assert "start at 0" in str(walked.value)
+        assert expm_calls == []
+
+    def test_step_is_the_first_step(self):
+        # the fp-decay grid: an arange from 0, whose steps differ by rounding
+        t_grid = np.arange(0.0, 2.0 + 0.5 * 0.1, 0.1)
+        assert semigroup.uniform_step(t_grid) == t_grid[1] == 0.1
+        assert semigroup.uniform_step(np.linspace(0.0, 2.0, 6)) == 2.0 / 5
