@@ -35,13 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     config = RunConfig.from_json_file(args.config, command=args.command)
-    if args.seed is not None:
-        config = config.override(seed=args.seed)
-    if args.jobs is not None:
-        config = config.override(jobs=args.jobs)
-    if args.out is not None:
-        config = config.override(out_dir=args.out)
-    return config
+    flags = {"seed": args.seed, "jobs": args.jobs, "out_dir": args.out}
+    return config.override(**{key: val for key, val in flags.items() if val is not None})
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,9 @@
 
 Every numerical slack used anywhere in the package lives in one
 :class:`Tolerances` object so a single JSON blob controls a whole run.
-Configuration mappings are parsed strictly: unknown keys are rejected with
-a pointer to the offending entry.
+Run configurations and instance manifests go through one strict reader,
+:func:`_read`, which casts every JSON value once and rejects unknown keys
+with a pointer to the offending entry.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -62,37 +65,43 @@ class Tolerances:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "Tolerances":
-        _require_keys(mapping, {f.name for f in dataclasses.fields(cls)}, set(),
-                      "tolerances")
-        vals = {}
-        for key, val in mapping.items():
-            try:
-                vals[key] = _number(val)
-            except (TypeError, ValueError):
-                raise ConfigError(f"value for tolerances.{key} is not a number: {val!r}")
-        return _build("tolerances", lambda: cls(**vals))
+        casts = {f.name: _number for f in dataclasses.fields(cls)}
+        return _build("tolerances", lambda: cls(**_read(mapping, casts, "tolerances")))
 
 
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _require_keys(mapping, allowed, required, where):
+def _read(mapping, casts, where, required=()) -> dict:
+    """The entries of the JSON object ``mapping``, each cast by ``casts``
+    under its own name (``where.key``; ``where`` is empty at the top of a
+    file). A key that ``casts`` does not name, or a missing ``required``
+    key, is a :class:`ConfigError`; an absent key is left out, so it takes
+    its dataclass default, and a key whose cast is ``None`` is accepted
+    and ignored."""
+    at = where or "the top level"
     if not isinstance(mapping, dict):
-        raise ConfigError(f"expected an object at {where}")
+        raise ConfigError(f"expected an object at {at}")
     for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' at {where}")
+        if key not in casts:
+            raise ConfigError(f"unknown key '{key}' at {at}")
     for key in required:
         if key not in mapping:
-            raise ConfigError(f"missing key '{key}' at {where}")
+            raise ConfigError(f"missing key '{key}' at {at}")
+    return {key: _build(f"{where}.{key}" if where else key, lambda: cast(mapping[key]))
+            for key, cast in casts.items() if cast is not None and key in mapping}
 
 
 def _number(value, kind: str = "a number") -> float:
     """A JSON number as a float: ``true`` and ``"8"`` raise ``ValueError``
-    rather than read as 1.0 and 8.0."""
+    rather than read as 1.0 and 8.0, and so does an integer beyond the
+    float range."""
     if isinstance(value, (bool, str)):
         raise ValueError(f"{value!r} is not {kind}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} is beyond the float range") from None
 
 
 def _integer(value) -> int:
@@ -103,20 +112,50 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _numbers(value) -> np.ndarray:
+    """A JSON array of JSON numbers as a 1-D float array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not an array of numbers")
+    return np.array([_number(item) for item in value], dtype=float)
+
+
+def _points(value) -> tuple:
+    """A JSON array of ``[re, im]`` number pairs as complex numbers; any
+    other value fails to unpack or to cast."""
+    return tuple(complex(re, im) for re, im in map(_numbers, value))
+
+
+def _string(value) -> str:
+    """A JSON string, which no other value reads as."""
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def _as_is(value):
+    """A JSON value uncast, for a field its class checks itself."""
+    return value
+
+
+def _optional(cast):
+    """``cast``, except that JSON ``null`` reads as ``None``."""
+    return lambda value: None if value is None else cast(value)
+
+
+def _schema_version(value) -> int:
+    """The one ``schema_version`` rule of configs and instance manifests."""
+    if _integer(value) != SCHEMA_VERSION:
+        raise ValueError(f"{value!r} is not the supported version {SCHEMA_VERSION}")
+    return SCHEMA_VERSION
+
+
 def _build(where, make):
     """Construct one physical object; its ``ValueError`` (or a bad cast)
-    becomes a :class:`ConfigError` that names the config key."""
+    becomes a :class:`ConfigError` that names the key."""
     try:
         return make()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{exc} at {where}") from None
-
-
-def _present(mapping, casts, where) -> dict:
-    """The keys of ``mapping`` that ``casts`` names, each cast under its
-    config key; an absent key is left out, so it takes its dataclass default."""
-    return {key: _build(f"{where}.{key}", lambda: cast(mapping[key]))
-            for key, cast in casts.items() if key in mapping}
 
 
 @dataclass(frozen=True)
@@ -140,9 +179,6 @@ class FPProblem:
     initial_data: str = "heavy-tail"
     target_a: float | None = None       # decomposition target; default half the gap
 
-    _ALLOWED = {"d", "s", "L", "N", "weight", "swirl", "scheme", "t_max",
-                "dt", "initial_data", "target_a"}
-
     @classmethod
     def from_mapping(cls, mapping, where="problem"):
         # lazy imports: both modules import this one
@@ -150,39 +186,31 @@ class FPProblem:
                                     SwirlField, check_domain, check_target)
         from .semigroup import SCHEMES
 
-        _require_keys(mapping, cls._ALLOWED, {"d", "s", "L", "N"}, where)
-        d = _build(f"{where}.d", lambda: _integer(mapping["d"]))
-        n = _build(f"{where}.N", lambda: _integer(mapping["N"]))
-        length = _build(f"{where}.L", lambda: _number(mapping["L"]))
-        grid = _build(where, lambda: FPGrid(d=d, L=length, N=n))
-        potential = _build(f"{where}.s", lambda: Potential(s=_number(mapping["s"])))
+        def weight(value):
+            return EnlargedWeight(**_read(value, {"kind": _string, "k": _number},
+                                          f"{where}.weight", required=("kind", "k")))
+
+        def swirl(value):
+            vals = _read(value, {"phi": _string, "amplitude": _number}, f"{where}.swirl")
+            if "phi" in vals:
+                vals["profile"] = vals.pop("phi")
+            return SwirlField(**vals)
+
+        vals = _read(mapping, {
+            "d": _integer, "s": _number, "L": _number, "N": _integer, "weight": weight,
+            "swirl": _optional(swirl), "scheme": _string, "t_max": _number, "dt": _number,
+            "initial_data": _string, "target_a": _optional(_number)},
+            where, required=("d", "s", "L", "N"))
+        grid = _build(where, lambda: FPGrid(d=vals.pop("d"), L=vals.pop("L"), N=vals.pop("N")))
+        potential = _build(f"{where}.s", lambda: Potential(s=vals.pop("s")))
         _build(f"{where}.L", lambda: check_domain(grid, potential))
-        weight = EnlargedWeight()
-        if "weight" in mapping:
-            weight_map = mapping["weight"]
-            _require_keys(weight_map, {"kind", "k"}, {"kind", "k"}, f"{where}.weight")
-            weight = _build(f"{where}.weight", lambda: EnlargedWeight(**_present(
-                weight_map, {"kind": str, "k": _number}, f"{where}.weight")))
-        _build(f"{where}.weight", lambda: weight.validate_for_dimension(grid.d))
-        swirl = None
-        if mapping.get("swirl") is not None:
-            if grid.d != 2:
-                raise ConfigError(f"swirl field requires d=2 at {where}.swirl")
-            swirl_map = mapping["swirl"]
-            _require_keys(swirl_map, {"phi", "amplitude"}, set(), f"{where}.swirl")
-            present = _present(swirl_map, {"phi": str, "amplitude": _number},
-                               f"{where}.swirl")
-            if "phi" in present:
-                present["profile"] = present.pop("phi")
-            swirl = _build(f"{where}.swirl", lambda: SwirlField(**present))
-        target_a = mapping.get("target_a")
-        if target_a is not None:
-            target_a = _build(f"{where}.target_a", lambda: _number(target_a))
-            _build(f"{where}.target_a", lambda: check_target(target_a))
-        problem = cls(grid=grid, potential=potential, weight=weight, swirl=swirl,
-                      target_a=target_a, **_present(
-                          mapping, {"scheme": str, "initial_data": str,
-                                    "t_max": _number, "dt": _number}, where))
+        vals.setdefault("weight", EnlargedWeight())
+        _build(f"{where}.weight", lambda: vals["weight"].validate_for_dimension(grid.d))
+        if vals.get("swirl") is not None and grid.d != 2:
+            raise ConfigError(f"swirl field requires d=2 at {where}.swirl")
+        if vals.get("target_a") is not None:
+            _build(f"{where}.target_a", lambda: check_target(vals["target_a"]))
+        problem = cls(grid=grid, potential=potential, **vals)
         if problem.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme '{problem.scheme}' at {where}.scheme")
         if problem.initial_data not in INITIAL_DATA:
@@ -228,10 +256,8 @@ class InstanceSpec:
         # lazy import: instances imports this module
         from .instances import check_instance
 
-        casts = {"n": _integer, "a": _number, "gap": _number, "strength": _number,
-                 "k": _integer}
-        _require_keys(mapping, casts, set(), where)
-        spec = cls(**_present(mapping, casts, where))
+        spec = cls(**_read(mapping, {"n": _integer, "a": _number, "gap": _number,
+                                     "strength": _number, "k": _integer}, where))
         _build(where, lambda: check_instance(spec.n, spec.a, spec.gap, spec.strength,
                                              spec.k))
         return spec
@@ -259,7 +285,7 @@ class RunConfig:
     write_operators: bool = False
 
     def __post_init__(self):
-        # runs for the file and again for each command-line override
+        # runs for the file and again for the command-line overrides
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed} at config.seed")
         if self.n_seeds < 1:
@@ -275,12 +301,16 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, mapping, command=None) -> "RunConfig":
-        allowed = {"schema_version"} | {f.name for f in dataclasses.fields(cls)}
-        _require_keys(mapping, allowed, {"schema_version"}, "config")
-        version = _build("config.schema_version", lambda: _integer(mapping["schema_version"]))
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version!r} at config.schema_version")
-        cfg_command = mapping.get("command", command)
+        vals = _read(mapping, {
+            "schema_version": _schema_version, "command": _string, "seed": _integer,
+            "n_seeds": _integer, "instance": InstanceSpec.from_mapping,
+            "problem": _optional(FPProblem.from_mapping),
+            "tolerances": Tolerances.from_mapping, "jobs": _integer,
+            # __post_init__ checks the types of these three
+            "instance_path": _as_is, "out_dir": _as_is, "write_operators": _as_is},
+            "config", required=("schema_version",))
+        del vals["schema_version"]
+        cfg_command = vals.setdefault("command", command)
         if cfg_command is None:
             raise ConfigError("missing key 'command' at config")
         if cfg_command not in COMMANDS:
@@ -288,22 +318,11 @@ class RunConfig:
         if command is not None and cfg_command != command:
             raise ConfigError(
                 f"config.command '{cfg_command}' does not match CLI command '{command}'")
-        problem = None
-        if mapping.get("problem") is not None:
-            problem = FPProblem.from_mapping(mapping["problem"])
-        elif cfg_command.startswith("fp-"):
+        if vals.get("problem") is None and cfg_command.startswith("fp-"):
             raise ConfigError(f"missing key 'problem' at config (required by {cfg_command})")
-        if cfg_command == "enlarge-check" and not mapping.get("instance_path"):
+        if cfg_command == "enlarge-check" and not vals.get("instance_path"):
             raise ConfigError("missing key 'instance_path' at config (required by enlarge-check)")
-        instance = InstanceSpec.from_mapping(mapping.get("instance", {}))
-        tolerances = Tolerances.from_mapping(mapping.get("tolerances", {}))
-        # __post_init__ checks the types of the keys passed uncast
-        uncast = {key: mapping[key] for key in ("instance_path", "out_dir", "write_operators")
-                  if key in mapping}
-        return cls(command=cfg_command, instance=instance, problem=problem,
-                   tolerances=tolerances, **uncast, **_present(
-                       mapping, {"seed": _integer, "n_seeds": _integer, "jobs": _integer},
-                       "config"))
+        return cls(**vals)
 
     @classmethod
     def from_json_file(cls, path, command=None) -> "RunConfig":

@@ -213,7 +213,7 @@ def _equilibrium_nodes(grid: FPGrid, potential) -> np.ndarray:
     meshes = grid.meshes()
     u_vals = np.asarray(potential.value(*meshes), dtype=float)
     span = float(u_vals.max() - u_vals.min())
-    if span > 600.0:
+    if not span <= 600.0:
         raise DomainTooSmallError(
             f"potential range {span:.0f} exceeds the representable window; "
             f"shrink L or s")
@@ -223,8 +223,11 @@ def _equilibrium_nodes(grid: FPGrid, potential) -> np.ndarray:
 def check_domain(grid: FPGrid, potential):
     """Require the truncated domain to resolve the equilibrium: its tail
     decayed at the boundary and its node values representable."""
-    check_truncation(grid, potential)
-    _equilibrium_nodes(grid, potential)
+    # a potential past the float range reads as inf, and a range of inf or
+    # NaN (all nodes inf) fails the range check
+    with np.errstate(over="ignore", invalid="ignore"):
+        check_truncation(grid, potential)
+        _equilibrium_nodes(grid, potential)
 
 
 def _csr_from_entries(entries, n) -> sp.csr_matrix:

@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, SCHEMA_VERSION, Tolerances, _build, _integer, _number
+from .config import (DEFAULT_TOLERANCES, SCHEMA_VERSION, Tolerances, _integer, _number, _numbers,
+                     _points, _read, _schema_version, _string)
 from .errors import ConfigError, DimensionMismatchError, InfeasibleParameterError
 from .factorization import SplitOperator
 from .spaces import EmbeddedSpacePair
@@ -190,15 +191,19 @@ def save_instance(instance: GeneratedInstance, directory, eigvals,
 def load_instance(directory) -> GeneratedInstance:
     """Read an instance written by :func:`save_instance`.
 
-    A manifest that is missing or not JSON, a ``schema_version`` other
-    than the integer 1, a missing manifest key or certificate entry, a
-    matrix file that cannot be read, a matrix or weight vector the split or
-    the space pair rejects, weights of another size than the operator, or
-    a certificate entry that is not a number (an integer for ``seed`` and
-    ``n``), is a :class:`ConfigError` naming the manifest or the file. So
-    is a certificate with a non-finite ``a``, ``gap``, ``strength`` or
-    ``xi``, a radius ``r`` that is not finite and positive, or an ``n``
-    other than the operator's size.
+    The manifest goes through config's strict reader, so its key set is
+    closed: ``projectors``, ``tolerances`` and the older
+    ``certificate.embedding_constant`` are accepted and ignored. A manifest
+    that is missing or not JSON, a ``schema_version`` other than the
+    integer 1, an unknown or missing key, a value that is not a JSON number
+    (an integer for ``seed`` and ``n``, an array of numbers for the
+    weights, a string for each matrix file), a matrix file that cannot be
+    read, a matrix or weight vector the split or the space pair rejects,
+    or weights of another size than the operator, is a
+    :class:`ConfigError` naming the manifest or the file. So is a
+    certificate with a non-finite ``a``, ``gap``, ``strength`` or ``xi``,
+    a radius ``r`` that is not finite and positive, or an ``n`` other than
+    the operator's size.
     """
     from . import matio as mio
     path = os.path.join(directory, "instance.json")
@@ -210,34 +215,43 @@ def load_instance(directory) -> GeneratedInstance:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read matrix {file} named in {path}: {exc}") from None
 
+    def certificate(value):
+        return InstanceCertificate(**_read(value, {
+            "a": _number, "r": _number, "xi": _points, "gap": _number, "strength": _number,
+            "seed": _integer, "n": _integer, "embedding_constant": None}, "certificate",
+            required=[f.name for f in fields(InstanceCertificate)]))
+
+    def matrices(value):
+        keys = ("full", "part_a", "part_b")
+        return _read(value, dict.fromkeys(keys, _string), "matrices", required=keys)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read instance manifest {path}: {exc}") from None
-    where = path
     try:
-        version = _build(f"schema_version in {path}", lambda: _integer(manifest["schema_version"]))
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported instance schema_version {version!r} in {path}")
-        files = manifest["matrices"]
-        mats = {key: read_matrix(fname) for key, fname in files.items()}
-        where = f"{path} ({', '.join(f'{key}: {fname}' for key, fname in files.items())})"
-        split = SplitOperator(full=mats["full"], part_a=mats["part_a"],
-                              part_b=mats["part_b"])
-        pair = EmbeddedSpacePair.from_weights(
-            np.asarray(manifest["weights_ambient"]),
-            np.asarray(manifest["weights_small"]),
-            cell_measure=float(manifest.get("cell_measure", 1.0)))
+        # projectors and tolerances are written for other readers
+        manifest = _read(manifest, {
+            "schema_version": _schema_version, "certificate": certificate,
+            "matrices": matrices, "weights_ambient": _numbers, "weights_small": _numbers,
+            "cell_measure": _number, "projectors": None, "tolerances": None}, "",
+            required=("schema_version", "certificate", "matrices", "weights_ambient",
+                      "weights_small"))
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} in {path}") from None
+    files = manifest["matrices"]
+    mats = {key: read_matrix(fname) for key, fname in files.items()}
+    where = f"{path} ({', '.join(f'{key}: {fname}' for key, fname in files.items())})"
+    try:
+        split = SplitOperator(**mats)
+        pair = EmbeddedSpacePair.from_weights(manifest["weights_ambient"],
+                                              manifest["weights_small"],
+                                              cell_measure=manifest.get("cell_measure", 1.0))
         if pair.dim != split.dim:
             raise ConfigError(f"{pair.dim} weights for an operator of size {split.dim} "
                               f"at {where}")
-        raw = manifest["certificate"]
-        cert = InstanceCertificate(
-            xi=tuple(complex(_number(re), _number(im)) for re, im in raw["xi"]),
-            **{key: _build(f"certificate.{key} in {path}", lambda: cast(raw[key]))
-               for key, cast in (("a", _number), ("r", _number), ("gap", _number),
-                                 ("strength", _number), ("seed", _integer), ("n", _integer))})
+        cert = manifest["certificate"]
         if not (np.isfinite([cert.a, cert.gap, cert.strength, *cert.xi]).all()
                 and 0.0 < cert.r < math.inf):
             raise ValueError(f"need a finite certificate with r > 0, got a={cert.a}, "
@@ -245,8 +259,6 @@ def load_instance(directory) -> GeneratedInstance:
                              f"xi={list(cert.xi)}")
         if cert.n != split.dim:
             raise ValueError(f"certificate n = {cert.n} for an operator of size {split.dim}")
-    except KeyError as exc:
-        raise ConfigError(f"instance manifest {path} lacks the key {exc}") from None
-    except (DimensionMismatchError, TypeError, ValueError) as exc:
+    except (DimensionMismatchError, ValueError) as exc:
         raise ConfigError(f"{exc} at {where}") from None
     return GeneratedInstance(split, pair, cert)

@@ -158,7 +158,7 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
     ({**BASE_TESTBED, "tolerances": {}}, {"tolerances": {"tol_solve": -1.0}}, [],
      "tol_solve must be finite"),
     ({**BASE_TESTBED, "tolerances": {}}, {"tolerances": {"tol_solve": True}}, [],
-     "tolerances.tol_solve is not a number: True"),
+     "True is not a number at tolerances.tol_solve"),
     (BASE_FP, {"s": True}, [], "True is not a number at problem.s"),
     (BASE_FP, {"L": "8"}, [], "'8' is not a number at problem.L"),
     (BASE_TESTBED, {"instance": {"a": "-0.5"}}, [], "'-0.5' is not a number at instance.a"),
@@ -167,6 +167,17 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
      "unknown key 'injectivity_floor' at tolerances"),
     (BASE_TESTBED, {"tolerances": 5}, [], "expected an object at tolerances"),
     (BASE_TESTBED, {"tolerances": None}, [], "expected an object at tolerances"),
+    (BASE_TESTBED, {"seed": 10**400}, [], "beyond the float range at config.seed"),
+    ({**BASE_TESTBED, "tolerances": {}}, {"tolerances": {"tol_solve": 10**400}}, [],
+     "beyond the float range at tolerances.tol_solve"),
+    (BASE_FP, {"N": 10**400}, [], "beyond the float range at problem.N"),
+    (BASE_FP, {"s": 400.0}, [],
+     "potential range inf exceeds the representable window; shrink L or s at problem.L"),
+    (BASE_FP, {"s": 1e6}, [],
+     "potential range nan exceeds the representable window; shrink L or s at problem.L"),
+    (BASE_TESTBED, {"instance": {"a": 10**400}}, [], "beyond the float range at instance.a"),
+    (BASE_TESTBED, {"schema_version": 10**400}, [],
+     "beyond the float range at config.schema_version"),
 ], ids=["N", "L", "amplitude", "dt", "t_max", "t_max_samples",
         "n_seeds0", "n_seeds-3", "seed_cast", "t_max_cast", "n_cast", "n0",
         "k_above_n", "strength", "a_positive", "gap_no_margin", "strength_nan",
@@ -177,7 +188,9 @@ BASE_ENLARGE = {"schema_version": 1, "command": "enlarge-check"}
         "scheme_removed", "seed_negative", "seed_flag_negative",
         "write_operators_string", "tolerance_nan", "tolerance_negative",
         "tol_solve_bool", "s_bool", "L_string", "a_string", "instance_path_number",
-        "injectivity_floor_removed", "tolerances_number", "tolerances_null"])
+        "injectivity_floor_removed", "tolerances_number", "tolerances_null",
+        "seed_overflow", "tol_solve_overflow", "N_overflow", "s_overflow", "s_all_nodes_overflow", "a_overflow",
+        "schema_version_overflow"])
 def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
                                                           edit, argv, names):
     cfg_map = json.loads(json.dumps(base))
@@ -255,8 +268,10 @@ def _malform_invalid_json(inst_dir):
 @pytest.mark.parametrize("malform, names", [
     (_malform_nan_in_generator, ("full has non-finite entries", "full: T.mtx")),
     (_malform_short_weights, ("3 weights for an operator of size 4", "full: T.mtx")),
-    (_malform_manifest(lambda m: m.pop("weights_small")), ("lacks the key 'weights_small'",)),
-    (_malform_manifest(lambda m: m["certificate"].pop("gap")), ("lacks the key 'gap'",)),
+    (_malform_manifest(lambda m: m.pop("weights_small")),
+     ("missing key 'weights_small' at the top level",)),
+    (_malform_manifest(lambda m: m["certificate"].pop("gap")),
+     ("missing key 'gap' at certificate",)),
     (_malform_invalid_json, ("cannot read instance manifest",)),
     (lambda inst_dir: (inst_dir / "A.mtx").unlink(), ("cannot read matrix", "A.mtx")),
     (lambda inst_dir: (inst_dir / "instance.json").unlink(),
@@ -272,10 +287,26 @@ def _malform_invalid_json(inst_dir):
     (_set_certificate(n=4.5), ("4.5 is not an integer at certificate.n",)),
     (_malform_manifest(lambda m: m.update(schema_version=True)),
      ("True is not an integer at schema_version",)),
+    (_set_certificate(seed=10**400), ("beyond the float range at certificate.seed",)),
+    (_malform_manifest(lambda m: m.update(cell_measure="0.5")),
+     ("'0.5' is not a number at cell_measure",)),
+    (_malform_manifest(lambda m: m.update(cell_measure=True)),
+     ("True is not a number at cell_measure",)),
+    (_malform_manifest(lambda m: m.update(weights_small=list(map(str, m["weights_small"])))),
+     ("is not a number at weights_small",)),
+    (_malform_manifest(lambda m: m.update(weights_ambient=[True] * 4)),
+     ("True is not a number at weights_ambient",)),
+    (_malform_manifest(lambda m: m.update(matrices=["T.mtx"])),
+     ("expected an object at matrices",)),
+    (_malform_manifest(lambda m: m["matrices"].update(full=5)),
+     ("5 is not a string at matrices.full",)),
+    (_malform_manifest(lambda m: m.update(bogus=1)), ("unknown key 'bogus' at the top level",)),
 ], ids=["nan_in_T", "short_weights", "no_weights_small", "no_certificate_gap",
         "invalid_json", "no_A_matrix", "no_manifest", "nan_a", "string_a", "infinite_gap",
         "null_strength", "nan_xi", "negative_r", "infinite_r", "wrong_n", "fractional_n",
-        "true_schema_version"])
+        "true_schema_version", "seed_overflow", "string_cell_measure", "true_cell_measure",
+        "string_weights", "true_weights", "matrices_list", "matrices_number",
+        "unknown_key"])
 def test_malformed_instance_directory_gives_exit_four(tmp_path, capsys, malform, names):
     from semidecay import eigen_decompose, generate_instance, save_instance
     inst_dir = tmp_path / "inst"

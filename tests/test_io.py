@@ -8,11 +8,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semidecay
+from semidecay import eigen_decompose, generate_instance, load_instance, save_instance
 from semidecay.config import FPProblem, RunConfig, Tolerances
 from semidecay.errors import ConfigError
+from semidecay.instances import GeneratedInstance
 from semidecay.matio import read_matrix, write_csv, write_matrix
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 
 class TestMatrixMarket:
@@ -141,10 +147,11 @@ class TestConfigParsing:
         rebuilt = RunConfig.from_mapping(echo)
         assert rebuilt == config
 
-    @pytest.mark.parametrize("name", sorted(
-        path.name for path in (pathlib.Path(__file__).parent.parent / "configs").glob("*.json")))
-    def test_problem_echo_rebuilds_the_same_objects(self, name):
-        path = pathlib.Path(__file__).parent.parent / "configs" / name
+    # the benchmark's configs too, so a reader that rejects one fails here
+    @pytest.mark.parametrize("path", [*sorted((ROOT / "configs").glob("*.json")),
+                                      *sorted((ROOT / "perfbench" / "configs").glob("*.json"))],
+                             ids=lambda path: str(path.relative_to(ROOT)).removeprefix("configs/"))
+    def test_problem_echo_rebuilds_the_same_objects(self, path):
         config = RunConfig.from_json_file(path)
         assert RunConfig.from_mapping(config.to_dict()) == config
         if config.problem is not None:
@@ -155,6 +162,74 @@ class TestConfigParsing:
             defaults = {f.name: f.default for f in dataclasses.fields(FPProblem)
                         if f.name in echo and f.name not in shipped}
             assert defaults and {key: echo[key] for key in defaults} == defaults
+
+
+# every JSON value: null, booleans, integers past the float range, floats
+# with NaN and +-inf, strings (no "/", so a file name stays in the instance
+# directory), arrays and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats()
+    | st.text(st.characters(blacklist_characters="/"), max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+VALID_CONFIG = {"schema_version": 1, "command": "fp-decay", "seed": 3, "n_seeds": 1,
+                "instance": {"n": 4, "a": -0.75, "gap": -1.0, "strength": 0.5, "k": 1},
+                "problem": {"d": 1, "s": 2.0, "L": 8.0, "N": 40,
+                            "weight": {"kind": "polynomial", "k": 3.0},
+                            "swirl": None, "scheme": "implicit-euler", "t_max": 1.0,
+                            "dt": 0.05, "initial_data": "heavy-tail", "target_a": None},
+                "tolerances": {"tol_solve": 1e-10}, "instance_path": None,
+                "out_dir": "out", "jobs": 1, "write_operators": False}
+# problem.N is left out: an N inside the float range sizes the mesh that
+# check_domain builds while the config is read
+CONFIG_KEYS = [(key,) for key in [*VALID_CONFIG, "bogus"]] + [
+    ("instance", key) for key in VALID_CONFIG["instance"]] + [
+    ("problem", key) for key in VALID_CONFIG["problem"] if key != "N"] + [
+    ("problem", "weight", "k"), ("problem", "weight", "kind"), ("tolerances", "tol_solve")]
+MANIFEST_KEYS = [("schema_version",), ("certificate",), ("matrices",), ("weights_ambient",),
+                 ("weights_small",), ("cell_measure",), ("projectors",), ("tolerances",),
+                 ("bogus",), ("matrices", "full"), ("weights_small", 0)] + [
+    ("certificate", key) for key in ("a", "r", "xi", "gap", "strength", "seed", "n",
+                                     "embedding_constant")]
+
+
+def _with_value(mapping, keys, value):
+    mapping = json.loads(json.dumps(mapping))
+    inner = mapping
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return mapping
+
+
+@pytest.fixture(scope="module")
+def saved_instance(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("inst")
+    inst = generate_instance(3, 4)
+    path = save_instance(inst, directory, eigen_decompose(inst.split.full)[0])
+    return directory, json.loads(pathlib.Path(path).read_text())
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(target=st.sampled_from([("config.json", keys) for keys in CONFIG_KEYS]
+                              + [("instance.json", keys) for keys in MANIFEST_KEYS]),
+       value=JSON_VALUES)
+def test_no_json_value_escapes_the_reader(saved_instance, target, value):
+    """One value in one key of a valid config or manifest loads, or is a
+    config error; no other exception escapes."""
+    directory, manifest = saved_instance
+    name, keys = target
+    valid = VALID_CONFIG if name == "config.json" else manifest
+    (directory / name).write_text(json.dumps(_with_value(valid, keys, value)))
+    try:
+        if name == "config.json":
+            assert isinstance(RunConfig.from_json_file(directory / name), RunConfig)
+        else:
+            assert isinstance(load_instance(directory), GeneratedInstance)
+    except ConfigError:
+        pass
 
 
 def test_every_tolerance_is_read_outside_config():
