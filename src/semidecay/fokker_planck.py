@@ -39,6 +39,8 @@ _DENSE_LIMIT = 4200
 # from v0 = ones misses the top eigenvalue of 3 of 4 candidates
 _DENSE_EIG_LIMIT = 1100
 TRUNCATION_GUARD = 1e-12
+# nodes of one grid, N^d: checked before any mesh is built
+MAX_NODES = 10**6
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +167,9 @@ class FPGrid:
             raise ValueError(f"half-width must be positive and finite, got L={self.L}")
         if self.N < 4:
             raise ValueError(f"need at least 4 cells per axis, got N={self.N}")
+        if self.N ** self.d > MAX_NODES:
+            raise ValueError(f"need at most {MAX_NODES} nodes, got N={self.N} "
+                             f"in dimension d={self.d}")
 
     @property
     def h(self) -> float:
@@ -190,44 +195,39 @@ class FPGrid:
         return np.sqrt(r2).ravel()
 
 
-def check_truncation(grid: FPGrid, potential):
-    """Require the equilibrium to have decayed at the boundary."""
-    if not getattr(potential, "requires_truncation_guard", True):
-        return
-    boundary = [np.array(grid.L)] + [np.array(0.0)] * (grid.d - 1)
-    origin = [np.array(0.0)] * grid.d
-    u_boundary = float(np.asarray(potential.value(*boundary)))
-    u_center = float(np.asarray(potential.value(*origin)))
-    ratio = np.exp(u_center - u_boundary)
-    if ratio > TRUNCATION_GUARD:
-        raise DomainTooSmallError(
-            f"equilibrium boundary/center ratio {ratio:.2e} exceeds the "
-            f"truncation guard {TRUNCATION_GUARD:.1e}; enlarge L")
-
-
-def _equilibrium_nodes(grid: FPGrid, potential) -> np.ndarray:
-    """Equilibrium node values, exponentiated once around the potential
-    midrange so neighbor products stay representable. All consumers must
-    use this one vector (up to scalar normalization): its ratios are what
-    the assembled stencil telescopes against exactly."""
-    meshes = grid.meshes()
-    u_vals = np.asarray(potential.value(*meshes), dtype=float)
-    span = float(u_vals.max() - u_vals.min())
-    if not span <= 600.0:
-        raise DomainTooSmallError(
-            f"potential range {span:.0f} exceeds the representable window; "
-            f"shrink L or s")
-    return np.exp(-(u_vals - 0.5 * (u_vals.max() + u_vals.min())))
-
-
 def check_domain(grid: FPGrid, potential):
-    """Require the truncated domain to resolve the equilibrium: its tail
-    decayed at the boundary and its node values representable."""
+    """Require the truncated domain to resolve the equilibrium, and return
+    ``(u_nodes, mu_nodes)``: the potential and the equilibrium at the nodes,
+    shaped like the meshes.
+
+    The equilibrium's boundary/center ratio must not exceed
+    ``TRUNCATION_GUARD`` (a potential exempt from the guard skips it), and
+    the potential's range over the nodes must not exceed 600. The
+    equilibrium is exponentiated once around the potential midrange so
+    neighbor products stay representable. All consumers must use this one
+    vector (up to scalar normalization): its ratios are what the assembled
+    stencil telescopes against exactly. This is the only evaluation of the
+    potential on the nodes; the config check and
+    :meth:`FPDiscretization.build` both call it.
+    """
     # a potential past the float range reads as inf, and a range of inf or
     # NaN (all nodes inf) fails the range check
     with np.errstate(over="ignore", invalid="ignore"):
-        check_truncation(grid, potential)
-        _equilibrium_nodes(grid, potential)
+        if getattr(potential, "requires_truncation_guard", True):
+            u_center = float(potential.value(*[0.0] * grid.d))
+            u_boundary = float(potential.value(grid.L, *[0.0] * (grid.d - 1)))
+            ratio = np.exp(u_center - u_boundary)
+            if ratio > TRUNCATION_GUARD:
+                raise DomainTooSmallError(
+                    f"equilibrium boundary/center ratio {ratio:.2e} exceeds the "
+                    f"truncation guard {TRUNCATION_GUARD:.1e}; enlarge L")
+        u_nodes = np.asarray(potential.value(*grid.meshes()), dtype=float)
+        span = float(u_nodes.max() - u_nodes.min())
+        if not span <= 600.0:
+            raise DomainTooSmallError(
+                f"potential range {span:.0f} exceeds the representable window; "
+                f"shrink L or s")
+        return u_nodes, np.exp(-(u_nodes - 0.5 * (u_nodes.max() + u_nodes.min())))
 
 
 def _csr_from_entries(entries, n) -> sp.csr_matrix:
@@ -240,20 +240,20 @@ def _csr_from_entries(entries, n) -> sp.csr_matrix:
     return matrix
 
 
-def assemble_symmetric_part(grid: FPGrid, potential) -> sp.csr_matrix:
+def assemble_symmetric_part(grid: FPGrid, mu) -> sp.csr_matrix:
     """Divergence-form stencil for ``div(grad f + grad U f)``.
 
     Face fluxes use the geometric mean of the neighboring equilibrium
     values; with ``g = f / mu`` the flux at a face is
     ``mu_face (g_right - g_left) / h`` and boundary fluxes are zero. The
     equilibrium kills every face difference, and summation by parts gives
-    exact symmetry in the ``mu^{-1}`` inner product.
+    exact symmetry in the ``mu^{-1}`` inner product. ``mu`` holds the
+    equilibrium node values of :func:`check_domain`, flat or mesh-shaped.
     """
-    mu = _equilibrium_nodes(grid, potential)
+    mu = np.reshape(mu, (grid.N,) * grid.d)
     h = grid.h
     n = grid.n_total
-    shape = mu.shape if grid.d == 2 else (grid.N,)
-    idx = np.arange(n).reshape(shape)
+    idx = np.arange(n).reshape(mu.shape)
     entries = []
     for axis in range(grid.d):
         sl_lo = [slice(None)] * grid.d
@@ -315,9 +315,7 @@ class FPDiscretization(Check):
     """
 
     grid: FPGrid
-    potential: object
     weight: EnlargedWeight
-    swirl: SwirlField | None
     sym: sp.csr_matrix
     skew: sp.csr_matrix
     mu: np.ndarray                 # equilibrium node values, unit discrete mass
@@ -328,19 +326,15 @@ class FPDiscretization(Check):
     @classmethod
     def build(cls, grid: FPGrid, potential, weight: EnlargedWeight,
               swirl: SwirlField | None = None) -> "FPDiscretization":
-        check_truncation(grid, potential)
+        u_nodes, mu_nodes = check_domain(grid, potential)
         weight.validate_for_dimension(grid.d)
-        meshes = grid.meshes()
-        u_vals = np.asarray(potential.value(*meshes), dtype=float).ravel()
-        mu = _equilibrium_nodes(grid, potential).ravel()
-        mu = mu / (mu.sum() * grid.h ** grid.d)
-        sym = assemble_symmetric_part(grid, potential)
-        skew = assemble_skew_part(grid, potential, swirl)
-        space_small = WeightedSpace(1.0 / mu, grid.h ** grid.d)
-        space_ambient = WeightedSpace(weight.theta(u_vals), grid.h ** grid.d)
-        return cls(grid=grid, potential=potential, weight=weight, swirl=swirl,
-                   sym=sym, skew=skew, mu=mu, space_small=space_small,
-                   space_ambient=space_ambient)
+        hd = grid.h ** grid.d
+        mu = mu_nodes.ravel()
+        mu = mu / (mu.sum() * hd)
+        return cls(grid=grid, weight=weight, sym=assemble_symmetric_part(grid, mu_nodes),
+                   skew=assemble_skew_part(grid, potential, swirl), mu=mu,
+                   space_small=WeightedSpace(1.0 / mu, hd),
+                   space_ambient=WeightedSpace(weight.theta(u_nodes.ravel()), hd))
 
     @property
     def generator(self) -> sp.csr_matrix:

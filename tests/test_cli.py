@@ -209,6 +209,22 @@ def test_invalid_input_gives_exit_four_without_traceback(tmp_path, capsys, base,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("edit", [{"N": 10_000_000}, {"d": 2, "N": 1001}], ids=["d1", "d2"])
+def test_node_count_is_bounded_before_any_mesh(tmp_path, capsys, monkeypatch, edit):
+    def no_mesh(grid, potential):
+        raise AssertionError("check_domain ran on an oversized grid")
+
+    monkeypatch.setattr(fokker_planck, "check_domain", no_mesh)
+    cfg_map = json.loads(json.dumps(BASE_FP))
+    cfg_map["problem"].update(edit)
+    cfg_map["out_dir"] = str(tmp_path / "out")
+    assert main(["fp-decay", "--config", write_config(tmp_path, cfg_map)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: need at most 1000000 nodes")
+    assert err.rstrip().endswith("at problem")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["testbed"], ["testbed", "--config", "cfg.json", "--bogus"], ["bogus"],
     ["testbed", "--config", "cfg.json", "--tolerance", "tol_proj=1e-7"],

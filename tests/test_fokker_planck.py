@@ -15,7 +15,7 @@ from semidecay.factorization import (SplitOperator, enlargement_bound_chain,
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
                                      Potential, SwirlField, UniformPotential,
                                      assemble_skew_part,
-                                     assemble_symmetric_part, check_truncation,
+                                     assemble_symmetric_part, check_domain,
                                      decay_experiment, find_decomposition,
                                      gap_mode, initial_datum,
                                      resolvent_scan_fp, spectral_gap_H)
@@ -86,7 +86,7 @@ class TestSymmetricPart:
 
     def test_constant_equilibrium_reduces_to_laplacian(self):
         grid = FPGrid(d=1, L=1.0, N=8)
-        sym = assemble_symmetric_part(grid, UniformPotential()).toarray()
+        sym = assemble_symmetric_part(grid, check_domain(grid, UniformPotential())[1]).toarray()
         h2 = grid.h ** 2
         expected = (np.diag(np.full(7, 1.0), 1) + np.diag(np.full(7, 1.0), -1)
                     - np.diag([1, 2, 2, 2, 2, 2, 2, 1])) / h2
@@ -108,7 +108,23 @@ class TestSymmetricPart:
 
     def test_truncation_guard(self):
         with pytest.raises(DomainTooSmallError):
-            check_truncation(FPGrid(d=1, L=2.0, N=50), Potential(1.0))
+            check_domain(FPGrid(d=1, L=2.0, N=50), Potential(1.0))
+
+    @pytest.mark.parametrize("s", [400.0, 1e6], ids=["inf_range", "nan_range"])
+    def test_overflowing_potential_fails_the_range_check_without_warnings(self, s):
+        # Tier-1 turns every warning into an error, so a numpy RuntimeWarning
+        # on the way to the range check fails here
+        with pytest.raises(DomainTooSmallError, match="exceeds the representable window"):
+            FPDiscretization.build(FPGrid(d=1, L=8.0, N=40), Potential(s),
+                                   EnlargedWeight())
+
+    def test_node_count_is_bounded(self):
+        FPGrid(d=1, L=8.0, N=20000)
+        FPGrid(d=2, L=8.0, N=256)
+        FPGrid(d=1, L=8.0, N=fokker_planck.MAX_NODES)
+        for d, n in ((1, fokker_planck.MAX_NODES + 1), (2, 1001), (1, 10**300)):
+            with pytest.raises(ValueError, match="at most 1000000 nodes"):
+                FPGrid(d=d, L=8.0, N=n)
 
     def test_nonpositivity_with_single_neutral_mode(self):
         from semidecay.fokker_planck import _similarity
@@ -184,8 +200,7 @@ class TestSpectralGap:
         assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.2)
 
     def test_broken_assembly_detected(self, fp_small):
-        broken = FPDiscretization(grid=fp_small.grid, potential=fp_small.potential,
-                                  weight=fp_small.weight, swirl=None,
+        broken = FPDiscretization(grid=fp_small.grid, weight=fp_small.weight,
                                   sym=fp_small.sym + 0.1 * __import__("scipy.sparse", fromlist=["identity"]).identity(fp_small.grid.n_total),
                                   skew=fp_small.skew, mu=fp_small.mu,
                                   space_small=fp_small.space_small,

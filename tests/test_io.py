@@ -182,11 +182,9 @@ VALID_CONFIG = {"schema_version": 1, "command": "fp-decay", "seed": 3, "n_seeds"
                             "dt": 0.05, "initial_data": "heavy-tail", "target_a": None},
                 "tolerances": {"tol_solve": 1e-10}, "instance_path": None,
                 "out_dir": "out", "jobs": 1, "write_operators": False}
-# problem.N is left out: an N inside the float range sizes the mesh that
-# check_domain builds while the config is read
 CONFIG_KEYS = [(key,) for key in [*VALID_CONFIG, "bogus"]] + [
     ("instance", key) for key in VALID_CONFIG["instance"]] + [
-    ("problem", key) for key in VALID_CONFIG["problem"] if key != "N"] + [
+    ("problem", key) for key in VALID_CONFIG["problem"]] + [
     ("problem", "weight", "k"), ("problem", "weight", "kind"), ("tolerances", "tol_solve")]
 MANIFEST_KEYS = [("schema_version",), ("certificate",), ("matrices",), ("weights_ambient",),
                  ("weights_small",), ("cell_measure",), ("projectors",), ("tolerances",),

@@ -1,9 +1,11 @@
-"""How many dense kernels one instance check runs.
+"""How many dense kernels one instance check runs, and how often a
+drift-diffusion run evaluates its potential on the nodes.
 
 The counts patch the numpy/scipy entry points, so they see every call
 whichever module makes it.
 """
 
+import json
 import sys
 
 import numpy as np
@@ -14,7 +16,7 @@ from semidecay import factorization, generate_instance, hypotheses, spectral
 from semidecay.factorization import shift_sweep
 from semidecay.config import DEFAULT_TOLERANCES
 from semidecay.fokker_planck import (EnlargedWeight, FPDiscretization, FPGrid,
-                                     Potential, spectral_gap_H)
+                                     Potential, SwirlField, spectral_gap_H)
 from semidecay.hypotheses import check_h2, sample_xi_region
 from semidecay.reports import PASS
 from semidecay.runner import _check_instance
@@ -326,3 +328,41 @@ def test_dense_testbed_line_takes_one_spectral_norm(line_kernels):
     assert line_kernels["spectral_norms"] == 1
     assert line_kernels["eig_banded"] == 0
     assert line_kernels["bands"] == []
+
+
+@pytest.fixture
+def node_evaluations(monkeypatch):
+    """The shapes at which :meth:`Potential.value` is evaluated, one per call."""
+    shapes = []
+    value = Potential.value
+
+    def recording(self, *coords):
+        shapes.append(np.shape(coords[0]))
+        return value(self, *coords)
+
+    monkeypatch.setattr(Potential, "value", recording)
+    return shapes
+
+
+def test_build_evaluates_the_potential_on_the_nodes_once(node_evaluations):
+    """``check_domain`` is the one node pass: the equilibrium, the stencil
+    and the ambient weights share it. The swirl's face evaluations, at
+    (N-1) x N and N x (N-1), are not node calls."""
+    grid = FPGrid(d=2, L=8.0, N=12)
+    FPDiscretization.build(grid, Potential(2.0), EnlargedWeight("polynomial", 3.0),
+                           swirl=SwirlField("inverse_linear", 1.0))
+    assert node_evaluations.count((12, 12)) == 1
+    assert {(11, 12), (12, 11)} <= set(node_evaluations)
+
+
+def test_spectrum_run_evaluates_the_potential_on_the_nodes_twice(tmp_path,
+                                                                 node_evaluations):
+    """One node pass when the config is read, one in the assembly."""
+    from semidecay.cli import main
+    config = {"schema_version": 1, "command": "fp-spectrum", "out_dir": str(tmp_path / "out"),
+              "problem": {"d": 1, "s": 2.0, "L": 8.0, "N": 80,
+                          "weight": {"kind": "polynomial", "k": 3.0}}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["fp-spectrum", "--config", str(path)]) == 0
+    assert node_evaluations.count((80,)) == 2

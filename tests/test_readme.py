@@ -1,10 +1,11 @@
-"""The code examples of README.md run against the package as it is."""
+"""The code examples of README.md run against the package as it is, and
+the limits it states are the constants of the code."""
 
 import os
 import re
 
 import semidecay
-from semidecay import generate_instance
+from semidecay import config, fokker_planck, generate_instance
 from semidecay.reports import PASS
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -32,3 +33,15 @@ def test_python_api_examples_run():
                  "chain"):
         assert namespace[name].verdict == PASS, name
     assert len(namespace["transfer"].certificate.projectors) == cert.k
+
+
+def test_stated_size_limits_match_the_code():
+    """The limits the README gives as `module.NAME` = 10^k are the constants."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    stated = dict(re.findall(r"`((?:config|fokker_planck)\.MAX_\w+)` = 10\^(\d+)", text))
+    assert stated.keys() == {"config.MAX_TIME_SAMPLES", "fokker_planck.MAX_NODES"}
+    modules = {"config": config, "fokker_planck": fokker_planck}
+    for name, exponent in stated.items():
+        module, constant = name.split(".")
+        assert getattr(modules[module], constant) == 10 ** int(exponent), name
